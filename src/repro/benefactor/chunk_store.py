@@ -153,7 +153,9 @@ class MemoryChunkStore(ChunkStore):
         return self._chunks[chunk_id]
 
     def _write(self, chunk_id: ChunkId, data: bytes) -> None:
-        self._chunks[chunk_id] = data
+        # The store owns what it keeps: a view handed over by the in-process
+        # transport would pin the writer's whole image.  No-op for ``bytes``.
+        self._chunks[chunk_id] = bytes(data)
 
     def _delete(self, chunk_id: ChunkId) -> None:
         del self._chunks[chunk_id]

@@ -16,6 +16,11 @@ only when the window is full, which bounds client memory at
 ``max_inflight_chunks`` chunk payloads.  With the default
 ``push_parallelism == 1`` the data path is fully synchronous, one RPC at a
 time, exactly as before.
+
+Chunking copies nothing: a complete chunk is a ``memoryview`` slice of the
+``bytes`` the application wrote, handed as such to the transport (which sends
+it out-of-band, see :mod:`repro.transport.tcp`); only the sub-chunk head and
+tail of a ``feed`` pass through a buffer.
 """
 
 from __future__ import annotations
@@ -154,27 +159,46 @@ class ChunkPusher:
     def feed(self, data: bytes, flush: bool = False) -> None:
         """Accept application bytes; push every complete chunk immediately.
 
+        Complete chunks are emitted as views of ``data``, never copied; only
+        a sub-chunk head (topping up a partial chunk left by the previous
+        call) and tail pass through the pending buffer.  With
+        ``push_parallelism > 1`` pushes are still in flight when this
+        returns, so a view is taken of immutable ``bytes`` only: any other
+        buffer (``bytearray``, ``mmap``, a writable view) is copied once up
+        front, which also leaves the caller free to mutate or resize it.
+
         ``flush`` forces the trailing partial chunk out as well (used at
         close time and when a protocol rotates its temporary file).
         """
-        self.stats.bytes_written += len(data)
-        self._pending.extend(data)
-        while len(self._pending) >= self.chunk_size:
-            payload = bytes(self._pending[: self.chunk_size])
-            del self._pending[: self.chunk_size]
-            self._emit(payload)
+        if type(data) is not bytes:
+            data = bytes(data)
+        size = len(data)
+        self.stats.bytes_written += size
+        view = memoryview(data)
+        position = 0
+        if self._pending:
+            position = min(self.chunk_size - len(self._pending), size)
+            self._pending += view[:position]
+            if len(self._pending) == self.chunk_size:
+                self._emit_pending()
+        while size - position >= self.chunk_size:
+            self._emit(view[position:position + self.chunk_size])
+            position += self.chunk_size
+        if position < size:
+            self._pending += view[position:]
         if flush and self._pending:
-            payload = bytes(self._pending)
-            self._pending.clear()
-            self._emit(payload)
+            self._emit_pending()
+
+    def _emit_pending(self) -> None:
+        payload = bytes(self._pending)
+        self._pending.clear()
+        self._emit(payload)
 
     def finish(self) -> ChunkMap:
         """Flush the trailing chunk, wait for all in-flight pushes, and
         return the completed chunk-map (ordered by file offset)."""
         if self._pending:
-            payload = bytes(self._pending)
-            self._pending.clear()
-            self._emit(payload)
+            self._emit_pending()
         self._drain()
         self._flush_acks()
         self._raise_if_failed()
@@ -191,7 +215,7 @@ class ChunkPusher:
             self._executor = None
 
     # -- chunk emission ------------------------------------------------------
-    def _emit(self, payload: bytes) -> None:
+    def _emit(self, payload: "bytes | memoryview") -> None:
         if self._content_addressed:
             chunk = Chunk(chunk_id=content_chunk_id(payload), data=payload)
         else:

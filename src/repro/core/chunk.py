@@ -67,7 +67,9 @@ class Chunk:
 
     The payload is immutable by convention: once a chunk is created its bytes
     must not change, because benefactors and the manager identify it solely by
-    ``chunk_id``.
+    ``chunk_id``.  On the write path it may be a read-only ``memoryview`` of
+    the application's ``bytes`` (no copy is made to cut a chunk); hashing,
+    ``len`` and the transports accept either.
     """
 
     chunk_id: ChunkId

@@ -1,75 +1,216 @@
-"""TCP transport: length-prefixed pickled frames over localhost sockets.
+"""TCP transport: one frame format, chunk payloads carried out-of-band.
 
-This transport demonstrates that the manager, benefactors and clients operate
-unchanged across process boundaries.  The framing is deliberately simple:
+Every RPC — request or response, large or small — is one frame::
 
-``[8-byte big-endian length][pickled (method, payload) tuple]``
+    [meta_len u64][payload_len u64][meta][payload]
 
-and the response frame carries either ``("ok", result)`` or
-``("error", exception_instance)``.  Pickle is acceptable here because the
-system is deployed inside a single administrative domain (the paper's desktop
-grid assumption) — it is not an untrusted-network protocol.
+``meta`` is a protocol-5 pickle of ``(method, payload_dict)`` on the way in
+and of ``("ok", result)`` / ``("error", exception)`` on the way out.  The one
+large bytes-like value of a message (a top-level value of the payload dict, or
+the result itself, at least :data:`OUT_OF_BAND_MIN` bytes) is left out of the
+pickle as a :class:`pickle.PickleBuffer` and travels as the raw ``payload``
+section; ``payload_len`` is 0 for every other frame.  The sender hands the
+caller's buffer to ``sendmsg`` beside the header and the receiver lets the
+kernel fill one ``bytes`` object that the handler then receives as is, so a
+chunk is never copied in user space between the application's buffer and the
+benefactor's store.  Anything nested deeper (``put_chunks``' batch entries)
+stays inside the pickle: correct, just not copy-free.
+
+What arrives on a socket is not trusted.  Frames are loaded by an unpickler
+that resolves no global except the exception classes of
+:mod:`repro.exceptions` and :mod:`builtins` — every RPC argument and result
+is built from dict/list/tuple/str/int/float/bool/None/bytes, which need no
+globals — so a hostile pickle cannot name a callable.  Both length fields are
+capped before anything is allocated, and a frame that breaks any of these
+rules costs its sender only its own connection.
 """
 
 from __future__ import annotations
 
+import builtins
+import io
 import pickle
 import socket
 import socketserver
 import struct
 import threading
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
-from repro.exceptions import EndpointUnreachableError, ProtocolError
-from repro.obs import runtime, tracing
+from repro import exceptions
+from repro.exceptions import EndpointUnreachableError, ProtocolError, StdchkError
+from repro.obs import component_logger, runtime, tracing
 from repro.transport.base import Endpoint, Transport
 
-_LENGTH = struct.Struct(">Q")
+_HEADER = struct.Struct(">QQ")
+
+#: Smallest bytes-like value that leaves the pickle and travels as the raw
+#: payload section.  Below it the second buffer in ``sendmsg`` and the third
+#: ``recv`` cost more than the copy they save.
+OUT_OF_BAND_MIN = 16 * 1024
+
+#: Upper bound on either section of a frame.  A header is 16 bytes anyone
+#: can send; without a cap it makes the receiver allocate whatever it claims.
+MAX_SECTION_BYTES = 1 << 30
+
+#: The closed registry of globals a frame may name: exception classes
+#: defined in these modules, nothing else.
+_WIRE_EXCEPTION_MODULES = {"builtins": builtins, "repro.exceptions": exceptions}
 
 
-def _send_frame(sock: socket.socket, obj: Any) -> None:
-    data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    sock.sendall(_LENGTH.pack(len(data)) + data)
+def _wire_exception(module: str, name: str) -> Optional[type]:
+    """The exception class ``module.name`` if frames may carry it, else None."""
+    owner = _WIRE_EXCEPTION_MODULES.get(module)
+    cls = getattr(owner, name, None) if owner is not None else None
+    if isinstance(cls, type) and issubclass(cls, BaseException):
+        return cls
+    return None
+
+
+class _FrameUnpickler(pickle.Unpickler):
+    """Loads a frame's ``meta``; the only globals it resolves are exceptions."""
+
+    __slots__ = ()
+
+    def find_class(self, module: str, name: str) -> type:
+        cls = _wire_exception(module, name)
+        if cls is None:
+            raise pickle.UnpicklingError(
+                f"global {module}.{name} is not allowed in a frame"
+            )
+        return cls
+
+
+def _leave_out(_buffer: pickle.PickleBuffer) -> None:
+    """``buffer_callback`` keeping every ``PickleBuffer`` out of the pickle."""
+
+
+def _encode(tag: str, body: Any) -> Tuple[bytes, Optional[memoryview]]:
+    """Pickle one message; returns ``(meta, out-of-band payload or None)``.
+
+    Only top-level values are looked at, in one pass that costs a small frame
+    a type check per value.  The first large ``bytes`` or ``memoryview`` is
+    lifted out; pickle refuses memoryviews, so any other one is copied into
+    the stream as ``bytes``.  The caller's dict is never modified.
+    """
+    lifted = None
+    if type(body) is dict:
+        for key, value in body.items():
+            if type(value) is bytes or type(value) is memoryview:
+                if lifted is None and memoryview(value).nbytes >= OUT_OF_BAND_MIN:
+                    lifted = value
+                    body = {**body, key: pickle.PickleBuffer(value)}
+                elif type(value) is memoryview:
+                    body = {**body, key: bytes(value)}
+    elif type(body) is bytes or type(body) is memoryview:
+        if memoryview(body).nbytes >= OUT_OF_BAND_MIN:
+            lifted, body = body, pickle.PickleBuffer(body)
+        else:
+            body = bytes(body)
+    meta = pickle.dumps((tag, body), protocol=5, buffer_callback=_leave_out)
+    return meta, (memoryview(lifted).cast("B") if lifted is not None else None)
+
+
+def _send_frame(sock: socket.socket, meta: bytes, payload: Optional[memoryview]) -> None:
+    if payload is None:
+        sock.sendall(_HEADER.pack(len(meta), 0) + meta)
+        return
+    head = _HEADER.pack(len(meta), payload.nbytes) + meta
+    # Header and payload leave in one syscall without being joined; whatever
+    # a partial send left behind follows as views of the same two buffers.
+    sent = sock.sendmsg([head, payload])
+    if sent < len(head):
+        sock.sendall(memoryview(head)[sent:])
+        sent = len(head)
+    if sent < len(head) + payload.nbytes:
+        sock.sendall(payload[sent - len(head):])
 
 
 def _recv_exact(sock: socket.socket, count: int) -> bytes:
-    buffer = bytearray()
-    while len(buffer) < count:
-        part = sock.recv(count - len(buffer))
-        if not part:
+    """Read exactly ``count`` bytes into one ``bytes`` object.
+
+    ``MSG_WAITALL`` makes the kernel fill the buffer in a single call on a
+    blocking socket.  Short reads stay legal (sockets with a timeout, signals):
+    the remainder is read the same way and joined, in that rare case only.
+    """
+    data = sock.recv(count, socket.MSG_WAITALL)
+    if len(data) == count:
+        return data
+    parts = []
+    while True:
+        if not data:
             raise ProtocolError("connection closed mid-frame")
-        buffer.extend(part)
-    return bytes(buffer)
+        parts.append(data)
+        count -= len(data)
+        if not count:
+            return b"".join(parts)
+        data = sock.recv(count, socket.MSG_WAITALL)
 
 
-def _recv_frame(sock: socket.socket) -> Any:
-    header = _recv_exact(sock, _LENGTH.size)
-    (length,) = _LENGTH.unpack(header)
-    payload = _recv_exact(sock, length)
-    return pickle.loads(payload)
+def _recv_frame(sock: socket.socket) -> Tuple[Any, Any]:
+    """Read one frame; returns the ``(tag, body)`` pair it carries.
+
+    Raises :class:`ProtocolError` for anything that is not a well-formed
+    frame and ``OSError`` when the connection is gone.
+    """
+    header = sock.recv(_HEADER.size, socket.MSG_WAITALL)
+    if not header:
+        raise ConnectionResetError("connection closed between frames")
+    if len(header) < _HEADER.size:
+        header += _recv_exact(sock, _HEADER.size - len(header))
+    meta_len, payload_len = _HEADER.unpack(header)
+    if meta_len > MAX_SECTION_BYTES or payload_len > MAX_SECTION_BYTES:
+        raise ProtocolError(
+            f"frame claims {meta_len}+{payload_len} bytes "
+            f"(limit {MAX_SECTION_BYTES} per section)"
+        )
+    meta = _recv_exact(sock, meta_len)
+    buffers = (_recv_exact(sock, payload_len),) if payload_len else None
+    try:
+        tag, body = _FrameUnpickler(io.BytesIO(meta), buffers=buffers).load()
+    except Exception as exc:  # noqa: BLE001 - pickle raises nearly anything on bad input
+        raise ProtocolError(f"undecodable frame: {exc!r}") from exc
+    return tag, body
+
+
+def _portable(exc: Exception) -> Exception:
+    """``exc`` if the peer's unpickler admits its class, else a stand-in naming it."""
+    cls = type(exc)
+    if _wire_exception(cls.__module__, cls.__qualname__) is cls:
+        return exc
+    return StdchkError(f"{cls.__qualname__}: {exc}")
 
 
 class _RequestHandler(socketserver.BaseRequestHandler):
     """Handles one connection; each frame is one RPC."""
 
     def handle(self) -> None:  # pragma: no cover - exercised via integration
+        # One call per frame, so that nothing of a finished request (a chunk
+        # payload, a result) stays referenced while the connection idles.
+        while self._serve_one():
+            pass
+
+    def _serve_one(self) -> bool:
+        """Answer one frame; False once the connection is finished."""
         endpoint: Endpoint = self.server.endpoint  # type: ignore[attr-defined]
-        while True:
-            try:
-                method, payload = _recv_frame(self.request)
-            except (ProtocolError, ConnectionError, EOFError, OSError):
-                return
-            try:
-                result = endpoint.dispatch(method, payload)
-                try:
-                    _send_frame(self.request, ("ok", result))
-                except (ConnectionError, OSError):
-                    return  # peer (or a server stop) severed the connection
-            except Exception as exc:  # noqa: BLE001 - errors cross the wire
-                try:
-                    _send_frame(self.request, ("error", exc))
-                except (ConnectionError, OSError):
-                    return
+        try:
+            method, payload = _recv_frame(self.request)
+        except ProtocolError as exc:
+            # A peer that cannot frame costs itself this connection only.
+            component_logger("tcp-server", getattr(endpoint, "obs_node_id", "")).warning(
+                "closing connection from %s:%s: %s", *self.client_address[:2], exc
+            )
+            return False
+        except OSError:
+            return False
+        try:
+            frame = _encode("ok", endpoint.dispatch(method, payload))
+        except Exception as exc:  # noqa: BLE001 - errors cross the wire
+            frame = _encode("error", _portable(exc))
+        try:
+            _send_frame(self.request, *frame)
+        except OSError:
+            return False  # peer (or a server stop) severed the connection
+        return True
 
 
 class _ThreadedTcpServer(socketserver.ThreadingTCPServer):
@@ -339,41 +480,40 @@ class TcpTransport(Transport):
             ) from exc
         try:
             sock.settimeout(timeout)
-            _send_frame(sock, (method, payload))
-            status, result = _recv_frame(sock)
-        except (ConnectionError, ProtocolError, OSError) as exc:
-            raise EndpointUnreachableError(
-                f"probe of {address} failed: {exc}", endpoint=address
-            ) from exc
+            reply = _exchange(sock, address, method, payload)
         finally:
             _close_quietly(sock)
-        if status == "ok":
-            return result
-        if status == "error" and isinstance(result, Exception):
-            raise result
-        raise ProtocolError(
-            f"malformed response from {address}: {status!r}", endpoint=address
-        )
+        return _unwrap(address, reply)
 
     def _call(self, address: str, method: str, payload: Dict[str, Any]) -> Any:
         pool = self._pool(address)
         sock = pool.checkout()
         try:
-            _send_frame(sock, (method, payload))
-            status, result = _recv_frame(sock)
-        except (ConnectionError, ProtocolError, OSError) as exc:
-            pool.discard(sock)
-            raise EndpointUnreachableError(
-                f"call to {address} failed: {exc}", endpoint=address
-            ) from exc
+            reply = _exchange(sock, address, method, payload)
         except BaseException:
-            # Unexpected failures (e.g. unpicklable response contents) must
-            # not leak the pool slot; drop the socket and re-raise.
+            # A socket that saw any failure may hold half a frame: never reuse.
             pool.discard(sock)
             raise
         pool.checkin(sock)
-        if status == "ok":
-            return result
-        if status == "error" and isinstance(result, Exception):
-            raise result
-        raise ProtocolError(f"malformed response from {address}: {status!r}", endpoint=address)
+        return _unwrap(address, reply)
+
+
+def _exchange(sock: socket.socket, address: str, method: str,
+              payload: Dict[str, Any]) -> Tuple[Any, Any]:
+    """One request/response on ``sock``; returns the reply's ``(status, result)``."""
+    try:
+        _send_frame(sock, *_encode(method, payload))
+        return _recv_frame(sock)
+    except (OSError, ProtocolError) as exc:
+        raise EndpointUnreachableError(
+            f"call to {address} failed: {exc}", endpoint=address
+        ) from exc
+
+
+def _unwrap(address: str, reply: Tuple[Any, Any]) -> Any:
+    status, result = reply
+    if status == "ok":
+        return result
+    if status == "error" and isinstance(result, Exception):
+        raise result
+    raise ProtocolError(f"malformed response from {address}: {status!r}", endpoint=address)

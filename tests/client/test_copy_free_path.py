@@ -1,0 +1,193 @@
+"""The copy-free write path: views where they are safe, copies where they are not.
+
+``ChunkPusher.feed`` emits complete chunks as views of the caller's ``bytes``
+and the TCP frame carries them out-of-band, so a written byte is not copied
+in user space on its way to a benefactor.  These tests pin down the three
+properties that make this safe and worthwhile: nothing aliases a buffer the caller
+can still change, stores own what they keep, and the copies really are gone
+(counted, not timed).
+"""
+
+from __future__ import annotations
+
+import gc
+import tracemalloc
+from itertools import count
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro import StdchkConfig, StdchkPool, TcpDeployment
+from repro.benefactor.chunk_store import DelayedChunkStore, DiskChunkStore
+from repro.client.session import ChunkPusher
+from repro.transport.base import Endpoint
+from repro.transport.inprocess import InProcessTransport
+from repro.util.config import SimilarityHeuristic
+from tests.conftest import make_bytes
+
+CHUNK = 32 * 1024
+MIB = 1 << 20
+
+
+class RecordingBenefactor(Endpoint):
+    """Keeps exactly what the transport delivered, to inspect types and owners."""
+
+    def __init__(self):
+        self.received = []
+
+    def put_chunk(self, chunk_id, data):
+        self.received.append(data)
+        return {"stored": True, "free_space": 1 << 30}
+
+
+def recording_pusher(chunk_size: int = CHUNK):
+    transport = InProcessTransport()
+    benefactor = RecordingBenefactor()
+    transport.register("b0", benefactor)
+    pusher = ChunkPusher(
+        transport=transport,
+        manager_address="manager",
+        session_info={
+            "session_id": "s1", "dataset_id": "ds-1", "version": 1,
+            "chunk_size": chunk_size, "replication_level": 1,
+            "stripe": [{"benefactor_id": "b0", "address": "b0"}],
+        },
+        config=StdchkConfig(chunk_size=chunk_size),
+    )
+    return pusher, benefactor
+
+
+class TestViewsOfImmutableInput:
+    def test_complete_chunks_are_views_of_the_callers_bytes(self):
+        pusher, benefactor = recording_pusher()
+        data = make_bytes(4 * CHUNK + 10, seed=1)
+        pusher.feed(data)
+        chunk_map = pusher.finish()
+        *whole, tail = benefactor.received
+        assert len(whole) == 4
+        for index, payload in enumerate(whole):
+            assert type(payload) is memoryview and payload.readonly
+            assert payload.obj is data, "a complete chunk must not be copied"
+            assert payload == data[index * CHUNK:(index + 1) * CHUNK]
+        assert type(tail) is bytes and tail == data[4 * CHUNK:]
+        assert chunk_map.total_size == len(data) and chunk_map.is_contiguous()
+
+    def test_partial_head_tops_up_the_pending_chunk_then_views_resume(self):
+        pusher, benefactor = recording_pusher()
+        data = make_bytes(3 * CHUNK - 50, seed=2)
+        pusher.feed(data[:100])
+        rest = data[100:]
+        pusher.feed(rest)
+        assert pusher.bytes_buffered == CHUNK - 50
+        pusher.finish()
+        first, second, third = benefactor.received
+        assert type(first) is bytes and type(third) is bytes
+        assert type(second) is memoryview and second.obj is rest
+        assert b"".join(benefactor.received) == data
+
+    @pytest.mark.parametrize("mutable", [
+        bytearray, lambda data: memoryview(bytearray(data)),
+    ], ids=["bytearray", "writable-view"])
+    def test_mutable_input_is_copied_never_viewed(self, mutable):
+        pusher, benefactor = recording_pusher()
+        data = make_bytes(2 * CHUNK, seed=3)
+        buffer = mutable(data)
+        pusher.feed(buffer)
+        owner = buffer.obj if isinstance(buffer, memoryview) else buffer
+        owner[:] = bytes(len(owner))
+        pusher.finish()
+        assert b"".join(benefactor.received) == data
+        assert all(getattr(payload, "obj", None) is not owner for payload in benefactor.received)
+
+    @settings(max_examples=60, deadline=None)
+    @given(cuts=st.lists(st.integers(0, 700), max_size=12), flush=st.booleans())
+    def test_any_split_of_the_stream_yields_the_same_chunks(self, cuts, flush):
+        pusher, benefactor = recording_pusher(chunk_size=64)
+        data = make_bytes(700, seed=4)
+        edges = [0, *sorted(cuts), len(data)]
+        for start, end in zip(edges, edges[1:]):
+            pusher.feed(data[start:end], flush=flush and end == len(data))
+        pusher.finish()
+        assert b"".join(benefactor.received) == data
+        assert [len(p) for p in benefactor.received[:-1]] == [64] * (len(data) // 64)
+        assert pusher.stats.bytes_written == pusher.stats.bytes_pushed == len(data)
+
+
+def delayed_store(capacity):
+    return DelayedChunkStore(capacity, put_delay=0.01)
+
+
+def in_process(config):
+    return StdchkPool(benefactor_count=4, config=config, store_factory=delayed_store)
+
+
+def over_tcp(config):
+    return TcpDeployment(benefactor_count=4, config=config, store_factory=delayed_store)
+
+
+class TestAliasingAndOwnership:
+    @pytest.mark.parametrize("heuristic", [SimilarityHeuristic.NONE, SimilarityHeuristic.FSCH],
+                             ids=["opaque", "fsch"])
+    @pytest.mark.parametrize("deploy", [in_process, over_tcp])
+    def test_caller_may_reuse_its_buffer_while_pushes_are_in_flight(self, deploy, heuristic):
+        config = StdchkConfig(chunk_size=CHUNK, stripe_width=4, replication_level=1,
+                              push_parallelism=2, similarity_heuristic=heuristic)
+        with deploy(config) as deployment:
+            client = deployment.client("writer")
+            buffer = bytearray(make_bytes(8 * CHUNK + 100, seed=5))
+            snapshot = bytes(buffer)
+            session = client.open_write("/alias/image")
+            session.write(buffer)
+            # write() has returned; at 10 ms a put most chunks are still queued.
+            buffer[:] = b"\xff" * len(buffer)
+            buffer.extend(b"resizing fails while a view is exported")
+            session.close()
+            assert client.read_file("/alias/image") == snapshot
+
+    def test_memory_store_owns_its_chunks(self):
+        """In-process delivery hands the store a view; it must keep ``bytes``."""
+        pool = StdchkPool(benefactor_count=2,
+                          config=StdchkConfig(chunk_size=CHUNK, stripe_width=2,
+                                              replication_level=1))
+        data = make_bytes(4 * CHUNK, seed=6)
+        pool.client("owner").write_file("/own/image", data)
+        stored = [
+            benefactor.store.get(chunk_id).data
+            for benefactor in pool.benefactors.values()
+            for chunk_id in benefactor.store.chunk_ids()
+        ]
+        assert len(stored) == 4
+        assert all(type(payload) is bytes for payload in stored)
+        assert sorted(stored) == sorted(data[i:i + CHUNK] for i in range(0, len(data), CHUNK))
+
+
+class TestCopyGuard:
+    def test_sixteen_mib_write_over_tcp_allocates_a_fraction_of_its_size(self, tmp_path):
+        """Client and servers share the process, so one trace sees every copy.
+
+        A count of traced allocations, not a timing, so host speed cannot
+        flake it: copying the image once more anywhere on the path costs at
+        least its 16 MiB, the copy-free path peaks at the few receive buffers
+        in flight (about 3 MiB).
+        """
+        stores = count()
+        config = StdchkConfig(replication_level=1, push_parallelism=2)
+        with TcpDeployment(
+            benefactor_count=4, config=config,
+            store_factory=lambda capacity: DiskChunkStore(
+                str(tmp_path / f"benefactor-{next(stores)}"), capacity),
+        ) as deployment:
+            client = deployment.client("guard")
+            data = make_bytes(16 * MIB, seed=7)
+            client.write_file("/guard/warm", data[:2 * MIB])  # sockets, threads, imports
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before, _ = tracemalloc.get_traced_memory()
+                tracemalloc.reset_peak()
+                client.write_file("/guard/image", data)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak - before < 8 * MIB, f"peaked {(peak - before) / MIB:.1f} MiB above start"
+            assert client.read_file("/guard/image") == data

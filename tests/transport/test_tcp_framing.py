@@ -1,0 +1,404 @@
+"""The TCP frame: round trips, out-of-band payloads, and hostile input.
+
+One frame format carries every RPC (``[meta_len][payload_len][meta][payload]``),
+so these tests drive the private framing functions over ``socketpair`` with
+starved socket buffers, and a real :class:`TcpServer` with raw sockets playing
+the misbehaving peer.
+"""
+
+from __future__ import annotations
+
+import inspect
+import logging
+import os
+import pickle
+import socket
+import struct
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro import exceptions
+from repro.exceptions import (
+    EndpointUnreachableError,
+    NotPrimaryError,
+    ProtocolError,
+    QuorumNotReachedError,
+    StaleEpochError,
+    StdchkError,
+    TransportError,
+)
+from repro.transport import tcp
+from repro.transport.base import Endpoint
+from repro.transport.tcp import OUT_OF_BAND_MIN, TcpTransport
+from tests.conftest import make_bytes as blob
+
+MIB = 1 << 20
+SIZES = [0, 1, OUT_OF_BAND_MIN - 1, OUT_OF_BAND_MIN, OUT_OF_BAND_MIN + 1, MIB]
+HEADER = struct.Struct(">QQ")
+
+
+def starved_pair(timeout):
+    """A connected pair whose kernel buffers hold a small fraction of a frame."""
+    left, right = socket.socketpair()
+    for sock in (left, right):
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        sock.settimeout(timeout)
+    return left, right
+
+
+def through_the_wire(tag, body, timeout=None, sender=lambda sock: sock):
+    left, right = starved_pair(timeout)
+    with left, right, ThreadPoolExecutor(max_workers=1) as executor:
+        received = executor.submit(tcp._recv_frame, right)
+        tcp._send_frame(sender(left), *tcp._encode(tag, body))
+        return received.result(timeout=30)
+
+
+def assert_same_message(sent, received):
+    """Byte-identical, and every bytes-like arrives as real ``bytes``."""
+    if isinstance(sent, dict):
+        assert list(received) == list(sent)
+        for key, value in sent.items():
+            assert_same_message(value, received[key])
+    elif isinstance(sent, (bytes, memoryview)):
+        assert type(received) is bytes
+        assert received == sent
+    else:
+        assert received == sent and type(received) is type(sent)
+
+
+bytes_values = st.builds(blob, st.sampled_from(SIZES), st.integers(0, 3))
+plain_values = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**40, 2**40), st.text(max_size=20),
+    st.lists(st.integers(0, 9), max_size=4),
+    st.just({"nested": b"in-band", "pair": (1, "two")}),
+)
+payload_dicts = st.dictionaries(
+    st.text("abcdefgh", min_size=1, max_size=6),
+    st.one_of(bytes_values, bytes_values.map(memoryview), plain_values),
+    max_size=5,
+)
+
+
+class TestFrameRoundTrip:
+    @settings(max_examples=60, deadline=None)
+    @given(payload=payload_dicts, timeout=st.sampled_from([None, 10.0]))
+    def test_payload_dicts_survive_starved_sockets(self, payload, timeout):
+        method, received = through_the_wire("put_chunk", payload, timeout)
+        assert method == "put_chunk"
+        assert_same_message(payload, received)
+
+    @settings(max_examples=30, deadline=None)
+    @given(result=st.one_of(bytes_values, payload_dicts, plain_values),
+           timeout=st.sampled_from([None, 10.0]))
+    def test_results_survive_starved_sockets(self, result, timeout):
+        status, received = through_the_wire("ok", result, timeout)
+        assert status == "ok"
+        assert_same_message(result, received)
+
+    def test_only_the_first_large_value_travels_out_of_band(self):
+        first, second = blob(OUT_OF_BAND_MIN, 1), blob(2 * OUT_OF_BAND_MIN, 2)
+        body = {"small": b"x" * 10, "first": first, "second": memoryview(second)}
+        meta, payload = tcp._encode("m", body)
+        assert payload.obj is first and payload.nbytes == len(first)
+        assert len(meta) < len(second) + 200 and second in meta and first not in meta
+        assert body["first"] is first  # the caller's dict is left alone
+
+    def test_out_of_band_payload_is_received_without_a_copy(self):
+        """The handler gets the very object the kernel filled."""
+        filled = []
+
+        class Spy:
+            def __init__(self, sock):
+                self.sock = sock
+
+            def recv(self, *args):
+                data = self.sock.recv(*args)
+                filled.append(data)
+                return data
+
+        left, right = socket.socketpair()
+        with left, right:
+            data = blob(MIB, 5)
+            sender = threading.Thread(
+                target=lambda: tcp._send_frame(left, *tcp._encode("put_chunk", {"data": data}))
+            )
+            sender.start()
+            _method, payload = tcp._recv_frame(Spy(right))
+            sender.join(timeout=10)
+        assert payload["data"] == data
+        assert payload["data"] is filled[-1]
+
+    @pytest.mark.parametrize("first_send", [5, 16, 40, 10_000, 10**9])
+    def test_partial_sendmsg_resumes_where_it_stopped(self, first_send):
+        """Split inside the header, inside ``meta`` and inside the payload."""
+
+        class Dribble:
+            def __init__(self, sock):
+                self.sock = sock
+                self.sendall = sock.sendall
+
+            def sendmsg(self, buffers):
+                joined = b"".join(bytes(part) for part in buffers)
+                self.sock.sendall(joined[:first_send])
+                return min(first_send, len(joined))
+
+        body = {"chunk_id": "c1", "data": blob(3 * OUT_OF_BAND_MIN, 9)}
+        _method, received = through_the_wire("put_chunk", body, sender=Dribble)
+        assert_same_message(body, received)
+
+    def test_small_frames_cost_one_send_and_two_receives(self):
+        """The per-RPC floor: no ``sendmsg``, no third ``recv``, no loop."""
+        calls = []
+
+        class Counting:
+            def __init__(self, sock):
+                self.sock = sock
+
+            def __getattr__(self, name):
+                def method(*args):
+                    calls.append(name)
+                    return getattr(self.sock, name)(*args)
+                return method
+
+        left, right = socket.socketpair()
+        with left, right:
+            body = {"path": "/a/b", "data": b"x" * (OUT_OF_BAND_MIN - 1)}
+            tcp._send_frame(Counting(left), *tcp._encode("stat", body))
+            assert calls == ["sendall"]
+            del calls[:]
+            assert tcp._recv_frame(Counting(right)) == ("stat", body)
+            assert calls == ["recv", "recv"]
+
+
+class EchoEndpoint(Endpoint):
+    def __init__(self):
+        self.failures = {}
+
+    def echo(self, **values):
+        return values
+
+    def first(self, value):
+        return value
+
+    def fail(self, name):
+        raise self.failures[name]
+
+
+@pytest.fixture(scope="module")
+def served():
+    """(transport, address, endpoint) with one EchoEndpoint behind a TcpServer.
+
+    Shared by the module: stopping a server waits out its 0.5 s poll interval.
+    """
+    transport = TcpTransport(pool_size=1)
+    endpoint = EchoEndpoint()
+    transport.register("127.0.0.1:0", endpoint)
+    try:
+        yield transport, transport.bound_address("127.0.0.1:0"), endpoint
+    finally:
+        transport.close()
+
+
+class TestThroughARealServer:
+    @pytest.mark.parametrize("size", SIZES + [8 * MIB])
+    def test_probe_with_a_timeout_round_trips(self, served, size):
+        transport, address, _ = served
+        data = blob(size, size % 7)
+        answer = transport.probe(address, "echo", 10.0, data=data, more=memoryview(data), n=3)
+        assert_same_message({"data": data, "more": data, "n": 3}, answer)
+        assert type(transport.probe(address, "first", 10.0, value=data)) is bytes
+
+    def test_call_hands_handlers_real_bytes_both_ways(self, served):
+        transport, address, _ = served
+        data = blob(MIB, 3)
+        view = memoryview(data)[100:100 + 4 * OUT_OF_BAND_MIN]
+        answer = transport.call(address, "echo", data=view, tiny=memoryview(data)[:7])
+        assert_same_message({"data": view, "tiny": data[:7]}, answer)
+
+    def test_unknown_payload_keys_round_trip(self, served):
+        """The benchmark's tracer links spans through an extra payload key."""
+        transport, address, _ = served
+        answer = transport.call(address, "echo", __bench_span__=(7, 3), value=1)
+        assert answer == {"__bench_span__": (7, 3), "value": 1}
+
+
+def library_exceptions():
+    return sorted(
+        (cls for _name, cls in inspect.getmembers(exceptions, inspect.isclass)
+         if issubclass(cls, BaseException) and cls.__module__ == exceptions.__name__),
+        key=lambda cls: cls.__name__,
+    )
+
+
+def sample_of(cls):
+    if cls is NotPrimaryError:
+        return cls("boom", primary_address="10.0.0.1:7000", epoch=7)
+    if cls is StaleEpochError:
+        return cls("boom", epoch=9, primary_address="10.0.0.1:7001")
+    if cls is QuorumNotReachedError:
+        return cls("boom", acked=1, required=2)
+    if issubclass(cls, TransportError):
+        return cls("boom", endpoint="10.0.0.2:9")
+    return cls("boom")
+
+
+class LocalError(Exception):
+    """Defined outside the registry: must not be resolvable by a peer."""
+
+
+class TestExceptionsCrossTheWire:
+    @pytest.mark.parametrize("cls", library_exceptions(), ids=lambda cls: cls.__name__)
+    def test_library_exception_keeps_type_and_attributes(self, served, cls):
+        transport, address, endpoint = served
+        original = sample_of(cls)
+        endpoint.failures["it"] = original
+        with pytest.raises(cls) as caught:
+            transport.call(address, "fail", name="it")
+        assert type(caught.value) is cls
+        assert str(caught.value) == "boom"
+        assert vars(caught.value) == vars(original)
+        # An application error leaves the pooled socket usable.
+        assert transport.call(address, "first", value=1) == 1
+        assert transport._pool(address)._total == 1
+
+    def test_builtin_exceptions_keep_their_type(self, served):
+        transport, address, endpoint = served
+        endpoint.failures["k"] = KeyError("missing")
+        endpoint.failures["o"] = FileNotFoundError(2, "No such file", "/x")
+        with pytest.raises(KeyError, match="missing"):
+            transport.call(address, "fail", name="k")
+        with pytest.raises(FileNotFoundError) as caught:
+            transport.call(address, "fail", name="o")
+        assert caught.value.errno == 2 and caught.value.filename == "/x"
+
+    def test_unregistered_exception_arrives_as_a_named_stand_in(self, served):
+        transport, address, endpoint = served
+        endpoint.failures["l"] = LocalError("disk on fire")
+        with pytest.raises(StdchkError, match="LocalError: disk on fire") as caught:
+            transport.call(address, "fail", name="l")
+        assert type(caught.value) is StdchkError
+        assert transport.call(address, "first", value=1) == 1
+
+
+class RunsACommand:
+    def __init__(self, command):
+        self.command = command
+
+    def __reduce__(self):
+        return (os.system, (self.command,))
+
+
+def raw_frame(meta: bytes, payload: bytes = b"") -> bytes:
+    return HEADER.pack(len(meta), len(payload)) + meta + payload
+
+
+def hostile_frames(marker):
+    command = RunsACommand(f"touch {marker}")
+    return {
+        "global-in-payload": raw_frame(pickle.dumps(("first", {"value": command}), protocol=5)),
+        "global-as-method": raw_frame(pickle.dumps((command, {}), protocol=2)),
+        "builtin-callable": raw_frame(pickle.dumps(("first", {"value": eval}), protocol=5)),
+        "absurd-meta-length": HEADER.pack(1 << 62, 0),
+        "absurd-payload-length": HEADER.pack(10, 1 << 62) + b"0123456789",
+        "garbage-meta": raw_frame(b"not a pickle at all"),
+        "empty-meta": raw_frame(b""),
+        "not-a-pair": raw_frame(pickle.dumps([1, 2, 3], protocol=5)),
+        "missing-buffer": raw_frame(
+            pickle.dumps(("first", {"value": pickle.PickleBuffer(b"x" * 64)}),
+                         protocol=5, buffer_callback=lambda _buffer: None)),
+        "truncated": HEADER.pack(100, 0) + b"only ten b",
+    }
+
+
+FRAME_NAMES = sorted(hostile_frames("unused"))
+
+
+def connect(address: str) -> socket.socket:
+    host, _, port = address.partition(":")
+    return socket.create_connection((host, int(port)), timeout=10)
+
+
+def closed_by_server(sock: socket.socket) -> bool:
+    """Half-close, then expect EOF (or a reset, when bytes were left unread)."""
+    try:
+        sock.shutdown(socket.SHUT_WR)
+        return sock.recv(1) == b""
+    except OSError:
+        return True
+
+
+class TestHostileClient:
+    @pytest.mark.parametrize("name", FRAME_NAMES)
+    def test_bad_frame_costs_only_its_own_connection(self, served, name, tmp_path,
+                                                     caplog, capfd):
+        transport, address, _ = served
+        marker = tmp_path / "executed"
+        assert transport.call(address, "first", value=1) == 1  # a healthy pooled socket
+        with caplog.at_level(logging.WARNING, logger="repro.tcp-server"):
+            with connect(address) as sock:
+                sock.sendall(hostile_frames(marker)[name])
+                assert closed_by_server(sock), "the server must close, not answer"
+        assert not marker.exists(), "the frame's pickle was executed"
+        # The endpoint keeps serving: the old connection and a new one.
+        assert transport.call(address, "first", value=2) == 2
+        assert transport.probe(address, "first", 5.0, value=3) == 3
+        records = [r for r in caplog.records if r.name == "repro.tcp-server"]
+        assert len(records) == 1 and "closing connection" in records[0].getMessage()
+        assert records[0].component == "tcp-server"
+        assert "Traceback" not in capfd.readouterr().err
+
+    def test_absurd_length_allocates_nothing(self):
+        left, right = socket.socketpair()
+        with left, right:
+            left.sendall(HEADER.pack(1 << 62, 0))
+            with pytest.raises(ProtocolError, match="frame claims"):
+                tcp._recv_frame(right)
+
+    def test_clean_disconnect_between_frames_is_not_logged(self, served, caplog):
+        transport, address, _ = served
+        with caplog.at_level(logging.DEBUG, logger="repro"):
+            with connect(address) as sock:
+                sock.sendall(raw_frame(pickle.dumps(("first", {"value": 5}), protocol=5)))
+                assert tcp._recv_frame(sock) == ("ok", 5)
+            assert transport.call(address, "first", value=6) == 6
+        assert not [r for r in caplog.records if r.name == "repro.tcp-server"]
+
+
+class TestHostileServer:
+    """The client trusts a server's frames no more than a server trusts its."""
+
+    @pytest.mark.parametrize("name", FRAME_NAMES)
+    def test_bad_reply_is_an_unreachable_endpoint(self, name, tmp_path):
+        marker = tmp_path / "executed"
+        listener = socket.create_server(("127.0.0.1", 0))
+        address = "127.0.0.1:%d" % listener.getsockname()[1]
+
+        def serve():
+            for _ in range(2):  # the pooled call, then the probe
+                conn, _peer = listener.accept()
+                with conn:
+                    tcp._recv_frame(conn)
+                    conn.sendall(hostile_frames(marker)[name])
+
+        server = threading.Thread(target=serve, daemon=True)
+        server.start()
+        transport = TcpTransport(pool_size=2)
+        try:
+            with pytest.raises(EndpointUnreachableError) as caught:
+                transport.call(address, "first", value=1)
+            assert caught.value.endpoint == address
+            assert transport._pool(address)._total == 0, "the socket must not be reused"
+            with pytest.raises(EndpointUnreachableError):
+                transport.probe(address, "first", 5.0, value=1)
+        finally:
+            transport.close()
+            server.join(timeout=10)
+            listener.close()
+        assert not server.is_alive()
+        assert not marker.exists(), "the reply's pickle was executed"
+
