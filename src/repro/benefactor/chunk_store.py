@@ -32,6 +32,9 @@ class ChunkStore(ABC):
         #: inventory digest is cached against this counter, so heartbeats on
         #: an unchanged store never re-hash the full inventory.
         self._mutations = 0
+        #: Bytes currently stored, kept by ``put``/``delete`` so that space
+        #: accounting never walks the inventory.
+        self._used_bytes = 0
 
     # -- interface ---------------------------------------------------------
     @abstractmethod
@@ -43,8 +46,8 @@ class ChunkStore(ABC):
         """Persist ``data`` under ``chunk_id``."""
 
     @abstractmethod
-    def _delete(self, chunk_id: ChunkId) -> None:
-        """Remove ``chunk_id`` (raises KeyError if missing)."""
+    def _delete(self, chunk_id: ChunkId) -> int:
+        """Remove ``chunk_id`` and return its size (raises KeyError if missing)."""
 
     @abstractmethod
     def _contains(self, chunk_id: ChunkId) -> bool:
@@ -53,10 +56,6 @@ class ChunkStore(ABC):
     @abstractmethod
     def _chunk_ids(self) -> List[ChunkId]:
         """Every stored chunk id."""
-
-    @abstractmethod
-    def _used(self) -> int:
-        """Bytes currently consumed."""
 
     # -- public API -----------------------------------------------------------
     def put(self, chunk: Chunk) -> None:
@@ -68,26 +67,41 @@ class ChunkStore(ABC):
         with self._lock:
             if self._contains(chunk.chunk_id):
                 return
-            if self._used() + chunk.size > self.capacity:
+            if self._used_bytes + chunk.size > self.capacity:
                 raise StoreFullError(
-                    f"store over capacity: used={self._used()}, "
+                    f"store over capacity: used={self._used_bytes}, "
                     f"incoming={chunk.size}, capacity={self.capacity}"
                 )
             self._write(chunk.chunk_id, chunk.data)
+            self._used_bytes += chunk.size
             self._mutations += 1
 
-    def get(self, chunk_id: ChunkId) -> Chunk:
+    def _read_stored(self, chunk_id: ChunkId) -> bytes:
+        """Payload of a stored chunk, read *outside* the store lock.
+
+        Only the membership check holds the lock: a disk read (or a hash of
+        what it returns) under it would park every other ``put``/``get`` on
+        this benefactor for its duration.  A chunk deleted between the check
+        and the read is simply not stored here any more.
+        """
         with self._lock:
-            if not self._contains(chunk_id):
-                raise ChunkNotFoundError(f"chunk not stored here: {chunk_id}")
-            return Chunk(chunk_id=chunk_id, data=self._read(chunk_id))
+            present = self._contains(chunk_id)
+        if present:
+            try:
+                return self._read(chunk_id)
+            except (KeyError, FileNotFoundError):
+                pass
+        raise ChunkNotFoundError(f"chunk not stored here: {chunk_id}")
+
+    def get(self, chunk_id: ChunkId) -> Chunk:
+        return Chunk(chunk_id=chunk_id, data=self._read_stored(chunk_id))
 
     def delete(self, chunk_id: ChunkId) -> bool:
         """Delete a chunk; returns False when it was not present."""
         with self._lock:
             if not self._contains(chunk_id):
                 return False
-            self._delete(chunk_id)
+            self._used_bytes -= self._delete(chunk_id)
             self._mutations += 1
             return True
 
@@ -101,13 +115,11 @@ class ChunkStore(ABC):
 
     @property
     def used_space(self) -> int:
-        with self._lock:
-            return self._used()
+        return self._used_bytes
 
     @property
     def free_space(self) -> int:
-        with self._lock:
-            return max(self.capacity - self._used(), 0)
+        return max(self.capacity - self._used_bytes, 0)
 
     @property
     def chunk_count(self) -> int:
@@ -122,10 +134,7 @@ class ChunkStore(ABC):
 
     def checksum(self, chunk_id: ChunkId) -> str:
         """Hex payload digest of one stored chunk (anti-entropy probe)."""
-        with self._lock:
-            if not self._contains(chunk_id):
-                raise ChunkNotFoundError(f"chunk not stored here: {chunk_id}")
-            return chunk_digest(self._read(chunk_id))
+        return chunk_digest(self._read_stored(chunk_id))
 
     def checksums(self) -> Dict[ChunkId, str]:
         """``chunk_id -> hex payload digest`` for the whole inventory.
@@ -133,13 +142,17 @@ class ChunkStore(ABC):
         This is what a benefactor ships to a peer during an anti-entropy
         comparison: for content-addressed chunks the digest doubles as an
         integrity proof (the id embeds the expected value), for
-        position-addressed chunks it at least detects divergence.
+        position-addressed chunks it at least detects divergence.  The ids
+        are a snapshot; a chunk deleted while the round is hashing is left
+        out, as if the snapshot had been taken a moment later.
         """
-        with self._lock:
-            return {
-                chunk_id: chunk_digest(self._read(chunk_id))
-                for chunk_id in self._chunk_ids()
-            }
+        digests: Dict[ChunkId, str] = {}
+        for chunk_id in self.chunk_ids():
+            try:
+                digests[chunk_id] = self.checksum(chunk_id)
+            except ChunkNotFoundError:
+                continue
+        return digests
 
 
 class MemoryChunkStore(ChunkStore):
@@ -157,17 +170,14 @@ class MemoryChunkStore(ChunkStore):
         # transport would pin the writer's whole image.  No-op for ``bytes``.
         self._chunks[chunk_id] = bytes(data)
 
-    def _delete(self, chunk_id: ChunkId) -> None:
-        del self._chunks[chunk_id]
+    def _delete(self, chunk_id: ChunkId) -> int:
+        return len(self._chunks.pop(chunk_id))
 
     def _contains(self, chunk_id: ChunkId) -> bool:
         return chunk_id in self._chunks
 
     def _chunk_ids(self) -> List[ChunkId]:
         return list(self._chunks)
-
-    def _used(self) -> int:
-        return sum(len(data) for data in self._chunks.values())
 
 
 class DelayedChunkStore(MemoryChunkStore):
@@ -254,6 +264,7 @@ class DiskChunkStore(ChunkStore):
                 # Migrate a legacy file name to the reversible encoding.
                 os.replace(path, encoded)
             self._sizes[chunk_id] = os.path.getsize(encoded)
+        self._used_bytes = sum(self._sizes.values())
 
     def _read(self, chunk_id: ChunkId) -> bytes:
         with open(self._path(chunk_id), "rb") as handle:
@@ -267,15 +278,12 @@ class DiskChunkStore(ChunkStore):
         os.replace(temporary, path)
         self._sizes[chunk_id] = len(data)
 
-    def _delete(self, chunk_id: ChunkId) -> None:
+    def _delete(self, chunk_id: ChunkId) -> int:
         os.remove(self._path(chunk_id))
-        self._sizes.pop(chunk_id, None)
+        return self._sizes.pop(chunk_id)
 
     def _contains(self, chunk_id: ChunkId) -> bool:
         return chunk_id in self._sizes
 
     def _chunk_ids(self) -> List[ChunkId]:
         return list(self._sizes)
-
-    def _used(self) -> int:
-        return sum(self._sizes.values())

@@ -11,6 +11,11 @@ reassembled in chunk-map order as futures complete.  With the default
 ``read_parallelism == 1`` the data path is fully synchronous, one RPC at a
 time, exactly as before.
 
+A whole-image read (:meth:`StripedReader.read_all`, what a restart does) has
+no reassembly step at all: the image is allocated once and every chunk is
+received, verified and — if its replica turns out bad — overwritten at its
+final position inside it.
+
 Replica selection is delegated to a :class:`ReplicaScheduler` shared across
 every reader of a client session: instead of always hammering the first
 benefactor in placement order, the scheduler rotates across a chunk's
@@ -33,10 +38,12 @@ need to be buffered whole.
 
 from __future__ import annotations
 
+import io
 import threading
 import time
+from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Set
+from typing import Callable, Deque, Dict, Iterator, List, Mapping, Optional, Sequence, Set
 
 from repro.core.chunk import Chunk, is_content_addressed
 from repro.core.chunk_map import ChunkMap, ChunkPlacement
@@ -276,25 +283,33 @@ class StripedReader:
         if self._fallback_counter is not None:
             self._fallback_counter.inc()
 
-    def _fetch_chunk(self, placement: ChunkPlacement) -> bytes:
+    def _fetch_chunk(self, placement: ChunkPlacement,
+                     into: Optional[memoryview] = None) -> bytes:
         """Fetch one chunk from the best replica (worker-thread entry point).
 
         Unreachable, chunk-less and *corrupt* replicas all fall back to the
         next candidate; verification runs here so with parallel reads the
         SHA-1 recomputation overlaps other chunks' network transfers.
+
+        With ``into`` (exactly the chunk's length) the verified payload ends
+        up there, delivered by the transport or copied, and ``into`` itself
+        may be what is returned.  A replica that fails leaves garbage in
+        ``into`` only, which the next one overwrites in full; when none is
+        usable the caller must discard ``into``.
         """
         with tracing.use_context(self._trace_ctx):
             if self._fetch_timer is None:
-                return self._fetch_replicas(placement)
+                return self._fetch_replicas(placement, into)
             started = time.perf_counter()
             try:
-                return self._fetch_replicas(placement)
+                return self._fetch_replicas(placement, into)
             finally:
                 elapsed = time.perf_counter() - started
                 self._fetch_timer.observe(elapsed)
                 self._fetch_window.observe(elapsed)
 
-    def _fetch_replicas(self, placement: ChunkPlacement) -> bytes:
+    def _fetch_replicas(self, placement: ChunkPlacement,
+                        into: Optional[memoryview] = None) -> bytes:
         last_error: Optional[Exception] = None
         with self._lock:
             missing = set(self._missing)
@@ -308,7 +323,8 @@ class StripedReader:
             self.scheduler.begin(benefactor_id)
             try:
                 data = self.transport.call(
-                    address, "get_chunk", chunk_id=placement.ref.chunk_id
+                    address, "get_chunk", into=into,
+                    chunk_id=placement.ref.chunk_id,
                 )
             except ChunkNotFoundError as exc:
                 # The node is healthy, it just lacks this chunk (stale map
@@ -337,6 +353,9 @@ class StripedReader:
                 if position + 1 < len(candidates):
                     self._note_fallback()
                 continue
+            if into is not None and data is not into:
+                # The transport ignored the hint or the chunk came in-band.
+                into[:] = data
             self.scheduler.mark_alive(benefactor_id)
             with self._lock:
                 self.chunks_fetched += 1
@@ -481,9 +500,62 @@ class StripedReader:
                 f"reassembled size {total} does not match metadata size {self.size}"
             )
 
+    def _fetch_into(self, image: memoryview, placement: ChunkPlacement) -> None:
+        """Fetch one chunk to its place in ``image``.
+
+        Returns nothing and gives its window of the image up before it
+        returns: ``BytesIO.getvalue`` copies the whole image instead of
+        handing it over while any view of it is still alive.
+        """
+        with image[placement.ref.offset:placement.ref.end] as into:
+            self._fetch_chunk(placement, into)
+
     def read_all(self) -> bytes:
-        """Fetch the whole file in chunk-map order."""
-        return b"".join(self.read_iter())
+        """Fetch the whole file as one ``bytes``, filled in place.
+
+        The image is allocated once, zero-filled, and each chunk is received
+        straight into its final position (``Transport.call(..., into=...)``),
+        so there is no receive buffer per chunk and nothing to join; the
+        in-flight window only bounds dispatched fetches.  Because the image
+        starts as zeros, a chunk map that does not tile exactly ``size``
+        bytes is an error before any fetch, never a run of zeros handed to a
+        restarting job.  A single chunk, or ``read_parallelism == 1``, is
+        fetched on the calling thread.
+        """
+        if not self.chunk_map.is_contiguous() or self.chunk_map.total_size != self.size:
+            raise ReadFailedError(
+                f"chunk map does not tile the file: it holds "
+                f"{self.chunk_map.total_size} bytes, metadata size is {self.size}"
+            )
+        # ``BytesIO`` owns a calloc'd ``bytes`` (no page touched yet) and, once
+        # every view is released, ``getvalue`` returns that very object.
+        image = io.BytesIO(bytes(self.size))
+        view = image.getbuffer()
+        try:
+            if self.parallelism == 1 or len(self._placements) == 1:
+                for placement in self._placements:
+                    self._fetch_into(view, placement)
+            else:
+                self._fill_pipelined(view)
+        finally:
+            view.release()
+        return image.getvalue()
+
+    def _fill_pipelined(self, image: memoryview) -> None:
+        """Run :meth:`_fetch_into` for every placement, a window at a time."""
+        executor = ThreadPoolExecutor(
+            max_workers=self.parallelism, thread_name_prefix="read"
+        )
+        pending: Deque["Future[None]"] = deque()
+        try:
+            for placement in self._placements:
+                if len(pending) >= self._window:
+                    pending.popleft().result()
+                pending.append(executor.submit(self._fetch_into, image, placement))
+            while pending:
+                pending.popleft().result()
+        finally:
+            executor.shutdown(wait=True, cancel_futures=True)
 
     def read_range(self, offset: int, length: int) -> bytes:
         """Fetch an arbitrary byte range (used by the FS facade).

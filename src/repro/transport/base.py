@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 from abc import ABC, abstractmethod
 from contextlib import ExitStack
-from typing import Any, Callable, Dict
+from typing import Any, Callable, Dict, Optional
 
 from repro.exceptions import ProtocolError
 from repro.obs import runtime, tracing
@@ -92,13 +92,18 @@ class Transport(ABC):
     """Delivers calls to endpoints identified by string addresses."""
 
     @abstractmethod
-    def call(self, address: str, method: str, /, **payload: Any) -> Any:
+    def call(self, address: str, method: str, /, *,
+             into: Optional[memoryview] = None, **payload: Any) -> Any:
         """Invoke ``method`` on the endpoint at ``address``.
 
         Raises :class:`~repro.exceptions.EndpointUnreachableError` when the
         endpoint cannot be contacted.  Exceptions raised by the remote method
         propagate to the caller (the in-process transport re-raises them
         directly; the TCP transport re-raises a reconstructed instance).
+
+        ``into`` is a hint, never payload: a transport able to deliver a bytes
+        result of exactly ``into.nbytes`` straight into it does so and returns
+        ``into`` itself; any other ignores it and returns the result as usual.
         """
 
     @abstractmethod

@@ -70,7 +70,9 @@ class InProcessTransport(Transport):
         self._fault_hook = hook
 
     # -- dispatch -------------------------------------------------------------
-    def call(self, address: str, method: str, /, **payload: Any) -> Any:
+    def call(self, address: str, method: str, /, *,
+             into: Optional[memoryview] = None, **payload: Any) -> Any:
+        # ``into`` is ignored: the handler's result is handed over as is.
         with self._lock:
             endpoint = self._endpoints.get(address)
             disconnected = address in self._disconnected

@@ -13,8 +13,12 @@ section; ``payload_len`` is 0 for every other frame.  The sender hands the
 caller's buffer to ``sendmsg`` beside the header and the receiver lets the
 kernel fill one ``bytes`` object that the handler then receives as is, so a
 chunk is never copied in user space between the application's buffer and the
-benefactor's store.  Anything nested deeper (``put_chunks``' batch entries)
-stays inside the pickle: correct, just not copy-free.
+benefactor's store.  A caller that already owns the memory a result belongs in
+(a restart read filling its image) passes it as ``call(..., into=view)``: a
+reply whose payload section is exactly ``view.nbytes`` long is received with
+``recv_into`` at its final address and no buffer of its own ever exists.
+Anything nested deeper (``put_chunks``' batch entries) stays inside the pickle:
+correct, just not copy-free.
 
 What arrives on a socket is not trusted.  Frames are loaded by an unpickler
 that resolves no global except the exception classes of
@@ -146,8 +150,25 @@ def _recv_exact(sock: socket.socket, count: int) -> bytes:
         data = sock.recv(count, socket.MSG_WAITALL)
 
 
-def _recv_frame(sock: socket.socket) -> Tuple[Any, Any]:
+def _recv_into(sock: socket.socket, into: memoryview) -> None:
+    """Fill ``into`` from the socket: the kernel writes where the bytes belong."""
+    received = 0
+    while received < into.nbytes:
+        with into[received:] as rest:
+            count = sock.recv_into(rest, rest.nbytes, socket.MSG_WAITALL)
+        if not count:
+            raise ProtocolError("connection closed mid-frame")
+        received += count
+
+
+def _recv_frame(sock: socket.socket, into: Optional[memoryview] = None) -> Tuple[Any, Any]:
     """Read one frame; returns the ``(tag, body)`` pair it carries.
+
+    A payload section of exactly ``into.nbytes`` is received straight into
+    ``into``, and when that section is the body the body returned is ``into``
+    itself.  Any other length — and so every small or error frame — is read
+    as if no destination had been given, leaving ``into`` untouched: a peer
+    can write neither outside the destination nor short of it.
 
     Raises :class:`ProtocolError` for anything that is not a well-formed
     frame and ``OSError`` when the connection is gone.
@@ -164,11 +185,23 @@ def _recv_frame(sock: socket.socket) -> Tuple[Any, Any]:
             f"(limit {MAX_SECTION_BYTES} per section)"
         )
     meta = _recv_exact(sock, meta_len)
-    buffers = (_recv_exact(sock, payload_len),) if payload_len else None
+    in_place = into is not None and 0 < payload_len == into.nbytes
+    if in_place:
+        _recv_into(sock, into)
+        buffers = (into,)
+    else:
+        buffers = (_recv_exact(sock, payload_len),) if payload_len else None
     try:
         tag, body = _FrameUnpickler(io.BytesIO(meta), buffers=buffers).load()
     except Exception as exc:  # noqa: BLE001 - pickle raises nearly anything on bad input
         raise ProtocolError(f"undecodable frame: {exc!r}") from exc
+    if in_place and type(body) is memoryview:
+        # The one buffer on offer was ``into``; a sender's read-only ``bytes``
+        # loads as a read-only view of it, which must not outlive this call
+        # (a live view pins whatever ``into`` is a window of).
+        if body is not into:
+            body.release()
+        body = into
     return tag, body
 
 
@@ -450,14 +483,15 @@ class TcpTransport(Transport):
                 self._pools[address] = pool
             return pool
 
-    def call(self, address: str, method: str, /, **payload: Any) -> Any:
+    def call(self, address: str, method: str, /, *,
+             into: Optional[memoryview] = None, **payload: Any) -> Any:
         ctx = tracing.current_context() if runtime.ENABLED else None
         if ctx is None:
-            return self._call(address, method, payload)
+            return self._call(address, method, payload, into)
         with tracing.start_span(f"rpc:{method}", component="rpc-client",
                                 attributes={"address": address}):
             tracing.inject(payload)
-            return self._call(address, method, payload)
+            return self._call(address, method, payload, into)
 
     def probe(self, address: str, method: str, timeout: Optional[float] = None,
               /, **payload: Any) -> Any:
@@ -485,11 +519,12 @@ class TcpTransport(Transport):
             _close_quietly(sock)
         return _unwrap(address, reply)
 
-    def _call(self, address: str, method: str, payload: Dict[str, Any]) -> Any:
+    def _call(self, address: str, method: str, payload: Dict[str, Any],
+              into: Optional[memoryview]) -> Any:
         pool = self._pool(address)
         sock = pool.checkout()
         try:
-            reply = _exchange(sock, address, method, payload)
+            reply = _exchange(sock, address, method, payload, into)
         except BaseException:
             # A socket that saw any failure may hold half a frame: never reuse.
             pool.discard(sock)
@@ -498,12 +533,12 @@ class TcpTransport(Transport):
         return _unwrap(address, reply)
 
 
-def _exchange(sock: socket.socket, address: str, method: str,
-              payload: Dict[str, Any]) -> Tuple[Any, Any]:
+def _exchange(sock: socket.socket, address: str, method: str, payload: Dict[str, Any],
+              into: Optional[memoryview] = None) -> Tuple[Any, Any]:
     """One request/response on ``sock``; returns the reply's ``(status, result)``."""
     try:
         _send_frame(sock, *_encode(method, payload))
-        return _recv_frame(sock)
+        return _recv_frame(sock, into)
     except (OSError, ProtocolError) as exc:
         raise EndpointUnreachableError(
             f"call to {address} failed: {exc}", endpoint=address

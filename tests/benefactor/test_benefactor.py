@@ -1,5 +1,8 @@
 """Tests for chunk stores and the benefactor node."""
 
+import random
+import threading
+
 import pytest
 
 from repro.benefactor.benefactor import Benefactor
@@ -118,6 +121,120 @@ class TestDiskChunkStore:
         store = DiskChunkStore(root=str(tmp_path), capacity=10)
         with pytest.raises(StoreFullError):
             store.put(chunk(b"x" * 100))
+
+
+def both_stores(tmp_path):
+    return [MemoryChunkStore(1 << 20), DiskChunkStore(str(tmp_path / "disk"), 1 << 20)]
+
+
+class TestRunningSpaceTotal:
+    def test_used_space_is_the_sum_of_stored_sizes(self, tmp_path):
+        """Random puts, duplicate puts, refused puts and deletes; then a reopen."""
+        rng = random.Random(14)
+        for store in both_stores(tmp_path):
+            sizes = {}
+            for step in range(300):
+                chunk_id = f"ds-1:v1:c{rng.randrange(40)}"
+                if rng.random() < 0.6:
+                    item = Chunk(chunk_id=chunk_id, data=bytes(rng.randrange(0, 30_000)))
+                    try:
+                        store.put(item)
+                    except StoreFullError:
+                        continue
+                    sizes.setdefault(chunk_id, item.size)  # a duplicate put is a no-op
+                else:
+                    assert store.delete(chunk_id) == (sizes.pop(chunk_id, None) is not None)
+                assert store.used_space == sum(sizes.values()), step
+                assert store.free_space == store.capacity - store.used_space
+            assert sizes and store.chunk_count == len(sizes)
+            if isinstance(store, DiskChunkStore):
+                reopened = DiskChunkStore(store.root, store.capacity)
+                assert reopened.used_space == sum(sizes.values())
+                assert reopened.delete(next(iter(sizes)))
+                assert reopened.used_space == sum(list(sizes.values())[1:])
+
+
+def parked_store(base, *args):
+    """A ``base`` store whose reads of ``"slow"`` park until released."""
+
+    class Parked(base):
+        entered = threading.Event()
+        release = threading.Event()
+
+        def _read(self, chunk_id):
+            if chunk_id == "slow":
+                self.entered.set()
+                assert self.release.wait(timeout=10)
+            return super()._read(chunk_id)
+
+    return Parked(*args)
+
+
+class TestStoreLockIsNotHeldAcrossReads:
+    @pytest.fixture(params=["memory", "disk"])
+    def store(self, request, tmp_path):
+        if request.param == "memory":
+            store = parked_store(MemoryChunkStore, 1 << 20)
+        else:
+            store = parked_store(DiskChunkStore, str(tmp_path), 1 << 20)
+        store.put(Chunk(chunk_id="slow", data=b"s" * 100))
+        store.put(Chunk(chunk_id="fast", data=b"f" * 100))
+        yield store
+        store.release.set()
+
+    def in_background(self, work):
+        outcome = []
+
+        def run():
+            try:
+                outcome.append(work())
+            except Exception as exc:  # noqa: BLE001 - handed to the test
+                outcome.append(exc)
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        return thread, outcome
+
+    @pytest.mark.parametrize("parked", [
+        lambda store: store.get("slow"),
+        lambda store: store.checksum("slow"),
+        lambda store: store.checksums(),
+    ], ids=["get", "checksum", "checksums"])
+    def test_other_operations_complete_while_a_read_is_parked(self, store, parked):
+        thread, outcome = self.in_background(lambda: parked(store))
+        assert store.entered.wait(timeout=10)
+        others, results = self.in_background(lambda: (
+            store.get("fast").data,
+            store.put(Chunk(chunk_id="new", data=b"n" * 10)),
+            store.contains("new"),
+            store.used_space,
+        ))
+        others.join(timeout=10)
+        assert not others.is_alive(), "a parked read must not hold the store lock"
+        assert results == [(b"f" * 100, None, True, 210)]
+        store.release.set()
+        thread.join(timeout=10)
+        assert not thread.is_alive() and not isinstance(outcome[0], Exception)
+
+    def test_a_chunk_deleted_under_a_parked_read_is_not_found(self, store):
+        getter, got = self.in_background(lambda: store.get("slow"))
+        assert store.entered.wait(timeout=10)
+        assert store.delete("slow")
+        store.release.set()
+        getter.join(timeout=10)
+        assert not getter.is_alive()
+        assert type(got[0]) is ChunkNotFoundError  # never KeyError / FileNotFoundError
+        with pytest.raises(ChunkNotFoundError):
+            store.checksum("slow")
+
+    def test_checksums_skips_a_chunk_deleted_while_hashing(self, store):
+        hasher, digests = self.in_background(store.checksums)
+        assert store.entered.wait(timeout=10)
+        assert store.delete("slow")
+        store.release.set()
+        hasher.join(timeout=10)
+        assert not hasher.is_alive()
+        assert digests == [{"fast": store.checksum("fast")}]
 
 
 class TestBenefactor:

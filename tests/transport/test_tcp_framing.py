@@ -20,7 +20,8 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import exceptions
+from repro import StdchkConfig, TcpDeployment, exceptions
+from repro.client.failover import FailoverTransport, ManagerDirectory
 from repro.exceptions import (
     EndpointUnreachableError,
     NotPrimaryError,
@@ -31,7 +32,7 @@ from repro.exceptions import (
     TransportError,
 )
 from repro.transport import tcp
-from repro.transport.base import Endpoint
+from repro.transport.base import Endpoint, Transport
 from repro.transport.tcp import OUT_OF_BAND_MIN, TcpTransport
 from tests.conftest import make_bytes as blob
 
@@ -84,6 +85,24 @@ payload_dicts = st.dictionaries(
 )
 
 
+class RecvSpy:
+    """Records what each ``recv`` returned and whose memory each ``recv_into`` filled."""
+
+    def __init__(self, sock):
+        self.sock = sock
+        self.received = []
+        self.destinations = []
+
+    def recv(self, *args):
+        data = self.sock.recv(*args)
+        self.received.append(data)
+        return data
+
+    def recv_into(self, buffer, *args):
+        self.destinations.append(buffer.obj)
+        return self.sock.recv_into(buffer, *args)
+
+
 class TestFrameRoundTrip:
     @settings(max_examples=60, deadline=None)
     @given(payload=payload_dicts, timeout=st.sampled_from([None, 10.0]))
@@ -110,17 +129,6 @@ class TestFrameRoundTrip:
 
     def test_out_of_band_payload_is_received_without_a_copy(self):
         """The handler gets the very object the kernel filled."""
-        filled = []
-
-        class Spy:
-            def __init__(self, sock):
-                self.sock = sock
-
-            def recv(self, *args):
-                data = self.sock.recv(*args)
-                filled.append(data)
-                return data
-
         left, right = socket.socketpair()
         with left, right:
             data = blob(MIB, 5)
@@ -128,10 +136,11 @@ class TestFrameRoundTrip:
                 target=lambda: tcp._send_frame(left, *tcp._encode("put_chunk", {"data": data}))
             )
             sender.start()
-            _method, payload = tcp._recv_frame(Spy(right))
+            spy = RecvSpy(right)
+            _method, payload = tcp._recv_frame(spy)
             sender.join(timeout=10)
         assert payload["data"] == data
-        assert payload["data"] is filled[-1]
+        assert payload["data"] is spy.received[-1]
 
     @pytest.mark.parametrize("first_send", [5, 16, 40, 10_000, 10**9])
     def test_partial_sendmsg_resumes_where_it_stopped(self, first_send):
@@ -173,6 +182,91 @@ class TestFrameRoundTrip:
             del calls[:]
             assert tcp._recv_frame(Counting(right)) == ("stat", body)
             assert calls == ["recv", "recv"]
+
+
+def reply_into(into, tag, body, timeout=None):
+    """Send one reply frame over starved sockets to a receiver holding ``into``."""
+    left, right = starved_pair(timeout)
+    spy = RecvSpy(right)
+    with left, right, ThreadPoolExecutor(max_workers=1) as executor:
+        received = executor.submit(tcp._recv_frame, spy, into)
+        tcp._send_frame(left, *tcp._encode(tag, body))
+        return received.result(timeout=30), spy
+
+
+LARGE = [OUT_OF_BAND_MIN, OUT_OF_BAND_MIN + 1, 3 * OUT_OF_BAND_MIN + 5, MIB]
+PATTERN = 0xEE
+
+
+class TestReceiveIntoADestination:
+    """``_recv_frame(sock, into)``: the payload section lands in ``into`` or nowhere near it."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(size=st.sampled_from(LARGE), seed=st.integers(0, 3),
+           as_view=st.booleans(), timeout=st.sampled_from([None, 10.0]))
+    def test_matching_payload_lands_in_place(self, size, seed, as_view, timeout):
+        data = blob(size, seed)
+        image = bytearray([PATTERN]) * (size + 64)
+        with memoryview(image)[32:32 + size] as into:
+            (status, body), spy = reply_into(
+                into, "ok", memoryview(data) if as_view else data, timeout)
+            assert status == "ok"
+            assert body is into, "the destination itself is the result"
+        # All of it arrived in place (over starved buffers: in many pieces) ...
+        assert image[32:32 + size] == data
+        assert image[:32] == image[-32:] == bytes([PATTERN]) * 32
+        assert spy.destinations and all(owner is image for owner in spy.destinations)
+        # ... and nothing the size of the payload was received on the side.
+        assert sum(len(piece) for piece in spy.received) < 200
+        # No view is left behind (one would pin a reader's whole image).
+        image.extend(b"resizing fails while any export is alive")
+
+    @settings(max_examples=40, deadline=None)
+    @given(sent=st.sampled_from([0, 1, OUT_OF_BAND_MIN - 1, OUT_OF_BAND_MIN,
+                                 2 * OUT_OF_BAND_MIN - 1, 2 * OUT_OF_BAND_MIN + 1]),
+           timeout=st.sampled_from([None, 10.0]))
+    def test_any_other_length_leaves_the_destination_alone(self, sent, timeout):
+        """Shorter, longer, empty and in-band results come back as ``bytes``."""
+        data = blob(sent, 1)
+        image = bytearray([PATTERN]) * (2 * OUT_OF_BAND_MIN)
+        with memoryview(image) as into:
+            (status, body), spy = reply_into(into, "ok", data, timeout)
+        assert status == "ok" and type(body) is bytes and body == data
+        assert image == bytes([PATTERN]) * len(image)
+        assert not spy.destinations
+
+    @pytest.mark.parametrize("body", [
+        exceptions.ChunkNotFoundError("chunk not stored here: c1"),
+        KeyError("missing"),
+        {"stored": True, "free_space": 7},
+        None,
+    ], ids=["library-error", "builtin-error", "dict", "none"])
+    def test_error_and_small_replies_are_untouched_by_a_destination(self, body):
+        tag = "error" if isinstance(body, Exception) else "ok"
+        image = bytearray([PATTERN]) * OUT_OF_BAND_MIN
+        with memoryview(image) as into:
+            (status, received), spy = reply_into(into, tag, body)
+        assert status == tag and type(received) is type(body)
+        assert str(received) == str(body)
+        assert image == bytes([PATTERN]) * len(image) and not spy.destinations
+
+    def test_small_frames_still_cost_two_receives_with_a_destination(self):
+        image = bytearray(OUT_OF_BAND_MIN)
+        with memoryview(image) as into:
+            (_status, body), spy = reply_into(into, "ok", {"n": 1})
+        assert body == {"n": 1}
+        assert len(spy.received) == 2 and not spy.destinations
+
+    def test_payload_nested_in_the_reply_is_not_mistaken_for_the_result(self):
+        """A payload section of the right size that is not the body itself."""
+        data = blob(OUT_OF_BAND_MIN, 2)
+        image = bytearray(OUT_OF_BAND_MIN)
+        with memoryview(image) as into:
+            (status, body), _spy = reply_into(into, "ok", {"data": data})
+            assert status == "ok" and body is not into
+            assert body["data"] == data
+            del body
+        image.extend(b"no export left")
 
 
 class EchoEndpoint(Endpoint):
@@ -219,6 +313,36 @@ class TestThroughARealServer:
         view = memoryview(data)[100:100 + 4 * OUT_OF_BAND_MIN]
         answer = transport.call(address, "echo", data=view, tiny=memoryview(data)[:7])
         assert_same_message({"data": view, "tiny": data[:7]}, answer)
+
+    @pytest.mark.parametrize("size", LARGE)
+    def test_call_delivers_the_result_into_the_destination(self, served, size):
+        transport, address, _ = served
+        data = blob(size, 4)
+        image = bytearray(size + 10)
+        with memoryview(image)[10:] as into:
+            assert transport.call(address, "first", into=into, value=data) is into
+        assert image[10:] == data and image[:10] == bytes(10)
+        assert transport._pool(address)._total == 1
+
+    @pytest.mark.parametrize("size", [0, 7, OUT_OF_BAND_MIN - 1, 2 * OUT_OF_BAND_MIN])
+    def test_call_ignores_a_destination_of_another_size(self, served, size):
+        transport, address, endpoint = served
+        data = blob(size, 6)
+        image = bytearray([PATTERN]) * OUT_OF_BAND_MIN
+        endpoint.failures["gone"] = exceptions.ChunkNotFoundError("gone")
+        with memoryview(image) as into:
+            answer = transport.call(address, "first", into=into, value=data)
+            assert type(answer) is bytes and answer == data
+            with pytest.raises(exceptions.ChunkNotFoundError):
+                transport.call(address, "fail", into=into, name="gone")
+        assert image == bytes([PATTERN]) * len(image)
+        assert transport._pool(address)._total == 1
+
+    def test_handlers_never_see_the_destination(self, served):
+        """``into`` is a hint to the transport, not part of the payload."""
+        transport, address, _ = served
+        with memoryview(bytearray(OUT_OF_BAND_MIN)) as into:
+            assert transport.call(address, "echo", into=into, value=1) == {"value": 1}
 
     def test_unknown_payload_keys_round_trip(self, served):
         """The benchmark's tracer links spans through an extra payload key."""
@@ -352,12 +476,14 @@ class TestHostileClient:
         assert records[0].component == "tcp-server"
         assert "Traceback" not in capfd.readouterr().err
 
-    def test_absurd_length_allocates_nothing(self):
+    @pytest.mark.parametrize("lengths", [(1 << 62, 0), (10, 1 << 62)])
+    @pytest.mark.parametrize("into", [None, memoryview(bytearray(64))], ids=["plain", "into"])
+    def test_absurd_length_allocates_nothing(self, lengths, into):
         left, right = socket.socketpair()
         with left, right:
-            left.sendall(HEADER.pack(1 << 62, 0))
+            left.sendall(HEADER.pack(*lengths) + b"0123456789")
             with pytest.raises(ProtocolError, match="frame claims"):
-                tcp._recv_frame(right)
+                tcp._recv_frame(right, into)
 
     def test_clean_disconnect_between_frames_is_not_logged(self, served, caplog):
         transport, address, _ = served
@@ -372,9 +498,12 @@ class TestHostileClient:
 class TestHostileServer:
     """The client trusts a server's frames no more than a server trusts its."""
 
+    @pytest.mark.parametrize("with_into", [False, True], ids=["plain", "into"])
     @pytest.mark.parametrize("name", FRAME_NAMES)
-    def test_bad_reply_is_an_unreachable_endpoint(self, name, tmp_path):
+    def test_bad_reply_is_an_unreachable_endpoint(self, name, with_into, tmp_path):
         marker = tmp_path / "executed"
+        # ``missing-buffer`` promises 64 out-of-band bytes it never sends.
+        hint = {"into": memoryview(bytearray(64))} if with_into else {}
         listener = socket.create_server(("127.0.0.1", 0))
         address = "127.0.0.1:%d" % listener.getsockname()[1]
 
@@ -390,7 +519,7 @@ class TestHostileServer:
         transport = TcpTransport(pool_size=2)
         try:
             with pytest.raises(EndpointUnreachableError) as caught:
-                transport.call(address, "first", value=1)
+                transport.call(address, "first", value=1, **hint)
             assert caught.value.endpoint == address
             assert transport._pool(address)._total == 0, "the socket must not be reused"
             with pytest.raises(EndpointUnreachableError):
@@ -402,3 +531,90 @@ class TestHostileServer:
         assert not server.is_alive()
         assert not marker.exists(), "the reply's pickle was executed"
 
+
+    @pytest.mark.parametrize("sent", [0, 1, OUT_OF_BAND_MIN, 3 * OUT_OF_BAND_MIN - 1])
+    def test_connection_cut_mid_payload_discards_the_socket(self, sent):
+        """The destination holds garbage afterwards; the caller is told so."""
+        size = 3 * OUT_OF_BAND_MIN
+        meta, payload = tcp._encode("ok", blob(size, 8))
+        listener = socket.create_server(("127.0.0.1", 0))
+        address = "127.0.0.1:%d" % listener.getsockname()[1]
+
+        def serve():
+            conn, _peer = listener.accept()
+            with conn:
+                tcp._recv_frame(conn)
+                conn.sendall(HEADER.pack(len(meta), size) + meta + bytes(payload[:sent]))
+
+        server = threading.Thread(target=serve, daemon=True)
+        server.start()
+        transport = TcpTransport(pool_size=2)
+        try:
+            with memoryview(bytearray(size)) as into:
+                with pytest.raises(EndpointUnreachableError, match="closed mid-frame"):
+                    transport.call(address, "first", into=into, value=1)
+            assert transport._pool(address)._total == 0, "the socket must not be reused"
+        finally:
+            transport.close()
+            server.join(timeout=10)
+            listener.close()
+        assert not server.is_alive()
+
+    def test_hostile_reply_sized_like_the_destination_runs_nothing(self, tmp_path):
+        """A foreign global behind a payload section that does fit ``into``."""
+        marker = tmp_path / "executed"
+        size = OUT_OF_BAND_MIN
+        meta = pickle.dumps(("ok", RunsACommand(f"touch {marker}")), protocol=5)
+        left, right = socket.socketpair()
+        with left, right, memoryview(bytearray(size)) as into:
+            left.sendall(raw_frame(meta, b"z" * size))
+            with pytest.raises(ProtocolError, match="not allowed in a frame"):
+                tcp._recv_frame(right, into)
+        assert not marker.exists()
+
+
+class Forwarding(Transport):
+    """What wraps a transport in tests and benchmarks: ``call`` forwards ``**payload``."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.seen = []
+
+    def call(self, address, method, /, **payload):
+        self.seen.append(method)
+        return self.inner.call(address, method, **payload)
+
+    def register(self, address, endpoint):  # pragma: no cover - unused
+        self.inner.register(address, endpoint)
+
+    def unregister(self, address):  # pragma: no cover - unused
+        self.inner.unregister(address)
+
+
+class TestTheSeamStaysOneCall:
+    """Wrappers that know nothing of ``into`` neither lose it nor hide the RPCs."""
+
+    def test_wrapped_transports_see_every_fetch_and_tcp_still_receives_in_place(
+            self, monkeypatch):
+        chunk, chunks = 2 * OUT_OF_BAND_MIN, 7
+        filled = []
+        recv_into = tcp._recv_into
+
+        def counting(sock, into):
+            filled.append(into.nbytes)
+            return recv_into(sock, into)
+
+        monkeypatch.setattr(tcp, "_recv_into", counting)
+        config = StdchkConfig(chunk_size=chunk, stripe_width=4, replication_level=1)
+        with TcpDeployment(benefactor_count=4, config=config) as deployment:
+            client = deployment.client("seam", read_parallelism=2)
+            data = blob(chunks * chunk, 9)
+            client.write_file("/seam/f", data)
+            reader = client.open_read("/seam/f")
+            forwarding = Forwarding(deployment.transport)
+            reader.transport = FailoverTransport(
+                forwarding, ManagerDirectory([deployment.manager_address]))
+            image = reader.read_all()
+        assert type(image) is bytes and image == data
+        assert forwarding.seen == ["get_chunk"] * chunks
+        assert filled == [chunk] * chunks
