@@ -5,12 +5,18 @@ interaction with the stdchk pool: namespace operations, write sessions under
 any of the three write protocols, whole-file and range reads, version
 inspection and restart support.  The POSIX-like facade in ``repro.fs`` builds
 on this class; applications that prefer an explicit API can use it directly.
+
+The proxy owns the one worker pool of the client data path: every write
+session and reader it opens submits its chunk pushes, fetches and prefetches
+there, so a warm ``write_file`` or ``read_file`` starts and joins no thread.
 """
 
 from __future__ import annotations
 
 import random
+import threading
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from typing import Dict, Iterator, List, Optional, Sequence
 
@@ -65,6 +71,11 @@ class ClientProxy:
         #: one reader's failed-benefactor discovery benefits the next and
         #: concurrent readers spread load across replicas.
         self.replica_scheduler = ReplicaScheduler(metrics=self.obs)
+        #: The only executor of the client data path, built on first use (its
+        #: threads start on first submit, so a client that never pushes,
+        #: fetches or prefetches in parallel never owns one).
+        self._workers: Optional[ThreadPoolExecutor] = None
+        self._workers_lock = threading.Lock()
         self._write_seconds = self.obs.histogram(
             "client_write_seconds", "End-to-end write_file latency."
         )
@@ -113,6 +124,42 @@ class ClientProxy:
             self._base_transport, self.directory,
             config=self.config, obs=self.obs,
         )
+
+    # -- worker pool -----------------------------------------------------------
+    def _worker_pool(self) -> ThreadPoolExecutor:
+        """The pool every session and reader of this client submits to.
+
+        ``push_parallelism`` / ``read_parallelism`` size it, so they bound
+        the client's concurrent pushes and fetches across all its open
+        sessions and readers; the per-operation windows still bound each
+        one's memory.  Sessions and readers borrow it: they keep track of
+        their own futures and never shut it down.  Nothing that runs on it
+        may submit to it and wait — it can be one thread wide — and today
+        nothing does: push and fetch tasks only issue RPCs.  It is referenced
+        from this proxy alone (no registry, no ``atexit`` hook), so a proxy
+        dropped without :meth:`close` takes its idle workers with it.
+        """
+        with self._workers_lock:
+            if self._workers is None:
+                # Both knobs are validated positive, so even a 1/1 client
+                # gets the one worker its read-ahead needs.
+                self._workers = ThreadPoolExecutor(
+                    max_workers=max(self.config.push_parallelism,
+                                    self.config.read_parallelism),
+                    thread_name_prefix=f"stdchk-{self.client_id}",
+                )
+            return self._workers
+
+    def close(self) -> None:
+        """Finish queued work and join the worker threads (idempotent).
+
+        Call it with no operation in flight.  The proxy stays usable: the
+        next parallel operation starts a new pool.
+        """
+        with self._workers_lock:
+            workers, self._workers = self._workers, None
+        if workers is not None:
+            workers.shutdown(wait=True)
 
     # -- manager sugar -------------------------------------------------------
     def _manager(self, method: str, **payload):
@@ -206,6 +253,7 @@ class ClientProxy:
             timestep=timestep,
             spool_dir=self.spool_dir,
             metrics=self.obs,
+            executor=self._worker_pool(),
         )
 
     def write_file(self, path: str, data: bytes, producer: str = "",
@@ -282,6 +330,7 @@ class ClientProxy:
             scheduler=self.replica_scheduler,
             corruption_reporter=self._report_corrupt_chunk,
             metrics=self.obs,
+            executor=self._worker_pool(),
         )
 
     def _report_corrupt_chunk(self, chunk_id: str, benefactor_id: str) -> None:

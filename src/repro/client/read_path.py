@@ -4,12 +4,14 @@ Restart latency after a failure is read-bound (design goal "reasonable read
 performance", section III.B): the client must pull a whole checkpoint image
 back from the benefactors it was striped across.  The reader mirrors the
 write path's pipelined architecture: with ``read_parallelism > 1`` chunk
-fetches for distinct benefactors are dispatched concurrently through a
-bounded in-flight window, integrity verification (SHA-1 recomputation) runs
+fetches for distinct benefactors are submitted, through a bounded in-flight
+window, to the worker pool of the :class:`~repro.client.proxy.ClientProxy`
+that opened the reader, integrity verification (SHA-1 recomputation) runs
 inside the worker threads so it overlaps network transfer, and the image is
-reassembled in chunk-map order as futures complete.  With the default
-``read_parallelism == 1`` the data path is fully synchronous, one RPC at a
-time, exactly as before.
+reassembled in chunk-map order as futures complete.  The reader owns its
+futures, never the pool: it starts, joins and shuts down no thread.  With the
+default ``read_parallelism == 1``, or without an executor, the data path is
+fully synchronous, one RPC at a time.
 
 A whole-image read (:meth:`StripedReader.read_all`, what a restart does) has
 no reassembly step at all: the image is allocated once and every chunk is
@@ -28,7 +30,7 @@ length does not match its reference is discarded, the replica is marked
 failed and the next replica is tried; the read only fails when every replica
 of a chunk is exhausted.
 
-Readers are not thread-safe: one thread consumes a reader (its worker
+Readers are not thread-safe: one thread consumes a reader (the pool's worker
 threads are an implementation detail).  Chunks fetched for a byte-range read
 are retained in a small bounded cache so sequential range reads (the FS
 facade) fetch every chunk exactly once; :meth:`read_iter` streams whole
@@ -42,7 +44,7 @@ import io
 import threading
 import time
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Executor, Future, wait
 from typing import Callable, Deque, Dict, Iterator, List, Mapping, Optional, Sequence, Set
 
 from repro.core.chunk import Chunk, is_content_addressed
@@ -202,6 +204,7 @@ class StripedReader:
         cache_chunks: int = 0,
         corruption_reporter: Optional[Callable[[str, str], None]] = None,
         metrics: Optional[MetricsRegistry] = None,
+        executor: Optional[Executor] = None,
     ) -> None:
         self.transport = transport
         self.chunk_map = chunk_map
@@ -228,8 +231,11 @@ class StripedReader:
         self._missing: Set[str] = set()
         self._cache: Dict[int, bytes] = {}
         self._inflight: Dict[int, "Future[bytes]"] = {}
-        self._executor: Optional[ThreadPoolExecutor] = None
-        #: Guards cache, in-flight futures, executor and statistics.
+        #: The client's shared worker pool; None keeps every fetch on the
+        #: calling thread.  Borrowed: the reader tracks the futures it
+        #: submitted and nothing else of the pool.
+        self._executor = executor
+        #: Guards cache, in-flight futures and statistics.
         self._lock = threading.Lock()
         #: Simple statistics for benchmarks and tests.
         self.chunks_fetched = 0
@@ -286,6 +292,10 @@ class StripedReader:
     def _fetch_chunk(self, placement: ChunkPlacement,
                      into: Optional[memoryview] = None) -> bytes:
         """Fetch one chunk from the best replica (worker-thread entry point).
+
+        Only issues RPCs (``corruption_reporter`` included): a task on the
+        shared pool must never submit to the pool and wait, the pool may be
+        one thread wide.
 
         Unreachable, chunk-less and *corrupt* replicas all fall back to the
         next candidate; verification runs here so with parallel reads the
@@ -409,19 +419,18 @@ class StripedReader:
     def _schedule(self, index: int) -> bool:
         """Dispatch an asynchronous fetch for placement ``index``.
 
-        Returns False only when the in-flight window is full; an index that
-        is already cached or in flight counts as satisfied.
+        Returns False when the in-flight window is full or there is no pool
+        to dispatch to; an index that is already cached or in flight counts
+        as satisfied.
         """
+        if self._executor is None:
+            return False
         with self._lock:
             if index in self._cache or index in self._inflight:
                 return True
             self._reap_completed_locked()
             if len(self._inflight) >= self._window:
                 return False
-            if self._executor is None:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=self.parallelism, thread_name_prefix="read"
-                )
             self._inflight[index] = self._executor.submit(
                 self._fetch_chunk, self._placements[index]
             )
@@ -462,18 +471,15 @@ class StripedReader:
                 break
 
     def _drain(self) -> None:
-        """Cancel outstanding fetches and retire the executor."""
+        """Cancel this reader's queued fetches; running ones finish unobserved."""
         with self._lock:
             inflight = list(self._inflight.values())
             self._inflight.clear()
-            executor, self._executor = self._executor, None
         for future in inflight:
             future.cancel()
-        if executor is not None:
-            executor.shutdown(wait=True)
 
     def close(self) -> None:
-        """Release worker threads (safe to call repeatedly; reads may follow)."""
+        """Drop outstanding fetches (safe to call repeatedly; reads may follow)."""
         self._drain()
 
     # -- public reads ------------------------------------------------------------
@@ -519,8 +525,8 @@ class StripedReader:
         in-flight window only bounds dispatched fetches.  Because the image
         starts as zeros, a chunk map that does not tile exactly ``size``
         bytes is an error before any fetch, never a run of zeros handed to a
-        restarting job.  A single chunk, or ``read_parallelism == 1``, is
-        fetched on the calling thread.
+        restarting job.  A single chunk, or ``read_parallelism == 1``, or a
+        reader without an executor, is fetched on the calling thread.
         """
         if not self.chunk_map.is_contiguous() or self.chunk_map.total_size != self.size:
             raise ReadFailedError(
@@ -532,7 +538,8 @@ class StripedReader:
         image = io.BytesIO(bytes(self.size))
         view = image.getbuffer()
         try:
-            if self.parallelism == 1 or len(self._placements) == 1:
+            if (self._executor is None or self.parallelism == 1
+                    or len(self._placements) == 1):
                 for placement in self._placements:
                     self._fetch_into(view, placement)
             else:
@@ -543,19 +550,23 @@ class StripedReader:
 
     def _fill_pipelined(self, image: memoryview) -> None:
         """Run :meth:`_fetch_into` for every placement, a window at a time."""
-        executor = ThreadPoolExecutor(
-            max_workers=self.parallelism, thread_name_prefix="read"
-        )
+        assert self._executor is not None
         pending: Deque["Future[None]"] = deque()
         try:
             for placement in self._placements:
                 if len(pending) >= self._window:
                     pending.popleft().result()
-                pending.append(executor.submit(self._fetch_into, image, placement))
+                pending.append(self._executor.submit(self._fetch_into, image, placement))
             while pending:
                 pending.popleft().result()
         finally:
-            executor.shutdown(wait=True, cancel_futures=True)
+            if pending:
+                # A fetch failed.  Cancel the queued ones and wait for those
+                # already running: each holds a window of ``image``, which
+                # ``read_all`` is about to release.
+                for future in pending:
+                    future.cancel()
+                wait(pending)
 
     def read_range(self, offset: int, length: int) -> bytes:
         """Fetch an arbitrary byte range (used by the FS facade).
@@ -584,9 +595,11 @@ class StripedReader:
         """Asynchronously warm the chunk cache for ``[offset, offset+length)``.
 
         Backs the FS facade's read-ahead: fetches for upcoming chunks are
-        dispatched to worker threads (one even under ``read_parallelism=1``)
-        while the caller consumes the current range.  Stops silently when the
-        in-flight window is full; never blocks.
+        dispatched to the client's worker pool (used even under
+        ``read_parallelism=1``, which is why the pool is never narrower than
+        one thread) while the caller consumes the current range.  Stops
+        silently when the in-flight window is full; never blocks; does
+        nothing for a reader without an executor.
         """
         if length <= 0 or offset >= self.size or not self._placements:
             return

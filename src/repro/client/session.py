@@ -8,14 +8,18 @@ replication), skips chunks that incremental checkpointing proves are already
 stored, handles benefactor failures by refreshing the stripe through the
 manager, and accumulates the chunk-map that will be committed at close time.
 
-Pipelining (section IV.B): with ``push_parallelism > 1`` the pusher dispatches
-chunk pushes through a bounded in-flight window backed by a thread pool, so
-chunk production (spooling, hashing) overlaps propagation to benefactors and
-several benefactors of the stripe receive data concurrently.  ``feed`` blocks
-only when the window is full, which bounds client memory at
-``max_inflight_chunks`` chunk payloads.  With the default
-``push_parallelism == 1`` the data path is fully synchronous, one RPC at a
-time, exactly as before.
+Pipelining (section IV.B): with ``push_parallelism > 1`` the pusher submits
+chunk pushes, through a bounded in-flight window, to the worker pool of the
+:class:`~repro.client.proxy.ClientProxy` that opened the session, so chunk
+production (spooling, hashing) overlaps propagation to benefactors and several
+benefactors of the stripe receive data concurrently.  ``feed`` blocks only
+when the window is full, which bounds client memory at ``max_inflight_chunks``
+chunk payloads.  The pusher owns its futures, never the pool: it starts, joins
+and shuts down no thread.  The chunk ``finish`` flushes (the trailing partial
+chunk; for a file smaller than one chunk, the only one) is pushed by the
+caller, which would block on it at once anyway, while the chunks already in
+flight keep overlapping with it.  With the default ``push_parallelism == 1``,
+or without an executor, the data path is fully synchronous, one RPC at a time.
 
 Chunking copies nothing: a complete chunk is a ``memoryview`` slice of the
 ``bytes`` the application wrote, handed as such to the transport (which sends
@@ -27,7 +31,7 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Executor, Future
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -83,6 +87,7 @@ class ChunkPusher:
         existing_chunks: Optional[Dict[str, List[str]]] = None,
         max_stripe_refreshes: int = 3,
         metrics: Optional[MetricsRegistry] = None,
+        executor: Optional[Executor] = None,
     ) -> None:
         self.transport = transport
         self.manager_address = manager_address
@@ -136,14 +141,13 @@ class ChunkPusher:
             self._push_window = None
 
         self.parallelism = max(1, config.push_parallelism)
-        self._executor: Optional[ThreadPoolExecutor] = None
+        #: The client's shared worker pool, or None for the synchronous path.
+        #: Borrowed: the pusher tracks the futures it submitted and nothing
+        #: else of the pool.
+        self._executor: Optional[Executor] = executor if self.parallelism > 1 else None
         self._window: Optional[threading.BoundedSemaphore] = None
         self._futures: List[Future] = []
-        if self.parallelism > 1:
-            self._executor = ThreadPoolExecutor(
-                max_workers=self.parallelism,
-                thread_name_prefix=f"push-{self.session_id}",
-            )
+        if self._executor is not None:
             self._window = threading.BoundedSemaphore(config.effective_inflight_window)
 
     # -- public stream interface ---------------------------------------------
@@ -189,16 +193,21 @@ class ChunkPusher:
         if flush and self._pending:
             self._emit_pending()
 
-    def _emit_pending(self) -> None:
+    def _emit_pending(self, on_caller: bool = False) -> None:
         payload = bytes(self._pending)
         self._pending.clear()
-        self._emit(payload)
+        self._emit(payload, on_caller)
 
     def finish(self) -> ChunkMap:
         """Flush the trailing chunk, wait for all in-flight pushes, and
-        return the completed chunk-map (ordered by file offset)."""
+        return the completed chunk-map (ordered by file offset).
+
+        The flushed chunk is pushed on the calling thread: the next thing
+        this method does is wait for it, so handing it to a worker could
+        only add the hand-off to its latency.
+        """
         if self._pending:
-            self._emit_pending()
+            self._emit_pending(on_caller=True)
         self._drain()
         self._flush_acks()
         self._raise_if_failed()
@@ -209,13 +218,17 @@ class ChunkPusher:
         return self.chunk_map
 
     def cancel(self) -> None:
-        """Abandon in-flight pushes (session abort path)."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
+        """Abandon this session's queued pushes (session abort path).
+
+        Pushes already running are left to finish on their own; no other
+        session's work on the shared pool is touched.
+        """
+        for future in self._futures:
+            future.cancel()
+        self._futures.clear()
 
     # -- chunk emission ------------------------------------------------------
-    def _emit(self, payload: "bytes | memoryview") -> None:
+    def _emit(self, payload: "bytes | memoryview", on_caller: bool = False) -> None:
         if self._content_addressed:
             chunk = Chunk(chunk_id=content_chunk_id(payload), data=payload)
         else:
@@ -242,12 +255,12 @@ class ChunkPusher:
                     self.stats.chunks_deduplicated += 1
                     return
 
-        if self._executor is None:
+        self._raise_if_failed()
+        if on_caller or self._executor is None:
             self._push_task(chunk, ref, index)
             self._raise_if_failed()
             return
 
-        self._raise_if_failed()
         assert self._window is not None
         self._window.acquire()
         with self._lock:
@@ -265,7 +278,11 @@ class ChunkPusher:
             self._window.release()
 
     def _push_task(self, chunk: Chunk, ref: ChunkRef, index: int) -> None:
-        """Push one chunk and record its placement (worker entry point)."""
+        """Push one chunk and record its placement (worker entry point).
+
+        Only issues RPCs: a task on the shared pool must never submit to the
+        pool and wait, the pool may be one thread wide.
+        """
         with tracing.use_context(self._trace_ctx):
             if self._push_timer is None:
                 self._run_push(chunk, ref, index)
@@ -293,7 +310,7 @@ class ChunkPusher:
         self._queue_ack(ref, holders)
 
     def _drain(self) -> None:
-        """Wait for every submitted push to settle and retire the executor."""
+        """Wait for every push this session submitted to settle."""
         for future in self._futures:
             try:
                 future.result()
@@ -302,9 +319,6 @@ class ChunkPusher:
                     if self._failure is None:
                         self._failure = exc
         self._futures.clear()
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
 
     def _raise_if_failed(self) -> None:
         with self._lock:

@@ -25,10 +25,12 @@ the full asynchrony for the throughput figures).
 
 All three protocols inherit the parallel data path of
 :class:`~repro.client.session.ChunkPusher`: with
-``StdchkConfig.push_parallelism > 1`` the IW and SW sessions overlap spooling
-with propagation (``write`` returns as soon as the chunk enters the bounded
-in-flight window), and ``close``/``finish`` waits for the window to drain
-before committing the chunk-map.
+``StdchkConfig.push_parallelism > 1`` and the opening client's worker pool
+(``executor``) the IW and SW sessions overlap spooling with propagation
+(``write`` returns as soon as the chunk enters the bounded in-flight window),
+and ``close``/``finish`` waits for the window to drain before committing the
+chunk-map.  A session borrows the pool: ``abort`` cancels its own queued
+pushes only.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from __future__ import annotations
 import os
 import tempfile
 from abc import ABC, abstractmethod
+from concurrent.futures import Executor
 from typing import Dict, List, Optional
 
 from repro.client.session import ChunkPusher, WriteStats
@@ -67,6 +70,7 @@ class WriteSession(ABC):
         producer: str = "",
         timestep: Optional[int] = None,
         metrics: Optional[MetricsRegistry] = None,
+        executor: Optional[Executor] = None,
     ) -> None:
         self.transport = transport
         self.manager_address = manager_address
@@ -82,6 +86,7 @@ class WriteSession(ABC):
             config=config,
             existing_chunks=existing_chunks,
             metrics=metrics,
+            executor=executor,
         )
         self.open_time = self.clock.now()
         self.close_time: Optional[float] = None
@@ -347,6 +352,7 @@ def make_write_session(
     timestep: Optional[int] = None,
     spool_dir: Optional[str] = None,
     metrics: Optional[MetricsRegistry] = None,
+    executor: Optional[Executor] = None,
 ) -> WriteSession:
     """Instantiate the session class implementing ``protocol``."""
     cls = _PROTOCOL_CLASSES[protocol]
@@ -360,6 +366,7 @@ def make_write_session(
         producer=producer,
         timestep=timestep,
         metrics=metrics,
+        executor=executor,
     )
     if cls in (IncrementalWriteSession, CompleteLocalWriteSession):
         kwargs["spool_dir"] = spool_dir

@@ -4,7 +4,7 @@ A handle adapts POSIX-style small reads/writes to the storage system's
 megabyte-chunk granularity (section IV.E): writes are buffered and streamed
 into the underlying write session; reads are served from the reader's chunk
 cache, and after every read the next ``read_ahead`` bytes are prefetched
-*asynchronously* — fetches for upcoming chunks run on reader worker threads
+*asynchronously* — fetches for upcoming chunks run on the client's worker pool
 while the application consumes the current range, so a sequential scan never
 waits for a chunk that read-ahead already started and never re-fetches a
 chunk it partially consumed.

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import threading
 import time
 from collections import deque
@@ -34,9 +35,15 @@ from repro.obs import runtime
 TRACE_KEY = "__trace__"
 
 
+#: Source of span and trace ids, seeded once from the OS.  Ids are
+#: correlation keys, not secrets, so they need no syscall each;
+#: ``getrandbits`` is a single C call and therefore safe across threads.
+_ids = random.Random(os.urandom(16))
+
+
 def new_id() -> str:
     """A fresh 64-bit hex id for traces and spans."""
-    return os.urandom(8).hex()
+    return f"{_ids.getrandbits(64):016x}"
 
 
 @dataclass(frozen=True)

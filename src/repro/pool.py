@@ -10,6 +10,7 @@ place.
 from __future__ import annotations
 
 import time
+import weakref
 import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional
@@ -308,7 +309,7 @@ class StdchkPool:
 
         The parallel data-path knobs can be overridden per client without
         building a whole config: ``push_parallelism`` / ``read_parallelism``
-        (worker threads per session/reader), ``max_inflight_chunks`` /
+        (they size the client's one worker pool), ``max_inflight_chunks`` /
         ``max_inflight_reads`` (in-flight window bounds) and
         ``ack_batch_size`` (placement-ack batching toward the manager).
         """
@@ -487,8 +488,10 @@ class StdchkPool:
         return monitor
 
     def close(self) -> None:
-        """Tear down everything the pool started (currently: obs servers)."""
+        """Tear down everything the pool started: obs servers, client workers."""
         self.stop_obs_http()
+        for client in self._clients:
+            client.close()
 
     def __enter__(self) -> "StdchkPool":
         return self
@@ -533,6 +536,9 @@ class TcpDeployment:
         #: Per-node telemetry HTTP servers (see :meth:`start_obs_http`).
         self._obs_servers: Dict[str, ObsHttpServer] = {}
         self._obs_http_host: Optional[str] = None
+        #: Clients handed out and still alive, so :meth:`close` can release
+        #: their worker threads; weak, a dropped client releases its own.
+        self._clients: "weakref.WeakSet[ClientProxy]" = weakref.WeakSet()
         for index in range(benefactor_count):
             store = (
                 store_factory(benefactor_capacity)
@@ -732,13 +738,15 @@ class TcpDeployment:
         self.transport.ensure_pool_capacity(
             max(effective.effective_inflight_window, effective.effective_read_window)
         )
-        return ClientProxy(
+        proxy = ClientProxy(
             client_id=client_id,
             transport=self.transport,
             manager_address=self.manager_address,
             config=effective,
             standby_addresses=list(self.standby_addresses.values()),
         )
+        self._clients.add(proxy)
+        return proxy
 
     def scrape(self) -> Dict[str, object]:
         """Collect metrics from every reachable node over the wire.
@@ -844,6 +852,8 @@ class TcpDeployment:
 
     def close(self) -> None:
         self.stop_obs_http()
+        for client in list(self._clients):
+            client.close()
         self.transport.close()
 
     def __enter__(self) -> "TcpDeployment":

@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 from abc import ABC, abstractmethod
 from contextlib import ExitStack
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.exceptions import ProtocolError
 from repro.obs import runtime, tracing
@@ -76,16 +76,36 @@ class Endpoint(ABC):
                 # histogram (lifetime distribution) and the windowed
                 # summary (recent p50/p99 for live SLOs).
                 elapsed = time.perf_counter() - started
+                lifetime, recent = self._rpc_timers(registry, method)
+                lifetime.observe(elapsed)
+                recent.observe(elapsed)
+
+    def _rpc_timers(self, registry: Any, method: str) -> Tuple[Any, Any]:
+        """The two latency series of ``method``, resolved once per endpoint.
+
+        Looking the families and their label children up costs two registry
+        locks per RPC; the series objects are stable, so they are kept on
+        the endpoint, keyed by method, for as long as ``obs`` is the same
+        registry.
+        """
+        cache = getattr(self, "_rpc_timer_cache", None)
+        if cache is None or cache[0] is not registry:
+            cache = self._rpc_timer_cache = (registry, {})
+        timers = cache[1].get(method)
+        if timers is None:
+            timers = cache[1][method] = (
                 registry.histogram(
                     "rpc_handled_seconds",
                     "Server-side RPC handling latency by method.",
                     labelnames=("method",),
-                ).labels(method=method).observe(elapsed)
+                ).labels(method=method),
                 registry.windowed_histogram(
                     "rpc_handled_seconds_window",
                     "Recent server-side RPC handling latency by method.",
                     labelnames=("method",),
-                ).labels(method=method).observe(elapsed)
+                ).labels(method=method),
+            )
+        return timers
 
 
 class Transport(ABC):

@@ -79,18 +79,23 @@ class StdchkConfig:
     #: Incremental-write temporary-file size bound.
     incremental_file_size: int = 64 * MiB
 
-    #: Worker threads pushing chunks concurrently per write session.  1 keeps
-    #: the historical fully-synchronous data path (one RPC at a time); higher
-    #: values overlap chunk production with propagation the way section IV.B
-    #: describes ("as fast as the hardware allows").
+    #: Chunk pushes a client runs concurrently.  1 keeps the fully-synchronous
+    #: data path (one RPC at a time); higher values overlap chunk production
+    #: with propagation the way section IV.B describes ("as fast as the
+    #: hardware allows").  Together with ``read_parallelism`` it sizes the one
+    #: worker pool of a ``ClientProxy`` (``max`` of the two), so the bound
+    #: holds across all the client's open sessions, not per session; the
+    #: chunk a session's close flushes is pushed by the caller on top of it.
     push_parallelism: int = 1
     #: Bound on chunks submitted but not yet stored (the in-flight window).
     #: 0 derives ``2 * push_parallelism`` so every worker stays pipelined.
     max_inflight_chunks: int = 0
-    #: Worker threads fetching chunks concurrently per reader.  1 keeps the
-    #: historical fully-synchronous read path (one RPC at a time); higher
-    #: values overlap integrity verification and network transfer so restart
-    #: reads exploit the striping the same way pipelined writes do.
+    #: Chunk fetches a client runs concurrently.  1 keeps the fully-synchronous
+    #: read path (one RPC at a time; read-ahead still uses one pool worker);
+    #: higher values overlap integrity verification and network transfer so
+    #: restart reads exploit the striping the same way pipelined writes do.
+    #: Shares the client's worker pool with ``push_parallelism``: a bound
+    #: across all the client's open readers, not per reader.
     read_parallelism: int = 1
     #: Bound on chunk fetches dispatched but not yet consumed (the read-side
     #: in-flight window).  0 derives ``2 * read_parallelism`` so every reader

@@ -20,7 +20,6 @@ import pytest
 
 from repro import StdchkConfig, StdchkPool, TcpDeployment
 from repro.benefactor.chunk_store import DiskChunkStore, MemoryChunkStore
-from repro.client import read_path
 from repro.client.read_path import StripedReader
 from repro.core.chunk_map import ChunkMap
 from repro.exceptions import ReadFailedError
@@ -139,7 +138,7 @@ class TestOneImageNoSecondCopy:
 
 class TestSingleFetchStaysOnTheCallingThread:
     @pytest.mark.parametrize("parallelism,chunks", [(4, 1), (1, 6)])
-    def test_no_executor_and_no_thread(self, monkeypatch, parallelism, chunks):
+    def test_no_submit_and_no_thread(self, monkeypatch, parallelism, chunks):
         pool = StdchkPool(benefactor_count=4, config=config())
         client = pool.client("solo", read_parallelism=parallelism)
         data = make_bytes(chunks * CHUNK - 3, seed=11)
@@ -152,14 +151,14 @@ class TestSingleFetchStaysOnTheCallingThread:
             fetching_threads.add(threading.current_thread())
             return original(self, placement, into)
 
-        def no_executor(*_args, **_kwargs):
-            raise AssertionError("a single-placement or serial read built an executor")
+        def no_submit(*_args, **_kwargs):
+            raise AssertionError("a single-placement or serial read went to the pool")
 
         monkeypatch.setattr(StripedReader, "_fetch_replicas", spying)
-        monkeypatch.setattr(read_path, "ThreadPoolExecutor", no_executor)
+        monkeypatch.setattr(client._worker_pool(), "submit", no_submit)
         reader = client.open_read("/solo/f")
         assert reader.read_all() == data
-        assert reader._executor is None and reader.chunks_fetched == chunks
+        assert reader.chunks_fetched == chunks
         assert fetching_threads == {threading.current_thread()}
         assert threading.active_count() == threads
 

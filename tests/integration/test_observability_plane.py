@@ -182,14 +182,18 @@ class TestTcpFailureDetection:
                 budget = DEAD_AFTER + PROBE_INTERVAL
                 # Generous wall-clock margin: CI boxes schedule the probe
                 # thread late, but detection must stay the same order.
+                def dead():
+                    return [t for t in transitions
+                            if t.node_id == "manager" and t.new_state == "dead"]
+
+                # The callback fires outside the monitor's lock, after the
+                # state changed: wait for both.
                 elapsed = wait_until(
-                    lambda: monitor.state_of("manager") == "dead",
+                    lambda: monitor.state_of("manager") == "dead" and dead(),
                     budget=3 * budget,
                 )
                 assert elapsed <= 3 * budget
-                dead = [t for t in transitions
-                        if t.node_id == "manager" and t.new_state == "dead"]
-                assert dead and dead[0].kind == "manager"
+                assert dead()[0].kind == "manager"
             finally:
                 monitor.stop()
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import urllib.request
+
 import pytest
 
 from repro import StdchkConfig, StdchkPool, TcpDeployment, to_prometheus
@@ -101,6 +104,31 @@ class TestScrapeOverTcp:
             report = deployment.scrape()
             components = sorted(snap["component"] for snap in report["nodes"])
             assert components == ["benefactor", "manager"]
+
+
+    def test_metrics_json_of_a_benefactor_counts_every_handled_rpc(self):
+        """Dispatch keeps its two latency series per method instead of
+        looking them up per call; what a scrape sees must not change."""
+        with TcpDeployment(benefactor_count=1,
+                           config=StdchkConfig(replication_level=1)) as deployment:
+            benefactor = deployment.benefactors[0]
+            base = deployment.start_obs_http()[benefactor.benefactor_id]
+            address = deployment.transport.bound_address(benefactor.address)
+            for index in range(10):
+                deployment.transport.call(address, "put_chunk",
+                                          chunk_id=f"ds-1:v1:c{index}", data=b"x" * 100)
+            for index in range(3):
+                assert deployment.transport.call(address, "has_chunk",
+                                                 chunk_id=f"ds-1:v1:c{index}")
+            with urllib.request.urlopen(base + "/metrics.json", timeout=5) as response:
+                metrics = json.load(response)["metrics"]
+            for name, kind in (("rpc_handled_seconds", "histogram"),
+                               ("rpc_handled_seconds_window", "window")):
+                family = metrics[name]
+                assert (family["type"], family["labelnames"]) == (kind, ["method"])
+                assert {entry["labels"]["method"]: entry["count"]
+                        for entry in family["series"]} == {"put_chunk": 10, "has_chunk": 3}
+            assert _metric_value({"metrics": metrics}, "benefactor_puts_total") == 10
 
 
 class TestTcpTracePropagation:

@@ -3,13 +3,40 @@
 from __future__ import annotations
 
 import json
+import re
 import threading
 
 import pytest
 
 from repro import StdchkPool
 from repro.obs import SPAN_STORE, current_context, start_span, use_context
-from repro.obs.tracing import TRACE_KEY, SpanStore, TraceContext, extract, inject
+from repro.obs.tracing import TRACE_KEY, SpanStore, TraceContext, extract, inject, new_id
+
+
+class TestIds:
+    def test_ids_from_four_threads_are_distinct_16_digit_hex(self):
+        """Drawn from one seeded generator, not one ``urandom`` syscall each."""
+        batches = [[] for _ in range(4)]
+
+        def draw(batch):
+            batch.extend(new_id() for _ in range(25_000))
+
+        threads = [threading.Thread(target=draw, args=(batch,)) for batch in batches]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+        ids = [identifier for batch in batches for identifier in batch]
+        assert len(ids) == 100_000 == len(set(ids))
+        assert all(re.fullmatch(r"[0-9a-f]{16}", identifier) for identifier in ids)
+
+    def test_ids_cost_no_syscall(self, monkeypatch):
+        def no_urandom(_count):
+            raise AssertionError("new_id() went to the OS")
+
+        monkeypatch.setattr("os.urandom", no_urandom)
+        context = TraceContext(trace_id=new_id(), span_id=new_id())
+        assert TraceContext.from_wire(context.to_wire()) == context
 
 
 class TestSpans:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.exceptions import EndpointUnreachableError, ProtocolError
+from repro.obs import MetricsRegistry
 from repro.transport.base import Endpoint
 from repro.transport.inprocess import InProcessTransport
 from repro.transport.tcp import TcpTransport
@@ -44,6 +45,36 @@ class TestEndpointDispatch:
     def test_exported_methods_exclude_private(self):
         exported = EchoEndpoint().exported_methods()
         assert "echo" in exported and "_private" not in exported
+
+    def test_latency_series_follow_a_swapped_registry(self):
+        """The per-method series are resolved once, per registry."""
+
+        def handled(registry):
+            metrics = registry.snapshot()["metrics"]
+            return {
+                name: {entry["labels"]["method"]: entry["count"]
+                       for entry in metrics[name]["series"]}
+                for name in ("rpc_handled_seconds", "rpc_handled_seconds_window")
+            }
+
+        endpoint = EchoEndpoint()
+        first = endpoint.obs = MetricsRegistry(component="test", node_id="n0")
+        for _ in range(2):
+            endpoint.dispatch("echo", {"value": 1})
+        endpoint.dispatch("add", {"a": 1, "b": 2})
+        second = endpoint.obs = MetricsRegistry(component="test", node_id="n0")
+        for _ in range(3):
+            endpoint.dispatch("echo", {"value": 1})
+        with pytest.raises(ValueError):
+            endpoint.dispatch("boom", {})
+        assert handled(first) == {
+            "rpc_handled_seconds": {"echo": 2, "add": 1},
+            "rpc_handled_seconds_window": {"echo": 2, "add": 1},
+        }
+        assert handled(second) == {
+            "rpc_handled_seconds": {"echo": 3, "boom": 1},
+            "rpc_handled_seconds_window": {"echo": 3, "boom": 1},
+        }
 
 
 class TestInProcessTransport:
