@@ -51,6 +51,11 @@ class DatasetMetadata:
         self._next_version = 1
 
     # -- version management -------------------------------------------------
+    @property
+    def next_version(self) -> VersionId:
+        """The number the next allocated version will get (a peek)."""
+        return self._next_version
+
     def allocate_version(self) -> VersionId:
         """Reserve the next version number for an in-flight write session."""
         version = self._next_version

@@ -140,8 +140,11 @@ class Namespace:
         except (FileNotFoundInStdchkError, NotADirectoryError_):
             return False
 
-    def remove_folder(self, path: str, force: bool = False) -> None:
-        """Remove a folder.  Non-empty folders require ``force``."""
+    def check_removable(self, path: str, force: bool = False) -> tuple:
+        """Raise unless :meth:`remove_folder` would succeed; changes nothing.
+
+        Returns ``(parent folder, name)``.
+        """
         normalized = normalize_path(path)
         if normalized == "/":
             raise IsADirectoryError_("cannot remove the namespace root")
@@ -151,6 +154,11 @@ class Namespace:
             raise FileNotFoundInStdchkError(f"no such directory: {path}")
         if not folder.is_empty and not force:
             raise FileExistsInStdchkError(f"directory not empty: {path}")
+        return parent, name
+
+    def remove_folder(self, path: str, force: bool = False) -> None:
+        """Remove a folder.  Non-empty folders require ``force``."""
+        parent, name = self.check_removable(path, force)
         del parent.folders[name]
 
     def set_retention(self, path: str, retention: RetentionConfig) -> None:

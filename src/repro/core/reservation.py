@@ -53,6 +53,12 @@ class ReservationTable:
         self._reservations: Dict[str, Reservation] = {}
         self._seq = 0
 
+    @property
+    def next_id(self) -> str:
+        """The id the next reservation will get (a peek; :meth:`restore`
+        with that id is what consumes it)."""
+        return f"rsv-{self._seq + 1}"
+
     def _next_id(self) -> str:
         self._seq += 1
         return f"rsv-{self._seq}"

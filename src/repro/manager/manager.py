@@ -10,6 +10,29 @@ chunk-map at close time.
 
 The data path never traverses the manager: chunks flow directly between
 clients and benefactors.
+
+**One state machine.**  The durable metadata — namespace, dataset version
+chains, replication targets, write sessions, reservations, id counters, the
+corruption ledger, benefactor membership, the epoch — is changed by exactly
+one piece of code, :func:`repro.manager.persistence.recovery.apply_record`.
+A mutating handler keeps its guards, *decides* by reading only (the clock,
+the next session/dataset/reservation/version id, a stripe allocation),
+builds the logical redo record and hands it to :meth:`MetadataManager._commit`,
+which applies it and then journals and ships it.  Crash recovery and standby
+managers run the same applier on the same record, so live, replayed and
+replicated state cannot drift; an applier raises before touching anything or
+completes, so a call that fails changes nothing anywhere.
+
+**Soft state**, by design outside that machine and written without records
+(a recovered or promoted manager re-learns it from registrations, heartbeats
+and inventory reconciliation): benefactor liveness and space
+(``register_benefactor``'s refresh, ``heartbeat``,
+``report_benefactor_failure``, ``expire_benefactors``), replica placements
+learnt after a commit (``reconcile_inventory`` — which also clears ledger
+entries whose corrupt copy is gone — ``record_replicas``, the replication
+service's ``add_replica``), the per-benefactor seen-sets of ``gc_report``,
+reservation lease expiry (``GarbageCollector.collect_expired_reservations``)
+and the read-routing load tally of ``get_chunk_map``.
 """
 
 from __future__ import annotations
@@ -20,7 +43,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set
 
 from repro.benefactor.maintenance.digest import compute_inventory_digest
-from repro.core.chunk_map import ChunkMap
 from repro.core.dataset import DatasetMetadata, DatasetVersion
 from repro.core.namespace import Namespace, normalize_path, split_path
 from repro.core.reservation import ReservationTable
@@ -47,7 +69,7 @@ from repro.manager.registry import BenefactorRegistry
 from repro.obs import MetricsRegistry
 from repro.transport.base import Endpoint, Transport
 from repro.util.clock import Clock, SystemClock
-from repro.util.config import RetentionConfig, RetentionPolicyKind, StdchkConfig
+from repro.util.config import StdchkConfig
 
 #: Bound on repair hints handed to one benefactor per reconcile answer.
 MAX_REPAIR_HINTS = 256
@@ -94,9 +116,6 @@ class MetadataManager(Endpoint):
         self.transport = transport
         self.manager_id = manager_id
         self.address = f"manager://{manager_id}"
-        self.namespace = Namespace()
-        self.registry = BenefactorRegistry(heartbeat_timeout=self.config.heartbeat_timeout)
-        self.reservations = ReservationTable(default_lease=self.config.reservation_lease)
         self.striping = striping if striping is not None else RoundRobinStriping()
         #: ``"primary"`` serves clients and benefactors; ``"standby"``
         #: (see :class:`~repro.manager.replication.StandbyManager`) applies
@@ -115,8 +134,6 @@ class MetadataManager(Endpoint):
         #: True while the manager replays its journal; RPCs fail fast with
         #: :class:`ManagerRecoveringError` instead of racing half-restored state.
         self.recovering = False
-        #: Set during replay so re-applied operations are not re-journaled.
-        self._replaying = False
         #: Per-node metrics registry; ``Endpoint.dispatch`` also uses it for
         #: per-method RPC handling latency, and stamps server-side trace
         #: spans with ``obs_component``/``obs_node_id``.
@@ -157,25 +174,7 @@ class MetadataManager(Endpoint):
         #: by the deployment helpers via :meth:`attach_shipper`.
         self._shipper = None
 
-        self._datasets: Dict[str, DatasetMetadata] = {}
-        self._replication_targets: Dict[str, int] = {}
-        self._sessions: Dict[str, WriteSessionRecord] = {}
-        #: Last allocated session/dataset ordinals (plain ints so recovery can
-        #: fast-forward them past replayed identifiers).
-        self._session_seq = 0
-        self._dataset_seq = 0
-        #: Per-benefactor set of chunk ids seen in the previous GC report.
-        #: A chunk is declared dead only when it is unreferenced *and* was
-        #: already present in the previous report ("seen twice" rule), which
-        #: protects chunks pushed by sessions that have not committed yet.
-        self._gc_seen: Dict[str, Set[str]] = {}
-        #: Corruption ledger: ``chunk_id -> {benefactor_id: reported_at}``.
-        #: An entry means that benefactor's replica served provably corrupt
-        #: bytes; the placement was dropped when the report arrived, and the
-        #: entry guards against soft-state reconciliation re-attaching the
-        #: bad copy before the holder purges it.  Durable (journaled): a
-        #: recovered manager must not resurrect a corrupt replica.
-        self._corrupt: Dict[str, Dict[str, float]] = {}
+        self._reset_state()
         #: Transaction counter (any client- or benefactor-facing call).
         self.transactions = 0
 
@@ -197,6 +196,32 @@ class MetadataManager(Endpoint):
             self.recover_from_journal()
 
         self.transport.register(self.address, self)
+
+    def _reset_state(self) -> None:
+        """Empty metadata tables (construction; a standby's snapshot install
+        is a replace, not a merge)."""
+        self.namespace = Namespace()
+        self.registry = BenefactorRegistry(heartbeat_timeout=self.config.heartbeat_timeout)
+        self.reservations = ReservationTable(default_lease=self.config.reservation_lease)
+        self._datasets: Dict[str, DatasetMetadata] = {}
+        self._replication_targets: Dict[str, int] = {}
+        self._sessions: Dict[str, WriteSessionRecord] = {}
+        #: Last allocated session/dataset ordinals: handlers peek the next
+        #: one, the ``create_session`` applier consumes it.
+        self._session_seq = 0
+        self._dataset_seq = 0
+        #: Per-benefactor set of chunk ids seen in the previous GC report.
+        #: A chunk is declared dead only when it is unreferenced *and* was
+        #: already present in the previous report ("seen twice" rule), which
+        #: protects chunks pushed by sessions that have not committed yet.
+        self._gc_seen: Dict[str, Set[str]] = {}
+        #: Corruption ledger: ``chunk_id -> {benefactor_id: reported_at}``.
+        #: An entry means that benefactor's replica served provably corrupt
+        #: bytes; the placement was dropped when the report arrived, and the
+        #: entry guards against soft-state reconciliation re-attaching the
+        #: bad copy before the holder purges it.  Durable (journaled): a
+        #: recovered manager must not resurrect a corrupt replica.
+        self._corrupt: Dict[str, Dict[str, float]] = {}
 
     # ------------------------------------------------------------------ utils
     def _require_online(self) -> None:
@@ -338,28 +363,19 @@ class MetadataManager(Endpoint):
     def recover(self) -> None:
         self.online = True
 
-    def _next_session_id(self) -> str:
-        self._session_seq += 1
-        return f"session-{self._session_seq}"
-
-    def _next_dataset_id(self) -> str:
-        self._dataset_seq += 1
-        return f"ds-{self._dataset_seq}"
-
-    def _note_session_id(self, session_id: str) -> None:
-        self._session_seq = max(self._session_seq, int(session_id.rsplit("-", 1)[-1]))
-
-    def _note_dataset_id(self, dataset_id: str) -> None:
-        self._dataset_seq = max(self._dataset_seq, int(dataset_id.rsplit("-", 1)[-1]))
-
     # ------------------------------------------------------------- durability
-    def _journal(self, op: str, payload: Dict[str, object],
-                 durable: bool = False) -> None:
-        """Append one write-ahead record (and snapshot when due).
+    def _commit(self, op: str, data: Dict[str, object], durable: bool = False):
+        """Apply one record, then journal and ship it; returns the applier's value.
 
-        Callers already inside ``_meta_lock`` re-enter it for free; callers
-        outside (benefactor registration) take it here so record order always
-        matches application order and snapshots see a consistent state.
+        The one way a handler changes journaled metadata: ``apply_record`` is
+        what crash recovery and standbys run on the same record, so the live
+        mutation cannot differ from the replayed one.  An applier that raises
+        has touched nothing and nothing is appended — the call failed, and
+        memory, journal and standbys are where they were.
+
+        Callers already inside ``_meta_lock`` re-enter it for free; the lock
+        spans apply, append and ship so record order always matches
+        application order and snapshots see a consistent state.
 
         Appends are *fail-stop*: the record is written after the in-memory
         mutation (the meta lock hides the window from other callers), so if
@@ -369,15 +385,13 @@ class MetadataManager(Endpoint):
         itself offline and propagates the error; a restart recovers the
         consistent journal prefix.
         """
-        if self._replaying:
-            return
-        if self._persistence is None and self._shipper is None:
-            return
+        record = {"op": op, "data": data}
         with self._meta_lock:
+            result = apply_record(self, record)
             lsn = None
             if self._persistence is not None:
                 try:
-                    lsn = self._persistence.append(op, payload, durable=durable)
+                    lsn = self._persistence.append(op, data, durable=durable)
                     if self._persistence.should_snapshot():
                         self._persistence.take_snapshot(encode_manager_state(self))
                 except Exception:
@@ -396,14 +410,13 @@ class MetadataManager(Endpoint):
                 # fencing rejection (a successor primary exists; this node
                 # already self-demoted and redirects).
                 try:
-                    self._shipper.offer(
-                        {"op": op, "data": payload}, lsn=lsn, durable=durable
-                    )
+                    self._shipper.offer(record, lsn=lsn, durable=durable)
                 except (QuorumNotReachedError, NotPrimaryError, StaleEpochError):
                     raise
                 except Exception:
                     self.online = False
                     raise
+        return result
 
     @property
     def persistence(self) -> Optional[ManagerPersistence]:
@@ -448,7 +461,6 @@ class MetadataManager(Endpoint):
         start = time.perf_counter()
         report = RecoveryReport()
         self.recovering = True
-        self._replaying = True
         try:
             with self._meta_lock:
                 state, records, torn_bytes = self._persistence.load()
@@ -460,7 +472,6 @@ class MetadataManager(Endpoint):
                 report.records_replayed = len(records)
                 report.torn_bytes_dropped = torn_bytes
         finally:
-            self._replaying = False
             self.recovering = False
         report.duration = time.perf_counter() - start
         report.datasets = len(self._datasets)
@@ -478,21 +489,21 @@ class MetadataManager(Endpoint):
         self._require_online()
         self._count()
         now = self.clock.now()
-        # The meta lock spans the prior-address read, the registry update and
-        # the journal append so concurrent re-registrations cannot journal in
-        # an order that disagrees with the order they were applied.
+        # The meta lock spans the prior-address read, the membership record
+        # and the liveness refresh so concurrent re-registrations cannot
+        # journal in an order that disagrees with the order they were applied.
         with self._meta_lock:
-            prior_address = self.registry.known_address(benefactor_id)
+            if self.registry.known_address(benefactor_id) != address:
+                # Membership (id, address) is journaled; the refresh below is
+                # liveness, which stays soft state like a heartbeat.
+                self._commit(
+                    "register",
+                    {"benefactor_id": benefactor_id, "address": address, "t": now},
+                )
             record = self.registry.register(
                 benefactor_id, address, free_space, used_space, chunk_count,
                 now=now,
             )
-            if prior_address != address:
-                # Membership is journaled; liveness stays soft state (heartbeats).
-                self._journal(
-                    "register",
-                    {"benefactor_id": benefactor_id, "address": address, "t": now},
-                )
         return {
             "registered": True,
             "heartbeat_interval": self.config.heartbeat_interval,
@@ -565,12 +576,13 @@ class MetadataManager(Endpoint):
                     live.update(session.acked_chunks)
             previously_seen = self._gc_seen.get(benefactor_id, set())
             dead = sorted(cid for cid in reported if cid not in live and cid in previously_seen)
+            # The reported set itself is soft state (losing it merely delays
+            # collection by one seen-twice round, the safe direction); only
+            # the deletion authorization is a record, whose applier re-adds
+            # ``dead`` to a seen-set that live already holds it.
             self._gc_seen[benefactor_id] = reported
             if dead:
-                # Journal the deletion authorization (the reported set itself
-                # is soft state: losing it merely delays collection by one
-                # seen-twice round, which is the safe direction).
-                self._journal(
+                self._commit(
                     "gc", {"benefactor_id": benefactor_id, "dead": dead},
                     durable=True,
                 )
@@ -688,24 +700,22 @@ class MetadataManager(Endpoint):
         self._count()
         now = self.clock.now()
         with self._meta_lock:
-            already_known = benefactor_id in self._corrupt.get(chunk_id, ())
-            survivors: Set[str] = set()
             dropped = 0
-            for dataset in self._datasets.values():
-                for version in dataset.versions:
-                    for placement in version.chunk_map.placements_for(chunk_id):
-                        if benefactor_id in placement.benefactors:
-                            placement.remove_replica(benefactor_id)
-                            dropped += 1
-                        survivors.update(placement.benefactors)
-            self._corrupt.setdefault(chunk_id, {})[benefactor_id] = now
-            if not already_known:
-                self._journal(
+            # A repeat of a report already in the ledger changes nothing: the
+            # first report's timestamp stands and its placements are gone.
+            if benefactor_id not in self._corrupt.get(chunk_id, ()):
+                dropped = self._commit(
                     "corrupt_chunk",
                     {"chunk_id": chunk_id, "benefactor_id": benefactor_id,
                      "reporter": reporter, "t": now},
                     durable=True,
                 )
+            survivors: Set[str] = set()
+            for dataset in self._datasets.values():
+                for version in dataset.versions:
+                    for placement in version.chunk_map.placements_for(chunk_id):
+                        survivors.update(placement.benefactors)
+            survivors.discard(benefactor_id)
         for survivor in survivors:
             self.registry.set_repair_pending(survivor)
         return {
@@ -770,46 +780,26 @@ class MetadataManager(Endpoint):
         """Create an application folder, optionally with a retention policy."""
         self._require_online()
         self._count()
-        retention = None
-        if retention_kind is not None:
-            retention = RetentionConfig(
-                kind=RetentionPolicyKind(retention_kind),
-                purge_after=purge_after,
-                keep_last=keep_last,
-            )
-        now = self.clock.now()
-        with self._meta_lock:
-            self.namespace.ensure_folder(path, created_at=now)
-            if retention is not None:
-                self.namespace.set_retention(path, retention)
-            self._journal("make_folder", {
-                "path": normalize_path(path),
-                "retention_kind": retention_kind,
-                "purge_after": purge_after,
-                "keep_last": keep_last,
-                "t": now,
-            })
-        return {"created": True, "path": normalize_path(path)}
+        path = normalize_path(path)
+        self._commit("make_folder", {
+            "path": path,
+            "retention_kind": retention_kind,
+            "purge_after": purge_after,
+            "keep_last": keep_last,
+            "t": self.clock.now(),
+        })
+        return {"created": True, "path": path}
 
     def set_retention(self, path: str, retention_kind: str,
                       purge_after: float = 3600.0, keep_last: int = 1) -> Dict[str, object]:
         self._require_online()
         self._count()
-        with self._meta_lock:
-            self.namespace.set_retention(
-                path,
-                RetentionConfig(
-                    kind=RetentionPolicyKind(retention_kind),
-                    purge_after=purge_after,
-                    keep_last=keep_last,
-                ),
-            )
-            self._journal("set_retention", {
-                "path": normalize_path(path),
-                "retention_kind": retention_kind,
-                "purge_after": purge_after,
-                "keep_last": keep_last,
-            })
+        self._commit("set_retention", {
+            "path": normalize_path(path),
+            "retention_kind": retention_kind,
+            "purge_after": purge_after,
+            "keep_last": keep_last,
+        })
         return {"updated": True}
 
     def list_dir(self, path: str) -> List[str]:
@@ -849,26 +839,27 @@ class MetadataManager(Endpoint):
         """Delete a file: metadata is dropped; chunks become GC-able orphans."""
         self._require_online()
         self._count()
-        with self._meta_lock:
-            entry = self.namespace.remove_file(path)
-            dataset = self._datasets.pop(entry.dataset_id, None)
-            self._replication_targets.pop(entry.dataset_id, None)
-            removed_versions = len(dataset) if dataset is not None else 0
-            self._journal("delete", {"path": normalize_path(path)}, durable=True)
+        removed_versions = self._commit(
+            "delete", {"path": normalize_path(path)}, durable=True
+        )
         return {"deleted": True, "versions_removed": removed_versions}
 
     def remove_folder(self, path: str, force: bool = False) -> Dict[str, object]:
         self._require_online()
         self._count()
-        # Deleting a folder drops all files beneath it first.
         removed = 0
-        if force:
-            for file_path, _entry in list(self.namespace.iter_files(path)):
-                self.delete(file_path)
-                removed += 1
+        # One lock hold across the per-file deletes and the folder removal: a
+        # create_session landing between them would have its file dropped
+        # with the folder and its dataset left behind for good.
         with self._meta_lock:
-            self.namespace.remove_folder(path, force=force)
-            self._journal(
+            self.namespace.check_removable(path, force)
+            if force:
+                # Deleting a folder drops all files beneath it first, one
+                # ``delete`` record each.
+                for file_path, _entry in list(self.namespace.iter_files(path)):
+                    self._commit("delete", {"path": file_path}, durable=True)
+                    removed += 1
+            self._commit(
                 "remove_folder",
                 {"path": normalize_path(path), "force": force},
                 durable=True,
@@ -915,65 +906,42 @@ class MetadataManager(Endpoint):
         )
 
         with self._meta_lock:
-            parent, _name = split_path(path)
-            self.namespace.ensure_folder(parent, created_at=now)
+            path = normalize_path(path)
             if self.namespace.file_exists(path):
-                entry = self.namespace.get_file(path)
-                dataset = self._dataset(entry.dataset_id)
+                dataset = self._dataset_for_path(path)
+                dataset_id, version = dataset.dataset_id, dataset.next_version
             else:
-                dataset_id = self._next_dataset_id()
-                dataset = DatasetMetadata(dataset_id=dataset_id, name=path, folder=parent)
-                self._datasets[dataset_id] = dataset
-                self.namespace.add_file(path, dataset_id, created_at=now)
-            self._replication_targets[dataset.dataset_id] = replication
-
+                dataset_id, version = f"ds-{self._dataset_seq + 1}", 1
             stripe = self._allocate_stripe(width, expected_size)
-            reservation = self.reservations.reserve(
-                client_id=client_id,
-                dataset_id=dataset.dataset_id,
-                amount=expected_size,
-                benefactors=[s["benefactor_id"] for s in stripe],
-                now=now,
-            )
-            version = dataset.allocate_version()
-            session = WriteSessionRecord(
-                session_id=self._next_session_id(),
-                client_id=client_id,
-                path=normalize_path(path),
-                dataset_id=dataset.dataset_id,
-                version=version,
-                stripe=stripe,
-                reservation_id=reservation.reservation_id,
-                created_at=now,
-                replication_level=replication,
-            )
-            self._sessions[session.session_id] = session
             # Logical redo record: carries the *results* (ids, stripe,
-            # version) so replay is deterministic without registry state.
-            self._journal("create_session", {
-                "session_id": session.session_id,
+            # version) so applying it is deterministic without registry
+            # state.  Ids are peeked here and consumed by the applier, so a
+            # call that fails (no benefactor online, bad size) burns none.
+            record = {
+                "session_id": f"session-{self._session_seq + 1}",
                 "client_id": client_id,
-                "path": session.path,
-                "dataset_id": dataset.dataset_id,
+                "path": path,
+                "dataset_id": dataset_id,
                 "version": version,
                 "stripe": stripe,
-                "reservation_id": reservation.reservation_id,
+                "reservation_id": self.reservations.next_id,
                 "created_at": now,
                 "replication_level": replication,
                 "expected_size": expected_size,
-            })
+            }
+            self._commit("create_session", record)
         return {
-            "session_id": session.session_id,
-            "dataset_id": dataset.dataset_id,
+            "session_id": record["session_id"],
+            "dataset_id": dataset_id,
             "version": version,
             "stripe": stripe,
             "chunk_size": self.config.chunk_size,
-            "reservation_id": reservation.reservation_id,
+            "reservation_id": record["reservation_id"],
             "replication_level": replication,
             # Echoed so a failover-aware client can replay the whole session
             # (re-open + re-commit) against a promoted standby that never
             # received this session's journal record.
-            "path": session.path,
+            "path": path,
             "client_id": client_id,
         }
 
@@ -985,8 +953,7 @@ class MetadataManager(Endpoint):
             session = self._session(session_id)
             stripe = self._allocate_stripe(len(session.stripe) or self.config.stripe_width,
                                            additional_space)
-            session.stripe = stripe
-            self._journal("extend_stripe", {"session_id": session_id, "stripe": stripe})
+            self._commit("extend_stripe", {"session_id": session_id, "stripe": stripe})
         return {"stripe": stripe}
 
     def put_chunks_ack(self, session_id: str,
@@ -1008,18 +975,14 @@ class MetadataManager(Endpoint):
                 raise CommitConflictError(
                     f"session is no longer active: {session_id}"
                 )
-            normalized = []
-            for placement in placements:
-                chunk_id = str(placement["chunk_id"])  # type: ignore[index]
-                holders = session.acked_chunks.setdefault(chunk_id, [])
-                for benefactor in placement.get("benefactors", ()):  # type: ignore[union-attr]
-                    if benefactor not in holders:
-                        holders.append(benefactor)
-                normalized.append({
-                    "chunk_id": chunk_id,
+            normalized = [
+                {
+                    "chunk_id": str(placement["chunk_id"]),  # type: ignore[index]
                     "benefactors": list(placement.get("benefactors", ())),  # type: ignore[union-attr]
-                })
-            self._journal("put_chunks_ack", {
+                }
+                for placement in placements
+            ]
+            self._commit("put_chunks_ack", {
                 "session_id": session_id, "placements": normalized,
             })
             acked_total = len(session.acked_chunks)
@@ -1043,32 +1006,19 @@ class MetadataManager(Endpoint):
                 raise CommitConflictError(f"session already committed: {session_id}")
             if session.aborted:
                 raise CommitConflictError(f"session already aborted: {session_id}")
-            dataset = self._dataset(session.dataset_id)
-            now = self.clock.now()
-            version = DatasetVersion(
-                version=session.version,
-                chunk_map=ChunkMap.from_dict(chunk_map),
-                size=size,
-                created_at=now,
-                producer=producer,
-                timestep=timestep,
-                attributes=dict(attributes or {}),
-            )
-            dataset.commit_version(version)
-            session.committed = True
-            self.reservations.release(session.reservation_id)
-            self._journal("commit", {
+            self._dataset(session.dataset_id)
+            self._commit("commit", {
                 "session_id": session_id,
                 "chunk_map": chunk_map,
                 "size": size,
-                "created_at": now,
+                "created_at": self.clock.now(),
                 "producer": producer,
                 "timestep": timestep,
                 "attributes": dict(attributes or {}),
             }, durable=True)
         return {
             "committed": True,
-            "dataset_id": dataset.dataset_id,
+            "dataset_id": session.dataset_id,
             "version": session.version,
             "size": size,
         }
@@ -1077,10 +1027,8 @@ class MetadataManager(Endpoint):
         self._require_online()
         self._count()
         with self._meta_lock:
-            session = self._session(session_id)
-            session.aborted = True
-            self.reservations.release(session.reservation_id)
-            self._journal("abort", {"session_id": session_id}, durable=True)
+            self._session(session_id)
+            self._commit("abort", {"session_id": session_id}, durable=True)
         return {"aborted": True}
 
     def active_sessions(self) -> List[WriteSessionRecord]:
@@ -1221,13 +1169,11 @@ class MetadataManager(Endpoint):
     def prune_version(self, dataset_id: str, version: int) -> DatasetVersion:
         """Remove one version's metadata (retention pruning) and journal it."""
         with self._meta_lock:
-            dataset = self._dataset(dataset_id)
-            removed = dataset.remove_version(version)
-            self._journal(
+            self._dataset(dataset_id)
+            return self._commit(
                 "prune", {"dataset_id": dataset_id, "version": version},
                 durable=True,
             )
-        return removed
 
     def drop_benefactor_placements(self, benefactor_id: str) -> int:
         """Remove a departed benefactor from every committed chunk-map.
@@ -1239,17 +1185,17 @@ class MetadataManager(Endpoint):
         the chunk maps), otherwise its ghost replicas would satisfy the
         replication target and mask real under-replication.
         """
-        affected = 0
         with self._meta_lock:
-            for dataset in self._datasets.values():
-                for version in dataset.versions:
-                    affected += version.chunk_map.drop_benefactor(benefactor_id)
-            if affected:
-                self._journal(
-                    "drop_benefactor", {"benefactor_id": benefactor_id},
-                    durable=True,
-                )
-        return affected
+            if not any(
+                benefactor_id in version.chunk_map.stored_benefactors
+                for dataset in self._datasets.values()
+                for version in dataset.versions
+            ):
+                return 0
+            return self._commit(
+                "drop_benefactor", {"benefactor_id": benefactor_id},
+                durable=True,
+            )
 
     def storage_summary(self) -> Dict[str, object]:
         """Aggregate pool statistics (used by examples and benches)."""

@@ -1,12 +1,24 @@
-"""Journal replay: re-apply logical redo records onto a restored manager.
+"""The manager's state machine: one applier per journaled operation.
 
-Records are *logical redo* records: they carry the results the live manager
+:func:`apply_record` is the only code that mutates journaled metadata — the
+namespace, dataset version chains, replication targets, write sessions,
+reservations, id counters, the corruption ledger, benefactor membership and
+the epoch.  The live RPC handlers of :class:`MetadataManager` decide (clock,
+next ids, stripe allocation) by reading only, build a record and hand it to
+``_commit``, which runs the applier here and then journals and ships the
+record; crash recovery and :meth:`StandbyManager.replicate_records` run the
+same applier on the same record.  Live = replayed = replicated.
+
+Records are *logical redo* records: they carry the results the handler
 computed (allocated session ids, stripes, version numbers, commit-time chunk
-maps), not the inputs, so replay is deterministic even though stripe
+maps), not the inputs, so applying one is deterministic even though stripe
 allocation depends on registry liveness that no longer exists at recovery
-time.  Every applier mutates manager state directly — no online checks, no
-transaction counting, and no re-journaling (the records being replayed are
-already in the journal).
+time.
+
+Every applier is all-or-nothing: it raises before touching any table or it
+completes.  A call that fails therefore leaves memory, journal and standbys
+where they were.  Appliers may return a value (versions removed, replicas
+dropped, the pruned version) for the handler's answer; replay ignores it.
 """
 
 from __future__ import annotations
@@ -14,10 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict
 
-from repro.core.chunk_map import ChunkMap
 from repro.core.dataset import DatasetMetadata, DatasetVersion
 from repro.core.namespace import split_path
 from repro.exceptions import JournalCorruptError, ReservationError
+from repro.manager.persistence.snapshot import decode_session, decode_version
 from repro.util.config import RetentionConfig, RetentionPolicyKind
 
 
@@ -35,6 +47,14 @@ class RecoveryReport:
     benefactors_known: int = 0
 
 
+def _retention(data) -> RetentionConfig:
+    return RetentionConfig(
+        kind=RetentionPolicyKind(data["retention_kind"]),
+        purge_after=data["purge_after"],
+        keep_last=data["keep_last"],
+    )
+
+
 def _apply_register(manager, data) -> None:
     manager.registry.restore(
         data["benefactor_id"], data["address"], registered_at=data.get("t", 0.0)
@@ -42,77 +62,67 @@ def _apply_register(manager, data) -> None:
 
 
 def _apply_make_folder(manager, data) -> None:
+    retention = _retention(data) if data.get("retention_kind") is not None else None
     folder = manager.namespace.ensure_folder(data["path"], created_at=data.get("t", 0.0))
-    if data.get("retention_kind") is not None:
-        folder.retention = RetentionConfig(
-            kind=RetentionPolicyKind(data["retention_kind"]),
-            purge_after=data["purge_after"],
-            keep_last=data["keep_last"],
-        )
+    if retention is not None:
+        folder.retention = retention
 
 
 def _apply_set_retention(manager, data) -> None:
-    manager.namespace.set_retention(
-        data["path"],
-        RetentionConfig(
-            kind=RetentionPolicyKind(data["retention_kind"]),
-            purge_after=data["purge_after"],
-            keep_last=data["keep_last"],
-        ),
-    )
+    manager.namespace.set_retention(data["path"], _retention(data))
 
 
-def _apply_delete(manager, data) -> None:
+def _apply_delete(manager, data) -> int:
+    """Returns how many committed versions went with the file."""
     entry = manager.namespace.remove_file(data["path"])
-    manager._datasets.pop(entry.dataset_id, None)
+    dataset = manager._datasets.pop(entry.dataset_id, None)
     manager._replication_targets.pop(entry.dataset_id, None)
+    return len(dataset) if dataset is not None else 0
 
 
 def _apply_remove_folder(manager, data) -> None:
-    # Files beneath the folder were dropped by their own replayed delete
-    # records; force still covers folders that only contained sub-folders.
+    # Files beneath the folder were dropped by their own delete records;
+    # force still covers folders that only contained sub-folders.
     manager.namespace.remove_folder(data["path"], force=data.get("force", False))
 
 
-def _apply_create_session(manager, data) -> None:
-    from repro.manager.manager import WriteSessionRecord  # late: avoid cycle
+def _ordinal(identifier: str) -> int:
+    return int(identifier.rsplit("-", 1)[-1])
 
+
+def _apply_create_session(manager, data) -> None:
     now = data["created_at"]
     path = data["path"]
     dataset_id = data["dataset_id"]
-    parent, _name = split_path(path)
-    manager.namespace.ensure_folder(parent, created_at=now)
-    if manager.namespace.file_exists(path):
+    amount = data.get("expected_size", 0)
+    if amount < 0:
+        raise ReservationError("reservation amount must be non-negative")
+    parent, name = split_path(path)
+    # ensure_folder creates nothing when it raises, and add_file can only
+    # raise (the path is a folder) when the parent already existed, so the
+    # namespace is still untouched wherever this applier fails.
+    folder = manager.namespace.ensure_folder(parent, created_at=now)
+    if folder.child_file(name) is not None:
         dataset = manager._datasets[dataset_id]
     else:
+        manager.namespace.add_file(path, dataset_id, created_at=now)
         dataset = DatasetMetadata(dataset_id=dataset_id, name=path, folder=parent)
         manager._datasets[dataset_id] = dataset
-        manager.namespace.add_file(path, dataset_id, created_at=now)
-        manager._note_dataset_id(dataset_id)
+        manager._dataset_seq = max(manager._dataset_seq, _ordinal(dataset_id))
     manager._replication_targets[dataset_id] = data["replication_level"]
     manager.reservations.restore(
         reservation_id=data["reservation_id"],
         client_id=data["client_id"],
         dataset_id=dataset_id,
-        amount=data.get("expected_size", 0),
+        amount=amount,
         benefactors=[s["benefactor_id"] for s in data["stripe"]],
         created_at=now,
         lease=manager.config.reservation_lease,
     )
     dataset.note_version_allocated(data["version"])
-    session = WriteSessionRecord(
-        session_id=data["session_id"],
-        client_id=data["client_id"],
-        path=path,
-        dataset_id=dataset_id,
-        version=data["version"],
-        stripe=list(data["stripe"]),
-        reservation_id=data["reservation_id"],
-        created_at=now,
-        replication_level=data["replication_level"],
-    )
+    session = decode_session(data)
     manager._sessions[session.session_id] = session
-    manager._note_session_id(session.session_id)
+    manager._session_seq = max(manager._session_seq, _ordinal(session.session_id))
 
 
 def _apply_extend_stripe(manager, data) -> None:
@@ -129,9 +139,9 @@ def _apply_put_chunks_ack(manager, data) -> None:
 
 
 def _release_quietly(manager, reservation_id: str) -> None:
-    # Reservation expiry collection is not journaled (lease GC is soft
-    # state), so a replayed commit/abort may reference a reservation the
-    # live manager had already collected.
+    # Lease expiry is soft state (GarbageCollector.collect_expired_reservations
+    # writes no record), so the reservation of a session that outlived its
+    # lease may already be collected: nothing is left to release.
     try:
         manager.reservations.release(reservation_id)
     except ReservationError:
@@ -141,17 +151,7 @@ def _release_quietly(manager, reservation_id: str) -> None:
 def _apply_commit(manager, data) -> None:
     session = manager._sessions[data["session_id"]]
     dataset = manager._datasets[session.dataset_id]
-    dataset.commit_version(
-        DatasetVersion(
-            version=session.version,
-            chunk_map=ChunkMap.from_dict(data["chunk_map"]),
-            size=data["size"],
-            created_at=data["created_at"],
-            producer=data.get("producer", ""),
-            timestep=data.get("timestep"),
-            attributes=dict(data.get("attributes", {})),
-        )
-    )
+    dataset.commit_version(decode_version(data, version=session.version))
     session.committed = True
     _release_quietly(manager, session.reservation_id)
 
@@ -162,18 +162,21 @@ def _apply_abort(manager, data) -> None:
     _release_quietly(manager, session.reservation_id)
 
 
-def _apply_prune(manager, data) -> None:
-    manager._datasets[data["dataset_id"]].remove_version(data["version"])
+def _apply_prune(manager, data) -> DatasetVersion:
+    return manager._datasets[data["dataset_id"]].remove_version(data["version"])
 
 
 def _apply_gc(manager, data) -> None:
     manager._gc_seen.setdefault(data["benefactor_id"], set()).update(data["dead"])
 
 
-def _apply_drop_benefactor(manager, data) -> None:
-    for dataset in manager._datasets.values():
-        for version in dataset.versions:
-            version.chunk_map.drop_benefactor(data["benefactor_id"])
+def _apply_drop_benefactor(manager, data) -> int:
+    """Returns how many placements lost a replica."""
+    return sum(
+        version.chunk_map.drop_benefactor(data["benefactor_id"])
+        for dataset in manager._datasets.values()
+        for version in dataset.versions
+    )
 
 
 def _apply_epoch(manager, data) -> None:
@@ -181,15 +184,19 @@ def _apply_epoch(manager, data) -> None:
     manager.epoch = max(getattr(manager, "epoch", 1), int(data["epoch"]))
 
 
-def _apply_corrupt_chunk(manager, data) -> None:
+def _apply_corrupt_chunk(manager, data) -> int:
+    """Returns how many placements dropped the corrupt replica."""
     chunk_id = data["chunk_id"]
     benefactor_id = data["benefactor_id"]
+    dropped = 0
     for dataset in manager._datasets.values():
         for version in dataset.versions:
             for placement in version.chunk_map.placements_for(chunk_id):
                 if benefactor_id in placement.benefactors:
                     placement.remove_replica(benefactor_id)
+                    dropped += 1
     manager._corrupt.setdefault(chunk_id, {})[benefactor_id] = data.get("t", 0.0)
+    return dropped
 
 
 _APPLIERS: Dict[str, Callable] = {
@@ -211,8 +218,11 @@ _APPLIERS: Dict[str, Callable] = {
 }
 
 
-def apply_record(manager, record: Dict[str, object]) -> None:
-    """Apply one journal record to ``manager`` (call under its meta lock)."""
+def apply_record(manager, record: Dict[str, object]):
+    """Apply one record to ``manager`` (call under its meta lock).
+
+    Returns whatever the op's applier returns (see the module docstring).
+    """
     try:
         op = record["op"]
         data = record["data"]
@@ -221,4 +231,4 @@ def apply_record(manager, record: Dict[str, object]) -> None:
     applier = _APPLIERS.get(op)
     if applier is None:
         raise JournalCorruptError(f"unknown journal op: {op!r}")
-    applier(manager, data)
+    return applier(manager, data)

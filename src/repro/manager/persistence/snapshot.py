@@ -53,9 +53,12 @@ def _encode_version(version: DatasetVersion) -> Dict[str, object]:
     }
 
 
-def _decode_version(payload: Dict[str, object]) -> DatasetVersion:
+def decode_version(payload: Dict[str, object],
+                   version: Optional[int] = None) -> DatasetVersion:
+    """A version from its snapshot entry, or from a ``commit`` record (which
+    carries no number of its own: the session's is passed as ``version``)."""
     return DatasetVersion(
-        version=payload["version"],
+        version=payload["version"] if version is None else version,
         chunk_map=ChunkMap.from_dict(payload["chunk_map"]),
         size=payload["size"],
         created_at=payload["created_at"],
@@ -84,7 +87,7 @@ def encode_manager_state(manager) -> Dict[str, object]:
             "dataset_id": dataset.dataset_id,
             "name": dataset.name,
             "folder": dataset.folder,
-            "next_version": dataset._next_version,
+            "next_version": dataset.next_version,
             "versions": [_encode_version(v) for v in dataset.versions],
         }
         for dataset in manager._datasets.values()
@@ -148,10 +151,32 @@ def encode_manager_state(manager) -> Dict[str, object]:
     }
 
 
-def restore_manager_state(manager, state: Dict[str, object]) -> None:
-    """Load a snapshot dict into a freshly constructed manager."""
+def decode_session(payload: Dict[str, object]):
+    """A write session from its snapshot entry, or a fresh one from a
+    ``create_session`` record (same keys, none of the progress fields)."""
     from repro.manager.manager import WriteSessionRecord  # late: avoid cycle
 
+    return WriteSessionRecord(
+        session_id=payload["session_id"],
+        client_id=payload["client_id"],
+        path=payload["path"],
+        dataset_id=payload["dataset_id"],
+        version=payload["version"],
+        stripe=list(payload["stripe"]),
+        reservation_id=payload["reservation_id"],
+        created_at=payload["created_at"],
+        replication_level=payload["replication_level"],
+        committed=payload.get("committed", False),
+        aborted=payload.get("aborted", False),
+        acked_chunks={
+            cid: list(holders)
+            for cid, holders in payload.get("acked_chunks", {}).items()
+        },
+    )
+
+
+def restore_manager_state(manager, state: Dict[str, object]) -> None:
+    """Load a snapshot dict into a freshly constructed manager."""
     namespace = manager.namespace
     folders: List[Dict[str, object]] = state["namespace"]["folders"]
     # Parents before children: iter_folders guarantees it on encode, but the
@@ -171,30 +196,14 @@ def restore_manager_state(manager, state: Dict[str, object]) -> None:
             folder=payload["folder"],
         )
         for version_payload in payload["versions"]:
-            dataset.commit_version(_decode_version(version_payload))
+            dataset.commit_version(decode_version(version_payload))
         dataset.note_version_allocated(payload["next_version"] - 1)
         manager._datasets[dataset.dataset_id] = dataset
 
     manager._replication_targets.update(state.get("replication_targets", {}))
 
     for payload in state["sessions"]:
-        session = WriteSessionRecord(
-            session_id=payload["session_id"],
-            client_id=payload["client_id"],
-            path=payload["path"],
-            dataset_id=payload["dataset_id"],
-            version=payload["version"],
-            stripe=list(payload["stripe"]),
-            reservation_id=payload["reservation_id"],
-            created_at=payload["created_at"],
-            replication_level=payload["replication_level"],
-            committed=payload["committed"],
-            aborted=payload["aborted"],
-            acked_chunks={
-                cid: list(holders)
-                for cid, holders in payload.get("acked_chunks", {}).items()
-            },
-        )
+        session = decode_session(payload)
         manager._sessions[session.session_id] = session
 
     for payload in state.get("reservations", []):

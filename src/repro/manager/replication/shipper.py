@@ -1,9 +1,9 @@
 """Streaming journal log shipping from a primary manager to its standbys.
 
-The shipper sits behind :meth:`MetadataManager._journal`: every logical redo
-record the primary appends (or would append — shipping also works for
-journal-less in-memory managers) is offered here under the primary's meta
-lock, so the shipped stream order always matches the application order.
+The shipper sits behind :meth:`MetadataManager._commit`: every logical redo
+record the primary applies and appends (or would append — shipping also works
+for journal-less in-memory managers) is offered here under the primary's
+meta lock, so the shipped stream order always matches the application order.
 
 Per-standby state is an acknowledged LSN.  Records are buffered in a bounded
 window; a flush sends each standby the suffix it has not acknowledged yet via
@@ -18,7 +18,7 @@ Failure semantics are asymmetric by design:
   the primary keeps serving.  The standby catches up via snapshot resync when
   it returns.
 * A failure *inside the shipper itself* (including the test-only
-  :attr:`ship_hook`) propagates to ``_journal``'s fail-stop path, exactly
+  :attr:`ship_hook`) propagates to ``_commit``'s fail-stop path, exactly
   like a journal append error.
 """
 
@@ -153,7 +153,7 @@ class LogShipper:
               durable: bool = False) -> int:
         """Buffer one redo record; flush on durability points or a full batch.
 
-        Called by ``MetadataManager._journal`` under the meta lock.  Returns
+        Called by ``MetadataManager._commit`` under the meta lock.  Returns
         the record's LSN.
         """
         with self._lock:

@@ -1,14 +1,16 @@
 """Standby metadata managers: apply shipped records, promote on demand.
 
 A :class:`StandbyManager` is a full :class:`MetadataManager` that starts in
-the ``"standby"`` role: it applies the primary's shipped journal records
-(the same logical redo records crash recovery replays) but refuses every
-normal client/benefactor RPC with :class:`NotPrimaryError`, so a client that
-dials the wrong node re-resolves instead of mutating a stale replica.
+the ``"standby"`` role: it runs ``apply_record`` — the same function the
+primary's handlers commit through and crash recovery replays with — on every
+shipped record, but refuses every normal client/benefactor RPC with
+:class:`NotPrimaryError`, so a client that dials the wrong node re-resolves
+instead of mutating a stale replica.  Applying never journals or ships.
 
-:meth:`promote` flips the role to ``"primary"`` at the last applied LSN —
-optionally attaching a fresh journal of its own, seeded with a snapshot so
-the promoted manager is immediately crash-durable again.
+:meth:`promote` flips the role to ``"primary"`` at the last applied LSN,
+commits the epoch bump like any other record, and optionally attaches a
+fresh journal of its own, seeded with a snapshot so the promoted manager is
+immediately crash-durable again.
 """
 
 from __future__ import annotations
@@ -16,8 +18,6 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional
 
-from repro.core.namespace import Namespace
-from repro.core.reservation import ReservationTable
 from repro.exceptions import ManagerError, NotPrimaryError, StaleEpochError
 from repro.manager.manager import MetadataManager
 from repro.manager.persistence import (
@@ -26,7 +26,6 @@ from repro.manager.persistence import (
     encode_manager_state,
     restore_manager_state,
 )
-from repro.manager.registry import BenefactorRegistry
 
 
 class StandbyManager(MetadataManager):
@@ -112,17 +111,13 @@ class StandbyManager(MetadataManager):
                 )
             if from_lsn > self.applied_lsn + 1:
                 return {"applied_lsn": self.applied_lsn, "resync": True}
-            self._replaying = True
-            try:
-                lsn = int(from_lsn)
-                for record in records:
-                    if lsn > self.applied_lsn:
-                        apply_record(self, record)
-                        self.applied_lsn = lsn
-                        self._applied_counter.inc()
-                    lsn += 1
-            finally:
-                self._replaying = False
+            lsn = int(from_lsn)
+            for record in records:
+                if lsn > self.applied_lsn:
+                    apply_record(self, record)
+                    self.applied_lsn = lsn
+                    self._applied_counter.inc()
+                lsn += 1
             return {"applied_lsn": self.applied_lsn, "resync": False}
 
     def install_snapshot(self, state: Dict[str, object],
@@ -137,31 +132,10 @@ class StandbyManager(MetadataManager):
                     "refusing snapshot install"
                 )
             self._reset_state()
-            self._replaying = True
-            try:
-                restore_manager_state(self, state)
-            finally:
-                self._replaying = False
+            restore_manager_state(self, state)
             self.applied_lsn = int(lsn)
             self._snapshot_counter.inc()
             return {"applied_lsn": self.applied_lsn}
-
-    def _reset_state(self) -> None:
-        """Drop all metadata (snapshot install is a replace, not a merge)."""
-        self.namespace = Namespace()
-        self.registry = BenefactorRegistry(
-            heartbeat_timeout=self.config.heartbeat_timeout
-        )
-        self.reservations = ReservationTable(
-            default_lease=self.config.reservation_lease
-        )
-        self._datasets = {}
-        self._replication_targets = {}
-        self._sessions = {}
-        self._session_seq = 0
-        self._dataset_seq = 0
-        self._gc_seen = {}
-        self._corrupt = {}
 
     # --------------------------------------------------------------- promotion
     def promote(self, journal_dir: Optional[str] = None) -> Dict[str, object]:
@@ -186,8 +160,10 @@ class StandbyManager(MetadataManager):
             self.recovering = False
             # Take over under a strictly newer epoch: replication RPCs the
             # deposed primary still sends now carry a stale epoch and bounce
-            # with StaleEpochError, which self-demotes it.
-            self.epoch += 1
+            # with StaleEpochError, which self-demotes it.  The bump is a
+            # record like any other; the journal attached below starts from
+            # a seed snapshot that already holds it.
+            self._commit("epoch", {"epoch": self.epoch + 1}, durable=True)
             if journal_dir is not None and self._persistence is None:
                 persistence = ManagerPersistence(
                     journal_dir,
@@ -195,10 +171,7 @@ class StandbyManager(MetadataManager):
                     snapshot_every_n_records=self.config.snapshot_every_n_records,
                 )
                 persistence.attach_metrics(self.obs)
-                # The seed snapshot records the bumped epoch; the explicit
-                # journal record covers replicas streaming from this journal.
                 persistence.take_snapshot(encode_manager_state(self))
-                persistence.append("epoch", {"epoch": self.epoch}, durable=True)
                 self._persistence = persistence
                 self._recovered = True
         duration = time.perf_counter() - start

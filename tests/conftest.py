@@ -5,10 +5,24 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import settings
 
 from repro import StdchkConfig, StdchkPool
 from repro.util.clock import VirtualClock
 from repro.util.units import MiB
+
+#: Sequences the manager's differential test (tests/manager/
+#: test_state_machine.py) draws in tier-1, derandomised; sized to run in
+#: well under 10 s.
+STATE_MACHINE_EXAMPLES = 250
+
+# CI's fault-injection job runs that test with ``--hypothesis-profile=ci``:
+# ten times the sequences, fresh seeds every run, and the reproduction blob
+# printed so a failing sequence can be pasted back as an ``@example``.
+settings.register_profile(
+    "ci", max_examples=10 * STATE_MACHINE_EXAMPLES, derandomize=False,
+    print_blob=True, deadline=None,
+)
 
 
 @pytest.fixture
