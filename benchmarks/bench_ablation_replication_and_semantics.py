@@ -43,7 +43,7 @@ def run_semantics(semantics: WriteSemantics, replication: int):
     return {
         "semantics": semantics.value,
         "replication_level": replication,
-        "client_pushed_MB": pool._clients[0].lifetime_stats.bytes_pushed / MB,
+        "client_pushed_MB": client.lifetime_stats.bytes_pushed / MB,
         "pending_replicas_at_commit": pending_before,
         "stored_MB_after_stabilize": pool.stored_bytes() / MB,
         "logical_MB": FILES * FILE_SIZE / MB,

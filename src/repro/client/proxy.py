@@ -66,7 +66,6 @@ class ClientProxy:
         #: client records into it, and ``StdchkPool.metrics()`` exports it.
         self.obs = MetricsRegistry(component="client", node_id=client_id,
                                    clock=self.clock)
-        self.obs.window_seconds = self.config.metrics_window_seconds
         #: Replica selection state shared by every reader of this client, so
         #: one reader's failed-benefactor discovery benefits the next and
         #: concurrent readers spread load across replicas.

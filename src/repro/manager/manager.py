@@ -139,7 +139,6 @@ class MetadataManager(Endpoint):
         #: spans with ``obs_component``/``obs_node_id``.
         self.obs = MetricsRegistry(component="manager", node_id=manager_id,
                                    clock=self.clock)
-        self.obs.window_seconds = self.config.metrics_window_seconds
         self.obs_component = "manager"
         self.obs_node_id = manager_id
         self._txn_counter = self.obs.counter(

@@ -2,7 +2,7 @@
 
 The :class:`FailoverSupervisor` closes the loop the pieces around it left
 open: the :class:`~repro.obs.ClusterHealthMonitor` *detects* a dead primary,
-the pool/deployment helpers *can* promote a standby, and epoch fencing makes
+the deployment helpers *can* promote a standby, and epoch fencing makes
 a promotion safe against the deposed primary reawakening — but until now a
 human had to connect detection to promotion.  The supervisor subscribes to
 the monitor's ``on_transition`` stream and, when the current primary is
@@ -34,12 +34,12 @@ from repro.obs import component_logger
 
 
 class FailoverSupervisor:
-    """Drive unattended primary failover for a pool or TCP deployment.
+    """Drive unattended primary failover for a deployment.
 
-    ``deployment`` is duck-typed: it must expose ``manager`` (current
-    primary), ``transport``, ``standby_endpoints()`` and
-    ``promote_standby(standby_id)`` — both :class:`~repro.pool.StdchkPool`
-    and :class:`~repro.pool.TcpDeployment` qualify.
+    ``deployment`` is duck-typed: it must expose ``config``, ``manager``
+    (current primary), ``transport``, ``standby_endpoints()`` and
+    ``promote_standby(standby_id)`` — any :class:`~repro.pool.Deployment`
+    qualifies, whichever transport it runs over.
     """
 
     def __init__(self, deployment, probe_timeout: Optional[float] = None,

@@ -17,14 +17,14 @@ reach with plain ``curl``:
   node reports itself ready to serve its clients, 503 otherwise, so plain
   load-balancer-style checks work without parsing the body.
 
-The server is stdlib-only (``http.server.ThreadingHTTPServer``), binds an
-ephemeral port by default, and never logs to stdout (T20 gate).
+The server is stdlib-only (``http.server.ThreadingHTTPServer`` behind the
+package's one server lifecycle, :class:`~repro.util.serving.BackgroundServer`),
+binds an ephemeral port by default, and never logs to stdout (T20 gate).
 """
 
 from __future__ import annotations
 
 import json
-import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Dict, Optional
 from urllib.parse import urlparse
@@ -33,6 +33,7 @@ from repro.obs.export import to_json, to_prometheus
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.otlp import OtlpJsonlSpanExporter, otlp_resource_spans
 from repro.obs.tracing import SPAN_STORE, SpanStore
+from repro.util.serving import BackgroundServer
 
 #: Content type of the Prometheus text exposition format.
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -75,6 +76,10 @@ class _TelemetryHandler(BaseHTTPRequestHandler):
         self.wfile.write(payload)
 
 
+class _TelemetryServer(BackgroundServer, ThreadingHTTPServer):
+    pass
+
+
 class ObsHttpServer:
     """One node's telemetry endpoint (threaded, daemonized, ephemeral port).
 
@@ -98,10 +103,8 @@ class ObsHttpServer:
         self.health_provider = health_provider
         self.span_store = span_store if span_store is not None else SPAN_STORE
         self.span_exporter = span_exporter
-        self._server = ThreadingHTTPServer((host, port), _TelemetryHandler)
-        self._server.daemon_threads = True
+        self._server = _TelemetryServer((host, port), _TelemetryHandler)
         self._server.owner = self  # type: ignore[attr-defined]
-        self._thread: Optional[threading.Thread] = None
         self._scrapes = registry.counter(
             "obs_http_requests_total",
             "Telemetry endpoint requests served, by route.",
@@ -125,19 +128,11 @@ class ObsHttpServer:
         return f"http://{self.address}"
 
     def start(self) -> "ObsHttpServer":
-        self._thread = threading.Thread(
-            target=self._server.serve_forever, daemon=True,
-            name=f"obs-http-{self.address}",
-        )
-        self._thread.start()
+        self._server.start()
         return self
 
     def stop(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None
+        self._server.stop()
 
     # -- routes --------------------------------------------------------------
     def _metrics(self, query: str) -> tuple:

@@ -296,8 +296,7 @@ class MetricsRegistry:
         self._now: Callable[[], float] = (
             clock.now if clock is not None else time.monotonic
         )
-        #: Default trailing window applied to windowed series; deployments
-        #: override it from ``StdchkConfig.metrics_window_seconds``.
+        #: Trailing window applied to windowed series created from here on.
         self.window_seconds = DEFAULT_WINDOW_SECONDS
         self.window_buckets = DEFAULT_WINDOW_BUCKETS
         self._lock = threading.Lock()

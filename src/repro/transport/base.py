@@ -134,6 +134,20 @@ class Transport(ABC):
     def unregister(self, address: str) -> None:
         """Remove the endpoint at ``address``."""
 
+    def bound_address(self, address: str) -> str:
+        """The address peers dial to reach the endpoint registered at ``address``.
+
+        The identity unless registering binds something the caller did not
+        choose (the TCP transport binds an ephemeral port).
+        """
+        return address
+
+    def ensure_pool_capacity(self, limit: int) -> None:
+        """Allow ``limit`` concurrent calls per endpoint; nothing to grow here."""
+
+    def close(self) -> None:
+        """Release what the transport holds (sockets, servers); nothing here."""
+
     def probe(self, address: str, method: str, timeout: "float | None" = None,
               /, **payload: Any) -> Any:
         """Like :meth:`call`, but bounded by ``timeout`` where supported.

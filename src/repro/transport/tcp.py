@@ -44,6 +44,7 @@ from repro import exceptions
 from repro.exceptions import EndpointUnreachableError, ProtocolError, StdchkError
 from repro.obs import component_logger, runtime, tracing
 from repro.transport.base import Endpoint, Transport
+from repro.util.serving import BackgroundServer
 
 _HEADER = struct.Struct(">QQ")
 
@@ -246,39 +247,8 @@ class _RequestHandler(socketserver.BaseRequestHandler):
         return True
 
 
-class _ThreadedTcpServer(socketserver.ThreadingTCPServer):
+class _ThreadedTcpServer(BackgroundServer, socketserver.ThreadingTCPServer):
     allow_reuse_address = True
-    daemon_threads = True
-
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
-        super().__init__(*args, **kwargs)
-        self._active: set = set()
-        self._active_lock = threading.Lock()
-
-    def process_request(self, request, client_address) -> None:
-        with self._active_lock:
-            self._active.add(request)
-        super().process_request(request, client_address)
-
-    def close_request(self, request) -> None:
-        with self._active_lock:
-            self._active.discard(request)
-        super().close_request(request)
-
-    def close_active_connections(self) -> None:
-        """Sever every established connection (abrupt-crash semantics).
-
-        Stopping the listener alone leaves pooled client sockets attached to
-        live handler threads, so a "killed" endpoint would keep answering
-        RPCs over old connections — invisible to failure detectors.
-        """
-        with self._active_lock:
-            active = list(self._active)
-        for request in active:
-            try:
-                request.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
 
 
 class TcpServer:
@@ -287,7 +257,6 @@ class TcpServer:
     def __init__(self, endpoint: Endpoint, host: str = "127.0.0.1", port: int = 0) -> None:
         self._server = _ThreadedTcpServer((host, port), _RequestHandler)
         self._server.endpoint = endpoint  # type: ignore[attr-defined]
-        self._thread: Optional[threading.Thread] = None
 
     @property
     def address(self) -> str:
@@ -295,17 +264,11 @@ class TcpServer:
         return f"{host}:{port}"
 
     def start(self) -> "TcpServer":
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
-        self._thread.start()
+        self._server.start()
         return self
 
     def stop(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
-        self._server.close_active_connections()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None
+        self._server.stop()
 
 
 class _ConnectionPool:

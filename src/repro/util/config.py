@@ -117,29 +117,9 @@ class StdchkConfig:
     #: Space reservations are garbage collected after this lease expires.
     reservation_lease: float = 300.0
 
-    #: Period of the manager's background replication scan.
-    replication_scan_interval: float = 10.0
-    #: Period of the benefactor-driven garbage-collection exchange.
-    gc_interval: float = 60.0
-    #: Period of the retention-policy pruner.
-    prune_interval: float = 60.0
-
-    #: Period of benefactor-to-benefactor gossip rounds.
-    gossip_interval: float = 10.0
-    #: Peers contacted per gossip round (epidemic fan-out).
-    gossip_fanout: int = 2
-    #: Placement hints sampled into one gossip message.
-    gossip_hint_sample: int = 64
-    #: Period of the benefactor anti-entropy pass (peer checksum comparison
-    #: plus decentralized re-replication).
-    anti_entropy_interval: float = 30.0
-    #: Bound on repairs (copies + re-attachments) one anti-entropy tick makes.
-    anti_entropy_max_repairs: int = 32
-
     #: FsCH block size when similarity detection is enabled.
     fsch_block_size: int = 1 * MiB
-    #: CbCH window size (m) in bytes and boundary bits (k).
-    cbch_window_size: int = 20
+    #: CbCH boundary bits (k).
     cbch_boundary_bits: int = 14
     #: CbCH minimum/maximum chunk bounds to cap pathological boundaries.
     cbch_min_chunk: int = 2 * 1024
@@ -219,9 +199,6 @@ class StdchkConfig:
     #: Silence after which a node is declared dead and ``on_transition``
     #: subscribers (the automatic-promotion groundwork) are notified.
     health_dead_after: float = 10.0
-    #: Trailing window of the windowed SLO metric series (recent p50/p99 and
-    #: rates exported next to the cumulative histograms).
-    metrics_window_seconds: float = 60.0
 
     #: Optional cap on read-ahead in the FS facade (bytes).
     read_ahead: int = 4 * MiB
@@ -271,20 +248,8 @@ class StdchkConfig:
             raise ConfigurationError(
                 "heartbeat_timeout must exceed heartbeat_interval"
             )
-        if self.gossip_interval <= 0:
-            raise ConfigurationError("gossip_interval must be positive")
-        if self.gossip_fanout <= 0:
-            raise ConfigurationError("gossip_fanout must be positive")
-        if self.gossip_hint_sample < 0:
-            raise ConfigurationError("gossip_hint_sample must be non-negative")
-        if self.anti_entropy_interval <= 0:
-            raise ConfigurationError("anti_entropy_interval must be positive")
-        if self.anti_entropy_max_repairs <= 0:
-            raise ConfigurationError("anti_entropy_max_repairs must be positive")
         if self.fsch_block_size <= 0:
             raise ConfigurationError("fsch_block_size must be positive")
-        if self.cbch_window_size <= 0:
-            raise ConfigurationError("cbch_window_size must be positive")
         if not (0 < self.cbch_boundary_bits < 32):
             raise ConfigurationError("cbch_boundary_bits must be in (0, 32)")
         if self.cbch_min_chunk <= 0 or self.cbch_max_chunk < self.cbch_min_chunk:
@@ -332,8 +297,6 @@ class StdchkConfig:
                 "health_suspect_after must be positive and at most "
                 "health_dead_after"
             )
-        if self.metrics_window_seconds <= 0:
-            raise ConfigurationError("metrics_window_seconds must be positive")
         if self.read_ahead < 0:
             raise ConfigurationError("read_ahead must be non-negative")
         if self.metadata_cache_ttl < 0:

@@ -78,6 +78,7 @@ def write_with_kill_at(kill_at: int, data: bytes, **overrides) -> StdchkPool:
         ) from exc
     assert state["killed"], f"sweep never reached record boundary {kill_at}"
     assert client.read_file("/app/ckpt.N0.T1") == data
+    pool.survivor = client  # the pool holds its clients weakly
     return pool
 
 
@@ -103,7 +104,7 @@ class TestCrashPointSweep:
     def test_survivor_client_keeps_writing_after_failover(self):
         data = make_bytes(4 * CHUNK, seed=33)
         pool = write_with_kill_at(2, data)
-        client = pool._clients[0]
+        client = pool.survivor
         later = make_bytes(2 * CHUNK, seed=34)
         client.write_file("/app/ckpt.N0.T2", later)
         assert client.read_file("/app/ckpt.N0.T2") == later

@@ -71,7 +71,7 @@ class TestComponentLogger:
 class TestMaintenanceLoopsLog:
     def test_heartbeat_logs_unreachable_manager(self, caplog, small_config):
         pool = StdchkPool(benefactor_count=2, config=small_config)
-        pool.transport_disconnect(pool.manager.address)
+        pool.transport.unregister(pool.manager.address)
         with caplog.at_level(logging.INFO, logger=ROOT_LOGGER_NAME):
             pool.run_maintenance_once()
         heartbeat_records = [
@@ -87,7 +87,7 @@ class TestMaintenanceLoopsLog:
         pool.run_maintenance_once()
         victim = pool.benefactors["benefactor-01"]
         victim.crash()
-        pool.transport_disconnect(victim.address)
+        pool.transport.unregister(victim.address)
         with caplog.at_level(logging.INFO, logger=ROOT_LOGGER_NAME):
             for _ in range(3):
                 pool.run_maintenance_once()

@@ -1,0 +1,309 @@
+"""One deployment, two constructors: the same contract on both transports.
+
+``StdchkPool`` and ``TcpDeployment`` are thin constructors over one
+``Deployment``; every lifecycle and fault-injection helper has one body.  The
+scenario below drives that body end to end through each constructor, and the
+rest pins what the one server lifecycle promises: ``stop()`` wakes a blocked
+accept loop instead of waiting out a poll period, severs what is connected,
+and leaves no thread and no descriptor behind.
+"""
+
+from __future__ import annotations
+
+import gc
+import json
+import os
+import socket
+import threading
+import time
+import urllib.request
+from pathlib import Path
+
+import pytest
+
+from repro import StdchkConfig, StdchkPool, TcpDeployment
+from repro.benefactor.chunk_store import MemoryChunkStore
+from repro.exceptions import EndpointUnreachableError
+from repro.obs import MetricsRegistry, ObsHttpServer
+from repro.pool import Deployment
+from repro.transport.base import Endpoint
+from repro.transport.tcp import TcpServer
+from tests.conftest import make_bytes
+
+CHUNK = 16 * 1024
+WAIT = 10.0  # bound of every wait in this file; none is expected to run out
+CLOSE_BUDGET = 0.050
+
+KINDS = pytest.mark.parametrize("build", [StdchkPool, TcpDeployment],
+                                ids=["inprocess", "tcp"])
+
+
+def config(**overrides) -> StdchkConfig:
+    defaults = dict(
+        chunk_size=CHUNK, stripe_width=3, replication_level=2,
+        window_buffer_size=4 * CHUNK, incremental_file_size=4 * CHUNK,
+        failover_backoff_base=0.001, failover_backoff_max=0.01,
+    )
+    defaults.update(overrides)
+    return StdchkConfig(**defaults)
+
+
+def open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+def wait_until(condition) -> bool:
+    deadline = time.monotonic() + WAIT
+    while not condition():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.005)
+    return True
+
+
+@KINDS
+def test_one_scenario_through_either_constructor(build, tmp_path):
+    gc.collect()
+    threads, descriptors = threading.active_count(), open_fds()
+
+    deployment = build(benefactor_count=3,
+                       config=config(journal_dir=str(tmp_path / "journal")))
+    assert isinstance(deployment, Deployment)
+    # Built before the standby exists: add_standby must reach it.
+    client = deployment.client("early", push_parallelism=2, read_parallelism=2)
+    assert client.directory is None
+    standby = deployment.add_standby()
+    assert standby.manager_id == f"{deployment.id_prefix}standby-0"
+    assert client.directory is not None
+    assert client.directory.covers(deployment.standby_endpoints()[standby.manager_id])
+
+    data = make_bytes(5 * CHUNK + 17, seed=21)
+    client.write_file("/contract/ckpt.N0.T1", data)
+
+    # A manager restart with one benefactor down: the live ones re-register,
+    # the dead one is skipped and registers when it comes back.
+    victim = f"{deployment.id_prefix}benefactor-01"
+    deployment.kill_benefactor(victim)
+    report = deployment.restart_manager()
+    assert report.records_replayed > 0
+    restarted = deployment.manager
+    assert not restarted.registry.is_online(victim)
+    for bundle in deployment.maintenance.values():
+        assert bundle.manager_address == deployment.manager_address
+    deployment.recover_benefactor(victim)
+    assert restarted.registry.is_online(victim)
+    node = deployment.maintenance[victim].benefactor
+    assert restarted.registry.address_of(victim) == (
+        deployment.transport.bound_address(node.address))
+
+    deployment.kill_primary()
+    promoted = deployment.promote_standby()
+    assert deployment.manager is promoted and promoted.role == "primary"
+    assert deployment.standby_endpoints() == {}
+    # The client that predates the standby follows the failover.
+    assert client.read_file("/contract/ckpt.N0.T1") == data
+
+    monitor = deployment.health_monitor()
+    assert monitor.probe_once() == {
+        node_id: "alive" for node_id in (
+            promoted.manager_id,
+            *(f"{deployment.id_prefix}benefactor-{i:02d}" for i in range(3)),
+        )
+    }
+
+    endpoints = deployment.start_obs_http()
+    assert set(endpoints) == set(monitor.probe_once())
+    with urllib.request.urlopen(endpoints[victim] + "/health", timeout=WAIT) as response:
+        assert json.load(response)["ready"] is True
+    deployment.stop_obs_http()
+    assert deployment.obs_endpoints() == {}
+
+    workers = list(client._worker_pool()._threads)
+    assert workers
+    deployment.close()
+    assert not any(worker.is_alive() for worker in workers)
+    deployment.close()  # nothing left to tear down
+
+    del monitor, client
+    gc.collect()
+    assert wait_until(lambda: threading.active_count() == threads), (
+        f"{threading.active_count() - threads} threads outlive close()")
+    assert wait_until(lambda: open_fds() == descriptors), (
+        f"{open_fds() - descriptors} descriptors outlive close()")
+
+
+@KINDS
+def test_restart_manager_with_a_benefactor_down(build, tmp_path):
+    """Over TCP this used to die on the dead node's missing socket, after the
+    manager had been replaced and before anything was re-pointed at it."""
+    deployment = build(benefactor_count=2,
+                       config=config(journal_dir=str(tmp_path), replication_level=1))
+    try:
+        down, up = (f"{deployment.id_prefix}benefactor-{i:02d}" for i in range(2))
+        deployment.kill_benefactor(down)
+        deployment.restart_manager()
+        assert deployment.manager.registry.is_online(up)
+        assert not deployment.manager.registry.is_online(down)
+        assert deployment.maintenance[up].manager_address == deployment.manager_address
+        assert set(deployment.run_maintenance_once()) == {up}
+    finally:
+        deployment.close()
+
+
+@KINDS
+def test_add_standby_reaches_clients_built_before_it(build):
+    """Over TCP such a client used to keep ``directory is None`` and never fail over."""
+    deployment = build(benefactor_count=2, config=config(replication_level=1))
+    try:
+        client = deployment.client("early")
+        client.write_file("/early/f", b"before the standby")
+        deployment.add_standby()
+        deployment.kill_primary()
+        deployment.promote_standby()
+        assert client.read_file("/early/f") == b"before the standby"
+    finally:
+        deployment.close()
+
+
+@KINDS
+def test_close_does_not_wait_out_a_poll_period(build):
+    """Best of three, so that one scheduling hiccup of the host is not a failure."""
+    elapsed = []
+    for _ in range(3):
+        deployment = build(benefactor_count=4, config=config())
+        deployment.add_standby()
+        deployment.start_obs_http()
+        client = deployment.client("closing", push_parallelism=2)
+        client.write_file("/closing/f", make_bytes(3 * CHUNK, seed=3))
+        start = time.perf_counter()
+        deployment.close()
+        elapsed.append(time.perf_counter() - start)
+    assert min(elapsed) < CLOSE_BUDGET, elapsed
+
+
+@KINDS
+def test_the_deployment_holds_its_clients_weakly(build):
+    deployment = build(benefactor_count=2, config=config(replication_level=1))
+    try:
+        kept = deployment.client("kept")
+        deployment.client("dropped")
+        gc.collect()
+        assert [c.client_id for c in deployment._clients] == ["kept"]
+        node_ids = {snap["node_id"] for snap in deployment.metrics()["nodes"]}
+        assert "kept" in node_ids and "dropped" not in node_ids
+        del kept
+    finally:
+        deployment.close()
+
+
+@KINDS
+def test_fail_benefactor_loses_the_disk_and_recover_brings_the_node_back(build):
+    deployment = build(benefactor_count=3, config=config())
+    try:
+        client = deployment.client("writer")
+        data = make_bytes(4 * CHUNK, seed=5)
+        client.write_file("/fail/f", data)
+        deployment.stabilize()
+        victim = f"{deployment.id_prefix}benefactor-00"
+        node = deployment.maintenance[victim].benefactor
+        assert node.store.chunk_count > 0
+        deployment.fail_benefactor(victim, lose_data=True)
+        assert node.store.chunk_count == 0
+        assert not deployment.manager.registry.is_online(victim)
+        with pytest.raises(EndpointUnreachableError):
+            deployment.transport.call(node.advertised_address, "health")
+        assert client.read_file("/fail/f") == data
+        deployment.recover_benefactor(victim)
+        assert deployment.manager.registry.is_online(victim)
+        assert deployment.transport.call(
+            deployment.transport.bound_address(node.address), "health")["ready"]
+    finally:
+        deployment.close()
+
+
+class TestKillSeversWhatIsMidRpc:
+    def test_a_blocked_get_chunk_fails_when_its_benefactor_is_killed(self):
+        entered, gate = threading.Event(), threading.Event()
+
+        class BlockingStore(MemoryChunkStore):
+            def get(self, chunk_id):
+                entered.set()
+                gate.wait(WAIT)
+                return super().get(chunk_id)
+
+        with TcpDeployment(benefactor_count=1, config=config(replication_level=1),
+                           store_factory=BlockingStore) as deployment:
+            node = deployment.benefactors[0]
+            address = deployment.transport.bound_address(node.address)
+            deployment.transport.call(address, "put_chunk", chunk_id="ds-1:v1:c0",
+                                      data=b"x" * 100)
+            outcome = []
+
+            def fetch() -> None:
+                try:
+                    outcome.append(deployment.transport.call(
+                        address, "get_chunk", chunk_id="ds-1:v1:c0"))
+                except Exception as exc:  # noqa: BLE001 - asserted below
+                    outcome.append(exc)
+
+            caller = threading.Thread(target=fetch)
+            caller.start()
+            try:
+                assert entered.wait(WAIT)
+                deployment.kill_benefactor(node.benefactor_id)
+                caller.join(WAIT)
+                assert not caller.is_alive(), "the caller is still waiting for a dead node"
+                assert isinstance(outcome[0], EndpointUnreachableError)
+            finally:
+                gate.set()
+                caller.join(WAIT)
+
+
+class _Echo(Endpoint):
+    def echo(self, value):
+        return value
+
+
+def _rpc_server():
+    server = TcpServer(_Echo()).start()
+    return server, server.address
+
+
+def _obs_server():
+    server = ObsHttpServer(MetricsRegistry(component="test", node_id="n")).start()
+    return server, server.address
+
+
+@pytest.mark.parametrize("make", [_rpc_server, _obs_server], ids=["rpc", "obs-http"])
+class TestOneServerLifecycle:
+    def test_stop_wakes_the_accept_loop_and_severs_idle_connections(self, make):
+        gc.collect()
+        threads, descriptors = threading.active_count(), open_fds()
+        server, address = make()
+        host, _, port = address.partition(":")
+        with socket.create_connection((host, int(port)), timeout=WAIT) as idle:
+            # One thread accepts, one serves the idle connection.
+            assert wait_until(lambda: threading.active_count() == threads + 2)
+            start = time.perf_counter()
+            server.stop()
+            elapsed = time.perf_counter() - start
+            idle.settimeout(WAIT)
+            assert idle.recv(1) == b""  # severed, not left to a live handler
+        assert elapsed < CLOSE_BUDGET
+        with pytest.raises(OSError):
+            socket.create_connection((host, int(port)), timeout=WAIT)
+        server.stop()  # nothing left to stop
+        assert wait_until(lambda: threading.active_count() == threads)
+        assert wait_until(lambda: open_fds() == descriptors)
+
+
+def test_no_server_in_src_polls_for_shutdown():
+    """The accept loops block; nothing may bring a poll period back."""
+    root = Path(__file__).resolve().parents[1] / "src"
+    offenders = [
+        f"{path.relative_to(root)}:{number}"
+        for path in sorted(root.rglob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if "serve_forever" in line or "poll_interval" in line
+    ]
+    assert offenders == []
