@@ -38,8 +38,8 @@ def run_semantics(semantics: WriteSemantics, replication: int):
     client = pool.client("ablation")
     for index in range(FILES):
         client.write_file(f"/abl/file-{index}", bytes(FILE_SIZE))
-    pending_before = sum(pool.replication_service.pending_work().values())
-    pool.replication_service.run_until_replicated()
+    pending_before = pool.manager.under_replicated_count()
+    pool.heal()
     return {
         "semantics": semantics.value,
         "replication_level": replication,

@@ -1,18 +1,20 @@
-"""Replica repair — time-to-repair under churn with decentralized maintenance.
+"""Replica repair — time-to-repair under churn.
 
-The manager's central :class:`ReplicationService` is switched off for the
-whole benchmark; every repair below is performed by the benefactors' own
-maintenance stacks (digest heartbeats -> reconcile handoff -> gossip ->
-anti-entropy).  Two fault scenarios are measured on an in-process pool, with
-the churn schedule drawn from ``simulation.churn.ChurnModel``:
+Every repair below runs through the pool's one healer: the manager judges
+what is under-replicated when a benefactor reconciles its inventory, and the
+benefactors' maintenance stacks copy (digest heartbeats -> reconcile answer
+-> anti-entropy, with gossip supplying the copy targets).  Two fault
+scenarios are measured on an in-process pool, with the churn schedule drawn
+from ``simulation.churn.ChurnModel``:
 
 * **corrupt + churn** — a read detects a corrupt replica and reports it;
   the churn trace then kills the benefactor holding the only fresh copy of
-  that chunk.  Once the trace brings the node back, anti-entropy alone must
-  return every committed dataset to the replication target (the acceptance
-  scenario of the decentralized-maintenance PR, gated in CI).
-* **node departure** — one benefactor leaves for good (disk and all); the
-  surviving holders re-replicate everything it held.
+  that chunk.  Once the trace brings the node back, maintenance rounds must
+  return every committed dataset to the replication target (gated in CI).
+* **node departure** — the pool first heals until a round heals nothing
+  (steady state: every digest reconciled, nothing queued), then one
+  benefactor leaves for good (disk and all); the surviving holders
+  re-replicate everything it held.
 
 Reported per scenario: maintenance rounds and wall-clock seconds until the
 pool is back at the replication target.  Acceptance gates: both scenarios
@@ -39,7 +41,7 @@ CHUNK = 32 * 1024
 CHUNKS = 24
 BENEFACTORS = 6
 REPLICATION = 2
-#: Gates: decentralized repair must converge this fast.
+#: Gates: repair must converge this fast.
 MAX_ROUNDS = 8
 MAX_REPAIR_SECONDS = 20.0
 RESULTS_PATH = "BENCH_replica_repair.json"
@@ -88,7 +90,7 @@ def at_target(pool: StdchkPool) -> bool:
 
 
 def heal_until_converged(pool: StdchkPool, max_rounds: int) -> dict:
-    """Run decentralized maintenance rounds until the target is restored."""
+    """Run maintenance rounds until the target is restored."""
     start = time.perf_counter()
     for rounds in range(1, max_rounds + 1):
         pool.run_maintenance_once()
@@ -144,8 +146,17 @@ def run_corrupt_plus_churn() -> dict:
 
 
 def run_node_departure() -> dict:
-    """One benefactor leaves permanently; the swarm re-replicates its load."""
+    """One benefactor leaves a pool at rest; the survivors re-replicate its load."""
     pool = build_pool()
+    # Steady state first: afterwards no digest diverges and no repair is
+    # queued, so only the departure itself can set the repair going.
+    for _ in range(MAX_ROUNDS):
+        reports = pool.run_maintenance_once().values()
+        if not any(report.healed_chunks for report in reports):
+            break
+    else:
+        raise AssertionError("the undamaged pool never stopped healing")
+    assert at_target(pool)
     departed = "benefactor-02"
     at_risk = pool.benefactors[departed].store.chunk_count
     pool.fail_benefactor(departed, lose_data=True)
@@ -174,9 +185,9 @@ def test_replica_repair_under_churn():
         for row in rows
     ]
     print_table(
-        "Replica repair — decentralized maintenance only "
+        "Replica repair — manager judges, benefactors copy "
         f"({BENEFACTORS} benefactors, {CHUNKS} x {CHUNK // 1024} KiB chunks, "
-        f"replication {REPLICATION}, manager ReplicationService disabled)",
+        f"replication {REPLICATION})",
         rows,
         note=(f"acceptance gates: convergence within {MAX_ROUNDS} rounds "
               f"and {MAX_REPAIR_SECONDS:.0f}s per scenario"),

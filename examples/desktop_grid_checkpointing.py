@@ -58,8 +58,8 @@ def main() -> None:
                 pool.fail_benefactor(victim, lose_data=True)
                 pool.manager.drop_benefactor_placements(victim)
             print(f"[t={timestep}] two benefactors reclaimed; "
-                  "background replication will heal the lost replicas")
-            pool.replication_service.run_until_replicated()
+                  "the surviving holders will re-create the lost replicas")
+            pool.heal()
 
     # A compute node is reclaimed too: its process migrates and restarts from
     # the latest image of application "sim" stored in stdchk.

@@ -42,8 +42,8 @@ def semantics_comparison() -> None:
         session = client.write_file("/job/ckpt.N0.T1", bytes(16 * MiB))
         print(f"  {semantics.value:<12} client pushed {session.stats.bytes_pushed // MiB} MiB "
               f"(replication debt handled in background: "
-              f"{bool(pool.replication_service.pending_work())})")
-        pool.replication_service.run_until_replicated()
+              f"{bool(pool.manager.under_replicated_count())})")
+        pool.heal()
         print(f"  {semantics.value:<12} after background replication: "
               f"{pool.stored_bytes() // MiB} MiB physically stored")
 

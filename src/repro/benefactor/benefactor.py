@@ -3,9 +3,10 @@
 A benefactor contributes scavenged storage.  It registers with the manager
 using soft-state registration (periodic heartbeats carrying its free space),
 serves chunk put/get/delete requests from clients and peers, copies chunks to
-other benefactors when the manager hands it a shadow chunk-map, and
-participates in the garbage-collection exchange by periodically reporting the
-chunks it holds and deleting the ones the manager declares dead.
+other benefactors when the manager's reconcile answer names it the source of
+an under-replicated chunk, and participates in the garbage-collection
+exchange by periodically reporting the chunks it holds and deleting the ones
+the manager declares dead.
 
 The node can be toggled offline/online to model desktop volatility (owner
 reclaiming the machine, crash): while offline every data-path operation
@@ -26,7 +27,12 @@ from repro.benefactor.maintenance.digest import (
 )
 from repro.benefactor.maintenance.peers import PeerDirectory, RepairTask
 from repro.core.chunk import Chunk, ChunkId
-from repro.exceptions import BenefactorOfflineError, ChunkNotFoundError
+from repro.exceptions import (
+    BenefactorError,
+    BenefactorOfflineError,
+    ChunkNotFoundError,
+    TransportError,
+)
 from repro.obs import MetricsRegistry
 from repro.transport.base import Endpoint, Transport
 from repro.util.clock import Clock, SystemClock
@@ -73,8 +79,8 @@ class Benefactor(Endpoint):
         #: Peer-level soft state (membership, liveness, placement hints)
         #: accumulated from heartbeat refreshes and gossip exchanges.
         self.peers = PeerDirectory(benefactor_id)
-        #: Chunks queued for the anti-entropy pass to re-replicate, deduped
-        #: by chunk id (a second report merges its exclusions).
+        #: Chunks queued for the anti-entropy pass to re-replicate, keyed by
+        #: chunk id; each reconcile answer replaces the queue.
         self._repair_queue: Dict[ChunkId, RepairTask] = {}
         self._repair_lock = threading.Lock()
         #: Inventory digest cached against the store's mutation counter.
@@ -215,11 +221,12 @@ class Benefactor(Endpoint):
     def reconcile_with(self, manager_address: str) -> Dict[str, object]:
         """Ship the full chunk inventory and absorb the manager's handoff.
 
-        The reconcile answer pre-seeds decentralized repair: chunks the
-        manager knows are under-replicated (and that this node holds) are
-        queued for the anti-entropy pass, and local copies the corruption
-        ledger attributes to this node are purged so repair pulls a fresh
-        replica from a good holder instead of trusting bad bytes.
+        The answer's ``repair`` list is the manager's whole, current
+        judgement of what this node should copy, so it *replaces* the repair
+        queue (an empty list — nothing to do, or work withheld while a file
+        is being written — empties it).  Local copies the corruption ledger
+        attributes to this node are purged so repair pulls a fresh replica
+        from a good holder instead of trusting bad bytes.
         """
         self._require_online()
         answer = self.transport.call(
@@ -230,11 +237,15 @@ class Benefactor(Endpoint):
         )
         for chunk_id in answer.get("purge", ()):
             self.store.delete(chunk_id)
+        with self._repair_lock:
+            self._repair_queue.clear()
         for hint in answer.get("repair", ()):
             self.enqueue_repair(
                 str(hint["chunk_id"]),
                 reason=str(hint.get("reason", "under_replicated")),
                 exclude=hint.get("exclude", ()),
+                missing=int(hint.get("missing", 1)),
+                holders=hint.get("holders", ()),
             )
         return answer
 
@@ -301,15 +312,22 @@ class Benefactor(Endpoint):
     # -- repair queue -----------------------------------------------------------
     def enqueue_repair(self, chunk_id: ChunkId,
                        reason: str = "under_replicated",
-                       exclude: Sequence[str] = ()) -> None:
-        """Queue a chunk for the anti-entropy pass to re-replicate."""
+                       exclude: Sequence[str] = (), missing: int = 1,
+                       holders: Sequence[str] = ()) -> None:
+        """Queue ``missing`` more replicas of a chunk for the anti-entropy pass.
+
+        A chunk already queued keeps its count and merges the new holders
+        and exclusions.
+        """
         with self._repair_lock:
             task = self._repair_queue.get(chunk_id)
             if task is None:
                 self._repair_queue[chunk_id] = RepairTask(
-                    chunk_id=chunk_id, reason=reason, exclude=set(exclude)
+                    chunk_id=chunk_id, reason=reason, missing=missing,
+                    holders=set(holders), exclude=set(exclude),
                 )
             else:
+                task.holders.update(holders)
                 task.exclude.update(exclude)
 
     def drain_repairs(self, limit: int) -> List[RepairTask]:
@@ -333,35 +351,6 @@ class Benefactor(Endpoint):
         self._bump("puts")
         self._bump("bytes_in", len(data))
         return {"stored": True, "free_space": self.store.free_space}
-
-    def put_chunks(self, chunks: Sequence[Dict[str, object]]) -> Dict[str, object]:
-        """Store a batch of chunks in one RPC (``[{chunk_id, data}, ...]``).
-
-        Batching amortizes the per-call transport cost for small chunks; the
-        background replication path uses it to ship whole shadow chunk-maps
-        with one call per target.  Chunks are stored in order; a failure
-        (integrity, store full) aborts the remainder and reports how far the
-        batch got so the caller can retry elsewhere.
-        """
-        self._require_online()
-        stored: List[ChunkId] = []
-        for entry in chunks:
-            chunk_id = entry["chunk_id"]  # type: ignore[index]
-            try:
-                chunk = Chunk(chunk_id=chunk_id, data=entry["data"])  # type: ignore[arg-type]
-                chunk.verify()
-                with self._store_put_timer.time():
-                    self.store.put(chunk)
-            except Exception:
-                return {
-                    "stored": stored,
-                    "failed_at": chunk_id,
-                    "free_space": self.store.free_space,
-                }
-            self._bump("puts")
-            self._bump("bytes_in", chunk.size)
-            stored.append(chunk.chunk_id)
-        return {"stored": stored, "failed_at": None, "free_space": self.store.free_space}
 
     def get_chunk(self, chunk_id: ChunkId) -> bytes:
         """Return the payload of one chunk."""
@@ -403,13 +392,16 @@ class Benefactor(Endpoint):
                      target_address: str) -> Dict[str, List[ChunkId]]:
         """Copy ``chunk_ids`` from this node to the benefactor at ``target_address``.
 
-        Used by the manager's background replication: the manager sends the
-        shadow chunk-map to source benefactors, which push copies directly to
-        the targets (the data never flows through the manager).  Returns the
-        ids that were copied and the ids that were missing locally.
+        The executing half of repair: the anti-entropy pass calls it for the
+        chunks the manager named this node the source of, and each chunk is
+        pushed with the target's ``put_chunk`` like a client push (the data
+        never flows through the manager).  A target that refuses a chunk
+        (store full, offline, unreachable) ends the batch.  Returns the ids
+        that were copied and the ids that were missing locally; an id in
+        neither list was not copied.
         """
         self._require_online()
-        batch: List[Dict[str, object]] = []
+        copied: List[ChunkId] = []
         missing: List[ChunkId] = []
         for chunk_id in chunk_ids:
             try:
@@ -417,18 +409,14 @@ class Benefactor(Endpoint):
             except ChunkNotFoundError:
                 missing.append(chunk_id)
                 continue
-            batch.append({"chunk_id": chunk.chunk_id, "data": chunk.data})
-        copied: List[ChunkId] = []
-        if batch:
-            # One batched RPC per target instead of one call per chunk.
-            answer = self.transport.call(target_address, "put_chunks", chunks=batch)
-            copied = list(answer["stored"])
-            copied_set = set(copied)
-            copied_bytes = sum(
-                len(entry["data"]) for entry in batch if entry["chunk_id"] in copied_set
-            )
-            self._bump("replications_out", len(copied))
-            self._bump("bytes_out", copied_bytes)
+            try:
+                self.transport.call(target_address, "put_chunk",
+                                    chunk_id=chunk_id, data=chunk.data)
+            except (BenefactorError, TransportError):
+                break
+            copied.append(chunk_id)
+            self._bump("replications_out")
+            self._bump("bytes_out", chunk.size)
         return {"copied": copied, "missing": missing}
 
     # -- convenience -------------------------------------------------------------------

@@ -1,16 +1,17 @@
-"""Decentralized replica maintenance services for benefactor nodes.
+"""Replica maintenance services for benefactor nodes.
 
-Three tick-driven services turn benefactors from passive chunk servers into
-active participants in replica health:
+The manager alone judges what is under-replicated; three tick-driven services
+make the benefactors the ones that report, spread the word and copy:
 
 * :class:`HeartbeatService` — digest-carrying heartbeats; the full chunk
   inventory travels only when the Merkle-style digest diverges from what
   the manager last reconciled.
 * :class:`GossipService` — epidemic exchange of membership/liveness and
   placement hints between benefactors.
-* :class:`AntiEntropyService` — periodic checksum comparison with a random
-  peer plus direct re-replication of missing or corrupt replicas,
-  re-attaching orphaned-but-present copies instead of re-copying them.
+* :class:`AntiEntropyService` — executes the repairs the manager's reconcile
+  answer handed this node (re-attaching orphaned-but-present copies instead
+  of re-copying them) and compares checksums with a random peer to find
+  corrupt replicas.
 
 :class:`BenefactorMaintenance` bundles the three per node in the order a
 maintenance round should run them (learn → spread → heal).
@@ -39,9 +40,8 @@ class BenefactorMaintenance:
     """The per-benefactor maintenance stack, run as one unit per tick."""
 
     def __init__(self, benefactor, manager_address: str,
-                 replication_target: int = 2, gossip_fanout: int = 2,
-                 gossip_hint_sample: int = 64, max_repairs: int = 32,
-                 seed: Optional[int] = None) -> None:
+                 gossip_fanout: int = 2, gossip_hint_sample: int = 64,
+                 max_repairs: int = 32, seed: Optional[int] = None) -> None:
         self.benefactor = benefactor
         self.heartbeat = HeartbeatService(benefactor, manager_address)
         self.gossip = GossipService(
@@ -51,7 +51,6 @@ class BenefactorMaintenance:
         self.anti_entropy = AntiEntropyService(
             benefactor,
             manager_address=manager_address,
-            replication_target=replication_target,
             max_repairs=max_repairs,
             seed=None if seed is None else seed + 1,
         )

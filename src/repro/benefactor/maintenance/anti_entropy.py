@@ -1,40 +1,41 @@
-"""Background anti-entropy: benefactors heal replication without the manager.
+"""Background anti-entropy: benefactors execute the repairs the manager judged.
 
-Each tick a benefactor does three things:
+Who is under-replicated is the manager's decision alone
+(``MetadataManager.reconcile_inventory``); this pass is the executor.  Each
+tick a benefactor does two things:
 
-1. **Drain its repair queue.**  Tasks arrive from the manager's
-   ``reconcile_inventory`` handoff (pre-seeded targets), from the gossip/
-   comparison paths below, or from peers.  For each task the node picks a
-   candidate peer that does not already hold the chunk — but *probes with*
-   ``has_chunk`` *first*: an orphaned-but-present copy (e.g. a recovered
-   node the manager dropped) is re-attached by telling the manager about
-   it, never re-copied.  Otherwise the chunk is pushed with the existing
-   ``replicate_to`` path and the new placement reported via
-   ``record_replicas``.
+1. **Drain its repair queue.**  A task is one entry of the manager's
+   reconcile answer: a chunk this node is the designated source of, how
+   many replicas are ``missing``, who holds one already and which corrupt
+   holders to avoid.  For each missing replica the node picks a peer from
+   its directory that is neither — but *probes with* ``has_chunk`` *first*:
+   an orphaned-but-present copy (e.g. a recovered node the manager dropped)
+   is re-attached by telling the manager about it, never re-copied.
+   Otherwise the chunk is pushed with ``replicate_to`` and the new
+   placement reported via ``record_replicas``.
 
 2. **Compare checksums with one random peer.**  The peer returns its
    ``chunk_id → payload digest`` map.  Content-addressed chunks are
    self-verifying (the id embeds the expected digest), so a mismatch
    pinpoints *which* side is corrupt: a corrupt local copy is deleted and
    self-reported; a corrupt remote copy is reported to the manager's
-   corruption ledger and queued for repair from the local good copy.
-   Position-addressed chunks cannot be attributed and are only counted.
+   corruption ledger, which flags the holders so the next reconcile hands
+   out the replacement copy.  Only when the report could not be delivered
+   (manager down) does the node queue that one replacement itself, from
+   its own good copy, so the data survives.  Position-addressed chunks
+   cannot be attributed and are only counted.
 
-3. **Scan for under-replication.**  Using the gossiped placement hints as
-   a decentralized replica count, chunks this node holds with fewer than
-   ``replication_target`` believed holders are queued for repair.
-
-All manager interaction is best-effort: with the manager down the copies
-still happen (data survives) and placements are re-attached later through
-soft-state reconciliation.
+Reporting to the manager is best-effort: a copy whose ``record_replicas``
+was lost is re-attached later through the holder's own reconciliation.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
+from repro.benefactor.maintenance.peers import PeerInfo, RepairTask
 from repro.core.chunk import is_content_addressed
 from repro.exceptions import (
     BenefactorOfflineError,
@@ -64,23 +65,22 @@ class AntiEntropyReport:
 
 
 class AntiEntropyService:
-    """Tick-driven decentralized repair for one benefactor."""
+    """Tick-driven repair executor and checksum comparison for one benefactor."""
 
     def __init__(
         self,
         benefactor,
         manager_address: Optional[str] = None,
-        replication_target: int = 2,
         max_repairs: int = 32,
         candidate_attempts: int = 3,
         seed: Optional[int] = None,
     ) -> None:
         self.benefactor = benefactor
         self.manager_address = manager_address
-        self.replication_target = replication_target
+        #: Queued tasks taken up per tick.
         self.max_repairs = max_repairs
-        #: How many distinct copy targets to try before giving up on a task
-        #: for this tick (the task is re-queued for the next one).
+        #: How many copy targets may fail before giving up on a task for
+        #: this tick (what is still missing is re-queued for the next one).
         self.candidate_attempts = candidate_attempts
         self._rng = random.Random(seed)
         self.rounds = 0
@@ -116,8 +116,7 @@ class AntiEntropyService:
         self.rounds += 1
         self._drain_repairs(report)
         self._compare_with_random_peer(report)
-        self._scan_under_replication(report)
-        # New work discovered above is drained immediately so a single tick
+        # Work the comparison queued is drained immediately so a single tick
         # makes forward progress on its own findings.
         self._drain_repairs(report)
         return report
@@ -126,66 +125,72 @@ class AntiEntropyService:
     def _drain_repairs(self, report: AntiEntropyReport) -> None:
         benefactor = self.benefactor
         budget = self.max_repairs - (report.repaired + report.reattached)
-        if budget <= 0:
-            return
         for task in benefactor.drain_repairs(budget):
             if not benefactor.store.contains(task.chunk_id):
-                # We no longer hold a source copy; some other holder's
-                # anti-entropy pass must repair this one.
+                # We no longer hold a source copy; the manager names another
+                # holder the source at that holder's next reconcile.
                 continue
-            holders = benefactor.peers.holders_of(task.chunk_id)
-            holders.add(benefactor.benefactor_id)
-            if len(holders - task.exclude) >= self.replication_target:
-                continue
-            if not self._repair_chunk(task.chunk_id, task.exclude, report):
+            self._repair_chunk(task, report)
+            if task.missing:
                 report.repair_failures += 1
                 # Keep trying on later ticks (peers may come back online).
-                benefactor.enqueue_repair(task.chunk_id, reason=task.reason,
-                                          exclude=task.exclude)
+                benefactor.enqueue_repair(
+                    task.chunk_id, reason=task.reason, exclude=task.exclude,
+                    missing=task.missing, holders=task.holders,
+                )
 
-    def _repair_chunk(self, chunk_id: str, exclude: Set[str],
-                      report: AntiEntropyReport) -> bool:
-        """Place one more replica of ``chunk_id``; True on success."""
+    def _repair_chunk(self, task: RepairTask, report: AntiEntropyReport) -> None:
+        """Place ``task.missing`` more replicas; the task keeps what is left."""
         benefactor = self.benefactor
         directory = benefactor.peers
-        holders = directory.holders_of(chunk_id)
-        holders.add(benefactor.benefactor_id)
+        avoid = task.holders | task.exclude
         candidates = [
             peer for peer in directory.peers(online_only=True)
-            if peer.peer_id not in holders and peer.peer_id not in exclude
+            if peer.peer_id not in avoid
         ]
         # Prefer space, break ties randomly so repairs spread across peers.
         self._rng.shuffle(candidates)
         candidates.sort(key=lambda peer: -peer.free_space)
-        for peer in candidates[:self.candidate_attempts]:
-            try:
-                if benefactor.transport.call(peer.address, "has_chunk",
-                                             chunk_id=chunk_id):
-                    # Orphaned-but-present copy: re-attach, don't re-copy.
-                    directory.note_holders(chunk_id, (peer.peer_id,))
-                    self._record_with_manager(peer.peer_id, [chunk_id])
-                    report.reattached += 1
-                    if self._reattached_counter is not None:
-                        self._reattached_counter.inc()
-                    report.healed_chunks.append(chunk_id)
-                    return True
-                answer = benefactor.replicate_to([chunk_id], peer.address)
-            except (EndpointUnreachableError, BenefactorOfflineError) as exc:
-                self._log.info(
-                    "repair target %s at %s unreachable for chunk %s: %s",
-                    peer.peer_id, peer.address, chunk_id, exc,
-                )
-                directory.mark_offline(peer.peer_id)
-                continue
-            if chunk_id in answer["copied"]:
-                directory.note_holders(chunk_id, (peer.peer_id,))
-                self._record_with_manager(peer.peer_id, [chunk_id])
-                report.repaired += 1
-                if self._repaired_counter is not None:
-                    self._repaired_counter.inc()
-                report.healed_chunks.append(chunk_id)
-                return True
-        return False
+        failures = 0
+        for peer in candidates:
+            if not task.missing or failures >= self.candidate_attempts:
+                return
+            if self._place_replica(task.chunk_id, peer, report):
+                task.missing -= 1
+                task.holders.add(peer.peer_id)
+            else:
+                failures += 1
+
+    def _place_replica(self, chunk_id: str, peer: PeerInfo,
+                       report: AntiEntropyReport) -> bool:
+        """One more replica of ``chunk_id`` on ``peer``, found or copied."""
+        benefactor = self.benefactor
+        directory = benefactor.peers
+        try:
+            found = benefactor.transport.call(peer.address, "has_chunk",
+                                              chunk_id=chunk_id)
+        except (EndpointUnreachableError, BenefactorOfflineError) as exc:
+            self._log.info(
+                "repair target %s at %s unreachable for chunk %s: %s",
+                peer.peer_id, peer.address, chunk_id, exc,
+            )
+            directory.mark_offline(peer.peer_id)
+            return False
+        if found:
+            # Orphaned-but-present copy: re-attach, don't re-copy.
+            report.reattached += 1
+            counter = self._reattached_counter
+        elif chunk_id in benefactor.replicate_to([chunk_id], peer.address)["copied"]:
+            report.repaired += 1
+            counter = self._repaired_counter
+        else:
+            return False
+        if counter is not None:
+            counter.inc()
+        directory.note_holders(chunk_id, (peer.peer_id,))
+        self._record_with_manager(peer.peer_id, [chunk_id])
+        report.healed_chunks.append(chunk_id)
+        return True
 
     def _record_with_manager(self, holder_id: str, chunk_ids: List[str]) -> None:
         """Tell the manager about a replica we created or found (best effort)."""
@@ -206,9 +211,10 @@ class AntiEntropyService:
                 chunk_ids, holder_id, exc,
             )
 
-    def _report_corruption(self, chunk_id: str, holder_id: str) -> None:
+    def _report_corruption(self, chunk_id: str, holder_id: str) -> bool:
+        """Tell the manager's corruption ledger; True when it was recorded."""
         if self.manager_address is None:
-            return
+            return False
         try:
             self.benefactor.transport.call(
                 self.manager_address,
@@ -222,6 +228,8 @@ class AntiEntropyService:
                 "could not report corrupt chunk %s on %s to manager: %s",
                 chunk_id, holder_id, exc,
             )
+            return False
+        return True
 
     # ------------------------------------------------------- peer comparison
     def _compare_with_random_peer(self, report: AntiEntropyReport) -> None:
@@ -244,8 +252,7 @@ class AntiEntropyService:
         for chunk_id, remote_sum in remote.items():
             self._judge_pair(chunk_id, local.get(chunk_id), remote_sum,
                              peer.peer_id, report)
-        # Chunks we hold that the peer lacks: make sure the hint map knows
-        # we hold them so the under-replication scan sees a true count.
+        # Chunks we hold ourselves are placement hints too.
         for chunk_id in local:
             directory.note_holders(chunk_id, (benefactor.benefactor_id,))
 
@@ -264,9 +271,10 @@ class AntiEntropyService:
                 if self._corrupt_remote_counter is not None:
                     self._corrupt_remote_counter.inc()
                 directory.forget_holder(chunk_id, peer_id)
-                self._report_corruption(chunk_id, peer_id)
-                if local_sum == expected:
-                    # We hold a good copy: re-replicate it elsewhere.
+                reported = self._report_corruption(chunk_id, peer_id)
+                if not reported and local_sum == expected:
+                    # The judge cannot be told, and we hold a good copy:
+                    # replace the one provably lost replica ourselves.
                     benefactor.enqueue_repair(
                         chunk_id, reason="corrupt_peer", exclude={peer_id}
                     )
@@ -289,14 +297,3 @@ class AntiEntropyService:
         directory.note_holders(chunk_id, (peer_id,))
         if local_sum is not None and local_sum != remote_sum:
             report.divergent_unattributed += 1
-
-    # --------------------------------------------------- under-replication scan
-    def _scan_under_replication(self, report: AntiEntropyReport) -> None:
-        benefactor = self.benefactor
-        directory = benefactor.peers
-        for chunk_id in benefactor.store.chunk_ids():
-            holders = directory.holders_of(chunk_id)
-            holders.add(benefactor.benefactor_id)
-            if len(holders) < self.replication_target:
-                benefactor.enqueue_repair(chunk_id, reason="under_replicated")
-                report.queued += 1

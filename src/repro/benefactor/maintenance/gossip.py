@@ -7,8 +7,8 @@ a bounded random sample of placement hints (chunk id → believed holders).
 Like epidemic membership protocols, a few rounds spread any observation to
 the whole pool with high probability, so benefactors keep a usable map of
 who is alive and roughly where replicas live even while the manager is
-down — exactly the knowledge the anti-entropy pass needs to re-replicate
-without central coordination.
+down; the membership half is where the anti-entropy pass finds the copy
+targets for the repairs the manager hands it.
 
 A peer that cannot be reached is marked offline in the directory (and that
 observation itself then spreads through subsequent rounds).

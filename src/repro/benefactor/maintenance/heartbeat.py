@@ -10,10 +10,10 @@ then does the benefactor send the full id list again.  A manager restart
 fails with ``UnknownBenefactorError`` and the service falls back to a full
 registration + reconciliation.
 
-The reconcile answer doubles as the manager's repair handoff: hints about
-under-replicated chunks this node holds are queued on the benefactor for
-the anti-entropy pass, and chunks the corruption ledger attributes to this
-node are purged locally.
+The reconcile answer doubles as the manager's repair handoff: the
+under-replicated chunks this node is the designated source of become its
+repair queue for the anti-entropy pass, and chunks the corruption ledger
+attributes to this node are purged locally.
 """
 
 from __future__ import annotations

@@ -1,12 +1,10 @@
 """Peer-level soft state a benefactor accumulates about the rest of the pool.
 
-The maintenance services decentralize knowledge the manager used to hold
-exclusively: which benefactors exist and are reachable (liveness), and
-*hints* about where chunks live (placement).  Both are gossiped peer to
-peer, merged newest-record-wins, and are advisory only — the manager's
-committed chunk-maps remain the source of truth for reads, while the hints
-let the anti-entropy pass find under-replicated chunks and copy targets
-without a manager round-trip.
+Which benefactors exist and are reachable (liveness), and *hints* about
+where chunks live (placement).  Both are gossiped peer to peer, merged
+newest-record-wins, and are advisory only.  The anti-entropy pass picks its
+copy targets from the membership half; whether a chunk needs a copy at all is
+the manager's call alone, made from its committed chunk-maps.
 """
 
 from __future__ import annotations
@@ -46,6 +44,10 @@ class RepairTask:
 
     chunk_id: str
     reason: str = "under_replicated"
+    #: How many more replicas the manager wants placed.
+    missing: int = 1
+    #: Benefactors that already hold a healthy replica (never copy targets).
+    holders: Set[str] = field(default_factory=set)
     #: Benefactors that must not be used as copy targets (e.g. holders whose
     #: replica of this chunk is known corrupt).
     exclude: Set[str] = field(default_factory=set)

@@ -6,7 +6,7 @@ by the functional implementation (``repro.manager`` / ``repro.benefactor`` /
 """
 
 from repro.core.chunk import Chunk, ChunkId, ChunkRef
-from repro.core.chunk_map import ChunkMap, ChunkPlacement, ShadowChunkMap
+from repro.core.chunk_map import ChunkMap, ChunkPlacement
 from repro.core.dataset import DatasetMetadata, DatasetVersion, VersionId
 from repro.core.namespace import Namespace, FolderEntry, FileEntry
 from repro.core.policies import (
@@ -18,7 +18,6 @@ from repro.core.policies import (
 )
 from repro.core.striping import RoundRobinStriping, StripingPolicy, StripeAllocation
 from repro.core.reservation import Reservation, ReservationTable
-from repro.core.replication import ReplicationState, ReplicationTask
 
 __all__ = [
     "Chunk",
@@ -26,7 +25,6 @@ __all__ = [
     "ChunkRef",
     "ChunkMap",
     "ChunkPlacement",
-    "ShadowChunkMap",
     "DatasetMetadata",
     "DatasetVersion",
     "VersionId",
@@ -43,6 +41,4 @@ __all__ = [
     "StripeAllocation",
     "Reservation",
     "ReservationTable",
-    "ReplicationState",
-    "ReplicationTask",
 ]

@@ -2,16 +2,16 @@
 
 The chunk-map is the central metadata object of stdchk.  The client builds it
 while writing, and commits it atomically to the manager at ``close()`` time
-(session semantics).  The manager later builds *shadow chunk-maps* listing
-replica placements used by the background replication service (section IV.A,
-"Data replication").
+(session semantics).  Replicas created afterwards (section IV.A, "Data
+replication") are folded in placement by placement as the copying benefactors
+report them.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set
+from typing import Iterable, Iterator, List, Optional, Sequence, Set
 
 from repro.core.chunk import ChunkId, ChunkRef
 
@@ -176,13 +176,6 @@ class ChunkMap:
                 affected += 1
         return affected
 
-    def merge_shadow(self, shadow: "ShadowChunkMap") -> None:
-        """Fold the replica placements of a committed shadow map into this map."""
-        for chunk_id, benefactors in shadow.assignments.items():
-            for placement in self.placements_for(chunk_id):
-                for benefactor in benefactors:
-                    placement.add_replica(benefactor)
-
     def copy(self) -> "ChunkMap":
         return ChunkMap(p.copy() for p in self._placements)
 
@@ -215,59 +208,3 @@ class ChunkMap:
             for entry in payload.get("placements", [])
         ]
         return cls(placements)
-
-
-class ShadowChunkMap:
-    """Replica placement plan built by the manager's replication service.
-
-    A shadow map assigns, for each chunk id that needs additional replicas,
-    the list of *new* benefactors that should receive a copy.  The manager
-    sends the shadow map to the source benefactors, which copy the chunks to
-    the targets; once the copies succeed the shadow map is committed (merged
-    into the primary chunk-map).
-    """
-
-    def __init__(self, dataset_id: str, version: int) -> None:
-        self.dataset_id = dataset_id
-        self.version = version
-        self.assignments: Dict[ChunkId, List[BenefactorId]] = {}
-        self.committed = False
-
-    def assign(self, chunk_id: ChunkId, benefactors: Sequence[BenefactorId]) -> None:
-        """Plan replicas of ``chunk_id`` on ``benefactors``."""
-        existing = self.assignments.setdefault(chunk_id, [])
-        for benefactor in benefactors:
-            if benefactor not in existing:
-                existing.append(benefactor)
-
-    @property
-    def chunk_ids(self) -> List[ChunkId]:
-        return list(self.assignments.keys())
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.assignments
-
-    def replica_count(self) -> int:
-        """Total number of planned chunk copies."""
-        return sum(len(targets) for targets in self.assignments.values())
-
-    def mark_committed(self) -> None:
-        self.committed = True
-
-    def to_dict(self) -> dict:
-        return {
-            "dataset_id": self.dataset_id,
-            "version": self.version,
-            "assignments": {cid: list(b) for cid, b in self.assignments.items()},
-            "committed": self.committed,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ShadowChunkMap":
-        shadow = cls(payload["dataset_id"], payload["version"])
-        for chunk_id, benefactors in payload.get("assignments", {}).items():
-            shadow.assign(chunk_id, benefactors)
-        if payload.get("committed"):
-            shadow.mark_committed()
-        return shadow

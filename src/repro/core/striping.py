@@ -3,8 +3,7 @@
 The paper uses round-robin striping over a configurable *stripe width* of
 benefactors, inherited from the FreeLoader work.  The policy interface also
 supports alternative strategies used by ablation benches (free-space-weighted
-selection) and by the replication service when it picks targets for shadow
-chunk-maps while avoiding the benefactors that already hold the chunk.
+selection).
 """
 
 from __future__ import annotations

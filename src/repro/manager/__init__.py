@@ -2,15 +2,14 @@
 
 The manager maintains the entire system metadata (donor status, chunk
 distribution, dataset attributes), allocates stripes for new writes, commits
-chunk-maps atomically at ``close()`` (session semantics), and drives three
-background activities: replication to the configured level, garbage
-collection of orphaned chunks, and retention-policy pruning of checkpoint
-images.
+chunk-maps atomically at ``close()`` (session semantics), judges which chunks
+are below their dataset's replication level (the benefactors make the
+copies), and drives two background services: garbage collection of orphaned
+chunks and retention-policy pruning of checkpoint images.
 """
 
 from repro.manager.registry import BenefactorRecord, BenefactorRegistry
 from repro.manager.manager import MetadataManager, WriteSessionRecord
-from repro.manager.replication_service import ReplicationService
 from repro.manager.garbage_collector import GarbageCollector
 from repro.manager.pruner import RetentionPruner
 
@@ -19,7 +18,6 @@ __all__ = [
     "BenefactorRegistry",
     "MetadataManager",
     "WriteSessionRecord",
-    "ReplicationService",
     "GarbageCollector",
     "RetentionPruner",
 ]

@@ -57,7 +57,7 @@ class GarbageCollector:
                 chunk_ids = self.transport.call(record.address, "list_chunks")
             except (EndpointUnreachableError, StdchkError):
                 report.benefactors_unreachable += 1
-                self.manager.registry.mark_offline(record.benefactor_id)
+                self.manager.report_benefactor_failure(record.benefactor_id)
                 continue
             report.chunks_reported += len(chunk_ids)
             answer = self.manager.gc_report(record.benefactor_id, chunk_ids)
@@ -70,7 +70,7 @@ class GarbageCollector:
                 )
             except (EndpointUnreachableError, StdchkError):
                 report.benefactors_unreachable += 1
-                self.manager.registry.mark_offline(record.benefactor_id)
+                self.manager.report_benefactor_failure(record.benefactor_id)
                 continue
             report.chunks_collected += removed
             report.per_benefactor[record.benefactor_id] = removed

@@ -29,10 +29,17 @@ and inventory reconciliation): benefactor liveness and space
 (``register_benefactor``'s refresh, ``heartbeat``,
 ``report_benefactor_failure``, ``expire_benefactors``), replica placements
 learnt after a commit (``reconcile_inventory`` — which also clears ledger
-entries whose corrupt copy is gone — ``record_replicas``, the replication
-service's ``add_replica``), the per-benefactor seen-sets of ``gc_report``,
+entries whose corrupt copy is gone — and ``record_replicas``), the registry's
+``repair_pending`` flags, the per-benefactor seen-sets of ``gc_report``,
 reservation lease expiry (``GarbageCollector.collect_expired_reservations``)
 and the read-routing load tally of ``get_chunk_map``.
+
+**One judge of under-replication.**  :meth:`MetadataManager.reconcile_inventory`
+is the only place that decides a chunk needs more replicas (section IV.A: the
+manager notices, the holders copy).  Its answer's ``repair`` list is the
+shadow chunk-map: one online healthy holder per chunk is told how many
+replicas are missing and who holds one already; the benefactor's anti-entropy
+pass makes the copies and reports them through ``record_replicas``.
 """
 
 from __future__ import annotations
@@ -71,7 +78,8 @@ from repro.transport.base import Endpoint, Transport
 from repro.util.clock import Clock, SystemClock
 from repro.util.config import StdchkConfig
 
-#: Bound on repair hints handed to one benefactor per reconcile answer.
+#: Bound on repairs handed to one benefactor per reconcile answer; a node
+#: with more work than this stays flagged and gets the rest next time.
 MAX_REPAIR_HINTS = 256
 
 
@@ -552,7 +560,8 @@ class MetadataManager(Endpoint):
         """Clients report data-path failures so the manager reacts promptly."""
         self._require_online()
         self._count()
-        self.registry.mark_offline(benefactor_id)
+        if self.registry.mark_offline(benefactor_id):
+            self._request_reconciles()
         return {"acknowledged": True}
 
     def gc_report(self, benefactor_id: str, chunk_ids: Sequence[str]) -> Dict[str, List[str]]:
@@ -590,7 +599,24 @@ class MetadataManager(Endpoint):
     def expire_benefactors(self) -> List[str]:
         """Expire benefactors whose heartbeats went silent (called by services)."""
         self._require_online()
-        return self.registry.expire(self.clock.now())
+        expired = self.registry.expire(self.clock.now())
+        if expired:
+            self._request_reconciles()
+        return expired
+
+    def _request_reconciles(self) -> None:
+        """Flag every online benefactor ``repair_pending`` (soft state).
+
+        For whatever lowers a chunk's healthy replica count, or takes its
+        designated source away, without changing a survivor's inventory: the
+        survivors' digests still match, so only the flag makes their next
+        heartbeat reconcile and pick up the ``repair`` work.  Under the meta
+        lock, so a reconcile in progress cannot clear a flag that was set for
+        a change it did not see.
+        """
+        with self._meta_lock:
+            for record in self.registry.online():
+                self.registry.set_repair_pending(record.benefactor_id)
 
     def reconcile_inventory(self, benefactor_id: str,
                             chunk_ids: Sequence[str]) -> Dict[str, object]:
@@ -609,10 +635,18 @@ class MetadataManager(Endpoint):
         rule (two consecutive unreferenced reports) is exactly the grace
         period that lets its session commit first.
 
-        The answer doubles as the manager's *repair handoff*: ``repair``
-        lists chunks this benefactor holds whose healthy replica count is
-        below the dataset's target (with the corrupt holders excluded as
-        copy targets), pre-seeding the node's anti-entropy pass.
+        The answer is also where the manager *judges under-replication*, the
+        only place that does (section IV.A's shadow chunk-map): ``repair``
+        lists the chunks whose healthy replica count is below their dataset's
+        target **and** whose designated source is this benefactor — the first
+        healthy holder the registry has online, so exactly one node copies.
+        Each entry says how many replicas are ``missing``, who ``holders``
+        are already and which corrupt holders to ``exclude`` as targets; the
+        node's anti-entropy pass makes the copies and reports them through
+        :meth:`record_replicas`.  New files have priority over replication:
+        while a write session is active nothing is handed out.  A node whose
+        work was withheld, or cut off by ``MAX_REPAIR_HINTS``, stays flagged
+        ``repair_pending`` so its next heartbeat reconciles again.
         """
         self._require_online()
         self._count()
@@ -620,7 +654,9 @@ class MetadataManager(Endpoint):
         reattached = 0
         repair: List[Dict[str, object]] = []
         hinted: Set[str] = set()
+        unserved = False
         with self._meta_lock:
+            withheld = bool(self.active_sessions())
             # Ledger entries for chunks this inventory no longer carries are
             # cleared: the corrupt copy is gone, the id may be trusted again
             # if the node ever stores a fresh replica.
@@ -635,9 +671,7 @@ class MetadataManager(Endpoint):
             )
             referenced: Set[str] = set()
             for dataset in self._datasets.values():
-                target = self._replication_targets.get(
-                    dataset.dataset_id, self.config.replication_level
-                )
+                target = self.replication_target_for(dataset.dataset_id)
                 for version in dataset.versions:
                     for placement in version.chunk_map:
                         chunk_id = placement.ref.chunk_id
@@ -655,25 +689,35 @@ class MetadataManager(Endpoint):
                             b for b in placement.benefactors
                             if b not in corrupt_holders
                         ]
-                        if (len(healthy) < target and chunk_id not in hinted
-                                and len(repair) < MAX_REPAIR_HINTS):
-                            hinted.add(chunk_id)
-                            repair.append({
-                                "chunk_id": chunk_id,
-                                "reason": ("corrupt_elsewhere" if corrupt_holders
-                                           else "under_replicated"),
-                                "exclude": sorted(corrupt_holders),
-                            })
+                        if len(healthy) >= target or chunk_id in hinted:
+                            continue
+                        source = next(filter(self.registry.is_online, healthy), None)
+                        if source != benefactor_id:
+                            continue
+                        hinted.add(chunk_id)
+                        if withheld or len(repair) >= MAX_REPAIR_HINTS:
+                            unserved = True
+                            continue
+                        repair.append({
+                            "chunk_id": chunk_id,
+                            "reason": ("corrupt_elsewhere" if corrupt_holders
+                                       else "under_replicated"),
+                            "missing": target - len(healthy),
+                            "holders": healthy,
+                            "exclude": sorted(corrupt_holders),
+                        })
             protected: Set[str] = set()
             for session in self._sessions.values():
                 if session.active:
                     protected.update(session.acked_chunks)
             orphans = sorted(inventory - referenced - protected)
-        # Digest what was actually reported, so divergence checks on later
-        # heartbeats compare against ground truth rather than a self-report.
-        self.registry.note_reconciled(
-            benefactor_id, compute_inventory_digest(inventory).root
-        )
+            # Digest what was actually reported, so divergence checks on later
+            # heartbeats compare against ground truth rather than a self-report.
+            self.registry.note_reconciled(
+                benefactor_id, compute_inventory_digest(inventory).root
+            )
+            if unserved:
+                self.registry.set_repair_pending(benefactor_id)
         return {
             "reattached": reattached,
             "orphans": orphans,
@@ -690,10 +734,11 @@ class MetadataManager(Endpoint):
         comparisons.  The placement is dropped from every committed chunk-map
         so readers stop trying the bad copy, the ledger entry prevents
         soft-state reconciliation from re-attaching it, and the surviving
-        holders are flagged ``repair_pending`` so their next heartbeat picks
-        up the re-replication work.  Durable: a ghost corrupt replica after
-        recovery would satisfy the replication target and mask real
-        under-replication (same rationale as ``drop_benefactor``).
+        holders are flagged ``repair_pending`` so their next heartbeat
+        reconciles and the designated one picks up the repair.  Durable: a
+        ghost corrupt replica after recovery would satisfy the replication
+        target and mask real under-replication (same rationale as
+        ``drop_benefactor``).
         """
         self._require_online()
         self._count()
@@ -715,8 +760,8 @@ class MetadataManager(Endpoint):
                     for placement in version.chunk_map.placements_for(chunk_id):
                         survivors.update(placement.benefactors)
             survivors.discard(benefactor_id)
-        for survivor in survivors:
-            self.registry.set_repair_pending(survivor)
+            for survivor in survivors:
+                self.registry.set_repair_pending(survivor)
         return {
             "recorded": True,
             "replicas_dropped": dropped,
@@ -725,12 +770,13 @@ class MetadataManager(Endpoint):
 
     def record_replicas(self, benefactor_id: str,
                         chunk_ids: Sequence[str]) -> Dict[str, object]:
-        """Attach replicas created (or re-discovered) by decentralized repair.
+        """Attach replicas a repair source created (or found already present).
 
-        Anti-entropy copies flow benefactor-to-benefactor; this call is how
-        the swarm tells the manager afterwards.  Soft state — not journaled:
-        a recovered manager re-learns the placements from the holder's own
-        inventory reconciliation, exactly like background-replication copies.
+        Repair copies flow benefactor-to-benefactor; this call commits them
+        into the chunk-maps afterwards (the paper's "commit the shadow map
+        once the copies are done").  Soft state — not journaled: a recovered
+        manager re-learns the placements from the holder's own inventory
+        reconciliation.
         """
         self._require_online()
         self._count()
@@ -1177,9 +1223,10 @@ class MetadataManager(Endpoint):
     def drop_benefactor_placements(self, benefactor_id: str) -> int:
         """Remove a departed benefactor from every committed chunk-map.
 
-        Returns the number of placements that lost a replica; the replication
-        service will re-create the missing replicas on other nodes.  The drop
-        is journaled: a permanently departed benefactor must stay dropped
+        Returns the number of placements that lost a replica.  No survivor's
+        inventory changed, so the online benefactors are flagged to reconcile
+        and the designated holders re-create the replicas on other nodes.  The
+        drop is journaled: a permanently departed benefactor must stay dropped
         after recovery (it will never re-advertise an inventory to correct
         the chunk maps), otherwise its ghost replicas would satisfy the
         replication target and mask real under-replication.
@@ -1191,10 +1238,12 @@ class MetadataManager(Endpoint):
                 for version in dataset.versions
             ):
                 return 0
-            return self._commit(
+            affected = self._commit(
                 "drop_benefactor", {"benefactor_id": benefactor_id},
                 durable=True,
             )
+            self._request_reconciles()
+            return affected
 
     def storage_summary(self) -> Dict[str, object]:
         """Aggregate pool statistics (used by examples and benches)."""

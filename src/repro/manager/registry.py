@@ -35,9 +35,10 @@ class BenefactorRecord:
     #: Digest of the inventory this benefactor last reconciled in full;
     #: a heartbeat whose digest differs triggers re-advertisement.
     reconciled_digest: str = ""
-    #: Set when the manager has repair hints waiting for this benefactor
-    #: (e.g. a corruption report shrank a placement it holds); the next
-    #: heartbeat is asked to reconcile so the hints are handed off.
+    #: Set when the manager may have repair work for this benefactor that
+    #: its inventory digest cannot reveal (a corruption report, a departed
+    #: or dropped peer, work withheld or still outstanding); the next
+    #: heartbeat is asked to reconcile so the work is handed off.
     repair_pending: bool = False
 
     def view(self) -> BenefactorView:
@@ -106,7 +107,7 @@ class BenefactorRegistry:
         The digest is computed by the *manager* from the reported inventory,
         so the registry never trusts a benefactor's self-reported summary to
         match the ids it actually sent.  Clears ``repair_pending``: the
-        reconcile answer carried whatever hints were waiting.
+        reconcile answer carried whatever repair work was waiting.
         """
         with self._lock:
             record = self._records.get(benefactor_id)
@@ -164,12 +165,17 @@ class BenefactorRegistry:
             record = self._records.get(benefactor_id)
             return record.address if record is not None else None
 
-    def mark_offline(self, benefactor_id: str) -> None:
-        """Explicitly mark a benefactor offline (e.g. a failed data call)."""
+    def mark_offline(self, benefactor_id: str) -> bool:
+        """Explicitly mark a benefactor offline (e.g. a failed data call).
+
+        True when this call changed its state (it was known and online).
+        """
         with self._lock:
             record = self._records.get(benefactor_id)
-            if record is not None:
-                record.online = False
+            if record is None or not record.online:
+                return False
+            record.online = False
+            return True
 
     def expire(self, now: float) -> List[str]:
         """Mark benefactors with stale heartbeats offline; return their ids."""

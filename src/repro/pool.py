@@ -3,8 +3,9 @@
 The paper describes one architecture — a metadata manager, benefactor nodes
 and client proxies that know each other only by address — and this module
 wires it exactly once.  :class:`Deployment` bundles a transport, the manager,
-the benefactors with their maintenance stacks, the manager-side background
-services (replication, garbage collection, retention pruning), hot standbys,
+the benefactors with their maintenance stacks (which execute the repairs
+the manager judges necessary), the manager-side background services (garbage
+collection, retention pruning), hot standbys,
 the per-node telemetry servers and the clients it handed out; every lifecycle
 and fault-injection helper (kill, recover, restart, promote) has one body
 that works over any :class:`~repro.transport.base.Transport`, because every
@@ -36,7 +37,6 @@ from repro.manager.manager import MetadataManager
 from repro.manager.persistence import RecoveryReport
 from repro.manager.pruner import RetentionPruner
 from repro.manager.replication import LogShipper, StandbyManager
-from repro.manager.replication_service import ReplicationService
 from repro.obs import (
     ClusterHealthMonitor,
     ObsHttpServer,
@@ -113,7 +113,6 @@ class Deployment:
         self._clients: "weakref.WeakSet[ClientProxy]" = weakref.WeakSet()
 
         manager = MetadataManager(self.transport, config=self.config, clock=self.clock)
-        self.replication_service = ReplicationService(manager, self.transport)
         self.garbage_collector = GarbageCollector(manager, self.transport)
         self.pruner = RetentionPruner(manager)
         self._adopt_manager(manager)
@@ -139,7 +138,6 @@ class Deployment:
         self.maintenance[benefactor_id] = BenefactorMaintenance(
             benefactor,
             manager_address=self.manager_address,
-            replication_target=self.config.replication_level,
             # Deterministic per-node seed so pool tests are reproducible.
             seed=zlib.crc32(benefactor_id.encode("utf-8")),
         )
@@ -213,7 +211,6 @@ class Deployment:
         self.manager = manager
         #: Where peers dial the primary (its bound socket over TCP).
         self.manager_address = self.transport.bound_address(manager.address)
-        self.replication_service.manager = manager
         self.garbage_collector.manager = manager
         self.pruner.manager = manager
         for bundle in self.maintenance.values():
@@ -376,23 +373,23 @@ class Deployment:
         """One tick of every background service (deterministic maintenance)."""
         self.manager.expire_benefactors()
         self.pruner.run_once()
-        self.replication_service.run_once()
+        self.run_maintenance_once()
         self.garbage_collector.collect_expired_reservations()
         self.garbage_collector.run_once()
 
     def stabilize(self, rounds: int = 3) -> None:
-        """Run several maintenance rounds (replication + GC convergence)."""
+        """Run several service rounds (repair + pruning + GC convergence)."""
         for _ in range(rounds):
             self.run_services_once()
 
     def run_maintenance_once(self) -> Dict[str, "AntiEntropyReport"]:
-        """One decentralized maintenance round on every online benefactor.
+        """One maintenance round on every online benefactor: the one healer.
 
         Each node heartbeats (with its inventory digest, reconciling when
-        asked), gossips with random peers and runs one anti-entropy pass.
-        This is the benefactor-driven counterpart of
-        :meth:`run_services_once` and needs no manager-side replication
-        scan to heal replica loss.
+        asked — the manager's answer names the under-replicated chunks this
+        node must copy), gossips with random peers and runs one anti-entropy
+        pass that makes those copies.  :meth:`run_services_once` runs this
+        too, beside pruning and garbage collection.
         """
         reports: Dict[str, AntiEntropyReport] = {}
         for benefactor_id, bundle in self.maintenance.items():
@@ -401,7 +398,7 @@ class Deployment:
         return reports
 
     def heal(self, rounds: int = 3) -> None:
-        """Run several decentralized maintenance rounds (anti-entropy only)."""
+        """Run several maintenance rounds (repair only: no pruning, no GC)."""
         for _ in range(rounds):
             self.run_maintenance_once()
 

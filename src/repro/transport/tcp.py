@@ -17,8 +17,6 @@ benefactor's store.  A caller that already owns the memory a result belongs in
 (a restart read filling its image) passes it as ``call(..., into=view)``: a
 reply whose payload section is exactly ``view.nbytes`` long is received with
 ``recv_into`` at its final address and no buffer of its own ever exists.
-Anything nested deeper (``put_chunks``' batch entries) stays inside the pickle:
-correct, just not copy-free.
 
 What arrives on a socket is not trusted.  Frames are loaded by an unpickler
 that resolves no global except the exception classes of

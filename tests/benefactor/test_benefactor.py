@@ -313,3 +313,19 @@ class TestBenefactor:
         assert outcome["missing"] == ["sha1:missing"]
         assert target.has_chunk(chunk_id)
         assert source.stats["replications_out"] == 1
+
+    def test_replicate_to_stops_at_the_chunk_the_target_refuses(self):
+        transport = InProcessTransport()
+        source = Benefactor("src", transport)
+        target = Benefactor("dst", transport, capacity=2048)
+        payloads = [bytes([7]) * 1024, bytes([8]) * 2048, bytes([9]) * 16]
+        ids = [content_chunk_id(payload) for payload in payloads]
+        for chunk_id, payload in zip(ids, payloads):
+            source.put_chunk(chunk_id=chunk_id, data=payload)
+        # The second chunk does not fit: the batch ends there, nothing after
+        # it is tried, and only what was stored counts as copied.
+        outcome = source.replicate_to(ids, target.address)
+        assert outcome == {"copied": ids[:1], "missing": []}
+        assert target.list_chunks() == ids[:1]
+        assert source.stats["replications_out"] == 1
+        assert source.stats["bytes_out"] == 1024

@@ -283,7 +283,10 @@ class TestAntiEntropyService:
         payload = make_bytes(4096, seed=21)
         chunk_id = content_chunk_id(payload)
         holder.put_chunk(chunk_id, payload)
-        service = AntiEntropyService(holder, replication_target=2, seed=5)
+        # Under-replication is the manager's call: the repair arrives queued
+        # (as the reconcile handoff would deliver it), the node only copies.
+        holder.enqueue_repair(chunk_id)
+        service = AntiEntropyService(holder, seed=5)
         report = service.run_once()
         assert report.repaired == 1
         assert report.healed_chunks == [chunk_id]
@@ -303,7 +306,7 @@ class TestAntiEntropyService:
         # A repair hint arrives (as the manager's reconcile handoff would
         # deliver it) before any checksum comparison reveals the orphan.
         holder.enqueue_repair(chunk_id)
-        service = AntiEntropyService(holder, replication_target=2, seed=5)
+        service = AntiEntropyService(holder, seed=5)
         report = service.run_once()
         assert report.reattached == 1
         assert report.repaired == 0
@@ -319,7 +322,7 @@ class TestAntiEntropyService:
         good.put_chunk(chunk_id, payload)
         bad.put_chunk(chunk_id, payload)
         bad.store._chunks[chunk_id] = b"\x00" * 4096  # silent bit rot
-        service = AntiEntropyService(good, replication_target=2, seed=5)
+        service = AntiEntropyService(good, seed=5)
         report = service.run_once()
         assert report.corrupt_remote == 1
         assert bad.benefactor_id not in good.peers.holders_of(chunk_id)
@@ -336,7 +339,7 @@ class TestAntiEntropyService:
         victim.put_chunk(chunk_id, payload)
         good.put_chunk(chunk_id, payload)
         victim.store._chunks[chunk_id] = b"\xff" * 4096
-        service = AntiEntropyService(victim, replication_target=2, seed=5)
+        service = AntiEntropyService(victim, seed=5)
         report = service.run_once()
         assert report.corrupt_local == 1
         assert not victim.store.contains(chunk_id)
@@ -346,7 +349,7 @@ class TestAntiEntropyService:
     def test_offline_node_does_nothing(self):
         _, _, nodes = peer_group(2)
         nodes[0].go_offline()
-        report = AntiEntropyService(nodes[0], replication_target=2).run_once()
+        report = AntiEntropyService(nodes[0]).run_once()
         assert report.repaired == 0
         assert report.peers_compared == 0
 
@@ -356,7 +359,7 @@ class TestAntiEntropyService:
         chunk_id = "ds-1:v1:c0"
         left.put_chunk(chunk_id, b"a" * 128)
         right.put_chunk(chunk_id, b"b" * 128)
-        service = AntiEntropyService(left, replication_target=1, seed=5)
+        service = AntiEntropyService(left, seed=5)
         report = service.run_once()
         assert report.divergent_unattributed == 1
         assert report.corrupt_local == 0

@@ -305,39 +305,3 @@ class TestConfigKnobs:
             StdchkConfig(push_parallelism=4, max_inflight_chunks=5).effective_inflight_window
             == 5
         )
-
-
-class TestPutChunksBulkRpc:
-    def test_put_chunks_stores_batch(self, pool):
-        benefactor = next(iter(pool.benefactors.values()))
-        from repro.core.chunk import content_chunk_id
-
-        chunks = []
-        for index in range(5):
-            data = make_bytes(1024, seed=index)
-            chunks.append({"chunk_id": content_chunk_id(data), "data": data})
-        answer = pool.transport.call(benefactor.address, "put_chunks", chunks=chunks)
-        assert answer["failed_at"] is None
-        assert len(answer["stored"]) == 5
-        for entry in chunks:
-            assert benefactor.store.contains(entry["chunk_id"])
-
-    def test_put_chunks_reports_partial_failure(self):
-        from repro.benefactor.benefactor import Benefactor
-        from repro.core.chunk import content_chunk_id
-        from repro.transport.inprocess import InProcessTransport
-
-        transport = InProcessTransport()
-        benefactor = Benefactor("tiny", transport, capacity=2048)
-        first = make_bytes(1024, seed=1)
-        second = make_bytes(2048, seed=2)
-        answer = transport.call(
-            benefactor.address,
-            "put_chunks",
-            chunks=[
-                {"chunk_id": content_chunk_id(first), "data": first},
-                {"chunk_id": content_chunk_id(second), "data": second},
-            ],
-        )
-        assert answer["stored"] == [content_chunk_id(first)]
-        assert answer["failed_at"] == content_chunk_id(second)

@@ -1,4 +1,4 @@
-"""Tests for chunks, chunk references, chunk-maps and shadow chunk-maps."""
+"""Tests for chunks, chunk references and chunk-maps."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +11,7 @@ from repro.core.chunk import (
     opaque_chunk_id,
     split_into_chunks,
 )
-from repro.core.chunk_map import ChunkMap, ChunkPlacement, ShadowChunkMap
+from repro.core.chunk_map import ChunkMap, ChunkPlacement
 from repro.exceptions import ChunkIntegrityError
 
 
@@ -173,35 +173,3 @@ class TestChunkMap:
         clone = chunk_map.copy()
         clone.drop_benefactor("b0")
         assert chunk_map.min_replication() == 1
-
-    def test_merge_shadow(self):
-        chunk_map = make_map()
-        shadow = ShadowChunkMap("ds", 1)
-        shadow.assign("c0", ["b9"])
-        chunk_map.merge_shadow(shadow)
-        assert "b9" in chunk_map.placement_for("c0").benefactors
-        assert "b9" not in chunk_map.placement_for("c1").benefactors
-
-
-class TestShadowChunkMap:
-    def test_assign_accumulates_without_duplicates(self):
-        shadow = ShadowChunkMap("ds", 2)
-        shadow.assign("c0", ["b1", "b2"])
-        shadow.assign("c0", ["b2", "b3"])
-        assert shadow.assignments["c0"] == ["b1", "b2", "b3"]
-        assert shadow.replica_count() == 3
-
-    def test_empty_and_commit(self):
-        shadow = ShadowChunkMap("ds", 1)
-        assert shadow.is_empty
-        shadow.mark_committed()
-        assert shadow.committed
-
-    def test_serialization_round_trip(self):
-        shadow = ShadowChunkMap("ds", 3)
-        shadow.assign("c1", ["b0"])
-        shadow.mark_committed()
-        clone = ShadowChunkMap.from_dict(shadow.to_dict())
-        assert clone.assignments == shadow.assignments
-        assert clone.committed
-        assert clone.version == 3

@@ -1,10 +1,8 @@
-"""Tests for striping policies, space reservations and replication bookkeeping."""
+"""Tests for striping policies and space reservations."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.chunk_map import ShadowChunkMap
-from repro.core.replication import ReplicationState, ReplicationTask, ReplicationTaskState
 from repro.core.reservation import ReservationTable
 from repro.core.striping import (
     BenefactorView,
@@ -139,36 +137,3 @@ class TestReservations:
         table.reserve("client", "ds", 1000, ["b0", "b1"], now=0.0)
         assert table.reserved_on("b0") == 500
         assert table.reserved_on("b9") == 0
-
-
-class TestReplicationBookkeeping:
-    def test_task_lifecycle(self):
-        task = ReplicationTask("c0", "b0", "b1", "ds", 1)
-        assert not task.finished
-        task.mark_in_flight()
-        assert task.state is ReplicationTaskState.IN_FLIGHT
-        assert task.attempts == 1
-        task.mark_done()
-        assert task.finished
-
-    def test_task_failure_records_error(self):
-        task = ReplicationTask("c0", "b0", "b1", "ds", 1)
-        task.mark_failed("unreachable")
-        assert task.finished
-        assert task.last_error == "unreachable"
-
-    def test_state_summary_and_complete(self):
-        state = ReplicationState("ds", 1, target_level=2)
-        assert not state.complete
-        done = ReplicationTask("c0", "b0", "b1", "ds", 1)
-        done.mark_done()
-        state.tasks.append(done)
-        assert state.complete
-        failed = ReplicationTask("c1", "b0", "b1", "ds", 1)
-        failed.mark_failed("x")
-        state.tasks.append(failed)
-        assert not state.complete
-        summary = state.summary()
-        assert summary["done"] == 1
-        assert summary["failed"] == 1
-        assert state.shadow is None or isinstance(state.shadow, ShadowChunkMap)

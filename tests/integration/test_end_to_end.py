@@ -61,7 +61,7 @@ class TestDesktopGridCheckpointingScenario:
         client = pool.client("app")
         data = make_bytes(200_000, seed=7)
         client.write_file("/job/ckpt.N0.T1", data)
-        pool.replication_service.run_until_replicated()
+        pool.heal()
         # Lose two of the five benefactors, including data loss.
         victims = sorted(pool.manager.dataset_by_path("/job/ckpt.N0.T1")
                          .latest.chunk_map.stored_benefactors)[:1]

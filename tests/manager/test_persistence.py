@@ -529,7 +529,7 @@ class TestReconciliation:
         client = pool.client("writer")
         data = make_bytes(60_000, seed=51)
         client.write_file("/app/r.N0.T1", data)
-        pool.replication_service.run_until_replicated()
+        pool.heal()
         before = {
             placement.ref.chunk_id: sorted(placement.benefactors)
             for placement in pool.manager.dataset_by_path("/app/r.N0.T1").latest.chunk_map
@@ -576,13 +576,13 @@ class TestReconciliation:
                           config=config)
         client = pool.client("writer")
         client.write_file("/app/d.N0.T1", make_bytes(50_000, seed=81))
-        pool.replication_service.run_until_replicated()
+        pool.heal()
         chunk_map = pool.manager.dataset_by_path("/app/d.N0.T1").latest.chunk_map
         victim = sorted(chunk_map.stored_benefactors)[0]
 
         pool.fail_benefactor(victim, lose_data=True)
         assert pool.manager.drop_benefactor_placements(victim) > 0
-        pool.replication_service.run_until_replicated()
+        pool.heal()
 
         pool.restart_manager()
         recovered_map = pool.manager.dataset_by_path("/app/d.N0.T1").latest.chunk_map

@@ -264,8 +264,9 @@ class TestPromotion:
         client.write_file("/app/a.N0.T1", make_bytes(70 * 1024, seed=10))
         pool.kill_primary()
         promoted = pool.promote_standby()
-        assert pool.replication_service.manager is promoted
         assert pool.garbage_collector.manager is promoted
+        assert {bundle.manager_address for bundle in pool.maintenance.values()} \
+            == {pool.manager_address}
         assert pool.pruner.manager is promoted
         pool.run_services_once()  # must not raise
 

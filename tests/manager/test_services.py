@@ -1,9 +1,12 @@
-"""Tests for the background services: replication, garbage collection, pruning."""
+"""Tests for the background services: garbage collection and pruning.
+
+Replica repair is covered by ``tests/test_healer_contract.py``.
+"""
 
 import pytest
 
 from repro import StdchkConfig, StdchkPool
-from repro.util.config import RetentionPolicyKind, WriteSemantics
+from repro.util.config import RetentionPolicyKind
 from repro.util.units import MiB
 from tests.conftest import make_bytes
 
@@ -18,68 +21,6 @@ def small_pool():
         incremental_file_size=64 * 1024,
     )
     return StdchkPool(benefactor_count=5, benefactor_capacity=64 * MiB, config=config)
-
-
-class TestReplicationService:
-    def test_optimistic_write_gets_replicated_in_background(self, small_pool):
-        client = small_pool.client("c1")
-        data = make_bytes(200_000, seed=1)
-        client.write_file("/app/a.N0.T1", data)
-        manager = small_pool.manager
-        dataset = manager.dataset_by_path("/app/a.N0.T1")
-        assert dataset.latest.chunk_map.min_replication() == 1
-        states = small_pool.replication_service.run_once()
-        assert states and states[0].complete
-        assert dataset.latest.chunk_map.min_replication() == 2
-        # Physical bytes stored are about twice the logical size.
-        assert small_pool.stored_bytes() >= 2 * len(data)
-
-    def test_replication_idempotent_once_satisfied(self, small_pool):
-        client = small_pool.client("c1")
-        client.write_file("/app/a", make_bytes(100_000, seed=2))
-        small_pool.replication_service.run_once()
-        assert small_pool.replication_service.run_once() == []
-        assert small_pool.replication_service.pending_work() == {}
-
-    def test_replication_yields_to_active_writers(self, small_pool):
-        client = small_pool.client("c1")
-        client.write_file("/app/a", make_bytes(100_000, seed=3))
-        # Open (but do not close) another session: replication must defer.
-        session = client.open_write("/app/b")
-        session.write(b"partial")
-        assert small_pool.replication_service.run_once() == []
-        session.close()
-        assert small_pool.replication_service.run_once()
-
-    def test_replication_recovers_lost_replicas(self, small_pool):
-        client = small_pool.client("c1")
-        data = make_bytes(150_000, seed=4)
-        client.write_file("/app/a", data)
-        small_pool.replication_service.run_until_replicated()
-        victim = next(iter(small_pool.manager.dataset_by_path("/app/a")
-                           .latest.chunk_map.stored_benefactors))
-        small_pool.fail_benefactor(victim, lose_data=True)
-        small_pool.manager.drop_benefactor_placements(victim)
-        small_pool.replication_service.run_until_replicated()
-        dataset = small_pool.manager.dataset_by_path("/app/a")
-        assert dataset.latest.chunk_map.min_replication() >= 2
-        assert client.read_file("/app/a") == data
-
-    def test_pessimistic_writes_need_no_background_replication(self):
-        config = StdchkConfig(
-            chunk_size=32 * 1024,
-            stripe_width=3,
-            replication_level=2,
-            write_semantics=WriteSemantics.PESSIMISTIC,
-            window_buffer_size=128 * 1024,
-            incremental_file_size=64 * 1024,
-        )
-        pool = StdchkPool(benefactor_count=4, config=config)
-        client = pool.client("c1")
-        client.write_file("/app/a", make_bytes(100_000, seed=5))
-        dataset = pool.manager.dataset_by_path("/app/a")
-        assert dataset.latest.chunk_map.min_replication() == 2
-        assert pool.replication_service.run_once() == []
 
 
 class TestGarbageCollector:

@@ -297,13 +297,23 @@ class TestOneServerLifecycle:
         assert wait_until(lambda: open_fds() == descriptors)
 
 
-def test_no_server_in_src_polls_for_shutdown():
-    """The accept loops block; nothing may bring a poll period back."""
+def src_lines_naming(*needles: str) -> list:
+    """``file:line`` of every line under ``src/`` containing one of ``needles``."""
     root = Path(__file__).resolve().parents[1] / "src"
-    offenders = [
+    return [
         f"{path.relative_to(root)}:{number}"
         for path in sorted(root.rglob("*.py"))
         for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
-        if "serve_forever" in line or "poll_interval" in line
+        if any(needle in line for needle in needles)
     ]
-    assert offenders == []
+
+
+def test_no_server_in_src_polls_for_shutdown():
+    """The accept loops block; nothing may bring a poll period back."""
+    assert src_lines_naming("serve_forever", "poll_interval") == []
+
+
+def test_no_second_healer_in_src():
+    """The manager judges under-replication and the benefactors copy, chunk
+    by chunk with ``put_chunk``; nothing may bring the second mechanism back."""
+    assert src_lines_naming("ReplicationService", "ShadowChunkMap", "put_chunks(") == []
