@@ -361,6 +361,29 @@ class Benefactor(Endpoint):
         self._bump("bytes_out", chunk.size)
         return chunk.data
 
+    def put_chunks(self, chunk_ids: Sequence[ChunkId],
+                   data: Sequence[bytes]) -> Dict[str, object]:
+        """Store several chunks that arrived as one frame; ``put_chunk`` each.
+
+        Raises at the first chunk that fails (offline, integrity, capacity).
+        Those before it stay stored: storing is idempotent, and a chunk no
+        committed version names is collected like any aborted push.
+        """
+        if len(chunk_ids) != len(data):
+            raise ValueError(
+                f"{len(chunk_ids)} chunk ids for {len(data)} payloads")
+        for chunk_id, payload in zip(chunk_ids, data):
+            self.put_chunk(chunk_id, payload)
+        return {"stored": len(chunk_ids), "free_space": self.store.free_space}
+
+    def get_chunks(self, chunk_ids: Sequence[ChunkId]) -> List[bytes]:
+        """Payloads of several chunks as one frame; ``get_chunk`` each.
+
+        Raises at the first chunk that fails; the caller asks again chunk by
+        chunk to learn which.
+        """
+        return [self.get_chunk(chunk_id) for chunk_id in chunk_ids]
+
     def has_chunk(self, chunk_id: ChunkId) -> bool:
         self._require_online()
         return self.store.contains(chunk_id)

@@ -16,7 +16,14 @@ fully synchronous, one RPC at a time.
 A whole-image read (:meth:`StripedReader.read_all`, what a restart does) has
 no reassembly step at all: the image is allocated once and every chunk is
 received, verified and — if its replica turns out bad — overwritten at its
-final position inside it.
+final position inside it.  It also moves more than a chunk per RPC: each
+chunk's replica is chosen up front and the chunks chosen from one benefactor
+travel as *frames* of at most :data:`~repro.transport.tcp.TRANSFER_UNIT`, one
+``get_chunks`` each, every chunk landing in its own window of the image.  A
+frame of one chunk is the per-chunk fetch (``get_chunk``), so images of
+transfer-unit-sized chunks are read exactly as before; and a frame has no
+failure handling of its own — a chunk it did not deliver, or delivered
+corrupt, is fetched again by the per-chunk path below, same replica first.
 
 Replica selection is delegated to a :class:`ReplicaScheduler` shared across
 every reader of a client session: instead of always hammering the first
@@ -45,7 +52,10 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import Executor, Future, wait
-from typing import Callable, Deque, Dict, Iterator, List, Mapping, Optional, Sequence, Set
+from dataclasses import dataclass, field
+from typing import (
+    Any, Callable, Deque, Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple,
+)
 
 from repro.core.chunk import Chunk, is_content_addressed
 from repro.core.chunk_map import ChunkMap, ChunkPlacement
@@ -58,6 +68,7 @@ from repro.exceptions import (
 )
 from repro.obs import MetricsRegistry, tracing
 from repro.transport.base import Transport
+from repro.transport.tcp import TRANSFER_UNIT
 
 
 class ReplicaScheduler:
@@ -105,8 +116,8 @@ class ReplicaScheduler:
         with self._lock:
             return set(self._failed)
 
-    def order(self, benefactors: Sequence[str],
-              demote: Sequence[str] = ()) -> List[str]:
+    def order(self, benefactors: Sequence[str], demote: Sequence[str] = (),
+              planned: Optional[Mapping[str, int]] = None) -> List[str]:
         """Candidate replicas, best first.
 
         Healthy replicas are rotated (so ties do not always land on the same
@@ -114,10 +125,14 @@ class ReplicaScheduler:
         — and any the caller asks to ``demote`` (e.g. a reader's own
         chunk-miss discoveries) — are appended last so a chunk whose every
         holder was marked failed is still attempted rather than abandoned.
+        ``planned`` counts fetches the caller has decided on but not started
+        (a reader choosing replicas for a whole image); they weigh like
+        outstanding ones.
         """
         if not benefactors:
             return []
         demoted = set(demote)
+        planned = planned or {}
         with self._lock:
             healthy = [
                 b for b in benefactors
@@ -134,7 +149,7 @@ class ReplicaScheduler:
             # rotation still breaks exact ties.
             rotated.sort(
                 key=lambda b: (
-                    self._outstanding.get(b, 0),
+                    self._outstanding.get(b, 0) + planned.get(b, 0),
                     self._load_hints.get(b, 0),
                 )
             )
@@ -186,6 +201,16 @@ class ReplicaScheduler:
             self._failed.discard(benefactor_id)
             if self._failed_gauge is not None:
                 self._failed_gauge.set(len(self._failed))
+
+
+@dataclass
+class _Frame:
+    """The chunks one RPC fetches from one benefactor, each with the replica
+    order the plan chose for it (the frame's benefactor first)."""
+
+    benefactor_id: Optional[str]
+    items: List[Tuple[ChunkPlacement, List[str]]] = field(default_factory=list)
+    size: int = 0
 
 
 class StripedReader:
@@ -250,11 +275,11 @@ class StripedReader:
         if metrics is not None:
             self._fetch_timer = metrics.histogram(
                 "client_fetch_chunk_seconds",
-                "End-to-end latency of one chunk fetch (incl. fallbacks).",
+                "End-to-end latency of one fetch: a chunk incl. fallbacks, or a frame.",
             )
             self._fetch_window = metrics.windowed_histogram(
                 "client_fetch_chunk_seconds_window",
-                "Recent (sliding-window) chunk fetch latency.",
+                "Recent (sliding-window) fetch latency.",
             )
             self._chunks_counter = metrics.counter(
                 "client_chunks_fetched_total", "Chunks fetched by readers."
@@ -289,8 +314,22 @@ class StripedReader:
         if self._fallback_counter is not None:
             self._fallback_counter.inc()
 
+    def _in_trace(self, fetch: Callable[..., Any], *args: Any) -> Any:
+        """Run ``fetch`` inside the read's trace, timed when there is a registry."""
+        with tracing.use_context(self._trace_ctx):
+            if self._fetch_timer is None:
+                return fetch(*args)
+            started = time.perf_counter()
+            try:
+                return fetch(*args)
+            finally:
+                elapsed = time.perf_counter() - started
+                self._fetch_timer.observe(elapsed)
+                self._fetch_window.observe(elapsed)
+
     def _fetch_chunk(self, placement: ChunkPlacement,
-                     into: Optional[memoryview] = None) -> bytes:
+                     into: Optional[memoryview] = None,
+                     candidates: Optional[Sequence[str]] = None) -> bytes:
         """Fetch one chunk from the best replica (worker-thread entry point).
 
         Only issues RPCs (``corruption_reporter`` included): a task on the
@@ -300,6 +339,8 @@ class StripedReader:
         Unreachable, chunk-less and *corrupt* replicas all fall back to the
         next candidate; verification runs here so with parallel reads the
         SHA-1 recomputation overlaps other chunks' network transfers.
+        ``candidates`` is the replica order to try when the caller has chosen
+        one already; by default it is chosen now.
 
         With ``into`` (exactly the chunk's length) the verified payload ends
         up there, delivered by the transport or copied, and ``into`` itself
@@ -307,27 +348,37 @@ class StripedReader:
         ``into`` only, which the next one overwrites in full; when none is
         usable the caller must discard ``into``.
         """
-        with tracing.use_context(self._trace_ctx):
-            if self._fetch_timer is None:
-                return self._fetch_replicas(placement, into)
-            started = time.perf_counter()
-            try:
-                return self._fetch_replicas(placement, into)
-            finally:
-                elapsed = time.perf_counter() - started
-                self._fetch_timer.observe(elapsed)
-                self._fetch_window.observe(elapsed)
+        if candidates is None:
+            candidates = self._candidates(placement)
+        return self._in_trace(self._fetch_replicas, placement, into, candidates)
 
-    def _fetch_replicas(self, placement: ChunkPlacement,
-                        into: Optional[memoryview] = None) -> bytes:
-        last_error: Optional[Exception] = None
+    def _candidates(self, placement: ChunkPlacement,
+                    planned: Optional[Mapping[str, int]] = None) -> List[str]:
+        """The replicas of ``placement`` this reader can dial, best first."""
+        holders = placement.benefactors
+        if len(holders) == 1:  # nothing to order, whatever the scheduler knows
+            return list(holders) if holders[0] in self.addresses else []
         with self._lock:
             missing = set(self._missing)
-        candidates = [
-            b for b in self.scheduler.order(placement.benefactors,
-                                            demote=missing)
+        return [
+            b for b in self.scheduler.order(placement.benefactors, demote=missing,
+                                            planned=planned)
             if b in self.addresses
         ]
+
+    def _note_fetched(self, benefactor_id: str, data: bytes) -> None:
+        """Account for one chunk that arrived intact from ``benefactor_id``."""
+        self.scheduler.mark_alive(benefactor_id)
+        with self._lock:
+            self.chunks_fetched += 1
+            self.bytes_fetched += len(data)
+        if self._chunks_counter is not None:
+            self._chunks_counter.inc()
+            self._read_bytes_counter.inc(len(data))
+
+    def _fetch_replicas(self, placement: ChunkPlacement, into: Optional[memoryview],
+                        candidates: Sequence[str]) -> bytes:
+        last_error: Optional[Exception] = None
         for position, benefactor_id in enumerate(candidates):
             address = self.addresses[benefactor_id]
             self.scheduler.begin(benefactor_id)
@@ -366,13 +417,7 @@ class StripedReader:
             if into is not None and data is not into:
                 # The transport ignored the hint or the chunk came in-band.
                 into[:] = data
-            self.scheduler.mark_alive(benefactor_id)
-            with self._lock:
-                self.chunks_fetched += 1
-                self.bytes_fetched += len(data)
-            if self._chunks_counter is not None:
-                self._chunks_counter.inc()
-                self._read_bytes_counter.inc(len(data))
+            self._note_fetched(benefactor_id, data)
             return data
         raise ReadFailedError(
             f"no replica of chunk {placement.ref.chunk_id} is usable"
@@ -506,7 +551,8 @@ class StripedReader:
                 f"reassembled size {total} does not match metadata size {self.size}"
             )
 
-    def _fetch_into(self, image: memoryview, placement: ChunkPlacement) -> None:
+    def _fetch_into(self, image: memoryview, placement: ChunkPlacement,
+                    candidates: Optional[Sequence[str]] = None) -> None:
         """Fetch one chunk to its place in ``image``.
 
         Returns nothing and gives its window of the image up before it
@@ -514,19 +560,97 @@ class StripedReader:
         handing it over while any view of it is still alive.
         """
         with image[placement.ref.offset:placement.ref.end] as into:
-            self._fetch_chunk(placement, into)
+            self._fetch_chunk(placement, into, candidates)
+
+    def _plan_frames(self, overlapping: bool) -> List[_Frame]:
+        """Choose every chunk's replica; frames in the order of their first chunk.
+
+        When the frames will be ``overlapping`` (fetched by several workers)
+        each choice counts the chunks already planned per benefactor as
+        outstanding against it, so a file with several replicas is read from
+        all of its holders at once; a serial read has nothing outstanding
+        when a fetch starts, and chooses as it always did.  A benefactor's
+        frame is closed when the next chunk would take it past the transfer
+        unit, so a chunk that large always travels alone.
+        """
+        planned: Optional[Dict[str, int]] = {} if overlapping else None
+        frames: List[_Frame] = []
+        taking: Dict[Optional[str], _Frame] = {}
+        for placement in self._placements:
+            candidates = self._candidates(placement, planned)
+            # With no replica to dial the per-chunk path says so, for this chunk.
+            chosen = candidates[0] if candidates else None
+            frame = taking.get(chosen)
+            if (frame is None or chosen is None
+                    or frame.size + placement.ref.length > TRANSFER_UNIT):
+                frame = taking[chosen] = _Frame(chosen)
+                frames.append(frame)
+            frame.items.append((placement, candidates))
+            frame.size += placement.ref.length
+            if planned is not None and chosen is not None:
+                planned[chosen] = planned.get(chosen, 0) + 1
+        return frames
+
+    def _fetch_frame(self, image: memoryview, frame: _Frame) -> None:
+        """Fill the frame's windows of ``image`` (worker-thread entry point).
+
+        One ``get_chunks`` for the frame; whatever it did not deliver intact
+        — and the one chunk of a one-chunk frame, whose replica is chosen when
+        it runs, as ever — is fetched by the per-chunk path.
+        """
+        if len(frame.items) == 1:
+            self._fetch_into(image, frame.items[0][0])
+            return
+        for placement, candidates in self._in_trace(self._fetch_together, image, frame):
+            self._fetch_into(image, placement, candidates)
+
+    def _fetch_together(self, image: memoryview,
+                        frame: _Frame) -> List[Tuple[ChunkPlacement, List[str]]]:
+        """One ``get_chunks`` into the frame's windows; returns the items it
+        left unfilled: all of them on any error, the corrupt ones otherwise."""
+        benefactor_id = frame.benefactor_id
+        windows = [image[p.ref.offset:p.ref.end] for p, _ in frame.items]
+        try:
+            self.scheduler.begin(benefactor_id)
+            try:
+                payloads = self.transport.call(
+                    self.addresses[benefactor_id], "get_chunks", into=windows,
+                    chunk_ids=[p.ref.chunk_id for p, _ in frame.items],
+                )
+            except Exception:  # noqa: BLE001 - the per-chunk path finds out what and where
+                return frame.items
+            finally:
+                self.scheduler.end(benefactor_id)
+            if type(payloads) is not list or len(payloads) != len(windows):
+                return frame.items
+            unfilled = []
+            for item, window, data in zip(frame.items, windows, payloads):
+                try:
+                    self._verify(item[0], data)
+                except ChunkIntegrityError:
+                    unfilled.append(item)
+                    continue
+                if data is not window:
+                    # The transport ignored the hint or the chunk came in-band.
+                    window[:] = data
+                self._note_fetched(benefactor_id, data)
+            return unfilled
+        finally:
+            for window in windows:
+                window.release()
 
     def read_all(self) -> bytes:
         """Fetch the whole file as one ``bytes``, filled in place.
 
         The image is allocated once, zero-filled, and each chunk is received
         straight into its final position (``Transport.call(..., into=...)``),
-        so there is no receive buffer per chunk and nothing to join; the
-        in-flight window only bounds dispatched fetches.  Because the image
-        starts as zeros, a chunk map that does not tile exactly ``size``
-        bytes is an error before any fetch, never a run of zeros handed to a
-        restarting job.  A single chunk, or ``read_parallelism == 1``, or a
-        reader without an executor, is fetched on the calling thread.
+        a frame of chunks per RPC, so there is no receive buffer per chunk
+        and nothing to join; the in-flight window only bounds dispatched
+        frames.  Because the image starts as zeros, a chunk map that does not
+        tile exactly ``size`` bytes is an error before any fetch, never a run
+        of zeros handed to a restarting job.  A single frame, or
+        ``read_parallelism == 1``, or a reader without an executor, is
+        fetched on the calling thread.
         """
         if not self.chunk_map.is_contiguous() or self.chunk_map.total_size != self.size:
             raise ReadFailedError(
@@ -538,31 +662,32 @@ class StripedReader:
         image = io.BytesIO(bytes(self.size))
         view = image.getbuffer()
         try:
-            if (self._executor is None or self.parallelism == 1
-                    or len(self._placements) == 1):
-                for placement in self._placements:
-                    self._fetch_into(view, placement)
+            pooled = self._executor is not None and self.parallelism > 1
+            frames = self._plan_frames(overlapping=pooled)
+            if pooled and len(frames) > 1:
+                self._fill_pipelined(view, frames)
             else:
-                self._fill_pipelined(view)
+                for frame in frames:
+                    self._fetch_frame(view, frame)
         finally:
             view.release()
         return image.getvalue()
 
-    def _fill_pipelined(self, image: memoryview) -> None:
-        """Run :meth:`_fetch_into` for every placement, a window at a time."""
+    def _fill_pipelined(self, image: memoryview, frames: Sequence[_Frame]) -> None:
+        """Run :meth:`_fetch_frame` for every frame, a window at a time."""
         assert self._executor is not None
         pending: Deque["Future[None]"] = deque()
         try:
-            for placement in self._placements:
+            for frame in frames:
                 if len(pending) >= self._window:
                     pending.popleft().result()
-                pending.append(self._executor.submit(self._fetch_into, image, placement))
+                pending.append(self._executor.submit(self._fetch_frame, image, frame))
             while pending:
                 pending.popleft().result()
         finally:
             if pending:
                 # A fetch failed.  Cancel the queued ones and wait for those
-                # already running: each holds a window of ``image``, which
+                # already running: each holds windows of ``image``, which
                 # ``read_all`` is about to release.
                 for future in pending:
                     future.cancel()

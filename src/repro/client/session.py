@@ -8,18 +8,32 @@ replication), skips chunks that incremental checkpointing proves are already
 stored, handles benefactor failures by refreshing the stripe through the
 manager, and accumulates the chunk-map that will be committed at close time.
 
+The chunk is the unit of striping and addressing, not of transfer.  The chunks
+one ``feed`` call completes are planned into *frames*: the chunks bound for one
+benefactor, at most :data:`~repro.transport.tcp.TRANSFER_UNIT` of payload, one
+``put_chunks`` RPC per frame.  Placement is what it is chunk by chunk (chunk
+*i*, replica *r* goes to ``stripe[(i + r) % width]``).  A frame never waits
+for data: a writer that feeds a chunk at a time sends a chunk at a time, a
+frame leaves as soon as it is full, and a frame of one chunk *is* the
+per-chunk RPC (``put_chunk``), so with chunks of a transfer unit or more
+nothing changes on the wire, nor in what overlaps what.  A frame has no failure
+handling of its own: whatever goes wrong with it, its chunks go through the
+per-chunk path one by one (rotation through the stripe, failure reports,
+stripe refresh), which is also how a frame of one chunk is sent.
+
 Pipelining (section IV.B): with ``push_parallelism > 1`` the pusher submits
-chunk pushes, through a bounded in-flight window, to the worker pool of the
+frames, through a bounded in-flight window, to the worker pool of the
 :class:`~repro.client.proxy.ClientProxy` that opened the session, so chunk
 production (spooling, hashing) overlaps propagation to benefactors and several
 benefactors of the stripe receive data concurrently.  ``feed`` blocks only
 when the window is full, which bounds client memory at ``max_inflight_chunks``
-chunk payloads.  The pusher owns its futures, never the pool: it starts, joins
-and shuts down no thread.  The chunk ``finish`` flushes (the trailing partial
-chunk; for a file smaller than one chunk, the only one) is pushed by the
-caller, which would block on it at once anyway, while the chunks already in
-flight keep overlapping with it.  With the default ``push_parallelism == 1``,
-or without an executor, the data path is fully synchronous, one RPC at a time.
+frames (at most a transfer unit, or one chunk, each).  The pusher owns its
+futures, never the pool: it starts, joins and shuts down no thread.  The chunk
+``finish`` flushes (the trailing partial chunk; for a file smaller than one
+chunk, the only one) is pushed by the caller, which would block on it at once
+anyway, while the frames already in flight keep overlapping with it.  With the
+default ``push_parallelism == 1``, or without an executor, the data path is
+fully synchronous, one RPC at a time.
 
 Chunking copies nothing: a complete chunk is a ``memoryview`` slice of the
 ``bytes`` the application wrote, handed as such to the transport (which sends
@@ -32,7 +46,7 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import Executor, Future
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.chunk import Chunk, ChunkRef, content_chunk_id, opaque_chunk_id
@@ -46,6 +60,7 @@ from repro.exceptions import (
 )
 from repro.obs import MetricsRegistry, tracing
 from repro.transport.base import Transport
+from repro.transport.tcp import TRANSFER_UNIT
 from repro.util.config import SimilarityHeuristic, StdchkConfig, WriteSemantics
 
 
@@ -75,6 +90,33 @@ class WriteStats:
         return self.bytes_deduplicated / self.bytes_written
 
 
+@dataclass
+class _PendingChunk:
+    """One chunk of a frame plan on its way to its replicas."""
+
+    chunk: Chunk
+    index: int
+    ref: ChunkRef
+    #: Benefactor per replica: its planned target until that replica is
+    #: stored, then whoever took it.  The per-chunk path skips the other
+    #: replicas' entries, so two replicas never land on one node even while
+    #: their frames are in flight on different workers.
+    holders: List[str]
+    #: Replicas not stored yet; the chunk is placed when it reaches zero.
+    missing: int
+    #: Later slots of the same plan with the same content: referenced, not pushed.
+    duplicates: List[Tuple[int, ChunkRef]] = field(default_factory=list)
+
+
+@dataclass
+class _Frame:
+    """The replicas one RPC carries to one benefactor."""
+
+    entry: Dict[str, str]
+    items: List[Tuple[_PendingChunk, int]] = field(default_factory=list)
+    size: int = 0
+
+
 class ChunkPusher:
     """Pushes chunks of one write session to its stripe of benefactors."""
 
@@ -100,6 +142,12 @@ class ChunkPusher:
         )
         self.config = config
         self.max_stripe_refreshes = max_stripe_refreshes
+        #: Replicas pushed before a chunk counts as placed; the rest, under
+        #: optimistic semantics, is the healer's.
+        self._copies_at_write_time = (
+            self.replication_level
+            if config.write_semantics is WriteSemantics.PESSIMISTIC else 1
+        )
 
         self._stripe: List[Dict[str, str]] = list(session_info["stripe"])  # type: ignore[arg-type]
         self._stripe_generation = 0
@@ -130,11 +178,11 @@ class ChunkPusher:
         if metrics is not None:
             self._push_timer = metrics.histogram(
                 "client_push_chunk_seconds",
-                "Latency of one chunk push incl. replication and retries.",
+                "Latency of one push frame (a benefactor's chunks of one write) incl. retries.",
             )
             self._push_window = metrics.windowed_histogram(
                 "client_push_chunk_seconds_window",
-                "Recent (sliding-window) chunk push latency.",
+                "Recent (sliding-window) push frame latency.",
             )
         else:
             self._push_timer = None
@@ -163,9 +211,10 @@ class ChunkPusher:
     def feed(self, data: bytes, flush: bool = False) -> None:
         """Accept application bytes; push every complete chunk immediately.
 
-        Complete chunks are emitted as views of ``data``, never copied; only
+        Complete chunks are cut as views of ``data``, never copied; only
         a sub-chunk head (topping up a partial chunk left by the previous
-        call) and tail pass through the pending buffer.  With
+        call) and tail pass through the pending buffer.  The chunks this call
+        completes travel together, a frame per benefactor.  With
         ``push_parallelism > 1`` pushes are still in flight when this
         returns, so a view is taken of immutable ``bytes`` only: any other
         buffer (``bytearray``, ``mmap``, a writable view) is copied once up
@@ -179,24 +228,27 @@ class ChunkPusher:
         size = len(data)
         self.stats.bytes_written += size
         view = memoryview(data)
+        completed: List["bytes | memoryview"] = []
         position = 0
         if self._pending:
             position = min(self.chunk_size - len(self._pending), size)
             self._pending += view[:position]
             if len(self._pending) == self.chunk_size:
-                self._emit_pending()
+                completed.append(self._take_pending())
         while size - position >= self.chunk_size:
-            self._emit(view[position:position + self.chunk_size])
+            completed.append(view[position:position + self.chunk_size])
             position += self.chunk_size
         if position < size:
             self._pending += view[position:]
         if flush and self._pending:
-            self._emit_pending()
+            completed.append(self._take_pending())
+        if completed:
+            self._push(completed)
 
-    def _emit_pending(self, on_caller: bool = False) -> None:
+    def _take_pending(self) -> bytes:
         payload = bytes(self._pending)
         self._pending.clear()
-        self._emit(payload, on_caller)
+        return payload
 
     def finish(self) -> ChunkMap:
         """Flush the trailing chunk, wait for all in-flight pushes, and
@@ -207,7 +259,7 @@ class ChunkPusher:
         only add the hand-off to its latency.
         """
         if self._pending:
-            self._emit_pending(on_caller=True)
+            self._push([self._take_pending()], on_caller=True)
         self._drain()
         self._flush_acks()
         self._raise_if_failed()
@@ -227,40 +279,87 @@ class ChunkPusher:
             future.cancel()
         self._futures.clear()
 
-    # -- chunk emission ------------------------------------------------------
-    def _emit(self, payload: "bytes | memoryview", on_caller: bool = False) -> None:
-        if self._content_addressed:
-            chunk = Chunk(chunk_id=content_chunk_id(payload), data=payload)
-        else:
-            chunk = Chunk(
-                chunk_id=opaque_chunk_id(self.dataset_id, self.version, self._next_chunk_index),
-                data=payload,
+    # -- frame planning ------------------------------------------------------
+    def _push(self, payloads: Sequence["bytes | memoryview"],
+              on_caller: bool = False) -> None:
+        """Name the chunks of one call, drop the known ones, send the rest.
+
+        Chunk *i*, replica *r* goes to ``stripe[(i + r) % width]``: pessimistic
+        writes place ``replication_level`` replicas (a narrow stripe cannot
+        hold more distinct replicas than nodes), optimistic writes one.  Each
+        benefactor has at most one frame taking chunks; it leaves as soon as
+        it could not take another whole chunk within the transfer unit — at
+        once for a chunk that large, so hashing the next chunk overlaps its
+        push as it did chunk by chunk — and whatever is still open leaves
+        when the call's chunks are all placed, in the order of its first chunk.
+        """
+        stripe, generation = self._stripe_snapshot()
+        if not stripe:
+            self._refresh_stripe(generation)
+            stripe, _ = self._stripe_snapshot()
+        width = len(stripe)
+        copies = max(1, min(self._copies_at_write_time, width))
+        #: benefactor id -> its frame that can still take a whole chunk.
+        taking: Dict[str, _Frame] = {}
+        #: chunk id -> its first occurrence in this call (content addressed).
+        planned: Dict[str, _PendingChunk] = {}
+        for payload in payloads:
+            index = self._next_chunk_index
+            chunk_id = (
+                content_chunk_id(payload) if self._content_addressed
+                else opaque_chunk_id(self.dataset_id, self.version, index)
             )
-        index = self._next_chunk_index
-        ref = ChunkRef(
-            chunk_id=chunk.chunk_id, offset=self._next_offset, length=len(payload)
-        )
-        self._next_chunk_index += 1
-        self._next_offset += len(payload)
+            size = len(payload)
+            ref = ChunkRef(chunk_id=chunk_id, offset=self._next_offset, length=size)
+            self._next_chunk_index += 1
+            self._next_offset += size
+            if self._content_addressed:
+                # Under the lock that placing a chunk takes: the first
+                # occurrence is either placed (known) or will see this slot.
+                with self._lock:
+                    known = self._known_chunks.get(chunk_id)
+                    if known:
+                        # Incremental checkpointing: the chunk content already
+                        # lives in the pool; reference it copy-on-write instead
+                        # of pushing again.
+                        self._record_duplicate(index, ref, known)
+                        continue
+                    first = planned.get(chunk_id)
+                    if first is not None:
+                        first.duplicates.append((index, ref))
+                        continue
+            targets = [stripe[(index + replica) % width] for replica in range(copies)]
+            pending = _PendingChunk(
+                Chunk(chunk_id=chunk_id, data=payload), index, ref,
+                holders=[entry["benefactor_id"] for entry in targets], missing=copies,
+            )
+            if self._content_addressed:
+                planned[chunk_id] = pending
+            for replica, entry in enumerate(targets):
+                benefactor_id = entry["benefactor_id"]
+                frame = taking.get(benefactor_id)
+                if frame is None:
+                    frame = taking[benefactor_id] = _Frame(entry)
+                frame.items.append((pending, replica))
+                frame.size += size
+                if frame.size + self.chunk_size > TRANSFER_UNIT:
+                    self._dispatch(taking.pop(benefactor_id), on_caller)
+        for frame in taking.values():
+            self._dispatch(frame, on_caller)
 
-        if self._content_addressed:
-            with self._lock:
-                known = self._known_chunks.get(chunk.chunk_id)
-                if known:
-                    # Incremental checkpointing: the chunk content already
-                    # lives in the pool; reference it copy-on-write instead
-                    # of pushing again.
-                    self._results[index] = (ref, list(known))
-                    self.stats.bytes_deduplicated += len(payload)
-                    self.stats.chunks_deduplicated += 1
-                    return
+    def _record_duplicate(self, index: int, ref: ChunkRef, holders: Sequence[str]) -> None:
+        """A slot whose content is stored already (call with ``_lock`` held)."""
+        self._results[index] = (ref, list(holders))
+        self.stats.bytes_deduplicated += ref.length
+        self.stats.chunks_deduplicated += 1
 
+    def _dispatch(self, frame: _Frame, on_caller: bool) -> None:
+        """Send ``frame`` now, or hand it to the pool through the window."""
         self._raise_if_failed()
         if on_caller or self._executor is None:
-            self._push_task(chunk, ref, index)
+            self._push_task(frame)
             self._raise_if_failed()
             return
-
         assert self._window is not None
         self._window.acquire()
         with self._lock:
@@ -268,46 +367,75 @@ class ChunkPusher:
         if failed:
             self._window.release()
             self._raise_if_failed()
-        self._futures.append(self._executor.submit(self._guarded_push, chunk, ref, index))
+        self._futures.append(self._executor.submit(self._guarded_push, frame))
 
-    def _guarded_push(self, chunk: Chunk, ref: ChunkRef, index: int) -> None:
+    def _guarded_push(self, frame: _Frame) -> None:
         try:
-            self._push_task(chunk, ref, index)
+            self._push_task(frame)
         finally:
             assert self._window is not None
             self._window.release()
 
-    def _push_task(self, chunk: Chunk, ref: ChunkRef, index: int) -> None:
-        """Push one chunk and record its placement (worker entry point).
+    def _push_task(self, frame: _Frame) -> None:
+        """Send one frame and record its placements (worker entry point).
 
         Only issues RPCs: a task on the shared pool must never submit to the
         pool and wait, the pool may be one thread wide.
         """
         with tracing.use_context(self._trace_ctx):
             if self._push_timer is None:
-                self._run_push(chunk, ref, index)
+                self._run_push(frame)
                 return
             started = time.perf_counter()
             try:
-                self._run_push(chunk, ref, index)
+                self._run_push(frame)
             finally:
                 elapsed = time.perf_counter() - started
                 self._push_timer.observe(elapsed)
                 self._push_window.observe(elapsed)
 
-    def _run_push(self, chunk: Chunk, ref: ChunkRef, index: int) -> None:
+    def _run_push(self, frame: _Frame) -> None:
         try:
-            holders = self._push_with_replication(chunk, index)
+            self._deliver(frame)
         except BaseException as exc:  # noqa: BLE001 - surfaced via _raise_if_failed
             with self._lock:
                 if self._failure is None:
                     self._failure = exc
-            return
+
+    def _deliver(self, frame: _Frame) -> None:
+        """One ``put_chunks`` for the frame, else — or for one chunk — per chunk."""
+        stored = False
+        if len(frame.items) > 1:
+            try:
+                self.transport.call(
+                    frame.entry["address"],
+                    "put_chunks",
+                    chunk_ids=[pending.chunk.chunk_id for pending, _ in frame.items],
+                    data=[pending.chunk.data for pending, _ in frame.items],
+                )
+                stored = True
+            except Exception:  # noqa: BLE001 - the per-chunk path finds out what and where
+                pass
+        for pending, replica in frame.items:
+            if not stored:
+                self._push_replica(pending, replica)
+            self._note_stored(pending)
+
+    def _note_stored(self, pending: _PendingChunk) -> None:
+        """Account for one stored replica; the last one places the chunk."""
         with self._lock:
-            self._results[index] = (ref, holders)
+            self.stats.bytes_pushed += pending.chunk.size
+            self.stats.chunks_pushed += 1
+            pending.missing -= 1
+            if pending.missing:
+                return
+            holders = pending.holders
+            self._results[pending.index] = (pending.ref, holders)
             if self._content_addressed:
-                self._known_chunks.setdefault(chunk.chunk_id, list(holders))
-        self._queue_ack(ref, holders)
+                self._known_chunks.setdefault(pending.chunk.chunk_id, list(holders))
+            for index, ref in pending.duplicates:
+                self._record_duplicate(index, ref, holders)
+        self._queue_ack(pending.ref, holders)
 
     def _drain(self) -> None:
         """Wait for every push this session submitted to settle."""
@@ -444,32 +572,21 @@ class ChunkPusher:
                 continue
         return None, generation
 
-    def _push_with_replication(self, chunk: Chunk, index: int) -> List[str]:
-        """Push ``chunk`` according to the configured write semantics."""
-        copies_needed = (
-            self.replication_level
-            if self.config.write_semantics is WriteSemantics.PESSIMISTIC
-            else 1
-        )
-        holders: List[str] = []
-        start_slot = index  # round-robin by chunk index
-        while len(holders) < copies_needed:
-            entry, generation = self._push_once(
-                chunk, start_slot + len(holders), skip=holders
-            )
-            if entry is None:
-                self._refresh_stripe(generation)
-                continue
-            holders.append(entry["benefactor_id"])
+    def _push_replica(self, pending: _PendingChunk, replica: int) -> None:
+        """Store one replica of one chunk: the per-chunk path.
+
+        Starts at the replica's own slot of the stripe, skips the nodes the
+        chunk's other replicas are on (or bound for) and refreshes the stripe
+        whenever every candidate failed.
+        """
+        while True:
             with self._lock:
-                self.stats.bytes_pushed += chunk.size
-                self.stats.chunks_pushed += 1
-                stripe_width = len(self._stripe)
-            if len(set(holders)) >= stripe_width and len(holders) < copies_needed:
-                # Narrow pools cannot hold more distinct replicas than nodes.
-                break
-        if not holders:
-            raise WriteFailedError(
-                f"chunk {chunk.chunk_id} could not be stored on any benefactor"
+                skip = pending.holders[:replica] + pending.holders[replica + 1:]
+            entry, generation = self._push_once(
+                pending.chunk, pending.index + replica, skip
             )
-        return holders
+            if entry is not None:
+                with self._lock:
+                    pending.holders[replica] = entry["benefactor_id"]
+                return
+            self._refresh_stripe(generation)

@@ -27,7 +27,7 @@ All three protocols inherit the parallel data path of
 :class:`~repro.client.session.ChunkPusher`: with
 ``StdchkConfig.push_parallelism > 1`` and the opening client's worker pool
 (``executor``) the IW and SW sessions overlap spooling with propagation
-(``write`` returns as soon as the chunk enters the bounded in-flight window),
+(``write`` returns as soon as its frames enter the bounded in-flight window),
 and ``close``/``finish`` waits for the window to drain before committing the
 chunk-map.  A session borrows the pool: ``abort`` cancels its own queued
 pushes only.
@@ -50,6 +50,7 @@ from repro.exceptions import (
 )
 from repro.obs import MetricsRegistry
 from repro.transport.base import Transport
+from repro.transport.tcp import TRANSFER_UNIT
 from repro.util.clock import Clock, SystemClock
 from repro.util.config import StdchkConfig, WriteProtocol
 
@@ -121,6 +122,24 @@ class WriteSession(ABC):
     @abstractmethod
     def _drain(self) -> None:
         """Push any data still held locally (called from close)."""
+
+    def _push_spool(self, spool) -> None:
+        """Feed a spool file to the pusher, then close and delete it.
+
+        Each ``feed`` takes a transfer unit of whole chunks (one chunk when
+        chunks are larger), so a spooled session frames like a streamed one.
+        """
+        chunk_size = self.pusher.chunk_size
+        block_size = chunk_size * max(1, TRANSFER_UNIT // chunk_size)
+        spool.flush()
+        spool.seek(0)
+        while True:
+            block = spool.read(block_size)
+            if not block:
+                break
+            self.pusher.feed(block)
+        spool.close()
+        os.unlink(spool.name)
 
     # -- close / abort -----------------------------------------------------------
     def close(self, attributes: Optional[Dict[str, str]] = None) -> Dict[str, object]:
@@ -279,27 +298,15 @@ class IncrementalWriteSession(WriteSession):
 
     def _rotate_spool(self) -> None:
         """Push the current temporary file's contents and start a new one."""
-        self._push_spool()
+        self._push_spool(self._spool)
         self._spool = tempfile.NamedTemporaryFile(
             prefix="stdchk-iw-", dir=self._spool_dir, delete=False
         )
         self._spool_size = 0
         self.temporary_files_used += 1
 
-    def _push_spool(self) -> None:
-        self._spool.flush()
-        self._spool.seek(0)
-        while True:
-            block = self._spool.read(self.config.chunk_size)
-            if not block:
-                break
-            self.pusher.feed(block)
-        path = self._spool.name
-        self._spool.close()
-        os.unlink(path)
-
     def _drain(self) -> None:
-        self._push_spool()
+        self._push_spool(self._spool)
 
 
 class CompleteLocalWriteSession(WriteSession):
@@ -321,16 +328,7 @@ class CompleteLocalWriteSession(WriteSession):
         return len(data)
 
     def _drain(self) -> None:
-        self._spool.flush()
-        self._spool.seek(0)
-        while True:
-            block = self._spool.read(self.config.chunk_size)
-            if not block:
-                break
-            self.pusher.feed(block)
-        path = self._spool.name
-        self._spool.close()
-        os.unlink(path)
+        self._push_spool(self._spool)
 
 
 _PROTOCOL_CLASSES = {

@@ -255,11 +255,29 @@ class LogShipper:
                     max(0, self.last_lsn - link.acked_lsn)
                 )
 
+    def _unacked_suffix(self, acked_lsn: int) -> Optional[List[Tuple[int, Dict[str, object]]]]:
+        """The window's entries after ``acked_lsn``, or None if it lacks one.
+
+        The window is LSN-ordered and contiguous, so the suffix is its last
+        ``last_lsn - acked_lsn`` entries, taken by position: the usual ship
+        is one record out of a thousand retained.  A window that is too
+        short, or whose suffix does not start right after ``acked_lsn`` (a
+        restarted primary's window begins where its journal left off), does
+        not hold the standby's next record.
+        """
+        wanted = self.last_lsn - acked_lsn
+        if wanted > len(self._window):
+            return None
+        suffix = [self._window[position] for position in range(-wanted, 0)]
+        if not suffix or suffix[0][0] != acked_lsn + 1:
+            return None
+        return suffix
+
     def _ship_to(self, link: StandbyLink) -> None:
         if link.acked_lsn >= self.last_lsn:
             return
-        suffix = [(lsn, rec) for lsn, rec in self._window if lsn > link.acked_lsn]
-        if not suffix or suffix[0][0] != link.acked_lsn + 1:
+        suffix = self._unacked_suffix(link.acked_lsn)
+        if suffix is None:
             # The standby is behind the retained window (or the window has a
             # gap from a restart): stream catch-up is impossible, resync.
             self._install_snapshot(link)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 from abc import ABC, abstractmethod
 from contextlib import ExitStack
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Sequence, Tuple, Union
 
 from repro.exceptions import ProtocolError
 from repro.obs import runtime, tracing
@@ -108,12 +108,17 @@ class Endpoint(ABC):
         return timers
 
 
+#: What ``Transport.call(..., into=)`` accepts: one destination, or one per
+#: element of a list-of-bytes result.
+Into = Union[memoryview, Sequence[memoryview], None]
+
+
 class Transport(ABC):
     """Delivers calls to endpoints identified by string addresses."""
 
     @abstractmethod
     def call(self, address: str, method: str, /, *,
-             into: Optional[memoryview] = None, **payload: Any) -> Any:
+             into: Into = None, **payload: Any) -> Any:
         """Invoke ``method`` on the endpoint at ``address``.
 
         Raises :class:`~repro.exceptions.EndpointUnreachableError` when the
@@ -124,6 +129,11 @@ class Transport(ABC):
         ``into`` is a hint, never payload: a transport able to deliver a bytes
         result of exactly ``into.nbytes`` straight into it does so and returns
         ``into`` itself; any other ignores it and returns the result as usual.
+        For a method that returns a list of bytes ``into`` may be a sequence
+        of views, one per element: when every element is exactly as long as
+        its view all of them are delivered in place and the list returned
+        holds the views themselves; on any mismatch (count, one length, an
+        error) none is touched.  Either way the caller checks what it got.
         """
 
     @abstractmethod

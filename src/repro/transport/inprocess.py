@@ -18,7 +18,7 @@ from typing import Any, Callable, Dict, Optional, Set
 
 from repro.exceptions import EndpointUnreachableError
 from repro.obs import runtime, tracing
-from repro.transport.base import Endpoint, Transport
+from repro.transport.base import Endpoint, Into, Transport
 
 #: Optional hook invoked before every call: (address, method, payload) -> None.
 FaultHook = Callable[[str, str, Dict[str, Any]], None]
@@ -71,8 +71,9 @@ class InProcessTransport(Transport):
 
     # -- dispatch -------------------------------------------------------------
     def call(self, address: str, method: str, /, *,
-             into: Optional[memoryview] = None, **payload: Any) -> Any:
-        # ``into`` is ignored: the handler's result is handed over as is.
+             into: Into = None, **payload: Any) -> Any:
+        # ``into`` (one view or several) is ignored: the handler's result is
+        # handed over as is.
         with self._lock:
             endpoint = self._endpoints.get(address)
             disconnected = address in self._disconnected

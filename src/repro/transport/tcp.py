@@ -18,13 +18,30 @@ benefactor's store.  A caller that already owns the memory a result belongs in
 reply whose payload section is exactly ``view.nbytes`` long is received with
 ``recv_into`` at its final address and no buffer of its own ever exists.
 
+The unit of transfer is not the unit of addressing.  Where that one value is a
+*list* of bytes-likes (``put_chunks(data=[...])``, the result of
+``get_chunks``) every large element is a section of its own, so one RPC moves
+up to :data:`TRANSFER_UNIT` of small chunks::
+
+    [meta_len u64][MULTI | k u64][len_1 .. len_k u64][meta][section_1]..[section_k]
+
+Protocol 5 pairs the *k* ``PickleBuffer`` s with *k* buffers in order.  The
+frame still leaves in one ``sendmsg`` (``[header+table+meta, view_1 .. view_k]``,
+views of the caller's bytes) and each section is received by its own
+``recv(len, MSG_WAITALL)`` into its own ``bytes`` — 3 + *k* receives in all —
+or, with ``call(..., into=[view_1 .. view_k])`` and section lengths equal to
+the destinations' one for one, by ``recv_into`` at its final address.  A frame
+with at most one section is always written the first way, byte for byte what
+it was before sections could be several.
+
 What arrives on a socket is not trusted.  Frames are loaded by an unpickler
 that resolves no global except the exception classes of
 :mod:`repro.exceptions` and :mod:`builtins` — every RPC argument and result
 is built from dict/list/tuple/str/int/float/bool/None/bytes, which need no
-globals — so a hostile pickle cannot name a callable.  Both length fields are
-capped before anything is allocated, and a frame that breaks any of these
-rules costs its sender only its own connection.
+globals — so a hostile pickle cannot name a callable.  Both length fields,
+the section count and the sections' total are capped before anything is
+allocated, and a frame that breaks any of these rules costs its sender only
+its own connection.
 """
 
 from __future__ import annotations
@@ -36,12 +53,12 @@ import socket
 import socketserver
 import struct
 import threading
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import exceptions
 from repro.exceptions import EndpointUnreachableError, ProtocolError, StdchkError
 from repro.obs import component_logger, runtime, tracing
-from repro.transport.base import Endpoint, Transport
+from repro.transport.base import Endpoint, Into, Transport
 from repro.util.serving import BackgroundServer
 
 _HEADER = struct.Struct(">QQ")
@@ -51,9 +68,27 @@ _HEADER = struct.Struct(">QQ")
 #: ``recv`` cost more than the copy they save.
 OUT_OF_BAND_MIN = 16 * 1024
 
-#: Upper bound on either section of a frame.  A header is 16 bytes anyone
-#: can send; without a cap it makes the receiver allocate whatever it claims.
+#: The most chunk payload one data RPC carries: the paper's transfer size and
+#: the default ``chunk_size``.  The client packs the chunks bound for (or
+#: served by) one benefactor into frames of at most this much; a chunk at
+#: least this large is a frame by itself.
+TRANSFER_UNIT = 1 << 20
+
+#: Upper bound on ``meta`` and on the payload sections together.  A header is
+#: 16 bytes anyone can send; without a cap it makes the receiver allocate
+#: whatever it claims.
 MAX_SECTION_BYTES = 1 << 30
+
+#: Upper bound on the payload sections of one frame (``TRANSFER_UNIT`` of
+#: ``OUT_OF_BAND_MIN``-sized chunks is 64); with the header it stays under
+#: ``IOV_MAX``, so a frame is always one ``sendmsg``.
+MAX_SECTIONS = 512
+
+#: Set in the header's second word when it holds a section count, not a length.
+_MULTI = 1 << 63
+
+#: A frame's out-of-band part: nothing, one section, or several.
+_Payload = Union[memoryview, Tuple[memoryview, ...], None]
 
 #: The closed registry of globals a frame may name: exception classes
 #: defined in these modules, nothing else.
@@ -87,45 +122,88 @@ def _leave_out(_buffer: pickle.PickleBuffer) -> None:
     """``buffer_callback`` keeping every ``PickleBuffer`` out of the pickle."""
 
 
-def _encode(tag: str, body: Any) -> Tuple[bytes, Optional[memoryview]]:
+def _sections(values: List[Any], lifted: List[Any]) -> List[Any]:
+    """``values`` as the pickle takes them, its large elements moved to ``lifted``.
+
+    Elements are lifted only when nothing was lifted before this list (one
+    value per message travels out of band) and while the frame has room for
+    another section; any other memoryview is copied, as at the top level.
+    """
+    room = 0 if lifted else MAX_SECTIONS
+    ready = []
+    for value in values:
+        kind = type(value)
+        if kind is bytes or kind is memoryview:
+            if room and memoryview(value).nbytes >= OUT_OF_BAND_MIN:
+                room -= 1
+                lifted.append(value)
+                value = pickle.PickleBuffer(value)
+            elif kind is memoryview:
+                value = bytes(value)
+        ready.append(value)
+    return ready
+
+
+def _encode(tag: str, body: Any) -> Tuple[bytes, _Payload]:
     """Pickle one message; returns ``(meta, out-of-band payload or None)``.
 
     Only top-level values are looked at, in one pass that costs a small frame
     a type check per value.  The first large ``bytes`` or ``memoryview`` is
-    lifted out; pickle refuses memoryviews, so any other one is copied into
-    the stream as ``bytes``.  The caller's dict is never modified.
+    lifted out, or the large elements of the first list that starts with a
+    bytes-like, each as a section of its own; pickle refuses memoryviews, so
+    any other one is copied into the stream as ``bytes``.  The payload is one
+    view for one section and a tuple of views for several.  The caller's dict
+    and lists are never modified.
     """
-    lifted = None
+    lifted: List[Any] = []
     if type(body) is dict:
         for key, value in body.items():
-            if type(value) is bytes or type(value) is memoryview:
-                if lifted is None and memoryview(value).nbytes >= OUT_OF_BAND_MIN:
-                    lifted = value
+            kind = type(value)
+            if kind is bytes or kind is memoryview:
+                if not lifted and memoryview(value).nbytes >= OUT_OF_BAND_MIN:
+                    lifted.append(value)
                     body = {**body, key: pickle.PickleBuffer(value)}
-                elif type(value) is memoryview:
+                elif kind is memoryview:
                     body = {**body, key: bytes(value)}
+            elif kind is list and value and type(value[0]) in (bytes, memoryview):
+                body = {**body, key: _sections(value, lifted)}
     elif type(body) is bytes or type(body) is memoryview:
         if memoryview(body).nbytes >= OUT_OF_BAND_MIN:
-            lifted, body = body, pickle.PickleBuffer(body)
+            lifted.append(body)
+            body = pickle.PickleBuffer(body)
         else:
             body = bytes(body)
+    elif type(body) is list and body and type(body[0]) in (bytes, memoryview):
+        body = _sections(body, lifted)
     meta = pickle.dumps((tag, body), protocol=5, buffer_callback=_leave_out)
-    return meta, (memoryview(lifted).cast("B") if lifted is not None else None)
+    if not lifted:
+        return meta, None
+    views = tuple(memoryview(value).cast("B") for value in lifted)
+    return meta, (views[0] if len(views) == 1 else views)
 
 
-def _send_frame(sock: socket.socket, meta: bytes, payload: Optional[memoryview]) -> None:
+def _send_frame(sock: socket.socket, meta: bytes, payload: _Payload) -> None:
     if payload is None:
         sock.sendall(_HEADER.pack(len(meta), 0) + meta)
         return
-    head = _HEADER.pack(len(meta), payload.nbytes) + meta
-    # Header and payload leave in one syscall without being joined; whatever
-    # a partial send left behind follows as views of the same two buffers.
-    sent = sock.sendmsg([head, payload])
-    if sent < len(head):
-        sock.sendall(memoryview(head)[sent:])
-        sent = len(head)
-    if sent < len(head) + payload.nbytes:
-        sock.sendall(payload[sent - len(head):])
+    if type(payload) is memoryview:
+        buffers = [_HEADER.pack(len(meta), payload.nbytes) + meta, payload]
+    else:
+        lengths = [section.nbytes for section in payload]
+        buffers = [
+            _HEADER.pack(len(meta), _MULTI | len(lengths))
+            + struct.pack(f">{len(lengths)}Q", *lengths) + meta,
+            *payload,
+        ]
+    # Header and sections leave in one syscall without being joined; whatever
+    # a partial send left behind follows as views of the same buffers.
+    sent = sock.sendmsg(buffers)
+    for buffer in buffers:
+        if sent >= len(buffer):
+            sent -= len(buffer)
+        else:
+            sock.sendall(memoryview(buffer)[sent:])
+            sent = 0
 
 
 def _recv_exact(sock: socket.socket, count: int) -> bytes:
@@ -160,14 +238,27 @@ def _recv_into(sock: socket.socket, into: memoryview) -> None:
         received += count
 
 
-def _recv_frame(sock: socket.socket, into: Optional[memoryview] = None) -> Tuple[Any, Any]:
+def _fitting(into: Into, lengths: Sequence[int]) -> Tuple[memoryview, ...]:
+    """The destinations, if the sections fit them one for one; else none."""
+    destinations = (into,) if type(into) is memoryview else tuple(into)
+    if len(destinations) == len(lengths) and all(
+            0 < length == destination.nbytes
+            for length, destination in zip(lengths, destinations)):
+        return destinations
+    return ()
+
+
+def _recv_frame(sock: socket.socket, into: Into = None) -> Tuple[Any, Any]:
     """Read one frame; returns the ``(tag, body)`` pair it carries.
 
-    A payload section of exactly ``into.nbytes`` is received straight into
-    ``into``, and when that section is the body the body returned is ``into``
-    itself.  Any other length — and so every small or error frame — is read
-    as if no destination had been given, leaving ``into`` untouched: a peer
-    can write neither outside the destination nor short of it.
+    ``into`` is one destination or a sequence of them.  When the frame has as
+    many payload sections as there are destinations and every section is
+    exactly as long as its destination, each is received straight into it,
+    and when those sections are the body (or the body's elements) what is
+    returned is ``into`` itself (a list of the destinations).  Any other
+    count or length — and so every small or error frame — is read as if no
+    destination had been given, leaving all of them untouched: a peer can
+    write neither outside a destination nor short of it.
 
     Raises :class:`ProtocolError` for anything that is not a well-formed
     frame and ``OSError`` when the connection is gone.
@@ -178,29 +269,48 @@ def _recv_frame(sock: socket.socket, into: Optional[memoryview] = None) -> Tuple
     if len(header) < _HEADER.size:
         header += _recv_exact(sock, _HEADER.size - len(header))
     meta_len, payload_len = _HEADER.unpack(header)
+    if payload_len & _MULTI:
+        count = payload_len ^ _MULTI
+        if meta_len > MAX_SECTION_BYTES or count > MAX_SECTIONS:
+            raise ProtocolError(
+                f"frame claims {meta_len} bytes of meta and {count} sections "
+                f"(limits {MAX_SECTION_BYTES} and {MAX_SECTIONS})"
+            )
+        lengths = struct.unpack(f">{count}Q", _recv_exact(sock, 8 * count))
+        payload_len = sum(lengths)
+    else:
+        lengths = (payload_len,) if payload_len else ()
     if meta_len > MAX_SECTION_BYTES or payload_len > MAX_SECTION_BYTES:
         raise ProtocolError(
             f"frame claims {meta_len}+{payload_len} bytes "
-            f"(limit {MAX_SECTION_BYTES} per section)"
+            f"(limit {MAX_SECTION_BYTES} for meta and for the payload)"
         )
     meta = _recv_exact(sock, meta_len)
-    in_place = into is not None and 0 < payload_len == into.nbytes
-    if in_place:
-        _recv_into(sock, into)
-        buffers = (into,)
-    else:
-        buffers = (_recv_exact(sock, payload_len),) if payload_len else None
+    destinations = _fitting(into, lengths) if into is not None and lengths else ()
+    buffers: Optional[Sequence[Any]] = None
+    if destinations:
+        for destination in destinations:
+            _recv_into(sock, destination)
+        buffers = destinations
+    elif lengths:
+        buffers = [_recv_exact(sock, length) for length in lengths]
     try:
         tag, body = _FrameUnpickler(io.BytesIO(meta), buffers=buffers).load()
     except Exception as exc:  # noqa: BLE001 - pickle raises nearly anything on bad input
         raise ProtocolError(f"undecodable frame: {exc!r}") from exc
-    if in_place and type(body) is memoryview:
-        # The one buffer on offer was ``into``; a sender's read-only ``bytes``
-        # loads as a read-only view of it, which must not outlive this call
-        # (a live view pins whatever ``into`` is a window of).
-        if body is not into:
-            body.release()
-        body = into
+    if destinations:
+        # The buffers on offer were the destinations; a sender's read-only
+        # ``bytes`` loads as a read-only view of one, which must not outlive
+        # this call (a live view pins whatever the destination is a window of).
+        if type(into) is memoryview:
+            loaded = [body]
+        else:
+            loaded = body if type(body) is list and len(body) == len(destinations) else []
+        if loaded and all(type(view) is memoryview for view in loaded):
+            for view, destination in zip(loaded, destinations):
+                if view is not destination:
+                    view.release()
+            body = into if type(into) is memoryview else list(destinations)
     return tag, body
 
 
@@ -445,7 +555,7 @@ class TcpTransport(Transport):
             return pool
 
     def call(self, address: str, method: str, /, *,
-             into: Optional[memoryview] = None, **payload: Any) -> Any:
+             into: Into = None, **payload: Any) -> Any:
         ctx = tracing.current_context() if runtime.ENABLED else None
         if ctx is None:
             return self._call(address, method, payload, into)
@@ -481,7 +591,7 @@ class TcpTransport(Transport):
         return _unwrap(address, reply)
 
     def _call(self, address: str, method: str, payload: Dict[str, Any],
-              into: Optional[memoryview]) -> Any:
+              into: Into) -> Any:
         pool = self._pool(address)
         sock = pool.checkout()
         try:
@@ -495,7 +605,7 @@ class TcpTransport(Transport):
 
 
 def _exchange(sock: socket.socket, address: str, method: str, payload: Dict[str, Any],
-              into: Optional[memoryview] = None) -> Tuple[Any, Any]:
+              into: Into = None) -> Tuple[Any, Any]:
     """One request/response on ``sock``; returns the reply's ``(status, result)``."""
     try:
         _send_frame(sock, *_encode(method, payload))

@@ -79,26 +79,29 @@ class StdchkConfig:
     #: Incremental-write temporary-file size bound.
     incremental_file_size: int = 64 * MiB
 
-    #: Chunk pushes a client runs concurrently.  1 keeps the fully-synchronous
-    #: data path (one RPC at a time); higher values overlap chunk production
-    #: with propagation the way section IV.B describes ("as fast as the
-    #: hardware allows").  Together with ``read_parallelism`` it sizes the one
+    #: Pushes a client runs concurrently.  What is pushed is a *frame*: the
+    #: chunks of one ``write`` call bound for one benefactor, at most a
+    #: transfer unit (1 MiB) — one chunk at the default chunk size.  1 keeps
+    #: the fully-synchronous data path (one RPC at a time); higher values
+    #: overlap chunk production with propagation the way section IV.B
+    #: describes ("as fast as the hardware allows").  Together with ``read_parallelism`` it sizes the one
     #: worker pool of a ``ClientProxy`` (``max`` of the two), so the bound
     #: holds across all the client's open sessions, not per session; the
     #: chunk a session's close flushes is pushed by the caller on top of it.
     push_parallelism: int = 1
-    #: Bound on chunks submitted but not yet stored (the in-flight window).
-    #: 0 derives ``2 * push_parallelism`` so every worker stays pipelined.
+    #: Bound on frames (a chunk each at the default chunk size) submitted but
+    #: not yet stored: the in-flight window.  0 derives ``2 * push_parallelism`` so every worker stays pipelined.
     max_inflight_chunks: int = 0
-    #: Chunk fetches a client runs concurrently.  1 keeps the fully-synchronous
-    #: read path (one RPC at a time; read-ahead still uses one pool worker);
+    #: Fetches a client runs concurrently: chunks, or on a whole-file read
+    #: frames (the chunks chosen from one benefactor, at most a transfer
+    #: unit).  1 keeps the fully-synchronous read path (one RPC at a time; read-ahead still uses one pool worker);
     #: higher values overlap integrity verification and network transfer so
     #: restart reads exploit the striping the same way pipelined writes do.
     #: Shares the client's worker pool with ``push_parallelism``: a bound
     #: across all the client's open readers, not per reader.
     read_parallelism: int = 1
-    #: Bound on chunk fetches dispatched but not yet consumed (the read-side
-    #: in-flight window).  0 derives ``2 * read_parallelism`` so every reader
+    #: Bound on fetches (chunks or frames, as above) dispatched but not yet
+    #: consumed: the read-side in-flight window.  0 derives ``2 * read_parallelism`` so every reader
     #: worker stays pipelined.
     max_inflight_reads: int = 0
     #: Client->manager placement acknowledgements are batched in groups of

@@ -13,16 +13,18 @@ from __future__ import annotations
 import gc
 import tracemalloc
 from itertools import count
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import StdchkConfig, StdchkPool, TcpDeployment
 from repro.benefactor.chunk_store import DelayedChunkStore, DiskChunkStore
+from repro.client import session as session_module
 from repro.client.session import ChunkPusher
 from repro.transport.base import Endpoint
 from repro.transport.inprocess import InProcessTransport
-from repro.util.config import SimilarityHeuristic
+from repro.util.config import SimilarityHeuristic, WriteSemantics
 from tests.conftest import make_bytes
 
 CHUNK = 32 * 1024
@@ -34,27 +36,41 @@ class RecordingBenefactor(Endpoint):
 
     def __init__(self):
         self.received = []
+        #: Chunks per data RPC, in arrival order: 1 for a ``put_chunk``.
+        self.frames = []
 
     def put_chunk(self, chunk_id, data):
         self.received.append(data)
+        self.frames.append(1)
         return {"stored": True, "free_space": 1 << 30}
 
+    def put_chunks(self, chunk_ids, data):
+        assert len(chunk_ids) == len(data)
+        self.received.extend(data)
+        self.frames.append(len(data))
+        return {"stored": len(data), "free_space": 1 << 30}
 
-def recording_pusher(chunk_size: int = CHUNK):
+
+def recording_pusher(chunk_size: int = CHUNK, benefactors: int = 1, replicas: int = 1):
+    """A pusher over ``benefactors`` recording endpoints; returns the first
+    endpoint alone when there is only one, else the list of them."""
     transport = InProcessTransport()
-    benefactor = RecordingBenefactor()
-    transport.register("b0", benefactor)
+    endpoints = [RecordingBenefactor() for _ in range(benefactors)]
+    for number, endpoint in enumerate(endpoints):
+        transport.register(f"b{number}", endpoint)
     pusher = ChunkPusher(
         transport=transport,
         manager_address="manager",
         session_info={
             "session_id": "s1", "dataset_id": "ds-1", "version": 1,
-            "chunk_size": chunk_size, "replication_level": 1,
-            "stripe": [{"benefactor_id": "b0", "address": "b0"}],
+            "chunk_size": chunk_size, "replication_level": replicas,
+            "stripe": [{"benefactor_id": f"b{n}", "address": f"b{n}"}
+                       for n in range(benefactors)],
         },
-        config=StdchkConfig(chunk_size=chunk_size),
+        config=StdchkConfig(chunk_size=chunk_size, replication_level=replicas,
+                            write_semantics=WriteSemantics.PESSIMISTIC),
     )
-    return pusher, benefactor
+    return pusher, (endpoints[0] if benefactors == 1 else endpoints)
 
 
 class TestViewsOfImmutableInput:
@@ -71,6 +87,8 @@ class TestViewsOfImmutableInput:
             assert payload == data[index * CHUNK:(index + 1) * CHUNK]
         assert type(tail) is bytes and tail == data[4 * CHUNK:]
         assert chunk_map.total_size == len(data) and chunk_map.is_contiguous()
+        # The four views travelled as one frame, the flushed tail by itself.
+        assert benefactor.frames == [4, 1]
 
     def test_partial_head_tops_up_the_pending_chunk_then_views_resume(self):
         pusher, benefactor = recording_pusher()
@@ -84,6 +102,8 @@ class TestViewsOfImmutableInput:
         assert type(first) is bytes and type(third) is bytes
         assert type(second) is memoryview and second.obj is rest
         assert b"".join(benefactor.received) == data
+        # The topped-up copy and the view after it were completed by one call.
+        assert benefactor.frames == [2, 1]
 
     @pytest.mark.parametrize("mutable", [
         bytearray, lambda data: memoryview(bytearray(data)),
@@ -100,17 +120,42 @@ class TestViewsOfImmutableInput:
         assert all(getattr(payload, "obj", None) is not owner for payload in benefactor.received)
 
     @settings(max_examples=60, deadline=None)
-    @given(cuts=st.lists(st.integers(0, 700), max_size=12), flush=st.booleans())
-    def test_any_split_of_the_stream_yields_the_same_chunks(self, cuts, flush):
-        pusher, benefactor = recording_pusher(chunk_size=64)
+    @given(cuts=st.lists(st.integers(0, 700), max_size=12), flush=st.booleans(),
+           chunk_size=st.sampled_from([64, 200]))
+    def test_any_split_of_the_stream_yields_the_same_chunks(self, cuts, flush, chunk_size):
+        """Chunk sizes on both sides of the transfer unit (128 here): however
+        the stream is cut into ``feed`` calls, and so into frames, the chunks,
+        their holders and the statistics are those of feeding a chunk at a time."""
         data = make_bytes(700, seed=4)
         edges = [0, *sorted(cuts), len(data)]
-        for start, end in zip(edges, edges[1:]):
-            pusher.feed(data[start:end], flush=flush and end == len(data))
-        pusher.finish()
-        assert b"".join(benefactor.received) == data
-        assert [len(p) for p in benefactor.received[:-1]] == [64] * (len(data) // 64)
-        assert pusher.stats.bytes_written == pusher.stats.bytes_pushed == len(data)
+        with mock.patch.object(session_module, "TRANSFER_UNIT", 128):
+            pusher, benefactor = recording_pusher(chunk_size)
+            for start, end in zip(edges, edges[1:]):
+                pusher.feed(data[start:end], flush=flush and end == len(data))
+            pusher.finish()
+            assert b"".join(benefactor.received) == data
+            assert [len(p) for p in benefactor.received[:-1]] == (
+                [chunk_size] * (len(data) // chunk_size))
+            assert pusher.stats.bytes_written == pusher.stats.bytes_pushed == len(data)
+            # A frame holds what one call completed, a transfer unit at most.
+            assert all(size * chunk_size <= 128 or size == 1 for size in benefactor.frames)
+
+            # Four benefactors, two replicas: against the chunk-at-a-time result.
+            striped, endpoints = recording_pusher(chunk_size, benefactors=4, replicas=2)
+            for start, end in zip(edges, edges[1:]):
+                striped.feed(data[start:end])
+            reference, reference_endpoints = recording_pusher(
+                chunk_size, benefactors=4, replicas=2)
+            for start in range(0, len(data), chunk_size):
+                reference.feed(data[start:start + chunk_size])
+            assert striped.finish().to_dict() == reference.finish().to_dict()
+            assert striped.stats == reference.stats
+            for endpoint, expected in zip(endpoints, reference_endpoints):
+                assert sorted(map(bytes, endpoint.received)) == (
+                    sorted(map(bytes, expected.received)))
+            assert all(size == 1 for e in reference_endpoints for size in e.frames)
+            if chunk_size > 128:
+                assert all(size == 1 for e in endpoints for size in e.frames)
 
 
 def delayed_store(capacity):

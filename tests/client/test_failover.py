@@ -52,9 +52,12 @@ class ScriptedTransport:
         #: anything else returned.  The last entry repeats forever.
         self.answers = {addr: list(seq) for addr, seq in answers.items()}
         self.calls = []
+        #: Keyword arguments of the last call, ``into`` included.
+        self.last_payload = {}
 
     def call(self, address, method, /, **payload):
         self.calls.append((address, method))
+        self.last_payload = payload
         seq = self.answers.get(address)
         if not seq:
             raise EndpointUnreachableError(f"no script for {address}")
@@ -178,6 +181,18 @@ class TestFailoverTransport:
         transport, inner, _, _, _ = self.make({"b0": ["chunk"]})
         assert transport.call("b0", "get_chunk") == "chunk"
         assert inner.calls == [("b0", "get_chunk")]
+
+    def test_a_sequence_of_destinations_passes_through_untouched(self):
+        """``into`` is forwarded with the payload, one view or several."""
+        transport, inner, _, _, _ = self.make({"b0": [["c0", "c1"]], "m0": [{"ok": True}]})
+        windows = [memoryview(bytearray(8)), memoryview(bytearray(4))]
+        assert transport.call("b0", "get_chunks", into=windows,
+                              chunk_ids=["c0", "c1"]) == ["c0", "c1"]
+        assert inner.last_payload["into"] is windows
+        assert inner.last_payload["chunk_ids"] == ["c0", "c1"]
+        # ... and through the retry loop of a manager address as well.
+        assert transport.call("m0", "echo", into=windows) == {"ok": True}
+        assert inner.last_payload["into"] is windows
 
     def test_retries_until_rediscovery_finds_new_primary(self):
         # m0 dies; the probe finds m1 serving; the retried call succeeds.

@@ -139,27 +139,34 @@ class TestOneImageNoSecondCopy:
 class TestSingleFetchStaysOnTheCallingThread:
     @pytest.mark.parametrize("parallelism,chunks", [(4, 1), (1, 6)])
     def test_no_submit_and_no_thread(self, monkeypatch, parallelism, chunks):
+        """One frame at any parallelism, and every frame of a serial read."""
         pool = StdchkPool(benefactor_count=4, config=config())
         client = pool.client("solo", read_parallelism=parallelism)
         data = make_bytes(chunks * CHUNK - 3, seed=11)
         client.write_file("/solo/f", data)
         threads = threading.active_count()
-        fetching_threads = set()
-        original = StripedReader._fetch_replicas
+        fetches = []
+        original = pool.transport.call
 
-        def spying(self, placement, into=None):
-            fetching_threads.add(threading.current_thread())
-            return original(self, placement, into)
+        def spying(address, method, /, **payload):
+            if method in ("get_chunk", "get_chunks"):
+                fetches.append((method, threading.current_thread()))
+            return original(address, method, **payload)
 
         def no_submit(*_args, **_kwargs):
-            raise AssertionError("a single-placement or serial read went to the pool")
+            raise AssertionError("a single-frame or serial read went to the pool")
 
-        monkeypatch.setattr(StripedReader, "_fetch_replicas", spying)
+        monkeypatch.setattr(pool.transport, "call", spying)
         monkeypatch.setattr(client._worker_pool(), "submit", no_submit)
         reader = client.open_read("/solo/f")
         assert reader.read_all() == data
         assert reader.chunks_fetched == chunks
-        assert fetching_threads == {threading.current_thread()}
+        # One chunk is one ``get_chunk``; six chunks on four benefactors are
+        # at most four frames, at least one of them a ``get_chunks``.
+        methods = [method for method, _thread in fetches]
+        assert methods == ["get_chunk"] if chunks == 1 else (
+            len(methods) <= 4 and "get_chunks" in methods)
+        assert {thread for _method, thread in fetches} == {threading.current_thread()}
         assert threading.active_count() == threads
 
 

@@ -11,6 +11,7 @@ recovered manager.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import shutil
@@ -25,7 +26,7 @@ from repro.exceptions import (
     ManagerRecoveringError,
 )
 from repro.manager.manager import MetadataManager
-from repro.manager.persistence import ManagerPersistence
+from repro.manager.persistence import ManagerPersistence, encode_manager_state
 from repro.manager.persistence.journal import (
     JournalWriter,
     encode_record,
@@ -673,3 +674,28 @@ class TestManagerPersistenceStore:
         assert state["fake"] is True
         assert [r["data"]["path"] for r in records] == ["/c"]
         persistence.close()
+
+    def test_snapshot_file_is_what_json_dump_wrote(self, tmp_path):
+        """``take_snapshot`` encodes with ``json.dumps`` (the C encoder); the
+        file must stay byte for byte what ``json.dump(state, handle,
+        separators=(",", ":"))`` streamed before."""
+        pool = StdchkPool(benefactor_count=3, config=StdchkConfig(
+            chunk_size=64 * 1024, stripe_width=3, replication_level=2))
+        client = pool.client("snap")
+        client.mkdir("/sn\u00e4p", retention_kind="automated-replace", keep_last=2)
+        for number in range(3):
+            client.write_file(f"/sn\u00e4p/f{number}", make_bytes(150 * 1024, seed=number))
+        client.open_write("/sn\u00e4p/open")  # an unfinished session is state too
+        state = encode_manager_state(pool.manager)
+        state["floats"] = [0.1, 1e-9, 2.5e17, float(1 << 40)]
+
+        persistence = ManagerPersistence(str(tmp_path / "j"), fsync_policy="never")
+        persistence.load()
+        lsn = persistence.take_snapshot(state)
+        persistence.close()
+        with open(tmp_path / "j" / f"snapshot-{lsn:012d}.json", "rb") as handle:
+            written = handle.read()
+        reference = io.StringIO()
+        json.dump(state, reference, separators=(",", ":"))
+        assert written == reference.getvalue().encode("utf-8")
+        assert json.loads(written) == state

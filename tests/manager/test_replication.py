@@ -117,6 +117,37 @@ class TestLogShipping:
             "standby_snapshots_installed_total", ""
         ).value >= 1
 
+    @pytest.mark.parametrize("first_lsn,offered,acked,ships", [
+        (1, 8, 8, []),                      # caught up: nothing to take
+        (1, 8, 7, [8]),                     # the usual ship, one record
+        (1, 8, 5, [6, 7, 8]),               # lagging inside the window
+        (1, 8, 4, [5, 6, 7, 8]),            # exactly the retained window
+        (1, 8, 3, None),                    # lagging past the window
+        (1, 8, 0, None),
+        (41, 3, 40, [41, 42, 43]),          # restarted primary, standby at its start
+        (41, 3, 37, None),                  # ... standby before it: a gap
+        (41, 3, 42, [43]),
+    ])
+    def test_suffix_by_position_is_the_suffix_by_scan(self, first_lsn, offered,
+                                                      acked, ships):
+        """``_unacked_suffix`` counts from the right of the window; what it
+        returns is what scanning the whole window for ``lsn > acked`` gave,
+        and None wherever that scan led to a snapshot resync."""
+        pool = make_pool()
+        shipper = LogShipper(pool.manager, transport=pool.transport, retain_records=4)
+        for lsn in range(first_lsn, first_lsn + offered):
+            shipper.offer({"op": "noop", "n": lsn}, lsn=lsn)
+        scanned = [(lsn, rec) for lsn, rec in shipper._window if lsn > acked]
+        resync = not scanned or scanned[0][0] != acked + 1
+        if acked >= shipper.last_lsn:
+            assert ships == [] and scanned == []  # ``_ship_to`` returns before asking
+            return
+        suffix = shipper._unacked_suffix(acked)
+        assert (suffix is None) == resync == (ships is None)
+        if ships is not None:
+            assert suffix == scanned
+            assert [lsn for lsn, _rec in suffix] == ships
+
     def test_unreachable_standby_does_not_fail_primary(self):
         pool = make_pool()
         standby = pool.add_standby("standby-0")

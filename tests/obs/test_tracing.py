@@ -173,11 +173,14 @@ class TestPoolTraces:
         root = next(
             s for s in SPAN_STORE.spans() if s.name == "client.read_file"
         )
+        # Six chunks on three benefactors are three frames, two chunks each.
         fetch_spans = [
-            s for s in SPAN_STORE.spans() if s.name == "rpc.server:get_chunk"
+            s for s in SPAN_STORE.spans() if s.name == "rpc.server:get_chunks"
         ]
-        assert len(fetch_spans) == 6
+        assert len(fetch_spans) == 3
         assert all(s.trace_id == root.trace_id for s in fetch_spans)
+        assert not [s for s in SPAN_STORE.spans() if s.name == "rpc.server:get_chunk"]
+        assert sum(b.stats["gets"] for b in pool.benefactors.values()) == 6
 
     def test_untraced_maintenance_records_no_spans(self, small_config):
         pool = StdchkPool(benefactor_count=3, config=small_config)

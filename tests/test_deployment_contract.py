@@ -315,5 +315,11 @@ def test_no_server_in_src_polls_for_shutdown():
 
 def test_no_second_healer_in_src():
     """The manager judges under-replication and the benefactors copy, chunk
-    by chunk with ``put_chunk``; nothing may bring the second mechanism back."""
-    assert src_lines_naming("ReplicationService", "ShadowChunkMap", "put_chunks(") == []
+    by chunk with ``put_chunk``; nothing may bring the second mechanism back.
+
+    ``put_chunks(`` is no longer a sign of it: the healer's batch call carried
+    its chunks inside the pickle and is gone with the healer; the name now
+    belongs to the client's multi-section frame (``Benefactor.put_chunks``
+    loops over ``put_chunk``), which repair does not use.
+    """
+    assert src_lines_naming("ReplicationService", "ShadowChunkMap") == []

@@ -269,6 +269,199 @@ class TestReceiveIntoADestination:
         image.extend(b"no export left")
 
 
+class CountingSocket:
+    """Counts the socket calls one frame costs."""
+
+    def __init__(self, sock):
+        self.sock = sock
+        self.calls = []
+
+    def __getattr__(self, name):
+        def method(*args):
+            self.calls.append(name)
+            return getattr(self.sock, name)(*args)
+        return method
+
+
+def unequal_sections(count, seed=0):
+    """``count`` large payloads, no two of the same length."""
+    return [blob(OUT_OF_BAND_MIN + 1000 * index + 1, seed + index) for index in range(count)]
+
+
+class TestSeveralSections:
+    """A list of bytes-likes travels as one frame with a section per large element."""
+
+    @pytest.mark.parametrize("count", [2, 16])
+    @pytest.mark.parametrize("as_result", [False, True], ids=["request", "reply"])
+    def test_sections_of_unequal_length_round_trip(self, count, as_result):
+        sections = unequal_sections(count)
+        views = [memoryview(section) for section in sections]
+        mixed = [views[0], *sections[1:]]  # views and bytes alike
+        if as_result:
+            tag, received = through_the_wire("ok", mixed, timeout=10.0)
+            assert tag == "ok"
+        else:
+            body = {"chunk_ids": [f"c{i}" for i in range(count)], "data": mixed}
+            tag, answer = through_the_wire("put_chunks", body, timeout=10.0)
+            assert tag == "put_chunks" and answer["chunk_ids"] == body["chunk_ids"]
+            received = answer["data"]
+        assert all(type(part) is bytes for part in received)
+        assert received == sections
+
+    @pytest.mark.parametrize("count", [2, 16])
+    def test_one_sendmsg_out_and_a_receive_per_section_in(self, count):
+        sections = unequal_sections(count, seed=3)
+        left, right = socket.socketpair()
+        with left, right:
+            for sock in (left, right):
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4 * MIB)
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4 * MIB)
+            sender, receiver = CountingSocket(left), CountingSocket(right)
+            tcp._send_frame(sender, *tcp._encode("ok", sections))
+            assert sender.calls == ["sendmsg"]
+            assert tcp._recv_frame(receiver) == ("ok", sections)
+            # header, section table, meta, then one receive per section
+            assert receiver.calls == ["recv"] * (3 + count)
+
+    def test_the_caller_s_buffers_are_sent_and_meta_holds_no_chunk_bytes(self):
+        """The reason the in-band ``put_chunks`` was deleted: 256 KiB of
+        chunks inside the pickle is 256 KiB copied on each side."""
+        image = blob(4 * 64 * 1024, 5)
+        chunks = [memoryview(image)[i * 65536:(i + 1) * 65536] for i in range(4)]
+        meta, payload = tcp._encode(
+            "put_chunks", {"chunk_ids": ["a", "b", "c", "d"], "data": chunks})
+        assert len(meta) < 1024
+        assert [section.obj for section in payload] == [image] * 4
+        assert [section.nbytes for section in payload] == [65536] * 4
+
+    def test_small_elements_stay_in_band_and_sections_keep_their_order(self):
+        small, large = blob(100, 1), unequal_sections(2, seed=7)
+        body = [large[0], memoryview(small), large[1], b""]
+        meta, payload = tcp._encode("ok", body)
+        assert [section.nbytes for section in payload] == [len(large[0]), len(large[1])]
+        assert small in meta
+        assert through_the_wire("ok", body) == ("ok", [large[0], small, large[1], b""])
+
+    def test_one_large_element_is_the_plain_one_section_frame(self):
+        """Byte for byte what a bare payload section always looked like."""
+        data = blob(2 * OUT_OF_BAND_MIN, 2)
+        meta, payload = tcp._encode("ok", [b"tiny", data])
+        assert type(payload) is memoryview and payload.obj is data
+        left, right = socket.socketpair()
+        with left, right:
+            tcp._send_frame(left, meta, payload)
+            assert right.recv(HEADER.size) == HEADER.pack(len(meta), len(data))
+
+    def test_only_the_first_liftable_value_is_lifted(self):
+        first, second = unequal_sections(2), unequal_sections(2, seed=9)
+        meta, payload = tcp._encode("m", {"first": first, "second": second,
+                                          "third": second[0]})
+        assert [section.obj for section in payload] == first
+        assert second[0] in meta and second[1] in meta
+
+    def test_more_elements_than_a_frame_has_sections_overflow_in_band(self, monkeypatch):
+        monkeypatch.setattr(tcp, "MAX_SECTIONS", 3)
+        sections = unequal_sections(5, seed=11)
+        meta, payload = tcp._encode("ok", sections)
+        assert len(payload) == 3 and sections[3] in meta and sections[4] in meta
+        assert through_the_wire("ok", sections) == ("ok", sections)
+
+    @pytest.mark.parametrize("first_send", [5, 16, 30, 60, 20_000, 40_000, 10**9])
+    def test_partial_sendmsg_resumes_inside_any_buffer(self, first_send):
+        """Split in the header, the table, ``meta`` and the first and second section."""
+
+        class Dribble:
+            def __init__(self, sock):
+                self.sock = sock
+                self.sendall = sock.sendall
+
+            def sendmsg(self, buffers):
+                joined = b"".join(bytes(part) for part in buffers)
+                self.sock.sendall(joined[:first_send])
+                return min(first_send, len(joined))
+
+        sections = unequal_sections(3, seed=13)
+        assert through_the_wire("ok", sections, sender=Dribble) == ("ok", sections)
+
+
+def windows_of(image, lengths, gap=16):
+    """Disjoint windows of ``image`` of the given lengths, ``gap`` bytes apart."""
+    views, offset = [], gap
+    for length in lengths:
+        views.append(memoryview(image)[offset:offset + length])
+        offset += length + gap
+    return views
+
+
+class TestReceiveIntoSeveralDestinations:
+    """``into=[view_1 .. view_k]``: all sections land in place, or none is touched."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(count=st.sampled_from([1, 2, 16]), as_views=st.booleans(),
+           timeout=st.sampled_from([None, 10.0]))
+    def test_matching_sections_land_in_their_destinations(self, count, as_views, timeout):
+        sections = unequal_sections(count, seed=count)
+        lengths = [len(section) for section in sections]
+        image = bytearray([PATTERN]) * (sum(lengths) + 16 * (count + 1))
+        into = windows_of(image, lengths)
+        body = [memoryview(s) for s in sections] if as_views else sections
+        (status, received), spy = reply_into(into, "ok", body, timeout)
+        assert status == "ok" and type(received) is list
+        assert all(got is window for got, window in zip(received, into))
+        assert [bytes(window) for window in into] == sections
+        assert image.count(PATTERN) >= 16 * (count + 1)  # the gaps are untouched
+        assert sum(len(piece) for piece in spy.received) < 400
+        for window in into:
+            window.release()
+        del received
+        image.extend(b"no export is left behind")
+
+    @pytest.mark.parametrize("case", ["one-fewer", "one-more", "one-length-off",
+                                      "in-band-element", "single-view-for-a-list"])
+    def test_any_mismatch_leaves_every_destination_alone(self, case):
+        sections = unequal_sections(3, seed=5)
+        lengths = [len(section) for section in sections]
+        body = list(sections)
+        if case == "one-fewer":
+            lengths = lengths[:2]
+        elif case == "one-more":
+            lengths = lengths + [OUT_OF_BAND_MIN]
+        elif case == "one-length-off":
+            lengths[1] += 1
+        elif case == "in-band-element":
+            body[1] = b"short"  # two sections for three destinations
+        image = bytearray([PATTERN]) * (sum(lengths) + 16 * (len(lengths) + 1))
+        into = windows_of(image, lengths)
+        if case == "single-view-for-a-list":
+            into = memoryview(image)[:lengths[0]]
+        (status, received), spy = reply_into(into, "ok", body)
+        assert status == "ok" and received == body
+        assert all(type(part) is bytes for part in received)
+        assert image == bytes([PATTERN]) * len(image) and not spy.destinations
+
+    @pytest.mark.parametrize("body", [
+        exceptions.ChunkNotFoundError("chunk not stored here: c2"),
+        {"stored": 3},
+        [],
+    ], ids=["error", "dict", "empty-list"])
+    def test_error_and_small_replies_leave_every_destination_alone(self, body):
+        tag = "error" if isinstance(body, Exception) else "ok"
+        image = bytearray([PATTERN]) * (3 * OUT_OF_BAND_MIN)
+        into = windows_of(image, [OUT_OF_BAND_MIN] * 2)
+        (status, received), spy = reply_into(into, tag, body)
+        assert status == tag and str(received) == str(body)
+        assert image == bytes([PATTERN]) * len(image)
+        assert len(spy.received) == 2 and not spy.destinations
+
+    def test_sections_nested_in_the_reply_are_not_mistaken_for_the_result(self):
+        sections = unequal_sections(2)
+        image = bytearray(sum(map(len, sections)))
+        into = [memoryview(image)[:len(sections[0])], memoryview(image)[len(sections[0]):]]
+        (status, body), _spy = reply_into(into, "ok", {"data": sections})
+        assert status == "ok" and type(body) is dict
+        assert body["data"] == sections
+
+
 class EchoEndpoint(Endpoint):
     def __init__(self):
         self.failures = {}
@@ -336,6 +529,33 @@ class TestThroughARealServer:
             with pytest.raises(exceptions.ChunkNotFoundError):
                 transport.call(address, "fail", into=into, name="gone")
         assert image == bytes([PATTERN]) * len(image)
+        assert transport._pool(address)._total == 1
+
+    @pytest.mark.parametrize("count", [2, 16])
+    def test_call_moves_a_list_of_sections_both_ways(self, served, count):
+        transport, address, endpoint = served
+        sections = unequal_sections(count, seed=2)
+        answer = transport.call(address, "echo", chunk_ids=list(range(count)),
+                                data=[memoryview(section) for section in sections])
+        assert answer["chunk_ids"] == list(range(count))
+        assert all(type(part) is bytes for part in answer["data"])
+        assert answer["data"] == sections
+
+        lengths = [len(section) for section in sections]
+        image = bytearray(sum(lengths) + 16 * (count + 1))
+        into = windows_of(image, lengths)
+        received = transport.call(address, "first", into=into, value=sections)
+        assert all(got is window for got, window in zip(received, into))
+        assert [bytes(window) for window in into] == sections
+
+        # One destination short, and an error reply: nothing is written.
+        blank = bytearray(len(image))
+        spare = windows_of(blank, lengths[:-1])
+        assert transport.call(address, "first", into=spare, value=sections) == sections
+        endpoint.failures["gone"] = exceptions.ChunkNotFoundError("gone")
+        with pytest.raises(exceptions.ChunkNotFoundError):
+            transport.call(address, "fail", into=windows_of(blank, lengths), name="gone")
+        assert blank == bytes(len(blank))
         assert transport._pool(address)._total == 1
 
     def test_handlers_never_see_the_destination(self, served):
@@ -436,6 +656,11 @@ def hostile_frames(marker):
             pickle.dumps(("first", {"value": pickle.PickleBuffer(b"x" * 64)}),
                          protocol=5, buffer_callback=lambda _buffer: None)),
         "truncated": HEADER.pack(100, 0) + b"only ten b",
+        "absurd-section-count": HEADER.pack(10, tcp._MULTI | 1 << 32) + b"0123456789",
+        "absurd-section-total": (
+            HEADER.pack(10, tcp._MULTI | 3)
+            + struct.pack(">3Q", *[tcp.MAX_SECTION_BYTES // 2] * 3) + b"0123456789"),
+        "section-table-cut-short": HEADER.pack(10, tcp._MULTI | 4) + struct.pack(">2Q", 5, 5),
     }
 
 
@@ -484,6 +709,21 @@ class TestHostileClient:
             left.sendall(HEADER.pack(*lengths) + b"0123456789")
             with pytest.raises(ProtocolError, match="frame claims"):
                 tcp._recv_frame(right, into)
+
+    @pytest.mark.parametrize("name", ["absurd-section-count", "absurd-section-total"])
+    @pytest.mark.parametrize("into", [None, [memoryview(bytearray(64))] * 3],
+                             ids=["plain", "into"])
+    def test_absurd_sections_allocate_nothing(self, name, into):
+        """Refused on the header, or on the 24-byte table: nothing of ``meta``
+        and no section is asked of the socket, let alone allocated."""
+        left, right = socket.socketpair()
+        with left, right:
+            left.sendall(hostile_frames("unused")[name])
+            spy = RecvSpy(right)
+            with pytest.raises(ProtocolError, match="frame claims"):
+                tcp._recv_frame(spy, into)
+            assert sum(len(piece) for piece in spy.received) <= HEADER.size + 24
+            assert not spy.destinations
 
     def test_clean_disconnect_between_frames_is_not_logged(self, served, caplog):
         transport, address, _ = served
@@ -579,9 +819,15 @@ class Forwarding(Transport):
     def __init__(self, inner):
         self.inner = inner
         self.seen = []
+        #: Destinations each call carried: 0 without ``into``, 1 for one view,
+        #: *k* for a sequence of *k*.
+        self.destinations = []
 
     def call(self, address, method, /, **payload):
         self.seen.append(method)
+        into = payload.get("into")
+        self.destinations.append(
+            0 if into is None else 1 if type(into) is memoryview else len(into))
         return self.inner.call(address, method, **payload)
 
     def register(self, address, endpoint):  # pragma: no cover - unused
@@ -616,5 +862,8 @@ class TestTheSeamStaysOneCall:
                 forwarding, ManagerDirectory([deployment.manager_address]))
             image = reader.read_all()
         assert type(image) is bytes and image == data
-        assert forwarding.seen == ["get_chunk"] * chunks
+        # Seven chunks on four benefactors: three frames of two chunks, whose
+        # ``into`` is a sequence of two windows, and one frame of one chunk.
+        assert sorted(zip(forwarding.seen, forwarding.destinations)) == (
+            [("get_chunk", 1)] + [("get_chunks", 2)] * 3)
         assert filled == [chunk] * chunks
