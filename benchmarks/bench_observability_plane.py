@@ -8,6 +8,11 @@ Two questions the plane must answer before it ships on by default:
   same write with the plane absent.  The instrumentation itself (metrics,
   traces) is already gated by ``bench_parallel_push``; this bench gates the
   *serving* side on top.
+* **What does it cost per operation?**  Reported, not gated: ops/s of a
+  ``meta_storm``-shaped loop (4 KiB write/stat/read per file, then the
+  deletes) over TCP with observability on and off.  The push above waits
+  4 ms per chunk on its device, so it cannot see per-operation cost; in
+  this loop per-operation cost is all there is.
 * **How fast does it notice?**  Wall-clock latency from killing a node
   (benefactor, then primary) to the monitor declaring it ``dead``, with
   aggressive-but-real detector knobs.  The paper's desktop-grid setting
@@ -22,11 +27,14 @@ monitored deployment for CI to archive.
 from __future__ import annotations
 
 import json
+import random
+import statistics
 import time
 
 from repro import StdchkConfig, TcpDeployment
 from repro.benefactor.chunk_store import DelayedChunkStore
-from repro.util.units import MB
+from repro.obs import set_enabled
+from repro.util.units import KiB, MB
 
 from benchmarks.conftest import print_table, write_bench_results
 
@@ -42,6 +50,11 @@ MAX_PLANE_OVERHEAD = 0.05
 PROBE_INTERVAL = 0.1
 SUSPECT_AFTER = 0.3
 DEAD_AFTER = 1.0
+#: The small-operation loop: files per cycle, timed cycles per run, and
+#: alternating on/off pairs of runs.
+STORM_FILES = 100
+STORM_CYCLES = 3
+STORM_PAIRS = 5
 
 
 def make_config(with_detector_knobs: bool = False) -> StdchkConfig:
@@ -149,6 +162,70 @@ def test_plane_overhead_within_gate(benchmark):
         f"observability plane overhead too high: {with_plane:.1f} MB/s vs "
         f"{baseline:.1f} MB/s without it"
     )
+
+
+def run_storm(enabled: bool) -> float:
+    """Operations per second of the small-operation loop, telemetry on or off.
+
+    One client and four benefactors (stripe 2, one replica) as in
+    ``benchmarks/perf``'s ``meta_storm``, minus its second client and its
+    journal; every cycle writes, stats and reads back each file, then
+    deletes them all.  One untimed cycle warms pools and connections.
+    """
+    payloads = [random.Random(index).randbytes(4 * KiB)
+                for index in range(STORM_FILES)]
+    prior = set_enabled(enabled)
+    try:
+        with TcpDeployment(
+            benefactor_count=4,
+            config=StdchkConfig(stripe_width=2, replication_level=1),
+        ) as deployment:
+            client = deployment.client("bench-storm", push_parallelism=2,
+                                       read_parallelism=2)
+
+            def cycle() -> int:
+                for index, payload in enumerate(payloads):
+                    path = f"/storm/f{index}"
+                    client.write_file(path, payload)
+                    client.stat(path)
+                    assert client.read_file(path) == payload
+                for index in range(STORM_FILES):
+                    client.delete(f"/storm/f{index}")
+                return 4 * STORM_FILES
+
+            cycle()
+            start = time.perf_counter()
+            operations = sum(cycle() for _ in range(STORM_CYCLES))
+            return operations / (time.perf_counter() - start)
+    finally:
+        set_enabled(prior)
+
+
+def test_small_operation_overhead_reported(benchmark):
+    runs = {True: [], False: []}
+    for pair in range(STORM_PAIRS):
+        for enabled in ((False, True) if pair % 2 == 0 else (True, False)):
+            runs[enabled].append(run_storm(enabled))
+    off = statistics.median(runs[False])
+    on = statistics.median(runs[True])
+    overhead_pct = (off - on) / off * 100.0
+    rows = [
+        {"observability": "disabled", "ops_per_s": off, "overhead_pct": 0.0},
+        {"observability": "enabled", "ops_per_s": on,
+         "overhead_pct": overhead_pct},
+    ]
+    print_table(
+        "Observability cost per small operation — 4 KiB write/stat/read/delete "
+        f"over TCP (median of {STORM_PAIRS} alternating runs each)",
+        rows,
+        note="reported, not gated: what is left is per-RPC and per-chunk metrics",
+    )
+    write_bench_results(RESULTS_PATH, "small_operation_overhead", {
+        "disabled_ops_per_s": off,
+        "enabled_ops_per_s": on,
+        "overhead_pct": overhead_pct,
+        "runs": {"disabled": runs[False], "enabled": runs[True]},
+    })
 
 
 def measure_detection(kill) -> float:

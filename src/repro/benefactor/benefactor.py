@@ -16,6 +16,7 @@ additionally wipes a memory-backed store, modelling loss of node-local data.
 
 from __future__ import annotations
 
+import functools
 import random
 import threading
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -41,8 +42,8 @@ from repro.util.units import GiB
 #: Bound on placement hints returned in one gossip reply.
 GOSSIP_REPLY_HINTS = 64
 
-#: Legacy counter names exposed through the :attr:`Benefactor.stats` view,
-#: now thin reads over the node's metrics registry.
+#: The node's own accounting, read through :attr:`Benefactor.stats` and
+#: exported as the ``benefactor_<key>_total`` counters.
 _STAT_KEYS = (
     "puts",
     "gets",
@@ -97,15 +98,16 @@ class Benefactor(Endpoint):
         #: by the maintenance heartbeat service; ``None`` before the first
         #: beat.  Surfaced through :meth:`health` as ``last_heartbeat_age``.
         self.last_heartbeat_at: Optional[float] = None
-        # Parallel pushers hit one benefactor from several client threads at
-        # once; registry series carry their own locks, so counters stay exact
-        # under concurrency.
-        self._stat_counters = {
-            key: self.obs.counter(
+        # Accounting, not telemetry: repair, GC and benchmarks read these
+        # whether or not observability is on.  Parallel pushers hit one
+        # benefactor from several client threads at once, so every update
+        # takes the lock; the registry reads the counts when snapshotted.
+        self._stats = dict.fromkeys(_STAT_KEYS, 0)
+        self._stats_lock = threading.Lock()
+        for key in _STAT_KEYS:
+            self.obs.counter(
                 f"benefactor_{key}_total", f"Benefactor {key} counter."
-            )
-            for key in _STAT_KEYS
-        }
+            ).set_function(functools.partial(self._stats.__getitem__, key))
         store_hist = self.obs.histogram(
             "benefactor_store_seconds",
             "Chunk-store I/O latency by operation.",
@@ -115,16 +117,21 @@ class Benefactor(Endpoint):
         self._store_get_timer = store_hist.labels(op="get")
         self.transport.register(self.address, self)
 
-    def _bump(self, counter: str, amount: int = 1) -> None:
-        self._stat_counters[counter].inc(amount)
+    def _bump(self, counter: str) -> None:
+        with self._stats_lock:
+            self._stats[counter] += 1
+
+    def _bump_transfer(self, counter: str, bytes_counter: str, size: int) -> None:
+        """One chunk moved: ``counter`` + 1 and ``bytes_counter`` + ``size``."""
+        with self._stats_lock:
+            self._stats[counter] += 1
+            self._stats[bytes_counter] += size
 
     @property
     def stats(self) -> Dict[str, int]:
-        """Legacy counter dict, now a thin view over the metrics registry."""
-        return {
-            key: int(series.value)
-            for key, series in self._stat_counters.items()
-        }
+        """The node's counts: chunks and bytes in and out, deletes, gossip."""
+        with self._stats_lock:
+            return dict(self._stats)
 
     def get_metrics(self) -> Dict[str, object]:
         """Metrics-snapshot RPC; deliberately served even while offline."""
@@ -348,8 +355,7 @@ class Benefactor(Endpoint):
         chunk.verify()
         with self._store_put_timer.time():
             self.store.put(chunk)
-        self._bump("puts")
-        self._bump("bytes_in", len(data))
+        self._bump_transfer("puts", "bytes_in", len(data))
         return {"stored": True, "free_space": self.store.free_space}
 
     def get_chunk(self, chunk_id: ChunkId) -> bytes:
@@ -357,8 +363,7 @@ class Benefactor(Endpoint):
         self._require_online()
         with self._store_get_timer.time():
             chunk = self.store.get(chunk_id)
-        self._bump("gets")
-        self._bump("bytes_out", chunk.size)
+        self._bump_transfer("gets", "bytes_out", chunk.size)
         return chunk.data
 
     def put_chunks(self, chunk_ids: Sequence[ChunkId],
@@ -438,8 +443,7 @@ class Benefactor(Endpoint):
             except (BenefactorError, TransportError):
                 break
             copied.append(chunk_id)
-            self._bump("replications_out")
-            self._bump("bytes_out", chunk.size)
+            self._bump_transfer("replications_out", "bytes_out", chunk.size)
         return {"copied": copied, "missing": missing}
 
     # -- convenience -------------------------------------------------------------------

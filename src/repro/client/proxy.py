@@ -13,11 +13,9 @@ there, so a warm ``write_file`` or ``read_file`` starts and joins no thread.
 
 from __future__ import annotations
 
-import random
+import math
 import threading
-import zlib
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.client.failover import FailoverTransport, ManagerDirectory
@@ -26,11 +24,15 @@ from repro.client.session import WriteStats
 from repro.client.write_protocols import WriteSession, make_write_session
 from repro.core.chunk_map import ChunkMap
 from repro.exceptions import FileNotFoundInStdchkError
-from repro.obs import MetricsRegistry, tracing
+from repro.obs import MetricsRegistry, runtime, tracing
 from repro.transport.base import Transport
 from repro.util.clock import Clock, SystemClock
 from repro.util.config import SimilarityHeuristic, StdchkConfig
 from repro.util.naming import CheckpointName, parse_checkpoint_name
+
+#: Root operations a client may trace back to back before ``trace_rate``
+#: paces it: the depth of its trace budget's token bucket.
+TRACE_BURST = 32
 
 
 class ClientProxy:
@@ -53,10 +55,12 @@ class ClientProxy:
         self.config = config if config is not None else StdchkConfig()
         self.clock = clock if clock is not None else SystemClock()
         self.spool_dir = spool_dir
-        #: Deterministic per-client sampler for root trace spans (children
-        #: always follow the parent decision, so a sampled-out root
-        #: suppresses its whole RPC tree).
-        self._trace_rng = random.Random(zlib.crc32(client_id.encode("utf-8")))
+        #: Trace budget: a token bucket on ``clock`` refilled at
+        #: ``config.trace_rate`` per second up to ``TRACE_BURST``; a root
+        #: operation is traced only if it can take a token.
+        self._trace_tokens = float(TRACE_BURST)
+        self._trace_refilled = self.clock.now()
+        self._trace_lock = threading.Lock()
         #: Manager failover directory; None until the client knows at least
         #: one standby endpoint (config or ``enable_failover``).
         self.directory: Optional[ManagerDirectory] = None
@@ -164,17 +168,37 @@ class ClientProxy:
     def _manager(self, method: str, **payload):
         return self.transport.call(self.manager_address, method, **payload)
 
-    def _root_span(self, name: str, **attributes):
-        """Open a sampled root span (children follow the parent decision).
+    def _take_trace_token(self) -> bool:
+        """Whether the trace budget admits one more root operation now."""
+        rate = self.config.trace_rate
+        if rate == math.inf:
+            return True
+        if rate <= 0:
+            return False
+        with self._trace_lock:
+            now = self.clock.now()
+            tokens = min(float(TRACE_BURST),
+                         self._trace_tokens + (now - self._trace_refilled) * rate)
+            self._trace_refilled = now
+            admitted = tokens >= 1.0
+            self._trace_tokens = tokens - 1.0 if admitted else tokens
+        return admitted
 
-        When a trace context is already active this is an ordinary child
-        span — sampling only gates *roots*, so one decision covers the whole
-        RPC tree of an operation.
+    def _root_span(self, name: str, **attributes):
+        """The span of one client operation, if the trace budget admits it.
+
+        Inside an active trace context this is an ordinary child span, budget
+        or not: the budget gates only *roots*, so one decision covers the
+        whole RPC tree of an operation.  A refused root records nothing and
+        propagates nothing, unless it fails: then one error span remains.
         """
-        rate = self.config.trace_sample_rate
-        if (rate < 1.0 and tracing.current_context() is None
-                and self._trace_rng.random() >= rate):
-            return nullcontext()
+        if not runtime.ENABLED:
+            return tracing.NO_SPAN
+        if tracing.current_context() is None and not self._take_trace_token():
+            return tracing.record_failure(
+                name, component="client", node_id=self.client_id,
+                attributes=attributes,
+            )
         return tracing.start_span(
             name, component="client", node_id=self.client_id,
             attributes=attributes,

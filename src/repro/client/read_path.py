@@ -66,7 +66,7 @@ from repro.exceptions import (
     EndpointUnreachableError,
     ReadFailedError,
 )
-from repro.obs import MetricsRegistry, tracing
+from repro.obs import LabelChildren, MetricsRegistry, tracing
 from repro.transport.base import Transport
 from repro.transport.tcp import TRANSFER_UNIT
 
@@ -98,11 +98,11 @@ class ReplicaScheduler:
         #: Floats: the manager's tallies decay with ``read_load_halflife``.
         self._load_hints: Dict[str, float] = {}
         if metrics is not None:
-            self._outstanding_gauge = metrics.gauge(
+            self._outstanding_gauge = LabelChildren(metrics.gauge(
                 "replica_outstanding_requests",
                 "Chunk fetches currently outstanding, per benefactor.",
                 labelnames=("benefactor",),
-            )
+            ), "benefactor")
             self._failed_gauge = metrics.gauge(
                 "replica_failed_benefactors",
                 "Benefactors currently marked failed by the read path.",
@@ -177,7 +177,7 @@ class ReplicaScheduler:
             count = self._outstanding.get(benefactor_id, 0) + 1
             self._outstanding[benefactor_id] = count
             if self._outstanding_gauge is not None:
-                self._outstanding_gauge.labels(benefactor=benefactor_id).set(count)
+                self._outstanding_gauge[benefactor_id].set(count)
 
     def end(self, benefactor_id: str) -> None:
         with self._lock:
@@ -188,7 +188,7 @@ class ReplicaScheduler:
                 remaining = 0
                 self._outstanding.pop(benefactor_id, None)
             if self._outstanding_gauge is not None:
-                self._outstanding_gauge.labels(benefactor=benefactor_id).set(remaining)
+                self._outstanding_gauge[benefactor_id].set(remaining)
 
     def mark_failed(self, benefactor_id: str) -> None:
         with self._lock:

@@ -73,7 +73,7 @@ from repro.manager.persistence import (
     restore_manager_state,
 )
 from repro.manager.registry import BenefactorRegistry
-from repro.obs import MetricsRegistry
+from repro.obs import LabelChildren, MetricsRegistry
 from repro.transport.base import Endpoint, Transport
 from repro.util.clock import Clock, SystemClock
 from repro.util.config import StdchkConfig
@@ -163,11 +163,11 @@ class MetadataManager(Endpoint):
         self._read_load: Dict[str, float] = {}
         self._read_load_updated: Dict[str, float] = {}
         self._read_load_lock = threading.Lock()
-        self._read_load_gauge = self.obs.gauge(
+        self._read_load_gauge = LabelChildren(self.obs.gauge(
             "manager_read_routing_load",
             "Replica placements handed to readers, per benefactor.",
             labelnames=("benefactor",),
-        )
+        ), "benefactor")
         if persistence is None and self.config.journal_dir is not None:
             persistence = ManagerPersistence(
                 self.config.journal_dir,
@@ -1121,7 +1121,7 @@ class MetadataManager(Endpoint):
                 for benefactor_id in addresses
             }
         for benefactor_id, load in load_hints.items():
-            self._read_load_gauge.labels(benefactor=benefactor_id).set(load)
+            self._read_load_gauge[benefactor_id].set(load)
         return {
             "dataset_id": dataset.dataset_id,
             "version": record.version,

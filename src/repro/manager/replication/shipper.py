@@ -36,7 +36,7 @@ from repro.exceptions import (
     StdchkError,
 )
 from repro.manager.persistence import encode_manager_state
-from repro.obs import component_logger
+from repro.obs import LabelChildren, component_logger
 
 #: Records retained for catch-up shipping before a lagging standby is forced
 #: into a snapshot resync.
@@ -71,8 +71,11 @@ class LogShipper:
         #: Records buffered since the last flush (batching knob).
         self._pending = 0
         #: Highest LSN offered; mirrors the journal LSN when one exists, and
-        #: is self-assigned for journal-less managers.
-        self.last_lsn = 0
+        #: is self-assigned for journal-less managers.  It starts where the
+        #: journal is: a standby attached now is bootstrapped at that LSN,
+        #: and the journal's next record must follow it in the window.
+        persistence = manager.persistence
+        self.last_lsn = persistence.last_lsn if persistence is not None else 0
         self._lock = threading.RLock()
         #: Test/fault-injection hook called as ``hook(lsn, record)`` after
         #: each record is shipped; exceptions propagate (fail-stop), which is
@@ -81,11 +84,11 @@ class LogShipper:
         self._log = component_logger("shipper", manager.manager_id)
 
         obs = manager.obs
-        self._lag_gauge = obs.gauge(
+        self._lag_gauge = LabelChildren(obs.gauge(
             "manager_replication_lag_records",
             "Records the primary has shipped but this standby has not acked.",
             labelnames=("standby",),
-        )
+        ), "standby")
         self._ships = obs.counter(
             "manager_replication_ships_total",
             "replicate_records batches sent to standbys.",
@@ -98,16 +101,16 @@ class LogShipper:
             "manager_replication_resyncs_total",
             "Full snapshot transfers to lagging standbys.",
         )
-        self._ship_failures = obs.counter(
+        self._ship_failures = LabelChildren(obs.counter(
             "manager_replication_ship_failures_total",
             "Failed ship attempts, per standby.",
             labelnames=("standby",),
-        )
-        self._ship_window = obs.windowed_histogram(
+        ), "standby")
+        self._ship_window = LabelChildren(obs.windowed_histogram(
             "manager_replication_ship_seconds_window",
             "Recent (sliding-window) per-standby ship latency.",
             labelnames=("standby",),
-        )
+        ), "standby")
         self._quorum_window = obs.windowed_histogram(
             "manager_quorum_ack_seconds_window",
             "Recent time to collect the standby-ack quorum per record.",
@@ -232,7 +235,7 @@ class LogShipper:
                 try:
                     self._ship_to(link)
                     link.healthy = True
-                    self._ship_window.labels(standby=link.address).observe(
+                    self._ship_window[link.address].observe(
                         time.perf_counter() - started
                     )
                 except StaleEpochError as exc:
@@ -250,8 +253,8 @@ class LogShipper:
                     # not take the primary down; it will resync on return.
                     link.healthy = False
                     link.failures += 1
-                    self._ship_failures.labels(standby=link.address).inc()
-                self._lag_gauge.labels(standby=link.address).set(
+                    self._ship_failures[link.address].inc()
+                self._lag_gauge[link.address].set(
                     max(0, self.last_lsn - link.acked_lsn)
                 )
 

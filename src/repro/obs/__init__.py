@@ -21,6 +21,7 @@ from repro.obs.metrics import (
     Counter,
     Gauge,
     Histogram,
+    LabelChildren,
     MetricsRegistry,
     merge_snapshots,
 )
@@ -57,6 +58,7 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
+    "LabelChildren",
     "MetricsRegistry",
     "merge_snapshots",
     "SPAN_STORE",

@@ -7,9 +7,10 @@ pool layers aggregate per-node snapshots with :func:`merge_snapshots`.
 Design constraints, in order:
 
 * **Cheap hot path.**  Recording is a dict lookup done once (callers hold on
-  to the child series object) plus a short critical section guarded by a
-  per-series lock.  When the global observability switch is off, recording
-  is a single attribute read and an early return.
+  to the child series object, or a :class:`LabelChildren` of them) plus a
+  short critical section guarded by a per-series lock; a registry lookup of
+  an existing family takes no lock.  When the global observability switch
+  is off, recording is a single attribute read and an early return.
 * **Exact under concurrency.**  Python's ``+=`` on an attribute is a
   read-modify-write across bytecodes, so every mutation takes the series
   lock; N threads x M increments sum to exactly N*M (covered by tests).
@@ -23,8 +24,8 @@ import bisect
 import math
 import threading
 import time
-from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from contextlib import nullcontext
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.obs import runtime
 from repro.obs.windows import (
@@ -119,17 +120,9 @@ class HistogramSeries:
             self._sum += value
             self._count += 1
 
-    @contextmanager
-    def time(self) -> Iterator[None]:
+    def time(self):
         """Context manager recording the elapsed wall time of the block."""
-        if not runtime.ENABLED:
-            yield
-            return
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.observe(time.perf_counter() - start)
+        return _Timer(self) if runtime.ENABLED else _UNTIMED
 
     @property
     def count(self) -> int:
@@ -152,6 +145,27 @@ class HistogramSeries:
             out[_format_bound(bound)] = running
         out["+Inf"] = running + counts[-1]
         return out
+
+
+class _Timer:
+    """The scope of :meth:`HistogramSeries.time`."""
+
+    __slots__ = ("_series", "_started")
+
+    def __init__(self, series: HistogramSeries) -> None:
+        self._series = series
+        self._started = 0.0
+
+    def __enter__(self) -> None:
+        self._started = time.perf_counter()
+
+    def __exit__(self, *_exc) -> bool:
+        self._series.observe(time.perf_counter() - self._started)
+        return False
+
+
+#: What :meth:`HistogramSeries.time` returns while observability is off.
+_UNTIMED = nullcontext()
 
 
 def _format_bound(bound: float) -> str:
@@ -211,12 +225,59 @@ class _MetricFamily:
         return self._default
 
 
+class LabelChildren(dict):
+    """The series of a one-label family by label value, each resolved once.
+
+    Paths that pick a series per call (per benefactor, per standby) read it
+    here with one dict lookup instead of ``family.labels(...)``'s label
+    checks and family lock.  A value seen for the first time is resolved
+    through the family, so snapshots show exactly what they did.
+    """
+
+    __slots__ = ("_family", "_label")
+
+    def __init__(self, family, label: str) -> None:
+        super().__init__()
+        self._family = family
+        self._label = label
+
+    def __missing__(self, value: str):
+        series = self[value] = self._family.labels(**{self._label: value})
+        return series
+
+
+class _FunctionSeries:
+    """A series whose value is read from its owner at snapshot time."""
+
+    __slots__ = ("labels", "_read")
+
+    def __init__(self, read: Callable[[], float]) -> None:
+        self.labels: Dict[str, str] = {}
+        self._read = read
+
+    @property
+    def value(self) -> float:
+        return float(self._read())
+
+
 class Counter(_MetricFamily):
     kind = "counter"
     _series_cls = CounterSeries
 
     def inc(self, amount: float = 1.0) -> None:
         self._require_default().inc(amount)
+
+    def set_function(self, read: Callable[[], float]) -> None:
+        """Export ``read()`` as this unlabeled counter's value from now on.
+
+        For a count its component keeps anyway, because something other
+        than telemetry needs it: the registry reads it when snapshotted
+        instead of being told of every increment, and the global switch,
+        which stops telemetry, does not stop the count.
+        """
+        self._require_default()
+        with self._lock:
+            self._default = self._series[()] = _FunctionSeries(read)
 
     @property
     def value(self) -> float:
@@ -319,20 +380,24 @@ class MetricsRegistry:
 
     def _get_or_create(self, cls, name: str, help: str,
                        labelnames: Sequence[str], **kwargs):
-        with self._lock:
-            family = self._families.get(name)
-            if family is None:
-                family = cls(name, help, labelnames, **kwargs)
-                self._families[name] = family
-            elif not isinstance(family, cls):
-                raise ValueError(
-                    f"metric {name!r} already registered as {family.kind}"
-                )
-            elif tuple(labelnames) != family.labelnames:
-                raise ValueError(
-                    f"metric {name!r} already registered with labels "
-                    f"{family.labelnames}"
-                )
+        # Families are only ever added, never replaced or removed, so a hit
+        # needs no lock: components resolve their instruments per session
+        # or per reader, and this is that lookup.
+        family = self._families.get(name)
+        if family is None:
+            with self._lock:
+                family = self._families.get(name)
+                if family is None:
+                    family = self._families[name] = cls(name, help, labelnames, **kwargs)
+        if not isinstance(family, cls):
+            raise ValueError(
+                f"metric {name!r} already registered as {family.kind}"
+            )
+        if tuple(labelnames) != family.labelnames:
+            raise ValueError(
+                f"metric {name!r} already registered with labels "
+                f"{family.labelnames}"
+            )
         return family
 
     def counter(self, name: str, help: str = "",
@@ -354,27 +419,12 @@ class MetricsRegistry:
                            window_seconds: Optional[float] = None,
                            bounds: Sequence[float] = ()) -> WindowedHistogram:
         """A windowed (recent-quantile) family over this registry's clock."""
-        with self._lock:
-            family = self._families.get(name)
-            if family is None:
-                family = WindowedHistogram(
-                    name, help, labelnames, now=self._now,
-                    window_seconds=(window_seconds if window_seconds is not None
-                                    else self.window_seconds),
-                    window_buckets=self.window_buckets,
-                    bounds=bounds,
-                )
-                self._families[name] = family  # type: ignore[assignment]
-            elif not isinstance(family, WindowedHistogram):
-                raise ValueError(
-                    f"metric {name!r} already registered as {family.kind}"
-                )
-            elif tuple(labelnames) != family.labelnames:
-                raise ValueError(
-                    f"metric {name!r} already registered with labels "
-                    f"{family.labelnames}"
-                )
-        return family
+        return self._get_or_create(
+            WindowedHistogram, name, help, labelnames, now=self._now,
+            window_seconds=(window_seconds if window_seconds is not None
+                            else self.window_seconds),
+            window_buckets=self.window_buckets, bounds=bounds,
+        )
 
     def window_summary(self, name: str) -> Optional[Dict[str, float]]:
         """The family-wide live-window summary of one windowed metric."""

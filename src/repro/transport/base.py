@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import time
 from abc import ABC, abstractmethod
-from contextlib import ExitStack
-from typing import Any, Callable, Dict, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import ProtocolError
 from repro.obs import runtime, tracing
@@ -54,40 +53,39 @@ class Endpoint(ABC):
         if handler is None or not callable(handler):
             raise ProtocolError(f"endpoint has no method {method!r}")
         ctx = tracing.extract(payload)
-        if not runtime.ENABLED:
-            return handler(**payload)
-        registry = getattr(self, "obs", None)
-        if ctx is None and registry is None:
-            return handler(**payload)
+        timers = self._rpc_timers(method) if runtime.ENABLED else None
+        span = tracing.NO_SPAN if ctx is None else tracing.start_span(
+            f"rpc.server:{method}",
+            component=getattr(self, "obs_component", ""),
+            node_id=getattr(self, "obs_node_id", ""),
+            parent=ctx,
+        )
         started = time.perf_counter()
         try:
-            with ExitStack() as stack:
-                if ctx is not None:
-                    stack.enter_context(tracing.start_span(
-                        f"rpc.server:{method}",
-                        component=getattr(self, "obs_component", ""),
-                        node_id=getattr(self, "obs_node_id", ""),
-                        parent=ctx,
-                    ))
+            with span:
                 return handler(**payload)
         finally:
-            if registry is not None:
+            if timers is not None:
                 # One measurement feeds both views: the cumulative
                 # histogram (lifetime distribution) and the windowed
                 # summary (recent p50/p99 for live SLOs).
                 elapsed = time.perf_counter() - started
-                lifetime, recent = self._rpc_timers(registry, method)
+                lifetime, recent = timers
                 lifetime.observe(elapsed)
                 recent.observe(elapsed)
 
-    def _rpc_timers(self, registry: Any, method: str) -> Tuple[Any, Any]:
+    def _rpc_timers(self, method: str) -> Optional[Tuple[Any, Any]]:
         """The two latency series of ``method``, resolved once per endpoint.
 
-        Looking the families and their label children up costs two registry
-        locks per RPC; the series objects are stable, so they are kept on
-        the endpoint, keyed by method, for as long as ``obs`` is the same
+        None for an endpoint without an ``obs`` registry.  Looking the
+        families and their label children up costs two registry locks per
+        RPC; the series objects are stable, so they are kept on the
+        endpoint, keyed by method, for as long as ``obs`` is the same
         registry.
         """
+        registry = getattr(self, "obs", None)
+        if registry is None:
+            return None
         cache = getattr(self, "_rpc_timer_cache", None)
         if cache is None or cache[0] is not registry:
             cache = self._rpc_timer_cache = (registry, {})

@@ -184,10 +184,18 @@ class StdchkConfig:
     #: promotion storm.
     failover_cooldown: float = 5.0
 
-    #: Fraction of client root operations (write_file/read_file) that open a
-    #: trace; child spans always follow the parent decision, so a sampled-out
-    #: root suppresses its whole RPC tree.  1.0 traces everything.
-    trace_sample_rate: float = 1.0
+    #: Trace budget of one client: the root operations (``write_file``,
+    #: ``read_file``) per second each ``ClientProxy`` traces, paced by a token
+    #: bucket on the client's clock that holds ``TRACE_BURST`` (32, in
+    #: ``client/proxy.py``).  A root over budget is not traced at all — no
+    #: span, no context, no ``__trace__`` in its frames, no server spans —
+    #: unless it fails, which leaves one error span.  An operation inside an
+    #: active trace context is always recorded as a child.  At ~14 spans per
+    #: root the default keeps a busy client at ~110 spans/s, so the 8 192-span
+    #: store holds over a minute of it, and a client below 8 operations per
+    #: second (a periodic checkpointer, a test) is traced completely.  0
+    #: traces nothing; ``math.inf`` traces every operation.
+    trace_rate: float = 8.0
 
     #: Half-life (seconds) of the manager's read-routing load tally: the
     #: per-benefactor placement counts behind ``get_chunk_map`` load hints
@@ -289,8 +297,8 @@ class StdchkConfig:
             )
         if self.failover_cooldown < 0:
             raise ConfigurationError("failover_cooldown must be non-negative")
-        if not (0.0 <= self.trace_sample_rate <= 1.0):
-            raise ConfigurationError("trace_sample_rate must be in [0, 1]")
+        if not self.trace_rate >= 0:  # NaN too
+            raise ConfigurationError("trace_rate must be non-negative")
         if self.read_load_halflife < 0:
             raise ConfigurationError("read_load_halflife must be non-negative")
         if self.health_probe_interval <= 0:

@@ -5,6 +5,7 @@ import threading
 
 import pytest
 
+from repro import StdchkPool
 from repro.benefactor.benefactor import Benefactor
 from repro.benefactor.chunk_store import DiskChunkStore, MemoryChunkStore
 from repro.core.chunk import Chunk, content_chunk_id
@@ -14,6 +15,7 @@ from repro.exceptions import (
     ChunkNotFoundError,
     StoreFullError,
 )
+from repro.obs import set_enabled
 from repro.transport.inprocess import InProcessTransport
 
 
@@ -329,3 +331,32 @@ class TestBenefactor:
         assert target.list_chunks() == ids[:1]
         assert source.stats["replications_out"] == 1
         assert source.stats["bytes_out"] == 1024
+
+
+def test_stats_are_accounting_not_telemetry(small_config):
+    """The same write, read and repair count the same with observability
+    off: the switch stops telemetry, not what repair, GC and benchmarks
+    read from ``stats``."""
+
+    def run():
+        pool = StdchkPool(benefactor_count=4, config=small_config)
+        client = pool.client("accountant")
+        data = random.Random(3).randbytes(100_000)
+        client.write_file("/app/acct.N0.T1", data)
+        assert client.read_file("/app/acct.N0.T1") == data
+        pool.heal()
+        return {node_id: node.stats for node_id, node in pool.benefactors.items()}
+
+    previous = set_enabled(True)
+    try:
+        with_telemetry = run()
+        set_enabled(False)
+        without_telemetry = run()
+    finally:
+        set_enabled(previous)
+    assert without_telemetry == with_telemetry
+    totals = {key: sum(stats[key] for stats in without_telemetry.values())
+              for key in ("puts", "gets", "bytes_in", "replications_out")}
+    # Two chunks written once, read once, copied once by repair.
+    assert totals == {"puts": 4, "gets": 2, "bytes_in": 200_000,
+                      "replications_out": 2}

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import settings
 
 from repro import StdchkConfig, StdchkPool
+from repro.obs import set_enabled
 from repro.util.clock import VirtualClock
 from repro.util.units import MiB
 
@@ -23,6 +24,19 @@ settings.register_profile(
     "ci", max_examples=10 * STATE_MACHINE_EXAMPLES, derandomize=False,
     print_blob=True, deadline=None,
 )
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--obs-off", action="store_true", default=False,
+        help="run with observability switched off (set_enabled(False)) for "
+             "the whole session: nothing functional may depend on telemetry",
+    )
+
+
+def pytest_configure(config):
+    if config.getoption("--obs-off"):
+        set_enabled(False)
 
 
 @pytest.fixture

@@ -92,6 +92,28 @@ class TestLogShipping:
         client.write_file("/app/a.N0.T1", make_bytes(70 * 1024, seed=5))
         assert pool.manager.shipper.last_lsn == pool.manager.persistence.last_lsn
 
+    @pytest.mark.parametrize("journaled", [True, False])
+    def test_a_standby_attached_late_starts_at_the_primarys_lsn(self, tmp_path,
+                                                                journaled):
+        """One bootstrap snapshot, at the LSN the primary's state is at: a
+        shipper that started at 0 under a journal at N installed it "at 0",
+        and the next record found a gap and sent a second snapshot."""
+        pool = make_pool(journal_dir=str(tmp_path / "wal") if journaled else None,
+                         replication_quorum=1)
+        client = pool.client("c0")
+        client.mkdir("/app")
+        client.write_file("/app/a.N0.T1", make_bytes(70 * 1024, seed=5))
+        before = pool.manager.persistence.last_lsn if journaled else 0
+        assert (before > 0) == journaled
+
+        standby = pool.add_standby("standby-0")
+        shipper = pool.manager.shipper
+        assert standby.applied_lsn == shipper.last_lsn == before
+        client.write_file("/app/b.N0.T1", make_bytes(70 * 1024, seed=6))
+        assert shipper._standbys[standby.address].resyncs == 1
+        assert standby.applied_lsn == shipper.last_lsn > before
+        assert standby.namespace.file_exists("/app/a.N0.T1")
+
     def test_lagging_standby_resyncs_via_snapshot(self):
         # A standby enrolled with a tiny retention window that misses a burst
         # of records (unreachable) catches up through install_snapshot.

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
 
 from repro.obs import (
+    LabelChildren,
     MetricsRegistry,
     merge_snapshots,
     set_enabled,
@@ -76,6 +78,34 @@ class TestThreadSafety:
         assert hist.count == workers * per_worker
         assert hist.sum == pytest.approx(workers * per_worker * 0.001)
 
+    def test_racing_creators_all_get_the_one_family(self):
+        """A hit takes no lock; creation still happens exactly once."""
+        registry = MetricsRegistry()
+        kinds = (registry.counter, registry.histogram, registry.windowed_histogram)
+        seen = []
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def work():
+                for index in range(300):
+                    make = kinds[index % 3]
+                    seen.append((index, make(f"family_{index}", labelnames=("k",))))
+
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(previous)
+        assert len(seen) == 8 * 300
+        families = {}
+        for index, family in seen:
+            assert families.setdefault(index, family) is family
+        assert {family.name for family in registry.families()} >= {
+            f"family_{index}" for index in range(300)}
+
 
 class TestFamilies:
     def test_counter_rejects_negative(self):
@@ -124,6 +154,30 @@ class TestFamilies:
         assert buckets["1.0"] == 3
         assert buckets["+Inf"] == 4
 
+    def test_label_children_are_the_familys_series(self):
+        registry = MetricsRegistry()
+        for family in (registry.gauge("g", labelnames=("benefactor",)),
+                       registry.windowed_histogram("w", labelnames=("benefactor",))):
+            children = LabelChildren(family, "benefactor")
+            assert children["b0"] is family.labels(benefactor="b0")
+            assert children["b0"] is children["b0"]
+            assert children["b1"] is not children["b0"]
+
+    def test_function_counter_exports_what_its_owner_counts(self):
+        registry = MetricsRegistry()
+        counts = {"puts": 0}
+        registry.counter("puts_total").set_function(lambda: counts["puts"])
+        counts["puts"] = 7
+        prior = set_enabled(False)
+        try:
+            counts["puts"] += 1  # the owner's count, not telemetry
+        finally:
+            set_enabled(prior)
+        (entry,) = registry.snapshot()["metrics"]["puts_total"]["series"]
+        assert entry == {"labels": {}, "value": 8.0}
+        with pytest.raises(ValueError):
+            registry.counter("by_kind_total", labelnames=("k",)).set_function(lambda: 1)
+
     def test_histogram_time_records_one_observation(self):
         hist = MetricsRegistry().histogram("h")
         with hist.time():
@@ -144,6 +198,17 @@ class TestEnabledSwitch:
         assert counter.value == 0
         counter.inc()
         assert counter.value == 1
+
+    def test_disabled_timer_allocates_nothing(self):
+        hist = MetricsRegistry().histogram("h")
+        prior = set_enabled(False)
+        try:
+            assert hist.time() is hist.time()
+            with hist.time():
+                pass
+        finally:
+            set_enabled(prior)
+        assert hist.count == 0
 
     def test_set_enabled_returns_prior_value(self):
         assert set_enabled(False) is True

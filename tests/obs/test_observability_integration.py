@@ -3,14 +3,19 @@
 from __future__ import annotations
 
 import json
+import math
+import sys
+import threading
 import urllib.request
 
 import pytest
 
 from repro import StdchkConfig, StdchkPool, TcpDeployment, to_prometheus
+from repro.client.proxy import TRACE_BURST
 from repro.client.read_path import ReplicaScheduler
-from repro.exceptions import ReadFailedError
+from repro.exceptions import FileNotFoundInStdchkError, ReadFailedError
 from repro.obs import SPAN_STORE, MetricsRegistry
+from repro.obs.tracing import TRACE_KEY
 
 CHUNK = 64 * 1024
 
@@ -314,11 +319,14 @@ class TestLoadDecay:
 
 
 class TestTraceSampling:
-    """``trace_sample_rate`` gates root spans; children follow the parent."""
+    """``trace_rate`` gates root spans; children follow the parent."""
 
     def test_rate_zero_suppresses_the_whole_tree(self, small_config):
-        config = small_config.with_overrides(trace_sample_rate=0.0)
+        config = small_config.with_overrides(trace_rate=0)
         pool = StdchkPool(benefactor_count=3, config=config)
+        frames = []
+        pool.transport.set_fault_hook(
+            lambda address, method, payload: frames.append(dict(payload)))
         client = pool.client("quiet")
         data = b"q" * (2 * CHUNK)
         client.write_file("/app/q.N0.T1", data)
@@ -326,46 +334,122 @@ class TestTraceSampling:
         # No root span -> no context -> transports inject nothing and the
         # server side opens nothing: the store stays empty end to end.
         assert SPAN_STORE.spans() == []
+        assert frames and not [f for f in frames if TRACE_KEY in f]
 
-    def test_rate_one_traces_every_operation(self, small_config):
-        pool = StdchkPool(benefactor_count=3, config=small_config)
+    def test_unbounded_rate_traces_every_operation(self, small_config):
+        pool = StdchkPool(benefactor_count=3,
+                          config=small_config.with_overrides(trace_rate=math.inf))
         client = pool.client("chatty")
-        client.write_file("/app/c.N0.T1", b"c" * CHUNK)
-        roots = [s for s in SPAN_STORE.spans() if s.parent_id is None]
-        assert any(s.name == "client.write_file" for s in roots)
+        for index in range(100):
+            client.write_file(f"/app/c.N0.T{index + 1}", b"c" * 1024)
+        roots = [s for s in SPAN_STORE.spans()
+                 if s.parent_id is None and s.name == "client.write_file"]
+        assert len(roots) == 100
 
     def test_children_follow_a_parent_that_was_sampled_in(self, small_config):
         from repro.obs import tracing
 
-        config = small_config.with_overrides(trace_sample_rate=0.0)
+        config = small_config.with_overrides(trace_rate=0)
         pool = StdchkPool(benefactor_count=3, config=config)
         client = pool.client("nested")
         with tracing.start_span("job.checkpoint", component="test"):
             client.write_file("/app/n.N0.T1", b"n" * CHUNK)
         root = next(s for s in SPAN_STORE.spans() if s.name == "job.checkpoint")
         spans = SPAN_STORE.traces()[root.trace_id]
-        # Sampling gates only roots: inside an active context the client op
+        # The budget gates only roots: inside an active context the client op
         # and the whole RPC tree below it are recorded as children.
         assert any(s.name == "client.write_file" for s in spans)
         assert any(s.name.startswith("rpc.server:") for s in spans)
 
-    def test_fractional_rate_samples_some_roots_deterministically(
-        self, small_config
-    ):
-        config = small_config.with_overrides(trace_sample_rate=0.5)
+    def test_budget_traces_some_roots_deterministically(self, small_config):
+        config = small_config.with_overrides(trace_rate=1)
 
-        def sampled_roots():
+        def traced_paths():
             SPAN_STORE.clear()
             pool = StdchkPool(benefactor_count=3, config=config)
             client = pool.client("coin-flipper")
-            for index in range(20):
+            for index in range(40):
                 client.write_file(f"/app/s.N0.T{index + 1}", b"s" * CHUNK)
             return [
-                s.name for s in SPAN_STORE.spans()
+                s.attributes["path"] for s in SPAN_STORE.spans()
                 if s.parent_id is None and s.name == "client.write_file"
             ]
 
-        first = sampled_roots()
-        assert 0 < len(first) < 20  # a fraction, not all-or-nothing
-        # The sampler is seeded from the client id: reruns agree exactly.
-        assert sampled_roots() == first
+        first = traced_paths()
+        assert 0 < len(first) < 40  # some, not all-or-nothing
+        # The budget runs on the pool's clock: reruns agree exactly.
+        assert traced_paths() == first
+
+
+class TestTraceBudget:
+    """A client traces at most ``trace_rate`` roots per second after a burst."""
+
+    @staticmethod
+    def write_roots():
+        return [s for s in SPAN_STORE.spans()
+                if s.parent_id is None and s.name == "client.write_file"]
+
+    def test_a_burst_then_the_rate(self, small_config):
+        pool = StdchkPool(benefactor_count=3,
+                          config=small_config.with_overrides(trace_rate=8))
+        client = pool.client("storm")
+        for index in range(100):
+            client.write_file(f"/app/b.N0.T{index}", b"b" * 1024)
+        roots = self.write_roots()
+        assert len(roots) == TRACE_BURST == 32
+        # The first 32 were traced, each with its whole tree.
+        assert [s.attributes["path"] for s in roots] == [
+            f"/app/b.N0.T{index}" for index in range(32)]
+        for root in roots:
+            assert any(s.name == "rpc.server:put_chunk"
+                       for s in SPAN_STORE.traces()[root.trace_id])
+
+        pool.clock.advance(1.0)
+        for index in range(100, 200):
+            client.write_file(f"/app/b.N0.T{index}", b"b" * 1024)
+        assert len(self.write_roots()) == 32 + 8
+
+    def test_each_client_has_its_own_budget(self, small_config):
+        pool = StdchkPool(benefactor_count=3,
+                          config=small_config.with_overrides(trace_rate=8))
+        for name in ("one", "two"):
+            client = pool.client(name)
+            for index in range(40):
+                client.write_file(f"/app/{name}.N0.T{index}", b"b" * 1024)
+        assert len(self.write_roots()) == 2 * TRACE_BURST
+
+    def test_a_refused_root_that_fails_leaves_one_error_span(self, small_config):
+        pool = StdchkPool(benefactor_count=3,
+                          config=small_config.with_overrides(trace_rate=0))
+        client = pool.client("unlucky")
+        with pytest.raises(FileNotFoundInStdchkError):
+            client.read_file("/app/never-written")
+        (span,) = SPAN_STORE.spans()
+        assert (span.name, span.component, span.node_id) == (
+            "client.read_file", "client", "unlucky")
+        assert span.parent_id is None and span.status == "error"
+        assert span.error.startswith("FileNotFoundInStdchkError")
+        assert span.attributes == {"path": "/app/never-written"}
+        assert span.duration > 0
+
+    def test_concurrent_roots_take_exactly_the_burst(self, small_config):
+        pool = StdchkPool(benefactor_count=1,
+                          config=small_config.with_overrides(trace_rate=8))
+        client = pool.client("shared")
+        admitted = []
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def take():
+                admitted.extend(client._take_trace_token() for _ in range(500))
+
+            threads = [threading.Thread(target=take) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(previous)
+        assert len(admitted) == 4000
+        assert admitted.count(True) == TRACE_BURST

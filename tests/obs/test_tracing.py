@@ -9,8 +9,16 @@ import threading
 import pytest
 
 from repro import StdchkPool
-from repro.obs import SPAN_STORE, current_context, start_span, use_context
-from repro.obs.tracing import TRACE_KEY, SpanStore, TraceContext, extract, inject, new_id
+from repro.obs import SPAN_STORE, current_context, set_enabled, start_span, use_context
+from repro.obs.tracing import (
+    NO_SPAN,
+    TRACE_KEY,
+    SpanStore,
+    TraceContext,
+    extract,
+    inject,
+    new_id,
+)
 
 
 class TestIds:
@@ -84,6 +92,24 @@ class TestSpans:
         with use_context(None):
             assert current_context() is None
 
+    def test_an_open_span_is_the_threads_context(self):
+        with start_span("outer") as outer:
+            assert current_context() is outer
+            with use_context(TraceContext("t", "s")):
+                assert current_context() == TraceContext("t", "s")
+            assert current_context() is outer
+
+    def test_disabled_spans_are_one_shared_scope(self):
+        prior = set_enabled(False)
+        try:
+            assert start_span("a") is start_span("b") is NO_SPAN
+            with start_span("a") as span:
+                assert span is None
+                assert current_context() is None
+        finally:
+            set_enabled(prior)
+        assert SPAN_STORE.spans() == []
+
 
 class TestWirePropagation:
     def test_inject_extract_roundtrip_pops_key(self):
@@ -107,6 +133,14 @@ class TestWirePropagation:
     def test_from_wire_rejects_garbage(self):
         assert TraceContext.from_wire("nope") is None
         assert TraceContext.from_wire({"trace_id": ""}) is None
+        assert TraceContext.from_wire(("a", "b", "c")) is None
+        assert TraceContext.from_wire(("a", "")) is None
+
+    def test_wire_form_is_a_pair_and_the_dict_form_still_parses(self):
+        context = TraceContext("abc", "def")
+        assert context.to_wire() == ("abc", "def")
+        assert TraceContext.from_wire({"trace_id": "abc", "span_id": "def"}) == context
+        assert TraceContext.from_wire(["abc", "def"]) == context
 
 
 class TestSpanStore:

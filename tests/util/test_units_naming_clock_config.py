@@ -162,6 +162,8 @@ class TestConfig:
         {"cbch_min_chunk": 10, "cbch_max_chunk": 5},
         {"read_ahead": -1},
         {"metadata_cache_ttl": -1},
+        {"trace_rate": -1},
+        {"trace_rate": float("nan")},
     ])
     def test_invalid_configurations_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
