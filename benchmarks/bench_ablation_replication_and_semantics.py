@@ -31,7 +31,6 @@ def run_semantics(semantics: WriteSemantics, replication: int):
         stripe_width=4,
         replication_level=replication,
         write_semantics=semantics,
-        window_buffer_size=2 * MiB,
         incremental_file_size=2 * MiB,
     )
     pool = StdchkPool(benefactor_count=6, config=config)

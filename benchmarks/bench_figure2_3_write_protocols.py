@@ -97,7 +97,6 @@ def run_functional(protocol: WriteProtocol, parallelism: int) -> float:
         chunk_size=FUNC_CHUNK,
         stripe_width=4,
         replication_level=1,
-        window_buffer_size=16 * FUNC_CHUNK,
         incremental_file_size=8 * FUNC_CHUNK,
         write_protocol=protocol,
         push_parallelism=parallelism,

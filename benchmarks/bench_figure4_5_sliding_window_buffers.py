@@ -77,7 +77,6 @@ def run_sliding_window(parallelism: int) -> float:
         chunk_size=FUNC_CHUNK,
         stripe_width=4,
         replication_level=1,
-        window_buffer_size=16 * FUNC_CHUNK,
         push_parallelism=parallelism,
     )
     pool = StdchkPool(

@@ -64,7 +64,6 @@ def functional_savings(image_count=6, image_size=32 * MiB):
         stripe_width=STRIPE_WIDTH,
         replication_level=1,
         similarity_heuristic=SimilarityHeuristic.FSCH,
-        window_buffer_size=8 * MiB,
     )
     pool = StdchkPool(benefactor_count=STRIPE_WIDTH, config=config)
     client = pool.client("blast")

@@ -54,8 +54,7 @@ def run_simulation(files_per_client=FILES_PER_CLIENT):
 def run_functional(files_per_client=4, file_size=2 * MiB):
     """Scaled-down functional run to check the transaction accounting."""
     config = StdchkConfig(chunk_size=256 * 1024, stripe_width=STRIPE_WIDTH,
-                          replication_level=1, window_buffer_size=1 * MiB,
-                          incremental_file_size=1 * MiB)
+                          replication_level=1, incremental_file_size=1 * MiB)
     pool = StdchkPool(benefactor_count=BENEFACTORS, config=config)
     baseline = pool.manager.transactions
     for client_index in range(CLIENTS):

@@ -44,7 +44,6 @@ def failover_config(**overrides) -> StdchkConfig:
         chunk_size=CHUNK,
         stripe_width=2,
         replication_level=1,
-        window_buffer_size=4 * CHUNK,
         push_parallelism=4,
         ack_batch_size=1,
         failover_backoff_base=0.02,

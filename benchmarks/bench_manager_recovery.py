@@ -43,7 +43,6 @@ def write_config(journal_dir, fsync_policy):
         chunk_size=CHUNK,
         stripe_width=2,
         replication_level=1,
-        window_buffer_size=8 * CHUNK,
         journal_dir=journal_dir,
         journal_fsync_policy=fsync_policy,
     )

@@ -62,7 +62,6 @@ def make_config(with_detector_knobs: bool = False) -> StdchkConfig:
         chunk_size=CHUNK,
         stripe_width=4,
         replication_level=1,
-        window_buffer_size=16 * CHUNK,
         push_parallelism=4,
     )
     if with_detector_knobs:

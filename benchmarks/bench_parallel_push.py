@@ -51,7 +51,6 @@ def make_config(protocol: WriteProtocol) -> StdchkConfig:
         chunk_size=CHUNK,
         stripe_width=4,
         replication_level=1,
-        window_buffer_size=16 * CHUNK,
         incremental_file_size=8 * CHUNK,
         write_protocol=protocol,
     )

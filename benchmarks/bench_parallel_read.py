@@ -42,7 +42,6 @@ def make_config() -> StdchkConfig:
         chunk_size=CHUNK,
         stripe_width=4,
         replication_level=1,
-        window_buffer_size=16 * CHUNK,
         push_parallelism=4,  # fast write; the read path is what is measured
     )
 

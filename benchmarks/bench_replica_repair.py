@@ -54,8 +54,6 @@ def make_config() -> StdchkConfig:
         replication_level=REPLICATION,
         write_semantics=WriteSemantics.PESSIMISTIC,
         similarity_heuristic=SimilarityHeuristic.FSCH,
-        fsch_block_size=CHUNK,
-        window_buffer_size=8 * CHUNK,
         incremental_file_size=4 * CHUNK,
     )
 

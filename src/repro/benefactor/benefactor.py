@@ -17,7 +17,6 @@ additionally wipes a memory-backed store, modelling loss of node-local data.
 from __future__ import annotations
 
 import functools
-import random
 import threading
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -38,9 +37,6 @@ from repro.obs import MetricsRegistry
 from repro.transport.base import Endpoint, Transport
 from repro.util.clock import Clock, SystemClock
 from repro.util.units import GiB
-
-#: Bound on placement hints returned in one gossip reply.
-GOSSIP_REPLY_HINTS = 64
 
 #: The node's own accounting, read through :attr:`Benefactor.stats` and
 #: exported as the ``benefactor_<key>_total`` counters.
@@ -77,8 +73,8 @@ class Benefactor(Endpoint):
         #: the bound socket on TCP deployments.
         self.advertised_address = self.address
         self.online = True
-        #: Peer-level soft state (membership, liveness, placement hints)
-        #: accumulated from heartbeat refreshes and gossip exchanges.
+        #: Peer-level soft state (membership, liveness) accumulated from
+        #: heartbeat refreshes and gossip exchanges.
         self.peers = PeerDirectory(benefactor_id)
         #: Chunks queued for the anti-entropy pass to re-replicate, keyed by
         #: chunk id; each reconcile answer replaces the queue.
@@ -86,8 +82,6 @@ class Benefactor(Endpoint):
         self._repair_lock = threading.Lock()
         #: Inventory digest cached against the store's mutation counter.
         self._digest_cache: Optional[Tuple[int, InventoryDigest]] = None
-        #: Deterministic per-node stream for gossip-reply sampling.
-        self._gossip_rng = random.Random(benefactor_id)
         #: Per-node metrics registry; ``obs_component``/``obs_node_id`` stamp
         #: server-side RPC spans opened by ``Endpoint.dispatch``.
         self.obs = MetricsRegistry(component="benefactor",
@@ -289,13 +283,11 @@ class Benefactor(Endpoint):
         }
 
     def gossip(self, sender: Dict[str, object],
-               peers: Sequence[Dict[str, object]],
-               placements: Dict[str, Sequence[str]]) -> Dict[str, object]:
+               peers: Sequence[Dict[str, object]]) -> Dict[str, object]:
         """Handle one incoming gossip exchange (peer-facing RPC).
 
-        Absorbs the sender's membership records and placement hints, then
-        replies with this node's own view so knowledge flows both ways in a
-        single round trip.
+        Absorbs the sender's membership records, then replies with this
+        node's own view so knowledge flows both ways in a single round trip.
         """
         self._require_online()
         self._bump("gossip_in")
@@ -307,14 +299,9 @@ class Benefactor(Endpoint):
             inventory_digest=str(sender.get("inventory_digest", "")),
         )
         self.peers.merge_peer_records(peers)
-        self.peers.merge_hints(placements)
         reply_peers = self.peers.export_records()
         reply_peers.append(self.self_record())
-        return {
-            "peers": reply_peers,
-            "placements": self.peers.hint_sample(self._gossip_rng,
-                                                 GOSSIP_REPLY_HINTS),
-        }
+        return {"peers": reply_peers}
 
     # -- repair queue -----------------------------------------------------------
     def enqueue_repair(self, chunk_id: ChunkId,

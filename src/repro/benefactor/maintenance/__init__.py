@@ -6,8 +6,8 @@ make the benefactors the ones that report, spread the word and copy:
 * :class:`HeartbeatService` — digest-carrying heartbeats; the full chunk
   inventory travels only when the Merkle-style digest diverges from what
   the manager last reconciled.
-* :class:`GossipService` — epidemic exchange of membership/liveness and
-  placement hints between benefactors.
+* :class:`GossipService` — epidemic exchange of membership and liveness
+  between benefactors.
 * :class:`AntiEntropyService` — executes the repairs the manager's reconcile
   answer handed this node (re-attaching orphaned-but-present copies instead
   of re-copying them) and compares checksums with a random peer to find
@@ -40,14 +40,11 @@ class BenefactorMaintenance:
     """The per-benefactor maintenance stack, run as one unit per tick."""
 
     def __init__(self, benefactor, manager_address: str,
-                 gossip_fanout: int = 2, gossip_hint_sample: int = 64,
-                 max_repairs: int = 32, seed: Optional[int] = None) -> None:
+                 gossip_fanout: int = 2, max_repairs: int = 32,
+                 seed: Optional[int] = None) -> None:
         self.benefactor = benefactor
         self.heartbeat = HeartbeatService(benefactor, manager_address)
-        self.gossip = GossipService(
-            benefactor, fanout=gossip_fanout, hint_sample=gossip_hint_sample,
-            seed=seed,
-        )
+        self.gossip = GossipService(benefactor, fanout=gossip_fanout, seed=seed)
         self.anti_entropy = AntiEntropyService(
             benefactor,
             manager_address=manager_address,

@@ -187,7 +187,6 @@ class AntiEntropyService:
             return False
         if counter is not None:
             counter.inc()
-        directory.note_holders(chunk_id, (peer.peer_id,))
         self._record_with_manager(peer.peer_id, [chunk_id])
         report.healed_chunks.append(chunk_id)
         return True
@@ -248,19 +247,14 @@ class AntiEntropyService:
             return
         report.peers_compared += 1
         local = benefactor.store.checksums()
-        # The peer's inventory is itself a fresh batch of placement hints.
         for chunk_id, remote_sum in remote.items():
             self._judge_pair(chunk_id, local.get(chunk_id), remote_sum,
                              peer.peer_id, report)
-        # Chunks we hold ourselves are placement hints too.
-        for chunk_id in local:
-            directory.note_holders(chunk_id, (benefactor.benefactor_id,))
 
     def _judge_pair(self, chunk_id: str, local_sum: Optional[str],
                     remote_sum: str, peer_id: str,
                     report: AntiEntropyReport) -> None:
         benefactor = self.benefactor
-        directory = benefactor.peers
         if is_content_addressed(chunk_id) and chunk_id.startswith(_CONTENT_PREFIX):
             expected = chunk_id[len(_CONTENT_PREFIX):]
             if remote_sum != expected:
@@ -270,7 +264,6 @@ class AntiEntropyService:
                 report.corrupt_remote += 1
                 if self._corrupt_remote_counter is not None:
                     self._corrupt_remote_counter.inc()
-                directory.forget_holder(chunk_id, peer_id)
                 reported = self._report_corruption(chunk_id, peer_id)
                 if not reported and local_sum == expected:
                     # The judge cannot be told, and we hold a good copy:
@@ -279,8 +272,6 @@ class AntiEntropyService:
                         chunk_id, reason="corrupt_peer", exclude={peer_id}
                     )
                     report.queued += 1
-            else:
-                directory.note_holders(chunk_id, (peer_id,))
             if local_sum is not None and local_sum != expected:
                 # Our own copy is provably corrupt: drop and self-report.
                 self._log.warning("local copy of chunk %s is corrupt; dropping",
@@ -289,11 +280,9 @@ class AntiEntropyService:
                 if self._corrupt_local_counter is not None:
                     self._corrupt_local_counter.inc()
                 benefactor.store.delete(chunk_id)
-                directory.forget_holder(chunk_id, benefactor.benefactor_id)
                 self._report_corruption(chunk_id, benefactor.benefactor_id)
             return
         # Position-addressed chunks carry no ground truth; divergence can
         # only be surfaced, not attributed to a side.
-        directory.note_holders(chunk_id, (peer_id,))
         if local_sum is not None and local_sum != remote_sum:
             report.divergent_unattributed += 1

@@ -1,10 +1,9 @@
 """Peer-level soft state a benefactor accumulates about the rest of the pool.
 
-Which benefactors exist and are reachable (liveness), and *hints* about
-where chunks live (placement).  Both are gossiped peer to peer, merged
-newest-record-wins, and are advisory only.  The anti-entropy pass picks its
-copy targets from the membership half; whether a chunk needs a copy at all is
-the manager's call alone, made from its committed chunk-maps.
+Which benefactors exist and are reachable (liveness).  It is gossiped peer to
+peer, merged newest-record-wins, and is advisory only.  The anti-entropy pass
+picks its copy targets from it; whether a chunk needs a copy at all is the
+manager's call alone, made from its committed chunk-maps.
 """
 
 from __future__ import annotations
@@ -54,22 +53,18 @@ class RepairTask:
 
 
 class PeerDirectory:
-    """Thread-safe membership and placement-hint state for one benefactor.
+    """Thread-safe membership state for one benefactor.
 
     All mutation paths (heartbeat refresh from the manager's benefactor
     list, incoming and outgoing gossip, anti-entropy discoveries) funnel
     through this class; services and RPC handlers run on different threads.
     """
 
-    def __init__(self, owner_id: str, max_hints: int = 4096) -> None:
+    def __init__(self, owner_id: str) -> None:
         self.owner_id = owner_id
-        self.max_hints = max_hints
         self._peers: Dict[str, PeerInfo] = {}
-        #: chunk id -> benefactor ids believed to hold a replica.
-        self._hints: Dict[str, Set[str]] = {}
         self._lock = threading.Lock()
 
-    # -- membership ---------------------------------------------------------
     def observe(self, peer_id: str, address: str, now: float,
                 free_space: int = 0, inventory_digest: str = "",
                 online: bool = True) -> None:
@@ -158,47 +153,6 @@ class PeerDirectory:
         if len(eligible) <= count:
             return eligible
         return rng.sample(eligible, count)
-
-    # -- placement hints ----------------------------------------------------
-    def note_holders(self, chunk_id: str, holders: Iterable[str]) -> None:
-        """Record that ``holders`` are believed to store ``chunk_id``."""
-        with self._lock:
-            entry = self._hints.get(chunk_id)
-            if entry is None:
-                if len(self._hints) >= self.max_hints:
-                    # Bounded soft state: evict the oldest-inserted hint.
-                    self._hints.pop(next(iter(self._hints)))
-                entry = self._hints[chunk_id] = set()
-            entry.update(holders)
-
-    def forget_holder(self, chunk_id: str, holder: str) -> None:
-        """Retract one holder hint (e.g. its replica turned out corrupt)."""
-        with self._lock:
-            entry = self._hints.get(chunk_id)
-            if entry is not None:
-                entry.discard(holder)
-
-    def merge_hints(self, hints: Dict[str, Sequence[str]]) -> None:
-        for chunk_id, holders in hints.items():
-            self.note_holders(chunk_id, holders)
-
-    def holders_of(self, chunk_id: str) -> Set[str]:
-        with self._lock:
-            return set(self._hints.get(chunk_id, ()))
-
-    def hint_sample(self, rng: random.Random, limit: int) -> Dict[str, List[str]]:
-        """A bounded random sample of hints for one outgoing gossip message."""
-        with self._lock:
-            if limit <= 0 or not self._hints:
-                return {}
-            chunk_ids = list(self._hints)
-            if len(chunk_ids) > limit:
-                chunk_ids = rng.sample(chunk_ids, limit)
-            return {cid: sorted(self._hints[cid]) for cid in chunk_ids}
-
-    def hint_count(self) -> int:
-        with self._lock:
-            return len(self._hints)
 
     def __len__(self) -> int:
         with self._lock:

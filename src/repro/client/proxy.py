@@ -349,7 +349,6 @@ class ClientProxy:
             addresses=answer["addresses"],
             size=answer["size"],
             read_parallelism=self.config.read_parallelism,
-            max_inflight_reads=self.config.max_inflight_reads,
             scheduler=self.replica_scheduler,
             corruption_reporter=self._report_corrupt_chunk,
             metrics=self.obs,

@@ -224,7 +224,6 @@ class StripedReader:
         size: int,
         verify_integrity: bool = True,
         read_parallelism: int = 1,
-        max_inflight_reads: int = 0,
         scheduler: Optional[ReplicaScheduler] = None,
         cache_chunks: int = 0,
         corruption_reporter: Optional[Callable[[str, str], None]] = None,
@@ -243,9 +242,8 @@ class StripedReader:
         #: fallback.  Runs on worker threads; must never raise.
         self.corruption_reporter = corruption_reporter
         self.parallelism = max(1, read_parallelism)
-        window = max_inflight_reads if max_inflight_reads > 0 else 2 * self.parallelism
         #: Bound on fetches dispatched but not yet consumed (memory bound).
-        self._window = max(window, self.parallelism)
+        self._window = 2 * self.parallelism
         #: Chunks retained after range reads so sequential FS scans fetch
         #: each chunk exactly once; bounded, FIFO-evicted.
         self._cache_limit = cache_chunks if cache_chunks > 0 else max(2 * self._window, 8)

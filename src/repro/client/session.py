@@ -26,7 +26,7 @@ frames, through a bounded in-flight window, to the worker pool of the
 :class:`~repro.client.proxy.ClientProxy` that opened the session, so chunk
 production (spooling, hashing) overlaps propagation to benefactors and several
 benefactors of the stripe receive data concurrently.  ``feed`` blocks only
-when the window is full, which bounds client memory at ``max_inflight_chunks``
+when the window is full, which bounds client memory at ``2 * push_parallelism``
 frames (at most a transfer unit, or one chunk, each).  The pusher owns its
 futures, never the pool: it starts, joins and shuts down no thread.  The chunk
 ``finish`` flushes (the trailing partial chunk; for a file smaller than one
@@ -196,7 +196,7 @@ class ChunkPusher:
         self._window: Optional[threading.BoundedSemaphore] = None
         self._futures: List[Future] = []
         if self._executor is not None:
-            self._window = threading.BoundedSemaphore(config.effective_inflight_window)
+            self._window = threading.BoundedSemaphore(2 * self.parallelism)
 
     # -- public stream interface ---------------------------------------------
     @property

@@ -16,7 +16,7 @@ from repro.core.policies import (
     AutomatedPurgePolicy,
     make_retention_policy,
 )
-from repro.core.striping import RoundRobinStriping, StripingPolicy, StripeAllocation
+from repro.core.striping import RoundRobinStriping, StripeAllocation
 from repro.core.reservation import Reservation, ReservationTable
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "AutomatedPurgePolicy",
     "make_retention_policy",
     "RoundRobinStriping",
-    "StripingPolicy",
     "StripeAllocation",
     "Reservation",
     "ReservationTable",

@@ -1,15 +1,11 @@
-"""Striping policies: how chunks are spread over benefactors.
+"""Striping: how chunks are spread over benefactors.
 
 The paper uses round-robin striping over a configurable *stripe width* of
-benefactors, inherited from the FreeLoader work.  The policy interface also
-supports alternative strategies used by ablation benches (free-space-weighted
-selection).
+benefactors, inherited from the FreeLoader work.
 """
 
 from __future__ import annotations
 
-import random
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Set
 
@@ -25,9 +21,6 @@ class BenefactorView:
     benefactor_id: BenefactorId
     free_space: int
     online: bool = True
-    #: Number of chunks assigned in the current allocation round; the
-    #: allocator balances load by preferring lightly-loaded candidates.
-    pending_load: int = 0
 
 
 @dataclass
@@ -53,28 +46,6 @@ class StripeAllocation:
         return len(self.benefactors)
 
 
-class StripingPolicy(ABC):
-    """Selects the benefactors that form a stripe for a new write."""
-
-    @abstractmethod
-    def select(
-        self,
-        candidates: Sequence[BenefactorView],
-        stripe_width: int,
-        exclude: Optional[Set[BenefactorId]] = None,
-        required_space: int = 0,
-    ) -> StripeAllocation:
-        """Pick up to ``stripe_width`` benefactors from ``candidates``.
-
-        ``exclude`` removes benefactors that must not be selected (e.g. the
-        nodes already holding the primary copy when picking replica targets).
-        ``required_space`` filters out benefactors that could not hold an even
-        share of the data.  Raises
-        :class:`~repro.exceptions.NoBenefactorsAvailableError` when no
-        eligible candidate remains.
-        """
-
-
 def _eligible(
     candidates: Sequence[BenefactorView],
     exclude: Optional[Set[BenefactorId]],
@@ -94,7 +65,7 @@ def _eligible(
     return eligible
 
 
-class RoundRobinStriping(StripingPolicy):
+class RoundRobinStriping:
     """The paper's policy: rotate through benefactors in a fixed order.
 
     Successive allocations start from where the previous one left off so the
@@ -112,6 +83,15 @@ class RoundRobinStriping(StripingPolicy):
         exclude: Optional[Set[BenefactorId]] = None,
         required_space: int = 0,
     ) -> StripeAllocation:
+        """Pick up to ``stripe_width`` benefactors from ``candidates``.
+
+        ``exclude`` removes benefactors that must not be selected (e.g. the
+        nodes already holding the primary copy when picking replica targets).
+        ``required_space`` filters out benefactors that could not hold an even
+        share of the data.  Raises
+        :class:`~repro.exceptions.NoBenefactorsAvailableError` when no
+        eligible candidate remains.
+        """
         eligible = _eligible(candidates, exclude, required_space, stripe_width)
         ordered = sorted(eligible, key=lambda c: c.benefactor_id)
         width = min(stripe_width, len(ordered))
@@ -119,40 +99,3 @@ class RoundRobinStriping(StripingPolicy):
         selected = [ordered[(start + i) % len(ordered)].benefactor_id for i in range(width)]
         self._cursor = (start + width) % len(ordered)
         return StripeAllocation(benefactors=selected)
-
-
-class FreeSpaceStriping(StripingPolicy):
-    """Ablation policy: prefer the benefactors with the most free space."""
-
-    def select(
-        self,
-        candidates: Sequence[BenefactorView],
-        stripe_width: int,
-        exclude: Optional[Set[BenefactorId]] = None,
-        required_space: int = 0,
-    ) -> StripeAllocation:
-        eligible = _eligible(candidates, exclude, required_space, stripe_width)
-        ordered = sorted(
-            eligible, key=lambda c: (-c.free_space, c.pending_load, c.benefactor_id)
-        )
-        width = min(stripe_width, len(ordered))
-        return StripeAllocation(benefactors=[c.benefactor_id for c in ordered[:width]])
-
-
-class RandomStriping(StripingPolicy):
-    """Ablation policy: uniformly random selection (seeded for tests)."""
-
-    def __init__(self, seed: Optional[int] = None) -> None:
-        self._rng = random.Random(seed)
-
-    def select(
-        self,
-        candidates: Sequence[BenefactorView],
-        stripe_width: int,
-        exclude: Optional[Set[BenefactorId]] = None,
-        required_space: int = 0,
-    ) -> StripeAllocation:
-        eligible = _eligible(candidates, exclude, required_space, stripe_width)
-        width = min(stripe_width, len(eligible))
-        chosen = self._rng.sample(eligible, width)
-        return StripeAllocation(benefactors=[c.benefactor_id for c in chosen])

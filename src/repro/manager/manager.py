@@ -53,7 +53,7 @@ from repro.benefactor.maintenance.digest import compute_inventory_digest
 from repro.core.dataset import DatasetMetadata, DatasetVersion
 from repro.core.namespace import Namespace, normalize_path, split_path
 from repro.core.reservation import ReservationTable
-from repro.core.striping import RoundRobinStriping, StripingPolicy
+from repro.core.striping import RoundRobinStriping
 from repro.exceptions import (
     CommitConflictError,
     ConfigurationError,
@@ -115,7 +115,6 @@ class MetadataManager(Endpoint):
         transport: Transport,
         config: Optional[StdchkConfig] = None,
         clock: Optional[Clock] = None,
-        striping: Optional[StripingPolicy] = None,
         manager_id: str = "manager",
         persistence: Optional[ManagerPersistence] = None,
     ) -> None:
@@ -124,7 +123,7 @@ class MetadataManager(Endpoint):
         self.transport = transport
         self.manager_id = manager_id
         self.address = f"manager://{manager_id}"
-        self.striping = striping if striping is not None else RoundRobinStriping()
+        self.striping = RoundRobinStriping()
         #: ``"primary"`` serves clients and benefactors; ``"standby"``
         #: (see :class:`~repro.manager.replication.StandbyManager`) applies
         #: shipped journal records and refuses normal RPCs until promoted;
@@ -1184,15 +1183,6 @@ class MetadataManager(Endpoint):
             if dataset.latest is not None:
                 _merge(dataset.latest)
         return {"chunks": placements}
-
-    def resolve_addresses(self, benefactor_ids: Sequence[str]) -> Dict[str, str]:
-        self._require_online()
-        self._count()
-        addresses = {}
-        for benefactor_id in benefactor_ids:
-            if benefactor_id in self.registry:
-                addresses[benefactor_id] = self.registry.address_of(benefactor_id)
-        return addresses
 
     # ----------------------------------------------------- service-facing helpers
     def live_chunk_ids(self) -> Set[str]:

@@ -147,10 +147,6 @@ class LogShipper:
             self._install_snapshot(link)
             self._standbys[address] = link
 
-    def remove_standby(self, address: str) -> None:
-        with self._lock:
-            self._standbys.pop(address, None)
-
     # --------------------------------------------------------------- shipping
     def offer(self, record: Dict[str, object], lsn: Optional[int] = None,
               durable: bool = False) -> int:

@@ -336,9 +336,9 @@ class Deployment:
         ``overrides`` replace fields of the client's config without building
         a whole one — typically the parallel data-path knobs:
         ``push_parallelism`` / ``read_parallelism`` (they size the client's
-        one worker pool), ``max_inflight_chunks`` / ``max_inflight_reads``
-        (in-flight window bounds) and ``ack_batch_size`` (placement-ack
-        batching toward the manager).  ``None`` keeps the config's value.
+        one worker pool, and its in-flight windows at twice each) and
+        ``ack_batch_size`` (placement-ack batching toward the manager).
+        ``None`` keeps the config's value.
         """
         effective = config if config is not None else self.config
         overrides = {k: v for k, v in overrides.items() if v is not None}
@@ -347,7 +347,7 @@ class Deployment:
         # Concurrent pushes or fetches against one benefactor must not be
         # capped by pooled sockets: grow to the larger of the two windows.
         self.transport.ensure_pool_capacity(
-            max(effective.effective_inflight_window, effective.effective_read_window)
+            2 * max(effective.push_parallelism, effective.read_parallelism)
         )
         proxy = ClientProxy(
             client_id=(client_id if client_id is not None

@@ -2,10 +2,9 @@
 
 The paper exposes a small number of tunables to applications (section IV):
 the write protocol, the write semantics (optimistic vs. pessimistic), the
-replication level, the stripe width, the chunk size, the sliding-window
-buffer size and the incremental-write temporary-file size.  They are grouped
-here in a single validated dataclass so that clients, the FS facade and the
-simulated deployments agree on defaults.
+replication level, the stripe width, the chunk size and the incremental-write
+temporary-file size.  They are grouped here in a single validated dataclass so
+that clients, the FS facade and the simulated deployments agree on defaults.
 """
 
 from __future__ import annotations
@@ -50,11 +49,15 @@ class RetentionPolicyKind(enum.Enum):
 
 
 class SimilarityHeuristic(enum.Enum):
-    """Heuristics for incremental-checkpoint similarity detection."""
+    """Heuristics for incremental-checkpoint similarity detection.
+
+    The live write path dedups with FsCH only: chunks are named by content
+    hash at the chunk size.  Content-based chunking (CbCH) is an analysis
+    detector in :mod:`repro.similarity` (Tables 3-4), not a write-path mode.
+    """
 
     NONE = "none"
     FSCH = "fixed-size-compare-by-hash"
-    CBCH = "content-based-compare-by-hash"
 
 
 @dataclass
@@ -62,9 +65,9 @@ class StdchkConfig:
     """Client- and system-level tunables with paper defaults.
 
     Defaults follow the prototype evaluated in section V: 1 MB chunks,
-    stripe width of 4, sliding-window writes with a 64 MB buffer, optimistic
-    commit with a replication level of 2, and FsCH-based incremental
-    checkpointing disabled unless requested.
+    stripe width of 4, sliding-window writes, optimistic commit with a
+    replication level of 2, and FsCH-based incremental checkpointing disabled
+    unless requested.
     """
 
     chunk_size: int = 1 * MiB
@@ -74,8 +77,6 @@ class StdchkConfig:
     replication_level: int = 2
     similarity_heuristic: SimilarityHeuristic = SimilarityHeuristic.NONE
 
-    #: Sliding-window in-memory buffer (paper sweeps 32–512 MB).
-    window_buffer_size: int = 64 * MiB
     #: Incremental-write temporary-file size bound.
     incremental_file_size: int = 64 * MiB
 
@@ -88,22 +89,19 @@ class StdchkConfig:
     #: worker pool of a ``ClientProxy`` (``max`` of the two), so the bound
     #: holds across all the client's open sessions, not per session; the
     #: chunk a session's close flushes is pushed by the caller on top of it.
+    #: A session keeps at most ``2 * push_parallelism`` frames submitted but
+    #: not yet stored (the in-flight window), so every worker stays pipelined.
     push_parallelism: int = 1
-    #: Bound on frames (a chunk each at the default chunk size) submitted but
-    #: not yet stored: the in-flight window.  0 derives ``2 * push_parallelism`` so every worker stays pipelined.
-    max_inflight_chunks: int = 0
     #: Fetches a client runs concurrently: chunks, or on a whole-file read
     #: frames (the chunks chosen from one benefactor, at most a transfer
     #: unit).  1 keeps the fully-synchronous read path (one RPC at a time; read-ahead still uses one pool worker);
     #: higher values overlap integrity verification and network transfer so
     #: restart reads exploit the striping the same way pipelined writes do.
     #: Shares the client's worker pool with ``push_parallelism``: a bound
-    #: across all the client's open readers, not per reader.
+    #: across all the client's open readers, not per reader.  A reader keeps
+    #: at most ``2 * read_parallelism`` fetches dispatched but not yet
+    #: consumed (the read-side in-flight window).
     read_parallelism: int = 1
-    #: Bound on fetches (chunks or frames, as above) dispatched but not yet
-    #: consumed: the read-side in-flight window.  0 derives ``2 * read_parallelism`` so every reader
-    #: worker stays pipelined.
-    max_inflight_reads: int = 0
     #: Client->manager placement acknowledgements are batched in groups of
     #: this many chunks (one ``put_chunks_ack`` transaction per batch).
     #: 0 disables mid-session acks entirely, preserving the paper's
@@ -119,14 +117,6 @@ class StdchkConfig:
 
     #: Space reservations are garbage collected after this lease expires.
     reservation_lease: float = 300.0
-
-    #: FsCH block size when similarity detection is enabled.
-    fsch_block_size: int = 1 * MiB
-    #: CbCH boundary bits (k).
-    cbch_boundary_bits: int = 14
-    #: CbCH minimum/maximum chunk bounds to cap pathological boundaries.
-    cbch_min_chunk: int = 2 * 1024
-    cbch_max_chunk: int = 8 * MiB
 
     #: Directory holding the manager's write-ahead journal and snapshots.
     #: ``None`` keeps the historical volatile manager (no durability).
@@ -227,30 +217,14 @@ class StdchkConfig:
             raise ConfigurationError("stripe_width must be positive")
         if self.replication_level <= 0:
             raise ConfigurationError("replication_level must be positive")
-        if self.window_buffer_size < self.chunk_size:
-            raise ConfigurationError(
-                "window_buffer_size must hold at least one chunk"
-            )
         if self.incremental_file_size < self.chunk_size:
             raise ConfigurationError(
                 "incremental_file_size must hold at least one chunk"
             )
         if self.push_parallelism <= 0:
             raise ConfigurationError("push_parallelism must be positive")
-        if self.max_inflight_chunks < 0:
-            raise ConfigurationError("max_inflight_chunks must be non-negative")
-        if 0 < self.max_inflight_chunks < self.push_parallelism:
-            raise ConfigurationError(
-                "max_inflight_chunks must be at least push_parallelism"
-            )
         if self.read_parallelism <= 0:
             raise ConfigurationError("read_parallelism must be positive")
-        if self.max_inflight_reads < 0:
-            raise ConfigurationError("max_inflight_reads must be non-negative")
-        if 0 < self.max_inflight_reads < self.read_parallelism:
-            raise ConfigurationError(
-                "max_inflight_reads must be at least read_parallelism"
-            )
         if self.ack_batch_size < 0:
             raise ConfigurationError("ack_batch_size must be non-negative")
         if self.transport_pool_size <= 0:
@@ -259,12 +233,6 @@ class StdchkConfig:
             raise ConfigurationError(
                 "heartbeat_timeout must exceed heartbeat_interval"
             )
-        if self.fsch_block_size <= 0:
-            raise ConfigurationError("fsch_block_size must be positive")
-        if not (0 < self.cbch_boundary_bits < 32):
-            raise ConfigurationError("cbch_boundary_bits must be in (0, 32)")
-        if self.cbch_min_chunk <= 0 or self.cbch_max_chunk < self.cbch_min_chunk:
-            raise ConfigurationError("invalid CbCH chunk bounds")
         if self.journal_fsync_policy not in ("never", "commit", "always"):
             raise ConfigurationError(
                 "journal_fsync_policy must be 'never', 'commit' or 'always'"
@@ -312,20 +280,6 @@ class StdchkConfig:
             raise ConfigurationError("read_ahead must be non-negative")
         if self.metadata_cache_ttl < 0:
             raise ConfigurationError("metadata_cache_ttl must be non-negative")
-
-    @property
-    def effective_inflight_window(self) -> int:
-        """The in-flight chunk bound actually applied by the data path."""
-        if self.max_inflight_chunks > 0:
-            return self.max_inflight_chunks
-        return 2 * self.push_parallelism
-
-    @property
-    def effective_read_window(self) -> int:
-        """The in-flight chunk-fetch bound actually applied by the read path."""
-        if self.max_inflight_reads > 0:
-            return self.max_inflight_reads
-        return 2 * self.read_parallelism
 
     def with_overrides(self, **kwargs) -> "StdchkConfig":
         """Return a copy with ``kwargs`` replaced and re-validated."""

@@ -3,8 +3,8 @@
 Covers the inventory digest (determinism, divergence localization, the
 benefactor-side mutation-count cache), the peer directory soft state, the
 digest-carrying heartbeat protocol (reconcile only on divergence, transparent
-re-registration after a manager restart), gossip propagation of membership
-and placement hints, and the anti-entropy pass (copy repair, orphan
+re-registration after a manager restart), gossip propagation of membership,
+and the anti-entropy pass (copy repair, orphan
 re-attachment without re-copying, corruption attribution for
 content-addressed chunks).
 """
@@ -150,21 +150,6 @@ class TestPeerDirectory:
         picked = directory.random_peers(random.Random(0), 5, exclude=("c",))
         assert [p.peer_id for p in picked] == ["a"]
 
-    def test_hint_capacity_is_bounded(self):
-        directory = PeerDirectory("me", max_hints=3)
-        for index in range(5):
-            directory.note_holders(f"chunk-{index}", ("h",))
-        assert directory.hint_count() == 3
-        # Oldest hints were evicted, newest survive.
-        assert directory.holders_of("chunk-4") == {"h"}
-        assert directory.holders_of("chunk-0") == set()
-
-    def test_forget_holder_retracts_one_hint(self):
-        directory = PeerDirectory("me")
-        directory.note_holders("c0", ("a", "b"))
-        directory.forget_holder("c0", "a")
-        assert directory.holders_of("c0") == {"b"}
-
 
 class TestHeartbeatService:
     def test_unchanged_digest_skips_reconciliation(self, pool: StdchkPool):
@@ -237,18 +222,31 @@ class TestHeartbeatService:
 
 
 class TestGossipService:
-    def test_hints_propagate_to_contacted_peers(self):
+    def test_contacted_peers_learn_the_origin(self):
         _, _, nodes = peer_group(3)
         origin = nodes[0]
-        payload = make_bytes(512, seed=9)
-        chunk_id = content_chunk_id(payload)
-        origin.put_chunk(chunk_id, payload)
+        for peer in nodes[1:]:
+            peer.peers = PeerDirectory(peer.benefactor_id)  # knows nobody
         service = GossipService(origin, fanout=2, seed=11)
         report = service.run_once()
         assert report.exchanged == 2
         for peer in nodes[1:]:
-            assert peer.peers.holders_of(chunk_id) == {origin.benefactor_id}
+            assert origin.benefactor_id in peer.peers
             assert peer.stats["gossip_in"] == 1
+
+    def test_gossip_carries_membership_only(self):
+        transport, _, nodes = peer_group(2)
+        requests = []
+        transport.set_fault_hook(
+            lambda address, method, payload:
+                requests.append((address, dict(payload))) if method == "gossip" else None
+        )
+        GossipService(nodes[0], fanout=1, seed=11).run_once()
+        transport.set_fault_hook(None)
+        [(address, payload)] = requests
+        assert set(payload) == {"sender", "peers"}
+        reply = transport.call(address, "gossip", **payload)
+        assert set(reply) == {"peers"}
 
     def test_unreachable_peer_is_marked_offline(self):
         _, _, nodes = peer_group(3)
@@ -312,7 +310,6 @@ class TestAntiEntropyService:
         assert report.repaired == 0
         # No bytes moved: the copy was found, not pushed.
         assert holder.stats["replications_out"] == 0
-        assert holder.peers.holders_of(chunk_id) >= {orphan_host.benefactor_id}
 
     def test_corrupt_remote_copy_is_detected_and_queued_for_repair(self):
         _, _, nodes = peer_group(2)
@@ -325,7 +322,6 @@ class TestAntiEntropyService:
         service = AntiEntropyService(good, seed=5)
         report = service.run_once()
         assert report.corrupt_remote == 1
-        assert bad.benefactor_id not in good.peers.holders_of(chunk_id)
         # The only possible copy target is the corrupt holder, which is
         # excluded: the repair stays queued for a tick with more peers.
         assert report.repair_failures >= 1

@@ -16,7 +16,6 @@ def build_pool(**overrides):
         chunk_size=32 * 1024,
         stripe_width=3,
         replication_level=2,
-        window_buffer_size=128 * 1024,
         incremental_file_size=64 * 1024,
     )
     defaults.update(overrides)

@@ -32,7 +32,6 @@ SMALL = dict(
     chunk_size=64 * 1024,
     stripe_width=3,
     replication_level=2,
-    window_buffer_size=256 * 1024,
     incremental_file_size=128 * 1024,
     failover_backoff_base=0.001,
     failover_backoff_max=0.01,

@@ -26,7 +26,6 @@ def parallel_config(**overrides) -> StdchkConfig:
         chunk_size=CHUNK,
         stripe_width=4,
         replication_level=2,
-        window_buffer_size=8 * CHUNK,
         incremental_file_size=4 * CHUNK,
         push_parallelism=4,
     )
@@ -291,17 +290,12 @@ class TestConfigKnobs:
         with pytest.raises(ConfigurationError):
             StdchkConfig(push_parallelism=0)
         with pytest.raises(ConfigurationError):
-            StdchkConfig(max_inflight_chunks=-1)
-        with pytest.raises(ConfigurationError):
-            StdchkConfig(push_parallelism=4, max_inflight_chunks=2)
-        with pytest.raises(ConfigurationError):
             StdchkConfig(ack_batch_size=-1)
         with pytest.raises(ConfigurationError):
             StdchkConfig(transport_pool_size=0)
 
-    def test_effective_window_derives_from_parallelism(self):
-        assert StdchkConfig(push_parallelism=4).effective_inflight_window == 8
-        assert (
-            StdchkConfig(push_parallelism=4, max_inflight_chunks=5).effective_inflight_window
-            == 5
-        )
+    def test_push_window_is_twice_the_parallelism(self):
+        # The pooled sockets per benefactor grow to the push window.
+        with TcpDeployment(benefactor_count=2, config=parallel_config()) as deployment:
+            deployment.client("wide", push_parallelism=8)
+            assert deployment.transport._pool_size == 16

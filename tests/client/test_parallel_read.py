@@ -30,7 +30,6 @@ def read_config(**overrides) -> StdchkConfig:
         chunk_size=CHUNK,
         stripe_width=4,
         replication_level=2,
-        window_buffer_size=8 * CHUNK,
         incremental_file_size=4 * CHUNK,
         read_ahead=2 * CHUNK,
     )
@@ -360,8 +359,9 @@ class TestParallelReadOverTcp:
         def slow_store(capacity):
             return DelayedChunkStore(capacity, get_delay=0.002)
 
-        # TcpDeployment runs no background replication service; pessimistic
-        # writes guarantee two live replicas per chunk before the kill.
+        # No maintenance round runs here, so the healer copies nothing;
+        # pessimistic writes guarantee two live replicas per chunk before
+        # the kill.
         config = read_config(write_semantics=WriteSemantics.PESSIMISTIC)
         with TcpDeployment(benefactor_count=4, config=config,
                            store_factory=slow_store) as deployment:
@@ -413,14 +413,9 @@ class TestReadConfigKnobs:
     def test_new_knobs_validate(self):
         with pytest.raises(ConfigurationError):
             StdchkConfig(read_parallelism=0)
-        with pytest.raises(ConfigurationError):
-            StdchkConfig(max_inflight_reads=-1)
-        with pytest.raises(ConfigurationError):
-            StdchkConfig(read_parallelism=4, max_inflight_reads=2)
 
-    def test_effective_read_window_derives_from_parallelism(self):
-        assert StdchkConfig(read_parallelism=4).effective_read_window == 8
-        assert (
-            StdchkConfig(read_parallelism=4, max_inflight_reads=5).effective_read_window
-            == 5
-        )
+    def test_read_window_is_twice_the_parallelism(self):
+        pool = StdchkPool(benefactor_count=4, config=read_config())
+        client = pool.client("w", read_parallelism=4)
+        client.write_file("/w/f", make_bytes(4 * CHUNK, seed=3))
+        assert client.open_read("/w/f")._window == 8

@@ -51,7 +51,6 @@ def small_config() -> StdchkConfig:
         chunk_size=64 * 1024,
         stripe_width=3,
         replication_level=2,
-        window_buffer_size=256 * 1024,
         incremental_file_size=128 * 1024,
     )
 

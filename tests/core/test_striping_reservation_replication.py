@@ -1,4 +1,4 @@
-"""Tests for striping policies and space reservations."""
+"""Tests for round-robin striping and space reservations."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,8 +6,6 @@ from hypothesis import given, settings, strategies as st
 from repro.core.reservation import ReservationTable
 from repro.core.striping import (
     BenefactorView,
-    FreeSpaceStriping,
-    RandomStriping,
     RoundRobinStriping,
     StripeAllocation,
 )
@@ -81,22 +79,6 @@ class TestRoundRobinStriping:
         allocation = RoundRobinStriping().select(views(count), width)
         assert len(set(allocation.benefactors)) == len(allocation.benefactors)
         assert allocation.width == min(count, width)
-
-
-class TestOtherStripingPolicies:
-    def test_free_space_prefers_emptier_nodes(self):
-        candidates = [
-            BenefactorView("full", free_space=10),
-            BenefactorView("half", free_space=500),
-            BenefactorView("empty", free_space=1000),
-        ]
-        allocation = FreeSpaceStriping().select(candidates, 2)
-        assert allocation.benefactors == ["empty", "half"]
-
-    def test_random_striping_is_seedable(self):
-        first = RandomStriping(seed=1).select(views(8), 4).benefactors
-        second = RandomStriping(seed=1).select(views(8), 4).benefactors
-        assert first == second
 
 
 class TestReservations:

@@ -22,7 +22,6 @@ def fs_pool():
         chunk_size=32 * 1024,
         stripe_width=3,
         replication_level=2,
-        window_buffer_size=128 * 1024,
         incremental_file_size=64 * 1024,
         read_ahead=64 * 1024,
         metadata_cache_ttl=10.0,

@@ -20,7 +20,6 @@ def build_pool(benefactors=5, **overrides):
         chunk_size=32 * 1024,
         stripe_width=3,
         replication_level=2,
-        window_buffer_size=128 * 1024,
         incremental_file_size=64 * 1024,
     )
     defaults.update(overrides)
@@ -153,7 +152,6 @@ class TestTcpDeployment:
         try:
             config = StdchkConfig(chunk_size=32 * 1024, stripe_width=2,
                                   replication_level=1,
-                                  window_buffer_size=128 * 1024,
                                   incremental_file_size=64 * 1024)
             manager = MetadataManager(transport=transport, config=config,
                                       manager_id="tcp-manager")

@@ -28,7 +28,6 @@ def sweep_config(**overrides) -> StdchkConfig:
         chunk_size=CHUNK,
         stripe_width=2,
         replication_level=1,
-        window_buffer_size=256 * 1024,
         push_parallelism=4,
         ack_batch_size=1,
         failover_backoff_base=0.001,

@@ -21,7 +21,6 @@ def tcp_config(journal_dir: str, **overrides) -> StdchkConfig:
         chunk_size=32 * 1024,
         stripe_width=2,
         replication_level=1,
-        window_buffer_size=128 * 1024,
         journal_dir=journal_dir,
         journal_fsync_policy="commit",
     )

@@ -38,7 +38,6 @@ def plane_config(**overrides) -> StdchkConfig:
         chunk_size=CHUNK,
         stripe_width=2,
         replication_level=1,
-        window_buffer_size=256 * 1024,
         health_probe_interval=PROBE_INTERVAL,
         health_suspect_after=SUSPECT_AFTER,
         health_dead_after=DEAD_AFTER,

@@ -5,8 +5,8 @@ detects a corrupt replica and reports it (``report_corrupt_chunk``), the
 manager drops the placement, remembers the bad copy in its durable
 corruption ledger and flags the surviving holders; digest-carrying
 heartbeats deliver the repair handoff through ``reconcile_inventory``; and
-the benefactors' own anti-entropy passes re-replicate — with the manager's
-central :class:`ReplicationService` switched off the whole time.
+the benefactors' own anti-entropy passes re-replicate.  That is the one
+healer: the manager judges under-replication, the benefactors copy.
 
 Checkpoints use FsCH (content-addressed chunks) so corruption is
 attributable, and pessimistic writes so every chunk starts at the
@@ -31,8 +31,6 @@ def maintenance_config(**overrides) -> StdchkConfig:
         replication_level=2,
         write_semantics=WriteSemantics.PESSIMISTIC,
         similarity_heuristic=SimilarityHeuristic.FSCH,
-        fsch_block_size=CHUNK,
-        window_buffer_size=4 * CHUNK,
         incremental_file_size=2 * CHUNK,
     )
     defaults.update(overrides)
@@ -94,8 +92,8 @@ class TestCorruptionReportRegression:
         assert victim not in placement.benefactors
         assert placement.replica_count == 1
 
-        # Healed by benefactor-driven maintenance alone (the manager's
-        # ReplicationService is never ticked in this test).
+        # Healed by the one healer: the manager's reconcile answer names the
+        # repair, the benefactors' maintenance rounds copy.
         pool.heal(rounds=4)
         assert record.chunk_map.min_replication() >= 2
         # The bad copy was purged; if the victim ever holds this chunk

@@ -119,7 +119,6 @@ def journaled_config(journal_dir: str, **overrides) -> StdchkConfig:
         chunk_size=16 * 1024,
         stripe_width=2,
         replication_level=1,
-        window_buffer_size=64 * 1024,
         incremental_file_size=32 * 1024,
         ack_batch_size=2,
         journal_dir=journal_dir,

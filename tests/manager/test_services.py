@@ -17,7 +17,6 @@ def small_pool():
         chunk_size=32 * 1024,
         stripe_width=3,
         replication_level=2,
-        window_buffer_size=128 * 1024,
         incremental_file_size=64 * 1024,
     )
     return StdchkPool(benefactor_count=5, benefactor_capacity=64 * MiB, config=config)

@@ -10,6 +10,8 @@ and leaves no thread and no descriptor behind.
 
 from __future__ import annotations
 
+import ast
+import dataclasses
 import gc
 import json
 import os
@@ -41,7 +43,7 @@ KINDS = pytest.mark.parametrize("build", [StdchkPool, TcpDeployment],
 def config(**overrides) -> StdchkConfig:
     defaults = dict(
         chunk_size=CHUNK, stripe_width=3, replication_level=2,
-        window_buffer_size=4 * CHUNK, incremental_file_size=4 * CHUNK,
+        incremental_file_size=4 * CHUNK,
         failover_backoff_base=0.001, failover_backoff_max=0.01,
     )
     defaults.update(overrides)
@@ -323,3 +325,32 @@ def test_no_second_healer_in_src():
     loops over ``put_chunk``), which repair does not use.
     """
     assert src_lines_naming("ReplicationService", "ShadowChunkMap") == []
+
+
+def test_no_dead_knob_or_hint_in_src():
+    """Gossip carries membership only, the manager stripes round-robin, and
+    the in-flight windows are ``2 * parallelism``: none of the knobs, hints,
+    strategies or RPCs nothing read may come back."""
+    assert src_lines_naming("note_holders", "hint_sample", "StripingPolicy",
+                            "resolve_addresses", "max_inflight_") == []
+
+
+def test_every_config_field_is_read_by_the_product():
+    """A ``StdchkConfig`` field only ``validate()`` reads is a dead tunable.
+
+    A read is ``x.field`` or ``getattr(x, "field", ...)``.
+    """
+    src = Path(__file__).resolve().parents[1] / "src" / "repro"
+    read = set()
+    for path in src.rglob("*.py"):
+        if path == src / "util" / "config.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "getattr" and len(node.args) >= 2
+                  and isinstance(node.args[1], ast.Constant)):
+                read.add(node.args[1].value)
+    fields = {field.name for field in dataclasses.fields(StdchkConfig)}
+    assert sorted(fields - read) == []

@@ -31,7 +31,7 @@ KINDS = pytest.mark.parametrize("build", [StdchkPool, TcpDeployment],
 def config(**overrides) -> StdchkConfig:
     defaults = dict(
         chunk_size=CHUNK, stripe_width=4, replication_level=2,
-        window_buffer_size=8 * CHUNK, incremental_file_size=4 * CHUNK,
+        incremental_file_size=4 * CHUNK,
     )
     defaults.update(overrides)
     return StdchkConfig(**defaults)
@@ -205,8 +205,7 @@ SCENARIOS = [
     (dataset_level_below_the_global_one, dict(replication_level=3)),
     (departure_in_steady_state, {}),
     (corrupt_replica, dict(PESSIMISTIC, stripe_width=2,
-                           similarity_heuristic=SimilarityHeuristic.FSCH,
-                           fsch_block_size=CHUNK)),
+                           similarity_heuristic=SimilarityHeuristic.FSCH)),
     (designated_source_dies, dict(replication_level=3)),
     (designated_source_dies_silently, dict(replication_level=3)),
     (repair_withheld_while_a_file_is_written, {}),

@@ -154,16 +154,18 @@ class TestConfig:
         {"chunk_size": 0},
         {"stripe_width": 0},
         {"replication_level": 0},
-        {"window_buffer_size": 1},
         {"incremental_file_size": 1},
         {"heartbeat_timeout": 1.0, "heartbeat_interval": 5.0},
-        {"fsch_block_size": -1},
-        {"cbch_boundary_bits": 0},
-        {"cbch_min_chunk": 10, "cbch_max_chunk": 5},
         {"read_ahead": -1},
         {"metadata_cache_ttl": -1},
         {"trace_rate": -1},
         {"trace_rate": float("nan")},
+        {"journal_fsync_policy": "sometimes"},
+        {"quorum_degrade": "retry"},
+        {"failover_backoff_base": 1.0, "failover_backoff_max": 0.5},
+        {"read_load_halflife": -1},
+        {"health_probe_interval": 0},
+        {"health_suspect_after": 20.0, "health_dead_after": 10.0},
     ])
     def test_invalid_configurations_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
