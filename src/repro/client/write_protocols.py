@@ -43,7 +43,7 @@ from typing import Dict, List, Optional
 
 from repro.client.session import ChunkPusher, WriteStats
 from repro.exceptions import (
-    CommitConflictError,
+    SessionCommittedError,
     SessionStateError,
     StdchkError,
     UnknownDatasetError,
@@ -162,9 +162,10 @@ class WriteSession(ABC):
         handling, both gated on ``supports_failover`` so single-manager
         clients keep strict semantics:
 
-        * ``CommitConflictError("already committed")`` — the first attempt
-          landed and its commit record shipped before the death: the version
-          is durable, synthesize the success answer.
+        * :class:`SessionCommittedError` — the first attempt landed and its
+          commit record shipped before the death: the manager found the
+          version the session made (every attempt names the ``dataset_id``
+          and ``version`` it was given), so synthesize the success answer.
         * ``UnknownDatasetError`` — the session's ``create_session`` record
           never reached the standby (it was buffered, not yet shipped):
           replay the whole session — re-open the same path and commit the
@@ -178,13 +179,19 @@ class WriteSession(ABC):
             attributes=attributes,
         )
         failover = getattr(self.transport, "supports_failover", False)
-        try:
+
+        def commit() -> Dict[str, object]:
+            info = self.session_info
             return self.transport.call(
                 self.manager_address, "commit_session",
-                session_id=self.session_id, **payload,
+                session_id=info["session_id"], dataset_id=info["dataset_id"],
+                version=info["version"], **payload,
             )
-        except CommitConflictError as exc:
-            if not failover or "already committed" not in str(exc):
+
+        try:
+            return commit()
+        except SessionCommittedError:
+            if not failover:
                 raise
             return {
                 "committed": True,
@@ -202,10 +209,7 @@ class WriteSession(ABC):
                 expected_size=self.pusher.total_size,
             )
             self.session_info = session_info
-            return self.transport.call(
-                self.manager_address, "commit_session",
-                session_id=session_info["session_id"], **payload,
-            )
+            return commit()
 
     def abort(self) -> None:
         """Abandon the session; pushed chunks become orphans for GC."""

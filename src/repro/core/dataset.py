@@ -34,6 +34,9 @@ class DatasetVersion:
     attributes: Dict[str, str] = field(default_factory=dict)
     #: Versions flagged obsolete are retained until pruned.
     obsolete: bool = False
+    #: The write session that committed this version; a retried commit of
+    #: that session is answered from here once the session is gone.
+    session_id: str = ""
 
     @property
     def chunk_count(self) -> int:

@@ -3,14 +3,14 @@
 stdchk cannot predict a new file's size, so clients *eagerly reserve* space
 with the manager ahead of their writes; unused reservations are
 asynchronously garbage collected once their lease expires (section IV.A).
+A reservation exists exactly while it is outstanding: release and lease
+expiry delete it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, List, Optional
-
-from repro.exceptions import ReservationError
 
 
 @dataclass
@@ -24,25 +24,10 @@ class Reservation:
     benefactors: List[str]
     created_at: float
     lease: float
-    #: Bytes the client has actually consumed against the reservation.
-    consumed: int = 0
-    released: bool = False
-
-    @property
-    def remaining(self) -> int:
-        return max(self.amount - self.consumed, 0)
 
     def expired(self, now: float) -> bool:
-        """A reservation expires when its lease elapses without release."""
-        return not self.released and (now - self.created_at) >= self.lease
-
-    def consume(self, amount: int) -> None:
-        if amount < 0:
-            raise ReservationError("cannot consume a negative amount")
-        self.consumed += amount
-
-    def release(self) -> None:
-        self.released = True
+        """A reservation expires when its lease elapses."""
+        return (now - self.created_at) >= self.lease
 
 
 class ReservationTable:
@@ -59,14 +44,10 @@ class ReservationTable:
         with that id is what consumes it)."""
         return f"rsv-{self._seq + 1}"
 
-    def _next_id(self) -> str:
-        self._seq += 1
-        return f"rsv-{self._seq}"
-
     def restore(self, reservation_id: str, client_id: str, dataset_id: str,
                 amount: int, benefactors: List[str], created_at: float,
-                lease: Optional[float] = None, consumed: int = 0) -> Reservation:
-        """Recreate a reservation from durable state (manager recovery).
+                lease: Optional[float] = None) -> Reservation:
+        """Create a reservation from a record or a snapshot entry.
 
         The id counter is fast-forwarded past the restored id so freshly
         created reservations never collide with replayed ones.
@@ -79,7 +60,6 @@ class ReservationTable:
             benefactors=list(benefactors),
             created_at=created_at,
             lease=self._default_lease if lease is None else lease,
-            consumed=consumed,
         )
         self._reservations[reservation_id] = reservation
         suffix = reservation_id.rsplit("-", 1)[-1]
@@ -87,73 +67,20 @@ class ReservationTable:
             self._seq = max(self._seq, int(suffix))
         return reservation
 
-    def reserve(
-        self,
-        client_id: str,
-        dataset_id: str,
-        amount: int,
-        benefactors: List[str],
-        now: float,
-        lease: Optional[float] = None,
-    ) -> Reservation:
-        """Create a reservation and return it."""
-        if amount < 0:
-            raise ReservationError("reservation amount must be non-negative")
-        reservation = Reservation(
-            reservation_id=self._next_id(),
-            client_id=client_id,
-            dataset_id=dataset_id,
-            amount=amount,
-            benefactors=list(benefactors),
-            created_at=now,
-            lease=self._default_lease if lease is None else lease,
-        )
-        self._reservations[reservation.reservation_id] = reservation
-        return reservation
-
-    def get(self, reservation_id: str) -> Reservation:
-        try:
-            return self._reservations[reservation_id]
-        except KeyError:
-            raise ReservationError(f"unknown reservation: {reservation_id}") from None
-
-    def consume(self, reservation_id: str, amount: int) -> Reservation:
-        reservation = self.get(reservation_id)
-        if reservation.released:
-            raise ReservationError(f"reservation already released: {reservation_id}")
-        reservation.consume(amount)
-        return reservation
-
-    def release(self, reservation_id: str) -> Reservation:
-        reservation = self.get(reservation_id)
-        reservation.release()
-        return reservation
+    def release(self, reservation_id: str) -> Optional[Reservation]:
+        """Delete a reservation; None if its lease was collected already."""
+        return self._reservations.pop(reservation_id, None)
 
     def outstanding(self) -> List[Reservation]:
-        """Reservations still holding space (not yet released)."""
-        return [r for r in self._reservations.values() if not r.released]
-
-    def reserved_on(self, benefactor_id: str) -> int:
-        """Total unconsumed bytes currently reserved on ``benefactor_id``."""
-        total = 0
-        for reservation in self.outstanding():
-            if benefactor_id in reservation.benefactors and reservation.benefactors:
-                total += reservation.remaining // len(reservation.benefactors)
-        return total
+        """Every reservation still holding space."""
+        return list(self._reservations.values())
 
     def collect_expired(self, now: float) -> List[Reservation]:
-        """Release and return every reservation whose lease expired."""
+        """Delete and return every reservation whose lease expired."""
         expired = [r for r in self._reservations.values() if r.expired(now)]
         for reservation in expired:
-            reservation.release()
+            del self._reservations[reservation.reservation_id]
         return expired
-
-    def drop_released(self) -> int:
-        """Forget released reservations; returns how many were dropped."""
-        released = [rid for rid, r in self._reservations.items() if r.released]
-        for rid in released:
-            del self._reservations[rid]
-        return len(released)
 
     def __len__(self) -> int:
         return len(self._reservations)

@@ -52,6 +52,14 @@ class CommitConflictError(ManagerError):
     """A chunk-map commit conflicts with an already-committed version."""
 
 
+class SessionCommittedError(CommitConflictError):
+    """A retried commit named a session that already committed.
+
+    Commit deletes the session; the version it made carries its id, and
+    that version is what answers a retry naming its dataset and number.
+    """
+
+
 class ManagerUnavailableError(ManagerError):
     """The manager is offline (simulated manager failure)."""
 

@@ -29,7 +29,6 @@ class GcRoundReport:
     benefactors_unreachable: int = 0
     chunks_reported: int = 0
     chunks_collected: int = 0
-    bytes_hint: int = 0
     per_benefactor: Dict[str, int] = field(default_factory=dict)
 
 
@@ -44,7 +43,8 @@ class GarbageCollector:
     def __init__(self, manager: MetadataManager, transport: Transport) -> None:
         self.manager = manager
         self.transport = transport
-        self.rounds: List[GcRoundReport] = []
+        #: Chunks deleted over every round so far.
+        self.total_collected = 0
 
     def run_once(self) -> GcRoundReport:
         """One full exchange with every online benefactor."""
@@ -74,7 +74,7 @@ class GarbageCollector:
                 continue
             report.chunks_collected += removed
             report.per_benefactor[record.benefactor_id] = removed
-        self.rounds.append(report)
+        self.total_collected += report.chunks_collected
         return report
 
     def run_rounds(self, count: int) -> List[GcRoundReport]:
@@ -82,11 +82,5 @@ class GarbageCollector:
         return [self.run_once() for _ in range(count)]
 
     def collect_expired_reservations(self) -> int:
-        """Release reservations whose lease lapsed; returns how many."""
-        expired = self.manager.reservations.collect_expired(self.manager.clock.now())
-        self.manager.reservations.drop_released()
-        return len(expired)
-
-    @property
-    def total_collected(self) -> int:
-        return sum(r.chunks_collected for r in self.rounds)
+        """Delete reservations whose lease lapsed; returns how many."""
+        return len(self.manager.reservations.collect_expired(self.manager.clock.now()))

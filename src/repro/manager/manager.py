@@ -12,9 +12,10 @@ The data path never traverses the manager: chunks flow directly between
 clients and benefactors.
 
 **One state machine.**  The durable metadata — namespace, dataset version
-chains, replication targets, write sessions, reservations, id counters, the
-corruption ledger, benefactor membership, the epoch — is changed by exactly
-one piece of code, :func:`repro.manager.persistence.recovery.apply_record`.
+chains, replication targets, open write sessions, outstanding reservations,
+id counters, the corruption ledger, benefactor membership, the epoch — is
+changed by exactly one piece of code,
+:func:`repro.manager.persistence.recovery.apply_record`.
 A mutating handler keeps its guards, *decides* by reading only (the clock,
 the next session/dataset/reservation/version id, a stripe allocation),
 builds the logical redo record and hands it to :meth:`MetadataManager._commit`,
@@ -22,6 +23,13 @@ which applies it and then journals and ships it.  Crash recovery and standby
 managers run the same applier on the same record, so live, replayed and
 replicated state cannot drift; an applier raises before touching anything or
 completes, so a call that fails changes nothing anywhere.
+
+**Sessions that end.**  A write session or a reservation exists exactly
+while it is open.  Commit and abort delete the session and its reservation;
+the commit leaves the session's id on the version it made, and that version
+answers a retried commit (:class:`~repro.exceptions.SessionCommittedError`).
+Nothing decides when to forget a finished one, and a snapshot holds live
+state only.
 
 **Soft state**, by design outside that machine and written without records
 (a recovered or promoted manager re-learns it from registrations, heartbeats
@@ -55,13 +63,13 @@ from repro.core.namespace import Namespace, normalize_path, split_path
 from repro.core.reservation import ReservationTable
 from repro.core.striping import RoundRobinStriping
 from repro.exceptions import (
-    CommitConflictError,
     ConfigurationError,
     FileNotFoundInStdchkError,
     ManagerRecoveringError,
     ManagerUnavailableError,
     NotPrimaryError,
     QuorumNotReachedError,
+    SessionCommittedError,
     StaleEpochError,
     UnknownDatasetError,
 )
@@ -85,7 +93,8 @@ MAX_REPAIR_HINTS = 256
 
 @dataclass
 class WriteSessionRecord:
-    """Manager-side state of one in-flight write session."""
+    """Manager-side state of one open write session (commit and abort
+    delete it)."""
 
     session_id: str
     client_id: str
@@ -96,15 +105,9 @@ class WriteSessionRecord:
     reservation_id: str
     created_at: float
     replication_level: int
-    committed: bool = False
-    aborted: bool = False
     #: chunk id -> benefactors acknowledged mid-session via ``put_chunks_ack``
     #: (batched by the client; advisory until the commit).
     acked_chunks: Dict[str, List[str]] = field(default_factory=dict)
-
-    @property
-    def active(self) -> bool:
-        return not self.committed and not self.aborted
 
 
 class MetadataManager(Endpoint):
@@ -148,10 +151,13 @@ class MetadataManager(Endpoint):
                                    clock=self.clock)
         self.obs_component = "manager"
         self.obs_node_id = manager_id
-        self._txn_counter = self.obs.counter(
+        #: Transaction counter (any client- or benefactor-facing call); the
+        #: metric reads it at snapshot time, so it counts with telemetry off.
+        self.transactions = 0
+        self.obs.counter(
             "manager_transactions_total",
             "Client- and benefactor-facing calls handled.",
-        )
+        ).set_function(lambda: self.transactions)
         #: Decayed count of replica placements handed out by
         #: ``get_chunk_map`` answers, per benefactor — a cluster-wide
         #: read-routing load proxy, also returned as ``load_hints`` so the
@@ -181,8 +187,6 @@ class MetadataManager(Endpoint):
         self._shipper = None
 
         self._reset_state()
-        #: Transaction counter (any client- or benefactor-facing call).
-        self.transactions = 0
 
         # Concurrency audit (parallel chunk pushers call into the manager from
         # many threads at once): metadata mutations — namespace, datasets,
@@ -248,7 +252,6 @@ class MetadataManager(Endpoint):
     def _count(self) -> None:
         with self._txn_lock:
             self.transactions += 1
-        self._txn_counter.inc()
 
     def get_metrics(self) -> Dict[str, object]:
         """Metrics-snapshot RPC for scrapers (served even while recovering)."""
@@ -482,7 +485,7 @@ class MetadataManager(Endpoint):
         report.duration = time.perf_counter() - start
         report.datasets = len(self._datasets)
         report.versions = sum(len(d) for d in self._datasets.values())
-        report.sessions_active = sum(1 for s in self._sessions.values() if s.active)
+        report.sessions_active = len(self._sessions)
         report.benefactors_known = len(self.registry)
         self._recovered = True
         self.last_recovery = report
@@ -576,11 +579,10 @@ class MetadataManager(Endpoint):
         with self._meta_lock:
             reported = set(chunk_ids)
             live = self.live_chunk_ids()
-            # Chunks acknowledged by in-flight (uncommitted) sessions are
-            # protected immediately, without waiting for the seen-twice rule.
+            # Chunks acknowledged by open sessions are protected
+            # immediately, without waiting for the seen-twice rule.
             for session in self._sessions.values():
-                if session.active:
-                    live.update(session.acked_chunks)
+                live.update(session.acked_chunks)
             previously_seen = self._gc_seen.get(benefactor_id, set())
             dead = sorted(cid for cid in reported if cid not in live and cid in previously_seen)
             # The reported set itself is soft state (losing it merely delays
@@ -643,7 +645,7 @@ class MetadataManager(Endpoint):
         are already and which corrupt holders to ``exclude`` as targets; the
         node's anti-entropy pass makes the copies and reports them through
         :meth:`record_replicas`.  New files have priority over replication:
-        while a write session is active nothing is handed out.  A node whose
+        while a write session is open nothing is handed out.  A node whose
         work was withheld, or cut off by ``MAX_REPAIR_HINTS``, stays flagged
         ``repair_pending`` so its next heartbeat reconciles again.
         """
@@ -655,7 +657,7 @@ class MetadataManager(Endpoint):
         hinted: Set[str] = set()
         unserved = False
         with self._meta_lock:
-            withheld = bool(self.active_sessions())
+            withheld = bool(self._sessions)
             # Ledger entries for chunks this inventory no longer carries are
             # cleared: the corrupt copy is gone, the id may be trusted again
             # if the node ever stores a fresh replica.
@@ -707,8 +709,7 @@ class MetadataManager(Endpoint):
                         })
             protected: Set[str] = set()
             for session in self._sessions.values():
-                if session.active:
-                    protected.update(session.acked_chunks)
+                protected.update(session.acked_chunks)
             orphans = sorted(inventory - referenced - protected)
             # Digest what was actually reported, so divergence checks on later
             # heartbeats compare against ground truth rather than a self-report.
@@ -1015,10 +1016,6 @@ class MetadataManager(Endpoint):
         self._count()
         with self._meta_lock:
             session = self._session(session_id)
-            if not session.active:
-                raise CommitConflictError(
-                    f"session is no longer active: {session_id}"
-                )
             normalized = [
                 {
                     "chunk_id": str(placement["chunk_id"]),  # type: ignore[index]
@@ -1040,16 +1037,29 @@ class MetadataManager(Endpoint):
 
     def commit_session(self, session_id: str, chunk_map: Dict, size: int,
                        producer: str = "", timestep: Optional[int] = None,
-                       attributes: Optional[Dict[str, str]] = None) -> Dict[str, object]:
-        """Atomically commit the dataset's chunk-map (session semantics)."""
+                       attributes: Optional[Dict[str, str]] = None,
+                       dataset_id: Optional[str] = None,
+                       version: Optional[int] = None) -> Dict[str, object]:
+        """Atomically commit the dataset's chunk-map (session semantics).
+
+        ``dataset_id`` and ``version`` are what ``create_session`` answered;
+        only a retry needs them.  Once the session is gone, a version of that
+        number made by ``session_id`` means the first attempt landed
+        (:class:`SessionCommittedError`); anything else is an unknown session.
+        """
         self._require_online()
         self._count()
         with self._meta_lock:
-            session = self._session(session_id)
-            if session.committed:
-                raise CommitConflictError(f"session already committed: {session_id}")
-            if session.aborted:
-                raise CommitConflictError(f"session already aborted: {session_id}")
+            session = self._sessions.get(session_id)
+            if session is None:
+                dataset = self._datasets.get(dataset_id)
+                if (dataset is not None and dataset.has_version(version)
+                        and dataset.get_version(version).session_id == session_id):
+                    raise SessionCommittedError(
+                        f"session {session_id} already committed version "
+                        f"{version} of {dataset_id}"
+                    )
+                raise UnknownDatasetError(f"unknown session: {session_id}")
             self._dataset(session.dataset_id)
             self._commit("commit", {
                 "session_id": session_id,
@@ -1076,7 +1086,7 @@ class MetadataManager(Endpoint):
         return {"aborted": True}
 
     def active_sessions(self) -> List[WriteSessionRecord]:
-        return [s for s in self._sessions.values() if s.active]
+        return list(self._sessions.values())
 
     # ------------------------------------------------------------------- reads
     def _decayed_load(self, benefactor_id: str, now: float) -> float:

@@ -1,13 +1,13 @@
 """The manager's state machine: one applier per journaled operation.
 
 :func:`apply_record` is the only code that mutates journaled metadata — the
-namespace, dataset version chains, replication targets, write sessions,
-reservations, id counters, the corruption ledger, benefactor membership and
-the epoch.  The live RPC handlers of :class:`MetadataManager` decide (clock,
-next ids, stripe allocation) by reading only, build a record and hand it to
-``_commit``, which runs the applier here and then journals and ships the
-record; crash recovery and :meth:`StandbyManager.replicate_records` run the
-same applier on the same record.  Live = replayed = replicated.
+namespace, dataset version chains, replication targets, open write sessions,
+outstanding reservations, id counters, the corruption ledger, benefactor
+membership and the epoch.  The live RPC handlers of :class:`MetadataManager`
+decide (clock, next ids, stripe allocation) by reading only, build a record
+and hand it to ``_commit``, which runs the applier here and then journals and
+ships the record; crash recovery and :meth:`StandbyManager.replicate_records`
+run the same applier on the same record.  Live = replayed = replicated.
 
 Records are *logical redo* records: they carry the results the handler
 computed (allocated session ids, stripes, version numbers, commit-time chunk
@@ -138,28 +138,25 @@ def _apply_put_chunks_ack(manager, data) -> None:
                 holders.append(benefactor)
 
 
-def _release_quietly(manager, reservation_id: str) -> None:
+def _end_session(manager, session_id: str) -> None:
+    session = manager._sessions.pop(session_id)
     # Lease expiry is soft state (GarbageCollector.collect_expired_reservations
     # writes no record), so the reservation of a session that outlived its
-    # lease may already be collected: nothing is left to release.
-    try:
-        manager.reservations.release(reservation_id)
-    except ReservationError:
-        pass
+    # lease may already be gone; release then finds nothing.
+    manager.reservations.release(session.reservation_id)
 
 
 def _apply_commit(manager, data) -> None:
+    """The new version keeps the record's ``session_id``: once the session is
+    deleted, that is what answers a retried commit."""
     session = manager._sessions[data["session_id"]]
     dataset = manager._datasets[session.dataset_id]
     dataset.commit_version(decode_version(data, version=session.version))
-    session.committed = True
-    _release_quietly(manager, session.reservation_id)
+    _end_session(manager, session.session_id)
 
 
 def _apply_abort(manager, data) -> None:
-    session = manager._sessions[data["session_id"]]
-    session.aborted = True
-    _release_quietly(manager, session.reservation_id)
+    _end_session(manager, data["session_id"])
 
 
 def _apply_prune(manager, data) -> DatasetVersion:

@@ -2,10 +2,14 @@
 
 A snapshot captures everything the journal would otherwise have to replay:
 the namespace (folders, retention policies, files), every dataset's version
-chain and chunk-maps, replication targets, write sessions, outstanding space
-reservations, the GC seen-sets and the set of known benefactors.  Registry
-*liveness* is deliberately not captured — it is soft state that benefactors
-re-establish through registration — so restored benefactors start offline.
+chain and chunk-maps (each version with the id of the session that committed
+it), replication targets, the open write sessions, the outstanding space
+reservations, the id counters, the GC seen-sets and the set of known
+benefactors.  Finished sessions and released reservations are gone from the
+manager, so a snapshot is the size of the live state, not of the history.
+Registry *liveness* is deliberately not captured — it is soft state that
+benefactors re-establish through registration — so restored benefactors
+start offline.
 
 The codec is import-cycle free: it duck-types the manager and late-imports
 the record classes it needs to rebuild.
@@ -49,6 +53,7 @@ def _encode_version(version: DatasetVersion) -> Dict[str, object]:
         "timestep": version.timestep,
         "attributes": dict(version.attributes),
         "obsolete": version.obsolete,
+        "session_id": version.session_id,
         "chunk_map": version.chunk_map.to_dict(),
     }
 
@@ -56,7 +61,8 @@ def _encode_version(version: DatasetVersion) -> Dict[str, object]:
 def decode_version(payload: Dict[str, object],
                    version: Optional[int] = None) -> DatasetVersion:
     """A version from its snapshot entry, or from a ``commit`` record (which
-    carries no number of its own: the session's is passed as ``version``)."""
+    carries no number of its own: the session's is passed as ``version``).
+    Both carry the committing ``session_id``."""
     return DatasetVersion(
         version=payload["version"] if version is None else version,
         chunk_map=ChunkMap.from_dict(payload["chunk_map"]),
@@ -66,6 +72,7 @@ def decode_version(payload: Dict[str, object],
         timestep=payload.get("timestep"),
         attributes=dict(payload.get("attributes", {})),
         obsolete=bool(payload.get("obsolete", False)),
+        session_id=payload.get("session_id", ""),
     )
 
 
@@ -103,8 +110,6 @@ def encode_manager_state(manager) -> Dict[str, object]:
             "reservation_id": s.reservation_id,
             "created_at": s.created_at,
             "replication_level": s.replication_level,
-            "committed": s.committed,
-            "aborted": s.aborted,
             "acked_chunks": {cid: list(holders) for cid, holders in s.acked_chunks.items()},
         }
         for s in manager._sessions.values()
@@ -118,7 +123,6 @@ def encode_manager_state(manager) -> Dict[str, object]:
             "benefactors": list(r.benefactors),
             "created_at": r.created_at,
             "lease": r.lease,
-            "consumed": r.consumed,
         }
         for r in manager.reservations.outstanding()
     ]
@@ -136,6 +140,9 @@ def encode_manager_state(manager) -> Dict[str, object]:
         "counters": {
             "session": manager._session_seq,
             "dataset": manager._dataset_seq,
+            # Released reservations are not in the snapshot, so the counter
+            # is: a restarted manager must not hand their ids out again.
+            "reservation": manager.reservations._seq,
         },
         "namespace": {"folders": folders, "files": files},
         "datasets": datasets,
@@ -152,8 +159,8 @@ def encode_manager_state(manager) -> Dict[str, object]:
 
 
 def decode_session(payload: Dict[str, object]):
-    """A write session from its snapshot entry, or a fresh one from a
-    ``create_session`` record (same keys, none of the progress fields)."""
+    """An open write session from its snapshot entry, or a fresh one from a
+    ``create_session`` record (same keys, no acked chunks yet)."""
     from repro.manager.manager import WriteSessionRecord  # late: avoid cycle
 
     return WriteSessionRecord(
@@ -166,8 +173,6 @@ def decode_session(payload: Dict[str, object]):
         reservation_id=payload["reservation_id"],
         created_at=payload["created_at"],
         replication_level=payload["replication_level"],
-        committed=payload.get("committed", False),
-        aborted=payload.get("aborted", False),
         acked_chunks={
             cid: list(holders)
             for cid, holders in payload.get("acked_chunks", {}).items()
@@ -215,7 +220,6 @@ def restore_manager_state(manager, state: Dict[str, object]) -> None:
             benefactors=list(payload["benefactors"]),
             created_at=payload["created_at"],
             lease=payload["lease"],
-            consumed=payload.get("consumed", 0),
         )
 
     for bid, seen in state.get("gc_seen", {}).items():
@@ -234,6 +238,8 @@ def restore_manager_state(manager, state: Dict[str, object]) -> None:
     counters = state.get("counters", {})
     manager._session_seq = max(manager._session_seq, counters.get("session", 0))
     manager._dataset_seq = max(manager._dataset_seq, counters.get("dataset", 0))
+    manager.reservations._seq = max(manager.reservations._seq,
+                                    counters.get("reservation", 0))
 
     # The primary epoch only ever moves forward — a restored snapshot must
     # never roll a manager back behind an epoch it has already observed.

@@ -293,6 +293,8 @@ class TestFilesystemPrefetch:
         fs.write_file("/fs/seek", data)
         handle = fs.open("/fs/seek", "rb")
         assert handle.read(2 * CHUNK) == data[:2 * CHUNK]
+        # The read-ahead it started counts its fetches when they land.
+        concurrent.futures.wait(list(handle._reader._inflight.values()), timeout=5)
         fetched = handle._reader.chunks_fetched
         handle.seek(0)
         assert handle.read(CHUNK) == data[:CHUNK]

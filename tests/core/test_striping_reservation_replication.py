@@ -9,7 +9,7 @@ from repro.core.striping import (
     RoundRobinStriping,
     StripeAllocation,
 )
-from repro.exceptions import NoBenefactorsAvailableError, ReservationError
+from repro.exceptions import NoBenefactorsAvailableError
 
 
 def views(count=6, free=1000, online=True):
@@ -82,40 +82,22 @@ class TestRoundRobinStriping:
 
 
 class TestReservations:
-    def test_reserve_consume_release(self):
+    def test_release_deletes_and_never_reuses_the_id(self):
         table = ReservationTable(default_lease=100.0)
-        reservation = table.reserve("client", "ds-1", 1000, ["b0", "b1"], now=0.0)
-        assert reservation.remaining == 1000
-        table.consume(reservation.reservation_id, 400)
-        assert table.get(reservation.reservation_id).remaining == 600
-        table.release(reservation.reservation_id)
-        with pytest.raises(ReservationError):
-            table.consume(reservation.reservation_id, 1)
-
-    def test_negative_amounts_rejected(self):
-        table = ReservationTable()
-        with pytest.raises(ReservationError):
-            table.reserve("client", "ds", -5, [], now=0.0)
-        reservation = table.reserve("client", "ds", 10, [], now=0.0)
-        with pytest.raises(ReservationError):
-            reservation.consume(-1)
-
-    def test_unknown_reservation(self):
-        with pytest.raises(ReservationError):
-            ReservationTable().get("rsv-404")
+        reservation = table.restore(table.next_id, "client", "ds-1", 1000,
+                                    ["b0", "b1"], created_at=0.0)
+        assert reservation.reservation_id == "rsv-1" and table.next_id == "rsv-2"
+        assert table.release("rsv-1") is reservation
+        assert len(table) == 0 and table.outstanding() == []
+        assert table.next_id == "rsv-2"
+        # The lease collector may have taken it first: nothing to release.
+        assert table.release("rsv-1") is None
 
     def test_expiry_and_cleanup(self):
         table = ReservationTable(default_lease=50.0)
-        table.reserve("client", "ds", 100, ["b0"], now=0.0)
-        keep = table.reserve("client", "ds", 100, ["b0"], now=40.0)
+        table.restore("rsv-1", "client", "ds", 100, ["b0"], created_at=0.0)
+        keep = table.restore("rsv-2", "client", "ds", 100, ["b0"], created_at=40.0)
         expired = table.collect_expired(now=60.0)
-        assert len(expired) == 1
+        assert [r.reservation_id for r in expired] == ["rsv-1"]
         assert table.outstanding() == [keep]
-        assert table.drop_released() == 1
         assert len(table) == 1
-
-    def test_reserved_on_benefactor(self):
-        table = ReservationTable()
-        table.reserve("client", "ds", 1000, ["b0", "b1"], now=0.0)
-        assert table.reserved_on("b0") == 500
-        assert table.reserved_on("b9") == 0

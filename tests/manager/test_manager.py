@@ -5,16 +5,19 @@ import pytest
 from repro.benefactor.maintenance import compute_inventory_digest
 from repro.core.chunk import ChunkRef
 from repro.core.chunk_map import ChunkMap
+from repro import StdchkPool
 from repro.exceptions import (
-    CommitConflictError,
     FileNotFoundInStdchkError,
     ManagerUnavailableError,
     NoBenefactorsAvailableError,
+    SessionCommittedError,
     UnknownBenefactorError,
     UnknownDatasetError,
 )
 from repro.manager.manager import MetadataManager
+from repro.manager.persistence import encode_manager_state
 from repro.manager.registry import BenefactorRegistry
+from repro.obs import set_enabled
 from repro.transport.inprocess import InProcessTransport
 from repro.util.clock import VirtualClock
 from repro.util.config import StdchkConfig
@@ -159,15 +162,27 @@ class TestSessionsAndCommits:
         _transport, _clock, manager = manager_setup
         info = manager.create_session("/app/f", "client-1")
         manager.commit_session(info["session_id"], committed_map(["c0"]).to_dict(), 1024)
-        with pytest.raises(CommitConflictError):
-            manager.commit_session(info["session_id"], committed_map(["c0"]).to_dict(), 1024)
+        with pytest.raises(SessionCommittedError):
+            manager.commit_session(info["session_id"], committed_map(["c0"]).to_dict(), 1024,
+                                   dataset_id=info["dataset_id"], version=info["version"])
+        assert manager.get_versions("/app/f")[0]["version"] == 1
+        assert len(manager.get_versions("/app/f")) == 1
 
-    def test_commit_after_abort_rejected(self, manager_setup):
-        _transport, _clock, manager = manager_setup
+    def test_commit_after_abort_rejected(self, tmp_path):
+        config = StdchkConfig(chunk_size=1024, stripe_width=2, journal_dir=str(tmp_path),
+                              journal_fsync_policy="never")
+        manager = MetadataManager(transport=InProcessTransport(), config=config,
+                                  clock=VirtualClock())
+        manager.register_benefactor("b0", "benefactor://b0", free_space=1 << 20)
         info = manager.create_session("/app/f", "client-1")
         manager.abort_session(info["session_id"])
-        with pytest.raises(CommitConflictError):
-            manager.commit_session(info["session_id"], committed_map(["c0"]).to_dict(), 1024)
+        lsn = manager.persistence.last_lsn
+        with pytest.raises(UnknownDatasetError):
+            manager.commit_session(info["session_id"], committed_map(["c0"]).to_dict(), 1024,
+                                   dataset_id=info["dataset_id"], version=info["version"])
+        assert manager.get_versions("/app/f") == []
+        assert manager.persistence.last_lsn == lsn
+        manager.close_persistence()
 
     def test_versioning_same_path(self, manager_setup):
         _transport, _clock, manager = manager_setup
@@ -308,3 +323,60 @@ class TestGcAndFailure:
         manager.stat("/")
         manager.list_dir("/")
         assert manager.transactions == before + 2
+
+    def test_transactions_are_accounting_not_telemetry(self, manager_setup):
+        """The switch stops telemetry, not the count Figure 8 reads; the
+        metric is that count, read when snapshotted."""
+        _transport, _clock, manager = manager_setup
+        previous = set_enabled(False)
+        try:
+            before = manager.transactions
+            manager.stat("/")
+            manager.list_dir("/")
+            assert manager.transactions == before + 2
+            set_enabled(True)
+            family = manager.get_metrics()["metrics"]["manager_transactions_total"]
+            assert [entry["value"] for entry in family["series"]] == [manager.transactions]
+        finally:
+            set_enabled(previous)
+
+
+class TestSessionsEnd:
+    """A session or reservation exists exactly while it is open."""
+
+    def test_commit_and_abort_delete_the_session_and_its_reservation(self, manager_setup):
+        _transport, _clock, manager = manager_setup
+        committed = manager.create_session("/app/f", "client-1")
+        aborted = manager.create_session("/app/g", "client-1")
+        assert len(manager.active_sessions()) == 2 and len(manager.reservations) == 2
+        manager.commit_session(committed["session_id"], committed_map(["c0"]).to_dict(), 1024)
+        manager.abort_session(aborted["session_id"])
+        assert manager._sessions == {} and len(manager.reservations) == 0
+        version = manager.dataset_by_path("/app/f").get_version(1)
+        assert version.session_id == committed["session_id"]
+
+    def test_write_delete_cycles_leave_nothing_behind(self):
+        pool = StdchkPool(benefactor_count=4, config=StdchkConfig(
+            chunk_size=4096, stripe_width=2, replication_level=1))
+        client = pool.client("cycler")
+        manager = pool.manager
+
+        def cycles(count):
+            for _ in range(count):
+                client.write_file("/storm/f", bytes(4096))
+                client.delete("/storm/f")
+            with manager._meta_lock:
+                return encode_manager_state(manager)
+
+        after_10 = cycles(10)
+        after_1000 = cycles(990)
+        assert manager._sessions == {}
+        assert len(manager.reservations) == 0
+        assert manager.health()["active_sessions"] == 0
+        # The snapshot after 1 000 cycles is the one after 10 but for the id
+        # counters, which hold the number of cycles and nothing else.
+        assert after_1000.pop("counters") == {
+            "session": 1000, "dataset": 1000, "reservation": 1000}
+        after_10.pop("counters")
+        assert after_1000 == after_10
+        client.close()

@@ -144,10 +144,7 @@ def committed_view(manager: MetadataManager) -> dict:
                 )
         files[path] = (entry.dataset_id, versions)
     folders = sorted(path for path, _ in manager.namespace.iter_folders("/"))
-    sessions = {
-        sid: (s.path, s.version, s.committed, s.aborted)
-        for sid, s in manager._sessions.items()
-    }
+    sessions = {sid: (s.path, s.version) for sid, s in manager._sessions.items()}
     return {"files": files, "folders": folders, "sessions": sessions}
 
 

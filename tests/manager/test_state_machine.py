@@ -48,7 +48,9 @@ from repro.exceptions import (
     FileNotFoundInStdchkError,
     NoBenefactorsAvailableError,
     ReservationError,
+    SessionCommittedError,
     StdchkError,
+    UnknownDatasetError,
 )
 from repro.manager import GarbageCollector, MetadataManager
 from repro.manager.persistence import encode_manager_state
@@ -408,6 +410,56 @@ def test_forced_folder_removal_is_one_critical_section(tmp_path):
     cluster.close()
 
 
+# ----------------------------------------------------------- sessions that end
+def test_retried_commit_is_answered_from_the_version(tmp_path):
+    """Commit deletes the session.  A retry naming the dataset and version
+    the writer holds is answered from the version the session made — on the
+    primary, on the promoted standby and on a manager restarted from a
+    snapshot taken after the commit — and never commits a second version."""
+    cluster = Cluster(str(tmp_path / "wal"))
+    primary = cluster.primary
+    primary.register_benefactor("b0", "inproc://b0/0", 1 << 30)
+    info = primary.create_session("/app/ckpt.0", "writer", expected_size=4096)
+    commit = dict(session_id=info["session_id"], chunk_map=_chunk_map([0, 1], [0]),
+                  size=20)
+    primary.commit_session(**commit)
+    assert primary._sessions == {} and len(primary.reservations) == 0
+    cluster.snapshot()
+    cluster.standby.promote()
+    replayed = cluster.restart()
+    try:
+        for manager in (primary, cluster.standby, replayed):
+            with pytest.raises(SessionCommittedError):
+                manager.commit_session(**commit, dataset_id=info["dataset_id"],
+                                       version=info["version"])
+            # Without the version it made, the session is simply unknown.
+            for named in ({}, {"dataset_id": info["dataset_id"], "version": 2}):
+                with pytest.raises(UnknownDatasetError):
+                    manager.commit_session(**commit, **named)
+            assert manager.dataset_by_path("/app/ckpt.0").version_numbers == [1]
+    finally:
+        replayed.close_persistence()
+
+
+def test_a_restarted_manager_never_reuses_a_reservation_id(tmp_path):
+    """A snapshot holds only outstanding reservations; its counters carry
+    the reservation sequence so a restart does not hand out ``rsv-1`` again."""
+    cluster = Cluster(str(tmp_path / "wal"))
+    primary = cluster.primary
+    primary.register_benefactor("b0", "inproc://b0/0", 1 << 30)
+    first = primary.create_session("/app/a", "writer", expected_size=4096)
+    primary.commit_session(first["session_id"], _chunk_map([0], [0]), size=10)
+    cluster.snapshot()
+    replayed = cluster.restart()
+    try:
+        replayed.register_benefactor("b0", "inproc://b0/0", 1 << 30)
+        second = replayed.create_session("/app/b", "writer", expected_size=4096)
+        assert first["reservation_id"] == "rsv-1"
+        assert second["reservation_id"] == "rsv-2"
+    finally:
+        replayed.close_persistence()
+
+
 # ------------------------------------------------------- source-level guard
 JOURNALED_TABLES = {"_datasets", "_sessions", "_replication_targets",
                     "_corrupt", "_session_seq", "_dataset_seq"}
@@ -416,8 +468,7 @@ DICT_MUTATORS = {"pop", "popitem", "clear", "update", "setdefault",
 MUTATORS = {
     "namespace": {"make_folder", "ensure_folder", "remove_folder",
                   "set_retention", "add_file", "remove_file", "rename_file"},
-    "reservations": {"reserve", "restore", "release", "consume",
-                     "collect_expired", "drop_released"},
+    "reservations": {"restore", "release", "collect_expired"},
 }
 #: Where ``manager.py`` may touch a journaled table without a record: the
 #: empty tables of construction, and the soft-state handler its module

@@ -332,7 +332,8 @@ def test_no_dead_knob_or_hint_in_src():
     the in-flight windows are ``2 * parallelism``: none of the knobs, hints,
     strategies or RPCs nothing read may come back."""
     assert src_lines_naming("note_holders", "hint_sample", "StripingPolicy",
-                            "resolve_addresses", "max_inflight_") == []
+                            "resolve_addresses", "max_inflight_",
+                            "drop_released", "reserved_on", "def reserve(") == []
 
 
 def test_every_config_field_is_read_by_the_product():
