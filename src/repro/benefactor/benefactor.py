@@ -152,7 +152,7 @@ class Benefactor(Endpoint):
                 now - self.last_heartbeat_at
                 if self.last_heartbeat_at is not None else None
             ),
-            "slo": self.obs.window_summary("rpc_handled_seconds_window"),
+            "slo": self.obs.window_summary("rpc_handled_seconds"),
         }
 
     # -- lifecycle -----------------------------------------------------------

@@ -173,7 +173,6 @@ class FailoverTransport(Transport):
         self._retry_counter = None
         self._rediscover_counter = None
         self._stall_histogram = None
-        self._stall_window = None
         if obs is not None:
             self.attach_metrics(obs)
 
@@ -190,10 +189,7 @@ class FailoverTransport(Transport):
         self._stall_histogram = obs.histogram(
             "client_failover_stall_seconds",
             "Client-visible stall of manager RPCs that needed retries.",
-        )
-        self._stall_window = obs.windowed_histogram(
-            "client_failover_stall_seconds_window",
-            "Recent (sliding-window) failover stalls of manager RPCs.",
+            window=True,
         )
 
     # ----------------------------------------------------- Transport interface
@@ -208,9 +204,7 @@ class FailoverTransport(Transport):
             try:
                 result = self._inner.call(target, method, **payload)
                 if stalled_since is not None and self._stall_histogram is not None:
-                    stall = self._clock() - stalled_since
-                    self._stall_histogram.observe(stall)
-                    self._stall_window.observe(stall)
+                    self._stall_histogram.observe(self._clock() - stalled_since)
                 return result
             except RETRYABLE_ERRORS as exc:
                 now = self._clock()
@@ -225,7 +219,6 @@ class FailoverTransport(Transport):
                 if now >= deadline:
                     if self._stall_histogram is not None:
                         self._stall_histogram.observe(now - stalled_since)
-                        self._stall_window.observe(now - stalled_since)
                     raise
                 if self._rediscover_counter is not None:
                     self._rediscover_counter.inc()

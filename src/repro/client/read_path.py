@@ -274,10 +274,7 @@ class StripedReader:
             self._fetch_timer = metrics.histogram(
                 "client_fetch_chunk_seconds",
                 "End-to-end latency of one fetch: a chunk incl. fallbacks, or a frame.",
-            )
-            self._fetch_window = metrics.windowed_histogram(
-                "client_fetch_chunk_seconds_window",
-                "Recent (sliding-window) fetch latency.",
+                window=True,
             )
             self._chunks_counter = metrics.counter(
                 "client_chunks_fetched_total", "Chunks fetched by readers."
@@ -291,7 +288,6 @@ class StripedReader:
             )
         else:
             self._fetch_timer = None
-            self._fetch_window = None
             self._chunks_counter = None
             self._read_bytes_counter = None
             self._fallback_counter = None
@@ -321,9 +317,7 @@ class StripedReader:
             try:
                 return fetch(*args)
             finally:
-                elapsed = time.perf_counter() - started
-                self._fetch_timer.observe(elapsed)
-                self._fetch_window.observe(elapsed)
+                self._fetch_timer.observe(time.perf_counter() - started)
 
     def _fetch_chunk(self, placement: ChunkPlacement,
                      into: Optional[memoryview] = None,

@@ -179,14 +179,10 @@ class ChunkPusher:
             self._push_timer = metrics.histogram(
                 "client_push_chunk_seconds",
                 "Latency of one push frame (a benefactor's chunks of one write) incl. retries.",
-            )
-            self._push_window = metrics.windowed_histogram(
-                "client_push_chunk_seconds_window",
-                "Recent (sliding-window) push frame latency.",
+                window=True,
             )
         else:
             self._push_timer = None
-            self._push_window = None
 
         self.parallelism = max(1, config.push_parallelism)
         #: The client's shared worker pool, or None for the synchronous path.
@@ -390,9 +386,7 @@ class ChunkPusher:
             try:
                 self._run_push(frame)
             finally:
-                elapsed = time.perf_counter() - started
-                self._push_timer.observe(elapsed)
-                self._push_window.observe(elapsed)
+                self._push_timer.observe(time.perf_counter() - started)
 
     def _run_push(self, frame: _Frame) -> None:
         try:

@@ -352,7 +352,7 @@ class MetadataManager(Endpoint):
             "heartbeat_age": heartbeat_age,
             "under_replicated_chunks": under_replicated,
             "active_sessions": len(self._sessions),
-            "slo": self.obs.window_summary("rpc_handled_seconds_window"),
+            "slo": self.obs.window_summary("rpc_handled_seconds"),
         }
 
     def under_replicated_count(self) -> int:

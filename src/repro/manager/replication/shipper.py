@@ -106,14 +106,15 @@ class LogShipper:
             "Failed ship attempts, per standby.",
             labelnames=("standby",),
         ), "standby")
-        self._ship_window = LabelChildren(obs.windowed_histogram(
-            "manager_replication_ship_seconds_window",
-            "Recent (sliding-window) per-standby ship latency.",
-            labelnames=("standby",),
+        self._ship_timer = LabelChildren(obs.histogram(
+            "manager_replication_ship_seconds",
+            "Per-standby ship latency.",
+            labelnames=("standby",), window=True,
         ), "standby")
-        self._quorum_window = obs.windowed_histogram(
-            "manager_quorum_ack_seconds_window",
-            "Recent time to collect the standby-ack quorum per record.",
+        self._quorum_timer = obs.histogram(
+            "manager_quorum_ack_seconds",
+            "Time to collect the standby-ack quorum per record.",
+            window=True,
         )
         self._quorum_degrades = obs.counter(
             "manager_quorum_degrades_total",
@@ -199,7 +200,7 @@ class LogShipper:
         while True:
             acked = self._acks_for(lsn)
             if acked >= quorum:
-                self._quorum_window.observe(time.perf_counter() - started)
+                self._quorum_timer.observe(time.perf_counter() - started)
                 return
             remaining = deadline - time.monotonic()
             if remaining <= 0:
@@ -231,7 +232,7 @@ class LogShipper:
                 try:
                     self._ship_to(link)
                     link.healthy = True
-                    self._ship_window[link.address].observe(
+                    self._ship_timer[link.address].observe(
                         time.perf_counter() - started
                     )
                 except StaleEpochError as exc:

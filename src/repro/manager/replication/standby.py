@@ -72,16 +72,13 @@ class StandbyManager(MetadataManager):
         status["last_lsn"] = max(int(status["last_lsn"]), self.applied_lsn)
         return status
 
-    def _check_replication_epoch(self, epoch: Optional[int]) -> None:
+    def _check_replication_epoch(self, epoch: int) -> None:
         """Fence replication RPCs from deposed primaries (call under lock).
 
-        ``epoch=None`` (a pre-epoch caller) is accepted for compatibility;
-        otherwise a caller behind this node's epoch is rejected with
+        A caller behind this node's epoch is rejected with
         :class:`StaleEpochError` so it self-demotes, and a caller ahead of
         it moves this node's epoch forward.
         """
-        if epoch is None:
-            return
         if int(epoch) < self.epoch:
             hint = self.address if self.role == "primary" else None
             raise StaleEpochError(
@@ -94,7 +91,7 @@ class StandbyManager(MetadataManager):
     # ------------------------------------------------------------- replication
     def replicate_records(self, records: List[Dict[str, object]],
                           from_lsn: int,
-                          epoch: Optional[int] = None) -> Dict[str, object]:
+                          epoch: int) -> Dict[str, object]:
         """Apply a batch of shipped redo records (primary-facing RPC).
 
         Records already applied (``lsn <= applied_lsn``) are skipped, so the
@@ -122,7 +119,7 @@ class StandbyManager(MetadataManager):
 
     def install_snapshot(self, state: Dict[str, object],
                          lsn: int,
-                         epoch: Optional[int] = None) -> Dict[str, object]:
+                         epoch: int) -> Dict[str, object]:
         """Replace this standby's state with a full snapshot at ``lsn``."""
         with self._meta_lock:
             self._check_replication_epoch(epoch)

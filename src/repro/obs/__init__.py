@@ -36,10 +36,6 @@ from repro.obs.tracing import (
 )
 from repro.obs.export import to_json, to_prometheus
 from repro.obs.logs import component_logger, logging_setup
-from repro.obs.windows import (
-    WindowedHistogram,
-    WindowedHistogramSeries,
-)
 from repro.obs.otlp import (
     OtlpJsonlSpanExporter,
     RotatingJsonlWriter,
@@ -74,8 +70,6 @@ __all__ = [
     "logging_setup",
     "is_enabled",
     "set_enabled",
-    "WindowedHistogram",
-    "WindowedHistogramSeries",
     "OtlpJsonlSpanExporter",
     "RotatingJsonlWriter",
     "otlp_resource_spans",

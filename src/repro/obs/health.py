@@ -137,10 +137,11 @@ class ClusterHealthMonitor:
         self.probes_total = 0
         self.probe_failures = 0
         self._registry = registry
-        self._probe_window = (
-            registry.windowed_histogram(
-                "health_probe_seconds_window",
-                "Recent health-probe latency across monitored nodes.",
+        self._probe_timer = (
+            registry.histogram(
+                "health_probe_seconds",
+                "Health-probe latency across monitored nodes.",
+                window=True,
             ) if registry is not None else None
         )
         self._transitions_counter = (
@@ -195,8 +196,8 @@ class ClusterHealthMonitor:
                 failure = f"{type(exc).__name__}: {exc}"
                 self.probe_failures += 1
             elapsed = time.perf_counter() - started
-            if self._probe_window is not None:
-                self._probe_window.observe(elapsed)
+            if self._probe_timer is not None:
+                self._probe_timer.observe(elapsed)
             transition = self._apply_result(node, payload, failure, elapsed)
             if transition is not None:
                 transitions.append(transition)

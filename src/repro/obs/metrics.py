@@ -11,9 +11,17 @@ Design constraints, in order:
   short critical section guarded by a per-series lock; a registry lookup of
   an existing family takes no lock.  When the global observability switch
   is off, recording is a single attribute read and an early return.
+* **One instrument per measurement.**  A latency watched both over the
+  node's lifetime and over the last minute is one
+  ``histogram(..., window=True)``: its ``observe`` updates the lifetime
+  buckets and the series' trailing window (:mod:`repro.obs.windows`) under
+  one lock, and :meth:`MetricsRegistry.snapshot` exports the two views as
+  two families, ``name`` and ``name + "_window"``.
 * **Exact under concurrency.**  Python's ``+=`` on an attribute is a
   read-modify-write across bytecodes, so every mutation takes the series
-  lock; N threads x M increments sum to exactly N*M (covered by tests).
+  lock; N threads x M increments sum to exactly N*M (covered by tests).  A
+  histogram series is read under one acquisition of that lock, so a
+  snapshot's ``count`` always equals its ``+Inf`` bucket.
 * **No dependencies.**  Snapshots are plain dicts; the Prometheus text
   exposition lives in :mod:`repro.obs.export`.
 """
@@ -29,9 +37,10 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.obs import runtime
 from repro.obs.windows import (
-    DEFAULT_WINDOW_BUCKETS,
     DEFAULT_WINDOW_SECONDS,
-    WindowedHistogram,
+    TimeRing,
+    merge_window_states,
+    summarize_window,
 )
 
 #: Default latency buckets (seconds): micro-benchmark-friendly at the low
@@ -98,31 +107,61 @@ class GaugeSeries:
 
 
 class HistogramSeries:
-    """A single labeled histogram series with cumulative-style buckets."""
+    """A single labeled histogram series with cumulative-style buckets.
 
-    __slots__ = ("labels", "buckets", "_lock", "_counts", "_sum", "_count")
+    A series of a windowed family also owns a :class:`TimeRing` of its
+    recent observations, which ``observe`` feeds under the same lock.
+    """
+
+    __slots__ = ("labels", "buckets", "_lock", "_counts", "_sum", "_count",
+                 "_ring")
 
     def __init__(self, labels: Mapping[str, str],
-                 buckets: Sequence[float] = DEFAULT_BUCKETS):
+                 buckets: Sequence[float] = DEFAULT_BUCKETS,
+                 ring: Optional[TimeRing] = None):
         self.labels = dict(labels)
         self.buckets = tuple(sorted(buckets))
         self._lock = threading.Lock()
         self._counts = [0] * (len(self.buckets) + 1)  # final slot: +Inf
         self._sum = 0.0
         self._count = 0
+        self._ring = ring
 
     def observe(self, value: float) -> None:
         if not runtime.ENABLED:
             return
         index = bisect.bisect_left(self.buckets, value)
+        ring = self._ring
+        tick = ring.tick() if ring is not None else 0
         with self._lock:
             self._counts[index] += 1
             self._sum += value
             self._count += 1
+            if ring is not None:
+                ring.add(tick, index, value)
 
     def time(self):
         """Context manager recording the elapsed wall time of the block."""
         return _Timer(self) if runtime.ENABLED else _UNTIMED
+
+    def read(self) -> Tuple[int, float, Dict[str, int], Optional[Dict[str, object]]]:
+        """Count, sum, cumulative buckets and window state, in one locked read.
+
+        Buckets are keyed by upper bound (Prometheus ``le``); the window
+        state is None for a series without a window.
+        """
+        ring = self._ring
+        tick = ring.tick() if ring is not None else 0
+        with self._lock:
+            count, total, counts = self._count, self._sum, list(self._counts)
+            window = ring.state(tick) if ring is not None else None
+        buckets: Dict[str, int] = {}
+        running = 0
+        for bound, slot in zip(self.buckets, counts):
+            running += slot
+            buckets[_format_bound(bound)] = running
+        buckets["+Inf"] = running + counts[-1]
+        return count, total, buckets, window
 
     @property
     def count(self) -> int:
@@ -136,15 +175,7 @@ class HistogramSeries:
 
     def bucket_counts(self) -> Dict[str, int]:
         """Cumulative bucket counts keyed by upper bound (Prometheus ``le``)."""
-        with self._lock:
-            counts = list(self._counts)
-        out: Dict[str, int] = {}
-        running = 0
-        for bound, count in zip(self.buckets, counts):
-            running += count
-            out[_format_bound(bound)] = running
-        out["+Inf"] = running + counts[-1]
-        return out
+        return self.read()[2]
 
 
 class _Timer:
@@ -304,16 +335,24 @@ class Gauge(_MetricFamily):
 
 class Histogram(_MetricFamily):
     kind = "histogram"
-    _series_cls = HistogramSeries
 
     def __init__(self, name: str, help: str = "",
                  labelnames: Sequence[str] = (),
-                 buckets: Sequence[float] = DEFAULT_BUCKETS):
+                 buckets: Sequence[float] = DEFAULT_BUCKETS,
+                 now: Optional[Callable[[], float]] = None):
         self.buckets = tuple(sorted(buckets))
+        #: The clock of a windowed family's rings; None without a window.
+        self._now = now
         super().__init__(name, help, labelnames)
 
+    @property
+    def windowed(self) -> bool:
+        return self._now is not None
+
     def _make_series(self, labels: Mapping[str, str]):
-        return HistogramSeries(labels, self.buckets)
+        ring = (TimeRing(self._now, len(self.buckets) + 1)
+                if self._now is not None else None)
+        return HistogramSeries(labels, self.buckets, ring)
 
     def observe(self, value: float) -> None:
         self._require_default().observe(value)
@@ -357,9 +396,6 @@ class MetricsRegistry:
         self._now: Callable[[], float] = (
             clock.now if clock is not None else time.monotonic
         )
-        #: Trailing window applied to windowed series created from here on.
-        self.window_seconds = DEFAULT_WINDOW_SECONDS
-        self.window_buckets = DEFAULT_WINDOW_BUCKETS
         self._lock = threading.Lock()
         self._families: Dict[str, _MetricFamily] = {}
         self._started = self._now()
@@ -410,57 +446,73 @@ class MetricsRegistry:
 
     def histogram(self, name: str, help: str = "",
                   labelnames: Sequence[str] = (),
-                  buckets: Sequence[float] = DEFAULT_BUCKETS) -> Histogram:
-        return self._get_or_create(Histogram, name, help, labelnames,
-                                   buckets=buckets)
-
-    def windowed_histogram(self, name: str, help: str = "",
-                           labelnames: Sequence[str] = (),
-                           window_seconds: Optional[float] = None,
-                           bounds: Sequence[float] = ()) -> WindowedHistogram:
-        """A windowed (recent-quantile) family over this registry's clock."""
-        return self._get_or_create(
-            WindowedHistogram, name, help, labelnames, now=self._now,
-            window_seconds=(window_seconds if window_seconds is not None
-                            else self.window_seconds),
-            window_buckets=self.window_buckets, bounds=bounds,
-        )
+                  buckets: Sequence[float] = DEFAULT_BUCKETS,
+                  window: bool = False) -> Histogram:
+        """A histogram family; with ``window=True`` each series also keeps
+        its trailing window on this registry's clock, exported as the
+        ``name + "_window"`` family."""
+        family = self._get_or_create(Histogram, name, help, labelnames,
+                                     buckets=buckets,
+                                     now=self._now if window else None)
+        if family.windowed != window:
+            raise ValueError(
+                f"metric {name!r} already registered with "
+                f"window={family.windowed}"
+            )
+        return family
 
     def window_summary(self, name: str) -> Optional[Dict[str, float]]:
-        """The family-wide live-window summary of one windowed metric."""
-        with self._lock:
-            family = self._families.get(name)
-        if not isinstance(family, WindowedHistogram):
+        """The family-wide live-window summary of one windowed histogram."""
+        family = self._families.get(name)
+        if not isinstance(family, Histogram) or not family.windowed:
             return None
-        return family.summary()
+        merged = merge_window_states(
+            [series.read()[3] for series in family.series()],
+            len(family.buckets) + 1,
+        )
+        return summarize_window(merged, family.buckets)
 
     def families(self) -> List[_MetricFamily]:
         with self._lock:
             return list(self._families.values())
 
     def snapshot(self) -> dict:
-        """A point-in-time JSON-friendly dump of every series."""
+        """A point-in-time JSON-friendly dump of every series.
+
+        Each histogram series is read once, under its lock; a windowed
+        family exports that one read as two families, ``name``
+        (``histogram``) and ``name + "_window"`` (``window``).
+        """
         self._uptime.set(self._now() - self._started)
         metrics: Dict[str, dict] = {}
         for family in self.families():
             entries = []
+            recent = []
             for series in family.series():
-                entry: Dict[str, object] = {"labels": dict(series.labels)}
+                labels = dict(series.labels)
                 if isinstance(series, HistogramSeries):
-                    entry["count"] = series.count
-                    entry["sum"] = series.sum
-                    entry["buckets"] = series.bucket_counts()
-                elif family.kind == "window":
-                    entry.update(series.summary())
+                    count, total, buckets, window = series.read()
+                    entries.append({"labels": labels, "count": count,
+                                    "sum": total, "buckets": buckets})
+                    if window is not None:
+                        recent.append({"labels": dict(labels),
+                                       **summarize_window(window, series.buckets)})
                 else:
-                    entry["value"] = series.value
-                entries.append(entry)
+                    entries.append({"labels": labels, "value": series.value})
             metrics[family.name] = {
                 "type": family.kind,
                 "help": family.help,
                 "labelnames": list(family.labelnames),
                 "series": entries,
             }
+            if isinstance(family, Histogram) and family.windowed:
+                metrics[family.name + "_window"] = {
+                    "type": "window",
+                    "help": f"{family.help} Trailing "
+                            f"{DEFAULT_WINDOW_SECONDS:g} s window.".strip(),
+                    "labelnames": list(family.labelnames),
+                    "series": recent,
+                }
         return {
             "component": self.component,
             "node_id": self.node_id,
@@ -471,11 +523,12 @@ class MetricsRegistry:
 def merge_snapshots(snapshots: Sequence[Optional[dict]]) -> dict:
     """Aggregate per-node snapshots into one cluster-wide snapshot.
 
-    Series are summed by (metric name, label set); each input series gains a
-    ``node`` label (``component/node_id``) is *not* retained — aggregation is
-    intentionally lossy so the output reads like one logical exporter.
-    Gauges sum as well, which is the useful semantics for the gauges we
-    export (outstanding requests, failed-set sizes, routed replica load).
+    Series are summed by (metric name, label set).  The node a series came
+    from (its snapshot's ``component``/``node_id``) is *not* kept as a
+    label: aggregation is intentionally lossy so the output reads like one
+    logical exporter.  Gauges sum as well, which is the useful semantics for
+    the gauges we export (outstanding requests, failed-set sizes, routed
+    replica load).
     """
     merged: Dict[str, dict] = {}
     for snap in snapshots:

@@ -1,32 +1,34 @@
-"""Windowed time-series instruments: recent quantiles and rates.
+"""The recent-window half of a windowed histogram: quantiles and rates.
 
 The cumulative series in :mod:`repro.obs.metrics` answer "how did this node
 behave since it started"; an operator watching a live pool needs "how is it
-behaving *now*".  A :class:`WindowedHistogramSeries` keeps a ring buffer of
-fixed-duration time buckets over the owning registry's clock — each bucket
-holds a count, a sum, a max and value-bucket counts — so :meth:`summary`
-reports the p50/p90/p99, rate and mean of the trailing window only.  Old
-buckets are recycled lazily on write (no background thread) and expired
-buckets are excluded on read, so the series costs O(buckets) memory and the
-hot path is one ring-slot update under the series lock.
+behaving *now*".  ``registry.histogram(name, ..., window=True)`` gives each
+series a :class:`TimeRing` as well: a ring of fixed-duration time buckets
+over the owning registry's clock — each bucket holds a count, a sum, a max
+and value-bucket counts — so :func:`summarize_window` reports the
+p50/p90/p99, rate and mean of the trailing window only.  The ring has no
+lock of its own: the series updates it inside the same ``observe`` (one
+``bisect``, one lock) that updates its lifetime buckets, and reads it under
+that same lock when snapshotted, so both views always count the same
+observations.  Old buckets are recycled lazily on write (no background
+thread) and expired buckets are excluded on read, so the window costs
+O(buckets) memory.
 
-Exported snapshots give these families the ``"window"`` type; the Prometheus
-exporter renders them as ``summary`` samples (``name{quantile="0.99"}``,
-``name_sum``, ``name_count``), which is exactly the exposition semantics of
-a sliding-window summary.
+Snapshots export the window as a second family, ``name + "_window"``, of
+the ``"window"`` type; the Prometheus exporter renders it as ``summary``
+samples (``name_window{quantile="0.99"}``, ``name_window_sum``,
+``name_window_count``), which is exactly the exposition semantics of a
+sliding-window summary.
 """
 
 from __future__ import annotations
 
-import bisect
-import threading
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Mapping, Sequence, Tuple
 
-from repro.obs import runtime
-
-#: Default trailing window and ring resolution for windowed series.
+#: Trailing window and ring resolution of every windowed series.
 DEFAULT_WINDOW_SECONDS = 60.0
 DEFAULT_WINDOW_BUCKETS = 12
+_BUCKET_SECONDS = DEFAULT_WINDOW_SECONDS / DEFAULT_WINDOW_BUCKETS
 
 #: Quantiles reported by every windowed summary.
 SUMMARY_QUANTILES: Tuple[float, ...] = (0.5, 0.9, 0.99)
@@ -53,72 +55,56 @@ class _TimeBucket:
             self.counts[position] = 0
 
 
-class WindowedHistogramSeries:
-    """A single labeled windowed series over a ring of time buckets."""
+class TimeRing:
+    """The trailing-window state of one series, guarded by its owner's lock.
 
-    __slots__ = ("labels", "bounds", "window_seconds", "bucket_seconds",
-                 "_now", "_lock", "_ring")
+    :meth:`tick` reads the clock (call it outside the lock); :meth:`add` and
+    :meth:`state` must run under the owning series' lock.
+    """
 
-    def __init__(self, labels: Mapping[str, str], now: Callable[[], float],
-                 window_seconds: float = DEFAULT_WINDOW_SECONDS,
-                 window_buckets: int = DEFAULT_WINDOW_BUCKETS,
-                 bounds: Sequence[float] = ()) -> None:
-        from repro.obs.metrics import DEFAULT_BUCKETS
+    __slots__ = ("_now", "_ring")
 
-        self.labels = dict(labels)
-        self.bounds = tuple(sorted(bounds)) if bounds else DEFAULT_BUCKETS
-        self.window_seconds = float(window_seconds)
-        self.bucket_seconds = self.window_seconds / int(window_buckets)
+    def __init__(self, now: Callable[[], float], value_buckets: int) -> None:
         self._now = now
-        self._lock = threading.Lock()
-        self._ring = [
-            _TimeBucket(len(self.bounds) + 1) for _ in range(int(window_buckets))
-        ]
+        self._ring = [_TimeBucket(value_buckets)
+                      for _ in range(DEFAULT_WINDOW_BUCKETS)]
 
-    def observe(self, value: float) -> None:
-        if not runtime.ENABLED:
-            return
-        index = int(self._now() / self.bucket_seconds)
-        position = bisect.bisect_left(self.bounds, value)
-        with self._lock:
-            bucket = self._ring[index % len(self._ring)]
-            if bucket.index != index:
-                bucket.reset(index)
-            bucket.count += 1
-            bucket.sum += value
-            if value > bucket.max:
-                bucket.max = value
-            bucket.counts[position] += 1
+    def tick(self) -> int:
+        """The index of the time bucket the clock is in now."""
+        return int(self._now() / _BUCKET_SECONDS)
 
-    # -- read side -----------------------------------------------------------
-    def window_state(self) -> Dict[str, object]:
+    def add(self, tick: int, position: int, value: float) -> None:
+        """Count ``value`` (in value bucket ``position``) at time ``tick``."""
+        bucket = self._ring[tick % DEFAULT_WINDOW_BUCKETS]
+        if bucket.index != tick:
+            bucket.reset(tick)
+        bucket.count += 1
+        bucket.sum += value
+        if value > bucket.max:
+            bucket.max = value
+        bucket.counts[position] += 1
+
+    def state(self, tick: int) -> Dict[str, object]:
         """Merged (count, sum, max, value-bucket counts) of the live window."""
-        current = int(self._now() / self.bucket_seconds)
-        oldest = current - len(self._ring) + 1
+        oldest = tick - DEFAULT_WINDOW_BUCKETS + 1
         count = 0
         total = 0.0
         peak = 0.0
-        counts = [0] * (len(self.bounds) + 1)
-        with self._lock:
-            for bucket in self._ring:
-                if not (oldest <= bucket.index <= current) or not bucket.count:
-                    continue
-                count += bucket.count
-                total += bucket.sum
-                if bucket.max > peak:
-                    peak = bucket.max
-                for position, slot in enumerate(bucket.counts):
-                    counts[position] += slot
+        counts = [0] * len(self._ring[0].counts)
+        for bucket in self._ring:
+            if not (oldest <= bucket.index <= tick) or not bucket.count:
+                continue
+            count += bucket.count
+            total += bucket.sum
+            if bucket.max > peak:
+                peak = bucket.max
+            for position, slot in enumerate(bucket.counts):
+                counts[position] += slot
         return {"count": count, "sum": total, "max": peak, "counts": counts}
 
-    def summary(self) -> Dict[str, float]:
-        """Recent-window summary: count, rate, mean, max and quantiles."""
-        return summarize_window(self.window_state(), self.bounds,
-                                self.window_seconds)
 
-
-def summarize_window(state: Mapping[str, object], bounds: Sequence[float],
-                     window_seconds: float) -> Dict[str, float]:
+def summarize_window(state: Mapping[str, object],
+                     bounds: Sequence[float]) -> Dict[str, float]:
     """Turn one merged window state into the exported summary dict."""
     count = int(state["count"])
     total = float(state["sum"])
@@ -128,9 +114,9 @@ def summarize_window(state: Mapping[str, object], bounds: Sequence[float],
         "count": float(count),
         "sum": total,
         "max": peak,
-        "rate": (count / window_seconds) if window_seconds > 0 else 0.0,
+        "rate": count / DEFAULT_WINDOW_SECONDS,
         "mean": (total / count) if count else 0.0,
-        "window_seconds": float(window_seconds),
+        "window_seconds": DEFAULT_WINDOW_SECONDS,
     }
     for quantile in SUMMARY_QUANTILES:
         out[f"p{int(quantile * 100)}"] = _quantile(counts, bounds, count,
@@ -173,86 +159,3 @@ def merge_window_states(states: Sequence[Mapping[str, object]],
         for position, slot in enumerate(state["counts"]):  # type: ignore[arg-type]
             counts[position] += slot
     return {"count": count, "sum": total, "max": peak, "counts": counts}
-
-
-class WindowedHistogram:
-    """Family of labeled windowed series (the registry-facing handle).
-
-    Mirrors the get-or-create ergonomics of the cumulative families: a
-    family declared without label names behaves like its single series, so
-    ``registry.windowed_histogram("x").observe(v)`` just works.
-    """
-
-    kind = "window"
-
-    def __init__(self, name: str, help: str = "",
-                 labelnames: Sequence[str] = (), *,
-                 now: Callable[[], float],
-                 window_seconds: float = DEFAULT_WINDOW_SECONDS,
-                 window_buckets: int = DEFAULT_WINDOW_BUCKETS,
-                 bounds: Sequence[float] = ()) -> None:
-        self.name = name
-        self.help = help
-        self.labelnames = tuple(labelnames)
-        self.window_seconds = float(window_seconds)
-        self.window_buckets = int(window_buckets)
-        self._now = now
-        self._bounds = tuple(bounds)
-        self._lock = threading.Lock()
-        self._series: Dict[Tuple[str, ...], WindowedHistogramSeries] = {}
-        self._default: Optional[WindowedHistogramSeries] = None
-        if not self.labelnames:
-            self._default = self._make_series({})
-            self._series[()] = self._default
-
-    def _make_series(self, labels: Mapping[str, str]) -> WindowedHistogramSeries:
-        return WindowedHistogramSeries(
-            labels, self._now, window_seconds=self.window_seconds,
-            window_buckets=self.window_buckets, bounds=self._bounds,
-        )
-
-    def labels(self, **labelvalues: str) -> WindowedHistogramSeries:
-        if set(labelvalues) != set(self.labelnames):
-            raise ValueError(
-                f"metric {self.name!r} expects labels {self.labelnames}, "
-                f"got {tuple(labelvalues)}"
-            )
-        key = tuple(str(labelvalues[name]) for name in self.labelnames)
-        with self._lock:
-            series = self._series.get(key)
-            if series is None:
-                series = self._make_series(
-                    {name: str(labelvalues[name]) for name in self.labelnames}
-                )
-                self._series[key] = series
-        return series
-
-    def series(self) -> List[WindowedHistogramSeries]:
-        with self._lock:
-            return list(self._series.values())
-
-    def _require_default(self) -> WindowedHistogramSeries:
-        if self._default is None:
-            raise ValueError(
-                f"metric {self.name!r} is labeled; use .labels(...) first"
-            )
-        return self._default
-
-    def observe(self, value: float) -> None:
-        self._require_default().observe(value)
-
-    def summary(self) -> Dict[str, float]:
-        """Family-wide summary merging every labeled series' live window."""
-        merged = merge_window_states(
-            [series.window_state() for series in self.series()],
-            len(self._effective_bounds()) + 1,
-        )
-        return summarize_window(merged, self._effective_bounds(),
-                                self.window_seconds)
-
-    def _effective_bounds(self) -> Tuple[float, ...]:
-        if self._bounds:
-            return self._bounds
-        from repro.obs.metrics import DEFAULT_BUCKETS
-
-        return DEFAULT_BUCKETS

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Optional, Sequence, Union
 
 from repro.exceptions import ProtocolError
 from repro.obs import runtime, tracing
@@ -53,7 +53,7 @@ class Endpoint(ABC):
         if handler is None or not callable(handler):
             raise ProtocolError(f"endpoint has no method {method!r}")
         ctx = tracing.extract(payload)
-        timers = self._rpc_timers(method) if runtime.ENABLED else None
+        timer = self._rpc_timer(method) if runtime.ENABLED else None
         span = tracing.NO_SPAN if ctx is None else tracing.start_span(
             f"rpc.server:{method}",
             component=getattr(self, "obs_component", ""),
@@ -65,23 +65,18 @@ class Endpoint(ABC):
             with span:
                 return handler(**payload)
         finally:
-            if timers is not None:
-                # One measurement feeds both views: the cumulative
-                # histogram (lifetime distribution) and the windowed
-                # summary (recent p50/p99 for live SLOs).
-                elapsed = time.perf_counter() - started
-                lifetime, recent = timers
-                lifetime.observe(elapsed)
-                recent.observe(elapsed)
+            if timer is not None:
+                timer.observe(time.perf_counter() - started)
 
-    def _rpc_timers(self, method: str) -> Optional[Tuple[Any, Any]]:
-        """The two latency series of ``method``, resolved once per endpoint.
+    def _rpc_timer(self, method: str) -> Optional[Any]:
+        """The latency series of ``method``, resolved once per endpoint.
 
-        None for an endpoint without an ``obs`` registry.  Looking the
-        families and their label children up costs two registry locks per
-        RPC; the series objects are stable, so they are kept on the
-        endpoint, keyed by method, for as long as ``obs`` is the same
-        registry.
+        None for an endpoint without an ``obs`` registry.  The series is
+        windowed, so one observation feeds both the lifetime histogram and
+        the recent p50/p99 of live SLOs.  Looking the family and its label
+        child up costs registry and family locks per RPC; the series object
+        is stable, so it is kept on the endpoint, keyed by method, for as
+        long as ``obs`` is the same registry.
         """
         registry = getattr(self, "obs", None)
         if registry is None:
@@ -89,21 +84,14 @@ class Endpoint(ABC):
         cache = getattr(self, "_rpc_timer_cache", None)
         if cache is None or cache[0] is not registry:
             cache = self._rpc_timer_cache = (registry, {})
-        timers = cache[1].get(method)
-        if timers is None:
-            timers = cache[1][method] = (
-                registry.histogram(
-                    "rpc_handled_seconds",
-                    "Server-side RPC handling latency by method.",
-                    labelnames=("method",),
-                ).labels(method=method),
-                registry.windowed_histogram(
-                    "rpc_handled_seconds_window",
-                    "Recent server-side RPC handling latency by method.",
-                    labelnames=("method",),
-                ).labels(method=method),
-            )
-        return timers
+        timer = cache[1].get(method)
+        if timer is None:
+            timer = cache[1][method] = registry.histogram(
+                "rpc_handled_seconds",
+                "Server-side RPC handling latency by method.",
+                labelnames=("method",), window=True,
+            ).labels(method=method)
+        return timer
 
 
 #: What ``Transport.call(..., into=)`` accepts: one destination, or one per

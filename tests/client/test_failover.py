@@ -285,7 +285,7 @@ class TestFailoverTransport:
             "client_failover_retries_total", "", labelnames=("method",)
         )
         assert retries.labels(method="get_chunk_map").value == 1
-        stall = registry.histogram("client_failover_stall_seconds", "")
+        stall = registry.histogram("client_failover_stall_seconds", "", window=True)
         assert stall.count == 1
 
 

@@ -92,11 +92,8 @@ class TestLabelValueRoundTrip:
 
     def test_quantile_and_le_labels_coexist_with_hostile_values(self):
         registry = MetricsRegistry()
-        registry.histogram("lat_seconds", "h", labelnames=("op",)).labels(
-            op='read"fast').observe(0.01)
-        registry.windowed_histogram("lat_seconds_window", "h",
-                                    labelnames=("op",)).labels(
-            op='read"fast').observe(0.01)
+        registry.histogram("lat_seconds", "h", labelnames=("op",),
+                           window=True).labels(op='read"fast').observe(0.01)
         samples = parse_samples(to_prometheus(registry.snapshot()))
         quantiles = {
             dict(key).get("quantile")

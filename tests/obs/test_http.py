@@ -33,7 +33,7 @@ def fetch(url: str):
 def server():
     registry = MetricsRegistry(component="test", node_id="node-0")
     registry.counter("test_requests_total", "Requests.").inc(3)
-    registry.windowed_histogram("test_latency_window", "Recent.").observe(0.02)
+    registry.histogram("test_latency", "Recent.", window=True).observe(0.02)
     srv = ObsHttpServer(registry)
     srv.start()
     yield srv

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import sys
 import threading
 
@@ -15,6 +16,31 @@ from repro.obs import (
     to_json,
     to_prometheus,
 )
+
+
+
+class _ObserveOnFirstRelease:
+    """A series lock that slips one observation in when first released.
+
+    A snapshot that reads the series under more than one acquisition sees
+    that observation in some of its reads and not in others.
+    """
+
+    def __init__(self, series, value: float) -> None:
+        self._inner = threading.Lock()
+        self._series = series
+        self._value = value
+        self._armed = True
+
+    def __enter__(self) -> None:
+        self._inner.acquire()
+
+    def __exit__(self, *_exc) -> bool:
+        self._inner.release()
+        if self._armed:
+            self._armed = False
+            self._series.observe(self._value)
+        return False
 
 
 class TestThreadSafety:
@@ -81,7 +107,8 @@ class TestThreadSafety:
     def test_racing_creators_all_get_the_one_family(self):
         """A hit takes no lock; creation still happens exactly once."""
         registry = MetricsRegistry()
-        kinds = (registry.counter, registry.histogram, registry.windowed_histogram)
+        kinds = (registry.counter, registry.histogram,
+                 functools.partial(registry.histogram, window=True))
         seen = []
         previous = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -157,7 +184,7 @@ class TestFamilies:
     def test_label_children_are_the_familys_series(self):
         registry = MetricsRegistry()
         for family in (registry.gauge("g", labelnames=("benefactor",)),
-                       registry.windowed_histogram("w", labelnames=("benefactor",))):
+                       registry.histogram("w", labelnames=("benefactor",), window=True)):
             children = LabelChildren(family, "benefactor")
             assert children["b0"] is family.labels(benefactor="b0")
             assert children["b0"] is children["b0"]
@@ -248,6 +275,24 @@ class TestSnapshotAndMerge:
     def test_merge_skips_missing_snapshots(self):
         merged = merge_snapshots([None, self._registry("b0").snapshot()])
         assert merged["metrics"]["puts_total"]["series"][0]["value"] == 3
+
+
+    @pytest.mark.parametrize("window", [False, True])
+    def test_a_histogram_is_snapshotted_in_one_read(self, window):
+        """An observation landing mid-snapshot is in every view or in none."""
+        registry = MetricsRegistry()
+        hist = registry.histogram("lat", buckets=(0.1, 1.0), window=window)
+        hist.observe(0.05)
+        (series,) = hist.series()
+        series._lock = _ObserveOnFirstRelease(series, 5.0)
+        metrics = registry.snapshot()["metrics"]
+        (entry,) = metrics["lat"]["series"]
+        assert entry["count"] == entry["buckets"]["+Inf"] == 1
+        assert entry["sum"] == 0.05
+        if window:
+            (recent,) = metrics["lat_window"]["series"]
+            assert recent["count"] == 1
+        assert hist.count == 2  # it did land, after the read
 
 
 class TestExporters:

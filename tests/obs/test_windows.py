@@ -1,30 +1,28 @@
-"""Windowed time-series instruments: ring recycling, quantiles, expiry."""
+"""Windowed histograms: ring recycling, quantiles, expiry, family merge."""
 
 from __future__ import annotations
 
+import pytest
+
 from repro.obs import MetricsRegistry, set_enabled
-from repro.obs.windows import (
-    WindowedHistogramSeries,
-    merge_window_states,
-    summarize_window,
-)
 from repro.util.clock import VirtualClock
 
 
-def make_series(clock, window=60.0, buckets=12, bounds=()):
-    return WindowedHistogramSeries(
-        {}, clock.now, window_seconds=window, window_buckets=buckets,
-        bounds=bounds,
-    )
+def windowed(clock, buckets=(0.01, 0.1, 1.0), labelnames=()):
+    """A registry on ``clock`` and its one windowed histogram, ``op_seconds``."""
+    registry = MetricsRegistry(component="test", node_id="n0", clock=clock)
+    family = registry.histogram("op_seconds", "Op latency.",
+                                labelnames=labelnames, buckets=buckets,
+                                window=True)
+    return registry, family
 
 
 class TestWindowedSeries:
     def test_summary_of_recent_observations(self):
-        clock = VirtualClock()
-        series = make_series(clock, bounds=(0.01, 0.1, 1.0))
+        registry, family = windowed(VirtualClock())
         for value in (0.005, 0.005, 0.05, 0.5):
-            series.observe(value)
-        summary = series.summary()
+            family.observe(value)
+        summary = registry.window_summary("op_seconds")
         assert summary["count"] == 4
         assert summary["sum"] == 0.005 + 0.005 + 0.05 + 0.5
         assert summary["max"] == 0.5
@@ -36,96 +34,84 @@ class TestWindowedSeries:
 
     def test_observations_expire_after_the_window(self):
         clock = VirtualClock()
-        series = make_series(clock, window=60.0, buckets=12)
-        series.observe(1.0)
+        registry, family = windowed(clock)
+        family.observe(1.0)
         clock.advance(30)
-        assert series.summary()["count"] == 1
+        assert registry.window_summary("op_seconds")["count"] == 1
         clock.advance(31)  # past the 60s window
-        assert series.summary()["count"] == 0
-        assert series.summary()["p99"] == 0.0
+        summary = registry.window_summary("op_seconds")
+        assert summary["count"] == 0
+        assert summary["p99"] == 0.0
+        assert family.count == 1  # the lifetime view keeps it
 
     def test_ring_slots_recycle_in_place(self):
         clock = VirtualClock()
-        series = make_series(clock, window=12.0, buckets=12)
-        series.observe(1.0)
+        registry, family = windowed(clock)
+        family.observe(1.0)
         # One full lap of the ring later, the same slot holds the new epoch
         # only: the stale bucket must not leak into the summary.
-        clock.advance(12.0)
-        series.observe(2.0)
-        summary = series.summary()
+        clock.advance(60.0)
+        family.observe(2.0)
+        summary = registry.window_summary("op_seconds")
         assert summary["count"] == 1
         assert summary["max"] == 2.0
 
     def test_rate_is_count_over_window(self):
-        clock = VirtualClock()
-        series = make_series(clock, window=10.0, buckets=10)
-        for _ in range(5):
-            series.observe(0.001)
-        assert series.summary()["rate"] == 0.5
+        registry, family = windowed(VirtualClock())
+        for _ in range(6):
+            family.observe(0.001)
+        assert registry.window_summary("op_seconds")["rate"] == 0.1
 
     def test_quantile_beyond_largest_bound_reports_window_max(self):
-        clock = VirtualClock()
-        series = make_series(clock, bounds=(0.1,))
-        series.observe(7.5)
-        assert series.summary()["p99"] == 7.5
+        registry, family = windowed(VirtualClock(), buckets=(0.1,))
+        family.observe(7.5)
+        assert registry.window_summary("op_seconds")["p99"] == 7.5
 
     def test_kill_switch_suppresses_observations(self):
-        clock = VirtualClock()
-        series = make_series(clock)
+        registry, family = windowed(VirtualClock())
         set_enabled(False)
-        series.observe(1.0)
-        set_enabled(True)
-        assert series.summary()["count"] == 0
-
-
-class TestMergeWindowStates:
-    def test_merge_sums_counts_and_takes_max(self):
-        bounds = (0.1, 1.0)
-        clock_a, clock_b = VirtualClock(), VirtualClock()
-        one = make_series(clock_a, bounds=bounds)
-        two = make_series(clock_b, bounds=bounds)
-        one.observe(0.05)
-        two.observe(0.5)
-        two.observe(2.0)
-        merged = merge_window_states(
-            [one.window_state(), two.window_state()], len(bounds) + 1
-        )
-        assert merged["count"] == 3
-        assert merged["max"] == 2.0
-        summary = summarize_window(merged, bounds, 60.0)
-        assert summary["count"] == 3.0
-        assert summary["p99"] == 2.0
+        try:
+            family.observe(1.0)
+        finally:
+            set_enabled(True)
+        assert registry.window_summary("op_seconds")["count"] == 0
+        assert family.count == 0
 
 
 class TestRegistryIntegration:
-    def test_registry_windowed_family_in_snapshot_and_summary(self):
-        clock = VirtualClock()
-        registry = MetricsRegistry(component="test", node_id="n0", clock=clock)
-        family = registry.windowed_histogram(
-            "op_seconds_window", "Recent op latency.", labelnames=("op",)
-        )
-        family.labels(op="read").observe(0.2)
-        family.labels(op="write").observe(0.4)
-        snapshot = registry.snapshot()
-        exported = snapshot["metrics"]["op_seconds_window"]
-        assert exported["type"] == "window"
-        assert {entry["labels"]["op"] for entry in exported["series"]} == \
-            {"read", "write"}
-        merged = registry.window_summary("op_seconds_window")
-        assert merged["count"] == 2.0
-        assert merged["max"] == 0.4
+    def test_window_summary_merges_the_familys_series(self):
+        registry, family = windowed(VirtualClock(), buckets=(0.1, 1.0),
+                                    labelnames=("op",))
+        family.labels(op="read").observe(0.05)
+        family.labels(op="write").observe(0.5)
+        family.labels(op="write").observe(2.0)
+        metrics = registry.snapshot()["metrics"]
+        exported = metrics["op_seconds_window"]
+        assert (exported["type"], exported["labelnames"]) == ("window", ["op"])
+        assert {entry["labels"]["op"]: entry["count"]
+                for entry in exported["series"]} == {"read": 1.0, "write": 2.0}
+        assert {entry["labels"]["op"]: entry["count"]
+                for entry in metrics["op_seconds"]["series"]} == {"read": 1, "write": 2}
+        merged = registry.window_summary("op_seconds")
+        assert merged["count"] == 3.0
+        assert merged["max"] == 2.0
+        assert merged["p99"] == 2.0
 
-    def test_window_summary_of_unknown_or_cumulative_metric_is_none(self):
+    def test_window_summary_of_unknown_or_unwindowed_metric_is_none(self):
         registry = MetricsRegistry()
         registry.counter("plain_total", "x").inc()
+        registry.histogram("lifetime_seconds", "x").observe(0.1)
         assert registry.window_summary("plain_total") is None
+        assert registry.window_summary("lifetime_seconds") is None
         assert registry.window_summary("missing") is None
+        assert "lifetime_seconds_window" not in registry.snapshot()["metrics"]
 
-    def test_registry_window_seconds_applies_to_new_families(self):
-        clock = VirtualClock()
-        registry = MetricsRegistry(clock=clock)
-        registry.window_seconds = 10.0
-        family = registry.windowed_histogram("short_window", "x")
-        family.observe(1.0)
-        clock.advance(11)
-        assert family.summary()["count"] == 0
+    def test_a_mismatched_window_flag_raises(self):
+        registry = MetricsRegistry()
+        windowed_family = registry.histogram("a_seconds", window=True)
+        registry.histogram("b_seconds")
+        assert registry.histogram("a_seconds", window=True) is windowed_family
+        with pytest.raises(ValueError):
+            registry.histogram("a_seconds")
+        with pytest.raises(ValueError):
+            registry.histogram("b_seconds", window=True)

@@ -1,5 +1,7 @@
 """Tests for the in-process and TCP transports."""
 
+import threading
+
 import pytest
 
 from repro.exceptions import EndpointUnreachableError, ProtocolError
@@ -75,6 +77,37 @@ class TestEndpointDispatch:
             "rpc_handled_seconds": {"echo": 3, "boom": 1},
             "rpc_handled_seconds_window": {"echo": 3, "boom": 1},
         }
+
+
+    def test_one_metric_lock_per_dispatched_rpc(self):
+        """An RPC's latency is one observation into one series: one lock
+        acquisition feeds both the lifetime histogram and its window."""
+
+        class CountingLock:
+            def __init__(self):
+                self._inner = threading.Lock()
+                self.acquired = 0
+
+            def __enter__(self):
+                self.acquired += 1
+                self._inner.acquire()
+
+            def __exit__(self, *_exc):
+                self._inner.release()
+                return False
+
+        endpoint = EchoEndpoint()
+        registry = endpoint.obs = MetricsRegistry(component="test", node_id="n0")
+        endpoint.dispatch("echo", {"value": 1})  # resolves the method's series
+        owners = [registry, *registry.families()]
+        owners += [series for family in registry.families() for series in family.series()]
+        locks = []
+        for owner in owners:
+            if hasattr(owner, "_lock"):
+                owner._lock = CountingLock()
+                locks.append(owner._lock)
+        endpoint.dispatch("echo", {"value": 1})
+        assert sum(lock.acquired for lock in locks) == 1
 
 
 class TestInProcessTransport:
