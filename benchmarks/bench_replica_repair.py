@@ -3,7 +3,7 @@
 Every repair below runs through the pool's one healer: the manager judges
 what is under-replicated when a benefactor reconciles its inventory, and the
 benefactors' maintenance stacks copy (digest heartbeats -> reconcile answer
--> anti-entropy, with gossip supplying the copy targets).  Two fault
+-> anti-entropy, with the heartbeat answer listing the copy targets).  Two fault
 scenarios are measured on an in-process pool, with the churn schedule drawn
 from ``simulation.churn.ChurnModel``:
 

@@ -12,7 +12,6 @@ from repro.benefactor.benefactor import Benefactor
 from repro.benefactor.maintenance import (
     AntiEntropyService,
     BenefactorMaintenance,
-    GossipService,
     HeartbeatService,
     compute_inventory_digest,
 )
@@ -24,7 +23,6 @@ __all__ = [
     "Benefactor",
     "AntiEntropyService",
     "BenefactorMaintenance",
-    "GossipService",
     "HeartbeatService",
     "compute_inventory_digest",
 ]

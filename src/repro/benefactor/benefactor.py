@@ -47,7 +47,6 @@ _STAT_KEYS = (
     "replications_out",
     "bytes_in",
     "bytes_out",
-    "gossip_in",
     "checksum_inventories",
 )
 
@@ -73,8 +72,8 @@ class Benefactor(Endpoint):
         #: the bound socket on TCP deployments.
         self.advertised_address = self.address
         self.online = True
-        #: Peer-level soft state (membership, liveness) accumulated from
-        #: heartbeat refreshes and gossip exchanges.
+        #: The manager's last list of online peers, replaced by every
+        #: registration and heartbeat answer.
         self.peers = PeerDirectory(benefactor_id)
         #: Chunks queued for the anti-entropy pass to re-replicate, keyed by
         #: chunk id; each reconcile answer replaces the queue.
@@ -123,7 +122,7 @@ class Benefactor(Endpoint):
 
     @property
     def stats(self) -> Dict[str, int]:
-        """The node's counts: chunks and bytes in and out, deletes, gossip."""
+        """The node's counts: chunks and bytes in and out, deletes, inventories."""
         with self._stats_lock:
             return dict(self._stats)
 
@@ -200,7 +199,8 @@ class Benefactor(Endpoint):
         its journal could not carry and schedule orphans for collection.
         ``advertised_address`` overrides the address peers should dial (the
         TCP deployment advertises the *bound* ``host:port``, not the advisory
-        registration key).
+        registration key).  The answer's ``peers`` list replaces the peer
+        directory.
         """
         self._require_online()
         address = advertised_address if advertised_address is not None else self.address
@@ -214,6 +214,7 @@ class Benefactor(Endpoint):
             used_space=self.store.used_space,
             chunk_count=self.store.chunk_count,
         )
+        self.peers.replace(answer["peers"])
         result: Dict[str, object] = {"registered": answer, "reconciled": None}
         if reconcile:
             result["reconciled"] = self.reconcile_with(manager_address)
@@ -269,39 +270,6 @@ class Benefactor(Endpoint):
         self._require_online()
         self._bump("checksum_inventories")
         return self.store.checksums()
-
-    # -- gossip -----------------------------------------------------------------
-    def self_record(self) -> Dict[str, object]:
-        """This node's own membership record in gossip wire form."""
-        return {
-            "peer_id": self.benefactor_id,
-            "address": self.advertised_address,
-            "last_seen": self.clock.now(),
-            "online": self.online,
-            "free_space": self.store.free_space,
-            "inventory_digest": self._current_digest().root,
-        }
-
-    def gossip(self, sender: Dict[str, object],
-               peers: Sequence[Dict[str, object]]) -> Dict[str, object]:
-        """Handle one incoming gossip exchange (peer-facing RPC).
-
-        Absorbs the sender's membership records, then replies with this
-        node's own view so knowledge flows both ways in a single round trip.
-        """
-        self._require_online()
-        self._bump("gossip_in")
-        self.peers.observe(
-            str(sender["peer_id"]),
-            str(sender["address"]),
-            now=self.clock.now(),
-            free_space=int(sender.get("free_space", 0)),
-            inventory_digest=str(sender.get("inventory_digest", "")),
-        )
-        self.peers.merge_peer_records(peers)
-        reply_peers = self.peers.export_records()
-        reply_peers.append(self.self_record())
-        return {"peers": reply_peers}
 
     # -- repair queue -----------------------------------------------------------
     def enqueue_repair(self, chunk_id: ChunkId,

@@ -8,7 +8,8 @@ tick a benefactor does two things:
    reconcile answer: a chunk this node is the designated source of, how
    many replicas are ``missing``, who holds one already and which corrupt
    holders to avoid.  For each missing replica the node picks a peer from
-   its directory that is neither — but *probes with* ``has_chunk`` *first*:
+   its directory (the manager's last list of online benefactors) that is
+   neither — but *probes with* ``has_chunk`` *first*:
    an orphaned-but-present copy (e.g. a recovered node the manager dropped)
    is re-attached by telling the manager about it, never re-copied.
    Otherwise the chunk is pushed with ``replicate_to`` and the new
@@ -85,27 +86,20 @@ class AntiEntropyService:
         self._rng = random.Random(seed)
         self.rounds = 0
         self._log = component_logger("anti-entropy", benefactor.benefactor_id)
-        obs = getattr(benefactor, "obs", None)
-        if obs is not None:
-            repairs = obs.counter(
-                "anti_entropy_repairs_total",
-                "Replicas healed by the anti-entropy pass, by kind.",
-                labelnames=("kind",),
-            )
-            self._repaired_counter = repairs.labels(kind="copied")
-            self._reattached_counter = repairs.labels(kind="reattached")
-            corrupt = obs.counter(
-                "anti_entropy_corrupt_total",
-                "Provably corrupt replicas detected, by side.",
-                labelnames=("side",),
-            )
-            self._corrupt_local_counter = corrupt.labels(side="local")
-            self._corrupt_remote_counter = corrupt.labels(side="remote")
-        else:
-            self._repaired_counter = None
-            self._reattached_counter = None
-            self._corrupt_local_counter = None
-            self._corrupt_remote_counter = None
+        repairs = benefactor.obs.counter(
+            "anti_entropy_repairs_total",
+            "Replicas healed by the anti-entropy pass, by kind.",
+            labelnames=("kind",),
+        )
+        self._repaired_counter = repairs.labels(kind="copied")
+        self._reattached_counter = repairs.labels(kind="reattached")
+        corrupt = benefactor.obs.counter(
+            "anti_entropy_corrupt_total",
+            "Provably corrupt replicas detected, by side.",
+            labelnames=("side",),
+        )
+        self._corrupt_local_counter = corrupt.labels(side="local")
+        self._corrupt_remote_counter = corrupt.labels(side="remote")
 
     # ------------------------------------------------------------------ tick
     def run_once(self) -> AntiEntropyReport:
@@ -145,8 +139,7 @@ class AntiEntropyService:
         directory = benefactor.peers
         avoid = task.holders | task.exclude
         candidates = [
-            peer for peer in directory.peers(online_only=True)
-            if peer.peer_id not in avoid
+            peer for peer in directory.peers() if peer.peer_id not in avoid
         ]
         # Prefer space, break ties randomly so repairs spread across peers.
         self._rng.shuffle(candidates)
@@ -185,8 +178,7 @@ class AntiEntropyService:
             counter = self._repaired_counter
         else:
             return False
-        if counter is not None:
-            counter.inc()
+        counter.inc()
         self._record_with_manager(peer.peer_id, [chunk_id])
         report.healed_chunks.append(chunk_id)
         return True
@@ -262,8 +254,7 @@ class AntiEntropyService:
                 self._log.warning("peer %s holds corrupt copy of chunk %s",
                                   peer_id, chunk_id)
                 report.corrupt_remote += 1
-                if self._corrupt_remote_counter is not None:
-                    self._corrupt_remote_counter.inc()
+                self._corrupt_remote_counter.inc()
                 reported = self._report_corruption(chunk_id, peer_id)
                 if not reported and local_sum == expected:
                     # The judge cannot be told, and we hold a good copy:
@@ -277,8 +268,7 @@ class AntiEntropyService:
                 self._log.warning("local copy of chunk %s is corrupt; dropping",
                                   chunk_id)
                 report.corrupt_local += 1
-                if self._corrupt_local_counter is not None:
-                    self._corrupt_local_counter.inc()
+                self._corrupt_local_counter.inc()
                 benefactor.store.delete(chunk_id)
                 self._report_corruption(chunk_id, benefactor.benefactor_id)
             return

@@ -1,19 +1,18 @@
 """Digest-carrying heartbeats: the benefactor half of soft-state liveness.
 
-Historically the pool helpers heartbeated *for* the benefactors and every
-(re)registration shipped the full chunk inventory.  This service makes the
-exchange benefactor-driven and incremental: each beat carries the node's
-Merkle-style inventory digest, and the manager's acknowledgement says
-whether the digest still matches the inventory it reconciled last — only
-then does the benefactor send the full id list again.  A manager restart
-(which forgets the soft registration) is healed transparently: the beat
-fails with ``UnknownBenefactorError`` and the service falls back to a full
-registration + reconciliation.
+Each beat carries the node's Merkle-style inventory digest, and the
+manager's acknowledgement says whether the digest still matches the
+inventory it reconciled last — only then does the benefactor send the full
+id list again.  A manager restart (which forgets the soft registration) is
+healed transparently: the beat fails with ``UnknownBenefactorError`` and the
+service falls back to a full registration + reconciliation.
 
-The reconcile answer doubles as the manager's repair handoff: the
-under-replicated chunks this node is the designated source of become its
-repair queue for the anti-entropy pass, and chunks the corruption ledger
-attributes to this node are purged locally.
+The answer is also the node's only source of membership: its ``peers`` list
+(every benefactor the manager has online) replaces the peer directory the
+anti-entropy pass picks copy targets from.  The reconcile answer is the
+manager's repair handoff: the under-replicated chunks this node is the
+designated source of become its repair queue, and chunks the corruption
+ledger attributes to this node are purged locally.
 """
 
 from __future__ import annotations
@@ -48,13 +47,9 @@ class HeartbeatService:
     :meth:`run_once` per maintenance round, so tests stay deterministic.
     """
 
-    def __init__(self, benefactor, manager_address: str,
-                 refresh_peers: bool = True) -> None:
+    def __init__(self, benefactor, manager_address: str) -> None:
         self.benefactor = benefactor
         self.manager_address = manager_address
-        #: Also pull the manager's benefactor list each beat to seed the
-        #: gossip peer directory (cheap bootstrap; gossip keeps it fresh).
-        self.refresh_peers = refresh_peers
         self.beats = 0
         self.reconciles = 0
         self.reregistrations = 0
@@ -64,11 +59,9 @@ class HeartbeatService:
         #: us) — its soft state may predate this node, so re-register.
         self.last_epoch: Optional[int] = None
         self._log = component_logger("heartbeat", benefactor.benefactor_id)
-        obs = getattr(benefactor, "obs", None)
-        self._beat_counter = (
-            obs.counter("maintenance_heartbeats_total",
-                        "Heartbeats acknowledged by the manager.")
-            if obs is not None else None
+        self._beat_counter = benefactor.obs.counter(
+            "maintenance_heartbeats_total",
+            "Heartbeats acknowledged by the manager.",
         )
 
     def run_once(self) -> Optional[Dict[str, object]]:
@@ -96,7 +89,7 @@ class HeartbeatService:
             # soft registration, or a *promoted standby* never saw this node
             # at all (it registered after the last shipped record).  Both
             # answer but don't know us — re-register, which re-advertises
-            # the full inventory and absorbs repair hints.
+            # the full inventory, absorbs repair hints and lists the peers.
             self._log.info(
                 "manager at %s forgot us; re-registering with full inventory",
                 self.manager_address,
@@ -108,9 +101,7 @@ class HeartbeatService:
             # The next acknowledged beat re-learns the answering epoch.
             self.last_epoch = None
             benefactor.last_heartbeat_at = benefactor.clock.now()
-            if self._beat_counter is not None:
-                self._beat_counter.inc()
-            self._refresh_peers()
+            self._beat_counter.inc()
             return {"acknowledged": True, "inventory_requested": False}
         except _TRANSIENT_MANAGER_ERRORS as exc:
             # Soft state: a missed beat just expires us a little sooner.
@@ -119,8 +110,8 @@ class HeartbeatService:
             return None
         self.beats += 1
         benefactor.last_heartbeat_at = benefactor.clock.now()
-        if self._beat_counter is not None:
-            self._beat_counter.inc()
+        self._beat_counter.inc()
+        benefactor.peers.replace(answer["peers"])
         epoch = answer.get("epoch")
         if epoch is not None:
             if self.last_epoch is not None and int(epoch) != self.last_epoch:
@@ -137,27 +128,4 @@ class HeartbeatService:
         if answer.get("inventory_requested"):
             benefactor.reconcile_with(self.manager_address)
             self.reconciles += 1
-        self._refresh_peers()
         return answer
-
-    def _refresh_peers(self) -> None:
-        if not self.refresh_peers:
-            return
-        benefactor = self.benefactor
-        try:
-            records = benefactor.transport.call(self.manager_address,
-                                                "list_benefactors")
-        except _TRANSIENT_MANAGER_ERRORS as exc:
-            self._log.debug("peer refresh from %s failed: %s",
-                            self.manager_address, exc)
-            return
-        now = benefactor.clock.now()
-        for record in records:
-            if not record.get("online", True):
-                continue
-            benefactor.peers.observe(
-                str(record["benefactor_id"]),
-                str(record["address"]),
-                now=now,
-                free_space=int(record.get("free_space", 0)),
-            )

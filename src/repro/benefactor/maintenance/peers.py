@@ -1,9 +1,12 @@
-"""Peer-level soft state a benefactor accumulates about the rest of the pool.
+"""Peer-level soft state a benefactor keeps about the rest of the pool.
 
-Which benefactors exist and are reachable (liveness).  It is gossiped peer to
-peer, merged newest-record-wins, and is advisory only.  The anti-entropy pass
-picks its copy targets from it; whether a chunk needs a copy at all is the
-manager's call alone, made from its committed chunk-maps.
+Which benefactors are online, where they listen and how much room they have:
+a copy of the manager's membership, the ``peers`` list its registration and
+heartbeat answers carry.  Each answer replaces the whole directory, so a node
+the manager expired or was told has failed is gone at the next beat; a peer a
+call just failed on is dropped until the manager lists it again.  The
+directory is advisory only: the anti-entropy pass picks its copy targets from
+it, but whether a chunk needs a copy at all is the manager's call alone.
 """
 
 from __future__ import annotations
@@ -11,30 +14,16 @@ from __future__ import annotations
 import random
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Set
 
 
 @dataclass
 class PeerInfo:
-    """One benefactor as seen from another benefactor."""
+    """One benefactor as the manager last listed it to another."""
 
     peer_id: str
     address: str
-    last_seen: float = 0.0
-    online: bool = True
     free_space: int = 0
-    inventory_digest: str = ""
-
-    def to_record(self) -> Dict[str, object]:
-        """Wire form exchanged by the ``gossip`` RPC."""
-        return {
-            "peer_id": self.peer_id,
-            "address": self.address,
-            "last_seen": self.last_seen,
-            "online": self.online,
-            "free_space": self.free_space,
-            "inventory_digest": self.inventory_digest,
-        }
 
 
 @dataclass
@@ -55,9 +44,9 @@ class RepairTask:
 class PeerDirectory:
     """Thread-safe membership state for one benefactor.
 
-    All mutation paths (heartbeat refresh from the manager's benefactor
-    list, incoming and outgoing gossip, anti-entropy discoveries) funnel
-    through this class; services and RPC handlers run on different threads.
+    The manager's answers write it (:meth:`replace`), the anti-entropy pass
+    reads it and drops peers its calls fail on; the two run on different
+    threads from the RPC handlers.
     """
 
     def __init__(self, owner_id: str) -> None:
@@ -65,91 +54,37 @@ class PeerDirectory:
         self._peers: Dict[str, PeerInfo] = {}
         self._lock = threading.Lock()
 
-    def observe(self, peer_id: str, address: str, now: float,
-                free_space: int = 0, inventory_digest: str = "",
-                online: bool = True) -> None:
-        """Record a first-hand observation of ``peer_id`` (always wins)."""
-        if peer_id == self.owner_id:
-            return
+    def replace(self, records: Iterable[Dict[str, object]]) -> None:
+        """Adopt the manager's online list, minus the owner, as the directory."""
+        peers = {
+            str(record["benefactor_id"]): PeerInfo(
+                peer_id=str(record["benefactor_id"]),
+                address=str(record["address"]),
+                free_space=int(record["free_space"]),
+            )
+            for record in records
+            if record["benefactor_id"] != self.owner_id
+        }
         with self._lock:
-            peer = self._peers.get(peer_id)
-            if peer is None:
-                peer = PeerInfo(peer_id=peer_id, address=address)
-                self._peers[peer_id] = peer
-            peer.address = address
-            peer.last_seen = max(peer.last_seen, now)
-            peer.online = online
-            peer.free_space = free_space
-            if inventory_digest:
-                peer.inventory_digest = inventory_digest
-
-    def merge_peer_records(self, records: Iterable[Dict[str, object]]) -> int:
-        """Merge second-hand gossip records; newer ``last_seen`` wins.
-
-        Returns the number of records that taught us something new (a peer
-        we did not know, or a fresher observation of one we did).
-        """
-        learned = 0
-        with self._lock:
-            for record in records:
-                peer_id = str(record["peer_id"])
-                if peer_id == self.owner_id:
-                    continue
-                last_seen = float(record.get("last_seen", 0.0))
-                peer = self._peers.get(peer_id)
-                if peer is None:
-                    self._peers[peer_id] = PeerInfo(
-                        peer_id=peer_id,
-                        address=str(record["address"]),
-                        last_seen=last_seen,
-                        online=bool(record.get("online", True)),
-                        free_space=int(record.get("free_space", 0)),
-                        inventory_digest=str(record.get("inventory_digest", "")),
-                    )
-                    learned += 1
-                    continue
-                if last_seen <= peer.last_seen:
-                    continue
-                peer.address = str(record["address"])
-                peer.last_seen = last_seen
-                peer.online = bool(record.get("online", True))
-                peer.free_space = int(record.get("free_space", 0))
-                digest = str(record.get("inventory_digest", ""))
-                if digest:
-                    peer.inventory_digest = digest
-                learned += 1
-        return learned
+            self._peers = peers
 
     def mark_offline(self, peer_id: str) -> None:
+        """Drop a peer a call just failed on, until the manager lists it again."""
         with self._lock:
-            peer = self._peers.get(peer_id)
-            if peer is not None:
-                peer.online = False
+            self._peers.pop(peer_id, None)
 
-    def export_records(self) -> List[Dict[str, object]]:
-        """Every known peer in wire form (the gossip payload)."""
+    def peers(self) -> List[PeerInfo]:
         with self._lock:
-            return [peer.to_record() for peer in self._peers.values()]
-
-    def peers(self, online_only: bool = False) -> List[PeerInfo]:
-        with self._lock:
-            if online_only:
-                return [p for p in self._peers.values() if p.online]
             return list(self._peers.values())
 
     def get(self, peer_id: str) -> Optional[PeerInfo]:
         with self._lock:
             return self._peers.get(peer_id)
 
-    def random_peers(self, rng: random.Random, count: int,
-                     exclude: Sequence[str] = ()) -> List[PeerInfo]:
-        """Up to ``count`` distinct online peers, uniformly at random."""
-        excluded = set(exclude)
+    def random_peers(self, rng: random.Random, count: int) -> List[PeerInfo]:
+        """Up to ``count`` distinct peers, uniformly at random."""
         with self._lock:
-            eligible = [
-                p for p in self._peers.values()
-                if p.online and p.peer_id not in excluded
-            ]
+            eligible = list(self._peers.values())
         if len(eligible) <= count:
             return eligible
         return rng.sample(eligible, count)

@@ -13,6 +13,8 @@ there, so a warm ``write_file`` or ``read_file`` starts and joins no thread.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -33,6 +35,10 @@ from repro.util.naming import CheckpointName, parse_checkpoint_name
 #: Root operations a client may trace back to back before ``trace_rate``
 #: paces it: the depth of its trace budget's token bucket.
 TRACE_BURST = 32
+
+#: The ``WriteStats`` fields a client adds up and exports as the
+#: ``client_<field>_total`` counters.
+_WRITE_STAT_FIELDS = tuple(field.name for field in dataclasses.fields(WriteStats))
 
 
 class ClientProxy:
@@ -64,8 +70,10 @@ class ClientProxy:
         #: Manager failover directory; None until the client knows at least
         #: one standby endpoint (config or ``enable_failover``).
         self.directory: Optional[ManagerDirectory] = None
-        #: Aggregated statistics across every session opened by this client.
+        #: Aggregated statistics across every session this client committed,
+        #: added up when each one closes.
         self.lifetime_stats = WriteStats()
+        self._lifetime_lock = threading.Lock()
         #: Per-client metrics registry; every session/reader opened by this
         #: client records into it, and ``StdchkPool.metrics()`` exports it.
         self.obs = MetricsRegistry(component="client", node_id=client_id,
@@ -85,17 +93,11 @@ class ClientProxy:
         self._read_seconds = self.obs.histogram(
             "client_read_seconds", "End-to-end read_file latency."
         )
-        self._stat_counters = {
-            field: self.obs.counter(
+        for field in _WRITE_STAT_FIELDS:
+            self.obs.counter(
                 f"client_{field}_total",
                 f"Lifetime write-session total of the {field!r} statistic.",
-            )
-            for field in (
-                "bytes_written", "bytes_pushed", "bytes_deduplicated",
-                "chunks_pushed", "chunks_deduplicated", "push_failures",
-                "stripe_refreshes", "ack_batches",
-            )
-        }
+            ).set_function(functools.partial(getattr, self.lifetime_stats, field))
         standbys = tuple(self.config.standby_endpoints)
         if standby_addresses:
             standbys += tuple(standby_addresses)
@@ -277,6 +279,7 @@ class ClientProxy:
             spool_dir=self.spool_dir,
             metrics=self.obs,
             executor=self._worker_pool(),
+            on_close=self._accumulate,
         )
 
     def write_file(self, path: str, data: bytes, producer: str = "",
@@ -304,7 +307,6 @@ class ClientProxy:
                 except Exception:
                     session.abort()
                     raise
-        self._accumulate(session.stats)
         return session
 
     def write_checkpoint(self, name: CheckpointName, data: bytes,
@@ -322,14 +324,12 @@ class ClientProxy:
         )
 
     def _accumulate(self, stats: WriteStats) -> None:
-        for field, counter in self._stat_counters.items():
-            amount = getattr(stats, field)
-            setattr(
-                self.lifetime_stats, field,
-                getattr(self.lifetime_stats, field) + amount,
-            )
-            if amount:
-                counter.inc(amount)
+        """Add one closed session's statistics to :attr:`lifetime_stats`."""
+        lifetime = self.lifetime_stats
+        with self._lifetime_lock:
+            for field in _WRITE_STAT_FIELDS:
+                setattr(lifetime, field,
+                        getattr(lifetime, field) + getattr(stats, field))
 
     # -- reads ------------------------------------------------------------------------
     def open_read(self, path: str, version: Optional[int] = None) -> StripedReader:

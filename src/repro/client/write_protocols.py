@@ -39,7 +39,7 @@ import os
 import tempfile
 from abc import ABC, abstractmethod
 from concurrent.futures import Executor
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.client.session import ChunkPusher, WriteStats
 from repro.exceptions import (
@@ -72,6 +72,7 @@ class WriteSession(ABC):
         timestep: Optional[int] = None,
         metrics: Optional[MetricsRegistry] = None,
         executor: Optional[Executor] = None,
+        on_close: Optional[Callable[[WriteStats], None]] = None,
     ) -> None:
         self.transport = transport
         self.manager_address = manager_address
@@ -94,6 +95,8 @@ class WriteSession(ABC):
         self.storage_complete_time: Optional[float] = None
         self.committed = False
         self.aborted = False
+        #: Told the session's statistics once it has committed.
+        self._on_close = on_close
 
     # -- state helpers ------------------------------------------------------
     @property
@@ -151,6 +154,8 @@ class WriteSession(ABC):
         result = self._commit(chunk_map, attributes or {})
         self.committed = True
         self.close_time = self.clock.now()
+        if self._on_close is not None:
+            self._on_close(self.stats)
         return result
 
     def _commit(self, chunk_map, attributes: Dict[str, str]) -> Dict[str, object]:
@@ -355,6 +360,7 @@ def make_write_session(
     spool_dir: Optional[str] = None,
     metrics: Optional[MetricsRegistry] = None,
     executor: Optional[Executor] = None,
+    on_close: Optional[Callable[[WriteStats], None]] = None,
 ) -> WriteSession:
     """Instantiate the session class implementing ``protocol``."""
     cls = _PROTOCOL_CLASSES[protocol]
@@ -369,6 +375,7 @@ def make_write_session(
         timestep=timestep,
         metrics=metrics,
         executor=executor,
+        on_close=on_close,
     )
     if cls in (IncrementalWriteSession, CompleteLocalWriteSession):
         kwargs["spool_dir"] = spool_dir

@@ -518,25 +518,38 @@ class MetadataManager(Endpoint):
             "heartbeat_interval": self.config.heartbeat_interval,
             "known_benefactors": len(self.registry),
             "benefactor_id": record.benefactor_id,
+            "peers": self._online_peers(),
         }
 
-    def heartbeat(self, benefactor_id: str, free_space: int, used_space: int = 0,
-                  chunk_count: int = 0,
-                  inventory_digest: str = "") -> Dict[str, object]:
-        """Soft-state liveness refresh, optionally carrying an inventory digest.
+    def _online_peers(self) -> List[Dict[str, object]]:
+        """The membership a benefactor learns from each answer: who is online."""
+        return [
+            {
+                "benefactor_id": record.benefactor_id,
+                "address": record.address,
+                "free_space": record.free_space,
+            }
+            for record in self.registry.online()
+        ]
+
+    def heartbeat(self, benefactor_id: str, free_space: int,
+                  inventory_digest: str, used_space: int = 0,
+                  chunk_count: int = 0) -> Dict[str, object]:
+        """Soft-state liveness refresh carrying the node's inventory digest.
 
         When the digest diverges from the inventory this benefactor last
         reconciled (or repair hints / corruption-ledger entries are waiting
         for it), the answer sets ``inventory_requested`` and the benefactor
         follows up with a full ``reconcile_inventory`` — so the common case
         (nothing changed) costs one digest per beat instead of the full id
-        list.
+        list.  ``peers`` lists every online benefactor: the node's whole
+        view of the pool, replaced beat by beat.
         """
         self._require_online()
         self._count()
         self.registry.heartbeat(
             benefactor_id, free_space, used_space, chunk_count,
-            now=self.clock.now(), inventory_digest=inventory_digest,
+            now=self.clock.now(),
         )
         inventory_requested = self.registry.needs_reconcile(
             benefactor_id, inventory_digest
@@ -556,6 +569,7 @@ class MetadataManager(Endpoint):
             # a promotion (epoch change) and re-registers even when the new
             # primary happens to know it from the shipped stream.
             "epoch": self.epoch,
+            "peers": self._online_peers(),
         }
 
     def report_benefactor_failure(self, benefactor_id: str) -> Dict[str, object]:
@@ -795,20 +809,6 @@ class MetadataManager(Endpoint):
                             placement.add_replica(benefactor_id)
                             attached += 1
         return {"attached": attached}
-
-    def list_benefactors(self) -> List[Dict[str, object]]:
-        """Known benefactors with liveness — seeds the gossip directories."""
-        self._require_online()
-        self._count()
-        return [
-            {
-                "benefactor_id": record.benefactor_id,
-                "address": record.address,
-                "online": record.online,
-                "free_space": record.free_space,
-            }
-            for record in self.registry.known()
-        ]
 
     def corrupt_replicas(self) -> Dict[str, List[str]]:
         """Ledger snapshot: ``chunk_id -> benefactors with corrupt copies``."""

@@ -30,8 +30,6 @@ class BenefactorRecord:
     online: bool = True
     #: Heartbeats received; useful to assert soft-state behaviour in tests.
     heartbeats: int = 0
-    #: Merkle-style inventory digest carried by the latest heartbeat.
-    inventory_digest: str = ""
     #: Digest of the inventory this benefactor last reconciled in full;
     #: a heartbeat whose digest differs triggers re-advertisement.
     reconciled_digest: str = ""
@@ -86,8 +84,7 @@ class BenefactorRegistry:
             return record
 
     def heartbeat(self, benefactor_id: str, free_space: int, used_space: int,
-                  chunk_count: int, now: float,
-                  inventory_digest: str = "") -> BenefactorRecord:
+                  chunk_count: int, now: float) -> BenefactorRecord:
         """Refresh liveness and space for an already-registered benefactor."""
         with self._lock:
             record = self.get(benefactor_id)
@@ -97,8 +94,6 @@ class BenefactorRegistry:
             record.last_heartbeat = now
             record.online = True
             record.heartbeats += 1
-            if inventory_digest:
-                record.inventory_digest = inventory_digest
             return record
 
     def note_reconciled(self, benefactor_id: str, digest: str) -> None:
@@ -113,7 +108,6 @@ class BenefactorRegistry:
             record = self._records.get(benefactor_id)
             if record is not None:
                 record.reconciled_digest = digest
-                record.inventory_digest = digest
                 record.repair_pending = False
 
     def set_repair_pending(self, benefactor_id: str) -> None:
@@ -130,10 +124,6 @@ class BenefactorRegistry:
                 return True
             if record.repair_pending:
                 return True
-            if not inventory_digest:
-                # A digest-less heartbeat (legacy caller) proves nothing
-                # about the inventory; do not force a re-advertisement.
-                return False
             return inventory_digest != record.reconciled_digest
 
     def restore(self, benefactor_id: str, address: str,

@@ -164,8 +164,8 @@ class LogShipper:
             while len(self._window) > self.retain_records:
                 self._window.popleft()
             self._pending += 1
-            batch = getattr(self.manager.config, "ship_batch_records", 1)
-            quorum = getattr(self.manager.config, "replication_quorum", 0)
+            batch = self.manager.config.ship_batch_records
+            quorum = self.manager.config.replication_quorum
             if durable or self._pending >= batch or quorum > 0:
                 # Quorum mode ships synchronously: a record cannot collect
                 # standby acks while sitting in the batching buffer.
@@ -196,7 +196,7 @@ class LogShipper:
         """
         config = self.manager.config
         started = time.perf_counter()
-        deadline = time.monotonic() + float(getattr(config, "quorum_timeout", 2.0))
+        deadline = time.monotonic() + config.quorum_timeout
         while True:
             acked = self._acks_for(lsn)
             if acked >= quorum:
@@ -208,8 +208,7 @@ class LogShipper:
             time.sleep(min(0.01, remaining))
             self.flush()
         acked = self._acks_for(lsn)
-        degrade = getattr(config, "quorum_degrade", "fail")
-        if degrade == "async":
+        if config.quorum_degrade == "async":
             self._quorum_degrades.inc()
             self._log.warning(
                 "quorum unreachable for lsn %d (%d/%d acks); "
@@ -219,7 +218,7 @@ class LogShipper:
         self._quorum_failures.inc()
         raise QuorumNotReachedError(
             f"lsn {lsn} collected {acked}/{quorum} standby acks "
-            f"within {getattr(config, 'quorum_timeout', 2.0)}s",
+            f"within {config.quorum_timeout}s",
             acked=acked, required=quorum,
         )
 

@@ -49,11 +49,11 @@ class FailoverSupervisor:
         self.deployment = deployment
         self.probe_timeout = (
             probe_timeout if probe_timeout is not None
-            else getattr(config, "failover_probe_timeout", 1.0)
+            else config.failover_probe_timeout
         )
         self.cooldown = (
             cooldown if cooldown is not None
-            else getattr(config, "failover_cooldown", 5.0)
+            else config.failover_cooldown
         )
         self._clock = clock
         self._lock = threading.Lock()

@@ -1,7 +1,7 @@
 """Structured logging for the reproduction: component + node-id on every record.
 
 The maintenance loops used to swallow expected soft-state failures
-(unreachable manager, dead gossip peer, lost repair source) silently; they
+(unreachable manager, unreachable repair target, lost repair source) silently; they
 now log through :func:`component_logger`, which stamps ``component`` and
 ``node_id`` fields onto every record.  :func:`logging_setup` installs a
 stream handler whose format surfaces those fields; without it, records

@@ -97,8 +97,8 @@ class Deployment:
         self._store_factory = store_factory
         self._benefactor_capacity = benefactor_capacity
         self._benefactors: Dict[str, Benefactor] = {}
-        #: Per-benefactor maintenance stacks (heartbeat + gossip +
-        #: anti-entropy), keyed by benefactor id.
+        #: Per-benefactor maintenance stacks (heartbeat + anti-entropy),
+        #: keyed by benefactor id.
         self.maintenance: Dict[str, BenefactorMaintenance] = {}
         #: Hot standby managers receiving the primary's journal stream,
         #: keyed by manager id (see :meth:`add_standby`).
@@ -156,18 +156,6 @@ class Deployment:
             advertised_address=self.transport.bound_address(benefactor.address),
         )
 
-    def heartbeat_all(self) -> None:
-        """Deliver one heartbeat from every online benefactor."""
-        for benefactor in self._benefactors.values():
-            if not benefactor.online:
-                continue
-            self.manager.heartbeat(
-                benefactor_id=benefactor.benefactor_id,
-                free_space=benefactor.free_space,
-                used_space=benefactor.used_space,
-                chunk_count=benefactor.store.chunk_count,
-            )
-
     def _take_down(self, node_id: str, address: str) -> None:
         """Tear a node's endpoints down: RPCs are refused, telemetry is gone."""
         self.transport.unregister(address)
@@ -196,8 +184,8 @@ class Deployment:
 
         Over TCP the node binds a *fresh* port (desktop machines rarely come
         back on the same ephemeral socket); registering at the manager
-        absorbs any repair hints waiting for it and gossip learns the new
-        address.
+        absorbs any repair hints waiting for it, and its peers learn the new
+        address from their next heartbeat answer.
         """
         benefactor = self._benefactors[benefactor_id]
         benefactor.go_online()
@@ -386,8 +374,8 @@ class Deployment:
         """One maintenance round on every online benefactor: the one healer.
 
         Each node heartbeats (with its inventory digest, reconciling when
-        asked — the manager's answer names the under-replicated chunks this
-        node must copy), gossips with random peers and runs one anti-entropy
+        asked — the manager's answer lists the online peers and names the
+        under-replicated chunks this node must copy) and runs one anti-entropy
         pass that makes those copies.  :meth:`run_services_once` runs this
         too, beside pruning and garbage collection.
         """

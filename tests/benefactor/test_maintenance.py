@@ -3,15 +3,16 @@
 Covers the inventory digest (determinism, divergence localization, the
 benefactor-side mutation-count cache), the peer directory soft state, the
 digest-carrying heartbeat protocol (reconcile only on divergence, transparent
-re-registration after a manager restart), gossip propagation of membership,
-and the anti-entropy pass (copy repair, orphan
-re-attachment without re-copying, corruption attribution for
-content-addressed chunks).
+re-registration after a manager restart, the answer's peer list as the one
+source of membership), the RPC cost of a steady-state round, and the
+anti-entropy pass (copy repair, orphan re-attachment without re-copying,
+corruption attribution for content-addressed chunks).
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -20,7 +21,6 @@ from repro.benefactor.benefactor import Benefactor
 from repro.benefactor.chunk_store import MemoryChunkStore
 from repro.benefactor.maintenance import (
     AntiEntropyService,
-    GossipService,
     HeartbeatService,
     PeerDirectory,
     bucket_index,
@@ -32,6 +32,15 @@ from repro.util.clock import VirtualClock
 from repro.util.hashing import chunk_digest
 from repro.util.units import MiB
 from tests.conftest import make_bytes
+
+
+def peer_records(nodes):
+    """``nodes`` in the form the manager lists online benefactors."""
+    return [
+        {"benefactor_id": node.benefactor_id, "address": node.address,
+         "free_space": node.free_space}
+        for node in nodes
+    ]
 
 
 def peer_group(count: int):
@@ -48,14 +57,7 @@ def peer_group(count: int):
         for index in range(count)
     ]
     for node in nodes:
-        for other in nodes:
-            if other is not node:
-                node.peers.observe(
-                    other.benefactor_id,
-                    other.address,
-                    now=clock.now(),
-                    free_space=other.free_space,
-                )
+        node.peers.replace(peer_records(nodes))
     return transport, clock, nodes
 
 
@@ -123,31 +125,38 @@ class TestBenefactorInventorySummaries:
 
 
 class TestPeerDirectory:
-    def test_observe_ignores_the_owner(self):
+    def test_replace_skips_the_owner(self):
         directory = PeerDirectory("me")
-        directory.observe("me", "addr", now=1.0)
-        assert len(directory) == 0
+        directory.replace([
+            {"benefactor_id": "me", "address": "addr-me", "free_space": 1},
+            {"benefactor_id": "p1", "address": "addr-p1", "free_space": 2},
+        ])
+        assert len(directory) == 1
+        assert "me" not in directory
 
-    def test_merge_keeps_the_newest_record(self):
+    def test_replace_drops_peers_the_new_list_omits(self):
         directory = PeerDirectory("me")
-        directory.observe("p1", "old-addr", now=5.0, free_space=10)
-        stale = {"peer_id": "p1", "address": "stale", "last_seen": 3.0,
-                 "online": False, "free_space": 1}
-        assert directory.merge_peer_records([stale]) == 0
-        assert directory.get("p1").address == "old-addr"
-        fresh = {"peer_id": "p1", "address": "new-addr", "last_seen": 9.0,
-                 "online": True, "free_space": 99}
-        assert directory.merge_peer_records([fresh]) == 1
+        directory.replace([
+            {"benefactor_id": "p1", "address": "old-addr", "free_space": 10},
+            {"benefactor_id": "p2", "address": "addr-p2", "free_space": 10},
+        ])
+        directory.replace([
+            {"benefactor_id": "p1", "address": "new-addr", "free_space": 99},
+        ])
+        assert "p2" not in directory
         record = directory.get("p1")
         assert record.address == "new-addr"
         assert record.free_space == 99
 
-    def test_random_peers_skips_offline_and_excluded(self):
+    def test_random_peers_skips_peers_marked_offline(self):
         directory = PeerDirectory("me")
-        for peer_id in ("a", "b", "c"):
-            directory.observe(peer_id, f"addr-{peer_id}", now=1.0)
+        directory.replace(
+            {"benefactor_id": peer_id, "address": f"addr-{peer_id}",
+             "free_space": 0}
+            for peer_id in ("a", "b")
+        )
         directory.mark_offline("b")
-        picked = directory.random_peers(random.Random(0), 5, exclude=("c",))
+        picked = directory.random_peers(random.Random(0), 5)
         assert [p.peer_id for p in picked] == ["a"]
 
 
@@ -155,6 +164,7 @@ class TestHeartbeatService:
     def test_unchanged_digest_skips_reconciliation(self, pool: StdchkPool):
         service = pool.maintenance["benefactor-00"].heartbeat
         answer = service.run_once()
+        assert answer.pop("peers")
         assert answer == {
             "acknowledged": True,
             "inventory_requested": False,
@@ -184,6 +194,40 @@ class TestHeartbeatService:
         directory = pool.benefactors["benefactor-00"].peers
         assert len(directory) == 3  # everyone but itself
         assert "benefactor-01" in directory
+
+    def test_directory_is_the_managers_online_set_minus_self(self, pool: StdchkPool):
+        # benefactor-03 falls silent: the manager expires it and the next
+        # beat takes it out of every directory, before any call to it fails.
+        pool.kill_benefactor("benefactor-03")
+        pool.clock.advance(pool.config.heartbeat_timeout + 1)
+        pool.heal(1)
+        assert pool.manager.expire_benefactors() == ["benefactor-03"]
+        pool.heal(1)
+        online = {r.benefactor_id: r.address for r in pool.manager.registry.online()}
+        assert sorted(online) == ["benefactor-00", "benefactor-01", "benefactor-02"]
+        for benefactor_id in online:
+            directory = pool.benefactors[benefactor_id].peers
+            assert {p.peer_id: p.address for p in directory.peers()} == {
+                peer_id: address for peer_id, address in online.items()
+                if peer_id != benefactor_id
+            }
+
+    def test_reported_failure_stops_copies_at_the_next_beat(self, pool: StdchkPool):
+        pool.heal(1)
+        assert "benefactor-02" in pool.benefactors["benefactor-00"].peers
+        pool.fail_benefactor("benefactor-02")
+        pool.maintenance["benefactor-00"].heartbeat.run_once()
+        assert "benefactor-02" not in pool.benefactors["benefactor-00"].peers
+
+    def test_registration_answer_lists_the_peers(self, pool: StdchkPool):
+        late = Benefactor(
+            benefactor_id="late-joiner",
+            transport=pool.transport,
+            store=MemoryChunkStore(64 * MiB),
+            clock=pool.clock,
+        )
+        late.register_with(pool.manager.address)
+        assert sorted(p.peer_id for p in late.peers.peers()) == sorted(pool.benefactors)
 
     def test_unknown_benefactor_reregisters_transparently(self, pool: StdchkPool):
         late = Benefactor(
@@ -221,57 +265,22 @@ class TestHeartbeatService:
         assert service.reregistrations == 1
 
 
-class TestGossipService:
-    def test_contacted_peers_learn_the_origin(self):
-        _, _, nodes = peer_group(3)
-        origin = nodes[0]
-        for peer in nodes[1:]:
-            peer.peers = PeerDirectory(peer.benefactor_id)  # knows nobody
-        service = GossipService(origin, fanout=2, seed=11)
-        report = service.run_once()
-        assert report.exchanged == 2
-        for peer in nodes[1:]:
-            assert origin.benefactor_id in peer.peers
-            assert peer.stats["gossip_in"] == 1
-
-    def test_gossip_carries_membership_only(self):
-        transport, _, nodes = peer_group(2)
-        requests = []
-        transport.set_fault_hook(
-            lambda address, method, payload:
-                requests.append((address, dict(payload))) if method == "gossip" else None
-        )
-        GossipService(nodes[0], fanout=1, seed=11).run_once()
-        transport.set_fault_hook(None)
-        [(address, payload)] = requests
-        assert set(payload) == {"sender", "peers"}
-        reply = transport.call(address, "gossip", **payload)
-        assert set(reply) == {"peers"}
-
-    def test_unreachable_peer_is_marked_offline(self):
-        _, _, nodes = peer_group(3)
-        origin, down, _ = nodes
-        down.go_offline()
-        service = GossipService(origin, fanout=3, seed=1)
-        report = service.run_once()
-        assert report.unreachable == 1
-        assert origin.peers.get(down.benefactor_id).online is False
-
-    def test_second_hand_knowledge_spreads(self):
-        # node-2 knows node-1 only through gossip with node-0.
-        transport = InProcessTransport()
-        clock = VirtualClock()
-        nodes = [
-            Benefactor(f"node-{i:02d}", transport=transport,
-                       store=MemoryChunkStore(64 * MiB), clock=clock)
-            for i in range(3)
-        ]
-        zero, one, two = nodes
-        zero.peers.observe(one.benefactor_id, one.address, now=1.0)
-        zero.peers.observe(two.benefactor_id, two.address, now=1.0)
-        report = GossipService(zero, fanout=2, seed=3).run_once()
-        assert report.exchanged == 2
-        assert one.benefactor_id in two.peers or two.benefactor_id in one.peers
+class TestSteadyStateRound:
+    def test_a_round_costs_one_heartbeat_and_one_comparison_per_node(self, small_config):
+        pool = StdchkPool(benefactor_count=6, benefactor_capacity=64 * MiB,
+                          config=small_config)
+        pool.client("writer").write_file("/steady/ckpt.N0.T1",
+                                         make_bytes(400 * 1024, seed=31))
+        pool.heal(3)
+        calls = Counter()
+        pool.transport.set_fault_hook(
+            lambda address, method, payload: calls.update([method]))
+        transactions = pool.manager.transactions
+        reports = pool.run_maintenance_once()
+        pool.transport.set_fault_hook(None)
+        assert not any(r.repaired or r.reattached for r in reports.values())
+        assert calls == {"heartbeat": 6, "checksum_inventory": 6}
+        assert pool.manager.transactions - transactions == 6
 
 
 class TestAntiEntropyService:

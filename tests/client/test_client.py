@@ -1,5 +1,8 @@
 """Tests for the client proxy, write protocols and the read path."""
 
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -219,6 +222,63 @@ class TestIncrementalCheckpointing:
         client.write_file("/app/a", data)
         assert client.lifetime_stats.bytes_written == 2 * len(data)
         assert client.lifetime_stats.bytes_deduplicated == len(data)
+
+    def test_filesystem_writes_reach_lifetime_stats_and_counters(self):
+        pool = build_pool()
+        fs = pool.filesystem("fs-writer")
+        fs.write_file("/app/via-fs", make_bytes(50_000, seed=35))
+        client = fs.client
+        assert client.lifetime_stats.bytes_written == 50_000
+        assert client.obs.counter("client_bytes_written_total").value == 50_000
+        assert (client.obs.counter("client_chunks_pushed_total").value
+                == client.lifetime_stats.chunks_pushed > 0)
+
+    def test_open_write_session_is_counted_once_at_close(self):
+        pool = build_pool()
+        client = pool.client("c1")
+        session = client.open_write("/app/session")
+        session.write(make_bytes(40_000, seed=36))
+        assert client.lifetime_stats.bytes_written == 0
+        session.close()
+        assert client.lifetime_stats.bytes_written == 40_000
+        with pytest.raises(SessionStateError):
+            session.close()
+        assert client.lifetime_stats.bytes_written == 40_000
+
+    def test_sessions_closing_on_many_threads_lose_no_bytes(self):
+        pool = build_pool()
+        client = pool.client("c1")
+        threads, writes, size = 8, 4, 10_000
+
+        def writer(index):
+            for n in range(writes):
+                client.write_file(f"/app/t{index}-{n}",
+                                  make_bytes(size, seed=100 * index + n))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=writer, args=(i,))
+                       for i in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert client.lifetime_stats.bytes_written == threads * writes * size
+        assert (client.obs.counter("client_bytes_written_total").value
+                == threads * writes * size)
+
+    def test_aborted_session_is_not_counted(self):
+        pool = build_pool()
+        client = pool.client("c1")
+        session = client.open_write("/app/aborted")
+        session.write(make_bytes(40_000, seed=37))
+        session.abort()
+        assert client.lifetime_stats.bytes_written == 0
+        assert client.obs.counter("client_bytes_written_total").value == 0
 
 
 class TestCheckpointNamingApi:

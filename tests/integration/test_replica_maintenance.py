@@ -232,7 +232,7 @@ class TestMaintenanceOverTcp:
 
             # Digest heartbeats: a full round settles, a second round finds
             # every digest reconciled (exercises heartbeat + reconcile +
-            # gossip + checksum_inventory over real sockets).
+            # checksum_inventory over real sockets).
             deployment.run_maintenance_once()
             for bundle in deployment.maintenance.values():
                 answer = bundle.heartbeat.run_once()

@@ -105,11 +105,6 @@ class TestRegistryDigestTracking:
         assert registry.needs_reconcile("b0", "digest-1") is True
         assert registry.needs_reconcile("ghost", "digest-1") is True
 
-    def test_digestless_legacy_heartbeat_is_not_forced(self):
-        registry = self.make_registry()
-        registry.note_reconciled("b0", "digest-1")
-        assert registry.needs_reconcile("b0", "") is False
-
     def test_repair_pending_overrides_a_matching_digest(self):
         registry = self.make_registry()
         registry.note_reconciled("b0", "digest-1")
@@ -305,7 +300,7 @@ class TestGcAndFailure:
         clock.advance(manager.config.heartbeat_timeout + 1)
         expired = manager.expire_benefactors()
         assert len(expired) == 4
-        manager.heartbeat("b0", free_space=100)
+        manager.heartbeat("b0", free_space=100, inventory_digest="")
         assert manager.registry.is_online("b0")
 
     def test_drop_benefactor_placements(self, manager_setup):

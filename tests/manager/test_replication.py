@@ -216,7 +216,7 @@ class TestStandbyManager:
         with pytest.raises(NotPrimaryError):
             standby.make_folder("/app")
         with pytest.raises(NotPrimaryError):
-            standby.heartbeat(benefactor_id="b0", free_space=1)
+            standby.heartbeat(benefactor_id="b0", free_space=1, inventory_digest="")
         standby.promote()
         standby.make_folder("/app")  # now served
 

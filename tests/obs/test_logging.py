@@ -44,8 +44,8 @@ class TestLoggingSetup:
         stream = io.StringIO()
         try:
             logging_setup(stream=stream, level=logging.INFO)
-            component_logger("gossip", "b7").info("peer lost")
-            assert "[gossip/b7] peer lost" in stream.getvalue()
+            component_logger("heartbeat", "b7").info("peer lost")
+            assert "[heartbeat/b7] peer lost" in stream.getvalue()
         finally:
             _teardown()
 
@@ -81,19 +81,23 @@ class TestMaintenanceLoopsLog:
         assert heartbeat_records
         assert all(r.node_id for r in heartbeat_records)
 
-    def test_gossip_logs_unreachable_peer(self, caplog, small_config):
-        pool = StdchkPool(benefactor_count=3, config=small_config)
-        # Let gossip learn the peer list, then take one peer down.
-        pool.run_maintenance_once()
-        victim = pool.benefactors["benefactor-01"]
-        victim.crash()
-        pool.transport.unregister(victim.address)
+    def test_anti_entropy_logs_unreachable_repair_target(self, caplog, small_config):
+        # Two nodes, two replicas wanted, one stored per chunk: each node is
+        # the other's only copy target.  benefactor-01 goes silent without
+        # the manager noticing, so benefactor-00's heartbeat still lists it
+        # and the repair the manager hands out aims at it.
+        pool = StdchkPool(benefactor_count=2, config=small_config)
+        pool.client("writer").write_file("/log/ckpt.N0.T1", bytes(256 * 1024))
+        pool.kill_benefactor("benefactor-01")
         with caplog.at_level(logging.INFO, logger=ROOT_LOGGER_NAME):
-            for _ in range(3):
-                pool.run_maintenance_once()
-        gossip_records = [
+            pool.run_maintenance_once()
+        repair_records = [
             r for r in caplog.records
-            if getattr(r, "component", "") == "gossip"
+            if getattr(r, "component", "") == "anti-entropy"
         ]
-        assert gossip_records
-        assert any("unreachable" in r.getMessage() for r in gossip_records)
+        assert any(
+            "repair target benefactor-01" in r.getMessage()
+            and "unreachable" in r.getMessage()
+            for r in repair_records
+        )
+        assert all(r.node_id == "benefactor-00" for r in repair_records)

@@ -328,14 +328,17 @@ def test_no_second_healer_in_src():
 
 
 def test_no_dead_knob_or_hint_in_src():
-    """Gossip carries membership only, the manager stripes round-robin, the
-    in-flight windows are ``2 * parallelism`` and a recent window is part of
-    its histogram: none of the knobs, hints, strategies, RPCs or second
-    latency instruments nothing needed may come back."""
+    """Benefactors learn their peers from the manager's heartbeat answer, the
+    manager stripes round-robin, the in-flight windows are
+    ``2 * parallelism`` and a recent window is part of its histogram: none of
+    the knobs, hints, strategies, RPCs, second membership mechanisms or
+    second latency instruments nothing needed may come back."""
     assert src_lines_naming("note_holders", "hint_sample", "StripingPolicy",
                             "resolve_addresses", "max_inflight_",
                             "drop_released", "reserved_on", "def reserve(",
-                            "windowed_histogram", "WindowedHistogram") == []
+                            "windowed_histogram", "WindowedHistogram",
+                            "GossipService", "list_benefactors",
+                            "merge_peer_records", "heartbeat_all") == []
 
 
 def test_every_config_field_is_read_by_the_product():

@@ -50,7 +50,8 @@ class TestStdchkPool:
         pool.clock.advance(pool.config.heartbeat_timeout + 1)
         pool.manager.expire_benefactors()
         assert not pool.manager.registry.online()
-        pool.heartbeat_all()
+        for bundle in pool.maintenance.values():
+            bundle.heartbeat.run_once()
         assert len(pool.manager.registry.online()) == 4
 
     def test_fail_and_recover_benefactor(self, pool):
