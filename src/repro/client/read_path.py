@@ -19,11 +19,14 @@ received, verified and — if its replica turns out bad — overwritten at its
 final position inside it.  It also moves more than a chunk per RPC: each
 chunk's replica is chosen up front and the chunks chosen from one benefactor
 travel as *frames* of at most :data:`~repro.transport.tcp.TRANSFER_UNIT`, one
-``get_chunks`` each, every chunk landing in its own window of the image.  A
-frame of one chunk is the per-chunk fetch (``get_chunk``), so images of
-transfer-unit-sized chunks are read exactly as before; and a frame has no
-failure handling of its own — a chunk it did not deliver, or delivered
-corrupt, is fetched again by the per-chunk path below, same replica first.
+``get_chunks`` each, every chunk landing in its own window of the image.  The
+plan opens about one frame per fetcher — the calling thread and
+``read_parallelism - 1`` pool tasks — rather than one per holder, since a
+frame nobody is free to fetch only adds a round trip.  A frame of one chunk
+is the per-chunk fetch (``get_chunk``), so images of transfer-unit-sized
+chunks are read exactly as before; and a frame has no failure handling of
+its own — a chunk it did not deliver, or delivered corrupt, is fetched again
+by the per-chunk path below, same replica first.
 
 Replica selection is delegated to a :class:`ReplicaScheduler` shared across
 every reader of a client session: instead of always hammering the first
@@ -554,37 +557,53 @@ class StripedReader:
         with image[placement.ref.offset:placement.ref.end] as into:
             self._fetch_chunk(placement, into, candidates)
 
-    def _plan_frames(self, overlapping: bool) -> List[_Frame]:
+    def _plan_frames(self) -> List[_Frame]:
         """Choose every chunk's replica; frames in the order of their first chunk.
 
-        When the frames will be ``overlapping`` (fetched by several workers)
-        each choice counts the chunks already planned per benefactor as
-        outstanding against it, so a file with several replicas is read from
-        all of its holders at once; a serial read has nothing outstanding
-        when a fetch starts, and chooses as it always did.  A benefactor's
-        frame is closed when the next chunk would take it past the transfer
-        unit, so a chunk that large always travels alone.
+        Every choice counts the chunks already planned per benefactor as
+        outstanding against it.  Until ``read_parallelism`` benefactors have
+        an open frame, a chunk goes to its least-planned healthy replica and
+        opens a frame there if it has none; from then on it joins an open
+        frame on one of its healthy replicas that still has room, and opens a
+        new one only when none has.  There are never more than
+        ``read_parallelism`` fetchers (:meth:`_fetch_frames`), so a frame
+        beyond that many adds a round trip without adding parallelism; a
+        parallelism at least the number of holders still reads from every
+        holder.  A frame is closed when the next chunk would take it past
+        the transfer unit, so a chunk that large always travels alone.
         """
-        planned: Optional[Dict[str, int]] = {} if overlapping else None
+        planned: Dict[str, int] = {}
         frames: List[_Frame] = []
         taking: Dict[Optional[str], _Frame] = {}
+        unhealthy = self.scheduler.failed_benefactors
+        with self._lock:
+            unhealthy |= self._missing
         for placement in self._placements:
+            length = placement.ref.length
             candidates = self._candidates(placement, planned)
             # With no replica to dial the per-chunk path says so, for this chunk.
             chosen = candidates[0] if candidates else None
+            if len(taking) >= self.parallelism:
+                # A frame per fetcher is open: join one on a healthy replica.
+                chosen = next((b for b in candidates if b not in unhealthy and b in taking
+                               and taking[b].size + length <= TRANSFER_UNIT), chosen)
+                if chosen is not None and chosen != candidates[0]:
+                    # A chunk the frame fails to deliver retries its replica first.
+                    candidates = [chosen, *(b for b in candidates if b != chosen)]
             frame = taking.get(chosen)
-            if (frame is None or chosen is None
-                    or frame.size + placement.ref.length > TRANSFER_UNIT):
-                frame = taking[chosen] = _Frame(chosen)
+            if frame is None or frame.size + length > TRANSFER_UNIT:
+                frame = _Frame(chosen)
                 frames.append(frame)
+                if chosen is not None:
+                    taking[chosen] = frame
             frame.items.append((placement, candidates))
-            frame.size += placement.ref.length
-            if planned is not None and chosen is not None:
+            frame.size += length
+            if chosen is not None:
                 planned[chosen] = planned.get(chosen, 0) + 1
         return frames
 
     def _fetch_frame(self, image: memoryview, frame: _Frame) -> None:
-        """Fill the frame's windows of ``image`` (worker-thread entry point).
+        """Fill the frame's windows of ``image`` (what every fetcher runs).
 
         One ``get_chunks`` for the frame; whatever it did not deliver intact
         — and the one chunk of a one-chunk frame, whose replica is chosen when
@@ -636,13 +655,11 @@ class StripedReader:
 
         The image is allocated once, zero-filled, and each chunk is received
         straight into its final position (``Transport.call(..., into=...)``),
-        a frame of chunks per RPC, so there is no receive buffer per chunk
-        and nothing to join; the in-flight window only bounds dispatched
-        frames.  Because the image starts as zeros, a chunk map that does not
-        tile exactly ``size`` bytes is an error before any fetch, never a run
-        of zeros handed to a restarting job.  A single frame, or
-        ``read_parallelism == 1``, or a reader without an executor, is
-        fetched on the calling thread.
+        a frame of chunks per RPC (:meth:`_plan_frames`), so there is no
+        receive buffer per chunk and nothing to join.  Because the image
+        starts as zeros, a chunk map that does not tile exactly ``size``
+        bytes is an error before any fetch, never a run of zeros handed to a
+        restarting job.  The frames are fetched by :meth:`_fetch_frames`.
         """
         if not self.chunk_map.is_contiguous() or self.chunk_map.total_size != self.size:
             raise ReadFailedError(
@@ -654,36 +671,48 @@ class StripedReader:
         image = io.BytesIO(bytes(self.size))
         view = image.getbuffer()
         try:
-            pooled = self._executor is not None and self.parallelism > 1
-            frames = self._plan_frames(overlapping=pooled)
-            if pooled and len(frames) > 1:
-                self._fill_pipelined(view, frames)
-            else:
-                for frame in frames:
-                    self._fetch_frame(view, frame)
+            self._fetch_frames(view, self._plan_frames())
         finally:
             view.release()
         return image.getvalue()
 
-    def _fill_pipelined(self, image: memoryview, frames: Sequence[_Frame]) -> None:
-        """Run :meth:`_fetch_frame` for every frame, a window at a time."""
-        assert self._executor is not None
-        pending: Deque["Future[None]"] = deque()
+    def _fetch_frames(self, image: memoryview, frames: Sequence[_Frame]) -> None:
+        """Run :meth:`_fetch_frame` for every frame.
+
+        The fetchers are the calling thread and at most ``read_parallelism -
+        1`` tasks on the client's pool (none without one), all taking frames
+        from one queue; at parallelism 1, or for a single frame, the caller
+        fetches alone.  A failure empties the queue: helpers that have not
+        started are cancelled, and running ones are waited for, since each
+        holds windows of ``image``, which ``read_all`` is about to release.
+        """
+        queue: Deque[_Frame] = deque(frames)
+
+        def take_frames() -> None:
+            try:
+                while True:
+                    try:
+                        frame = queue.popleft()
+                    except IndexError:
+                        return
+                    self._fetch_frame(image, frame)
+            except BaseException:
+                queue.clear()
+                raise
+
+        helpers: List["Future[None]"] = []
+        if self._executor is not None:
+            helpers = [self._executor.submit(take_frames)
+                       for _ in range(min(self.parallelism, len(frames)) - 1)]
         try:
-            for frame in frames:
-                if len(pending) >= self._window:
-                    pending.popleft().result()
-                pending.append(self._executor.submit(self._fetch_frame, image, frame))
-            while pending:
-                pending.popleft().result()
+            take_frames()
         finally:
-            if pending:
-                # A fetch failed.  Cancel the queued ones and wait for those
-                # already running: each holds windows of ``image``, which
-                # ``read_all`` is about to release.
-                for future in pending:
-                    future.cancel()
-                wait(pending)
+            for helper in helpers:
+                helper.cancel()
+            wait(helpers)
+        for helper in helpers:
+            if not helper.cancelled():
+                helper.result()
 
     def read_range(self, offset: int, length: int) -> bytes:
         """Fetch an arbitrary byte range (used by the FS facade).

@@ -324,9 +324,10 @@ class Deployment:
         ``overrides`` replace fields of the client's config without building
         a whole one — typically the parallel data-path knobs:
         ``push_parallelism`` / ``read_parallelism`` (they size the client's
-        one worker pool, and its in-flight windows at twice each) and
-        ``ack_batch_size`` (placement-ack batching toward the manager).
-        ``None`` keeps the config's value.
+        one worker pool, and its in-flight windows at twice each; a
+        whole-file read is fetched by the caller and ``read_parallelism - 1``
+        pool tasks) and ``ack_batch_size`` (placement-ack batching toward the
+        manager).  ``None`` keeps the config's value.
         """
         effective = config if config is not None else self.config
         overrides = {k: v for k, v in overrides.items() if v is not None}

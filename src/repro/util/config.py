@@ -94,13 +94,16 @@ class StdchkConfig:
     push_parallelism: int = 1
     #: Fetches a client runs concurrently: chunks, or on a whole-file read
     #: frames (the chunks chosen from one benefactor, at most a transfer
-    #: unit).  1 keeps the fully-synchronous read path (one RPC at a time; read-ahead still uses one pool worker);
+    #: unit).  A whole-file read has this many fetchers, the calling thread
+    #: included (it submits ``read_parallelism - 1`` tasks to the pool), and
+    #: plans about one frame per fetcher.  1 keeps the fully-synchronous read
+    #: path (one RPC at a time; read-ahead still uses one pool worker);
     #: higher values overlap integrity verification and network transfer so
     #: restart reads exploit the striping the same way pipelined writes do.
     #: Shares the client's worker pool with ``push_parallelism``: a bound
     #: across all the client's open readers, not per reader.  A reader keeps
-    #: at most ``2 * read_parallelism`` fetches dispatched but not yet
-    #: consumed (the read-side in-flight window).
+    #: at most ``2 * read_parallelism`` chunk fetches dispatched but not yet
+    #: consumed (the in-flight window of streaming and range reads).
     read_parallelism: int = 1
     #: Client->manager placement acknowledgements are batched in groups of
     #: this many chunks (one ``put_chunks_ack`` transaction per batch).

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import StdchkConfig, StdchkPool, TcpDeployment
 from repro.benefactor.chunk_store import MemoryChunkStore
+from repro.client.read_path import StripedReader
 from repro.exceptions import BenefactorOfflineError
 from repro.transport.tcp import OUT_OF_BAND_MIN, TRANSFER_UNIT, TcpTransport
 from repro.util.config import SimilarityHeuristic, WriteSemantics
@@ -76,6 +77,20 @@ def data_rpcs(monkeypatch):
     spy_on(InProcessTransport)
     spy_on(TcpTransport)
     return calls
+
+
+@pytest.fixture
+def plans(monkeypatch):
+    """The frames every ``read_all`` planned, one list per read."""
+    recorded = []
+    original = StripedReader._plan_frames
+
+    def recording(reader):
+        recorded.append(original(reader))
+        return recorded[-1]
+
+    monkeypatch.setattr(StripedReader, "_plan_frames", recording)
+    return recorded
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +296,36 @@ def test_one_bad_chunk_in_a_read_frame_falls_back_for_that_chunk_only(
             assert victim_id in deployment.manager._corrupt[bad]
 
 
+@pytest.mark.parametrize("parallelism", [1, 2, 4])
+@pytest.mark.parametrize("kind", sorted(DEPLOYMENTS))
+@pytest.mark.parametrize("failed_count", [1, 2], ids=["one-holder", "two-holders"])
+def test_no_chunk_joins_a_frame_on_a_failed_replica_while_it_has_a_healthy_one(
+        kind, parallelism, failed_count, plans):
+    """Chunk i is on benefactors i and i + 1.  With one holder marked failed
+    every chunk has a healthy replica and no frame goes to it; with two
+    adjacent ones, the chunks held by both alone may, and no other chunk
+    joins their frames."""
+    with DEPLOYMENTS[kind](benefactor_count=4, config=config(
+            chunk_size=64 * KIB)) as deployment:
+        client = deployment.client("reader", read_parallelism=parallelism)
+        data = make_bytes(512 * KIB, seed=10)
+        client.write_file("/failed/image", data)
+        failed = set(sorted(nodes(deployment))[:failed_count])
+        for benefactor_id in failed:
+            client.replica_scheduler.mark_failed(benefactor_id)
+        before = {name: nodes(deployment)[name].stats["gets"] for name in failed}
+        reader = client.open_read("/failed/image")
+        assert reader.read_all() == data
+        assert reader.replica_fallbacks == 0
+        [frames] = plans
+        for frame in frames:
+            if frame.benefactor_id in failed:
+                assert all(set(p.benefactors) <= failed for p, _ in frame.items)
+        if failed_count == 1:
+            [victim] = failed
+            assert nodes(deployment)[victim].stats["gets"] == before[victim]
+
+
 # ---------------------------------------------------------------------------
 # the arithmetic, counted
 # ---------------------------------------------------------------------------
@@ -297,8 +342,30 @@ class TestDataRpcArithmetic:
             assert sorted(data_rpcs) == [("put_chunks", 4)] * 4
             del data_rpcs[:]
             assert client.read_file("/count/f") == data
-            assert len(data_rpcs) <= 4 and sum(chunks for _m, chunks in data_rpcs) == 8
+            assert data_rpcs == [("get_chunks", 4)] * 2
             assert sum(n.stats["puts"] for n in nodes(deployment).values()) == 16
+            assert sum(n.stats["gets"] for n in nodes(deployment).values()) == 8
+
+    @pytest.mark.parametrize("parallelism,frames", [(1, 2), (2, 2), (4, 4)])
+    def test_a_restart_read_plans_a_frame_per_fetcher(
+            self, kind, data_rpcs, plans, parallelism, frames):
+        """The same 512 KiB: chunk i is on benefactors i and i + 1, so two
+        frames cover the image, and four frames spread it over the holders.
+        A chunk that joined a frame on its second-best replica still tries
+        that replica first if the frame does not deliver it."""
+        with DEPLOYMENTS[kind](benefactor_count=4,
+                               config=config(chunk_size=64 * KIB)) as deployment:
+            client = deployment.client("count", read_parallelism=parallelism)
+            data = make_bytes(512 * KIB, seed=1)
+            client.write_file("/count/f", data)
+            del data_rpcs[:]
+            assert client.read_file("/count/f") == data
+            [plan] = plans
+            assert all(candidates[0] == frame.benefactor_id
+                       for frame in plan for _placement, candidates in frame.items)
+            # A frame of one chunk travels as ``get_chunk``.
+            assert len(data_rpcs) == frames
+            assert sum(chunks for _method, chunks in data_rpcs) == 8
             assert sum(n.stats["gets"] for n in nodes(deployment).values()) == 8
 
     def test_transfer_unit_chunks_are_a_chunk_per_rpc_as_ever(self, kind, data_rpcs):

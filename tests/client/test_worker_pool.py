@@ -15,6 +15,7 @@ from __future__ import annotations
 import gc
 import os
 import re
+import sys
 import threading
 import time
 from pathlib import Path
@@ -440,6 +441,41 @@ class TestAbortStaysInsideItsSession:
             again = make_bytes(LARGE, seed=12)
             client.write_file("/shared/again", again)
             assert client.read_file("/shared/again") == again
+
+
+class TestAWholeImageReadIsFetchedByItsCallerAndHelpers:
+    @pytest.mark.parametrize("parallelism", [1, 2, 4])
+    def test_read_all_submits_one_task_per_fetcher_beyond_the_caller(
+            self, deployment, monkeypatch, parallelism):
+        """Five whole chunks and a tail over four benefactors, one replica:
+        four frames, fetched by the caller and ``parallelism - 1`` tasks."""
+        client = deployment.client(f"fetchers-{parallelism}", read_parallelism=parallelism)
+        data = make_bytes(LARGE, seed=14)
+        client.write_file(f"/fetchers/{parallelism}", data)
+        submitted = spy_on_submit(monkeypatch, client)
+        assert client.read_file(f"/fetchers/{parallelism}") == data
+        assert submitted == ["take_frames"] * (parallelism - 1)
+
+    def test_many_fetchers_take_every_frame_exactly_once(self):
+        """Sixteen frames, eight fetchers, a thread switch every microsecond:
+        a frame taken twice or not at all shows in the counts."""
+        chunk = 512 * 1024
+        with StdchkPool(benefactor_count=4, config=config(
+                chunk_size=chunk, incremental_file_size=2 * chunk)) as pool:
+            client = pool.client("stress", read_parallelism=8)
+            data = make_bytes(32 * chunk, seed=15)
+            client.write_file("/stress/f", data)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for _ in range(5):
+                    reader = client.open_read("/stress/f")
+                    gets = sum(node.stats["gets"] for node in pool.benefactors.values())
+                    assert reader.read_all() == data
+                    assert reader.chunks_fetched == 32
+                    assert sum(node.stats["gets"] for node in pool.benefactors.values()) == gets + 32
+            finally:
+                sys.setswitchinterval(interval)
 
 
 class TestAFailedReadStaysInsideItsReader:
