@@ -72,6 +72,7 @@ from repro.exceptions import (
 from repro.obs import LabelChildren, MetricsRegistry, tracing
 from repro.transport.base import Transport
 from repro.transport.tcp import TRANSFER_UNIT
+from repro.util.memory import advise_huge_pages
 
 
 class ReplicaScheduler:
@@ -659,7 +660,11 @@ class StripedReader:
         receive buffer per chunk and nothing to join.  Because the image
         starts as zeros, a chunk map that does not tile exactly ``size``
         bytes is an error before any fetch, never a run of zeros handed to a
-        restarting job.  The frames are fetched by :meth:`_fetch_frames`.
+        restarting job.  Before the first fetch the image's aligned 2 MiB
+        interior is advised for transparent huge pages
+        (:func:`~repro.util.memory.advise_huge_pages`), so the kernel faults
+        the untouched image in 2 MiB pages rather than 4 KiB ones.  The
+        frames are fetched by :meth:`_fetch_frames`.
         """
         if not self.chunk_map.is_contiguous() or self.chunk_map.total_size != self.size:
             raise ReadFailedError(
@@ -671,6 +676,7 @@ class StripedReader:
         image = io.BytesIO(bytes(self.size))
         view = image.getbuffer()
         try:
+            advise_huge_pages(view)
             self._fetch_frames(view, self._plan_frames())
         finally:
             view.release()

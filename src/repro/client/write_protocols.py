@@ -12,8 +12,7 @@ in *when* data leaves the client and how much node-local buffering they use:
   temporary file reaches its size limit its contents are pushed and the spool
   restarts, overlapping data production with remote propagation.
 * **Sliding window (SW)** — no local disk at all: data goes from the write
-  memory buffer straight to benefactors, bounded by the configured window
-  buffer size.
+  memory buffer straight to benefactors.
 
 The *observed application bandwidth* (OAB) and *achieved storage bandwidth*
 (ASB) distinction of the paper's evaluation maps onto two timestamps exposed
@@ -271,9 +270,8 @@ class SlidingWindowWriteSession(WriteSession):
 
     def write(self, data: bytes) -> int:
         self._require_open()
-        # The pusher flushes complete chunks eagerly, which bounds the memory
-        # footprint by one chunk; the configured window buffer additionally
-        # bounds how much the *simulated* deployment may have in flight.
+        # The pusher flushes complete chunks eagerly, so memory stays bounded
+        # by its in-flight window (``2 * push_parallelism`` frames).
         self.pusher.feed(data)
         return len(data)
 
