@@ -374,7 +374,8 @@ class ClientProxy:
         """Stream a file chunk-by-chunk without buffering it whole.
 
         Restart-sized images can be piped straight into the restarting
-        process; memory stays bounded by the reader's in-flight window.
+        process; memory stays bounded by two spans of ``read_parallelism``
+        transfer units, the one being yielded and the one read ahead.
         """
         return self.open_read(path, version=version).read_iter()
 

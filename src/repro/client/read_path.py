@@ -2,31 +2,29 @@
 
 Restart latency after a failure is read-bound (design goal "reasonable read
 performance", section III.B): the client must pull a whole checkpoint image
-back from the benefactors it was striped across.  The reader mirrors the
-write path's pipelined architecture: with ``read_parallelism > 1`` chunk
-fetches for distinct benefactors are submitted, through a bounded in-flight
-window, to the worker pool of the :class:`~repro.client.proxy.ClientProxy`
-that opened the reader, integrity verification (SHA-1 recomputation) runs
-inside the worker threads so it overlaps network transfer, and the image is
-reassembled in chunk-map order as futures complete.  The reader owns its
-futures, never the pool: it starts, joins and shuts down no thread.  With the
-default ``read_parallelism == 1``, or without an executor, the data path is
-fully synchronous, one RPC at a time.
-
-A whole-image read (:meth:`StripedReader.read_all`, what a restart does) has
-no reassembly step at all: the image is allocated once and every chunk is
-received, verified and — if its replica turns out bad — overwritten at its
-final position inside it.  It also moves more than a chunk per RPC: each
-chunk's replica is chosen up front and the chunks chosen from one benefactor
-travel as *frames* of at most :data:`~repro.transport.tcp.TRANSFER_UNIT`, one
-``get_chunks`` each, every chunk landing in its own window of the image.  The
-plan opens about one frame per fetcher — the calling thread and
-``read_parallelism - 1`` pool tasks — rather than one per holder, since a
-frame nobody is free to fetch only adds a round trip.  A frame of one chunk
-is the per-chunk fetch (``get_chunk``), so images of transfer-unit-sized
-chunks are read exactly as before; and a frame has no failure handling of
-its own — a chunk it did not deliver, or delivered corrupt, is fetched again
-by the per-chunk path below, same replica first.
+back from the benefactors it was striped across.  Every read fetches *spans*:
+the chunks of a contiguous run, each chunk's replica chosen up front, the
+chunks chosen from one benefactor travelling as *frames* of at most
+:data:`~repro.transport.tcp.TRANSFER_UNIT`, one ``get_chunks`` each, every
+chunk landing in its own window.  For a whole image
+(:meth:`StripedReader.read_all`, what a restart does) the windows are those
+of the image itself, allocated once, so there is no reassembly step at all;
+for a stream, a byte range or read-ahead (:meth:`~StripedReader.read_iter`,
+:meth:`~StripedReader.read_range`, :meth:`~StripedReader.prefetch`) each
+chunk has a buffer of its own, handed over as ``bytes`` without a copy.  A
+plan opens about one frame per fetcher — the calling thread and up to
+``read_parallelism`` tasks on the worker pool of the
+:class:`~repro.client.proxy.ClientProxy` that opened the reader — rather than
+one per holder, since a frame nobody is free to fetch only adds a round trip.
+A frame of one chunk is the per-chunk fetch (``get_chunk``), so images of
+transfer-unit-sized chunks are read a chunk per RPC; and a frame has no
+failure handling of its own — a chunk it did not deliver, or delivered
+corrupt, is fetched again by the per-chunk path below, same replica first.
+Verification (SHA-1 recomputation) runs in the fetchers, so it overlaps
+other chunks' transfers.  The reader owns its futures, never the pool: it
+starts, joins and shuts down no thread.  With the default
+``read_parallelism == 1``, or without an executor, a read is fully
+synchronous, one RPC at a time; only read-ahead uses a pool worker.
 
 Replica selection is delegated to a :class:`ReplicaScheduler` shared across
 every reader of a client session: instead of always hammering the first
@@ -41,11 +39,10 @@ failed and the next replica is tried; the read only fails when every replica
 of a chunk is exhausted.
 
 Readers are not thread-safe: one thread consumes a reader (the pool's worker
-threads are an implementation detail).  Chunks fetched for a byte-range read
-are retained in a small bounded cache so sequential range reads (the FS
-facade) fetch every chunk exactly once; :meth:`read_iter` streams whole
-images chunk-by-chunk without retaining them, so restart-sized images never
-need to be buffered whole.
+threads are an implementation detail).  A reader holds at most two spans,
+the one being read and the one read ahead, so sequential range reads (the FS
+facade) fetch every chunk exactly once and restart-sized streams never need
+to be buffered whole.
 """
 
 from __future__ import annotations
@@ -217,6 +214,59 @@ class _Frame:
     size: int = 0
 
 
+class _Span:
+    """The frames planned for chunks ``[first, stop)``, fetched into ``image``
+    or, without one, each chunk into a buffer of its own.  Its fetchers all
+    run :meth:`take_frames`; the first failure empties the queue and is kept
+    in ``error``; ``filled`` holds the offsets of the chunks that arrived intact.
+    """
+
+    def __init__(self, first: int, stop: int, frames: Sequence[_Frame],
+                 image: Optional[memoryview] = None) -> None:
+        self.first, self.stop = first, stop
+        self.queue: Deque[_Frame] = deque(frames)
+        self.image = image
+        # A ``BytesIO`` over a calloc'd ``bytes`` per chunk: once no view of
+        # it is left, ``getvalue`` hands that very object over.
+        self.buffers: Dict[int, io.BytesIO] = {} if image is not None else {
+            p.ref.offset: io.BytesIO(bytes(p.ref.length))
+            for frame in frames for p, _ in frame.items}
+        self.tasks: List["Future[None]"] = []
+        self.filled: Set[int] = set()
+        self.error: Optional[BaseException] = None
+
+    def window(self, placement: ChunkPlacement) -> memoryview:
+        """A fresh view of where ``placement`` goes; the taker releases it."""
+        if self.image is not None:
+            return self.image[placement.ref.offset:placement.ref.end]
+        return self.buffers[placement.ref.offset].getbuffer()
+
+    def take_frames(self, fetch: Callable[["_Span", _Frame], None]) -> None:
+        """``fetch`` frames until the queue is empty; only an interrupt
+        propagates.  Passed, not kept: a span its reader holds must not refer
+        back to it, or the client's pool lives until the cyclic GC runs."""
+        try:
+            while True:
+                try:
+                    frame = self.queue.popleft()
+                except IndexError:
+                    return
+                fetch(self, frame)
+        except BaseException as exc:
+            self.queue.clear()
+            if self.error is None:
+                self.error = exc
+            if not isinstance(exc, Exception):
+                raise
+
+    def drop(self) -> None:
+        """Cancel queued frames and tasks not started; running ones finish
+        their frame unobserved."""
+        self.queue.clear()
+        for task in self.tasks:
+            task.cancel()
+
+
 class StripedReader:
     """Reads one committed dataset version from its stripe of benefactors."""
 
@@ -229,7 +279,6 @@ class StripedReader:
         verify_integrity: bool = True,
         read_parallelism: int = 1,
         scheduler: Optional[ReplicaScheduler] = None,
-        cache_chunks: int = 0,
         corruption_reporter: Optional[Callable[[str, str], None]] = None,
         metrics: Optional[MetricsRegistry] = None,
         executor: Optional[Executor] = None,
@@ -246,29 +295,24 @@ class StripedReader:
         #: fallback.  Runs on worker threads; must never raise.
         self.corruption_reporter = corruption_reporter
         self.parallelism = max(1, read_parallelism)
-        #: Bound on fetches dispatched but not yet consumed (memory bound).
-        self._window = 2 * self.parallelism
-        #: Chunks retained after range reads so sequential FS scans fetch
-        #: each chunk exactly once; bounded, FIFO-evicted.
-        self._cache_limit = cache_chunks if cache_chunks > 0 else max(2 * self._window, 8)
         self._placements: List[ChunkPlacement] = list(chunk_map)
+        self._tiles = chunk_map.is_contiguous() and chunk_map.total_size == size
         #: Benefactors that answered ``ChunkNotFoundError`` for this version:
         #: reader-local (a node missing one chunk of a stale map is not a
         #: node failure), demoted rather than excluded on later fetches.
         self._missing: Set[str] = set()
-        self._cache: Dict[int, bytes] = {}
-        self._inflight: Dict[int, "Future[bytes]"] = {}
+        #: Spans held for range reads: the one being read, the one read ahead.
+        self._spans: List[_Span] = []
         #: The client's shared worker pool; None keeps every fetch on the
         #: calling thread.  Borrowed: the reader tracks the futures it
         #: submitted and nothing else of the pool.
         self._executor = executor
-        #: Guards cache, in-flight futures and statistics.
+        #: Guards the missing set and statistics.
         self._lock = threading.Lock()
         #: Simple statistics for benchmarks and tests.
         self.chunks_fetched = 0
         self.bytes_fetched = 0
         self.replica_fallbacks = 0
-        self.cache_hits = 0
         self.corruptions_reported = 0
         #: Trace context active when the reader was constructed.  Worker
         #: threads do not inherit thread-local state, so fetches re-activate
@@ -323,30 +367,21 @@ class StripedReader:
             finally:
                 self._fetch_timer.observe(time.perf_counter() - started)
 
-    def _fetch_chunk(self, placement: ChunkPlacement,
-                     into: Optional[memoryview] = None,
-                     candidates: Optional[Sequence[str]] = None) -> bytes:
-        """Fetch one chunk from the best replica (worker-thread entry point).
+    def _fetch_chunk(self, placement: ChunkPlacement, into: memoryview,
+                     candidates: Optional[Sequence[str]] = None) -> None:
+        """Fetch one chunk into ``into`` (exactly its length) from the best replica.
 
         Only issues RPCs (``corruption_reporter`` included): a task on the
         shared pool must never submit to the pool and wait, the pool may be
-        one thread wide.
-
-        Unreachable, chunk-less and *corrupt* replicas all fall back to the
-        next candidate; verification runs here so with parallel reads the
-        SHA-1 recomputation overlaps other chunks' network transfers.
-        ``candidates`` is the replica order to try when the caller has chosen
-        one already; by default it is chosen now.
-
-        With ``into`` (exactly the chunk's length) the verified payload ends
-        up there, delivered by the transport or copied, and ``into`` itself
-        may be what is returned.  A replica that fails leaves garbage in
-        ``into`` only, which the next one overwrites in full; when none is
-        usable the caller must discard ``into``.
+        one thread wide.  Unreachable, chunk-less and *corrupt* replicas all
+        fall back to the next of ``candidates`` (chosen now by default).  A
+        replica that fails leaves garbage in ``into`` only, which the next
+        one overwrites in full; when none is usable the caller must discard
+        ``into``.
         """
         if candidates is None:
             candidates = self._candidates(placement)
-        return self._in_trace(self._fetch_replicas, placement, into, candidates)
+        self._in_trace(self._fetch_replicas, placement, into, candidates)
 
     def _candidates(self, placement: ChunkPlacement,
                     planned: Optional[Mapping[str, int]] = None) -> List[str]:
@@ -372,8 +407,8 @@ class StripedReader:
             self._chunks_counter.inc()
             self._read_bytes_counter.inc(len(data))
 
-    def _fetch_replicas(self, placement: ChunkPlacement, into: Optional[memoryview],
-                        candidates: Sequence[str]) -> bytes:
+    def _fetch_replicas(self, placement: ChunkPlacement, into: memoryview,
+                        candidates: Sequence[str]) -> None:
         last_error: Optional[Exception] = None
         for position, benefactor_id in enumerate(candidates):
             address = self.addresses[benefactor_id]
@@ -410,11 +445,11 @@ class StripedReader:
                 if position + 1 < len(candidates):
                     self._note_fallback()
                 continue
-            if into is not None and data is not into:
+            if data is not into:
                 # The transport ignored the hint or the chunk came in-band.
                 into[:] = data
             self._note_fetched(benefactor_id, data)
-            return data
+            return
         raise ReadFailedError(
             f"no replica of chunk {placement.ref.chunk_id} is usable"
         ) from last_error
@@ -434,132 +469,22 @@ class StripedReader:
         except Exception:  # noqa: BLE001 - reporting is advisory
             pass
 
-    # -- pipelined dispatch ---------------------------------------------------
-    def _store_locked(self, index: int, data: bytes) -> None:
-        self._cache[index] = data
-        while len(self._cache) > self._cache_limit:
-            del self._cache[next(iter(self._cache))]
-
-    def _reap_completed_locked(self) -> None:
-        """Move finished prefetches into the cache, freeing window slots.
-
-        Without this, futures whose index is never consumed (the caller
-        sought past a prefetched region) would occupy the window forever and
-        silently disable all further prefetch.  Failed prefetches are simply
-        dropped: the consumer re-fetches on demand and surfaces the error.
-        """
-        done = [i for i, f in self._inflight.items() if f.done()]
-        for index in done:
-            future = self._inflight.pop(index)
-            try:
-                data = future.result()
-            except BaseException:  # noqa: BLE001 - deferred to on-demand fetch
-                continue
-            self._store_locked(index, data)
-
-    def _schedule(self, index: int) -> bool:
-        """Dispatch an asynchronous fetch for placement ``index``.
-
-        Returns False when the in-flight window is full or there is no pool
-        to dispatch to; an index that is already cached or in flight counts
-        as satisfied.
-        """
-        if self._executor is None:
-            return False
-        with self._lock:
-            if index in self._cache or index in self._inflight:
-                return True
-            self._reap_completed_locked()
-            if len(self._inflight) >= self._window:
-                return False
-            self._inflight[index] = self._executor.submit(
-                self._fetch_chunk, self._placements[index]
-            )
-            return True
-
-    def _chunk(self, index: int, retain: bool) -> bytes:
-        """Bytes of placement ``index``: cache, in-flight future, or sync fetch."""
-        with self._lock:
-            data = self._cache.get(index)
-            if data is not None:
-                self.cache_hits += 1
-                if not retain:
-                    del self._cache[index]
-                return data
-            future = self._inflight.get(index)
-        if future is not None:
-            try:
-                data = future.result()
-            finally:
-                with self._lock:
-                    self._inflight.pop(index, None)
-                    # A concurrent reap may have cached the result already.
-                    if not retain:
-                        self._cache.pop(index, None)
-        else:
-            data = self._fetch_chunk(self._placements[index])
-        if retain:
-            with self._lock:
-                self._store_locked(index, data)
-        return data
-
-    def _pipeline_ahead(self, indices: Sequence[int], position: int) -> None:
-        """Keep the in-flight window full starting at ``indices[position]``."""
-        if self.parallelism <= 1:
-            return
-        for ahead in indices[position:position + self._window]:
-            if not self._schedule(ahead):
-                break
-
-    def _drain(self) -> None:
-        """Cancel this reader's queued fetches; running ones finish unobserved."""
-        with self._lock:
-            inflight = list(self._inflight.values())
-            self._inflight.clear()
-        for future in inflight:
-            future.cancel()
-
-    def close(self) -> None:
-        """Drop outstanding fetches (safe to call repeatedly; reads may follow)."""
-        self._drain()
-
-    # -- public reads ------------------------------------------------------------
-    def read_iter(self) -> Iterator[bytes]:
-        """Stream the file chunk-by-chunk in chunk-map order.
-
-        Memory stays bounded by the in-flight window, so restart-sized images
-        never need to be buffered whole.  Raises :class:`ReadFailedError` at
-        the end of iteration when the reassembled size does not match the
-        version's metadata size.
-        """
-        indices = list(range(len(self._placements)))
-        total = 0
-        try:
-            for position, index in enumerate(indices):
-                self._pipeline_ahead(indices, position)
-                data = self._chunk(index, retain=False)
-                total += len(data)
-                yield data
-        finally:
-            self._drain()
-        if total != self.size:
-            raise ReadFailedError(
-                f"reassembled size {total} does not match metadata size {self.size}"
-            )
-
-    def _fetch_into(self, image: memoryview, placement: ChunkPlacement,
+    def _fetch_into(self, span: _Span, placement: ChunkPlacement,
                     candidates: Optional[Sequence[str]] = None) -> None:
-        """Fetch one chunk to its place in ``image``.
+        """Fetch one chunk to its window of ``span``.
 
-        Returns nothing and gives its window of the image up before it
-        returns: ``BytesIO.getvalue`` copies the whole image instead of
-        handing it over while any view of it is still alive.
+        Returns nothing and gives its window up before it returns:
+        ``BytesIO.getvalue`` copies a buffer instead of handing it over
+        while any view of it is still alive.
         """
-        with image[placement.ref.offset:placement.ref.end] as into:
+        with span.window(placement) as into:
             self._fetch_chunk(placement, into, candidates)
+        span.filled.add(placement.ref.offset)
 
-    def _plan_frames(self) -> List[_Frame]:
-        """Choose every chunk's replica; frames in the order of their first chunk.
+    # -- spans: planned frames, fetched by the pool and the caller ---------------
+    def _plan_frames(self, first: int = 0, stop: Optional[int] = None) -> List[_Frame]:
+        """Choose the replica of chunks ``[first, stop)``; frames in the order
+        of their first chunk.
 
         Every choice counts the chunks already planned per benefactor as
         outstanding against it.  Until ``read_parallelism`` benefactors have
@@ -567,7 +492,7 @@ class StripedReader:
         opens a frame there if it has none; from then on it joins an open
         frame on one of its healthy replicas that still has room, and opens a
         new one only when none has.  There are never more than
-        ``read_parallelism`` fetchers (:meth:`_fetch_frames`), so a frame
+        ``read_parallelism`` fetchers at a time (:meth:`_read`), so a frame
         beyond that many adds a round trip without adding parallelism; a
         parallelism at least the number of holders still reads from every
         holder.  A frame is closed when the next chunk would take it past
@@ -579,7 +504,7 @@ class StripedReader:
         unhealthy = self.scheduler.failed_benefactors
         with self._lock:
             unhealthy |= self._missing
-        for placement in self._placements:
+        for placement in self._placements[first:stop]:
             length = placement.ref.length
             candidates = self._candidates(placement, planned)
             # With no replica to dial the per-chunk path says so, for this chunk.
@@ -603,25 +528,25 @@ class StripedReader:
                 planned[chosen] = planned.get(chosen, 0) + 1
         return frames
 
-    def _fetch_frame(self, image: memoryview, frame: _Frame) -> None:
-        """Fill the frame's windows of ``image`` (what every fetcher runs).
+    def _span(self, first: int, stop: int) -> _Span:
+        return _Span(first, stop, self._plan_frames(first, stop))
 
-        One ``get_chunks`` for the frame; whatever it did not deliver intact
-        — and the one chunk of a one-chunk frame, whose replica is chosen when
-        it runs, as ever — is fetched by the per-chunk path.
-        """
+    def _fetch_frame(self, span: _Span, frame: _Frame) -> None:
+        """Fill the frame's windows of ``span`` (what every fetcher runs): one
+        ``get_chunks``, then the per-chunk path for whatever it did not deliver
+        intact — and for the one chunk of a one-chunk frame, as ever."""
         if len(frame.items) == 1:
-            self._fetch_into(image, frame.items[0][0])
+            self._fetch_into(span, frame.items[0][0])
             return
-        for placement, candidates in self._in_trace(self._fetch_together, image, frame):
-            self._fetch_into(image, placement, candidates)
+        for placement, candidates in self._in_trace(self._fetch_together, span, frame):
+            self._fetch_into(span, placement, candidates)
 
-    def _fetch_together(self, image: memoryview,
+    def _fetch_together(self, span: _Span,
                         frame: _Frame) -> List[Tuple[ChunkPlacement, List[str]]]:
         """One ``get_chunks`` into the frame's windows; returns the items it
         left unfilled: all of them on any error, the corrupt ones otherwise."""
         benefactor_id = frame.benefactor_id
-        windows = [image[p.ref.offset:p.ref.end] for p, _ in frame.items]
+        windows = [span.window(p) for p, _ in frame.items]
         try:
             self.scheduler.begin(benefactor_id)
             try:
@@ -646,116 +571,189 @@ class StripedReader:
                     # The transport ignored the hint or the chunk came in-band.
                     window[:] = data
                 self._note_fetched(benefactor_id, data)
+                span.filled.add(item[0].ref.offset)
             return unfilled
         finally:
             for window in windows:
                 window.release()
 
+    def _start(self, span: _Span, tasks: int) -> None:
+        """Submit up to ``tasks`` pool tasks taking the span's frames; no wait."""
+        if self._executor is not None:
+            span.tasks = [self._executor.submit(span.take_frames, self._fetch_frame)
+                          for _ in range(min(tasks, len(span.queue)))]
+
+    def _finish(self, span: _Span) -> None:
+        """The caller takes the frames left, then waits for the span's tasks
+        (idempotent): tasks that have not started are cancelled and running
+        ones waited for, since each holds windows of the span."""
+        try:
+            span.take_frames(self._fetch_frame)
+        finally:
+            for task in span.tasks:
+                task.cancel()
+            wait(span.tasks)
+        for task in span.tasks:  # a task raises an interrupt only, like the caller
+            if not task.cancelled():
+                task.result()
+
+    def _read(self, span: _Span) -> None:
+        """Fetch ``span`` with ``read_parallelism`` fetchers, the caller one of
+        them: at parallelism 1, or for a single frame, it fetches alone."""
+        self._start(span, min(self.parallelism, len(span.queue)) - 1)
+        self._finish(span)
+
+    def close(self) -> None:
+        """Drop outstanding fetches (safe to call repeatedly; reads may follow)."""
+        for span in self._spans:
+            span.drop()
+        self._spans = []
+
+    # -- public reads ------------------------------------------------------------
+    def _require_tiling(self) -> None:
+        """Buffers start as zeros: a map that does not tile exactly ``size``
+        bytes fails before any fetch, never hands a restarting job zeros."""
+        if not self._tiles:
+            raise ReadFailedError(f"chunk map does not tile the file: it holds "
+                                  f"{self.chunk_map.total_size} bytes, metadata size is "
+                                  f"{self.size}")
+
     def read_all(self) -> bytes:
         """Fetch the whole file as one ``bytes``, filled in place.
 
-        The image is allocated once, zero-filled, and each chunk is received
-        straight into its final position (``Transport.call(..., into=...)``),
-        a frame of chunks per RPC (:meth:`_plan_frames`), so there is no
-        receive buffer per chunk and nothing to join.  Because the image
-        starts as zeros, a chunk map that does not tile exactly ``size``
-        bytes is an error before any fetch, never a run of zeros handed to a
-        restarting job.  Before the first fetch the image's aligned 2 MiB
-        interior is advised for transparent huge pages
+        The image is allocated once, zero-filled, and is one span: each chunk
+        is received straight into its final position (``Transport.call(...,
+        into=...)``), a frame of chunks per RPC, so there is no receive buffer
+        per chunk and nothing to join.  Before the first fetch the image's
+        aligned 2 MiB interior is advised for transparent huge pages
         (:func:`~repro.util.memory.advise_huge_pages`), so the kernel faults
-        the untouched image in 2 MiB pages rather than 4 KiB ones.  The
-        frames are fetched by :meth:`_fetch_frames`.
+        the untouched image in 2 MiB pages rather than 4 KiB ones.
         """
-        if not self.chunk_map.is_contiguous() or self.chunk_map.total_size != self.size:
-            raise ReadFailedError(
-                f"chunk map does not tile the file: it holds "
-                f"{self.chunk_map.total_size} bytes, metadata size is {self.size}"
-            )
+        self._require_tiling()
         # ``BytesIO`` owns a calloc'd ``bytes`` (no page touched yet) and, once
         # every view is released, ``getvalue`` returns that very object.
         image = io.BytesIO(bytes(self.size))
         view = image.getbuffer()
         try:
             advise_huge_pages(view)
-            self._fetch_frames(view, self._plan_frames())
+            span = _Span(0, len(self._placements), self._plan_frames(), view)
+            self._read(span)
         finally:
             view.release()
+        if span.error is not None:
+            raise span.error
         return image.getvalue()
 
-    def _fetch_frames(self, image: memoryview, frames: Sequence[_Frame]) -> None:
-        """Run :meth:`_fetch_frame` for every frame.
+    def _take(self, span: _Span, index: int, keep: bool = True) -> bytes:
+        """Chunk ``index`` of finished ``span`` (``keep=False``: the span gives
+        it up).  A chunk the span did not deliver raises the error that
+        stopped it, and a held span is let go: a later read fetches afresh."""
+        offset = self._placements[index].ref.offset
+        if offset not in span.filled:
+            if span in self._spans:
+                self._spans.remove(span)
+            raise span.error
+        return (span.buffers[offset] if keep else span.buffers.pop(offset)).getvalue()
 
-        The fetchers are the calling thread and at most ``read_parallelism -
-        1`` tasks on the client's pool (none without one), all taking frames
-        from one queue; at parallelism 1, or for a single frame, the caller
-        fetches alone.  A failure empties the queue: helpers that have not
-        started are cancelled, and running ones are waited for, since each
-        holds windows of ``image``, which ``read_all`` is about to release.
-        """
-        queue: Deque[_Frame] = deque(frames)
+    def read_iter(self) -> Iterator[bytes]:
+        """Stream the file chunk-by-chunk in chunk-map order, each chunk the
+        ``bytes`` it was received into.  Spans are at most ``read_parallelism``
+        transfer units (one chunk at least) and the next is started on the
+        pool before the current one is yielded: two spans, never the image."""
+        self._require_tiling()
+        return self._stream()
 
-        def take_frames() -> None:
-            try:
-                while True:
-                    try:
-                        frame = queue.popleft()
-                    except IndexError:
-                        return
-                    self._fetch_frame(image, frame)
-            except BaseException:
-                queue.clear()
-                raise
-
-        helpers: List["Future[None]"] = []
-        if self._executor is not None:
-            helpers = [self._executor.submit(take_frames)
-                       for _ in range(min(self.parallelism, len(frames)) - 1)]
+    def _stream(self) -> Iterator[bytes]:
+        limit, starts, taken = self.parallelism * TRANSFER_UNIT, [0], 0
+        for index, placement in enumerate(self._placements):
+            if index > starts[-1] and taken + placement.ref.length > limit:
+                starts.append(index)
+                taken = 0
+            taken += placement.ref.length
+        bounds = zip(starts, starts[1:] + [len(self._placements)])
+        held = [self._span(*next(bounds))]  # the span being read, the one read ahead
         try:
-            take_frames()
+            self._read(held[0])
+            while held:
+                current = held[0]
+                self._finish(current)
+                ahead = next(bounds, None)
+                if ahead is not None:
+                    held.append(self._span(*ahead))
+                    self._start(held[1], self.parallelism)
+                for index in range(current.first, current.stop):
+                    yield self._take(current, index, keep=False)
+                held.pop(0)
         finally:
-            for helper in helpers:
-                helper.cancel()
-            wait(helpers)
-        for helper in helpers:
-            if not helper.cancelled():
-                helper.result()
+            for span in held:
+                span.drop()
+
+    def _keep_spans_in(self, first: int, stop: int) -> None:
+        """Let go of the held spans outside chunks ``[first, stop)``."""
+        for span in [s for s in self._spans if s.stop <= first or s.first >= stop]:
+            self._spans.remove(span)
+            span.drop()
+
+    def _gap(self, first: int, stop: int) -> Optional[Tuple[int, int]]:
+        """The first run of chunks in ``[first, stop)`` no held span covers."""
+        for span in sorted(self._spans, key=lambda s: s.first):
+            if span.first <= first < span.stop:
+                first = span.stop
+        if first >= stop:
+            return None
+        return first, min([s.first for s in self._spans if s.first > first] + [stop])
 
     def read_range(self, offset: int, length: int) -> bytes:
-        """Fetch an arbitrary byte range (used by the FS facade).
-
-        Chunks are retained in the reader's cache, so a sequential scan in
-        sub-chunk granularity fetches every chunk exactly once.
-        """
+        """Fetch an arbitrary byte range (used by the FS facade) from the spans
+        the reader holds, the one being read and the one read ahead
+        (:meth:`prefetch`); chunks neither holds are fetched as a new span, so
+        a sequential scan in sub-chunk reads fetches every chunk once."""
         if offset < 0:
             raise ValueError("offset must be non-negative")
+        self._require_tiling()
         if length <= 0 or offset >= self.size:
             return b""
         length = min(length, self.size - offset)
         end = offset + length
         indices = self.chunk_map.covering_indices(offset, length)
+        index, stop = indices[0], indices[-1] + 1
         parts: List[bytes] = []
-        for position, index in enumerate(indices):
-            self._pipeline_ahead(indices, position)
-            data = self._chunk(index, retain=True)
-            ref = self._placements[index].ref
-            start = max(offset - ref.offset, 0)
-            stop = min(end - ref.offset, ref.length)
-            parts.append(data[start:stop])
+        while index < stop:
+            span = next((s for s in self._spans if s.first <= index < s.stop), None)
+            if span is None:
+                self._keep_spans_in(index, stop)
+                if len(self._spans) == 2:  # both further on in this read: fetch afresh
+                    self.close()
+                span = self._span(*self._gap(index, stop))
+                self._spans.append(span)
+                self._start(span, min(self.parallelism, len(span.queue)) - 1)
+            self._finish(span)
+            upto = min(span.stop, stop)
+            for chunk_index in range(index, upto):
+                data = self._take(span, chunk_index)
+                ref = self._placements[chunk_index].ref
+                parts.append(data[max(offset - ref.offset, 0):min(end - ref.offset, ref.length)])
+            index = upto
         return b"".join(parts)
 
     def prefetch(self, offset: int, length: int) -> None:
-        """Asynchronously warm the chunk cache for ``[offset, offset+length)``.
+        """Read ``[offset, offset+length)`` ahead on the client's worker pool.
 
-        Backs the FS facade's read-ahead: fetches for upcoming chunks are
-        dispatched to the client's worker pool (used even under
-        ``read_parallelism=1``, which is why the pool is never narrower than
-        one thread) while the caller consumes the current range.  Stops
-        silently when the in-flight window is full; never blocks; does
-        nothing for a reader without an executor.
+        Backs the FS facade's read-ahead: the first run of the range's chunks
+        no held span covers becomes a span whose frames only pool tasks take
+        (one even under ``read_parallelism=1``).  Chunks held or pending, or
+        two held spans the range still needs, make it a no-op; so does a
+        reader without an executor.  Never blocks; a failed read-ahead
+        surfaces on the read that needs a chunk it did not deliver.
         """
-        if length <= 0 or offset >= self.size or not self._placements:
+        self._require_tiling()
+        if self._executor is None or length <= 0 or offset >= self.size:
             return
-        length = min(length, self.size - offset)
-        for index in self.chunk_map.covering_indices(offset, length):
-            if not self._schedule(index):
-                break
+        indices = self.chunk_map.covering_indices(offset, min(length, self.size - offset))
+        first, stop = indices[0], indices[-1] + 1
+        self._keep_spans_in(first, stop)
+        gap = self._gap(first, stop)
+        if gap is not None and len(self._spans) < 2:
+            span = self._span(*gap)
+            self._start(span, self.parallelism)
+            self._spans.append(span)

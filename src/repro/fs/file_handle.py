@@ -2,9 +2,11 @@
 
 A handle adapts POSIX-style small reads/writes to the storage system's
 megabyte-chunk granularity (section IV.E): writes are buffered and streamed
-into the underlying write session; reads are served from the reader's chunk
-cache, and after every read the next ``read_ahead`` bytes are prefetched
-*asynchronously* — fetches for upcoming chunks run on the client's worker pool
+into the underlying write session.  Reads come from the reader's spans — the
+chunks being read and the ones read ahead, each span a plan of frames fetched
+like a whole-file read: before every read the handle asks for at least
+``read_ahead`` bytes from its position, the range it reads included, and the
+reader fetches what it does not already hold on the client's worker pool
 while the application consumes the current range, so a sequential scan never
 waits for a chunk that read-ahead already started and never re-fetches a
 chunk it partially consumed.
@@ -82,9 +84,12 @@ class StdchkFileHandle:
     def read(self, size: int = -1) -> bytes:
         """Read ``size`` bytes from the current position (-1 = to EOF).
 
-        The reader retains fetched chunks in its bounded cache, so repeated
-        sub-chunk reads of a sequential scan fetch each chunk exactly once;
-        the next ``read_ahead`` bytes are then prefetched asynchronously.
+        First asks the reader to read ahead over ``[position, position +
+        max(size, read_ahead))`` — chunks it already holds or has pending
+        are not asked for again — then reads the range from the spans it
+        holds, so a sequential scan in sub-chunk reads fetches each chunk
+        exactly once and the next ones are on their way while it consumes
+        the current one.
         """
         self._require_open()
         if not self.readable:
@@ -93,10 +98,10 @@ class StdchkFileHandle:
             size = max(self._reader.size - self._position, 0)
         if size == 0:
             return b""
+        if self._read_ahead > 0:
+            self._reader.prefetch(self._position, max(size, self._read_ahead))
         data = self._reader.read_range(self._position, size)
         self._position += len(data)
-        if self._read_ahead > 0:
-            self._reader.prefetch(self._position, self._read_ahead)
         return data
 
     def seek(self, offset: int, whence: int = 0) -> int:

@@ -97,9 +97,9 @@ class StdchkFilesystem:
     def stream_file(self, path: str) -> Iterator[bytes]:
         """Stream ``path`` chunk-by-chunk without buffering it whole.
 
-        The generator's memory footprint stays bounded by the reader's
-        in-flight window — the right call for restart-sized images piped
-        straight into the restarting process.
+        The generator's memory footprint stays bounded by two spans of
+        ``read_parallelism`` transfer units — the right call for
+        restart-sized images piped straight into the restarting process.
         """
         return self.client.read_file_iter(path)
 

@@ -324,17 +324,17 @@ class Deployment:
         ``overrides`` replace fields of the client's config without building
         a whole one — typically the parallel data-path knobs:
         ``push_parallelism`` / ``read_parallelism`` (they size the client's
-        one worker pool, and its in-flight windows at twice each; a
-        whole-file read is fetched by the caller and ``read_parallelism - 1``
-        pool tasks) and ``ack_batch_size`` (placement-ack batching toward the
-        manager).  ``None`` keeps the config's value.
+        one worker pool; a session keeps ``2 * push_parallelism`` frames in
+        flight, and a read is fetched by the caller and ``read_parallelism -
+        1`` pool tasks) and ``ack_batch_size`` (placement-ack batching toward
+        the manager).  ``None`` keeps the config's value.
         """
         effective = config if config is not None else self.config
         overrides = {k: v for k, v in overrides.items() if v is not None}
         if overrides:
             effective = effective.with_overrides(**overrides)
         # Concurrent pushes or fetches against one benefactor must not be
-        # capped by pooled sockets: grow to the larger of the two windows.
+        # capped by pooled sockets: grow to twice the larger knob.
         self.transport.ensure_pool_capacity(
             2 * max(effective.push_parallelism, effective.read_parallelism)
         )

@@ -92,18 +92,18 @@ class StdchkConfig:
     #: A session keeps at most ``2 * push_parallelism`` frames submitted but
     #: not yet stored (the in-flight window), so every worker stays pipelined.
     push_parallelism: int = 1
-    #: Fetches a client runs concurrently: chunks, or on a whole-file read
-    #: frames (the chunks chosen from one benefactor, at most a transfer
-    #: unit).  A whole-file read has this many fetchers, the calling thread
-    #: included (it submits ``read_parallelism - 1`` tasks to the pool), and
-    #: plans about one frame per fetcher.  1 keeps the fully-synchronous read
-    #: path (one RPC at a time; read-ahead still uses one pool worker);
-    #: higher values overlap integrity verification and network transfer so
-    #: restart reads exploit the striping the same way pipelined writes do.
-    #: Shares the client's worker pool with ``push_parallelism``: a bound
-    #: across all the client's open readers, not per reader.  A reader keeps
-    #: at most ``2 * read_parallelism`` chunk fetches dispatched but not yet
-    #: consumed (the in-flight window of streaming and range reads).
+    #: Fetches a client runs concurrently: frames (the chunks chosen from
+    #: one benefactor, at most a transfer unit).  Every read fetches spans of
+    #: frames planned at about one frame per fetcher: the span a read needs
+    #: has this many fetchers, the calling thread included (it submits
+    #: ``read_parallelism - 1`` tasks to the pool), a span read ahead this
+    #: many pool tasks.  1 keeps the fully-synchronous read path (one RPC at
+    #: a time; read-ahead still uses one pool worker); higher values overlap
+    #: integrity verification and network transfer so restart reads exploit
+    #: the striping the same way pipelined writes do.  Shares the client's
+    #: worker pool with ``push_parallelism``: a bound across all the
+    #: client's open readers, not per reader.  A stream reads spans of at
+    #: most ``read_parallelism`` transfer units and holds two of them.
     read_parallelism: int = 1
     #: Client->manager placement acknowledgements are batched in groups of
     #: this many chunks (one ``put_chunks_ack`` transaction per batch).
@@ -204,7 +204,10 @@ class StdchkConfig:
     #: subscribers (the automatic-promotion groundwork) are notified.
     health_dead_after: float = 10.0
 
-    #: Optional cap on read-ahead in the FS facade (bytes).
+    #: Read-ahead of the FS facade (bytes): before every read a handle asks
+    #: its reader for at least this much from its position, the range it
+    #: reads included, fetched as a span on the client's worker pool.  0
+    #: turns read-ahead off.
     read_ahead: int = 4 * MiB
     #: Metadata cache time-to-live for readdir/getattr answers (seconds).
     metadata_cache_ttl: float = 2.0

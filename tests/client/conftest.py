@@ -1,0 +1,31 @@
+"""Fixtures shared by the client tests."""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.transport.inprocess import InProcessTransport
+from repro.transport.tcp import TcpTransport
+
+DATA_RPCS = ("put_chunk", "put_chunks", "get_chunk", "get_chunks")
+
+
+@pytest.fixture
+def data_rpcs(monkeypatch):
+    """``(method, chunks carried)`` of every data RPC sent over either transport."""
+    calls = []
+
+    def spy_on(cls):
+        original = cls.call
+
+        def spying(transport, address, method, /, **payload):
+            if method in DATA_RPCS:
+                ids = payload.get("chunk_ids")
+                calls.append((method, 1 if ids is None else len(ids)))
+            return original(transport, address, method, **payload)
+
+        monkeypatch.setattr(cls, "call", spying)
+
+    spy_on(InProcessTransport)
+    spy_on(TcpTransport)
+    return calls

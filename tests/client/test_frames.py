@@ -20,14 +20,13 @@ from repro import StdchkConfig, StdchkPool, TcpDeployment
 from repro.benefactor.chunk_store import MemoryChunkStore
 from repro.client.read_path import StripedReader
 from repro.exceptions import BenefactorOfflineError
-from repro.transport.tcp import OUT_OF_BAND_MIN, TRANSFER_UNIT, TcpTransport
+from repro.transport.tcp import OUT_OF_BAND_MIN, TRANSFER_UNIT
 from repro.util.config import SimilarityHeuristic, WriteSemantics
 from tests.conftest import make_bytes
 
 KIB = 1 << 10
 MIB = 1 << 20
 CHUNK = 2 * OUT_OF_BAND_MIN  # whole chunks are sections of their own over TCP
-DATA_RPCS = ("put_chunk", "put_chunks", "get_chunk", "get_chunks")
 DEPLOYMENTS = {"inprocess": StdchkPool, "tcp": TcpDeployment}
 
 
@@ -55,28 +54,6 @@ def scripted_stores():
             super().put(chunk)
 
     return hooks, ScriptedStore
-
-
-@pytest.fixture
-def data_rpcs(monkeypatch):
-    """``(method, chunks carried)`` of every data RPC sent over either transport."""
-    calls = []
-
-    def spy_on(cls):
-        original = cls.call
-
-        def spying(transport, address, method, /, **payload):
-            if method in DATA_RPCS:
-                ids = payload.get("chunk_ids")
-                calls.append((method, 1 if ids is None else len(ids)))
-            return original(transport, address, method, **payload)
-
-        monkeypatch.setattr(cls, "call", spying)
-
-    from repro.transport.inprocess import InProcessTransport
-    spy_on(InProcessTransport)
-    spy_on(TcpTransport)
-    return calls
 
 
 @pytest.fixture
@@ -345,6 +322,50 @@ class TestDataRpcArithmetic:
             assert data_rpcs == [("get_chunks", 4)] * 2
             assert sum(n.stats["puts"] for n in nodes(deployment).values()) == 16
             assert sum(n.stats["gets"] for n in nodes(deployment).values()) == 8
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    @pytest.mark.parametrize("entry", ["read_file_iter", "fs_read_file",
+                                       "fs_scan_4096", "fs_scan_5000"])
+    def test_every_whole_file_read_is_a_frame_per_fetcher(
+            self, kind, data_rpcs, parallelism, entry):
+        """The same 512 KiB read whole by streaming, through the FS facade at
+        once, and by FS scans of 4 KiB and 5 000 B blocks: every way is the
+        two frames of ``read_file``.  A scan's first read reads the whole
+        file ahead; every later read-ahead is of chunks held."""
+        from repro.fs.filesystem import StdchkFilesystem
+        with DEPLOYMENTS[kind](benefactor_count=4,
+                               config=config(chunk_size=64 * KIB)) as deployment:
+            client = deployment.client("count", read_parallelism=parallelism)
+            data = make_bytes(512 * KIB, seed=1)
+            client.write_file("/count/f", data)
+            fs = StdchkFilesystem(client)
+            del data_rpcs[:]
+            if entry == "read_file_iter":
+                assert b"".join(client.read_file_iter("/count/f")) == data
+            elif entry == "fs_read_file":
+                assert fs.read_file("/count/f") == data
+            else:
+                block = int(entry.rsplit("_", 1)[1])
+                handle = fs.open("/count/f")
+                pieces = iter(lambda: handle.read(block), b"")
+                assert b"".join(pieces) == data
+                fs.close(handle)
+            assert data_rpcs == [("get_chunks", 4)] * 2
+            assert sum(n.stats["gets"] for n in nodes(deployment).values()) == 8
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_a_range_read_frames_its_chunks(self, kind, data_rpcs, parallelism):
+        """``[100, 100 + 300 KiB)`` of the same file is chunks 0..4."""
+        with DEPLOYMENTS[kind](benefactor_count=4,
+                               config=config(chunk_size=64 * KIB)) as deployment:
+            client = deployment.client("count", read_parallelism=parallelism)
+            data = make_bytes(512 * KIB, seed=1)
+            client.write_file("/count/f", data)
+            del data_rpcs[:]
+            assert client.read_range("/count/f", 100, 300 * KIB) == data[100:100 + 300 * KIB]
+            assert len(data_rpcs) < 5
+            assert sum(chunks for _method, chunks in data_rpcs) == 5
+            assert sum(n.stats["gets"] for n in nodes(deployment).values()) == 5
 
     @pytest.mark.parametrize("parallelism,frames", [(1, 2), (2, 2), (4, 4)])
     def test_a_restart_read_plans_a_frame_per_fetcher(

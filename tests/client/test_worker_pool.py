@@ -458,7 +458,8 @@ class TestAWholeImageReadIsFetchedByItsCallerAndHelpers:
 
     def test_many_fetchers_take_every_frame_exactly_once(self):
         """Sixteen frames, eight fetchers, a thread switch every microsecond:
-        a frame taken twice or not at all shows in the counts."""
+        a frame taken twice or not at all shows in the counts.  A stream
+        reads the same image as two spans, the second read ahead."""
         chunk = 512 * 1024
         with StdchkPool(benefactor_count=4, config=config(
                 chunk_size=chunk, incremental_file_size=2 * chunk)) as pool:
@@ -474,6 +475,10 @@ class TestAWholeImageReadIsFetchedByItsCallerAndHelpers:
                     assert reader.read_all() == data
                     assert reader.chunks_fetched == 32
                     assert sum(node.stats["gets"] for node in pool.benefactors.values()) == gets + 32
+                    streamed = client.open_read("/stress/f")
+                    assert b"".join(streamed.read_iter()) == data
+                    assert streamed.chunks_fetched == 32
+                    assert sum(n.stats["gets"] for n in pool.benefactors.values()) == gets + 64
             finally:
                 sys.setswitchinterval(interval)
 
