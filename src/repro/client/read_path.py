@@ -5,44 +5,29 @@ performance", section III.B): the client must pull a whole checkpoint image
 back from the benefactors it was striped across.  Every read fetches *spans*:
 the chunks of a contiguous run, each chunk's replica chosen up front, the
 chunks chosen from one benefactor travelling as *frames* of at most
-:data:`~repro.transport.tcp.TRANSFER_UNIT`, one ``get_chunks`` each, every
-chunk landing in its own window.  For a whole image
-(:meth:`StripedReader.read_all`, what a restart does) the windows are those
-of the image itself, allocated once, so there is no reassembly step at all;
-for a stream, a byte range or read-ahead (:meth:`~StripedReader.read_iter`,
-:meth:`~StripedReader.read_range`, :meth:`~StripedReader.prefetch`) each
-chunk has a buffer of its own, handed over as ``bytes`` without a copy.  A
-plan opens about one frame per fetcher — the calling thread and up to
-``read_parallelism`` tasks on the worker pool of the
-:class:`~repro.client.proxy.ClientProxy` that opened the reader — rather than
-one per holder, since a frame nobody is free to fetch only adds a round trip.
-A frame of one chunk is the per-chunk fetch (``get_chunk``), so images of
-transfer-unit-sized chunks are read a chunk per RPC; and a frame has no
-failure handling of its own — a chunk it did not deliver, or delivered
-corrupt, is fetched again by the per-chunk path below, same replica first.
-Verification (SHA-1 recomputation) runs in the fetchers, so it overlaps
-other chunks' transfers.  The reader owns its futures, never the pool: it
-starts, joins and shuts down no thread.  With the default
-``read_parallelism == 1``, or without an executor, a read is fully
-synchronous, one RPC at a time; only read-ahead uses a pool worker.
+:data:`~repro.transport.tcp.TRANSFER_UNIT`, one ``get_chunks`` each.  Every
+chunk lands in its own window: its place in the image for a whole-file read
+(:meth:`StripedReader.read_all`, what a restart does), so nothing is
+reassembled; a buffer of its own, handed over as ``bytes``, for a stream, a
+byte range or read-ahead.  A plan opens about one frame per fetcher — the
+calling thread and up to ``read_parallelism`` tasks on the worker pool of the
+:class:`~repro.client.proxy.ClientProxy` that opened the reader — since a
+frame nobody is free to fetch only adds a round trip.  A frame of one chunk is
+the per-chunk fetch (``get_chunk``); a chunk a frame did not deliver, or
+delivered corrupt, is fetched again by the per-chunk path, same replica
+first.  Verification (SHA-1 recomputation) runs in the fetchers.  The reader
+owns its futures, never the pool.  With the default ``read_parallelism == 1``,
+or without an executor, a read is synchronous; only read-ahead uses a worker.
 
-Replica selection is delegated to a :class:`ReplicaScheduler` shared across
-every reader of a client session: instead of always hammering the first
-benefactor in placement order, the scheduler rotates across a chunk's
-replicas and prefers the replica with the fewest outstanding requests, and
-benefactors discovered dead (or serving corrupt data) by one reader are
-deprioritized for the next.
+Replica selection is delegated to a :class:`ReplicaScheduler` shared by every
+reader of a client session: it rotates across a chunk's replicas, prefers the
+one with the fewest outstanding requests, and tries benefactors found dead or
+corrupt by any reader last.  A corrupt replica is handled like an unreachable
+one; a read fails only when every replica of a chunk is exhausted.
 
-Corrupt replicas are handled like unreachable ones: a chunk whose digest or
-length does not match its reference is discarded, the replica is marked
-failed and the next replica is tried; the read only fails when every replica
-of a chunk is exhausted.
-
-Readers are not thread-safe: one thread consumes a reader (the pool's worker
-threads are an implementation detail).  A reader holds at most two spans,
-the one being read and the one read ahead, so sequential range reads (the FS
-facade) fetch every chunk exactly once and restart-sized streams never need
-to be buffered whole.
+Readers are not thread-safe: one thread consumes a reader.  A reader holds at
+most two spans, the one being read and the one read ahead, and a byte range
+waits only for the frames that hold its own chunks.
 """
 
 from __future__ import annotations
@@ -50,11 +35,11 @@ from __future__ import annotations
 import io
 import threading
 import time
-from collections import deque
+from bisect import bisect_left, bisect_right
 from concurrent.futures import Executor, Future, wait
 from dataclasses import dataclass, field
 from typing import (
-    Any, Callable, Deque, Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple,
+    Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple,
 )
 
 from repro.core.chunk import Chunk, is_content_addressed
@@ -216,15 +201,15 @@ class _Frame:
 
 class _Span:
     """The frames planned for chunks ``[first, stop)``, fetched into ``image``
-    or, without one, each chunk into a buffer of its own.  Its fetchers all
-    run :meth:`take_frames`; the first failure empties the queue and is kept
-    in ``error``; ``filled`` holds the offsets of the chunks that arrived intact.
-    """
+    or, without one, each chunk into a buffer of its own.  A chunk is
+    *settled* once the fetcher of its frame is done with it, and in
+    ``filled`` too if it arrived intact; the first failure empties the queue,
+    settling what it held, and is kept in ``error``."""
 
     def __init__(self, first: int, stop: int, frames: Sequence[_Frame],
                  image: Optional[memoryview] = None) -> None:
         self.first, self.stop = first, stop
-        self.queue: Deque[_Frame] = deque(frames)
+        self.queue: List[_Frame] = list(frames)
         self.image = image
         # A ``BytesIO`` over a calloc'd ``bytes`` per chunk: once no view of
         # it is left, ``getvalue`` hands that very object over.
@@ -233,7 +218,10 @@ class _Span:
             for frame in frames for p, _ in frame.items}
         self.tasks: List["Future[None]"] = []
         self.filled: Set[int] = set()
+        self.settled: Set[int] = set()
         self.error: Optional[BaseException] = None
+        #: Guards ``queue`` and ``settled``; notified whenever chunks settle.
+        self.settling = threading.Condition()
 
     def window(self, placement: ChunkPlacement) -> memoryview:
         """A fresh view of where ``placement`` goes; the taker releases it."""
@@ -241,28 +229,41 @@ class _Span:
             return self.image[placement.ref.offset:placement.ref.end]
         return self.buffers[placement.ref.offset].getbuffer()
 
-    def take_frames(self, fetch: Callable[["_Span", _Frame], None]) -> None:
-        """``fetch`` frames until the queue is empty; only an interrupt
-        propagates.  Passed, not kept: a span its reader holds must not refer
-        back to it, or the client's pool lives until the cyclic GC runs."""
-        try:
-            while True:
-                try:
-                    frame = self.queue.popleft()
-                except IndexError:
+    def _settle(self, frames: Sequence[_Frame]) -> None:
+        with self.settling:
+            self.settled.update(p.ref.offset for frame in frames for p, _ in frame.items)
+            self.settling.notify_all()
+
+    def take_frames(self, fetch: Callable[["_Span", _Frame], None],
+                    wanted: Optional[Set[int]] = None) -> None:
+        """``fetch`` queued frames until none is left, or none holding a chunk
+        at an offset in ``wanted``; only an interrupt propagates.  ``fetch``
+        is passed, not kept: a span its reader holds must not refer back to
+        it, or the client's pool lives until the cyclic GC runs."""
+        while True:
+            with self.settling:
+                position = next((i for i, frame in enumerate(self.queue) if wanted is None
+                                 or any(p.ref.offset in wanted for p, _ in frame.items)), None)
+                if position is None:
                     return
+                frame = self.queue.pop(position)
+            try:
                 fetch(self, frame)
-        except BaseException as exc:
-            self.queue.clear()
-            if self.error is None:
-                self.error = exc
-            if not isinstance(exc, Exception):
-                raise
+            except BaseException as exc:
+                with self.settling:  # set before a chunk settles unfilled
+                    self.error = self.error or exc
+                    self._settle([frame, *self.queue])
+                    self.queue.clear()
+                if not isinstance(exc, Exception):
+                    raise
+                return
+            self._settle([frame])
 
     def drop(self) -> None:
         """Cancel queued frames and tasks not started; running ones finish
         their frame unobserved."""
-        self.queue.clear()
+        with self.settling:
+            self.queue.clear()
         for task in self.tasks:
             task.cancel()
 
@@ -296,6 +297,7 @@ class StripedReader:
         self.corruption_reporter = corruption_reporter
         self.parallelism = max(1, read_parallelism)
         self._placements: List[ChunkPlacement] = list(chunk_map)
+        self._starts = [p.ref.offset for p in self._placements]
         self._tiles = chunk_map.is_contiguous() and chunk_map.total_size == size
         #: Benefactors that answered ``ChunkNotFoundError`` for this version:
         #: reader-local (a node missing one chunk of a stale map is not a
@@ -471,12 +473,8 @@ class StripedReader:
 
     def _fetch_into(self, span: _Span, placement: ChunkPlacement,
                     candidates: Optional[Sequence[str]] = None) -> None:
-        """Fetch one chunk to its window of ``span``.
-
-        Returns nothing and gives its window up before it returns:
-        ``BytesIO.getvalue`` copies a buffer instead of handing it over
-        while any view of it is still alive.
-        """
+        """Fetch one chunk to its window of ``span``, and give the window up:
+        ``BytesIO.getvalue`` copies a buffer while any view of it is alive."""
         with span.window(placement) as into:
             self._fetch_chunk(placement, into, candidates)
         span.filled.add(placement.ref.offset)
@@ -492,7 +490,7 @@ class StripedReader:
         opens a frame there if it has none; from then on it joins an open
         frame on one of its healthy replicas that still has room, and opens a
         new one only when none has.  There are never more than
-        ``read_parallelism`` fetchers at a time (:meth:`_read`), so a frame
+        ``read_parallelism`` fetchers at a time (:meth:`_start`), so a frame
         beyond that many adds a round trip without adding parallelism; a
         parallelism at least the number of holders still reads from every
         holder.  A frame is closed when the next chunk would take it past
@@ -577,11 +575,14 @@ class StripedReader:
             for window in windows:
                 window.release()
 
-    def _start(self, span: _Span, tasks: int) -> None:
-        """Submit up to ``tasks`` pool tasks taking the span's frames; no wait."""
+    def _start(self, span: _Span, caller: bool) -> None:
+        """Submit pool tasks taking the span's frames, no wait: a fetcher per
+        frame up to ``read_parallelism``, one fewer if the ``caller`` is one
+        (at parallelism 1, or for a single frame, it then fetches alone)."""
         if self._executor is not None:
+            tasks = min(self.parallelism, len(span.queue)) - caller
             span.tasks = [self._executor.submit(span.take_frames, self._fetch_frame)
-                          for _ in range(min(tasks, len(span.queue)))]
+                          for _ in range(tasks)]
 
     def _finish(self, span: _Span) -> None:
         """The caller takes the frames left, then waits for the span's tasks
@@ -597,11 +598,16 @@ class StripedReader:
             if not task.cancelled():
                 task.result()
 
-    def _read(self, span: _Span) -> None:
-        """Fetch ``span`` with ``read_parallelism`` fetchers, the caller one of
-        them: at parallelism 1, or for a single frame, it fetches alone."""
-        self._start(span, min(self.parallelism, len(span.queue)) - 1)
-        self._finish(span)
+    def _await(self, span: _Span, first: int, stop: int) -> None:
+        """Return once chunks ``[first, stop)`` of ``span`` are settled: the
+        caller fetches the queued frames holding any of them and waits for
+        the fetchers of the rest, while the span's other frames go on."""
+        wanted = {p.ref.offset for p in self._placements[first:stop]}
+        if wanted <= span.settled:
+            return
+        span.take_frames(self._fetch_frame, wanted)
+        with span.settling:
+            span.settling.wait_for(lambda: wanted <= span.settled)
 
     def close(self) -> None:
         """Drop outstanding fetches (safe to call repeatedly; reads may follow)."""
@@ -619,16 +625,12 @@ class StripedReader:
                                   f"{self.size}")
 
     def read_all(self) -> bytes:
-        """Fetch the whole file as one ``bytes``, filled in place.
-
-        The image is allocated once, zero-filled, and is one span: each chunk
-        is received straight into its final position (``Transport.call(...,
-        into=...)``), a frame of chunks per RPC, so there is no receive buffer
-        per chunk and nothing to join.  Before the first fetch the image's
-        aligned 2 MiB interior is advised for transparent huge pages
-        (:func:`~repro.util.memory.advise_huge_pages`), so the kernel faults
-        the untouched image in 2 MiB pages rather than 4 KiB ones.
-        """
+        """Fetch the whole file as one ``bytes``: one span whose windows are
+        the image's, allocated once, so every chunk is received straight into
+        its final position (``Transport.call(..., into=...)``) and nothing is
+        joined.  The image's aligned 2 MiB interior is first advised for
+        transparent huge pages (:func:`~repro.util.memory.advise_huge_pages`),
+        so the kernel faults it in 2 MiB pages rather than 4 KiB ones."""
         self._require_tiling()
         # ``BytesIO`` owns a calloc'd ``bytes`` (no page touched yet) and, once
         # every view is released, ``getvalue`` returns that very object.
@@ -637,7 +639,8 @@ class StripedReader:
         try:
             advise_huge_pages(view)
             span = _Span(0, len(self._placements), self._plan_frames(), view)
-            self._read(span)
+            self._start(span, caller=True)
+            self._finish(span)
         finally:
             view.release()
         if span.error is not None:
@@ -673,14 +676,14 @@ class StripedReader:
         bounds = zip(starts, starts[1:] + [len(self._placements)])
         held = [self._span(*next(bounds))]  # the span being read, the one read ahead
         try:
-            self._read(held[0])
+            self._start(held[0], caller=True)
             while held:
                 current = held[0]
                 self._finish(current)
                 ahead = next(bounds, None)
                 if ahead is not None:
                     held.append(self._span(*ahead))
-                    self._start(held[1], self.parallelism)
+                    self._start(held[1], caller=False)
                 for index in range(current.first, current.stop):
                     yield self._take(current, index, keep=False)
                 held.pop(0)
@@ -688,47 +691,56 @@ class StripedReader:
             for span in held:
                 span.drop()
 
-    def _keep_spans_in(self, first: int, stop: int) -> None:
-        """Let go of the held spans outside chunks ``[first, stop)``."""
-        for span in [s for s in self._spans if s.stop <= first or s.first >= stop]:
-            self._spans.remove(span)
-            span.drop()
+    def _chunks(self, offset: int, length: int) -> Tuple[int, int]:
+        """Chunks ``[first, stop)`` holding bytes ``[offset, offset+length)``
+        of a map that tiles the file."""
+        return bisect_right(self._starts, offset) - 1, bisect_left(self._starts, offset + length)
 
     def _gap(self, first: int, stop: int) -> Optional[Tuple[int, int]]:
         """The first run of chunks in ``[first, stop)`` no held span covers."""
-        for span in sorted(self._spans, key=lambda s: s.first):
+        for span in self._spans:  # in chunk order
             if span.first <= first < span.stop:
                 first = span.stop
-        if first >= stop:
-            return None
-        return first, min([s.first for s in self._spans if s.first > first] + [stop])
+        ahead = [s.first for s in self._spans if s.first > first]
+        return (first, min(ahead + [stop])) if first < stop else None
+
+    def _hold(self, first: int, stop: int, caller: bool) -> _Span:
+        """The held span holding chunk ``first``, once the first run of chunks
+        ``[first, stop)`` no held span covers is planned and started
+        (``caller``: the caller fetches it too).  Room is made first: held
+        spans outside the range are let go, and both when neither holds
+        ``first``; while two held spans are both needed, the run waits."""
+        if self._gap(first, stop) is not None:
+            held = [s for s in self._spans if s.stop > first and s.first < stop]
+            if len(held) == 2 and not any(s.first <= first for s in held):
+                held = []  # both further on in the range: fetch afresh
+            for span in self._spans:
+                if span not in held:
+                    span.drop()
+            self._spans = held
+            if len(held) < 2:
+                span = self._span(*self._gap(first, stop))
+                self._start(span, caller)
+                self._spans = sorted([*held, span], key=lambda s: s.first)
+        return next(s for s in self._spans if s.first <= first < s.stop)
 
     def read_range(self, offset: int, length: int) -> bytes:
         """Fetch an arbitrary byte range (used by the FS facade) from the spans
-        the reader holds, the one being read and the one read ahead
-        (:meth:`prefetch`); chunks neither holds are fetched as a new span, so
-        a sequential scan in sub-chunk reads fetches every chunk once."""
+        held, the one being read and the one read ahead (:meth:`prefetch`),
+        or a new one; a sequential scan in sub-chunk reads fetches every chunk
+        once, and a read waits only for the frames holding its own chunks."""
         if offset < 0:
             raise ValueError("offset must be non-negative")
         self._require_tiling()
         if length <= 0 or offset >= self.size:
             return b""
-        length = min(length, self.size - offset)
-        end = offset + length
-        indices = self.chunk_map.covering_indices(offset, length)
-        index, stop = indices[0], indices[-1] + 1
+        end = min(offset + length, self.size)
+        index, stop = self._chunks(offset, end - offset)
         parts: List[bytes] = []
         while index < stop:
-            span = next((s for s in self._spans if s.first <= index < s.stop), None)
-            if span is None:
-                self._keep_spans_in(index, stop)
-                if len(self._spans) == 2:  # both further on in this read: fetch afresh
-                    self.close()
-                span = self._span(*self._gap(index, stop))
-                self._spans.append(span)
-                self._start(span, min(self.parallelism, len(span.queue)) - 1)
-            self._finish(span)
+            span = self._hold(index, stop, caller=True)
             upto = min(span.stop, stop)
+            self._await(span, index, upto)
             for chunk_index in range(index, upto):
                 data = self._take(span, chunk_index)
                 ref = self._placements[chunk_index].ref
@@ -737,23 +749,12 @@ class StripedReader:
         return b"".join(parts)
 
     def prefetch(self, offset: int, length: int) -> None:
-        """Read ``[offset, offset+length)`` ahead on the client's worker pool.
-
-        Backs the FS facade's read-ahead: the first run of the range's chunks
-        no held span covers becomes a span whose frames only pool tasks take
-        (one even under ``read_parallelism=1``).  Chunks held or pending, or
-        two held spans the range still needs, make it a no-op; so does a
-        reader without an executor.  Never blocks; a failed read-ahead
-        surfaces on the read that needs a chunk it did not deliver.
-        """
+        """Read ``[offset, offset+length)`` ahead on the client's worker pool
+        (the FS facade's read-ahead): :meth:`read_range`'s rule, the span
+        fetched by pool tasks alone, one even at ``read_parallelism=1``.  A
+        no-op for chunks held or pending, or without an executor; never
+        blocks.  A failure surfaces on the read that needs the chunk."""
         self._require_tiling()
         if self._executor is None or length <= 0 or offset >= self.size:
             return
-        indices = self.chunk_map.covering_indices(offset, min(length, self.size - offset))
-        first, stop = indices[0], indices[-1] + 1
-        self._keep_spans_in(first, stop)
-        gap = self._gap(first, stop)
-        if gap is not None and len(self._spans) < 2:
-            span = self._span(*gap)
-            self._start(span, self.parallelism)
-            self._spans.append(span)
+        self._hold(*self._chunks(offset, min(length, self.size - offset)), caller=False)

@@ -2,14 +2,13 @@
 
 A handle adapts POSIX-style small reads/writes to the storage system's
 megabyte-chunk granularity (section IV.E): writes are buffered and streamed
-into the underlying write session.  Reads come from the reader's spans — the
-chunks being read and the ones read ahead, each span a plan of frames fetched
-like a whole-file read: before every read the handle asks for at least
-``read_ahead`` bytes from its position, the range it reads included, and the
-reader fetches what it does not already hold on the client's worker pool
-while the application consumes the current range, so a sequential scan never
-waits for a chunk that read-ahead already started and never re-fetches a
-chunk it partially consumed.
+into the underlying write session.  Reads come from the reader's spans, each
+a plan of frames fetched like a whole-file read: before every read the handle
+asks for read-ahead over ``read_ahead`` bytes from its position, the range it
+reads included, which the reader plans as a span for pool tasks unless it
+already holds those chunks.  The read then waits only for the frames holding
+its own chunks, so the rest of the span keeps arriving while the application
+consumes them, and a sequential scan fetches every chunk exactly once.
 """
 
 from __future__ import annotations
@@ -87,9 +86,7 @@ class StdchkFileHandle:
         First asks the reader to read ahead over ``[position, position +
         max(size, read_ahead))`` — chunks it already holds or has pending
         are not asked for again — then reads the range from the spans it
-        holds, so a sequential scan in sub-chunk reads fetches each chunk
-        exactly once and the next ones are on their way while it consumes
-        the current one.
+        holds, waiting only for the frames that hold this range's chunks.
         """
         self._require_open()
         if not self.readable:

@@ -206,8 +206,9 @@ class StdchkConfig:
 
     #: Read-ahead of the FS facade (bytes): before every read a handle asks
     #: its reader for at least this much from its position, the range it
-    #: reads included, fetched as a span on the client's worker pool.  0
-    #: turns read-ahead off.
+    #: reads included, fetched as a span on the client's worker pool; the
+    #: read waits only for the frames holding its own chunks.  0 turns
+    #: read-ahead off.
     read_ahead: int = 4 * MiB
     #: Metadata cache time-to-live for readdir/getattr answers (seconds).
     metadata_cache_ttl: float = 2.0

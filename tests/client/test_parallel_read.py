@@ -317,22 +317,47 @@ class TestFilesystemPrefetch:
         fs.write_file("/fs/jump", data)
         handle = fs.open("/fs/jump", "rb")
         reader = handle._reader
+
+        def fetched(count):
+            """Chunks fetched once ``count`` arrived, read ahead on the pool
+            with no read asking for them, and nothing more did."""
+            deadline = time.monotonic() + 5
+            while reader.chunks_fetched < count and time.monotonic() < deadline:
+                time.sleep(0.001)
+            time.sleep(0.05)
+            return reader.chunks_fetched
+
         del data_rpcs[:]
-        assert handle.read(CHUNK) == data[:CHUNK]  # reads chunks 0..1
-        assert reader.chunks_fetched == 2
+        assert handle.read(CHUNK) == data[:CHUNK]  # reads chunk 0, reads ahead 1
+        assert fetched(2) == 2
         handle.seek(6 * CHUNK)  # abandon chunk 1, read ahead but never consumed
-        assert handle.read(CHUNK) == data[6 * CHUNK:7 * CHUNK]  # reads chunks 6..7
-        assert reader.chunks_fetched == 4
-        assert handle.read(CHUNK) == data[7 * CHUNK:8 * CHUNK]
-        # Chunk 8 arrives with no read asking for it: read ahead on the pool.
-        deadline = time.monotonic() + 5
-        while reader.chunks_fetched < 5 and time.monotonic() < deadline:
-            time.sleep(0.001)
-        assert reader.chunks_fetched == 5, "read-ahead stopped after the abandoned chunk"
+        assert handle.read(CHUNK) == data[6 * CHUNK:7 * CHUNK]  # reads 6, reads ahead 7
+        assert fetched(4) == 4
+        assert handle.read(CHUNK) == data[7 * CHUNK:8 * CHUNK]  # reads ahead 8
+        assert fetched(5) == 5, "read-ahead stopped after the abandoned chunk"
         assert handle.read() == data[8 * CHUNK:]
         # Chunks 0, 1 and 6..11, each fetched once: 7 and 8 included.
         assert reader.chunks_fetched == 8
         assert data_rpcs == [("get_chunk", 1)] * 8
+        fs.close(handle)
+
+    def test_a_read_waits_for_its_own_chunks_only(self):
+        """A quarter-chunk read at a fresh position asks for four chunks of
+        read-ahead, a frame each, fetched by one pool task and the caller; it
+        returns once its own chunk is in, not the span."""
+        delay = 0.05
+        config = read_config(replication_level=1, read_ahead=4 * CHUNK)
+        pool = StdchkPool(benefactor_count=4, config=config, store_factory=lambda capacity:
+                          DelayedChunkStore(capacity, get_delay=delay))
+        fs = pool.filesystem()
+        data = make_bytes(8 * CHUNK, seed=79)
+        fs.write_file("/fs/first", data)
+        handle = fs.open("/fs/first", "rb")
+        start = time.perf_counter()
+        assert handle.read(CHUNK // 4) == data[:CHUNK // 4]
+        assert time.perf_counter() - start < 2 * delay
+        assert handle.read() == data[CHUNK // 4:]
+        assert handle._reader.chunks_fetched == 8
         fs.close(handle)
 
     def test_a_failed_read_ahead_surfaces_only_on_the_read_that_needs_it(self):
