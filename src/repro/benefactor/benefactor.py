@@ -21,10 +21,7 @@ import threading
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.benefactor.chunk_store import ChunkStore, MemoryChunkStore
-from repro.benefactor.maintenance.digest import (
-    InventoryDigest,
-    compute_inventory_digest,
-)
+from repro.benefactor.maintenance.digest import compute_inventory_digest
 from repro.benefactor.maintenance.peers import PeerDirectory, RepairTask
 from repro.core.chunk import Chunk, ChunkId
 from repro.exceptions import (
@@ -80,7 +77,7 @@ class Benefactor(Endpoint):
         self._repair_queue: Dict[ChunkId, RepairTask] = {}
         self._repair_lock = threading.Lock()
         #: Inventory digest cached against the store's mutation counter.
-        self._digest_cache: Optional[Tuple[int, InventoryDigest]] = None
+        self._digest_cache: Optional[Tuple[int, str]] = None
         #: Per-node metrics registry; ``obs_component``/``obs_node_id`` stamp
         #: server-side RPC spans opened by ``Endpoint.dispatch``.
         self.obs = MetricsRegistry(component="benefactor",
@@ -252,7 +249,7 @@ class Benefactor(Endpoint):
         return answer
 
     # -- inventory summaries ----------------------------------------------------
-    def _current_digest(self) -> InventoryDigest:
+    def _current_digest(self) -> str:
         mutations = self.store.mutation_count
         cached = self._digest_cache
         if cached is None or cached[0] != mutations:
@@ -261,9 +258,9 @@ class Benefactor(Endpoint):
         return cached[1]
 
     def inventory_digest(self) -> str:
-        """Root of the Merkle-style inventory digest (heartbeat payload)."""
+        """The inventory digest (heartbeat payload)."""
         self._require_online()
-        return self._current_digest().root
+        return self._current_digest()
 
     def checksum_inventory(self) -> Dict[ChunkId, str]:
         """``chunk_id -> payload digest`` map served to anti-entropy peers."""
@@ -303,27 +300,10 @@ class Benefactor(Endpoint):
             return len(self._repair_queue)
 
     # -- data path ----------------------------------------------------------------
-    def put_chunk(self, chunk_id: ChunkId, data: bytes) -> Dict[str, object]:
-        """Store one chunk; returns the updated free space."""
-        self._require_online()
-        chunk = Chunk(chunk_id=chunk_id, data=data)
-        chunk.verify()
-        with self._store_put_timer.time():
-            self.store.put(chunk)
-        self._bump_transfer("puts", "bytes_in", len(data))
-        return {"stored": True, "free_space": self.store.free_space}
-
-    def get_chunk(self, chunk_id: ChunkId) -> bytes:
-        """Return the payload of one chunk."""
-        self._require_online()
-        with self._store_get_timer.time():
-            chunk = self.store.get(chunk_id)
-        self._bump_transfer("gets", "bytes_out", chunk.size)
-        return chunk.data
-
     def put_chunks(self, chunk_ids: Sequence[ChunkId],
                    data: Sequence[bytes]) -> Dict[str, object]:
-        """Store several chunks that arrived as one frame; ``put_chunk`` each.
+        """Store the chunks of one frame (a chunk that travels alone is a
+        frame of one); returns how many were stored and the free space.
 
         Raises at the first chunk that fails (offline, integrity, capacity).
         Those before it stay stored: storing is idempotent, and a chunk no
@@ -333,16 +313,28 @@ class Benefactor(Endpoint):
             raise ValueError(
                 f"{len(chunk_ids)} chunk ids for {len(data)} payloads")
         for chunk_id, payload in zip(chunk_ids, data):
-            self.put_chunk(chunk_id, payload)
+            self._require_online()
+            chunk = Chunk(chunk_id=chunk_id, data=payload)
+            chunk.verify()
+            with self._store_put_timer.time():
+                self.store.put(chunk)
+            self._bump_transfer("puts", "bytes_in", len(payload))
         return {"stored": len(chunk_ids), "free_space": self.store.free_space}
 
     def get_chunks(self, chunk_ids: Sequence[ChunkId]) -> List[bytes]:
-        """Payloads of several chunks as one frame; ``get_chunk`` each.
+        """Payloads of the chunks of one frame, in order.
 
         Raises at the first chunk that fails; the caller asks again chunk by
         chunk to learn which.
         """
-        return [self.get_chunk(chunk_id) for chunk_id in chunk_ids]
+        payloads = []
+        for chunk_id in chunk_ids:
+            self._require_online()
+            with self._store_get_timer.time():
+                chunk = self.store.get(chunk_id)
+            self._bump_transfer("gets", "bytes_out", chunk.size)
+            payloads.append(chunk.data)
+        return payloads
 
     def has_chunk(self, chunk_id: ChunkId) -> bool:
         self._require_online()
@@ -377,7 +369,7 @@ class Benefactor(Endpoint):
 
         The executing half of repair: the anti-entropy pass calls it for the
         chunks the manager named this node the source of, and each chunk is
-        pushed with the target's ``put_chunk`` like a client push (the data
+        pushed to the target as a frame of one, like a client push (the data
         never flows through the manager).  A target that refuses a chunk
         (store full, offline, unreachable) ends the batch.  Returns the ids
         that were copied and the ids that were missing locally; an id in
@@ -393,8 +385,8 @@ class Benefactor(Endpoint):
                 missing.append(chunk_id)
                 continue
             try:
-                self.transport.call(target_address, "put_chunk",
-                                    chunk_id=chunk_id, data=chunk.data)
+                self.transport.call(target_address, "put_chunks",
+                                    chunk_ids=[chunk_id], data=[chunk.data])
             except (BenefactorError, TransportError):
                 break
             copied.append(chunk_id)

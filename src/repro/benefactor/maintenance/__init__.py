@@ -5,7 +5,7 @@ member; two tick-driven services make the benefactors the ones that report
 and copy:
 
 * :class:`HeartbeatService` — digest-carrying heartbeats; the full chunk
-  inventory travels only when the Merkle-style digest diverges from what
+  inventory travels only when the inventory digest diverges from what
   the manager last reconciled, and the answer's peer list replaces the
   node's peer directory.
 * :class:`AntiEntropyService` — executes the repairs the manager's reconcile
@@ -25,12 +25,7 @@ from repro.benefactor.maintenance.anti_entropy import (
     AntiEntropyReport,
     AntiEntropyService,
 )
-from repro.benefactor.maintenance.digest import (
-    DEFAULT_BUCKETS,
-    InventoryDigest,
-    bucket_index,
-    compute_inventory_digest,
-)
+from repro.benefactor.maintenance.digest import compute_inventory_digest
 from repro.benefactor.maintenance.heartbeat import HeartbeatService
 from repro.benefactor.maintenance.peers import PeerDirectory, PeerInfo, RepairTask
 
@@ -86,12 +81,9 @@ __all__ = [
     "AntiEntropyReport",
     "AntiEntropyService",
     "BenefactorMaintenance",
-    "DEFAULT_BUCKETS",
     "HeartbeatService",
-    "InventoryDigest",
     "PeerDirectory",
     "PeerInfo",
     "RepairTask",
-    "bucket_index",
     "compute_inventory_digest",
 ]

@@ -1,86 +1,26 @@
-"""Merkle-style digests over a benefactor's chunk inventory.
+"""The inventory digest a heartbeat carries.
 
 Soft-state registration makes every benefactor re-advertise its complete
-chunk inventory on (re)registration, and ROADMAP item 3 asks for the
-obvious refinement: heartbeats should carry a compact summary of the
-inventory so the manager can tell *whether* the inventory it reconciled
-last time is still current without shipping thousands of chunk ids every
-few seconds.
+chunk inventory on (re)registration.  Between registrations a heartbeat
+carries this digest instead, so the manager can tell *whether* the inventory
+it reconciled last time is still current without shipping thousands of chunk
+ids every few seconds; when it is not, the node sends the ids again.
 
-The summary is a two-level Merkle-style digest: chunk ids are distributed
-into a fixed number of buckets by a stable hash of the id, each bucket
-hashes its sorted members, and the root digest hashes the concatenated
-bucket digests.  Two inventories are identical iff their roots match;
-when they differ, comparing bucket digests localizes the change to
-``1/buckets`` of the id space (the anti-entropy pass uses this to bound
-comparison work, and tests use it to assert sensitivity).
-
-The digest is deterministic and order-independent: it depends only on the
-*set* of chunk ids, never on insertion order or store backend.
+The digest is one SHA-1 over the sorted ids: deterministic and
+order-independent, it depends only on the *set* of chunk ids, never on
+insertion order or store backend.
 """
 
 from __future__ import annotations
 
 import hashlib
-import zlib
-from dataclasses import dataclass
-from typing import Iterable, List, Tuple
-
-#: Default bucket count: enough to localize single-chunk churn on the
-#: inventories this reproduction moves (hundreds to thousands of chunks)
-#: while keeping the full digest a few hundred bytes.
-DEFAULT_BUCKETS = 16
+from typing import Iterable
 
 
-@dataclass(frozen=True)
-class InventoryDigest:
-    """A Merkle-style summary of one chunk inventory."""
-
-    #: Hex digest over every bucket digest; equality of roots ⇔ equality of
-    #: inventories (modulo hash collisions).
-    root: str
-    #: Per-bucket hex digests, index-aligned so two digests with the same
-    #: bucket count are comparable bucket-by-bucket.
-    buckets: Tuple[str, ...]
-
-    def diverging_buckets(self, other: "InventoryDigest") -> List[int]:
-        """Bucket indices where ``self`` and ``other`` disagree.
-
-        Raises ``ValueError`` when the bucket counts differ (digests are
-        only comparable at the same fan-out).
-        """
-        if len(self.buckets) != len(other.buckets):
-            raise ValueError(
-                f"bucket counts differ: {len(self.buckets)} vs {len(other.buckets)}"
-            )
-        return [
-            index
-            for index, (mine, theirs) in enumerate(zip(self.buckets, other.buckets))
-            if mine != theirs
-        ]
-
-
-def bucket_index(chunk_id: str, buckets: int = DEFAULT_BUCKETS) -> int:
-    """Stable bucket assignment for ``chunk_id`` (CRC32, not ``hash()``)."""
-    return zlib.crc32(chunk_id.encode("utf-8")) % buckets
-
-
-def compute_inventory_digest(chunk_ids: Iterable[str],
-                             buckets: int = DEFAULT_BUCKETS) -> InventoryDigest:
-    """Digest the *set* of ``chunk_ids`` into an :class:`InventoryDigest`."""
-    if buckets <= 0:
-        raise ValueError("buckets must be positive")
-    members: List[List[str]] = [[] for _ in range(buckets)]
-    for chunk_id in chunk_ids:
-        members[bucket_index(chunk_id, buckets)].append(chunk_id)
-    bucket_hexes: List[str] = []
-    for bucket in members:
-        leaf = hashlib.sha1()
-        for chunk_id in sorted(bucket):
-            leaf.update(chunk_id.encode("utf-8"))
-            leaf.update(b"\x00")
-        bucket_hexes.append(leaf.hexdigest())
-    root = hashlib.sha1()
-    for hex_digest in bucket_hexes:
-        root.update(bytes.fromhex(hex_digest))
-    return InventoryDigest(root=root.hexdigest(), buckets=tuple(bucket_hexes))
+def compute_inventory_digest(chunk_ids: Iterable[str]) -> str:
+    """Hex SHA-1 of the sorted ``chunk_ids``, each one NUL-terminated."""
+    digest = hashlib.sha1()
+    for chunk_id in sorted(chunk_ids):
+        digest.update(chunk_id.encode("utf-8"))
+        digest.update(b"\x00")
+    return digest.hexdigest()

@@ -1,6 +1,6 @@
 """Digest-carrying heartbeats: the benefactor half of soft-state liveness.
 
-Each beat carries the node's Merkle-style inventory digest, and the
+Each beat carries the node's inventory digest, and the
 manager's acknowledgement says whether the digest still matches the
 inventory it reconciled last — only then does the benefactor send the full
 id list again.  A manager restart (which forgets the soft registration) is

@@ -12,12 +12,12 @@ reassembled; a buffer of its own, handed over as ``bytes``, for a stream, a
 byte range or read-ahead.  A plan opens about one frame per fetcher — the
 calling thread and up to ``read_parallelism`` tasks on the worker pool of the
 :class:`~repro.client.proxy.ClientProxy` that opened the reader — since a
-frame nobody is free to fetch only adds a round trip.  A frame of one chunk is
-the per-chunk fetch (``get_chunk``); a chunk a frame did not deliver, or
-delivered corrupt, is fetched again by the per-chunk path, same replica
-first.  Verification (SHA-1 recomputation) runs in the fetchers.  The reader
-owns its futures, never the pool.  With the default ``read_parallelism == 1``,
-or without an executor, a read is synchronous; only read-ahead uses a worker.
+frame nobody is free to fetch only adds a round trip.  A chunk a frame did not
+deliver, or delivered corrupt, is fetched again by the per-chunk path, same
+replica first, each attempt a frame of one.  Verification (SHA-1
+recomputation) runs in the fetchers.  The reader owns its futures, never the
+pool.  With the default ``read_parallelism == 1``, or without an executor, a
+read is synchronous; only read-ahead uses a worker.
 
 Replica selection is delegated to a :class:`ReplicaScheduler` shared by every
 reader of a client session: it rotates across a chunk's replicas, prefers the
@@ -369,25 +369,10 @@ class StripedReader:
             finally:
                 self._fetch_timer.observe(time.perf_counter() - started)
 
-    def _fetch_chunk(self, placement: ChunkPlacement, into: memoryview,
-                     candidates: Optional[Sequence[str]] = None) -> None:
-        """Fetch one chunk into ``into`` (exactly its length) from the best replica.
-
-        Only issues RPCs (``corruption_reporter`` included): a task on the
-        shared pool must never submit to the pool and wait, the pool may be
-        one thread wide.  Unreachable, chunk-less and *corrupt* replicas all
-        fall back to the next of ``candidates`` (chosen now by default).  A
-        replica that fails leaves garbage in ``into`` only, which the next
-        one overwrites in full; when none is usable the caller must discard
-        ``into``.
-        """
-        if candidates is None:
-            candidates = self._candidates(placement)
-        self._in_trace(self._fetch_replicas, placement, into, candidates)
-
     def _candidates(self, placement: ChunkPlacement,
-                    planned: Optional[Mapping[str, int]] = None) -> List[str]:
-        """The replicas of ``placement`` this reader can dial, best first."""
+                    planned: Mapping[str, int]) -> List[str]:
+        """The replicas of ``placement`` this reader can dial, best first,
+        counting the fetches ``planned`` per benefactor as outstanding."""
         holders = placement.benefactors
         if len(holders) == 1:  # nothing to order, whatever the scheduler knows
             return list(holders) if holders[0] in self.addresses else []
@@ -416,9 +401,9 @@ class StripedReader:
             address = self.addresses[benefactor_id]
             self.scheduler.begin(benefactor_id)
             try:
-                data = self.transport.call(
-                    address, "get_chunk", into=into,
-                    chunk_id=placement.ref.chunk_id,
+                (data,) = self.transport.call(
+                    address, "get_chunks", into=[into],
+                    chunk_ids=[placement.ref.chunk_id],
                 )
             except ChunkNotFoundError as exc:
                 # The node is healthy, it just lacks this chunk (stale map
@@ -472,11 +457,20 @@ class StripedReader:
             pass
 
     def _fetch_into(self, span: _Span, placement: ChunkPlacement,
-                    candidates: Optional[Sequence[str]] = None) -> None:
-        """Fetch one chunk to its window of ``span``, and give the window up:
-        ``BytesIO.getvalue`` copies a buffer while any view of it is alive."""
+                    candidates: Sequence[str]) -> None:
+        """Fetch one chunk to its window of ``span`` from the best replica, and
+        give the window up: ``BytesIO.getvalue`` copies a buffer while any view
+        of it is alive.
+
+        Only issues RPCs (``corruption_reporter`` included): a task on the
+        shared pool must never submit to the pool and wait, the pool may be
+        one thread wide.  Unreachable, chunk-less and *corrupt* replicas all
+        fall back to the next of ``candidates``.  A replica that fails leaves
+        garbage in the window only, which the next one overwrites in full;
+        when none is usable the chunk stays unfilled.
+        """
         with span.window(placement) as into:
-            self._fetch_chunk(placement, into, candidates)
+            self._in_trace(self._fetch_replicas, placement, into, candidates)
         span.filled.add(placement.ref.offset)
 
     # -- spans: planned frames, fetched by the pool and the caller ---------------
@@ -532,18 +526,18 @@ class StripedReader:
     def _fetch_frame(self, span: _Span, frame: _Frame) -> None:
         """Fill the frame's windows of ``span`` (what every fetcher runs): one
         ``get_chunks``, then the per-chunk path for whatever it did not deliver
-        intact — and for the one chunk of a one-chunk frame, as ever."""
-        if len(frame.items) == 1:
-            self._fetch_into(span, frame.items[0][0])
-            return
+        intact."""
         for placement, candidates in self._in_trace(self._fetch_together, span, frame):
             self._fetch_into(span, placement, candidates)
 
     def _fetch_together(self, span: _Span,
                         frame: _Frame) -> List[Tuple[ChunkPlacement, List[str]]]:
         """One ``get_chunks`` into the frame's windows; returns the items it
-        left unfilled: all of them on any error, the corrupt ones otherwise."""
+        left unfilled: all of them on any error or without a replica to dial,
+        the corrupt ones otherwise."""
         benefactor_id = frame.benefactor_id
+        if benefactor_id is None:
+            return frame.items
         windows = [span.window(p) for p, _ in frame.items]
         try:
             self.scheduler.begin(benefactor_id)

@@ -13,13 +13,12 @@ one ``feed`` call completes are planned into *frames*: the chunks bound for one
 benefactor, at most :data:`~repro.transport.tcp.TRANSFER_UNIT` of payload, one
 ``put_chunks`` RPC per frame.  Placement is what it is chunk by chunk (chunk
 *i*, replica *r* goes to ``stripe[(i + r) % width]``).  A frame never waits
-for data: a writer that feeds a chunk at a time sends a chunk at a time, a
-frame leaves as soon as it is full, and a frame of one chunk *is* the
-per-chunk RPC (``put_chunk``), so with chunks of a transfer unit or more
-nothing changes on the wire, nor in what overlaps what.  A frame has no failure
-handling of its own: whatever goes wrong with it, its chunks go through the
-per-chunk path one by one (rotation through the stripe, failure reports,
-stripe refresh), which is also how a frame of one chunk is sent.
+for data: a writer that feeds a chunk at a time sends a chunk at a time, and a
+frame leaves as soon as it is full, so with chunks of a transfer unit or more
+every frame holds one chunk and hashing the next chunk overlaps its push.  A
+frame has no failure handling of its own: whatever goes wrong with it, its
+chunks go through the per-chunk path one by one (rotation through the stripe,
+failure reports, stripe refresh), each replica a frame of one.
 
 Pipelining (section IV.B): with ``push_parallelism > 1`` the pusher submits
 frames, through a bounded in-flight window, to the worker pool of the
@@ -397,19 +396,17 @@ class ChunkPusher:
                     self._failure = exc
 
     def _deliver(self, frame: _Frame) -> None:
-        """One ``put_chunks`` for the frame, else — or for one chunk — per chunk."""
-        stored = False
-        if len(frame.items) > 1:
-            try:
-                self.transport.call(
-                    frame.entry["address"],
-                    "put_chunks",
-                    chunk_ids=[pending.chunk.chunk_id for pending, _ in frame.items],
-                    data=[pending.chunk.data for pending, _ in frame.items],
-                )
-                stored = True
-            except Exception:  # noqa: BLE001 - the per-chunk path finds out what and where
-                pass
+        """One ``put_chunks`` for the frame, else the per-chunk path for each."""
+        try:
+            self.transport.call(
+                frame.entry["address"],
+                "put_chunks",
+                chunk_ids=[pending.chunk.chunk_id for pending, _ in frame.items],
+                data=[pending.chunk.data for pending, _ in frame.items],
+            )
+            stored = True
+        except Exception:  # noqa: BLE001 - the per-chunk path finds out what and where
+            stored = False
         for pending, replica in frame.items:
             if not stored:
                 self._push_replica(pending, replica)
@@ -554,9 +551,9 @@ class ChunkPusher:
             try:
                 self.transport.call(
                     entry["address"],
-                    "put_chunk",
-                    chunk_id=chunk.chunk_id,
-                    data=chunk.data,
+                    "put_chunks",
+                    chunk_ids=[chunk.chunk_id],
+                    data=[chunk.data],
                 )
                 return entry, generation
             except (EndpointUnreachableError, BenefactorOfflineError, StoreFullError):

@@ -36,11 +36,11 @@ state only.
 and inventory reconciliation): benefactor liveness and space
 (``register_benefactor``'s refresh, ``heartbeat``,
 ``report_benefactor_failure``, ``expire_benefactors``), replica placements
-learnt after a commit (``reconcile_inventory`` — which also clears ledger
-entries whose corrupt copy is gone — and ``record_replicas``), the registry's
-``repair_pending`` flags, the per-benefactor seen-sets of ``gc_report``,
-reservation lease expiry (``GarbageCollector.collect_expired_reservations``)
-and the read-routing load tally of ``get_chunk_map``.
+learnt after a commit (``reconcile_inventory`` and ``record_replicas``), the
+registry's ``repair_pending`` flags, the per-benefactor seen-sets of
+``gc_report``, reservation lease expiry
+(``GarbageCollector.collect_expired_reservations``) and the read-routing load
+tally of ``get_chunk_map``.
 
 **One judge of under-replication.**  :meth:`MetadataManager.reconcile_inventory`
 is the only place that decides a chunk needs more replicas (section IV.A: the
@@ -673,13 +673,14 @@ class MetadataManager(Endpoint):
         with self._meta_lock:
             withheld = bool(self._sessions)
             # Ledger entries for chunks this inventory no longer carries are
-            # cleared: the corrupt copy is gone, the id may be trusted again
-            # if the node ever stores a fresh replica.
-            for chunk_id, holders in list(self._corrupt.items()):
-                if benefactor_id in holders and chunk_id not in inventory:
-                    del holders[benefactor_id]
-                    if not holders:
-                        del self._corrupt[chunk_id]
+            # cleared, durably like the reports that made them: the corrupt
+            # copy is gone, and a fresh replica the node stores must not be
+            # purged by a successor that still holds the entry.
+            gone = sorted(chunk_id for chunk_id, holders in self._corrupt.items()
+                          if benefactor_id in holders and chunk_id not in inventory)
+            if gone:
+                self._commit("clear_corrupt", {"benefactor_id": benefactor_id,
+                                               "chunk_ids": gone}, durable=True)
             purge = sorted(
                 chunk_id for chunk_id in inventory
                 if benefactor_id in self._corrupt.get(chunk_id, ())
@@ -728,7 +729,7 @@ class MetadataManager(Endpoint):
             # Digest what was actually reported, so divergence checks on later
             # heartbeats compare against ground truth rather than a self-report.
             self.registry.note_reconciled(
-                benefactor_id, compute_inventory_digest(inventory).root
+                benefactor_id, compute_inventory_digest(inventory)
             )
             if unserved:
                 self.registry.set_repair_pending(benefactor_id)

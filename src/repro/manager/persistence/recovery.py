@@ -196,6 +196,16 @@ def _apply_corrupt_chunk(manager, data) -> int:
     return dropped
 
 
+def _apply_clear_corrupt(manager, data) -> None:
+    """The node no longer holds its corrupt copies of these chunks."""
+    benefactor_id = data["benefactor_id"]
+    for chunk_id in data["chunk_ids"]:
+        holders = manager._corrupt.get(chunk_id, {})
+        holders.pop(benefactor_id, None)
+        if not holders:
+            manager._corrupt.pop(chunk_id, None)
+
+
 _APPLIERS: Dict[str, Callable] = {
     "register": _apply_register,
     "make_folder": _apply_make_folder,
@@ -211,6 +221,7 @@ _APPLIERS: Dict[str, Callable] = {
     "gc": _apply_gc,
     "drop_benefactor": _apply_drop_benefactor,
     "corrupt_chunk": _apply_corrupt_chunk,
+    "clear_corrupt": _apply_clear_corrupt,
     "epoch": _apply_epoch,
 }
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Dict, Optional, Sequence, Union
+from typing import Any, Callable, Dict, Optional, Sequence
 
 from repro.exceptions import ProtocolError
 from repro.obs import runtime, tracing
@@ -94,17 +94,12 @@ class Endpoint(ABC):
         return timer
 
 
-#: What ``Transport.call(..., into=)`` accepts: one destination, or one per
-#: element of a list-of-bytes result.
-Into = Union[memoryview, Sequence[memoryview], None]
-
-
 class Transport(ABC):
     """Delivers calls to endpoints identified by string addresses."""
 
     @abstractmethod
     def call(self, address: str, method: str, /, *,
-             into: Into = None, **payload: Any) -> Any:
+             into: Optional[Sequence[memoryview]] = None, **payload: Any) -> Any:
         """Invoke ``method`` on the endpoint at ``address``.
 
         Raises :class:`~repro.exceptions.EndpointUnreachableError` when the
@@ -112,14 +107,13 @@ class Transport(ABC):
         propagate to the caller (the in-process transport re-raises them
         directly; the TCP transport re-raises a reconstructed instance).
 
-        ``into`` is a hint, never payload: a transport able to deliver a bytes
-        result of exactly ``into.nbytes`` straight into it does so and returns
-        ``into`` itself; any other ignores it and returns the result as usual.
-        For a method that returns a list of bytes ``into`` may be a sequence
-        of views, one per element: when every element is exactly as long as
-        its view all of them are delivered in place and the list returned
-        holds the views themselves; on any mismatch (count, one length, an
-        error) none is touched.  Either way the caller checks what it got.
+        ``into`` is a hint, never payload: one destination per element of a
+        list-of-bytes result (``get_chunks``).  A transport able to deliver
+        the elements in place does so when every element is exactly as long
+        as its view, and the list returned then holds the views themselves;
+        on any mismatch (count, one length, an error) none is touched and
+        the result comes back as usual, as it does from a transport that
+        ignores the hint.  Either way the caller checks what it got.
         """
 
     @abstractmethod
@@ -164,8 +158,8 @@ class Transport(ABC):
 class RemoteProxy:
     """Attribute-style sugar over :meth:`Transport.call`.
 
-    ``proxy.put_chunk(chunk_id=..., data=...)`` is equivalent to
-    ``transport.call(address, "put_chunk", chunk_id=..., data=...)``.
+    ``proxy.put_chunks(chunk_ids=[...], data=[...])`` is equivalent to
+    ``transport.call(address, "put_chunks", chunk_ids=[...], data=[...])``.
     """
 
     def __init__(self, transport: Transport, address: str) -> None:

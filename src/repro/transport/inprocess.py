@@ -14,11 +14,11 @@ integration tests and failure benchmarks:
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Dict, Optional, Set
+from typing import Any, Callable, Dict, Optional, Sequence, Set
 
 from repro.exceptions import EndpointUnreachableError
 from repro.obs import runtime, tracing
-from repro.transport.base import Endpoint, Into, Transport
+from repro.transport.base import Endpoint, Transport
 
 #: Optional hook invoked before every call: (address, method, payload) -> None.
 FaultHook = Callable[[str, str, Dict[str, Any]], None]
@@ -71,9 +71,8 @@ class InProcessTransport(Transport):
 
     # -- dispatch -------------------------------------------------------------
     def call(self, address: str, method: str, /, *,
-             into: Into = None, **payload: Any) -> Any:
-        # ``into`` (one view or several) is ignored: the handler's result is
-        # handed over as is.
+             into: Optional[Sequence[memoryview]] = None, **payload: Any) -> Any:
+        # ``into`` is ignored: the handler's result is handed over as is.
         with self._lock:
             endpoint = self._endpoints.get(address)
             disconnected = address in self._disconnected

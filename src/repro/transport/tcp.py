@@ -2,44 +2,38 @@
 
 Every RPC — request or response, large or small — is one frame::
 
-    [meta_len u64][payload_len u64][meta][payload]
+    [meta_len u64][k u64][len_1 .. len_k u64][meta][section_1] .. [section_k]
 
 ``meta`` is a protocol-5 pickle of ``(method, payload_dict)`` on the way in
-and of ``("ok", result)`` / ``("error", exception)`` on the way out.  The one
-large bytes-like value of a message (a top-level value of the payload dict, or
-the result itself, at least :data:`OUT_OF_BAND_MIN` bytes) is left out of the
-pickle as a :class:`pickle.PickleBuffer` and travels as the raw ``payload``
-section; ``payload_len`` is 0 for every other frame.  The sender hands the
-caller's buffer to ``sendmsg`` beside the header and the receiver lets the
-kernel fill one ``bytes`` object that the handler then receives as is, so a
-chunk is never copied in user space between the application's buffer and the
-benefactor's store.  A caller that already owns the memory a result belongs in
-(a restart read filling its image) passes it as ``call(..., into=view)``: a
-reply whose payload section is exactly ``view.nbytes`` long is received with
-``recv_into`` at its final address and no buffer of its own ever exists.
+and of ``("ok", result)`` / ``("error", exception)`` on the way out.  The
+chunks of a data RPC — the first list of bytes-likes among the payload's
+top-level values (``put_chunks(data=[...])``) or the result itself when it is
+such a list (``get_chunks``) — leave the pickle as :class:`pickle.PickleBuffer`
+s, each element of at least :data:`OUT_OF_BAND_MIN` bytes a raw section of
+its own, and protocol 5 pairs the *k* buffers with the *k* sections in order.
+One RPC moves up to :data:`TRANSFER_UNIT` of chunks; a chunk that travels
+alone is a frame of one.  Every other frame has ``k = 0`` and is just
+``[meta_len][0][meta]``.
 
-The unit of transfer is not the unit of addressing.  Where that one value is a
-*list* of bytes-likes (``put_chunks(data=[...])``, the result of
-``get_chunks``) every large element is a section of its own, so one RPC moves
-up to :data:`TRANSFER_UNIT` of small chunks::
-
-    [meta_len u64][MULTI | k u64][len_1 .. len_k u64][meta][section_1]..[section_k]
-
-Protocol 5 pairs the *k* ``PickleBuffer`` s with *k* buffers in order.  The
-frame still leaves in one ``sendmsg`` (``[header+table+meta, view_1 .. view_k]``,
-views of the caller's bytes) and each section is received by its own
-``recv(len, MSG_WAITALL)`` into its own ``bytes`` — 3 + *k* receives in all —
-or, with ``call(..., into=[view_1 .. view_k])`` and section lengths equal to
-the destinations' one for one, by ``recv_into`` at its final address.  A frame
-with at most one section is always written the first way, byte for byte what
-it was before sections could be several.
+A frame leaves in one ``sendall`` when ``k = 0`` and in one ``sendmsg``
+(``[header+table+meta, view_1 .. view_k]``, views of the caller's bytes)
+otherwise.  The receiver reads the header, then the section table and
+``meta`` with one ``recv``, then each section with its own
+``recv(len, MSG_WAITALL)`` into its own ``bytes`` that the handler receives
+as is — 2 + *k* receives in all — so a chunk is never copied in user space
+between the application's buffer and the benefactor's store.  A caller that
+already owns the memory the sections belong in (a restart read filling its
+image) passes ``call(..., into=[view_1 .. view_k])``: when the reply has
+exactly that many sections and each is exactly as long as its view, each is
+received with ``recv_into`` at its final address and no buffer of its own
+ever exists.
 
 What arrives on a socket is not trusted.  Frames are loaded by an unpickler
 that resolves no global except the exception classes of
 :mod:`repro.exceptions` and :mod:`builtins` — every RPC argument and result
 is built from dict/list/tuple/str/int/float/bool/None/bytes, which need no
-globals — so a hostile pickle cannot name a callable.  Both length fields,
-the section count and the sections' total are capped before anything is
+globals — so a hostile pickle cannot name a callable.  The section count,
+``meta_len`` and the sections' total are capped before anything they size is
 allocated, and a frame that breaks any of these rules costs its sender only
 its own connection.
 """
@@ -53,19 +47,20 @@ import socket
 import socketserver
 import struct
 import threading
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import exceptions
 from repro.exceptions import EndpointUnreachableError, ProtocolError, StdchkError
 from repro.obs import component_logger, runtime, tracing
-from repro.transport.base import Endpoint, Into, Transport
+from repro.transport.base import Endpoint, Transport
 from repro.util.serving import BackgroundServer
 
+#: ``meta_len`` and the section count *k*.
 _HEADER = struct.Struct(">QQ")
 
-#: Smallest bytes-like value that leaves the pickle and travels as the raw
-#: payload section.  Below it the second buffer in ``sendmsg`` and the third
-#: ``recv`` cost more than the copy they save.
+#: Smallest bytes-like element that leaves the pickle and travels as a raw
+#: section.  Below it the extra buffer in ``sendmsg`` and the extra ``recv``
+#: cost more than the copy they save.
 OUT_OF_BAND_MIN = 16 * 1024
 
 #: The most chunk payload one data RPC carries: the paper's transfer size and
@@ -74,21 +69,15 @@ OUT_OF_BAND_MIN = 16 * 1024
 #: least this large is a frame by itself.
 TRANSFER_UNIT = 1 << 20
 
-#: Upper bound on ``meta`` and on the payload sections together.  A header is
-#: 16 bytes anyone can send; without a cap it makes the receiver allocate
+#: Upper bound on ``meta`` and on the sections together.  A header is 16
+#: bytes anyone can send; without a cap it makes the receiver allocate
 #: whatever it claims.
 MAX_SECTION_BYTES = 1 << 30
 
-#: Upper bound on the payload sections of one frame (``TRANSFER_UNIT`` of
+#: Upper bound on the sections of one frame (``TRANSFER_UNIT`` of
 #: ``OUT_OF_BAND_MIN``-sized chunks is 64); with the header it stays under
 #: ``IOV_MAX``, so a frame is always one ``sendmsg``.
 MAX_SECTIONS = 512
-
-#: Set in the header's second word when it holds a section count, not a length.
-_MULTI = 1 << 63
-
-#: A frame's out-of-band part: nothing, one section, or several.
-_Payload = Union[memoryview, Tuple[memoryview, ...], None]
 
 #: The closed registry of globals a frame may name: exception classes
 #: defined in these modules, nothing else.
@@ -126,7 +115,7 @@ def _sections(values: List[Any], lifted: List[Any]) -> List[Any]:
     """``values`` as the pickle takes them, its large elements moved to ``lifted``.
 
     Elements are lifted only when nothing was lifted before this list (one
-    value per message travels out of band) and while the frame has room for
+    list per message travels out of band) and while the frame has room for
     another section; any other memoryview is copied, as at the top level.
     """
     room = 0 if lifted else MAX_SECTIONS
@@ -144,59 +133,39 @@ def _sections(values: List[Any], lifted: List[Any]) -> List[Any]:
     return ready
 
 
-def _encode(tag: str, body: Any) -> Tuple[bytes, _Payload]:
-    """Pickle one message; returns ``(meta, out-of-band payload or None)``.
+def _encode(tag: str, body: Any) -> Tuple[bytes, Sequence[memoryview]]:
+    """Pickle one message; returns ``(meta, sections)``.
 
     Only top-level values are looked at, in one pass that costs a small frame
-    a type check per value.  The first large ``bytes`` or ``memoryview`` is
-    lifted out, or the large elements of the first list that starts with a
-    bytes-like, each as a section of its own; pickle refuses memoryviews, so
-    any other one is copied into the stream as ``bytes``.  The payload is one
-    view for one section and a tuple of views for several.  The caller's dict
-    and lists are never modified.
+    a type check per value.  The large elements of the first list that
+    starts with a bytes-like are lifted out, each as a section of its own;
+    pickle refuses memoryviews, so any other one is copied into the stream as
+    ``bytes``.  The caller's dict and lists are never modified.
     """
     lifted: List[Any] = []
     if type(body) is dict:
         for key, value in body.items():
             kind = type(value)
-            if kind is bytes or kind is memoryview:
-                if not lifted and memoryview(value).nbytes >= OUT_OF_BAND_MIN:
-                    lifted.append(value)
-                    body = {**body, key: pickle.PickleBuffer(value)}
-                elif kind is memoryview:
-                    body = {**body, key: bytes(value)}
+            if kind is memoryview:
+                body = {**body, key: bytes(value)}
             elif kind is list and value and type(value[0]) in (bytes, memoryview):
                 body = {**body, key: _sections(value, lifted)}
-    elif type(body) is bytes or type(body) is memoryview:
-        if memoryview(body).nbytes >= OUT_OF_BAND_MIN:
-            lifted.append(body)
-            body = pickle.PickleBuffer(body)
-        else:
-            body = bytes(body)
     elif type(body) is list and body and type(body[0]) in (bytes, memoryview):
         body = _sections(body, lifted)
     meta = pickle.dumps((tag, body), protocol=5, buffer_callback=_leave_out)
-    if not lifted:
-        return meta, None
-    views = tuple(memoryview(value).cast("B") for value in lifted)
-    return meta, (views[0] if len(views) == 1 else views)
+    return meta, [memoryview(value).cast("B") for value in lifted] if lifted else ()
 
 
-def _send_frame(sock: socket.socket, meta: bytes, payload: _Payload) -> None:
-    if payload is None:
+def _send_frame(sock: socket.socket, meta: bytes, sections: Sequence[memoryview]) -> None:
+    count = len(sections)
+    if not count:
         sock.sendall(_HEADER.pack(len(meta), 0) + meta)
         return
-    if type(payload) is memoryview:
-        buffers = [_HEADER.pack(len(meta), payload.nbytes) + meta, payload]
-    else:
-        lengths = [section.nbytes for section in payload]
-        buffers = [
-            _HEADER.pack(len(meta), _MULTI | len(lengths))
-            + struct.pack(f">{len(lengths)}Q", *lengths) + meta,
-            *payload,
-        ]
-    # Header and sections leave in one syscall without being joined; whatever
-    # a partial send left behind follows as views of the same buffers.
+    # Header, table and sections leave in one syscall without being joined;
+    # whatever a partial send left behind follows as views of the same buffers.
+    buffers = [_HEADER.pack(len(meta), count)
+               + struct.pack(f">{count}Q", *[view.nbytes for view in sections]) + meta,
+               *sections]
     sent = sock.sendmsg(buffers)
     for buffer in buffers:
         if sent >= len(buffer):
@@ -238,27 +207,18 @@ def _recv_into(sock: socket.socket, into: memoryview) -> None:
         received += count
 
 
-def _fitting(into: Into, lengths: Sequence[int]) -> Tuple[memoryview, ...]:
-    """The destinations, if the sections fit them one for one; else none."""
-    destinations = (into,) if type(into) is memoryview else tuple(into)
-    if len(destinations) == len(lengths) and all(
-            0 < length == destination.nbytes
-            for length, destination in zip(lengths, destinations)):
-        return destinations
-    return ()
-
-
-def _recv_frame(sock: socket.socket, into: Into = None) -> Tuple[Any, Any]:
+def _recv_frame(sock: socket.socket,
+                into: Optional[Sequence[memoryview]] = None) -> Tuple[Any, Any]:
     """Read one frame; returns the ``(tag, body)`` pair it carries.
 
-    ``into`` is one destination or a sequence of them.  When the frame has as
-    many payload sections as there are destinations and every section is
-    exactly as long as its destination, each is received straight into it,
-    and when those sections are the body (or the body's elements) what is
-    returned is ``into`` itself (a list of the destinations).  Any other
-    count or length — and so every small or error frame — is read as if no
-    destination had been given, leaving all of them untouched: a peer can
-    write neither outside a destination nor short of it.
+    ``into`` is a sequence of destinations.  When the frame has exactly as
+    many sections as there are destinations and every section is exactly as
+    long as its destination, each is received straight into it, and when
+    those sections are the body's elements the body returned is a list of
+    the destinations themselves.  Any other count or length — and so every
+    small or error frame — is read as if no destination had been given,
+    leaving all of them untouched: a peer can write neither outside a
+    destination nor short of it.
 
     Raises :class:`ProtocolError` for anything that is not a well-formed
     frame and ``OSError`` when the connection is gone.
@@ -268,49 +228,43 @@ def _recv_frame(sock: socket.socket, into: Into = None) -> Tuple[Any, Any]:
         raise ConnectionResetError("connection closed between frames")
     if len(header) < _HEADER.size:
         header += _recv_exact(sock, _HEADER.size - len(header))
-    meta_len, payload_len = _HEADER.unpack(header)
-    if payload_len & _MULTI:
-        count = payload_len ^ _MULTI
-        if meta_len > MAX_SECTION_BYTES or count > MAX_SECTIONS:
-            raise ProtocolError(
-                f"frame claims {meta_len} bytes of meta and {count} sections "
-                f"(limits {MAX_SECTION_BYTES} and {MAX_SECTIONS})"
-            )
-        lengths = struct.unpack(f">{count}Q", _recv_exact(sock, 8 * count))
-        payload_len = sum(lengths)
-    else:
-        lengths = (payload_len,) if payload_len else ()
-    if meta_len > MAX_SECTION_BYTES or payload_len > MAX_SECTION_BYTES:
+    meta_len, count = _HEADER.unpack(header)
+    if meta_len > MAX_SECTION_BYTES or count > MAX_SECTIONS:
         raise ProtocolError(
-            f"frame claims {meta_len}+{payload_len} bytes "
-            f"(limit {MAX_SECTION_BYTES} for meta and for the payload)"
+            f"frame claims {meta_len} bytes of meta and {count} sections "
+            f"(limits {MAX_SECTION_BYTES} and {MAX_SECTIONS})"
         )
-    meta = _recv_exact(sock, meta_len)
-    destinations = _fitting(into, lengths) if into is not None and lengths else ()
-    buffers: Optional[Sequence[Any]] = None
-    if destinations:
-        for destination in destinations:
-            _recv_into(sock, destination)
-        buffers = destinations
-    elif lengths:
-        buffers = [_recv_exact(sock, length) for length in lengths]
+    head = _recv_exact(sock, 8 * count + meta_len)
+    meta = io.BytesIO(head)
+    buffers = destinations = None
+    if count:
+        meta.seek(8 * count)
+        lengths = struct.unpack_from(f">{count}Q", head)
+        if sum(lengths) > MAX_SECTION_BYTES:
+            raise ProtocolError(
+                f"frame claims {sum(lengths)} bytes of sections (limit {MAX_SECTION_BYTES})"
+            )
+        if into is not None and len(into) == count and all(
+                0 < length == destination.nbytes
+                for length, destination in zip(lengths, into)):
+            buffers = destinations = into
+            for destination in destinations:
+                _recv_into(sock, destination)
+        else:
+            buffers = [_recv_exact(sock, length) for length in lengths]
     try:
-        tag, body = _FrameUnpickler(io.BytesIO(meta), buffers=buffers).load()
+        tag, body = _FrameUnpickler(meta, buffers=buffers).load()
     except Exception as exc:  # noqa: BLE001 - pickle raises nearly anything on bad input
         raise ProtocolError(f"undecodable frame: {exc!r}") from exc
-    if destinations:
+    if (destinations is not None and type(body) is list and len(body) == count
+            and all(type(view) is memoryview for view in body)):
         # The buffers on offer were the destinations; a sender's read-only
         # ``bytes`` loads as a read-only view of one, which must not outlive
         # this call (a live view pins whatever the destination is a window of).
-        if type(into) is memoryview:
-            loaded = [body]
-        else:
-            loaded = body if type(body) is list and len(body) == len(destinations) else []
-        if loaded and all(type(view) is memoryview for view in loaded):
-            for view, destination in zip(loaded, destinations):
-                if view is not destination:
-                    view.release()
-            body = into if type(into) is memoryview else list(destinations)
+        for view, destination in zip(body, destinations):
+            if view is not destination:
+                view.release()
+        body = list(destinations)
     return tag, body
 
 
@@ -555,7 +509,7 @@ class TcpTransport(Transport):
             return pool
 
     def call(self, address: str, method: str, /, *,
-             into: Into = None, **payload: Any) -> Any:
+             into: Optional[Sequence[memoryview]] = None, **payload: Any) -> Any:
         ctx = tracing.current_context() if runtime.ENABLED else None
         if ctx is None:
             return self._call(address, method, payload, into)
@@ -591,7 +545,7 @@ class TcpTransport(Transport):
         return _unwrap(address, reply)
 
     def _call(self, address: str, method: str, payload: Dict[str, Any],
-              into: Into) -> Any:
+              into: Optional[Sequence[memoryview]]) -> Any:
         pool = self._pool(address)
         sock = pool.checkout()
         try:
@@ -605,7 +559,7 @@ class TcpTransport(Transport):
 
 
 def _exchange(sock: socket.socket, address: str, method: str, payload: Dict[str, Any],
-              into: Into = None) -> Tuple[Any, Any]:
+              into: Optional[Sequence[memoryview]] = None) -> Tuple[Any, Any]:
     """One request/response on ``sock``; returns the reply's ``(status, result)``."""
     try:
         _send_frame(sock, *_encode(method, payload))

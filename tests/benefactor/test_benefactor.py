@@ -253,38 +253,46 @@ class TestBenefactor:
         transport, benefactor = self.make()
         payload = b"chunk data" * 100
         chunk_id = content_chunk_id(payload)
-        answer = transport.call(benefactor.address, "put_chunk",
-                                chunk_id=chunk_id, data=payload)
-        assert answer["stored"]
-        assert transport.call(benefactor.address, "get_chunk", chunk_id=chunk_id) == payload
+        answer = transport.call(benefactor.address, "put_chunks",
+                                chunk_ids=[chunk_id], data=[payload])
+        assert answer["stored"] == 1
+        assert transport.call(benefactor.address, "get_chunks",
+                              chunk_ids=[chunk_id]) == [payload]
         assert benefactor.stats["puts"] == 1
         assert benefactor.stats["gets"] == 1
+
+    def test_frames_are_the_only_data_rpcs(self):
+        """A chunk that travels alone is a frame of one."""
+        _transport, benefactor = self.make()
+        methods = benefactor.exported_methods()
+        assert {"put_chunks", "get_chunks"} <= set(methods)
+        assert not {"put_chunk", "get_chunk"} & set(methods)
 
     def test_put_verifies_content_address(self):
         _transport, benefactor = self.make()
         with pytest.raises(ChunkIntegrityError):
-            benefactor.put_chunk(chunk_id=content_chunk_id(b"good"), data=b"evil")
+            benefactor.put_chunks([content_chunk_id(b"good")], [b"evil"])
 
     def test_offline_rejects_operations(self):
         _transport, benefactor = self.make()
         benefactor.go_offline()
         with pytest.raises(BenefactorOfflineError):
-            benefactor.put_chunk(chunk_id=content_chunk_id(b"x"), data=b"x")
+            benefactor.put_chunks([content_chunk_id(b"x")], [b"x"])
         with pytest.raises(BenefactorOfflineError):
             benefactor.status()
         benefactor.go_online()
-        benefactor.put_chunk(chunk_id=content_chunk_id(b"x"), data=b"x")
+        benefactor.put_chunks([content_chunk_id(b"x")], [b"x"])
 
     def test_crash_with_data_loss(self):
         _transport, benefactor = self.make()
-        benefactor.put_chunk(chunk_id=content_chunk_id(b"x"), data=b"x")
+        benefactor.put_chunks([content_chunk_id(b"x")], [b"x"])
         benefactor.crash(lose_data=True)
         benefactor.go_online()
         assert benefactor.store.chunk_count == 0
 
     def test_status_reports_free_space(self):
         _transport, benefactor = self.make(capacity=1000)
-        benefactor.put_chunk(chunk_id=content_chunk_id(b"y" * 100), data=b"y" * 100)
+        benefactor.put_chunks([content_chunk_id(b"y" * 100)], [b"y" * 100])
         status = benefactor.status()
         assert status["free_space"] == 900
         assert status["chunk_count"] == 1
@@ -296,7 +304,7 @@ class TestBenefactor:
         for index in range(3):
             payload = bytes([index]) * 10
             chunk_id = content_chunk_id(payload)
-            benefactor.put_chunk(chunk_id=chunk_id, data=payload)
+            benefactor.put_chunks([chunk_id], [payload])
             ids.append(chunk_id)
         assert benefactor.delete_chunk(ids[0])
         assert not benefactor.delete_chunk("sha1:missing")
@@ -309,7 +317,7 @@ class TestBenefactor:
         target = Benefactor("dst", transport)
         payload = b"replica payload"
         chunk_id = content_chunk_id(payload)
-        source.put_chunk(chunk_id=chunk_id, data=payload)
+        source.put_chunks([chunk_id], [payload])
         outcome = source.replicate_to([chunk_id, "sha1:missing"], target.address)
         assert outcome["copied"] == [chunk_id]
         assert outcome["missing"] == ["sha1:missing"]
@@ -323,7 +331,7 @@ class TestBenefactor:
         payloads = [bytes([7]) * 1024, bytes([8]) * 2048, bytes([9]) * 16]
         ids = [content_chunk_id(payload) for payload in payloads]
         for chunk_id, payload in zip(ids, payloads):
-            source.put_chunk(chunk_id=chunk_id, data=payload)
+            source.put_chunks([chunk_id], [payload])
         # The second chunk does not fit: the batch ends there, nothing after
         # it is tried, and only what was stored counts as copied.
         outcome = source.replicate_to(ids, target.address)

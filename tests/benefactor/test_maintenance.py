@@ -11,10 +11,9 @@ corruption attribution for content-addressed chunks).
 
 from __future__ import annotations
 
+import hashlib
 import random
 from collections import Counter
-
-import pytest
 
 from repro import StdchkPool
 from repro.benefactor.benefactor import Benefactor
@@ -23,7 +22,6 @@ from repro.benefactor.maintenance import (
     AntiEntropyService,
     HeartbeatService,
     PeerDirectory,
-    bucket_index,
     compute_inventory_digest,
 )
 from repro.core.chunk import content_chunk_id
@@ -70,30 +68,20 @@ class TestInventoryDigest:
         random.Random(7).shuffle(shuffled)
         assert forward == backward == compute_inventory_digest(shuffled)
 
-    def test_single_chunk_change_localized_to_its_bucket(self):
+    def test_single_chunk_change_changes_the_digest(self):
         ids = [f"chunk-{index}" for index in range(100)]
         base = compute_inventory_digest(ids)
-        extra = "chunk-new"
-        grown = compute_inventory_digest(ids + [extra])
-        assert grown.root != base.root
-        assert base.diverging_buckets(grown) == [bucket_index(extra)]
+        assert compute_inventory_digest(ids + ["chunk-new"]) != base
+        assert compute_inventory_digest(ids[1:]) != base
+        # Ids are delimited: moving a character across a boundary is a change.
+        assert compute_inventory_digest(["ab", "c"]) != compute_inventory_digest(["a", "bc"])
 
     def test_empty_and_singleton_inventories_differ(self):
         empty = compute_inventory_digest([])
         one = compute_inventory_digest(["c0"])
-        assert empty.root != one.root
+        assert empty != one
         # The empty digest is still well-formed and self-equal.
-        assert empty == compute_inventory_digest(())
-
-    def test_mismatched_bucket_counts_are_not_comparable(self):
-        with pytest.raises(ValueError):
-            compute_inventory_digest(["a"], buckets=8).diverging_buckets(
-                compute_inventory_digest(["a"], buckets=16)
-            )
-
-    def test_bucket_count_must_be_positive(self):
-        with pytest.raises(ValueError):
-            compute_inventory_digest(["a"], buckets=0)
+        assert empty == compute_inventory_digest(()) == hashlib.sha1().hexdigest()
 
 
 class TestBenefactorInventorySummaries:
@@ -102,22 +90,22 @@ class TestBenefactorInventorySummaries:
         first = node._current_digest()
         assert node._current_digest() is first  # no mutation, no re-hash
         payload = make_bytes(512, seed=1)
-        node.put_chunk(content_chunk_id(payload), payload)
+        node.put_chunks([content_chunk_id(payload)], [payload])
         second = node._current_digest()
         assert second is not first
-        assert second.root != first.root
+        assert second != first
         # Deleting the chunk mutates again; the digest returns to the
         # empty-inventory value but is a freshly computed object.
         node.delete_chunk(content_chunk_id(payload))
         third = node._current_digest()
         assert third is not second
-        assert third.root == first.root
+        assert third == first
 
     def test_checksum_inventory_maps_ids_to_payload_digests(self):
         _, _, (node,) = peer_group(1)
         payloads = [make_bytes(256, seed=s) for s in (1, 2)]
         for payload in payloads:
-            node.put_chunk(content_chunk_id(payload), payload)
+            node.put_chunks([content_chunk_id(payload)], [payload])
         assert node.checksum_inventory() == {
             content_chunk_id(p): chunk_digest(p) for p in payloads
         }
@@ -289,7 +277,7 @@ class TestAntiEntropyService:
         holder = nodes[0]
         payload = make_bytes(4096, seed=21)
         chunk_id = content_chunk_id(payload)
-        holder.put_chunk(chunk_id, payload)
+        holder.put_chunks([chunk_id], [payload])
         # Under-replication is the manager's call: the repair arrives queued
         # (as the reconcile handoff would deliver it), the node only copies.
         holder.enqueue_repair(chunk_id)
@@ -306,10 +294,10 @@ class TestAntiEntropyService:
         holder, orphan_host = nodes
         payload = make_bytes(4096, seed=22)
         chunk_id = content_chunk_id(payload)
-        holder.put_chunk(chunk_id, payload)
+        holder.put_chunks([chunk_id], [payload])
         # The peer already holds the chunk but nobody knows (an orphan:
         # e.g. a recovered node whose placements the manager dropped).
-        orphan_host.put_chunk(chunk_id, payload)
+        orphan_host.put_chunks([chunk_id], [payload])
         # A repair hint arrives (as the manager's reconcile handoff would
         # deliver it) before any checksum comparison reveals the orphan.
         holder.enqueue_repair(chunk_id)
@@ -325,8 +313,8 @@ class TestAntiEntropyService:
         good, bad = nodes
         payload = make_bytes(4096, seed=23)
         chunk_id = content_chunk_id(payload)
-        good.put_chunk(chunk_id, payload)
-        bad.put_chunk(chunk_id, payload)
+        good.put_chunks([chunk_id], [payload])
+        bad.put_chunks([chunk_id], [payload])
         bad.store._chunks[chunk_id] = b"\x00" * 4096  # silent bit rot
         service = AntiEntropyService(good, seed=5)
         report = service.run_once()
@@ -341,8 +329,8 @@ class TestAntiEntropyService:
         victim, good = nodes
         payload = make_bytes(4096, seed=24)
         chunk_id = content_chunk_id(payload)
-        victim.put_chunk(chunk_id, payload)
-        good.put_chunk(chunk_id, payload)
+        victim.put_chunks([chunk_id], [payload])
+        good.put_chunks([chunk_id], [payload])
         victim.store._chunks[chunk_id] = b"\xff" * 4096
         service = AntiEntropyService(victim, seed=5)
         report = service.run_once()
@@ -362,8 +350,8 @@ class TestAntiEntropyService:
         _, _, nodes = peer_group(2)
         left, right = nodes
         chunk_id = "ds-1:v1:c0"
-        left.put_chunk(chunk_id, b"a" * 128)
-        right.put_chunk(chunk_id, b"b" * 128)
+        left.put_chunks([chunk_id], [b"a" * 128])
+        right.put_chunks([chunk_id], [b"b" * 128])
         service = AntiEntropyService(left, seed=5)
         report = service.run_once()
         assert report.divergent_unattributed == 1

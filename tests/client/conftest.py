@@ -7,7 +7,7 @@ import pytest
 from repro.transport.inprocess import InProcessTransport
 from repro.transport.tcp import TcpTransport
 
-DATA_RPCS = ("put_chunk", "put_chunks", "get_chunk", "get_chunks")
+DATA_RPCS = ("put_chunks", "get_chunks")
 
 
 @pytest.fixture
@@ -20,8 +20,7 @@ def data_rpcs(monkeypatch):
 
         def spying(transport, address, method, /, **payload):
             if method in DATA_RPCS:
-                ids = payload.get("chunk_ids")
-                calls.append((method, 1 if ids is None else len(ids)))
+                calls.append((method, len(payload["chunk_ids"])))
             return original(transport, address, method, **payload)
 
         monkeypatch.setattr(cls, "call", spying)

@@ -36,13 +36,8 @@ class RecordingBenefactor(Endpoint):
 
     def __init__(self):
         self.received = []
-        #: Chunks per data RPC, in arrival order: 1 for a ``put_chunk``.
+        #: Chunks per data RPC, in arrival order.
         self.frames = []
-
-    def put_chunk(self, chunk_id, data):
-        self.received.append(data)
-        self.frames.append(1)
-        return {"stored": True, "free_space": 1 << 30}
 
     def put_chunks(self, chunk_ids, data):
         assert len(chunk_ids) == len(data)

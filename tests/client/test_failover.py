@@ -178,11 +178,11 @@ class TestFailoverTransport:
 
     def test_non_candidate_addresses_pass_through(self):
         transport, inner, _, _, _ = self.make({"b0": ["chunk"]})
-        assert transport.call("b0", "get_chunk") == "chunk"
-        assert inner.calls == [("b0", "get_chunk")]
+        assert transport.call("b0", "get_chunks") == "chunk"
+        assert inner.calls == [("b0", "get_chunks")]
 
     def test_a_sequence_of_destinations_passes_through_untouched(self):
-        """``into`` is forwarded with the payload, one view or several."""
+        """``into``, a sequence of views, is forwarded with the payload."""
         transport, inner, _, _, _ = self.make({"b0": [["c0", "c1"]], "m0": [{"ok": True}]})
         windows = [memoryview(bytearray(8)), memoryview(bytearray(4))]
         assert transport.call("b0", "get_chunks", into=windows,

@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from repro import StdchkConfig, StdchkPool, TcpDeployment
 from repro.benefactor.chunk_store import MemoryChunkStore
 from repro.client.read_path import StripedReader
+from repro.core.chunk import content_chunk_id
 from repro.exceptions import BenefactorOfflineError
 from repro.transport.tcp import OUT_OF_BAND_MIN, TRANSFER_UNIT
 from repro.util.config import SimilarityHeuristic, WriteSemantics
@@ -210,7 +211,7 @@ def test_two_identical_fsch_chunks_in_one_plan_are_pushed_once(kind, data_rpcs):
         assert again.ref.chunk_id == first.ref.chunk_id
         assert again.benefactors == first.benefactors
         assert (again.ref.offset, again.ref.length) == (3 * CHUNK, CHUNK)
-        assert sorted(data_rpcs) == [("put_chunk", 1), ("put_chunks", 2)]
+        assert sorted(data_rpcs) == [("put_chunks", 1), ("put_chunks", 2)]
         assert sum(node.stats["puts"] for node in nodes(deployment).values()) == 3
         assert client.read_file("/dedup/image") == a + b + c + a
 
@@ -310,7 +311,7 @@ def test_no_chunk_joins_a_frame_on_a_failed_replica_while_it_has_a_healthy_one(
 class TestDataRpcArithmetic:
     def test_small_chunks_two_replicas_is_a_frame_per_benefactor(self, kind, data_rpcs):
         """512 KiB in 64 KiB chunks, two pessimistic replicas, four
-        benefactors: 16 ``put_chunk`` and 8 ``get_chunk`` chunk by chunk."""
+        benefactors: 16 puts and 8 gets chunk by chunk, 4 + 2 frames."""
         with DEPLOYMENTS[kind](benefactor_count=4,
                                config=config(chunk_size=64 * KIB)) as deployment:
             client = deployment.client("count", push_parallelism=2, read_parallelism=2)
@@ -384,7 +385,6 @@ class TestDataRpcArithmetic:
             [plan] = plans
             assert all(candidates[0] == frame.benefactor_id
                        for frame in plan for _placement, candidates in frame.items)
-            # A frame of one chunk travels as ``get_chunk``.
             assert len(data_rpcs) == frames
             assert sum(chunks for _method, chunks in data_rpcs) == 8
             assert sum(n.stats["gets"] for n in nodes(deployment).values()) == 8
@@ -395,10 +395,20 @@ class TestDataRpcArithmetic:
             client = deployment.client("count", push_parallelism=2, read_parallelism=2)
             data = make_bytes(32 * MIB, seed=2)
             client.write_file("/count/image", data)
-            assert data_rpcs == [("put_chunk", 1)] * 32
+            assert data_rpcs == [("put_chunks", 1)] * 32
             del data_rpcs[:]
             assert client.read_file("/count/image") == data
-            assert data_rpcs == [("get_chunk", 1)] * 32
+            assert data_rpcs == [("get_chunks", 1)] * 32
+
+    def test_a_repair_copy_is_a_frame_of_one(self, kind, data_rpcs):
+        with DEPLOYMENTS[kind](benefactor_count=2, config=config()) as deployment:
+            source, target = nodes(deployment).values()
+            payloads = [make_bytes(CHUNK, seed) for seed in (5, 6)]
+            ids = [content_chunk_id(payload) for payload in payloads]
+            source.put_chunks(ids, payloads)
+            assert source.replicate_to(ids, target.advertised_address)["copied"] == ids
+            assert data_rpcs == [("put_chunks", 1)] * 2
+            assert target.stats["puts"] == 2
 
     def test_a_file_of_one_small_chunk_is_one_rpc_each_way(self, kind, data_rpcs):
         with DEPLOYMENTS[kind](benefactor_count=4, config=config(
@@ -407,7 +417,7 @@ class TestDataRpcArithmetic:
             data = make_bytes(4 * KIB, seed=3)
             client.write_file("/count/tiny", data)
             assert client.read_file("/count/tiny") == data
-            assert data_rpcs == [("put_chunk", 1), ("get_chunk", 1)]
+            assert data_rpcs == [("put_chunks", 1), ("get_chunks", 1)]
 
     def test_spooled_protocols_frame_like_the_sliding_window(self, kind, data_rpcs, tmp_path):
         """CLW and IW drain their spool a transfer unit per ``feed``."""

@@ -1,8 +1,8 @@
 """In-place restart reads: ``read_all`` fills one image, chunk by chunk, where it lies.
 
 ``StripedReader.read_all`` allocates the image once and hands every
-``get_chunk`` a window of it (``Transport.call(..., into=...)``); over TCP the
-kernel writes the payload at its final address.  These tests pin down what
+``get_chunks`` a window of it per chunk (``Transport.call(..., into=...)``);
+over TCP the kernel writes the payload at its final address.  These tests pin down what
 must survive that: the result is a real ``bytes`` equal to what was written,
 no byte comes from a fetch that failed verification, a chunk map with holes
 is an error rather than a run of zeros, and the second copy of the image is
@@ -149,8 +149,8 @@ class TestSingleFetchStaysOnTheCallingThread:
         original = pool.transport.call
 
         def spying(address, method, /, **payload):
-            if method in ("get_chunk", "get_chunks"):
-                fetches.append((method, threading.current_thread()))
+            if method == "get_chunks":
+                fetches.append((len(payload["chunk_ids"]), threading.current_thread()))
             return original(address, method, **payload)
 
         def no_submit(*_args, **_kwargs):
@@ -161,12 +161,12 @@ class TestSingleFetchStaysOnTheCallingThread:
         reader = client.open_read("/solo/f")
         assert reader.read_all() == data
         assert reader.chunks_fetched == chunks
-        # One chunk is one ``get_chunk``; six chunks on four benefactors are
-        # at most four frames, at least one of them a ``get_chunks``.
-        methods = [method for method, _thread in fetches]
-        assert methods == ["get_chunk"] if chunks == 1 else (
-            len(methods) <= 4 and "get_chunks" in methods)
-        assert {thread for _method, thread in fetches} == {threading.current_thread()}
+        # One chunk is a frame of one; six chunks on four benefactors are
+        # at most four frames, at least one of them of several chunks.
+        sizes = [size for size, _thread in fetches]
+        assert sum(sizes) == chunks
+        assert sizes == [1] if chunks == 1 else (len(sizes) <= 4 and max(sizes) > 1)
+        assert {thread for _size, thread in fetches} == {threading.current_thread()}
         assert threading.active_count() == threads
 
 

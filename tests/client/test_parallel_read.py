@@ -301,11 +301,11 @@ class TestFilesystemPrefetch:
         assert handle.read(2 * CHUNK) == data[:2 * CHUNK]
         assert handle._reader.chunks_fetched == 2
         # Optimistic writes leave one replica: a chunk per benefactor.
-        assert data_rpcs == [("get_chunk", 1)] * 2
+        assert data_rpcs == [("get_chunks", 1)] * 2
         handle.seek(0)
         assert handle.read(CHUNK) == data[:CHUNK]
         assert handle._reader.chunks_fetched == 2
-        assert data_rpcs == [("get_chunk", 1)] * 2
+        assert data_rpcs == [("get_chunks", 1)] * 2
         fs.close(handle)
 
     def test_seek_past_the_read_ahead_keeps_reading_ahead(self, data_rpcs):
@@ -338,7 +338,7 @@ class TestFilesystemPrefetch:
         assert handle.read() == data[8 * CHUNK:]
         # Chunks 0, 1 and 6..11, each fetched once: 7 and 8 included.
         assert reader.chunks_fetched == 8
-        assert data_rpcs == [("get_chunk", 1)] * 8
+        assert data_rpcs == [("get_chunks", 1)] * 8
         fs.close(handle)
 
     def test_a_read_waits_for_its_own_chunks_only(self):

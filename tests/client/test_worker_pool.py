@@ -109,16 +109,14 @@ def thread_starts(monkeypatch):
 
 
 @pytest.fixture
-def put_chunk_calls(monkeypatch):
-    """``(thread id, payload length)`` of every ``put_chunk`` a client sends over
-    TCP, and ``(thread id, [payload lengths])`` of every ``put_chunks`` frame."""
+def put_chunks_calls(monkeypatch):
+    """``(thread id, [payload lengths])`` of every ``put_chunks`` frame a
+    client sends over TCP."""
     calls = []
     original = TcpTransport.call
 
     def spying(transport, address, method, /, **payload):
-        if method == "put_chunk":
-            calls.append((threading.get_ident(), len(payload["data"])))
-        elif method == "put_chunks":
+        if method == "put_chunks":
             calls.append((threading.get_ident(), [len(data) for data in payload["data"]]))
         return original(transport, address, method, **payload)
 
@@ -203,20 +201,20 @@ class TestWarmOperationsStartNoThread:
 
 class TestTheFlushedChunkIsPushedByTheCaller:
     def test_a_file_smaller_than_a_chunk_never_reaches_the_pool(
-            self, monkeypatch, put_chunk_calls):
+            self, monkeypatch, put_chunks_calls):
         with TcpDeployment(benefactor_count=4, config=config()) as deployment:
             client = deployment.client("small", push_parallelism=4)
             submitted = spy_on_submit(monkeypatch, client)
             data = make_bytes(SMALL, seed=5)
             session = client.write_file("/small/f", data)
             assert submitted == []
-            assert put_chunk_calls == [(threading.get_ident(), SMALL)]
+            assert put_chunks_calls == [(threading.get_ident(), [SMALL])]
             assert session.stats.chunks_pushed == 1
             assert client.read_file("/small/f") == data
             assert submitted == []
 
     def test_whole_chunks_go_to_the_pool_and_the_tail_stays(
-            self, monkeypatch, put_chunk_calls):
+            self, monkeypatch, put_chunks_calls):
         with TcpDeployment(benefactor_count=4, config=config()) as deployment:
             client = deployment.client("tail", push_parallelism=2)
             submitted = spy_on_submit(monkeypatch, client)
@@ -226,10 +224,10 @@ class TestTheFlushedChunkIsPushedByTheCaller:
             # first benefactor's takes chunks 0 and 4, the others one each.
             assert submitted == ["_guarded_push"] * 4
             caller = threading.get_ident()
-            on_caller = [size for ident, size in put_chunk_calls if ident == caller]
-            on_workers = [size for ident, size in put_chunk_calls if ident != caller]
-            assert on_caller == [CHUNK // 2]
-            assert sorted(on_workers, key=str) == [CHUNK] * 3 + [[CHUNK, CHUNK]]
+            on_caller = [sizes for ident, sizes in put_chunks_calls if ident == caller]
+            on_workers = [sizes for ident, sizes in put_chunks_calls if ident != caller]
+            assert on_caller == [[CHUNK // 2]]
+            assert sorted(on_workers) == [[CHUNK]] * 3 + [[CHUNK, CHUNK]]
             assert client.read_file("/tail/f") == data
 
     def test_without_an_executor_everything_runs_on_the_caller(
@@ -513,10 +511,10 @@ class TestAFailedReadStaysInsideItsReader:
             active = []
             original = StripedReader._fetch_into
 
-            def tracking(reader, image, placement):
+            def tracking(reader, image, placement, candidates):
                 active.append(placement.ref.chunk_id)
                 try:
-                    return original(reader, image, placement)
+                    return original(reader, image, placement, candidates)
                 finally:
                     active.remove(placement.ref.chunk_id)
 

@@ -196,7 +196,7 @@ class TestOrphanReattachment:
         # The outsider holds an orphaned copy (as if a recovered node's
         # placements had been dropped) nobody knows about...
         payload = pool.benefactors[source].store.get(chunk_id).data
-        pool.benefactors[outsider].put_chunk(chunk_id, payload)
+        pool.benefactors[outsider].put_chunks([chunk_id], [payload])
         # ...and the other tracked holder departs for good.
         pool.fail_benefactor(departed, lose_data=True)
         pool.manager.drop_benefactor_placements(departed)

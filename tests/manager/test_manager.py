@@ -121,7 +121,7 @@ class TestRegistryDigestTracking:
                                   clock=VirtualClock())
         manager.register_benefactor("b0", "benefactor://b0", free_space=1 << 20)
         manager.reconcile_inventory("b0", ["c0", "c1"])
-        matching = compute_inventory_digest(["c0", "c1"]).root
+        matching = compute_inventory_digest(["c0", "c1"])
         answer = manager.heartbeat("b0", free_space=1 << 20,
                                    inventory_digest=matching)
         assert answer["inventory_requested"] is False

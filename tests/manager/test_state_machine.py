@@ -1,8 +1,9 @@
 """The manager is one journaled state machine: live = replayed = replicated.
 
-A differential test.  Hypothesis draws sequences of manager calls — all 14
-journaled operations plus benefactor online/offline flips, clock advances
-past the reservation lease and lease collection — with arguments chosen so
+A differential test.  Hypothesis draws sequences of manager calls — all 15
+journaled operations plus benefactor online/offline flips, inventory
+reconciliation, clock advances past the reservation lease and lease
+collection — with arguments chosen so
 that a good share of the calls *fail* (unknown, committed or aborted
 sessions, missing paths, non-empty folders without ``force``, bad retention
 kinds, negative sizes, no benefactor online).  They run against a journaled
@@ -192,6 +193,15 @@ def run_op(cluster: Cluster, op) -> None:
     elif name == "gc_report":
         b, chunks = args
         m.gc_report(f"b{b}", [f"c{c}" for c in chunks])
+    elif name == "reconcile":
+        # Every chunk each committed map places on the node, less the drawn
+        # ones: re-attaching a placement is soft state, the ledger is not.
+        holder, lost = f"b{args[0]}", {f"c{c}" for c in args[1]}
+        placements = [p for d in m._datasets.values() for v in d.versions
+                      for p in v.chunk_map]
+        held = ({p.ref.chunk_id for p in placements if holder in p.benefactors}
+                - {p.ref.chunk_id for p in placements if holder not in p.benefactors})
+        m.reconcile_inventory(holder, sorted(held - lost))
     else:  # pragma: no cover - a typo in a strategy
         raise AssertionError(f"unknown op {name!r}")
 
@@ -253,6 +263,7 @@ ARGS = {
     # overlap and the seen-twice rule has something to authorize.
     "gc_report": st.tuples(BENEFACTORS, st.lists(st.integers(0, 5), min_size=3,
                                                  unique=True)),
+    "reconcile": st.tuples(BENEFACTORS, CHUNKS),
 }
 #: Sessions are what most other operations need, so opening and committing
 #: them is drawn more often than anything else.
@@ -288,6 +299,17 @@ COMMIT_AFTER_LEASE = [
     ("collect",),
     ("abort", 1),
 ]
+#: Defect 3: a reconcile cleared ledger entries whose corrupt copy was gone
+#: without a record, so a replayed or promoted manager kept them and purged
+#: the node's next good replica of the chunk.
+LEDGER_CLEARED_UNRECORDED = [
+    ("register", 0, 0),
+    ("register", 1, 0),
+    ("create_session", "/app/a", 4096),
+    ("commit", 0, [0, 1], [0, 1]),
+    ("corrupt", 0, 0),
+    ("reconcile", 0, []),
+]
 
 
 @_settings()
@@ -295,6 +317,7 @@ COMMIT_AFTER_LEASE = [
        snapshot_at=st.integers(0, 49))
 @example(online=0, ops=PHANTOM_FOLDER, snapshot_at=1)
 @example(online=0, ops=COMMIT_AFTER_LEASE, snapshot_at=3)
+@example(online=0, ops=LEDGER_CLEARED_UNRECORDED, snapshot_at=0)
 def test_live_equals_replicated_equals_replayed(online, ops, snapshot_at):
     ops = [("register", b, 0) for b in range(online)] + ops
     with tempfile.TemporaryDirectory() as journal_dir:
@@ -410,6 +433,30 @@ def test_forced_folder_removal_is_one_critical_section(tmp_path):
     cluster.close()
 
 
+def test_a_reconcile_clears_the_ledger_by_record(tmp_path):
+    """The ledger entry of a copy the node no longer holds is cleared on the
+    primary, the standby and a restarted manager alike, so none of them tells
+    the node to purge the fresh replica it stores next; a reconcile that
+    clears nothing writes nothing."""
+    cluster = Cluster(str(tmp_path / "wal"))
+    primary = cluster.primary
+    for op in LEDGER_CLEARED_UNRECORDED[:-1]:
+        assert not step(cluster, op)
+    assert primary.corrupt_replicas() == {"c0": ["b0"]}
+    lsn = primary.persistence.last_lsn
+    assert primary.reconcile_inventory("b0", ["c0"])["purge"] == ["c0"]
+    assert primary.persistence.last_lsn == lsn
+    assert not step(cluster, ("reconcile", 0, []))
+    assert primary.persistence.last_lsn == lsn + 1
+    replayed = cluster.restart()
+    try:
+        for manager in (primary, cluster.standby, replayed):
+            assert manager.corrupt_replicas() == {}
+        assert replayed.reconcile_inventory("b0", ["c0"])["purge"] == []
+    finally:
+        replayed.close_persistence()
+
+
 # ----------------------------------------------------------- sessions that end
 def test_retried_commit_is_answered_from_the_version(tmp_path):
     """Commit deletes the session.  A retry naming the dataset and version
@@ -471,9 +518,8 @@ MUTATORS = {
     "reservations": {"restore", "release", "collect_expired"},
 }
 #: Where ``manager.py`` may touch a journaled table without a record: the
-#: empty tables of construction, and the soft-state handler its module
-#: docstring lists as clearing ledger entries (``reconcile_inventory``).
-EXEMPT = {"__init__", "_reset_state", "reconcile_inventory"}
+#: empty tables of construction.
+EXEMPT = {"__init__", "_reset_state"}
 
 
 def _self_attr(node) -> str:

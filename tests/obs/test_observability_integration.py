@@ -51,7 +51,7 @@ class TestPoolMetrics:
         # The base dispatch layer timed every handled RPC method.
         rpc = aggregate["metrics"]["rpc_handled_seconds"]
         methods = {entry["labels"]["method"] for entry in rpc["series"]}
-        assert {"create_session", "get_chunk_map", "put_chunk"} <= methods
+        assert {"create_session", "get_chunk_map", "put_chunks"} <= methods
 
         text = to_prometheus(aggregate)
         assert "# TYPE manager_transactions_total counter" in text
@@ -120,8 +120,8 @@ class TestScrapeOverTcp:
             base = deployment.start_obs_http()[benefactor.benefactor_id]
             address = deployment.transport.bound_address(benefactor.address)
             for index in range(10):
-                deployment.transport.call(address, "put_chunk",
-                                          chunk_id=f"ds-1:v1:c{index}", data=b"x" * 100)
+                deployment.transport.call(address, "put_chunks",
+                                          chunk_ids=[f"ds-1:v1:c{index}"], data=[b"x" * 100])
             for index in range(3):
                 assert deployment.transport.call(address, "has_chunk",
                                                  chunk_id=f"ds-1:v1:c{index}")
@@ -132,7 +132,7 @@ class TestScrapeOverTcp:
                 family = metrics[name]
                 assert (family["type"], family["labelnames"]) == (kind, ["method"])
                 assert {entry["labels"]["method"]: entry["count"]
-                        for entry in family["series"]} == {"put_chunk": 10, "has_chunk": 3}
+                        for entry in family["series"]} == {"put_chunks": 10, "has_chunk": 3}
             assert _metric_value({"metrics": metrics}, "benefactor_puts_total") == 10
 
 
@@ -183,7 +183,7 @@ class TestTcpTracePropagation:
         # The failed fetch left an error-annotated client-side tombstone.
         failed = [
             s for s in spans
-            if s.name == "rpc:get_chunk" and s.status == "error"
+            if s.name == "rpc:get_chunks" and s.status == "error"
         ]
         assert failed
         assert all(s.trace_id == root.trace_id for s in spans)
@@ -401,7 +401,7 @@ class TestTraceBudget:
         assert [s.attributes["path"] for s in roots] == [
             f"/app/b.N0.T{index}" for index in range(32)]
         for root in roots:
-            assert any(s.name == "rpc.server:put_chunk"
+            assert any(s.name == "rpc.server:put_chunks"
                        for s in SPAN_STORE.traces()[root.trace_id])
 
         pool.clock.advance(1.0)

@@ -237,14 +237,14 @@ class TestKillSeversWhatIsMidRpc:
                            store_factory=BlockingStore) as deployment:
             node = deployment.benefactors[0]
             address = deployment.transport.bound_address(node.address)
-            deployment.transport.call(address, "put_chunk", chunk_id="ds-1:v1:c0",
-                                      data=b"x" * 100)
+            deployment.transport.call(address, "put_chunks", chunk_ids=["ds-1:v1:c0"],
+                                      data=[b"x" * 100])
             outcome = []
 
             def fetch() -> None:
                 try:
                     outcome.append(deployment.transport.call(
-                        address, "get_chunk", chunk_id="ds-1:v1:c0"))
+                        address, "get_chunks", chunk_ids=["ds-1:v1:c0"]))
                 except Exception as exc:  # noqa: BLE001 - asserted below
                     outcome.append(exc)
 
@@ -317,12 +317,11 @@ def test_no_server_in_src_polls_for_shutdown():
 
 def test_no_second_healer_in_src():
     """The manager judges under-replication and the benefactors copy, chunk
-    by chunk with ``put_chunk``; nothing may bring the second mechanism back.
+    by chunk, each a frame of one; nothing may bring the second mechanism back.
 
     ``put_chunks(`` is no longer a sign of it: the healer's batch call carried
     its chunks inside the pickle and is gone with the healer; the name now
-    belongs to the client's multi-section frame (``Benefactor.put_chunks``
-    loops over ``put_chunk``), which repair does not use.
+    belongs to the one data RPC, whose chunks travel as sections.
     """
     assert src_lines_naming("ReplicationService", "ShadowChunkMap") == []
 

@@ -1,9 +1,10 @@
-"""The TCP frame: round trips, out-of-band payloads, and hostile input.
+"""The TCP frame: its layout, round trips, out-of-band sections, hostile input.
 
-One frame format carries every RPC (``[meta_len][payload_len][meta][payload]``),
-so these tests drive the private framing functions over ``socketpair`` with
-starved socket buffers, and a real :class:`TcpServer` with raw sockets playing
-the misbehaving peer.
+One frame layout carries every RPC
+(``[meta_len][k][len_1 .. len_k][meta][section_1] .. [section_k]``), so these
+tests drive the private framing functions over ``socketpair`` with starved
+socket buffers, and a real :class:`TcpServer` with raw sockets playing the
+misbehaving peer.
 """
 
 from __future__ import annotations
@@ -65,6 +66,10 @@ def assert_same_message(sent, received):
         assert list(received) == list(sent)
         for key, value in sent.items():
             assert_same_message(value, received[key])
+    elif isinstance(sent, list) and sent and isinstance(sent[0], (bytes, memoryview)):
+        assert type(received) is list and len(received) == len(sent)
+        for value, got in zip(sent, received):
+            assert_same_message(value, got)
     elif isinstance(sent, (bytes, memoryview)):
         assert type(received) is bytes
         assert received == sent
@@ -73,6 +78,9 @@ def assert_same_message(sent, received):
 
 
 bytes_values = st.builds(blob, st.sampled_from(SIZES), st.integers(0, 3))
+#: What a data RPC carries: its chunks, travelling as sections when large.
+chunk_lists = st.lists(st.one_of(bytes_values, bytes_values.map(memoryview)),
+                       min_size=1, max_size=3)
 plain_values = st.one_of(
     st.none(), st.booleans(), st.integers(-2**40, 2**40), st.text(max_size=20),
     st.lists(st.integers(0, 9), max_size=4),
@@ -80,7 +88,7 @@ plain_values = st.one_of(
 )
 payload_dicts = st.dictionaries(
     st.text("abcdefgh", min_size=1, max_size=6),
-    st.one_of(bytes_values, bytes_values.map(memoryview), plain_values),
+    st.one_of(bytes_values, bytes_values.map(memoryview), chunk_lists, plain_values),
     max_size=5,
 )
 
@@ -103,48 +111,156 @@ class RecvSpy:
         return self.sock.recv_into(buffer, *args)
 
 
+def wire_bytes(meta, sections):
+    """Every byte ``_send_frame`` puts on the wire for one frame."""
+    left, right = socket.socketpair()
+    with left, right:
+        right.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4 * MIB)
+        tcp._send_frame(left, meta, sections)
+        left.shutdown(socket.SHUT_WR)
+        return b"".join(iter(lambda: right.recv(MIB), b""))
+
+
+class CountingSocket:
+    """Counts the socket calls one frame costs and the sizes ``recv`` was asked for."""
+
+    def __init__(self, sock):
+        self.sock = sock
+        self.calls = []
+        self.asked = []
+
+    def recv(self, size, *flags):
+        self.calls.append("recv")
+        self.asked.append(size)
+        return self.sock.recv(size, *flags)
+
+    def __getattr__(self, name):
+        def method(*args):
+            self.calls.append(name)
+            return getattr(self.sock, name)(*args)
+        return method
+
+
+#: ``_encode("stat", {"path": "/a/b", "n": 1})`` on the wire: a frame with
+#: k = 0 is byte for byte the small frame every peer already speaks.
+SMALL_FRAME = bytes.fromhex(
+    "000000000000002d0000000000000000"
+    "80059522000000000000008c0473746174947d94288c0470617468948c042f612f62948c"
+    "016e944b017586942e")
+
+
+class TestWireLayout:
+    """``[meta_len][k][len_1 .. len_k][meta][section_1] .. [section_k]``, for
+    k = 0, 1 and 3: the bytes, the syscalls, the caps."""
+
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_header_table_meta_and_sections_byte_for_byte(self, count):
+        chunks = unequal_sections(count, seed=count)
+        body = {"chunk_ids": [f"c{i}" for i in range(count)], "data": chunks}
+        meta, sections = tcp._encode("put_chunks", body)
+        assert [section.obj for section in sections] == chunks
+        lengths = [len(chunk) for chunk in chunks]
+        assert wire_bytes(meta, sections) == (
+            struct.pack(">QQ", len(meta), count)
+            + struct.pack(f">{count}Q", *lengths)
+            + meta + b"".join(chunks))
+
+    def test_a_frame_without_sections_is_the_small_frame_it_always_was(self):
+        meta, sections = tcp._encode("stat", {"path": "/a/b", "n": 1})
+        assert not sections
+        assert wire_bytes(meta, sections) == SMALL_FRAME
+        left, right = socket.socketpair()
+        with left, right:
+            left.sendall(SMALL_FRAME)
+            assert tcp._recv_frame(right) == ("stat", {"path": "/a/b", "n": 1})
+
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_one_send_and_two_plus_k_receives(self, count):
+        chunks = unequal_sections(count, seed=count + 1)
+        body = {"chunk_ids": [f"c{i}" for i in range(count)], "data": chunks}
+        left, right = socket.socketpair()
+        with left, right:
+            for sock in (left, right):
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4 * MIB)
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4 * MIB)
+            sender, receiver = CountingSocket(left), CountingSocket(right)
+            tcp._send_frame(sender, *tcp._encode("put_chunks", body))
+            assert sender.calls == ["sendmsg" if count else "sendall"]
+            method, received = tcp._recv_frame(receiver)
+        assert (method, received) == ("put_chunks", body)
+        # The header, then the section table and meta together, then a
+        # receive per section.
+        assert receiver.calls == ["recv"] * (2 + count)
+        assert receiver.asked[2:] == [len(chunk) for chunk in chunks]
+
+    @pytest.mark.parametrize("cap,header,table", [
+        ("count", (10, tcp.MAX_SECTIONS + 1), b""),
+        ("meta", (tcp.MAX_SECTION_BYTES + 1, 0), b""),
+        ("meta-with-sections", (tcp.MAX_SECTION_BYTES + 1, 1), struct.pack(">Q", 5)),
+        ("section-total", (10, 2),
+         struct.pack(">2Q", tcp.MAX_SECTION_BYTES // 2, tcp.MAX_SECTION_BYTES // 2 + 1)),
+    ])
+    def test_every_cap_rejects_before_allocating(self, cap, header, table):
+        """Counts and meta on the 16-byte header; the sections' total once the
+        table (with the 10 bytes of meta) is in: nothing they size is asked for."""
+        left, right = socket.socketpair()
+        with left, right:
+            left.sendall(HEADER.pack(*header) + table + b"0123456789")
+            receiver = CountingSocket(right)
+            with pytest.raises(ProtocolError, match="frame claims"):
+                tcp._recv_frame(receiver, [memoryview(bytearray(64))] * 2)
+        if cap == "section-total":
+            assert receiver.asked == [HEADER.size, len(table) + 10]
+        else:
+            assert receiver.asked == [HEADER.size]
+        assert "recv_into" not in receiver.calls
+
+
 class TestFrameRoundTrip:
     @settings(max_examples=60, deadline=None)
     @given(payload=payload_dicts, timeout=st.sampled_from([None, 10.0]))
     def test_payload_dicts_survive_starved_sockets(self, payload, timeout):
-        method, received = through_the_wire("put_chunk", payload, timeout)
-        assert method == "put_chunk"
+        method, received = through_the_wire("put_chunks", payload, timeout)
+        assert method == "put_chunks"
         assert_same_message(payload, received)
 
     @settings(max_examples=30, deadline=None)
-    @given(result=st.one_of(bytes_values, payload_dicts, plain_values),
+    @given(result=st.one_of(bytes_values, chunk_lists, payload_dicts, plain_values),
            timeout=st.sampled_from([None, 10.0]))
     def test_results_survive_starved_sockets(self, result, timeout):
         status, received = through_the_wire("ok", result, timeout)
         assert status == "ok"
         assert_same_message(result, received)
 
-    def test_only_the_first_large_value_travels_out_of_band(self):
+    def test_a_bytes_value_outside_a_list_travels_in_band(self):
+        """Only a list of bytes-likes is chunks: any other value, however
+        large, is part of the pickle (a memoryview copied into it)."""
         first, second = blob(OUT_OF_BAND_MIN, 1), blob(2 * OUT_OF_BAND_MIN, 2)
         body = {"small": b"x" * 10, "first": first, "second": memoryview(second)}
-        meta, payload = tcp._encode("m", body)
-        assert payload.obj is first and payload.nbytes == len(first)
-        assert len(meta) < len(second) + 200 and second in meta and first not in meta
-        assert body["first"] is first  # the caller's dict is left alone
+        meta, sections = tcp._encode("m", body)
+        assert not sections
+        assert first in meta and second in meta
+        assert type(body["second"]) is memoryview  # the caller's dict is left alone
 
     def test_out_of_band_payload_is_received_without_a_copy(self):
         """The handler gets the very object the kernel filled."""
         left, right = socket.socketpair()
         with left, right:
             data = blob(MIB, 5)
+            body = {"chunk_ids": ["c1"], "data": [data]}
             sender = threading.Thread(
-                target=lambda: tcp._send_frame(left, *tcp._encode("put_chunk", {"data": data}))
+                target=lambda: tcp._send_frame(left, *tcp._encode("put_chunks", body))
             )
             sender.start()
             spy = RecvSpy(right)
             _method, payload = tcp._recv_frame(spy)
             sender.join(timeout=10)
-        assert payload["data"] == data
-        assert payload["data"] is spy.received[-1]
+        assert payload["data"] == [data]
+        assert payload["data"][0] is spy.received[-1]
 
     @pytest.mark.parametrize("first_send", [5, 16, 40, 10_000, 10**9])
     def test_partial_sendmsg_resumes_where_it_stopped(self, first_send):
-        """Split inside the header, inside ``meta`` and inside the payload."""
+        """Split inside the header, the table, ``meta`` and the section."""
 
         class Dribble:
             def __init__(self, sock):
@@ -156,32 +272,20 @@ class TestFrameRoundTrip:
                 self.sock.sendall(joined[:first_send])
                 return min(first_send, len(joined))
 
-        body = {"chunk_id": "c1", "data": blob(3 * OUT_OF_BAND_MIN, 9)}
-        _method, received = through_the_wire("put_chunk", body, sender=Dribble)
+        body = {"chunk_ids": ["c1"], "data": [blob(3 * OUT_OF_BAND_MIN, 9)]}
+        _method, received = through_the_wire("put_chunks", body, sender=Dribble)
         assert_same_message(body, received)
 
     def test_small_frames_cost_one_send_and_two_receives(self):
         """The per-RPC floor: no ``sendmsg``, no third ``recv``, no loop."""
-        calls = []
-
-        class Counting:
-            def __init__(self, sock):
-                self.sock = sock
-
-            def __getattr__(self, name):
-                def method(*args):
-                    calls.append(name)
-                    return getattr(self.sock, name)(*args)
-                return method
-
         left, right = socket.socketpair()
         with left, right:
-            body = {"path": "/a/b", "data": b"x" * (OUT_OF_BAND_MIN - 1)}
-            tcp._send_frame(Counting(left), *tcp._encode("stat", body))
-            assert calls == ["sendall"]
-            del calls[:]
-            assert tcp._recv_frame(Counting(right)) == ("stat", body)
-            assert calls == ["recv", "recv"]
+            body = {"path": "/a/b", "data": [b"x" * (OUT_OF_BAND_MIN - 1)]}
+            sender, receiver = CountingSocket(left), CountingSocket(right)
+            tcp._send_frame(sender, *tcp._encode("stat", body))
+            assert sender.calls == ["sendall"]
+            assert tcp._recv_frame(receiver) == ("stat", body)
+            assert receiver.calls == ["recv", "recv"]
 
 
 def reply_into(into, tag, body, timeout=None):
@@ -199,7 +303,8 @@ PATTERN = 0xEE
 
 
 class TestReceiveIntoADestination:
-    """``_recv_frame(sock, into)``: the payload section lands in ``into`` or nowhere near it."""
+    """A frame of one and ``_recv_frame(sock, [view])``: the section lands in
+    ``view`` or nowhere near it."""
 
     @settings(max_examples=40, deadline=None)
     @given(size=st.sampled_from(LARGE), seed=st.integers(0, 3),
@@ -209,16 +314,18 @@ class TestReceiveIntoADestination:
         image = bytearray([PATTERN]) * (size + 64)
         with memoryview(image)[32:32 + size] as into:
             (status, body), spy = reply_into(
-                into, "ok", memoryview(data) if as_view else data, timeout)
+                [into], "ok", [memoryview(data) if as_view else data], timeout)
             assert status == "ok"
-            assert body is into, "the destination itself is the result"
+            assert type(body) is list and len(body) == 1
+            assert body[0] is into, "the destination itself is the result"
         # All of it arrived in place (over starved buffers: in many pieces) ...
         assert image[32:32 + size] == data
         assert image[:32] == image[-32:] == bytes([PATTERN]) * 32
         assert spy.destinations and all(owner is image for owner in spy.destinations)
-        # ... and nothing the size of the payload was received on the side.
+        # ... and nothing the size of the section was received on the side.
         assert sum(len(piece) for piece in spy.received) < 200
         # No view is left behind (one would pin a reader's whole image).
+        del body
         image.extend(b"resizing fails while any export is alive")
 
     @settings(max_examples=40, deadline=None)
@@ -226,26 +333,26 @@ class TestReceiveIntoADestination:
                                  2 * OUT_OF_BAND_MIN - 1, 2 * OUT_OF_BAND_MIN + 1]),
            timeout=st.sampled_from([None, 10.0]))
     def test_any_other_length_leaves_the_destination_alone(self, sent, timeout):
-        """Shorter, longer, empty and in-band results come back as ``bytes``."""
+        """Shorter, longer, empty and in-band chunks come back as ``bytes``."""
         data = blob(sent, 1)
         image = bytearray([PATTERN]) * (2 * OUT_OF_BAND_MIN)
         with memoryview(image) as into:
-            (status, body), spy = reply_into(into, "ok", data, timeout)
-        assert status == "ok" and type(body) is bytes and body == data
+            (status, body), spy = reply_into([into], "ok", [data], timeout)
+        assert status == "ok" and body == [data] and type(body[0]) is bytes
         assert image == bytes([PATTERN]) * len(image)
         assert not spy.destinations
 
     @pytest.mark.parametrize("body", [
         exceptions.ChunkNotFoundError("chunk not stored here: c1"),
         KeyError("missing"),
-        {"stored": True, "free_space": 7},
+        {"stored": 1, "free_space": 7},
         None,
     ], ids=["library-error", "builtin-error", "dict", "none"])
     def test_error_and_small_replies_are_untouched_by_a_destination(self, body):
         tag = "error" if isinstance(body, Exception) else "ok"
         image = bytearray([PATTERN]) * OUT_OF_BAND_MIN
         with memoryview(image) as into:
-            (status, received), spy = reply_into(into, tag, body)
+            (status, received), spy = reply_into([into], tag, body)
         assert status == tag and type(received) is type(body)
         assert str(received) == str(body)
         assert image == bytes([PATTERN]) * len(image) and not spy.destinations
@@ -253,34 +360,20 @@ class TestReceiveIntoADestination:
     def test_small_frames_still_cost_two_receives_with_a_destination(self):
         image = bytearray(OUT_OF_BAND_MIN)
         with memoryview(image) as into:
-            (_status, body), spy = reply_into(into, "ok", {"n": 1})
+            (_status, body), spy = reply_into([into], "ok", {"n": 1})
         assert body == {"n": 1}
         assert len(spy.received) == 2 and not spy.destinations
 
     def test_payload_nested_in_the_reply_is_not_mistaken_for_the_result(self):
-        """A payload section of the right size that is not the body itself."""
+        """A section of the right size whose list is not the body itself."""
         data = blob(OUT_OF_BAND_MIN, 2)
         image = bytearray(OUT_OF_BAND_MIN)
         with memoryview(image) as into:
-            (status, body), _spy = reply_into(into, "ok", {"data": data})
-            assert status == "ok" and body is not into
-            assert body["data"] == data
+            (status, body), _spy = reply_into([into], "ok", {"data": [data]})
+            assert status == "ok" and type(body) is dict
+            assert body["data"] == [data]
             del body
         image.extend(b"no export left")
-
-
-class CountingSocket:
-    """Counts the socket calls one frame costs."""
-
-    def __init__(self, sock):
-        self.sock = sock
-        self.calls = []
-
-    def __getattr__(self, name):
-        def method(*args):
-            self.calls.append(name)
-            return getattr(self.sock, name)(*args)
-        return method
 
 
 def unequal_sections(count, seed=0):
@@ -291,7 +384,7 @@ def unequal_sections(count, seed=0):
 class TestSeveralSections:
     """A list of bytes-likes travels as one frame with a section per large element."""
 
-    @pytest.mark.parametrize("count", [2, 16])
+    @pytest.mark.parametrize("count", [1, 2, 16])
     @pytest.mark.parametrize("as_result", [False, True], ids=["request", "reply"])
     def test_sections_of_unequal_length_round_trip(self, count, as_result):
         sections = unequal_sections(count)
@@ -320,50 +413,51 @@ class TestSeveralSections:
             tcp._send_frame(sender, *tcp._encode("ok", sections))
             assert sender.calls == ["sendmsg"]
             assert tcp._recv_frame(receiver) == ("ok", sections)
-            # header, section table, meta, then one receive per section
-            assert receiver.calls == ["recv"] * (3 + count)
+            # header, section table and meta, then one receive per section
+            assert receiver.calls == ["recv"] * (2 + count)
 
     def test_the_caller_s_buffers_are_sent_and_meta_holds_no_chunk_bytes(self):
         """The reason the in-band ``put_chunks`` was deleted: 256 KiB of
         chunks inside the pickle is 256 KiB copied on each side."""
         image = blob(4 * 64 * 1024, 5)
         chunks = [memoryview(image)[i * 65536:(i + 1) * 65536] for i in range(4)]
-        meta, payload = tcp._encode(
+        meta, sections = tcp._encode(
             "put_chunks", {"chunk_ids": ["a", "b", "c", "d"], "data": chunks})
         assert len(meta) < 1024
-        assert [section.obj for section in payload] == [image] * 4
-        assert [section.nbytes for section in payload] == [65536] * 4
+        assert [section.obj for section in sections] == [image] * 4
+        assert [section.nbytes for section in sections] == [65536] * 4
 
     def test_small_elements_stay_in_band_and_sections_keep_their_order(self):
         small, large = blob(100, 1), unequal_sections(2, seed=7)
         body = [large[0], memoryview(small), large[1], b""]
-        meta, payload = tcp._encode("ok", body)
-        assert [section.nbytes for section in payload] == [len(large[0]), len(large[1])]
+        meta, sections = tcp._encode("ok", body)
+        assert [section.nbytes for section in sections] == [len(large[0]), len(large[1])]
         assert small in meta
         assert through_the_wire("ok", body) == ("ok", [large[0], small, large[1], b""])
 
-    def test_one_large_element_is_the_plain_one_section_frame(self):
-        """Byte for byte what a bare payload section always looked like."""
+    def test_one_large_element_is_a_frame_of_one_section(self):
+        """No second form for a lone chunk: k = 1 and a table of one length."""
         data = blob(2 * OUT_OF_BAND_MIN, 2)
-        meta, payload = tcp._encode("ok", [b"tiny", data])
-        assert type(payload) is memoryview and payload.obj is data
+        meta, sections = tcp._encode("ok", [b"tiny", data])
+        assert len(sections) == 1 and sections[0].obj is data
         left, right = socket.socketpair()
         with left, right:
-            tcp._send_frame(left, meta, payload)
-            assert right.recv(HEADER.size) == HEADER.pack(len(meta), len(data))
+            tcp._send_frame(left, meta, sections)
+            assert right.recv(HEADER.size + 8) == (
+                HEADER.pack(len(meta), 1) + struct.pack(">Q", len(data)))
 
     def test_only_the_first_liftable_value_is_lifted(self):
         first, second = unequal_sections(2), unequal_sections(2, seed=9)
-        meta, payload = tcp._encode("m", {"first": first, "second": second,
-                                          "third": second[0]})
-        assert [section.obj for section in payload] == first
+        meta, sections = tcp._encode("m", {"first": first, "second": second,
+                                           "third": second[0]})
+        assert [section.obj for section in sections] == first
         assert second[0] in meta and second[1] in meta
 
     def test_more_elements_than_a_frame_has_sections_overflow_in_band(self, monkeypatch):
         monkeypatch.setattr(tcp, "MAX_SECTIONS", 3)
         sections = unequal_sections(5, seed=11)
-        meta, payload = tcp._encode("ok", sections)
-        assert len(payload) == 3 and sections[3] in meta and sections[4] in meta
+        meta, lifted = tcp._encode("ok", sections)
+        assert len(lifted) == 3 and sections[3] in meta and sections[4] in meta
         assert through_the_wire("ok", sections) == ("ok", sections)
 
     @pytest.mark.parametrize("first_send", [5, 16, 30, 60, 20_000, 40_000, 10**9])
@@ -417,7 +511,7 @@ class TestReceiveIntoSeveralDestinations:
         image.extend(b"no export is left behind")
 
     @pytest.mark.parametrize("case", ["one-fewer", "one-more", "one-length-off",
-                                      "in-band-element", "single-view-for-a-list"])
+                                      "in-band-element", "no-destinations"])
     def test_any_mismatch_leaves_every_destination_alone(self, case):
         sections = unequal_sections(3, seed=5)
         lengths = [len(section) for section in sections]
@@ -431,9 +525,7 @@ class TestReceiveIntoSeveralDestinations:
         elif case == "in-band-element":
             body[1] = b"short"  # two sections for three destinations
         image = bytearray([PATTERN]) * (sum(lengths) + 16 * (len(lengths) + 1))
-        into = windows_of(image, lengths)
-        if case == "single-view-for-a-list":
-            into = memoryview(image)[:lengths[0]]
+        into = [] if case == "no-destinations" else windows_of(image, lengths)
         (status, received), spy = reply_into(into, "ok", body)
         assert status == "ok" and received == body
         assert all(type(part) is bytes for part in received)
@@ -513,7 +605,9 @@ class TestThroughARealServer:
         data = blob(size, 4)
         image = bytearray(size + 10)
         with memoryview(image)[10:] as into:
-            assert transport.call(address, "first", into=into, value=data) is into
+            [received] = transport.call(address, "first", into=[into], value=[data])
+            assert received is into
+            del received
         assert image[10:] == data and image[:10] == bytes(10)
         assert transport._pool(address)._total == 1
 
@@ -524,10 +618,10 @@ class TestThroughARealServer:
         image = bytearray([PATTERN]) * OUT_OF_BAND_MIN
         endpoint.failures["gone"] = exceptions.ChunkNotFoundError("gone")
         with memoryview(image) as into:
-            answer = transport.call(address, "first", into=into, value=data)
-            assert type(answer) is bytes and answer == data
+            answer = transport.call(address, "first", into=[into], value=[data])
+            assert answer == [data] and type(answer[0]) is bytes
             with pytest.raises(exceptions.ChunkNotFoundError):
-                transport.call(address, "fail", into=into, name="gone")
+                transport.call(address, "fail", into=[into], name="gone")
         assert image == bytes([PATTERN]) * len(image)
         assert transport._pool(address)._total == 1
 
@@ -562,7 +656,7 @@ class TestThroughARealServer:
         """``into`` is a hint to the transport, not part of the payload."""
         transport, address, _ = served
         with memoryview(bytearray(OUT_OF_BAND_MIN)) as into:
-            assert transport.call(address, "echo", into=into, value=1) == {"value": 1}
+            assert transport.call(address, "echo", into=[into], value=1) == {"value": 1}
 
     def test_unknown_payload_keys_round_trip(self, served):
         """The benchmark's tracer links spans through an extra payload key."""
@@ -637,8 +731,10 @@ class RunsACommand:
         return (os.system, (self.command,))
 
 
-def raw_frame(meta: bytes, payload: bytes = b"") -> bytes:
-    return HEADER.pack(len(meta), len(payload)) + meta + payload
+def raw_frame(meta: bytes, *sections: bytes) -> bytes:
+    return (HEADER.pack(len(meta), len(sections))
+            + struct.pack(f">{len(sections)}Q", *map(len, sections))
+            + meta + b"".join(sections))
 
 
 def hostile_frames(marker):
@@ -648,7 +744,8 @@ def hostile_frames(marker):
         "global-as-method": raw_frame(pickle.dumps((command, {}), protocol=2)),
         "builtin-callable": raw_frame(pickle.dumps(("first", {"value": eval}), protocol=5)),
         "absurd-meta-length": HEADER.pack(1 << 62, 0),
-        "absurd-payload-length": HEADER.pack(10, 1 << 62) + b"0123456789",
+        "absurd-section-length": (
+            HEADER.pack(10, 1) + struct.pack(">Q", 1 << 62) + b"0123456789"),
         "garbage-meta": raw_frame(b"not a pickle at all"),
         "empty-meta": raw_frame(b""),
         "not-a-pair": raw_frame(pickle.dumps([1, 2, 3], protocol=5)),
@@ -656,11 +753,11 @@ def hostile_frames(marker):
             pickle.dumps(("first", {"value": pickle.PickleBuffer(b"x" * 64)}),
                          protocol=5, buffer_callback=lambda _buffer: None)),
         "truncated": HEADER.pack(100, 0) + b"only ten b",
-        "absurd-section-count": HEADER.pack(10, tcp._MULTI | 1 << 32) + b"0123456789",
+        "absurd-section-count": HEADER.pack(10, 1 << 32) + b"0123456789",
         "absurd-section-total": (
-            HEADER.pack(10, tcp._MULTI | 3)
+            HEADER.pack(10, 3)
             + struct.pack(">3Q", *[tcp.MAX_SECTION_BYTES // 2] * 3) + b"0123456789"),
-        "section-table-cut-short": HEADER.pack(10, tcp._MULTI | 4) + struct.pack(">2Q", 5, 5),
+        "section-table-cut-short": HEADER.pack(10, 4) + struct.pack(">2Q", 5, 5),
     }
 
 
@@ -702,7 +799,7 @@ class TestHostileClient:
         assert "Traceback" not in capfd.readouterr().err
 
     @pytest.mark.parametrize("lengths", [(1 << 62, 0), (10, 1 << 62)])
-    @pytest.mark.parametrize("into", [None, memoryview(bytearray(64))], ids=["plain", "into"])
+    @pytest.mark.parametrize("into", [None, [memoryview(bytearray(64))]], ids=["plain", "into"])
     def test_absurd_length_allocates_nothing(self, lengths, into):
         left, right = socket.socketpair()
         with left, right:
@@ -710,19 +807,20 @@ class TestHostileClient:
             with pytest.raises(ProtocolError, match="frame claims"):
                 tcp._recv_frame(right, into)
 
-    @pytest.mark.parametrize("name", ["absurd-section-count", "absurd-section-total"])
+    @pytest.mark.parametrize("name", ["absurd-section-count", "absurd-section-total",
+                                      "absurd-section-length"])
     @pytest.mark.parametrize("into", [None, [memoryview(bytearray(64))] * 3],
                              ids=["plain", "into"])
     def test_absurd_sections_allocate_nothing(self, name, into):
-        """Refused on the header, or on the 24-byte table: nothing of ``meta``
-        and no section is asked of the socket, let alone allocated."""
+        """Refused on the header, or on the table (received with the 10 bytes
+        of ``meta``): no section is asked of the socket, let alone allocated."""
         left, right = socket.socketpair()
         with left, right:
             left.sendall(hostile_frames("unused")[name])
             spy = RecvSpy(right)
             with pytest.raises(ProtocolError, match="frame claims"):
                 tcp._recv_frame(spy, into)
-            assert sum(len(piece) for piece in spy.received) <= HEADER.size + 24
+            assert sum(len(piece) for piece in spy.received) <= HEADER.size + 24 + 10
             assert not spy.destinations
 
     def test_clean_disconnect_between_frames_is_not_logged(self, served, caplog):
@@ -743,7 +841,7 @@ class TestHostileServer:
     def test_bad_reply_is_an_unreachable_endpoint(self, name, with_into, tmp_path):
         marker = tmp_path / "executed"
         # ``missing-buffer`` promises 64 out-of-band bytes it never sends.
-        hint = {"into": memoryview(bytearray(64))} if with_into else {}
+        hint = {"into": [memoryview(bytearray(64))]} if with_into else {}
         listener = socket.create_server(("127.0.0.1", 0))
         address = "127.0.0.1:%d" % listener.getsockname()[1]
 
@@ -776,7 +874,7 @@ class TestHostileServer:
     def test_connection_cut_mid_payload_discards_the_socket(self, sent):
         """The destination holds garbage afterwards; the caller is told so."""
         size = 3 * OUT_OF_BAND_MIN
-        meta, payload = tcp._encode("ok", blob(size, 8))
+        meta, [section] = tcp._encode("ok", [blob(size, 8)])
         listener = socket.create_server(("127.0.0.1", 0))
         address = "127.0.0.1:%d" % listener.getsockname()[1]
 
@@ -784,7 +882,8 @@ class TestHostileServer:
             conn, _peer = listener.accept()
             with conn:
                 tcp._recv_frame(conn)
-                conn.sendall(HEADER.pack(len(meta), size) + meta + bytes(payload[:sent]))
+                conn.sendall(HEADER.pack(len(meta), 1) + struct.pack(">Q", size)
+                             + meta + bytes(section[:sent]))
 
         server = threading.Thread(target=serve, daemon=True)
         server.start()
@@ -792,7 +891,7 @@ class TestHostileServer:
         try:
             with memoryview(bytearray(size)) as into:
                 with pytest.raises(EndpointUnreachableError, match="closed mid-frame"):
-                    transport.call(address, "first", into=into, value=1)
+                    transport.call(address, "first", into=[into], value=1)
             assert transport._pool(address)._total == 0, "the socket must not be reused"
         finally:
             transport.close()
@@ -801,7 +900,7 @@ class TestHostileServer:
         assert not server.is_alive()
 
     def test_hostile_reply_sized_like_the_destination_runs_nothing(self, tmp_path):
-        """A foreign global behind a payload section that does fit ``into``."""
+        """A foreign global behind a section that does fit ``into``."""
         marker = tmp_path / "executed"
         size = OUT_OF_BAND_MIN
         meta = pickle.dumps(("ok", RunsACommand(f"touch {marker}")), protocol=5)
@@ -809,7 +908,7 @@ class TestHostileServer:
         with left, right, memoryview(bytearray(size)) as into:
             left.sendall(raw_frame(meta, b"z" * size))
             with pytest.raises(ProtocolError, match="not allowed in a frame"):
-                tcp._recv_frame(right, into)
+                tcp._recv_frame(right, [into])
         assert not marker.exists()
 
 
@@ -819,15 +918,12 @@ class Forwarding(Transport):
     def __init__(self, inner):
         self.inner = inner
         self.seen = []
-        #: Destinations each call carried: 0 without ``into``, 1 for one view,
-        #: *k* for a sequence of *k*.
+        #: Destinations each call carried: 0 without ``into``.
         self.destinations = []
 
     def call(self, address, method, /, **payload):
         self.seen.append(method)
-        into = payload.get("into")
-        self.destinations.append(
-            0 if into is None else 1 if type(into) is memoryview else len(into))
+        self.destinations.append(len(payload.get("into") or ()))
         return self.inner.call(address, method, **payload)
 
     def register(self, address, endpoint):  # pragma: no cover - unused
@@ -862,8 +958,8 @@ class TestTheSeamStaysOneCall:
                 forwarding, ManagerDirectory([deployment.manager_address]))
             image = reader.read_all()
         assert type(image) is bytes and image == data
-        # Seven chunks on four benefactors: three frames of two chunks, whose
-        # ``into`` is a sequence of two windows, and one frame of one chunk.
+        # Seven chunks on four benefactors: three frames of two chunks and
+        # one of one, each ``into`` a window per chunk.
         assert sorted(zip(forwarding.seen, forwarding.destinations)) == (
-            [("get_chunk", 1)] + [("get_chunks", 2)] * 3)
+            [("get_chunks", 1)] + [("get_chunks", 2)] * 3)
         assert filled == [chunk] * chunks
