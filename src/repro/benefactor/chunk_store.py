@@ -232,7 +232,12 @@ class DiskChunkStore(ChunkStore):
         # emits it: any ``_`` in an on-disk name therefore marks a legacy
         # (pre-reversible-encoding) file, which keeps decoding unambiguous
         # even for ids that literally start with ``sha1_`` or contain ``%``.
-        return os.path.join(self.root, quote(chunk_id, safe="").replace("_", "%5F"))
+        # ``.`` is escaped too, so no chunk is named ``.``, ``..`` or like a
+        # torn write's ``.tmp``.
+        if not chunk_id:
+            raise ValueError("empty chunk id")
+        encoded = quote(chunk_id, safe="").replace("_", "%5F").replace(".", "%2E")
+        return os.path.join(self.root, encoded)
 
     @staticmethod
     def _decode_name(name: str) -> ChunkId:

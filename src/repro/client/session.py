@@ -8,31 +8,33 @@ replication), skips chunks that incremental checkpointing proves are already
 stored, handles benefactor failures by refreshing the stripe through the
 manager, and accumulates the chunk-map that will be committed at close time.
 
-The chunk is the unit of striping and addressing, not of transfer.  The chunks
-one ``feed`` call completes are planned into *frames*: the chunks bound for one
-benefactor, at most :data:`~repro.transport.tcp.TRANSFER_UNIT` of payload, one
-``put_chunks`` RPC per frame.  Placement is what it is chunk by chunk (chunk
-*i*, replica *r* goes to ``stripe[(i + r) % width]``).  A frame never waits
-for data: a writer that feeds a chunk at a time sends a chunk at a time, and a
-frame leaves as soon as it is full, so with chunks of a transfer unit or more
-every frame holds one chunk and hashing the next chunk overlaps its push.  A
-frame has no failure handling of its own: whatever goes wrong with it, its
-chunks go through the per-chunk path one by one (rotation through the stripe,
-failure reports, stripe refresh), each replica a frame of one.
+The chunk is the unit of striping and addressing, not of transfer.  Chunks
+are planned into *frames*: the chunks bound for one benefactor, at most
+:data:`~repro.transport.tcp.TRANSFER_UNIT` of payload, one ``put_chunks`` RPC
+per frame.  Placement is what it is chunk by chunk (chunk *i*, replica *r*
+goes to ``stripe[(i + r) % width]``).  A benefactor's open frame outlives the
+``feed`` that opened it, so a file frames alike however it is cut into
+``write()`` calls.  A frame leaves when it cannot take another whole chunk
+within the transfer unit (at once for a chunk that large, so hashing the next
+chunk overlaps its push), at ``finish``, at :meth:`ChunkPusher.send_frames`
+(an IW spool rotating), or as the fullest open frame when the writer would
+exceed its byte budget.  A frame has no failure handling of its own: its
+chunks go through the per-chunk path one by one (rotation through the
+stripe, failure reports, stripe refresh), each replica a frame of one.
 
-Pipelining (section IV.B): with ``push_parallelism > 1`` the pusher submits
-frames, through a bounded in-flight window, to the worker pool of the
-:class:`~repro.client.proxy.ClientProxy` that opened the session, so chunk
-production (spooling, hashing) overlaps propagation to benefactors and several
-benefactors of the stripe receive data concurrently.  ``feed`` blocks only
-when the window is full, which bounds client memory at ``2 * push_parallelism``
-frames (at most a transfer unit, or one chunk, each).  The pusher owns its
-futures, never the pool: it starts, joins and shuts down no thread.  The chunk
-``finish`` flushes (the trailing partial chunk; for a file smaller than one
-chunk, the only one) is pushed by the caller, which would block on it at once
-anyway, while the frames already in flight keep overlapping with it.  With the
-default ``push_parallelism == 1``, or without an executor, the data path is
-fully synchronous, one RPC at a time.
+Pipelining (section IV.B): with ``push_parallelism > 1`` frames go to the
+worker pool of the :class:`~repro.client.proxy.ClientProxy` that opened the
+session, so chunk production (spooling, hashing) overlaps propagation to
+several benefactors.  The paper's sliding window is this frame buffer: open,
+queued and in-flight frames hold at most ``2 * push_parallelism *
+TRANSFER_UNIT`` bytes (plus one partial chunk).  A chunk that would exceed it
+sends the fullest open frame while fewer than ``push_parallelism`` frames are
+on their way, else waits for one to land.  The pusher owns its futures, never
+the pool: it starts, joins and shuts down no thread.  The frames holding the
+chunk ``finish`` flushes are pushed by the caller, which would block on them
+at once anyway, after the other frames went to the pool.  With
+``push_parallelism == 1``, or without an executor, every frame is sent on the
+caller, one RPC at a time.
 
 Chunking copies nothing: a complete chunk is a ``memoryview`` slice of the
 ``bytes`` the application wrote, handed as such to the transport (which sends
@@ -103,7 +105,8 @@ class _PendingChunk:
     holders: List[str]
     #: Replicas not stored yet; the chunk is placed when it reaches zero.
     missing: int
-    #: Later slots of the same plan with the same content: referenced, not pushed.
+    #: Later slots with the same content, planned before this one was
+    #: placed: referenced, not pushed.
     duplicates: List[Tuple[int, ChunkRef]] = field(default_factory=list)
 
 
@@ -177,7 +180,7 @@ class ChunkPusher:
         if metrics is not None:
             self._push_timer = metrics.histogram(
                 "client_push_chunk_seconds",
-                "Latency of one push frame (a benefactor's chunks of one write) incl. retries.",
+                "Latency of one push frame (one benefactor's chunks) incl. retries.",
                 window=True,
             )
         else:
@@ -188,10 +191,18 @@ class ChunkPusher:
         #: Borrowed: the pusher tracks the futures it submitted and nothing
         #: else of the pool.
         self._executor: Optional[Executor] = executor if self.parallelism > 1 else None
-        self._window: Optional[threading.BoundedSemaphore] = None
         self._futures: List[Future] = []
-        if self._executor is not None:
-            self._window = threading.BoundedSemaphore(2 * self.parallelism)
+        #: benefactor id -> its frame still taking chunks (writer thread only).
+        self._open: Dict[str, _Frame] = {}
+        #: chunk id -> its first occurrence, from planning until it is placed.
+        self._planned: Dict[str, _PendingChunk] = {}
+        #: Bytes of open, queued and in-flight frames, within ``_budget``, and
+        #: how many frames are queued or in flight; ``_landed`` is told when
+        #: one settles.
+        self._budget = 2 * self.parallelism * TRANSFER_UNIT
+        self._held = 0
+        self._sending = 0
+        self._landed = threading.Condition(self._lock)
 
     # -- public stream interface ---------------------------------------------
     @property
@@ -203,58 +214,60 @@ class ChunkPusher:
         """Logical bytes accepted so far (buffered + pushed)."""
         return self.stats.bytes_written
 
-    def feed(self, data: bytes, flush: bool = False) -> None:
-        """Accept application bytes; push every complete chunk immediately.
+    def feed(self, data: bytes) -> None:
+        """Accept application bytes; plan every complete chunk into frames.
 
         Complete chunks are cut as views of ``data``, never copied; only
         a sub-chunk head (topping up a partial chunk left by the previous
-        call) and tail pass through the pending buffer.  The chunks this call
-        completes travel together, a frame per benefactor.  With
-        ``push_parallelism > 1`` pushes are still in flight when this
-        returns, so a view is taken of immutable ``bytes`` only: any other
-        buffer (``bytearray``, ``mmap``, a writable view) is copied once up
-        front, which also leaves the caller free to mutate or resize it.
-
-        ``flush`` forces the trailing partial chunk out as well (used at
-        close time and when a protocol rotates its temporary file).
+        call) and tail pass through the pending buffer.  Frames outlive the
+        call, so pushes are still pending when this returns: a view is taken
+        of immutable ``bytes`` only, and any other buffer (``bytearray``,
+        ``mmap``, a writable view) is copied once up front, which also leaves
+        the caller free to mutate or resize it.
         """
         if type(data) is not bytes:
             data = bytes(data)
         size = len(data)
         self.stats.bytes_written += size
         view = memoryview(data)
-        completed: List["bytes | memoryview"] = []
         position = 0
         if self._pending:
             position = min(self.chunk_size - len(self._pending), size)
             self._pending += view[:position]
             if len(self._pending) == self.chunk_size:
-                completed.append(self._take_pending())
+                self._add_chunk(self._take_pending())
         while size - position >= self.chunk_size:
-            completed.append(view[position:position + self.chunk_size])
+            self._add_chunk(view[position:position + self.chunk_size])
             position += self.chunk_size
         if position < size:
             self._pending += view[position:]
-        if flush and self._pending:
-            completed.append(self._take_pending())
-        if completed:
-            self._push(completed)
 
     def _take_pending(self) -> bytes:
         payload = bytes(self._pending)
         self._pending.clear()
         return payload
 
-    def finish(self) -> ChunkMap:
-        """Flush the trailing chunk, wait for all in-flight pushes, and
-        return the completed chunk-map (ordered by file offset).
+    def send_frames(self) -> None:
+        """Send every open frame, in the order their first chunks came."""
+        frames, self._open = list(self._open.values()), {}
+        for frame in frames:
+            self._dispatch(frame)
 
-        The flushed chunk is pushed on the calling thread: the next thing
-        this method does is wait for it, so handing it to a worker could
-        only add the hand-off to its latency.
+    def finish(self) -> ChunkMap:
+        """Flush the trailing chunk, send the open frames, wait for all
+        pushes, and return the completed chunk-map (ordered by file offset).
+
+        The frames holding the flushed chunk are pushed on the calling
+        thread, after the others went to the pool: the next thing this
+        method does is wait for them, so handing them to a worker could only
+        add the hand-off to their latency.
         """
+        last = []
         if self._pending:
-            self._push([self._take_pending()], on_caller=True)
+            last = [self._open.pop(name) for name in self._plan(self._take_pending())]
+        self.send_frames()
+        for frame in last:
+            self._dispatch(frame, on_caller=True)
         self._drain()
         self._flush_acks()
         self._raise_if_failed()
@@ -265,82 +278,95 @@ class ChunkPusher:
         return self.chunk_map
 
     def cancel(self) -> None:
-        """Abandon this session's queued pushes (session abort path).
+        """Abandon this session: its open frames and queued pushes are dropped.
 
         Pushes already running are left to finish on their own; no other
         session's work on the shared pool is touched.
         """
+        self._open.clear()
         for future in self._futures:
             future.cancel()
         self._futures.clear()
 
     # -- frame planning ------------------------------------------------------
-    def _push(self, payloads: Sequence["bytes | memoryview"],
-              on_caller: bool = False) -> None:
-        """Name the chunks of one call, drop the known ones, send the rest.
+    def _add_chunk(self, payload: "bytes | memoryview") -> None:
+        """Plan a complete chunk; a frame it fills leaves at once."""
+        for benefactor_id in self._plan(payload):
+            if self._open[benefactor_id].size + self.chunk_size > TRANSFER_UNIT:
+                self._dispatch(self._open.pop(benefactor_id))
+
+    def _plan(self, payload: "bytes | memoryview") -> List[str]:
+        """Name one chunk; unless it is known, add its replicas to open frames.
 
         Chunk *i*, replica *r* goes to ``stripe[(i + r) % width]``: pessimistic
         writes place ``replication_level`` replicas (a narrow stripe cannot
-        hold more distinct replicas than nodes), optimistic writes one.  Each
-        benefactor has at most one frame taking chunks; it leaves as soon as
-        it could not take another whole chunk within the transfer unit — at
-        once for a chunk that large, so hashing the next chunk overlaps its
-        push as it did chunk by chunk — and whatever is still open leaves
-        when the call's chunks are all placed, in the order of its first chunk.
+        hold more distinct replicas than nodes), optimistic writes one.
+        Returns the benefactors whose frames took it.
         """
+        index = self._next_chunk_index
+        chunk_id = (
+            content_chunk_id(payload) if self._content_addressed
+            else opaque_chunk_id(self.dataset_id, self.version, index)
+        )
+        size = len(payload)
+        ref = ChunkRef(chunk_id=chunk_id, offset=self._next_offset, length=size)
+        self._next_chunk_index += 1
+        self._next_offset += size
+        if self._content_addressed:
+            # Under the lock that placing a chunk takes: the first
+            # occurrence is either placed (known) or will see this slot.
+            with self._lock:
+                known = self._known_chunks.get(chunk_id)
+                if known:
+                    # Incremental checkpointing: the chunk content already
+                    # lives in the pool; reference it copy-on-write instead
+                    # of pushing again.
+                    self._record_duplicate(index, ref, known)
+                    return []
+                first = self._planned.get(chunk_id)
+                if first is not None:
+                    first.duplicates.append((index, ref))
+                    return []
         stripe, generation = self._stripe_snapshot()
         if not stripe:
             self._refresh_stripe(generation)
             stripe, _ = self._stripe_snapshot()
         width = len(stripe)
         copies = max(1, min(self._copies_at_write_time, width))
-        #: benefactor id -> its frame that can still take a whole chunk.
-        taking: Dict[str, _Frame] = {}
-        #: chunk id -> its first occurrence in this call (content addressed).
-        planned: Dict[str, _PendingChunk] = {}
-        for payload in payloads:
-            index = self._next_chunk_index
-            chunk_id = (
-                content_chunk_id(payload) if self._content_addressed
-                else opaque_chunk_id(self.dataset_id, self.version, index)
-            )
-            size = len(payload)
-            ref = ChunkRef(chunk_id=chunk_id, offset=self._next_offset, length=size)
-            self._next_chunk_index += 1
-            self._next_offset += size
-            if self._content_addressed:
-                # Under the lock that placing a chunk takes: the first
-                # occurrence is either placed (known) or will see this slot.
-                with self._lock:
-                    known = self._known_chunks.get(chunk_id)
-                    if known:
-                        # Incremental checkpointing: the chunk content already
-                        # lives in the pool; reference it copy-on-write instead
-                        # of pushing again.
-                        self._record_duplicate(index, ref, known)
-                        continue
-                    first = planned.get(chunk_id)
-                    if first is not None:
-                        first.duplicates.append((index, ref))
-                        continue
-            targets = [stripe[(index + replica) % width] for replica in range(copies)]
-            pending = _PendingChunk(
-                Chunk(chunk_id=chunk_id, data=payload), index, ref,
-                holders=[entry["benefactor_id"] for entry in targets], missing=copies,
-            )
-            if self._content_addressed:
-                planned[chunk_id] = pending
-            for replica, entry in enumerate(targets):
-                benefactor_id = entry["benefactor_id"]
-                frame = taking.get(benefactor_id)
-                if frame is None:
-                    frame = taking[benefactor_id] = _Frame(entry)
-                frame.items.append((pending, replica))
-                frame.size += size
-                if frame.size + self.chunk_size > TRANSFER_UNIT:
-                    self._dispatch(taking.pop(benefactor_id), on_caller)
-        for frame in taking.values():
-            self._dispatch(frame, on_caller)
+        targets = [stripe[(index + replica) % width] for replica in range(copies)]
+        names = [entry["benefactor_id"] for entry in targets]
+        pending = _PendingChunk(Chunk(chunk_id=chunk_id, data=payload), index, ref,
+                                holders=list(names), missing=copies)
+        if self._content_addressed:
+            with self._lock:
+                self._planned[chunk_id] = pending
+        self._make_room(size * copies)
+        for replica, (name, entry) in enumerate(zip(names, targets)):
+            frame = self._open.get(name)
+            if frame is None:
+                frame = self._open[name] = _Frame(entry)
+            frame.items.append((pending, replica))
+            frame.size += size
+        return names
+
+    def _make_room(self, size: int) -> None:
+        """Hold ``size`` more bytes of frames, within the budget.
+
+        Over budget, the fullest open frame leaves while fewer than
+        ``push_parallelism`` frames are on their way; otherwise the writer
+        waits for one to land.  A writer that holds nothing takes any chunk,
+        however large.
+        """
+        while True:
+            with self._lock:
+                if not self._held or self._held + size <= self._budget:
+                    self._held += size
+                    return
+                if self._sending >= self.parallelism or not self._open:
+                    self._landed.wait()
+                    continue
+            fullest = max(self._open, key=lambda name: self._open[name].size)
+            self._dispatch(self._open.pop(fullest))
 
     def _record_duplicate(self, index: int, ref: ChunkRef, holders: Sequence[str]) -> None:
         """A slot whose content is stored already (call with ``_lock`` held)."""
@@ -348,52 +374,38 @@ class ChunkPusher:
         self.stats.bytes_deduplicated += ref.length
         self.stats.chunks_deduplicated += 1
 
-    def _dispatch(self, frame: _Frame, on_caller: bool) -> None:
-        """Send ``frame`` now, or hand it to the pool through the window."""
+    def _dispatch(self, frame: _Frame, on_caller: bool = False) -> None:
+        """Send ``frame`` now, or hand it to the pool."""
         self._raise_if_failed()
-        if on_caller or self._executor is None:
-            self._push_task(frame)
-            self._raise_if_failed()
-            return
-        assert self._window is not None
-        self._window.acquire()
         with self._lock:
-            failed = self._failure is not None
-        if failed:
-            self._window.release()
+            self._sending += 1
+        if on_caller or self._executor is None:
+            self._send(frame)
             self._raise_if_failed()
-        self._futures.append(self._executor.submit(self._guarded_push, frame))
+        else:
+            self._futures.append(self._executor.submit(self._send, frame))
 
-    def _guarded_push(self, frame: _Frame) -> None:
-        try:
-            self._push_task(frame)
-        finally:
-            assert self._window is not None
-            self._window.release()
-
-    def _push_task(self, frame: _Frame) -> None:
+    def _send(self, frame: _Frame) -> None:
         """Send one frame and record its placements (worker entry point).
 
         Only issues RPCs: a task on the shared pool must never submit to the
         pool and wait, the pool may be one thread wide.
         """
-        with tracing.use_context(self._trace_ctx):
-            if self._push_timer is None:
-                self._run_push(frame)
-                return
-            started = time.perf_counter()
-            try:
-                self._run_push(frame)
-            finally:
-                self._push_timer.observe(time.perf_counter() - started)
-
-    def _run_push(self, frame: _Frame) -> None:
+        started = time.perf_counter()
         try:
-            self._deliver(frame)
+            with tracing.use_context(self._trace_ctx):
+                self._deliver(frame)
         except BaseException as exc:  # noqa: BLE001 - surfaced via _raise_if_failed
             with self._lock:
                 if self._failure is None:
                     self._failure = exc
+        finally:
+            if self._push_timer is not None:
+                self._push_timer.observe(time.perf_counter() - started)
+            with self._lock:
+                self._held -= frame.size
+                self._sending -= 1
+                self._landed.notify()
 
     def _deliver(self, frame: _Frame) -> None:
         """One ``put_chunks`` for the frame, else the per-chunk path for each."""
@@ -424,6 +436,7 @@ class ChunkPusher:
             self._results[pending.index] = (pending.ref, holders)
             if self._content_addressed:
                 self._known_chunks.setdefault(pending.chunk.chunk_id, list(holders))
+                del self._planned[pending.chunk.chunk_id]
             for index, ref in pending.duplicates:
                 self._record_duplicate(index, ref, holders)
         self._queue_ack(pending.ref, holders)

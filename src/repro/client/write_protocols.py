@@ -26,17 +26,18 @@ All three protocols inherit the parallel data path of
 :class:`~repro.client.session.ChunkPusher`: with
 ``StdchkConfig.push_parallelism > 1`` and the opening client's worker pool
 (``executor``) the IW and SW sessions overlap spooling with propagation
-(``write`` returns as soon as its frames enter the bounded in-flight window),
-and ``close``/``finish`` waits for the window to drain before committing the
-chunk-map.  A session borrows the pool: ``abort`` cancels its own queued
-pushes only.
+(``write`` waits only when the pusher's frames hold their byte budget,
+``2 * push_parallelism * TRANSFER_UNIT``), and ``close``/``finish`` waits for
+every frame to land before committing the chunk-map.  A frame outlives the
+``write`` that opened it, so every protocol frames a file alike however the
+application cuts it.  A session borrows the pool: ``abort`` drops its open
+frames and cancels its own queued pushes only.
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
-from abc import ABC, abstractmethod
 from concurrent.futures import Executor
 from typing import Callable, Dict, List, Optional
 
@@ -54,8 +55,12 @@ from repro.util.clock import Clock, SystemClock
 from repro.util.config import StdchkConfig, WriteProtocol
 
 
-class WriteSession(ABC):
-    """One open-for-write file: accepts bytes, commits a chunk-map on close."""
+class WriteSession:
+    """One open-for-write file: accepts bytes, commits a chunk-map on close.
+
+    ``write`` hands the bytes straight to the pusher; the spooling protocols
+    override ``write`` and ``_drain``.
+    """
 
     protocol: WriteProtocol
 
@@ -117,31 +122,20 @@ class WriteSession(ABC):
             )
 
     # -- protocol-specific hooks ----------------------------------------------
-    @abstractmethod
     def write(self, data: bytes) -> int:
         """Accept application bytes; returns the number of bytes accepted."""
+        self._require_open()
+        # The pusher frames complete chunks at once, so memory stays bounded
+        # by its byte budget (``2 * push_parallelism * TRANSFER_UNIT``).
+        self.pusher.feed(data)
+        return len(data)
 
-    @abstractmethod
     def _drain(self) -> None:
-        """Push any data still held locally (called from close)."""
+        """Push any data still held locally (called from close).
 
-    def _push_spool(self, spool) -> None:
-        """Feed a spool file to the pusher, then close and delete it.
-
-        Each ``feed`` takes a transfer unit of whole chunks (one chunk when
-        chunks are larger), so a spooled session frames like a streamed one.
+        Nothing here: the pusher holds the trailing partial chunk, which
+        ``ChunkPusher.finish`` flushes.
         """
-        chunk_size = self.pusher.chunk_size
-        block_size = chunk_size * max(1, TRANSFER_UNIT // chunk_size)
-        spool.flush()
-        spool.seek(0)
-        while True:
-            block = spool.read(block_size)
-            if not block:
-                break
-            self.pusher.feed(block)
-        spool.close()
-        os.unlink(spool.name)
 
     # -- close / abort -----------------------------------------------------------
     def close(self, attributes: Optional[Dict[str, str]] = None) -> Dict[str, object]:
@@ -172,8 +166,9 @@ class WriteSession(ABC):
           and ``version`` it was given), so synthesize the success answer.
         * ``UnknownDatasetError`` — the session's ``create_session`` record
           never reached the standby (it was buffered, not yet shipped):
-          replay the whole session — re-open the same path and commit the
-          same chunk-map, whose chunks already sit on the benefactors.
+          replay the whole session — re-open the same path with the same
+          stripe width and replication level and commit the same chunk-map,
+          whose chunks already sit on the benefactors.
         """
         payload = dict(
             chunk_map=chunk_map.to_dict(),
@@ -206,13 +201,14 @@ class WriteSession(ABC):
         except UnknownDatasetError:
             if not failover:
                 raise
-            session_info = self.transport.call(
+            info = self.session_info
+            self.session_info = self.transport.call(
                 self.manager_address, "create_session",
-                path=self.session_info["path"],
-                client_id=self.session_info["client_id"],
+                path=info["path"], client_id=info["client_id"],
                 expected_size=self.pusher.total_size,
+                stripe_width=len(info["stripe"]),  # type: ignore[arg-type]
+                replication_level=info["replication_level"],
             )
-            self.session_info = session_info
             return commit()
 
     def abort(self) -> None:
@@ -268,65 +264,23 @@ class SlidingWindowWriteSession(WriteSession):
 
     protocol = WriteProtocol.SLIDING_WINDOW
 
-    def write(self, data: bytes) -> int:
-        self._require_open()
-        # The pusher flushes complete chunks eagerly, so memory stays bounded
-        # by its in-flight window (``2 * push_parallelism`` frames).
-        self.pusher.feed(data)
-        return len(data)
-
-    def _drain(self) -> None:
-        # Nothing buffered beyond the trailing partial chunk, which
-        # ``ChunkPusher.finish`` flushes.
-        return
-
-
-class IncrementalWriteSession(WriteSession):
-    """Incremental writes: bounded local temporary files pushed as they fill."""
-
-    protocol = WriteProtocol.INCREMENTAL
-
-    def __init__(self, *args, spool_dir: Optional[str] = None, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._spool_dir = spool_dir
-        self._spool = tempfile.NamedTemporaryFile(
-            prefix="stdchk-iw-", dir=spool_dir, delete=False
-        )
-        self._spool_size = 0
-        self.temporary_files_used = 1
-
-    def write(self, data: bytes) -> int:
-        self._require_open()
-        self._spool.write(data)
-        self._spool_size += len(data)
-        if self._spool_size >= self.config.incremental_file_size:
-            self._rotate_spool()
-        return len(data)
-
-    def _rotate_spool(self) -> None:
-        """Push the current temporary file's contents and start a new one."""
-        self._push_spool(self._spool)
-        self._spool = tempfile.NamedTemporaryFile(
-            prefix="stdchk-iw-", dir=self._spool_dir, delete=False
-        )
-        self._spool_size = 0
-        self.temporary_files_used += 1
-
-    def _drain(self) -> None:
-        self._push_spool(self._spool)
-
 
 class CompleteLocalWriteSession(WriteSession):
     """Complete local writes: spool everything, push only after close()."""
 
     protocol = WriteProtocol.COMPLETE_LOCAL
+    _spool_prefix = "stdchk-clw-"
 
     def __init__(self, *args, spool_dir: Optional[str] = None, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._spool = tempfile.NamedTemporaryFile(
-            prefix="stdchk-clw-", dir=spool_dir, delete=False
-        )
+        self._spool_dir = spool_dir
+        self._spool = self._open_spool()
         self._spool_size = 0
+
+    def _open_spool(self):
+        return tempfile.NamedTemporaryFile(
+            prefix=self._spool_prefix, dir=self._spool_dir, delete=False
+        )
 
     def write(self, data: bytes) -> int:
         self._require_open()
@@ -335,7 +289,45 @@ class CompleteLocalWriteSession(WriteSession):
         return len(data)
 
     def _drain(self) -> None:
-        self._push_spool(self._spool)
+        """Feed the spool file to the pusher, then close and delete it.
+
+        Each ``feed`` takes a transfer unit of whole chunks (one chunk when
+        chunks are larger), so its chunks are views of what was read.
+        """
+        chunk_size = self.pusher.chunk_size
+        block_size = chunk_size * max(1, TRANSFER_UNIT // chunk_size)
+        spool = self._spool
+        spool.flush()
+        spool.seek(0)
+        while True:
+            block = spool.read(block_size)
+            if not block:
+                break
+            self.pusher.feed(block)
+        spool.close()
+        os.unlink(spool.name)
+
+
+class IncrementalWriteSession(CompleteLocalWriteSession):
+    """Incremental writes: bounded local temporary files pushed as they fill."""
+
+    protocol = WriteProtocol.INCREMENTAL
+    _spool_prefix = "stdchk-iw-"
+    temporary_files_used = 1
+
+    def write(self, data: bytes) -> int:
+        super().write(data)
+        if self._spool_size >= self.config.incremental_file_size:
+            self._rotate_spool()
+        return len(data)
+
+    def _rotate_spool(self) -> None:
+        """Push the current temporary file and its open frames; start a new one."""
+        self._drain()
+        self.pusher.send_frames()
+        self._spool = self._open_spool()
+        self._spool_size = 0
+        self.temporary_files_used += 1
 
 
 _PROTOCOL_CLASSES = {
@@ -362,19 +354,10 @@ def make_write_session(
 ) -> WriteSession:
     """Instantiate the session class implementing ``protocol``."""
     cls = _PROTOCOL_CLASSES[protocol]
-    kwargs = dict(
-        transport=transport,
-        manager_address=manager_address,
-        session_info=session_info,
-        config=config,
-        existing_chunks=existing_chunks,
-        clock=clock,
-        producer=producer,
-        timestep=timestep,
-        metrics=metrics,
-        executor=executor,
-        on_close=on_close,
+    extra = {"spool_dir": spool_dir} if issubclass(cls, CompleteLocalWriteSession) else {}
+    return cls(
+        transport=transport, manager_address=manager_address,
+        session_info=session_info, config=config, existing_chunks=existing_chunks,
+        clock=clock, producer=producer, timestep=timestep, metrics=metrics,
+        executor=executor, on_close=on_close, **extra,
     )
-    if cls in (IncrementalWriteSession, CompleteLocalWriteSession):
-        kwargs["spool_dir"] = spool_dir
-    return cls(**kwargs)

@@ -1,5 +1,6 @@
 """Tests for chunk stores and the benefactor node."""
 
+import os
 import random
 import threading
 
@@ -104,6 +105,33 @@ class TestDiskChunkStore:
         store = DiskChunkStore(root=str(tmp_path), capacity=1 << 20)
         assert store.contains(chunk_id)
         assert store.get(chunk_id).data == data
+
+    @pytest.mark.parametrize("chunk_id", ["x.tmp", ".", "..", ""])
+    def test_restart_keeps_ids_named_like_dots_and_torn_writes(self, tmp_path, chunk_id):
+        """``.tmp`` marks a torn write only because no chunk's file name has
+        a ``.``; an empty id names no file and is refused before any is opened."""
+        root = tmp_path / "store"
+        store = DiskChunkStore(root=str(root), capacity=1 << 20)
+        store.put(Chunk(chunk_id="a_b", data=b"12345"))
+        expected = {"a_b": b"12345"}
+        if chunk_id:
+            store.put(Chunk(chunk_id=chunk_id, data=b"67890"))
+            expected[chunk_id] = b"67890"
+        else:
+            with pytest.raises(ValueError):
+                store.put(Chunk(chunk_id=chunk_id, data=b"67890"))
+        assert not [name for name in os.listdir(root) if name.endswith(".tmp")]
+        reopened = DiskChunkStore(root=str(root), capacity=1 << 20)
+        assert sorted(reopened.chunk_ids()) == sorted(expected)
+        for stored_id, data in expected.items():
+            assert reopened.get(stored_id).data == data
+        assert reopened.used_space == store.used_space == 5 * len(expected)
+
+    def test_restart_migrates_legacy_names_with_dots(self, tmp_path):
+        (tmp_path / "ds-1:v1:c0.old").write_bytes(b"legacy")
+        store = DiskChunkStore(root=str(tmp_path), capacity=1 << 20)
+        assert store.get("ds-1:v1:c0.old").data == b"legacy"
+        assert os.listdir(tmp_path) == ["ds-1%3Av1%3Ac0%2Eold"]
 
     def test_restart_discards_torn_tmp_files(self, tmp_path):
         with open(tmp_path / "something.tmp", "wb") as handle:

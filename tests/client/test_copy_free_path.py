@@ -82,8 +82,8 @@ class TestViewsOfImmutableInput:
             assert payload == data[index * CHUNK:(index + 1) * CHUNK]
         assert type(tail) is bytes and tail == data[4 * CHUNK:]
         assert chunk_map.total_size == len(data) and chunk_map.is_contiguous()
-        # The four views travelled as one frame, the flushed tail by itself.
-        assert benefactor.frames == [4, 1]
+        # The four views and the flushed tail travelled as one frame.
+        assert benefactor.frames == [5]
 
     def test_partial_head_tops_up_the_pending_chunk_then_views_resume(self):
         pusher, benefactor = recording_pusher()
@@ -97,8 +97,8 @@ class TestViewsOfImmutableInput:
         assert type(first) is bytes and type(third) is bytes
         assert type(second) is memoryview and second.obj is rest
         assert b"".join(benefactor.received) == data
-        # The topped-up copy and the view after it were completed by one call.
-        assert benefactor.frames == [2, 1]
+        # Frames outlive the call: the two calls' three chunks are one frame.
+        assert benefactor.frames == [3]
 
     @pytest.mark.parametrize("mutable", [
         bytearray, lambda data: memoryview(bytearray(data)),
@@ -115,42 +115,38 @@ class TestViewsOfImmutableInput:
         assert all(getattr(payload, "obj", None) is not owner for payload in benefactor.received)
 
     @settings(max_examples=60, deadline=None)
-    @given(cuts=st.lists(st.integers(0, 700), max_size=12), flush=st.booleans(),
+    @given(cuts=st.lists(st.integers(0, 700), max_size=12),
            chunk_size=st.sampled_from([64, 200]))
-    def test_any_split_of_the_stream_yields_the_same_chunks(self, cuts, flush, chunk_size):
+    def test_any_split_of_the_stream_yields_the_same_chunks(self, cuts, chunk_size):
         """Chunk sizes on both sides of the transfer unit (128 here): however
-        the stream is cut into ``feed`` calls, and so into frames, the chunks,
-        their holders and the statistics are those of feeding a chunk at a time."""
+        the stream is cut into ``feed`` calls, the chunks, their holders, the
+        statistics and the frames are those of feeding it in one call."""
         data = make_bytes(700, seed=4)
         edges = [0, *sorted(cuts), len(data)]
         with mock.patch.object(session_module, "TRANSFER_UNIT", 128):
             pusher, benefactor = recording_pusher(chunk_size)
             for start, end in zip(edges, edges[1:]):
-                pusher.feed(data[start:end], flush=flush and end == len(data))
+                pusher.feed(data[start:end])
             pusher.finish()
             assert b"".join(benefactor.received) == data
             assert [len(p) for p in benefactor.received[:-1]] == (
                 [chunk_size] * (len(data) // chunk_size))
             assert pusher.stats.bytes_written == pusher.stats.bytes_pushed == len(data)
-            # A frame holds what one call completed, a transfer unit at most.
+            # A frame holds a transfer unit at most, or one larger chunk.
             assert all(size * chunk_size <= 128 or size == 1 for size in benefactor.frames)
 
-            # Four benefactors, two replicas: against the chunk-at-a-time result.
+            # Four benefactors, two replicas: against the one-call result.
             striped, endpoints = recording_pusher(chunk_size, benefactors=4, replicas=2)
             for start, end in zip(edges, edges[1:]):
                 striped.feed(data[start:end])
             reference, reference_endpoints = recording_pusher(
                 chunk_size, benefactors=4, replicas=2)
-            for start in range(0, len(data), chunk_size):
-                reference.feed(data[start:start + chunk_size])
+            reference.feed(data)
             assert striped.finish().to_dict() == reference.finish().to_dict()
             assert striped.stats == reference.stats
             for endpoint, expected in zip(endpoints, reference_endpoints):
-                assert sorted(map(bytes, endpoint.received)) == (
-                    sorted(map(bytes, expected.received)))
-            assert all(size == 1 for e in reference_endpoints for size in e.frames)
-            if chunk_size > 128:
-                assert all(size == 1 for e in endpoints for size in e.frames)
+                assert list(map(bytes, endpoint.received)) == list(map(bytes, expected.received))
+                assert endpoint.frames == expected.frames
 
 
 def delayed_store(capacity):
@@ -226,6 +222,35 @@ class TestCopyGuard:
                 before, _ = tracemalloc.get_traced_memory()
                 tracemalloc.reset_peak()
                 client.write_file("/guard/image", data)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak - before < 8 * MIB, f"peaked {(peak - before) / MIB:.1f} MiB above start"
+            assert client.read_file("/guard/image") == data
+
+    def test_sixteen_mib_written_in_4_kib_blocks_holds_the_budget_not_the_file(self, tmp_path):
+        """Frames outlive ``write()``, and the writer's frames hold at most
+        ``2 * push_parallelism * TRANSFER_UNIT`` (4 MiB here): 16 MiB through
+        the FS facade in 4 KiB blocks, each 64 KiB chunk a copy from the
+        pending buffer, peaks at the budget plus the receive buffers."""
+        from repro.fs.filesystem import StdchkFilesystem
+        stores = count()
+        config = StdchkConfig(chunk_size=64 * 1024, replication_level=1, push_parallelism=2)
+        with TcpDeployment(
+            benefactor_count=4, config=config,
+            store_factory=lambda capacity: DiskChunkStore(
+                str(tmp_path / f"benefactor-{next(stores)}"), capacity),
+        ) as deployment:
+            client = deployment.client("guard")
+            fs = StdchkFilesystem(client)
+            data = make_bytes(16 * MIB, seed=8)
+            fs.write_file("/guard/warm", data[:2 * MIB], block_size=4096)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before, _ = tracemalloc.get_traced_memory()
+                tracemalloc.reset_peak()
+                fs.write_file("/guard/image", data, block_size=4096)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()

@@ -479,3 +479,32 @@ class TestCommitReplay:
             pool.transport.set_fault_hook(None)
         assert state["fired"]
         assert client.read_file("/app/ckpt.N0.T1") == data
+
+    def test_a_replayed_session_keeps_its_replication_level_and_stripe_width(self):
+        """The replay re-opens the session as it was opened, not with the
+        configured defaults (2 replicas over a 3-wide stripe here)."""
+        pool = make_pool(ship_batch_records=256)
+        pool.add_standby("standby-0")
+        client = pool.client("c0")
+        data = make_bytes(200 * 1024, seed=24)
+        state = {"fired": False}
+
+        def hook(address, method, payload):
+            if method == "commit_session" and not state["fired"]:
+                state["fired"] = True
+                pool.promote_standby()
+                raise EndpointUnreachableError("primary died mid-commit")
+
+        pool.transport.set_fault_hook(hook)
+        try:
+            session = client.open_write("/app/ckpt.N0.T2", replication_level=3,
+                                        stripe_width=2)
+            session.write(data)
+            session.close()
+        finally:
+            pool.transport.set_fault_hook(None)
+        assert state["fired"]
+        assert len(session.session_info["stripe"]) == 2
+        dataset_id = pool.manager.dataset_by_path("/app/ckpt.N0.T2").dataset_id
+        assert pool.manager.replication_target_for(dataset_id) == 3
+        assert client.read_file("/app/ckpt.N0.T2") == data

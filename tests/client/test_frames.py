@@ -1,8 +1,8 @@
 """Frames: the unit of transfer is not the unit of addressing.
 
-The chunks one ``feed`` completes (write) or one ``read_all`` needs (restart
-read) travel as frames: one benefactor's chunks, a transfer unit at most, one
-``put_chunks`` / ``get_chunks`` each.  What must hold is what held chunk by
+The chunks a write completes, across its ``write()`` calls, or one
+``read_all`` needs (restart read) travel as frames: one benefactor's chunks,
+a transfer unit at most, one ``put_chunks`` / ``get_chunks`` each.  What must hold is what held chunk by
 chunk: the same chunk map, holders, statistics and benefactor counters
 however the stream is cut; a frame that fails, wholly or for one chunk, is
 finished by the per-chunk path and by nothing else; and the number of data
@@ -11,6 +11,7 @@ RPCs is what the arithmetic says (counted, never timed).
 
 from __future__ import annotations
 
+import threading
 from types import SimpleNamespace
 
 import pytest
@@ -216,6 +217,37 @@ def test_two_identical_fsch_chunks_in_one_plan_are_pushed_once(kind, data_rpcs):
         assert client.read_file("/dedup/image") == a + b + c + a
 
 
+@pytest.mark.parametrize("kind", sorted(DEPLOYMENTS))
+@pytest.mark.parametrize("first_copy", ["open", "in-flight"])
+def test_a_block_repeated_in_a_later_write_is_pushed_once(kind, first_copy, data_rpcs):
+    """A B C, then A in a second ``write()`` while the first A is still in
+    an open frame, or in a frame on its way: the second A is a reference."""
+    hooks, store = scripted_stores()
+    with DEPLOYMENTS[kind](benefactor_count=2, config=config(
+            stripe_width=2, replication_level=1,
+            similarity_heuristic=SimilarityHeuristic.FSCH),
+            store_factory=store) as deployment:
+        client = deployment.client("writer", push_parallelism=2)
+        a, b, c = (make_bytes(CHUNK, seed) for seed in (1, 2, 3))
+        landing = threading.Event()
+        hooks.put = lambda target, chunk: landing.wait(10.0)
+        session = client.open_write("/dedup/later")
+        session.write(a + b + c)
+        if first_copy == "in-flight":
+            session.pusher.send_frames()
+        session.write(a)
+        landing.set()
+        session.close()
+        stats = session.stats
+        assert (stats.chunks_pushed, stats.chunks_deduplicated) == (3, 1)
+        assert (stats.bytes_pushed, stats.bytes_deduplicated) == (3 * CHUNK, CHUNK)
+        first, _b, _c, again = session.pusher.chunk_map.placements
+        assert (again.ref.chunk_id, again.benefactors) == (first.ref.chunk_id, first.benefactors)
+        assert sorted(data_rpcs) == [("put_chunks", 1), ("put_chunks", 2)]
+        assert sum(node.stats["puts"] for node in nodes(deployment).values()) == 3
+        assert client.read_file("/dedup/later") == a + b + c + a
+
+
 # ---------------------------------------------------------------------------
 # a chunk a read frame did not deliver intact is fetched again by itself
 # ---------------------------------------------------------------------------
@@ -323,6 +355,60 @@ class TestDataRpcArithmetic:
             assert data_rpcs == [("get_chunks", 4)] * 2
             assert sum(n.stats["puts"] for n in nodes(deployment).values()) == 16
             assert sum(n.stats["gets"] for n in nodes(deployment).values()) == 8
+
+    @pytest.mark.parametrize("entry", ["write_file", "write_file_4096",
+                                       "fs_write_131072", "fs_write_4096"])
+    def test_every_way_of_writing_the_file_is_a_frame_per_benefactor(
+            self, kind, data_rpcs, entry):
+        """The same 512 KiB written in one call, in 4 KiB ``write()`` calls,
+        and through the FS facade in 128 KiB and 4 KiB blocks: frames outlive
+        the calls, so every way is the four frames of ``write_file``."""
+        from repro.fs.filesystem import StdchkFilesystem
+        with DEPLOYMENTS[kind](benefactor_count=4,
+                               config=config(chunk_size=64 * KIB)) as deployment:
+            client = deployment.client("count", push_parallelism=2)
+            data = make_bytes(512 * KIB, seed=1)
+            block = int(entry.rsplit("_", 1)[1]) if entry[-1].isdigit() else 0
+            if entry.startswith("fs_"):
+                StdchkFilesystem(client).write_file("/count/f", data, block_size=block)
+            else:
+                client.write_file("/count/f", data, block_size=block)
+            assert sorted(data_rpcs) == [("put_chunks", 4)] * 4
+            assert sum(n.stats["puts"] for n in nodes(deployment).values()) == 16
+            assert client.read_file("/count/f") == data
+
+    def test_an_iw_spool_rotation_sends_the_open_frames(self, kind, data_rpcs, tmp_path):
+        """A spool of two chunks rotates every 128 KiB: chunks 0 and 1 are on
+        benefactors 0, 1 and 1, 2, so each rotation sends frames of 1, 2 and
+        1 chunks before the next block is written, and close sends none."""
+        from repro.util.config import WriteProtocol
+        with DEPLOYMENTS[kind](benefactor_count=4, config=config(
+                chunk_size=64 * KIB, incremental_file_size=128 * KIB,
+                write_protocol=WriteProtocol.INCREMENTAL)) as deployment:
+            client = deployment.client("spool", spool_dir=str(tmp_path))
+            data = make_bytes(512 * KIB, seed=4)
+            session = client.open_write("/spool/iw")
+            for rotation in range(4):
+                for start in range(0, 128 * KIB, 4 * KIB):
+                    offset = rotation * 128 * KIB + start
+                    session.write(data[offset:offset + 4 * KIB])
+                assert sorted(data_rpcs) == sorted(
+                    [("put_chunks", 1), ("put_chunks", 2), ("put_chunks", 1)] * (rotation + 1))
+            session.close()
+            assert len(data_rpcs) == 12
+            assert session.temporary_files_used == 5
+            assert client.read_file("/spool/iw") == data
+
+    def test_abort_sends_nothing_still_open(self, kind, data_rpcs):
+        with DEPLOYMENTS[kind](benefactor_count=4,
+                               config=config(chunk_size=64 * KIB)) as deployment:
+            client = deployment.client("quitter", push_parallelism=2)
+            session = client.open_write("/abort/f")
+            session.write(make_bytes(3 * 64 * KIB + 100, seed=5))
+            session.abort()
+            assert data_rpcs == []
+            assert sum(n.stats["puts"] for n in nodes(deployment).values()) == 0
+            assert client.versions("/abort/f") == []
 
     @pytest.mark.parametrize("parallelism", [1, 2])
     @pytest.mark.parametrize("entry", ["read_file_iter", "fs_read_file",

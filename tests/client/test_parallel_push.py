@@ -202,8 +202,9 @@ class TestAckBatching:
         client = pool.client("gc")
         session = client.open_write("/gcp/f", expected_size=4 * CHUNK)
         session.write(make_bytes(4 * CHUNK, seed=6))
-        session.pusher.feed(b"", flush=True)
-        session.pusher._flush_acks()
+        # Frames stay open across write(); send them and let them land.
+        session.pusher.send_frames()
+        session.pusher._drain()
         # Two GC exchanges before the commit: acked chunks must survive the
         # seen-twice rule because their session is still active.
         for _ in range(2):

@@ -220,14 +220,16 @@ class TestTheFlushedChunkIsPushedByTheCaller:
             submitted = spy_on_submit(monkeypatch, client)
             data = make_bytes(LARGE, seed=6)
             client.write_file("/tail/f", data)
-            # Five whole chunks over four benefactors are four frames: the
-            # first benefactor's takes chunks 0 and 4, the others one each.
-            assert submitted == ["_guarded_push"] * 4
+            # Five whole chunks and the tail over four benefactors are four
+            # frames: the first benefactor's takes chunks 0 and 4, the
+            # second's chunk 1 and the tail, the others one each.  The
+            # tail's frame stays on the caller.
+            assert submitted == ["_send"] * 3
             caller = threading.get_ident()
             on_caller = [sizes for ident, sizes in put_chunks_calls if ident == caller]
             on_workers = [sizes for ident, sizes in put_chunks_calls if ident != caller]
-            assert on_caller == [[CHUNK // 2]]
-            assert sorted(on_workers) == [[CHUNK]] * 3 + [[CHUNK, CHUNK]]
+            assert on_caller == [[CHUNK, CHUNK // 2]]
+            assert sorted(on_workers) == [[CHUNK]] * 2 + [[CHUNK, CHUNK]]
             assert client.read_file("/tail/f") == data
 
     def test_without_an_executor_everything_runs_on_the_caller(
@@ -396,6 +398,7 @@ class TestAbortStaysInsideItsSession:
                     # Both workers take one push each and park in the stores;
                     # the other two wait in the pool's queue.
                     doomed.write(make_bytes(4 * CHUNK, seed=11))
+                    doomed.pusher.send_frames()
                     assert parked.acquire(timeout=WAIT) and parked.acquire(timeout=WAIT)
                     doomed_running.set()
                     assert survivor_queued.wait(WAIT)
@@ -411,7 +414,8 @@ class TestAbortStaysInsideItsSession:
             def write_survivor():
                 try:
                     assert doomed_running.wait(WAIT)
-                    survivor.write(kept[:3 * CHUNK])  # queued behind the parked pushes
+                    survivor.write(kept[:3 * CHUNK])
+                    survivor.pusher.send_frames()  # queued behind the parked pushes
                     survivor_queued.set()
                     survivor.write(kept[3 * CHUNK:])
                     survivor.close()  # its tail parks too, on this thread
