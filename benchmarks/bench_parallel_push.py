@@ -56,12 +56,12 @@ def make_config(protocol: WriteProtocol) -> StdchkConfig:
     )
 
 
+def slow_store(capacity):
+    return DelayedChunkStore(capacity, put_delay=PUT_DELAY)
+
+
 def run_once(protocol: WriteProtocol, parallelism: int):
     """One full-file write over TCP; returns (OAB MB/s, metrics aggregate)."""
-
-    def slow_store(capacity):
-        return DelayedChunkStore(capacity, put_delay=PUT_DELAY)
-
     with TcpDeployment(
         benefactor_count=4,
         config=make_config(protocol),
@@ -107,25 +107,47 @@ def test_parallel_push_oab_speedup(benchmark):
         )
 
 
-def _best_oab(enabled: bool, runs: int = 3) -> float:
-    """Best-of-N OAB with observability globally on or off.
+#: Rounds of the overhead comparison; each writes the file once with
+#: telemetry off and once with it on, in alternating order.
+OVERHEAD_ROUNDS = 40
+
+
+def _best_oab_pair(rounds: int = OVERHEAD_ROUNDS) -> tuple[float, float]:
+    """Best-of-N OAB of one parallel SW write with telemetry off and on.
 
     Best-of-N (rather than mean) because the measured quantity is a floor —
     the simulated 4 ms/put device time plus unavoidable path cost — and the
-    scheduler noise above it is one-sided.
+    scheduler noise above it is one-sided.  The runs interleave (off, on,
+    then on, off, ...) on one warm deployment, so both sides see the same
+    stretch of host load and neither pays for connecting or starting
+    threads: a single 3 MiB write lasts about 60 ms, and a fresh
+    deployment's setup spreads it by more than the 5 % the gate resolves.
     """
-    prior = set_enabled(enabled)
-    try:
-        return max(
-            run_once(WriteProtocol.SLIDING_WINDOW, 4)[0] for _ in range(runs)
-        )
-    finally:
-        set_enabled(prior)
+    runs: dict[bool, list[float]] = {False: [], True: []}
+    with TcpDeployment(
+        benefactor_count=4,
+        config=make_config(WriteProtocol.SLIDING_WINDOW),
+        store_factory=slow_store,
+    ) as deployment:
+        client = deployment.client("bench", push_parallelism=4)
+        payload = bytes(FILE_SIZE)
+        client.write_file("/bench/obs-warmup", payload)
+        for round_number in range(rounds):
+            order = (False, True) if round_number % 2 == 0 else (True, False)
+            for enabled in order:
+                prior = set_enabled(enabled)
+                try:
+                    start = time.perf_counter()
+                    client.write_file(f"/bench/obs{round_number}-{enabled}", payload)
+                    elapsed = time.perf_counter() - start
+                finally:
+                    set_enabled(prior)
+                runs[enabled].append((FILE_SIZE / elapsed) / MB)
+    return max(runs[False]), max(runs[True])
 
 
 def test_observability_overhead_within_gate(benchmark):
-    baseline = _best_oab(enabled=False)
-    instrumented = _best_oab(enabled=True)
+    baseline, instrumented = _best_oab_pair()
     overhead_pct = (baseline - instrumented) / baseline * 100.0
     rows = [
         {"observability": "disabled", "OAB_MBps": baseline, "overhead_pct": 0.0},
@@ -133,7 +155,8 @@ def test_observability_overhead_within_gate(benchmark):
          "overhead_pct": overhead_pct},
     ]
     print_table(
-        "Observability overhead — parallel SW push over TCP (best of 3)",
+        "Observability overhead — parallel SW push over TCP "
+        f"(best of {OVERHEAD_ROUNDS}, off/on interleaved)",
         rows,
         note=f"acceptance gate: metrics+traces within "
              f"{MAX_OBS_OVERHEAD:.0%} of disabled",

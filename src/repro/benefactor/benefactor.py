@@ -31,7 +31,7 @@ from repro.exceptions import (
     TransportError,
 )
 from repro.obs import MetricsRegistry
-from repro.transport.base import Endpoint, Transport
+from repro.transport.base import Endpoint, Transport, control, rpc
 from repro.util.clock import Clock, SystemClock
 from repro.util.units import GiB
 
@@ -123,10 +123,12 @@ class Benefactor(Endpoint):
         with self._stats_lock:
             return dict(self._stats)
 
+    @control
     def get_metrics(self) -> Dict[str, object]:
         """Metrics-snapshot RPC; deliberately served even while offline."""
         return self.obs.snapshot()
 
+    @control
     def health(self) -> Dict[str, object]:
         """Health document (served even while offline, like metrics).
 
@@ -152,7 +154,8 @@ class Benefactor(Endpoint):
         }
 
     # -- lifecycle -----------------------------------------------------------
-    def _require_online(self) -> None:
+    def _admit(self) -> None:
+        """The one guard of every :func:`~repro.transport.base.rpc` handler."""
         if not self.online:
             raise BenefactorOfflineError(
                 f"benefactor {self.benefactor_id} is offline"
@@ -172,19 +175,7 @@ class Benefactor(Endpoint):
             for chunk_id in self.store.chunk_ids():
                 self.store.delete(chunk_id)
 
-    # -- registration payload --------------------------------------------------
-    def status(self) -> Dict[str, object]:
-        """The soft-state registration record sent with every heartbeat."""
-        self._require_online()
-        return {
-            "benefactor_id": self.benefactor_id,
-            "address": self.address,
-            "free_space": self.store.free_space,
-            "used_space": self.store.used_space,
-            "chunk_count": self.store.chunk_count,
-            "timestamp": self.clock.now(),
-        }
-
+    # -- registration ------------------------------------------------------------
     def register_with(self, manager_address: str,
                       advertised_address: Optional[str] = None,
                       reconcile: bool = True) -> Dict[str, object]:
@@ -199,7 +190,6 @@ class Benefactor(Endpoint):
         registration key).  The answer's ``peers`` list replaces the peer
         directory.
         """
-        self._require_online()
         address = advertised_address if advertised_address is not None else self.address
         self.advertised_address = address
         answer = self.transport.call(
@@ -227,7 +217,6 @@ class Benefactor(Endpoint):
         attributes to this node are purged so repair pulls a fresh replica
         from a good holder instead of trusting bad bytes.
         """
-        self._require_online()
         answer = self.transport.call(
             manager_address,
             "reconcile_inventory",
@@ -249,7 +238,9 @@ class Benefactor(Endpoint):
         return answer
 
     # -- inventory summaries ----------------------------------------------------
-    def _current_digest(self) -> str:
+    def inventory_digest(self) -> str:
+        """The inventory digest (heartbeat payload), cached against the
+        store's mutation counter."""
         mutations = self.store.mutation_count
         cached = self._digest_cache
         if cached is None or cached[0] != mutations:
@@ -257,14 +248,9 @@ class Benefactor(Endpoint):
             self._digest_cache = cached
         return cached[1]
 
-    def inventory_digest(self) -> str:
-        """The inventory digest (heartbeat payload)."""
-        self._require_online()
-        return self._current_digest()
-
+    @rpc
     def checksum_inventory(self) -> Dict[ChunkId, str]:
         """``chunk_id -> payload digest`` map served to anti-entropy peers."""
-        self._require_online()
         self._bump("checksum_inventories")
         return self.store.checksums()
 
@@ -300,20 +286,21 @@ class Benefactor(Endpoint):
             return len(self._repair_queue)
 
     # -- data path ----------------------------------------------------------------
+    @rpc
     def put_chunks(self, chunk_ids: Sequence[ChunkId],
                    data: Sequence[bytes]) -> Dict[str, object]:
         """Store the chunks of one frame (a chunk that travels alone is a
         frame of one); returns how many were stored and the free space.
 
-        Raises at the first chunk that fails (offline, integrity, capacity).
-        Those before it stay stored: storing is idempotent, and a chunk no
-        committed version names is collected like any aborted push.
+        An offline node refuses the whole frame; otherwise this raises at the
+        first chunk that fails (integrity, capacity).  Those before it stay
+        stored: storing is idempotent, and a chunk no committed version names
+        is collected like any aborted push.
         """
         if len(chunk_ids) != len(data):
             raise ValueError(
                 f"{len(chunk_ids)} chunk ids for {len(data)} payloads")
         for chunk_id, payload in zip(chunk_ids, data):
-            self._require_online()
             chunk = Chunk(chunk_id=chunk_id, data=payload)
             chunk.verify()
             with self._store_put_timer.time():
@@ -321,6 +308,7 @@ class Benefactor(Endpoint):
             self._bump_transfer("puts", "bytes_in", len(payload))
         return {"stored": len(chunk_ids), "free_space": self.store.free_space}
 
+    @rpc
     def get_chunks(self, chunk_ids: Sequence[ChunkId]) -> List[bytes]:
         """Payloads of the chunks of one frame, in order.
 
@@ -329,27 +317,19 @@ class Benefactor(Endpoint):
         """
         payloads = []
         for chunk_id in chunk_ids:
-            self._require_online()
             with self._store_get_timer.time():
                 chunk = self.store.get(chunk_id)
             self._bump_transfer("gets", "bytes_out", chunk.size)
             payloads.append(chunk.data)
         return payloads
 
+    @rpc
     def has_chunk(self, chunk_id: ChunkId) -> bool:
-        self._require_online()
         return self.store.contains(chunk_id)
 
-    def delete_chunk(self, chunk_id: ChunkId) -> bool:
-        self._require_online()
-        deleted = self.store.delete(chunk_id)
-        if deleted:
-            self._bump("deletes")
-        return deleted
-
+    @rpc
     def delete_chunks(self, chunk_ids: Sequence[ChunkId]) -> int:
         """Bulk delete; returns the number of chunks actually removed."""
-        self._require_online()
         removed = 0
         for chunk_id in chunk_ids:
             if self.store.delete(chunk_id):
@@ -357,9 +337,9 @@ class Benefactor(Endpoint):
                 self._bump("deletes")
         return removed
 
+    @rpc
     def list_chunks(self) -> List[ChunkId]:
         """Inventory report used by the garbage-collection exchange."""
-        self._require_online()
         return self.store.chunk_ids()
 
     # -- replication ------------------------------------------------------------------
@@ -375,7 +355,6 @@ class Benefactor(Endpoint):
         that were copied and the ids that were missing locally; an id in
         neither list was not copied.
         """
-        self._require_online()
         copied: List[ChunkId] = []
         missing: List[ChunkId] = []
         for chunk_id in chunk_ids:

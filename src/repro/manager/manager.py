@@ -82,7 +82,7 @@ from repro.manager.persistence import (
 )
 from repro.manager.registry import BenefactorRegistry
 from repro.obs import LabelChildren, MetricsRegistry
-from repro.transport.base import Endpoint, Transport
+from repro.transport.base import Endpoint, Transport, control, rpc
 from repro.util.clock import Clock, SystemClock
 from repro.util.config import StdchkConfig
 
@@ -233,8 +233,16 @@ class MetadataManager(Endpoint):
         #: recovered manager must not resurrect a corrupt replica.
         self._corrupt: Dict[str, Dict[str, float]] = {}
 
-    # ------------------------------------------------------------------ utils
-    def _require_online(self) -> None:
+    # ------------------------------------------------------------------ guard
+    def _admit(self) -> None:
+        """The one guard of every :func:`~repro.transport.base.rpc` handler.
+
+        Only an online primary that is done replaying serves; an admitted
+        call is a transaction.  A deposed primary redirects to its
+        successor, a standby sends the caller to re-resolve, a recovering
+        manager asks it to retry.  Control RPCs (status, health, metrics,
+        fencing, replication) bypass it.
+        """
         if self.role == "fenced":
             raise NotPrimaryError(
                 f"manager {self.manager_id} was deposed at epoch {self.epoch}; "
@@ -242,21 +250,26 @@ class MetadataManager(Endpoint):
                 primary_address=self.fenced_by,
                 epoch=self.epoch,
             )
+        if self.role == "standby":
+            raise NotPrimaryError(
+                f"manager {self.manager_id} is a standby replica; "
+                "re-resolve the active primary and retry"
+            )
         if self.recovering:
             raise ManagerRecoveringError(
                 f"manager {self.manager_id} is replaying its journal; retry shortly"
             )
         if not self.online:
             raise ManagerUnavailableError(f"manager {self.manager_id} is offline")
-
-    def _count(self) -> None:
         with self._txn_lock:
             self.transactions += 1
 
+    @control
     def get_metrics(self) -> Dict[str, object]:
         """Metrics-snapshot RPC for scrapers (served even while recovering)."""
         return self.obs.snapshot()
 
+    @control
     def manager_status(self) -> Dict[str, object]:
         """Role/liveness probe for failover discovery.
 
@@ -277,32 +290,39 @@ class MetadataManager(Endpoint):
             ),
         }
 
+    @control
     def fence(self, epoch: int, primary_address: Optional[str] = None
               ) -> Dict[str, object]:
         """Depose this manager: a successor serves under ``epoch``.
 
-        Served regardless of the liveness guards (like ``manager_status``) so
-        a supervisor can fence an old primary whatever state it is in.  An
-        ``epoch`` at or below our own is refused with
-        :class:`~repro.exceptions.StaleEpochError` — fencing only ever moves
-        the cluster forward.  Once fenced, every normal RPC answers
-        :class:`~repro.exceptions.NotPrimaryError` with the successor hint,
-        so clients and benefactors re-resolve instead of mutating a deposed
-        replica's state.
+        Served regardless of the guard (like ``manager_status``) so a
+        supervisor can fence an old primary whatever state it is in.  Fencing
+        only ever moves the cluster forward: an ``epoch`` below our own (at
+        or below it, on a primary) is refused with
+        :class:`~repro.exceptions.StaleEpochError` and changes nothing, and a
+        fence without ``primary_address`` keeps the successor hint already
+        known.  Once fenced, every normal RPC answers
+        :class:`~repro.exceptions.NotPrimaryError` with that hint, so clients
+        and benefactors re-resolve instead of mutating a deposed replica's
+        state.
         """
+        epoch = int(epoch)
         with self._meta_lock:
-            if epoch <= self.epoch and self.role == "primary":
+            if epoch < self.epoch or (epoch == self.epoch and self.role == "primary"):
                 raise StaleEpochError(
-                    f"manager {self.manager_id} is primary at epoch "
+                    f"manager {self.manager_id} is {self.role} at epoch "
                     f"{self.epoch}; refusing fence at {epoch}",
                     epoch=self.epoch,
-                    primary_address=self.address,
+                    primary_address=(self.address if self.role == "primary"
+                                     else self.fenced_by),
                 )
-            self.epoch = max(self.epoch, int(epoch))
+            self.epoch = epoch
             self.role = "fenced"
-            self.fenced_by = primary_address
+            if primary_address is not None:
+                self.fenced_by = primary_address
         return {"fenced": True, "epoch": self.epoch}
 
+    @control
     def health(self) -> Dict[str, object]:
         """Role-aware health document (served regardless of liveness guards).
 
@@ -492,11 +512,10 @@ class MetadataManager(Endpoint):
         return report
 
     # ------------------------------------------------- benefactor-facing calls
+    @rpc
     def register_benefactor(self, benefactor_id: str, address: str, free_space: int,
                             used_space: int = 0, chunk_count: int = 0) -> Dict[str, object]:
         """Soft-state registration; also used as the periodic heartbeat."""
-        self._require_online()
-        self._count()
         now = self.clock.now()
         # The meta lock spans the prior-address read, the membership record
         # and the liveness refresh so concurrent re-registrations cannot
@@ -532,6 +551,7 @@ class MetadataManager(Endpoint):
             for record in self.registry.online()
         ]
 
+    @rpc
     def heartbeat(self, benefactor_id: str, free_space: int,
                   inventory_digest: str, used_space: int = 0,
                   chunk_count: int = 0) -> Dict[str, object]:
@@ -545,8 +565,6 @@ class MetadataManager(Endpoint):
         list.  ``peers`` lists every online benefactor: the node's whole
         view of the pool, replaced beat by beat.
         """
-        self._require_online()
-        self._count()
         self.registry.heartbeat(
             benefactor_id, free_space, used_space, chunk_count,
             now=self.clock.now(),
@@ -572,14 +590,14 @@ class MetadataManager(Endpoint):
             "peers": self._online_peers(),
         }
 
+    @rpc
     def report_benefactor_failure(self, benefactor_id: str) -> Dict[str, object]:
         """Clients report data-path failures so the manager reacts promptly."""
-        self._require_online()
-        self._count()
         if self.registry.mark_offline(benefactor_id):
             self._request_reconciles()
         return {"acknowledged": True}
 
+    @rpc
     def gc_report(self, benefactor_id: str, chunk_ids: Sequence[str]) -> Dict[str, List[str]]:
         """Garbage-collection exchange: reply with the chunks that may be deleted.
 
@@ -588,8 +606,6 @@ class MetadataManager(Endpoint):
         report (so a chunk pushed by an in-flight session that has not yet
         committed its chunk-map is never collected).
         """
-        self._require_online()
-        self._count()
         with self._meta_lock:
             reported = set(chunk_ids)
             live = self.live_chunk_ids()
@@ -613,7 +629,6 @@ class MetadataManager(Endpoint):
 
     def expire_benefactors(self) -> List[str]:
         """Expire benefactors whose heartbeats went silent (called by services)."""
-        self._require_online()
         expired = self.registry.expire(self.clock.now())
         if expired:
             self._request_reconciles()
@@ -633,6 +648,7 @@ class MetadataManager(Endpoint):
             for record in self.registry.online():
                 self.registry.set_repair_pending(record.benefactor_id)
 
+    @rpc
     def reconcile_inventory(self, benefactor_id: str,
                             chunk_ids: Sequence[str]) -> Dict[str, object]:
         """Reconcile a benefactor's advertised chunk inventory (soft state).
@@ -663,8 +679,6 @@ class MetadataManager(Endpoint):
         work was withheld, or cut off by ``MAX_REPAIR_HINTS``, stays flagged
         ``repair_pending`` so its next heartbeat reconciles again.
         """
-        self._require_online()
-        self._count()
         inventory = set(chunk_ids)
         reattached = 0
         repair: List[Dict[str, object]] = []
@@ -740,6 +754,7 @@ class MetadataManager(Endpoint):
             "repair": repair,
         }
 
+    @rpc
     def report_corrupt_chunk(self, chunk_id: str, benefactor_id: str,
                              reporter: str = "") -> Dict[str, object]:
         """Record that ``benefactor_id``'s replica of ``chunk_id`` is corrupt.
@@ -755,8 +770,6 @@ class MetadataManager(Endpoint):
         target and mask real under-replication (same rationale as
         ``drop_benefactor``).
         """
-        self._require_online()
-        self._count()
         now = self.clock.now()
         with self._meta_lock:
             dropped = 0
@@ -783,6 +796,7 @@ class MetadataManager(Endpoint):
             "healthy_holders": sorted(survivors),
         }
 
+    @rpc
     def record_replicas(self, benefactor_id: str,
                         chunk_ids: Sequence[str]) -> Dict[str, object]:
         """Attach replicas a repair source created (or found already present).
@@ -793,8 +807,6 @@ class MetadataManager(Endpoint):
         manager re-learns the placements from the holder's own inventory
         reconciliation.
         """
-        self._require_online()
-        self._count()
         wanted = set(chunk_ids)
         attached = 0
         with self._meta_lock:
@@ -820,12 +832,11 @@ class MetadataManager(Endpoint):
             }
 
     # ------------------------------------------------------ namespace operations
+    @rpc
     def make_folder(self, path: str, retention_kind: Optional[str] = None,
                     purge_after: float = 3600.0, keep_last: int = 1,
                     exist_ok: bool = True) -> Dict[str, object]:
         """Create an application folder, optionally with a retention policy."""
-        self._require_online()
-        self._count()
         path = normalize_path(path)
         self._commit("make_folder", {
             "path": path,
@@ -836,10 +847,9 @@ class MetadataManager(Endpoint):
         })
         return {"created": True, "path": path}
 
+    @rpc
     def set_retention(self, path: str, retention_kind: str,
                       purge_after: float = 3600.0, keep_last: int = 1) -> Dict[str, object]:
-        self._require_online()
-        self._count()
         self._commit("set_retention", {
             "path": normalize_path(path),
             "retention_kind": retention_kind,
@@ -848,20 +858,17 @@ class MetadataManager(Endpoint):
         })
         return {"updated": True}
 
+    @rpc
     def list_dir(self, path: str) -> List[str]:
-        self._require_online()
-        self._count()
         return self.namespace.list_dir(path)
 
+    @rpc
     def exists(self, path: str) -> bool:
-        self._require_online()
-        self._count()
         return self.namespace.exists(path)
 
+    @rpc
     def stat(self, path: str) -> Dict[str, object]:
         """File or folder attributes (getattr equivalent)."""
-        self._require_online()
-        self._count()
         if self.namespace.folder_exists(path):
             folder = self.namespace.get_folder(path)
             return {
@@ -881,18 +888,16 @@ class MetadataManager(Endpoint):
             "modified_at": latest.created_at if latest is not None else entry.created_at,
         }
 
+    @rpc
     def delete(self, path: str) -> Dict[str, object]:
         """Delete a file: metadata is dropped; chunks become GC-able orphans."""
-        self._require_online()
-        self._count()
         removed_versions = self._commit(
             "delete", {"path": normalize_path(path)}, durable=True
         )
         return {"deleted": True, "versions_removed": removed_versions}
 
+    @rpc
     def remove_folder(self, path: str, force: bool = False) -> Dict[str, object]:
-        self._require_online()
-        self._count()
         removed = 0
         # One lock hold across the per-file deletes and the folder removal: a
         # create_session landing between them would have its file dropped
@@ -934,6 +939,7 @@ class MetadataManager(Endpoint):
             for bid in allocation
         ]
 
+    @rpc
     def create_session(self, path: str, client_id: str, expected_size: int = 0,
                        stripe_width: Optional[int] = None,
                        replication_level: Optional[int] = None) -> Dict[str, object]:
@@ -942,8 +948,6 @@ class MetadataManager(Endpoint):
         If ``path`` already exists the session targets a *new version* of the
         same dataset (checkpoint versioning); otherwise a dataset is created.
         """
-        self._require_online()
-        self._count()
         now = self.clock.now()
         width = stripe_width if stripe_width is not None else self.config.stripe_width
         replication = (
@@ -991,10 +995,9 @@ class MetadataManager(Endpoint):
             "client_id": client_id,
         }
 
+    @rpc
     def extend_stripe(self, session_id: str, additional_space: int = 0) -> Dict[str, object]:
         """Re-allocate the stripe for a session (e.g. a benefactor went away)."""
-        self._require_online()
-        self._count()
         with self._meta_lock:
             session = self._session(session_id)
             stripe = self._allocate_stripe(len(session.stripe) or self.config.stripe_width,
@@ -1002,6 +1005,7 @@ class MetadataManager(Endpoint):
             self._commit("extend_stripe", {"session_id": session_id, "stripe": stripe})
         return {"stripe": stripe}
 
+    @rpc
     def put_chunks_ack(self, session_id: str,
                        placements: Sequence[Dict[str, object]]) -> Dict[str, object]:
         """Record a batch of successful chunk placements for an open session.
@@ -1013,8 +1017,6 @@ class MetadataManager(Endpoint):
         at close time still carries the full chunk-map in a single RPC and
         remains the only step that makes a version visible.
         """
-        self._require_online()
-        self._count()
         with self._meta_lock:
             session = self._session(session_id)
             normalized = [
@@ -1036,6 +1038,7 @@ class MetadataManager(Endpoint):
         except KeyError:
             raise UnknownDatasetError(f"unknown session: {session_id}") from None
 
+    @rpc
     def commit_session(self, session_id: str, chunk_map: Dict, size: int,
                        producer: str = "", timestep: Optional[int] = None,
                        attributes: Optional[Dict[str, str]] = None,
@@ -1048,8 +1051,6 @@ class MetadataManager(Endpoint):
         number made by ``session_id`` means the first attempt landed
         (:class:`SessionCommittedError`); anything else is an unknown session.
         """
-        self._require_online()
-        self._count()
         with self._meta_lock:
             session = self._sessions.get(session_id)
             if session is None:
@@ -1078,9 +1079,8 @@ class MetadataManager(Endpoint):
             "size": size,
         }
 
+    @rpc
     def abort_session(self, session_id: str) -> Dict[str, object]:
-        self._require_online()
-        self._count()
         with self._meta_lock:
             self._session(session_id)
             self._commit("abort", {"session_id": session_id}, durable=True)
@@ -1100,10 +1100,9 @@ class MetadataManager(Endpoint):
                 value *= 0.5 ** (elapsed / halflife)
         return value
 
+    @rpc
     def get_chunk_map(self, path: str, version: Optional[int] = None) -> Dict[str, object]:
         """Return the chunk-map of ``path`` (latest version by default)."""
-        self._require_online()
-        self._count()
         dataset = self._dataset_for_path(path)
         if dataset.latest is None:
             # The path exists in the namespace (a session was opened) but no
@@ -1143,10 +1142,9 @@ class MetadataManager(Endpoint):
             "load_hints": load_hints,
         }
 
+    @rpc
     def get_versions(self, path: str) -> List[Dict[str, object]]:
         """Version history of a dataset (for restart/debugging tooling)."""
-        self._require_online()
-        self._count()
         dataset = self._dataset_for_path(path)
         return [
             {
@@ -1160,6 +1158,7 @@ class MetadataManager(Endpoint):
             for v in dataset.versions
         ]
 
+    @rpc
     def get_existing_chunks(self, path: str) -> Dict[str, object]:
         """Chunk ids (with placements) already stored for this application.
 
@@ -1171,8 +1170,6 @@ class MetadataManager(Endpoint):
         *every* file in the same application folder, not just prior versions
         of ``path`` itself.
         """
-        self._require_online()
-        self._count()
         placements: Dict[str, List[str]] = {}
 
         def _merge(version) -> None:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional
 
-from repro.exceptions import ManagerError, NotPrimaryError, StaleEpochError
+from repro.exceptions import ManagerError, StaleEpochError
 from repro.manager.manager import MetadataManager
 from repro.manager.persistence import (
     ManagerPersistence,
@@ -26,6 +26,7 @@ from repro.manager.persistence import (
     encode_manager_state,
     restore_manager_state,
 )
+from repro.transport.base import control
 
 
 class StandbyManager(MetadataManager):
@@ -55,15 +56,7 @@ class StandbyManager(MetadataManager):
             "Time to flip this standby into a serving primary.",
         )
 
-    # ------------------------------------------------------------------ guards
-    def _require_online(self) -> None:
-        if self.role == "standby":
-            raise NotPrimaryError(
-                f"manager {self.manager_id} is a standby replica; "
-                "re-resolve the active primary and retry"
-            )
-        super()._require_online()
-
+    @control
     def manager_status(self) -> Dict[str, object]:
         status = super().manager_status()
         status["applied_lsn"] = self.applied_lsn
@@ -89,6 +82,7 @@ class StandbyManager(MetadataManager):
         self.epoch = max(self.epoch, int(epoch))
 
     # ------------------------------------------------------------- replication
+    @control
     def replicate_records(self, records: List[Dict[str, object]],
                           from_lsn: int,
                           epoch: int) -> Dict[str, object]:
@@ -117,6 +111,7 @@ class StandbyManager(MetadataManager):
                 lsn += 1
             return {"applied_lsn": self.applied_lsn, "resync": False}
 
+    @control
     def install_snapshot(self, state: Dict[str, object],
                          lsn: int,
                          epoch: int) -> Dict[str, object]:
@@ -135,6 +130,7 @@ class StandbyManager(MetadataManager):
             return {"applied_lsn": self.applied_lsn}
 
     # --------------------------------------------------------------- promotion
+    @control
     def promote(self, journal_dir: Optional[str] = None) -> Dict[str, object]:
         """Take over the primary role at the last applied LSN.
 

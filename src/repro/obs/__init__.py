@@ -36,11 +36,7 @@ from repro.obs.tracing import (
 )
 from repro.obs.export import to_json, to_prometheus
 from repro.obs.logs import component_logger, logging_setup
-from repro.obs.otlp import (
-    OtlpJsonlSpanExporter,
-    RotatingJsonlWriter,
-    otlp_resource_spans,
-)
+from repro.obs.otlp import otlp_resource_spans
 from repro.obs.http import ObsHttpServer
 from repro.obs.health import (
     ClusterHealthMonitor,
@@ -70,8 +66,6 @@ __all__ = [
     "logging_setup",
     "is_enabled",
     "set_enabled",
-    "OtlpJsonlSpanExporter",
-    "RotatingJsonlWriter",
     "otlp_resource_spans",
     "ObsHttpServer",
     "ClusterHealthMonitor",

@@ -13,10 +13,9 @@ scavenged benefactors stdchk runs on are exactly the volatile population the
 P2P checkpointing literature models this way); the latency EWMA kept per
 node gives operators an early-warning signal before the binary detector
 trips.  Every state transition is appended to a bounded in-memory event log
-(optionally mirrored to a rotated JSON-lines file) and handed to the
-``on_transition`` callback — the groundwork for automatic standby promotion:
-a supervisor subscribing to ``("manager", ..., "dead")`` events has exactly
-the trigger it needs.
+and handed to the ``on_transition`` callback — the groundwork for automatic
+standby promotion: a supervisor subscribing to ``("manager", ..., "dead")``
+events has exactly the trigger it needs.
 
 :meth:`cluster_status` condenses the last probe results into one document:
 roles, replication lag, under-replicated chunk count and per-node SLO
@@ -110,7 +109,6 @@ class ClusterHealthMonitor:
         suspect_after: float = 3.0,
         dead_after: float = 10.0,
         on_transition: Optional[Callable[[HealthTransition], None]] = None,
-        event_log=None,
         max_events: int = 256,
         registry=None,
     ) -> None:
@@ -125,9 +123,6 @@ class ClusterHealthMonitor:
         self.suspect_after = suspect_after
         self.dead_after = dead_after
         self.on_transition = on_transition
-        #: Optional :class:`~repro.obs.otlp.RotatingJsonlWriter` mirroring
-        #: the transition log to bounded on-disk files.
-        self.event_log = event_log
         self.max_events = max_events
         self._nodes: Dict[str, NodeHealth] = {}
         self._events: List[HealthTransition] = []
@@ -250,11 +245,6 @@ class ClusterHealthMonitor:
                 del self._events[: len(self._events) - self.max_events]
         if self._transitions_counter is not None:
             self._transitions_counter.labels(state=transition.new_state).inc()
-        if self.event_log is not None:
-            try:
-                self.event_log.write(transition.to_dict())
-            except OSError:  # pragma: no cover - log volume full
-                pass
         if self.on_transition is not None:
             self.on_transition(transition)
 

@@ -9,10 +9,7 @@ reach with plain ``curl``:
   (cumulative series plus windowed-summary quantiles).
 * ``GET /metrics.json`` — the same snapshot as deterministic JSON.
 * ``GET /spans`` — the span store dump (``{"spans": [...]}``); with
-  ``?format=otlp`` the same spans in OTLP/JSON shape.  When the server owns
-  an :class:`~repro.obs.otlp.OtlpJsonlSpanExporter`, every ``/spans`` hit
-  also drains newly finished spans to the rotated on-disk files, so scraping
-  doubles as shipping.
+  ``?format=otlp`` the same spans in OTLP/JSON shape.
 * ``GET /health`` — the node's role-aware health document; HTTP 200 when the
   node reports itself ready to serve its clients, 503 otherwise, so plain
   load-balancer-style checks work without parsing the body.
@@ -31,7 +28,7 @@ from urllib.parse import urlparse
 
 from repro.obs.export import to_json, to_prometheus
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.otlp import OtlpJsonlSpanExporter, otlp_resource_spans
+from repro.obs.otlp import otlp_resource_spans
 from repro.obs.tracing import SPAN_STORE, SpanStore
 from repro.util.serving import BackgroundServer
 
@@ -85,9 +82,7 @@ class ObsHttpServer:
 
     ``health_provider`` is a zero-argument callable returning the node's
     health document; the HTTP status derives from its ``ready`` key.
-    ``span_store`` defaults to the process-global store; ``span_exporter``
-    optionally ships drained spans to rotated OTLP/JSON-lines files on every
-    ``/spans`` scrape.
+    ``span_store`` defaults to the process-global store.
     """
 
     def __init__(
@@ -95,14 +90,12 @@ class ObsHttpServer:
         registry: MetricsRegistry,
         health_provider: Optional[Callable[[], Dict[str, object]]] = None,
         span_store: Optional[SpanStore] = None,
-        span_exporter: Optional[OtlpJsonlSpanExporter] = None,
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
         self.registry = registry
         self.health_provider = health_provider
         self.span_store = span_store if span_store is not None else SPAN_STORE
-        self.span_exporter = span_exporter
         self._server = _TelemetryServer((host, port), _TelemetryHandler)
         self._server.owner = self  # type: ignore[attr-defined]
         self._scrapes = registry.counter(
@@ -145,21 +138,12 @@ class ObsHttpServer:
 
     def _spans(self, query: str) -> tuple:
         self._scrapes.labels(route="/spans").inc()
-        if self.span_exporter is not None:
-            # Scraping doubles as shipping: the drained batch lands in the
-            # rotated files *and* in this response body.
-            spans = self.span_exporter.drain(self.span_store)
-        else:
-            spans = self.span_store.spans()
+        spans = self.span_store.spans()
         if "format=otlp" in query:
             body = json.dumps(otlp_resource_spans(spans), sort_keys=True)
         else:
-            body = json.dumps(
-                {"spans": [span.to_dict() for span in spans],
-                 "exported": (self.span_exporter.spans_exported
-                              if self.span_exporter is not None else 0)},
-                sort_keys=True,
-            )
+            body = json.dumps({"spans": [span.to_dict() for span in spans]},
+                              sort_keys=True)
         return 200, JSON_CONTENT_TYPE, body
 
     def _health(self, query: str) -> tuple:

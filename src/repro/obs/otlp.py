@@ -1,79 +1,15 @@
-"""OTLP-shaped JSON-lines span export with bounded on-disk rotation.
+"""OTLP/JSON rendering of finished spans.
 
-Ships :data:`~repro.obs.tracing.SPAN_STORE` contents off-node without any
-collector dependency: each exported batch is one line of OTLP/JSON
-(``resourceSpans`` → ``scopeSpans`` → ``spans``), so the files can be
-replayed into any OTLP-compatible backend with plain ``curl`` line by line,
-or read directly by humans and tests.
-
-Rotation is size-bounded: when the active file exceeds ``max_bytes`` it is
-renamed ``<path>.1`` (shifting older generations up, dropping the oldest
-beyond ``max_files``), so a long-lived node can export every span forever in
-bounded disk space.  The same rotation primitive backs the health monitor's
-event log.
+``/spans?format=otlp`` (:class:`~repro.obs.http.ObsHttpServer`) answers with
+:func:`otlp_resource_spans`: the span store's contents in OTLP/JSON shape
+(``resourceSpans`` → ``scopeSpans`` → ``spans``), one resource per node.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import threading
 from typing import Dict, List, Optional, Sequence
 
-from repro.obs.tracing import Span, SpanStore
-
-
-class RotatingJsonlWriter:
-    """Append JSON objects one-per-line to a size-rotated file family."""
-
-    def __init__(self, path: str, max_bytes: int = 4 * 1024 * 1024,
-                 max_files: int = 3) -> None:
-        if max_bytes <= 0:
-            raise ValueError("max_bytes must be positive")
-        if max_files < 1:
-            raise ValueError("max_files must be at least 1")
-        self.path = path
-        self.max_bytes = max_bytes
-        self.max_files = max_files
-        self._lock = threading.Lock()
-        directory = os.path.dirname(os.path.abspath(path))
-        os.makedirs(directory, exist_ok=True)
-
-    def write(self, record: Dict[str, object]) -> None:
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
-        with self._lock:
-            self._rotate_if_needed(len(line) + 1)
-            with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(line + "\n")
-
-    def _rotate_if_needed(self, incoming: int) -> None:
-        try:
-            size = os.path.getsize(self.path)
-        except OSError:
-            return
-        if size == 0 or size + incoming <= self.max_bytes:
-            return
-        oldest = f"{self.path}.{self.max_files - 1}"
-        if self.max_files == 1:
-            os.replace(self.path, self.path + ".tmp")
-            os.remove(self.path + ".tmp")
-            return
-        if os.path.exists(oldest):
-            os.remove(oldest)
-        for generation in range(self.max_files - 2, 0, -1):
-            source = f"{self.path}.{generation}"
-            if os.path.exists(source):
-                os.replace(source, f"{self.path}.{generation + 1}")
-        os.replace(self.path, f"{self.path}.1")
-
-    def files(self) -> List[str]:
-        """Every existing file of the family, newest first."""
-        out = [self.path] if os.path.exists(self.path) else []
-        for generation in range(1, self.max_files):
-            candidate = f"{self.path}.{generation}"
-            if os.path.exists(candidate):
-                out.append(candidate)
-        return out
+from repro.obs.tracing import Span
 
 
 def _otlp_id(hex_id: Optional[str], width: int) -> str:
@@ -135,37 +71,3 @@ def otlp_resource_spans(spans: Sequence[Span]) -> dict:
             }],
         })
     return {"resourceSpans": resource_spans}
-
-
-class OtlpJsonlSpanExporter:
-    """Drain a :class:`SpanStore` into rotated OTLP/JSON-lines files."""
-
-    def __init__(self, path: str, max_bytes: int = 4 * 1024 * 1024,
-                 max_files: int = 3) -> None:
-        self._writer = RotatingJsonlWriter(path, max_bytes=max_bytes,
-                                           max_files=max_files)
-        self._lock = threading.Lock()
-        self.spans_exported = 0
-
-    @property
-    def path(self) -> str:
-        return self._writer.path
-
-    def files(self) -> List[str]:
-        return self._writer.files()
-
-    def export(self, spans: Sequence[Span]) -> int:
-        """Write one batch (one JSON line); returns the span count."""
-        if not spans:
-            return 0
-        self._writer.write(otlp_resource_spans(spans))
-        with self._lock:
-            self.spans_exported += len(spans)
-        return len(spans)
-
-    def drain(self, store: SpanStore) -> List[Span]:
-        """Atomically take every finished span from ``store``, export and
-        return them (the caller may still want to render the batch)."""
-        spans = store.drain()
-        self.export(spans)
-        return spans

@@ -486,8 +486,8 @@ class Deployment:
             self._stop_obs_server(node_id)
         self._obs_http_host = None
 
-    def health_monitor(self, registry=None, on_transition=None,
-                       event_log=None) -> ClusterHealthMonitor:
+    def health_monitor(self, registry=None,
+                       on_transition=None) -> ClusterHealthMonitor:
         """A failure detector over every node, knobs from the config.
 
         Probes ``/health`` over HTTP when :meth:`start_obs_http` ran, the
@@ -501,7 +501,6 @@ class Deployment:
             suspect_after=self.config.health_suspect_after,
             dead_after=self.config.health_dead_after,
             on_transition=on_transition,
-            event_log=event_log,
             registry=registry,
         )
         endpoints = self.obs_endpoints()
@@ -567,13 +566,10 @@ class TcpDeployment(Deployment):
         benefactor_capacity: int = 1 * GiB,
         config: Optional[StdchkConfig] = None,
         store_factory=None,
-        pool_size: Optional[int] = None,
     ) -> None:
         config = config if config is not None else StdchkConfig()
-        if pool_size is None:
-            pool_size = config.transport_pool_size
         super().__init__(
-            TcpTransport(pool_size=pool_size), SystemClock(),
+            TcpTransport(pool_size=config.transport_pool_size), SystemClock(),
             benefactor_count, benefactor_capacity, config, store_factory=store_factory,
         )
 

@@ -8,20 +8,48 @@ in-process (tests, benchmarks) or spread over TCP sockets.
 
 from __future__ import annotations
 
+import functools
 import time
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Dict, Optional, Sequence
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.exceptions import ProtocolError
 from repro.obs import runtime, tracing
 
 
+def rpc(handler: Callable[..., Any]) -> Callable[..., Any]:
+    """Declare ``handler`` an RPC admitted by its endpoint's guard.
+
+    The guard (:meth:`Endpoint._admit`) runs on every call, dispatched or
+    direct, before the handler body: a refused call changes nothing.
+    """
+
+    @functools.wraps(handler)
+    def guarded(self: "Endpoint", /, *args: Any, **kwargs: Any) -> Any:
+        self._admit()
+        return handler(self, *args, **kwargs)
+
+    guarded.rpc_entry = (handler, True)  # type: ignore[attr-defined]
+    return guarded
+
+
+def control(handler: Callable[..., Any]) -> Callable[..., Any]:
+    """Declare ``handler`` a control RPC: served in any state, never guarded."""
+    handler.rpc_entry = (handler, False)  # type: ignore[attr-defined]
+    return handler
+
+
 class Endpoint(ABC):
     """An object that can be exported over a transport.
 
-    Exported methods are ordinary public methods; the transport dispatches a
-    call ``(method, payload)`` to ``getattr(endpoint, method)(**payload)``.
-    Methods prefixed with ``_`` are never exported.
+    An endpoint serves exactly the methods its class declares with
+    :func:`rpc` (client- and peer-facing calls, admitted by the class's one
+    guard, :meth:`_admit`) or :func:`control` (probes and operator calls
+    served in any state).  The table is built once per class, inherited and
+    extended by subclasses; :meth:`dispatch` refuses any other name with
+    :class:`~repro.exceptions.ProtocolError`, so lifecycle and fault
+    injection methods (``crash``, ``fail``, ...) stay local.  A subclass
+    that overrides an RPC declares the override too.
 
     Observability hooks (all optional): an endpoint exposing an ``obs``
     :class:`~repro.obs.MetricsRegistry` gets per-method server-side RPC
@@ -29,16 +57,25 @@ class Endpoint(ABC):
     attributes stamp identity onto server-side trace spans.
     """
 
-    def exported_methods(self) -> Dict[str, Callable[..., Any]]:
-        """Mapping of method name to bound callable for every exported method."""
-        methods: Dict[str, Callable[..., Any]] = {}
-        for name in dir(self):
-            if name.startswith("_"):
-                continue
-            attribute = getattr(self, name)
-            if callable(attribute):
-                methods[name] = attribute
-        return methods
+    #: ``method -> (handler, guarded)`` of every RPC the class serves.
+    _rpcs: Dict[str, Tuple[Callable[..., Any], bool]] = {}
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        table = dict(cls._rpcs)
+        for name, attribute in vars(cls).items():
+            entry = getattr(attribute, "rpc_entry", None)
+            if entry is not None:
+                table[name] = entry
+            elif name in table:
+                raise TypeError(
+                    f"{cls.__qualname__}.{name} overrides an RPC without "
+                    "declaring it @rpc or @control"
+                )
+        cls._rpcs = table
+
+    def _admit(self) -> None:
+        """The guard every :func:`rpc` call passes; raise to refuse it."""
 
     def dispatch(self, method: str, payload: Dict[str, Any]) -> Any:
         """Invoke ``method`` with keyword arguments ``payload``.
@@ -47,11 +84,11 @@ class Endpoint(ABC):
         client side) is stripped before the handler sees its arguments and
         opens a server-side span parented to the caller's context.
         """
-        if method.startswith("_"):
-            raise ProtocolError(f"refusing to dispatch private method {method!r}")
-        handler = getattr(self, method, None)
-        if handler is None or not callable(handler):
-            raise ProtocolError(f"endpoint has no method {method!r}")
+        entry = self._rpcs.get(method)
+        if entry is None:
+            raise ProtocolError(
+                f"{type(self).__name__} serves no RPC named {method!r}")
+        handler, guarded = entry
         ctx = tracing.extract(payload)
         timer = self._rpc_timer(method) if runtime.ENABLED else None
         span = tracing.NO_SPAN if ctx is None else tracing.start_span(
@@ -63,7 +100,9 @@ class Endpoint(ABC):
         started = time.perf_counter()
         try:
             with span:
-                return handler(**payload)
+                if guarded:
+                    self._admit()
+                return handler(self, **payload)
         finally:
             if timer is not None:
                 timer.observe(time.perf_counter() - started)

@@ -87,17 +87,17 @@ class TestInventoryDigest:
 class TestBenefactorInventorySummaries:
     def test_digest_cached_until_store_mutates(self):
         _, _, (node,) = peer_group(1)
-        first = node._current_digest()
-        assert node._current_digest() is first  # no mutation, no re-hash
+        first = node.inventory_digest()
+        assert node.inventory_digest() is first  # no mutation, no re-hash
         payload = make_bytes(512, seed=1)
         node.put_chunks([content_chunk_id(payload)], [payload])
-        second = node._current_digest()
+        second = node.inventory_digest()
         assert second is not first
         assert second != first
         # Deleting the chunk mutates again; the digest returns to the
         # empty-inventory value but is a freshly computed object.
-        node.delete_chunk(content_chunk_id(payload))
-        third = node._current_digest()
+        node.delete_chunks([content_chunk_id(payload)])
+        third = node.inventory_digest()
         assert third is not second
         assert third == first
 

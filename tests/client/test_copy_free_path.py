@@ -22,7 +22,7 @@ from repro import StdchkConfig, StdchkPool, TcpDeployment
 from repro.benefactor.chunk_store import DelayedChunkStore, DiskChunkStore
 from repro.client import session as session_module
 from repro.client.session import ChunkPusher
-from repro.transport.base import Endpoint
+from repro.transport.base import Endpoint, rpc
 from repro.transport.inprocess import InProcessTransport
 from repro.util.config import SimilarityHeuristic, WriteSemantics
 from tests.conftest import make_bytes
@@ -39,6 +39,7 @@ class RecordingBenefactor(Endpoint):
         #: Chunks per data RPC, in arrival order.
         self.frames = []
 
+    @rpc
     def put_chunks(self, chunk_ids, data):
         assert len(chunk_ids) == len(data)
         self.received.extend(data)

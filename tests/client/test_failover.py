@@ -24,7 +24,7 @@ from repro.exceptions import (
     UnknownDatasetError,
 )
 from repro.obs import MetricsRegistry
-from repro.transport.base import Endpoint
+from repro.transport.base import Endpoint, control
 from repro.transport.tcp import TcpServer, TcpTransport
 from tests.conftest import make_bytes
 
@@ -296,6 +296,7 @@ class _StatusEndpoint(Endpoint):
     def __init__(self, status):
         self._status = status
 
+    @control
     def manager_status(self):
         return self._status
 

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.obs import ClusterHealthMonitor, MetricsRegistry, RotatingJsonlWriter
+from repro.obs import ClusterHealthMonitor, MetricsRegistry
 from repro.util.clock import VirtualClock
 
 
@@ -110,20 +110,6 @@ class TestTransitions:
             node.up = True
             monitor.probe_once()
         assert len(monitor.events()) == 4
-
-    def test_event_log_file_mirror(self, tmp_path):
-        clock = VirtualClock()
-        log = RotatingJsonlWriter(str(tmp_path / "health-events.jsonl"))
-        monitor = make_monitor(clock, event_log=log)
-        node = FlakyNode()
-        monitor.add_node("n0", node.probe)
-        node.up = False
-        clock.advance(11)
-        monitor.probe_once()
-        lines = (tmp_path / "health-events.jsonl").read_text().splitlines()
-        records = [json.loads(line) for line in lines]
-        assert [r["new_state"] for r in records] == ["dead"]
-        assert records[0]["node_id"] == "n0"
 
     def test_detector_metrics(self):
         clock = VirtualClock()

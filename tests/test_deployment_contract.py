@@ -25,11 +25,14 @@ import pytest
 
 from repro import StdchkConfig, StdchkPool, TcpDeployment
 from repro.benefactor.chunk_store import MemoryChunkStore
-from repro.exceptions import EndpointUnreachableError
+from repro.benefactor.benefactor import Benefactor
+from repro.exceptions import EndpointUnreachableError, ProtocolError
+from repro.manager.manager import MetadataManager
+from repro.manager.replication import StandbyManager
 from repro.obs import MetricsRegistry, ObsHttpServer
 from repro.pool import Deployment
-from repro.transport.base import Endpoint
-from repro.transport.tcp import TcpServer
+from repro.transport.base import Endpoint, rpc
+from repro.transport.tcp import TcpServer, TcpTransport
 from tests.conftest import make_bytes
 
 CHUNK = 16 * 1024
@@ -223,6 +226,88 @@ def test_fail_benefactor_loses_the_disk_and_recover_brings_the_node_back(build):
         deployment.close()
 
 
+# -- the RPC surface: what a peer may call ------------------------------------
+#: Client- and benefactor-facing calls: admitted by the manager's one guard
+#: (fenced, standby, recovering, offline) and counted as transactions.
+MANAGER_RPCS = {
+    "register_benefactor", "heartbeat", "report_benefactor_failure",
+    "gc_report", "reconcile_inventory", "report_corrupt_chunk",
+    "record_replicas", "make_folder", "set_retention", "list_dir", "exists",
+    "stat", "delete", "remove_folder", "create_session", "extend_stripe",
+    "put_chunks_ack", "commit_session", "abort_session", "get_chunk_map",
+    "get_versions", "get_existing_chunks",
+}
+#: Served in any state, never counted.
+MANAGER_CONTROL = {"get_metrics", "health", "manager_status", "fence"}
+STANDBY_CONTROL = MANAGER_CONTROL | {"replicate_records", "install_snapshot", "promote"}
+BENEFACTOR_RPCS = {
+    "put_chunks", "get_chunks", "has_chunk", "delete_chunks", "list_chunks",
+    "checksum_inventory",
+}
+BENEFACTOR_CONTROL = {"get_metrics", "health"}
+
+
+@pytest.mark.parametrize("cls, guarded, control", [
+    (MetadataManager, MANAGER_RPCS, MANAGER_CONTROL),
+    (StandbyManager, MANAGER_RPCS, STANDBY_CONTROL),
+    (Benefactor, BENEFACTOR_RPCS, BENEFACTOR_CONTROL),
+], ids=["manager", "standby", "benefactor"])
+def test_each_endpoint_serves_exactly_its_declared_rpcs(cls, guarded, control):
+    served = {name: is_guarded for name, (_handler, is_guarded) in cls._rpcs.items()}
+    assert {name for name, is_guarded in served.items() if is_guarded} == guarded
+    assert {name for name, is_guarded in served.items() if not is_guarded} == control
+
+
+@KINDS
+def test_no_peer_can_call_a_local_method(build):
+    """Lifecycle, fault-injection and repair methods are local.  A peer that
+    names one gets ``ProtocolError`` and nothing changes; over TCP the caller
+    is a bare transport from outside the deployment."""
+    deployment = build(benefactor_count=3, config=config(replication_level=1))
+    outsider = (TcpTransport() if isinstance(deployment, TcpDeployment)
+                else deployment.transport)
+    try:
+        client = deployment.client("writer")
+        data = make_bytes(4 * CHUNK, seed=9)
+        client.write_file("/surface/f", data)
+        manager = deployment.manager
+        source, target = (
+            deployment.maintenance[f"{deployment.id_prefix}benefactor-{i:02d}"].benefactor
+            for i in range(2))
+        source_address = deployment.transport.bound_address(source.address)
+
+        def state():
+            return {
+                "manager": (manager.online, manager.transactions),
+                "chunk map": manager.dataset_by_path("/surface/f").latest.chunk_map.to_dict(),
+                "source": (source.online, sorted(source.store.chunk_ids()), source.stats),
+                "target": sorted(target.store.chunk_ids()),
+            }
+
+        before = state()
+        assert before["source"][1], "the source holds chunks a wiped disk would lose"
+        attempts = [
+            (source_address, "crash", {"lose_data": True}),
+            (source_address, "replicate_to", {
+                "chunk_ids": source.store.chunk_ids(),
+                "target_address": deployment.transport.bound_address(target.address)}),
+            (source_address, "register_with",
+             {"manager_address": deployment.manager_address}),
+            (deployment.manager_address, "fail", {}),
+            (deployment.manager_address, "drop_benefactor_placements",
+             {"benefactor_id": source.benefactor_id}),
+        ]
+        for address, method, payload in attempts:
+            with pytest.raises(ProtocolError):
+                outsider.call(address, method, **payload)
+        assert state() == before
+        assert client.read_file("/surface/f") == data
+    finally:
+        if outsider is not deployment.transport:
+            outsider.close()
+        deployment.close()
+
+
 class TestKillSeversWhatIsMidRpc:
     def test_a_blocked_get_chunk_fails_when_its_benefactor_is_killed(self):
         entered, gate = threading.Event(), threading.Event()
@@ -262,6 +347,7 @@ class TestKillSeversWhatIsMidRpc:
 
 
 class _Echo(Endpoint):
+    @rpc
     def echo(self, value):
         return value
 

@@ -33,7 +33,7 @@ from repro.exceptions import (
     TransportError,
 )
 from repro.transport import tcp
-from repro.transport.base import Endpoint, Transport
+from repro.transport.base import Endpoint, Transport, rpc
 from repro.transport.tcp import OUT_OF_BAND_MIN, TcpTransport
 from tests.conftest import make_bytes as blob
 
@@ -558,12 +558,15 @@ class EchoEndpoint(Endpoint):
     def __init__(self):
         self.failures = {}
 
+    @rpc
     def echo(self, **values):
         return values
 
+    @rpc
     def first(self, value):
         return value
 
+    @rpc
     def fail(self, name):
         raise self.failures[name]
 

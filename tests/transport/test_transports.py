@@ -6,7 +6,7 @@ import pytest
 
 from repro.exceptions import EndpointUnreachableError, ProtocolError
 from repro.obs import MetricsRegistry
-from repro.transport.base import Endpoint
+from repro.transport.base import Endpoint, control, rpc
 from repro.transport.inprocess import InProcessTransport
 from repro.transport.tcp import TcpTransport
 
@@ -17,15 +17,21 @@ class EchoEndpoint(Endpoint):
     def __init__(self):
         self.calls = 0
 
+    @rpc
     def echo(self, value):
         self.calls += 1
         return value
 
+    @rpc
     def add(self, a, b):
         return a + b
 
+    @rpc
     def boom(self):
         raise ValueError("intentional failure")
+
+    def local(self):  # pragma: no cover - must never be reachable
+        return "undeclared"
 
     def _private(self):  # pragma: no cover - must never be reachable
         return "secret"
@@ -44,9 +50,42 @@ class TestEndpointDispatch:
         with pytest.raises(ProtocolError):
             EchoEndpoint().dispatch("nope", {})
 
-    def test_exported_methods_exclude_private(self):
-        exported = EchoEndpoint().exported_methods()
-        assert "echo" in exported and "_private" not in exported
+    def test_dispatch_rejects_undeclared_public_methods(self):
+        with pytest.raises(ProtocolError):
+            EchoEndpoint().dispatch("local", {})
+
+    def test_served_rpcs_are_the_declared_ones(self):
+        assert set(EchoEndpoint._rpcs) == {"echo", "add", "boom"}
+
+    def test_guard_admits_direct_and_dispatched_calls_alike(self):
+        class Guarded(EchoEndpoint):
+            open = False
+
+            def _admit(self):
+                if not self.open:
+                    raise PermissionError("closed")
+
+            @control
+            def ping(self):
+                return "pong"
+
+        endpoint = Guarded()
+        for call in (lambda: endpoint.echo(value=1),
+                     lambda: endpoint.dispatch("echo", {"value": 1})):
+            with pytest.raises(PermissionError):
+                call()
+        assert endpoint.calls == 0
+        assert endpoint.dispatch("ping", {}) == "pong"  # control: never guarded
+        endpoint.open = True
+        assert endpoint.echo(value=1) == 1
+        assert endpoint.dispatch("echo", {"value": 2}) == 2
+        assert set(Guarded._rpcs) == {"echo", "add", "boom", "ping"}
+
+    def test_an_override_must_declare_the_rpc_it_replaces(self):
+        with pytest.raises(TypeError, match="echo"):
+            class Undeclared(EchoEndpoint):
+                def echo(self, value):
+                    return value
 
     def test_latency_series_follow_a_swapped_registry(self):
         """The per-method series are resolved once, per registry."""
@@ -224,6 +263,7 @@ class TestTcpTransport:
         import threading
 
         class SlowEndpoint(Endpoint):
+            @rpc
             def nap(self, seconds):
                 import time
 
