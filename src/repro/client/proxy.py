@@ -22,7 +22,7 @@ from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.client.failover import FailoverTransport, ManagerDirectory
 from repro.client.read_path import ReplicaScheduler, StripedReader
-from repro.client.session import WriteStats
+from repro.client.session import ImageChunk, WriteStats
 from repro.client.write_protocols import WriteSession, make_write_session
 from repro.core.chunk_map import ChunkMap
 from repro.exceptions import FileNotFoundInStdchkError
@@ -73,6 +73,10 @@ class ClientProxy:
         #: Aggregated statistics across every session this client committed,
         #: added up when each one closes.
         self.lifetime_stats = WriteStats()
+        #: The chunks of the last image a content-addressed session of this
+        #: client committed, handed to the next one to compare before it
+        #: hashes (``ChunkPusher``); one image at most, empty with FsCH off.
+        self._last_image: Sequence[ImageChunk] = ()
         self._lifetime_lock = threading.Lock()
         #: Per-client metrics registry; every session/reader opened by this
         #: client records into it, and ``StdchkPool.metrics()`` exports it.
@@ -252,7 +256,8 @@ class ClientProxy:
 
         When incremental checkpointing (FsCH) is enabled the previous
         version's chunk inventory is fetched so unchanged chunks are never
-        re-pushed.
+        re-pushed, and the session is handed this client's last committed
+        image so a chunk equal to its counterpart there is not hashed again.
         """
         session_info = self._manager(
             "create_session",
@@ -263,9 +268,11 @@ class ClientProxy:
             replication_level=replication_level,
         )
         existing_chunks: Dict[str, List[str]] = {}
+        previous_image: Sequence[ImageChunk] = ()
         if self.config.similarity_heuristic is not SimilarityHeuristic.NONE:
             answer = self._manager("get_existing_chunks", path=path)
             existing_chunks = dict(answer.get("chunks", {}))
+            previous_image = self._last_image
         return make_write_session(
             protocol=self.config.write_protocol,
             transport=self.transport,
@@ -279,7 +286,8 @@ class ClientProxy:
             spool_dir=self.spool_dir,
             metrics=self.obs,
             executor=self._worker_pool(),
-            on_close=self._accumulate,
+            on_close=self._committed,
+            previous_image=previous_image,
         )
 
     def write_file(self, path: str, data: bytes, producer: str = "",
@@ -323,10 +331,15 @@ class ClientProxy:
             path, data, producer=f"N{name.node}", timestep=name.timestep
         )
 
-    def _accumulate(self, stats: WriteStats) -> None:
-        """Add one closed session's statistics to :attr:`lifetime_stats`."""
+    def _committed(self, session: WriteSession) -> None:
+        """Add a committed session's statistics to :attr:`lifetime_stats`;
+        its image, if content addressed, replaces the last one."""
+        stats = session.stats
+        image = session.pusher.take_image()
         lifetime = self.lifetime_stats
         with self._lifetime_lock:
+            if image is not None:
+                self._last_image = image
             for field in _WRITE_STAT_FIELDS:
                 setattr(lifetime, field,
                         getattr(lifetime, field) + getattr(stats, field))

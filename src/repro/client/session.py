@@ -40,6 +40,15 @@ Chunking copies nothing: a complete chunk is a ``memoryview`` slice of the
 ``bytes`` the application wrote, handed as such to the transport (which sends
 it out-of-band, see :mod:`repro.transport.tcp`); only the sub-chunk head and
 tail of a ``feed`` pass through a buffer.
+
+Compare, then hash (section IV.C): under FsCH the session is handed the
+*previous image*, the chunks of the last image its client committed content
+addressed, as ``(buffer, offset, length, chunk_id)`` per chunk index.  Chunk
+*i* whose bytes equal chunk *i* of that image (one ``bytes.startswith``, a
+``memcmp``) takes its id; any other chunk is hashed.  An id is reused only
+for bytes equal to bytes that hashed to it, so naming is exact whatever the
+path, offset or chunk size of that image.  A committed session's own image
+replaces it (:meth:`ChunkPusher.take_image`): a client holds at most one.
 """
 
 from __future__ import annotations
@@ -63,6 +72,10 @@ from repro.obs import MetricsRegistry, tracing
 from repro.transport.base import Transport
 from repro.transport.tcp import TRANSFER_UNIT
 from repro.util.config import SimilarityHeuristic, StdchkConfig, WriteSemantics
+
+#: One chunk of a content-addressed image: ``buffer[offset:offset + length]``
+#: are bytes that hashed to ``chunk_id``; ``buffer`` is immutable ``bytes``.
+ImageChunk = Tuple[bytes, int, int, str]
 
 
 @dataclass
@@ -132,6 +145,7 @@ class ChunkPusher:
         max_stripe_refreshes: int = 3,
         metrics: Optional[MetricsRegistry] = None,
         executor: Optional[Executor] = None,
+        previous_image: Sequence[ImageChunk] = (),
     ) -> None:
         self.transport = transport
         self.manager_address = manager_address
@@ -156,6 +170,12 @@ class ChunkPusher:
         self._content_addressed = config.similarity_heuristic is not SimilarityHeuristic.NONE
         #: chunk id -> benefactors known to hold it (previous version + this session).
         self._known_chunks: Dict[str, List[str]] = dict(existing_chunks or {})
+        #: The client's last committed image, compared chunk by chunk until
+        #: ``finish``, and this session's own, by chunk index; FsCH-off
+        #: sessions keep and compare nothing.
+        self._previous: Sequence[ImageChunk] = (
+            previous_image if self._content_addressed else ())
+        self._image: Optional[List[ImageChunk]] = [] if self._content_addressed else None
         self.chunk_map = ChunkMap()
         self.stats = WriteStats()
         self._next_chunk_index = 0
@@ -220,10 +240,12 @@ class ChunkPusher:
         Complete chunks are cut as views of ``data``, never copied; only
         a sub-chunk head (topping up a partial chunk left by the previous
         call) and tail pass through the pending buffer.  Frames outlive the
-        call, so pushes are still pending when this returns: a view is taken
-        of immutable ``bytes`` only, and any other buffer (``bytearray``,
-        ``mmap``, a writable view) is copied once up front, which also leaves
-        the caller free to mutate or resize it.
+        call, so pushes are still pending when this returns, and under FsCH
+        the session's image keeps referencing the chunks' buffers until the
+        client's next content-addressed commit replaces it.  So a view is
+        taken of immutable ``bytes`` only, and any other buffer
+        (``bytearray``, ``mmap``, a writable view) is copied once up front,
+        which also leaves the caller free to mutate or resize it.
         """
         if type(data) is not bytes:
             data = bytes(data)
@@ -235,9 +257,10 @@ class ChunkPusher:
             position = min(self.chunk_size - len(self._pending), size)
             self._pending += view[:position]
             if len(self._pending) == self.chunk_size:
-                self._add_chunk(self._take_pending())
+                payload = self._take_pending()
+                self._add_chunk(payload, 0, payload)
         while size - position >= self.chunk_size:
-            self._add_chunk(view[position:position + self.chunk_size])
+            self._add_chunk(data, position, view[position:position + self.chunk_size])
             position += self.chunk_size
         if position < size:
             self._pending += view[position:]
@@ -264,7 +287,9 @@ class ChunkPusher:
         """
         last = []
         if self._pending:
-            last = [self._open.pop(name) for name in self._plan(self._take_pending())]
+            payload = self._take_pending()
+            last = [self._open.pop(name) for name in self._plan(payload, 0, payload)]
+        self._previous = ()
         self.send_frames()
         for frame in last:
             self._dispatch(frame, on_caller=True)
@@ -277,38 +302,53 @@ class ChunkPusher:
             self.chunk_map.append(ref, benefactors=holders)
         return self.chunk_map
 
+    def take_image(self) -> Optional[List[ImageChunk]]:
+        """This session's image, once (``None`` with FsCH off or if taken).
+
+        The client takes it when the session's commit succeeds, to hand to
+        its next content-addressed session as ``previous_image``.
+        """
+        image, self._image = self._image, None
+        return image
+
     def cancel(self) -> None:
         """Abandon this session: its open frames and queued pushes are dropped.
 
         Pushes already running are left to finish on their own; no other
         session's work on the shared pool is touched.
         """
+        self._previous = ()
+        self._image = None
         self._open.clear()
         for future in self._futures:
             future.cancel()
         self._futures.clear()
 
     # -- frame planning ------------------------------------------------------
-    def _add_chunk(self, payload: "bytes | memoryview") -> None:
+    def _add_chunk(self, buffer: bytes, offset: int,
+                   payload: "bytes | memoryview") -> None:
         """Plan a complete chunk; a frame it fills leaves at once."""
-        for benefactor_id in self._plan(payload):
+        for benefactor_id in self._plan(buffer, offset, payload):
             if self._open[benefactor_id].size + self.chunk_size > TRANSFER_UNIT:
                 self._dispatch(self._open.pop(benefactor_id))
 
-    def _plan(self, payload: "bytes | memoryview") -> List[str]:
+    def _plan(self, buffer: bytes, offset: int,
+              payload: "bytes | memoryview") -> List[str]:
         """Name one chunk; unless it is known, add its replicas to open frames.
 
-        Chunk *i*, replica *r* goes to ``stripe[(i + r) % width]``: pessimistic
-        writes place ``replication_level`` replicas (a narrow stripe cannot
-        hold more distinct replicas than nodes), optimistic writes one.
-        Returns the benefactors whose frames took it.
+        ``payload`` is ``buffer[offset:offset + len(payload)]``.  Chunk *i*,
+        replica *r* goes to ``stripe[(i + r) % width]``: pessimistic writes
+        place ``replication_level`` replicas (a narrow stripe cannot hold
+        more distinct replicas than nodes), optimistic writes one.  Returns
+        the benefactors whose frames took it.
         """
         index = self._next_chunk_index
-        chunk_id = (
-            content_chunk_id(payload) if self._content_addressed
-            else opaque_chunk_id(self.dataset_id, self.version, index)
-        )
         size = len(payload)
+        if self._content_addressed:
+            chunk_id = self._recall(index, payload) or content_chunk_id(payload)
+            self._image.append((buffer, offset, size, chunk_id))
+        else:
+            chunk_id = opaque_chunk_id(self.dataset_id, self.version, index)
         ref = ChunkRef(chunk_id=chunk_id, offset=self._next_offset, length=size)
         self._next_chunk_index += 1
         self._next_offset += size
@@ -348,6 +388,19 @@ class ChunkPusher:
             frame.items.append((pending, replica))
             frame.size += size
         return names
+
+    def _recall(self, index: int, payload: "bytes | memoryview") -> Optional[str]:
+        """Chunk ``index``'s id in the previous image, if it had these bytes.
+
+        One ``memcmp`` instead of a SHA-1 (``bytes.startswith``; comparing
+        memoryviews with ``==`` goes element by element, slower than hashing).
+        """
+        if index >= len(self._previous):
+            return None
+        buffer, offset, length, chunk_id = self._previous[index]
+        if length == len(payload) and buffer.startswith(payload, offset, offset + length):
+            return chunk_id
+        return None
 
     def _make_room(self, size: int) -> None:
         """Hold ``size`` more bytes of frames, within the budget.

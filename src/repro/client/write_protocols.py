@@ -39,9 +39,9 @@ from __future__ import annotations
 import os
 import tempfile
 from concurrent.futures import Executor
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.client.session import ChunkPusher, WriteStats
+from repro.client.session import ChunkPusher, ImageChunk, WriteStats
 from repro.exceptions import (
     SessionCommittedError,
     SessionStateError,
@@ -76,7 +76,8 @@ class WriteSession:
         timestep: Optional[int] = None,
         metrics: Optional[MetricsRegistry] = None,
         executor: Optional[Executor] = None,
-        on_close: Optional[Callable[[WriteStats], None]] = None,
+        on_close: Optional[Callable[["WriteSession"], None]] = None,
+        previous_image: Sequence[ImageChunk] = (),
     ) -> None:
         self.transport = transport
         self.manager_address = manager_address
@@ -93,13 +94,14 @@ class WriteSession:
             existing_chunks=existing_chunks,
             metrics=metrics,
             executor=executor,
+            previous_image=previous_image,
         )
         self.open_time = self.clock.now()
         self.close_time: Optional[float] = None
         self.storage_complete_time: Optional[float] = None
         self.committed = False
         self.aborted = False
-        #: Told the session's statistics once it has committed.
+        #: Told the session once it has committed.
         self._on_close = on_close
 
     # -- state helpers ------------------------------------------------------
@@ -125,8 +127,9 @@ class WriteSession:
     def write(self, data: bytes) -> int:
         """Accept application bytes; returns the number of bytes accepted."""
         self._require_open()
-        # The pusher frames complete chunks at once, so memory stays bounded
-        # by its byte budget (``2 * push_parallelism * TRANSFER_UNIT``).
+        # The pusher frames complete chunks at once, so its frames stay within
+        # their byte budget (``2 * push_parallelism * TRANSFER_UNIT``); under
+        # FsCH the session also keeps its image for the client's next one.
         self.pusher.feed(data)
         return len(data)
 
@@ -148,7 +151,7 @@ class WriteSession:
         self.committed = True
         self.close_time = self.clock.now()
         if self._on_close is not None:
-            self._on_close(self.stats)
+            self._on_close(self)
         return result
 
     def _commit(self, chunk_map, attributes: Dict[str, str]) -> Dict[str, object]:
@@ -350,7 +353,8 @@ def make_write_session(
     spool_dir: Optional[str] = None,
     metrics: Optional[MetricsRegistry] = None,
     executor: Optional[Executor] = None,
-    on_close: Optional[Callable[[WriteStats], None]] = None,
+    on_close: Optional[Callable[[WriteSession], None]] = None,
+    previous_image: Sequence[ImageChunk] = (),
 ) -> WriteSession:
     """Instantiate the session class implementing ``protocol``."""
     cls = _PROTOCOL_CLASSES[protocol]
@@ -359,5 +363,5 @@ def make_write_session(
         transport=transport, manager_address=manager_address,
         session_info=session_info, config=config, existing_chunks=existing_chunks,
         clock=clock, producer=producer, timestep=timestep, metrics=metrics,
-        executor=executor, on_close=on_close, **extra,
+        executor=executor, on_close=on_close, previous_image=previous_image, **extra,
     )

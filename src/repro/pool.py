@@ -517,6 +517,9 @@ class Deployment:
         self.stop_obs_http()
         for client in list(self._clients):
             client.close()
+        # The primary's journal, and a promoted standby's if one is primary;
+        # a deposed primary's was closed when it was killed.
+        self.manager.close_persistence()
         self.transport.close()
 
     def __enter__(self):

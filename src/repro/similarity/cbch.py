@@ -25,11 +25,6 @@ from __future__ import annotations
 
 from typing import List
 
-try:  # NumPy accelerates the no-overlap scan; the pure-Python path remains.
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is available in the test env
-    _np = None
-
 from repro.similarity.base import (
     DetectedChunk,
     DetectionResult,
@@ -38,6 +33,23 @@ from repro.similarity.base import (
     timed,
 )
 from repro.util.hashing import RollingHash
+
+#: NumPy accelerates the no-overlap scan, imported by the first scan that
+#: needs it (``import repro`` must not pay for it); ``None`` takes the
+#: pure-Python path, where NumPy is missing or a caller sets it so.
+_UNLOADED = object()
+_np = _UNLOADED
+
+
+def _numpy():
+    global _np
+    if _np is _UNLOADED:
+        try:
+            import numpy
+        except ImportError:  # pragma: no cover - numpy is available in the test env
+            numpy = None
+        _np = numpy
+    return _np
 
 
 class ContentBasedCompareByHash(SimilarityDetector):
@@ -134,7 +146,7 @@ class ContentBasedCompareByHash(SimilarityDetector):
             append(size)
         return boundaries
 
-    def _window_hashes_vectorized(self, image: bytes):
+    def _window_hashes_vectorized(self, image: bytes, np):
         """Hashes of consecutive non-overlapping windows, via NumPy Horner.
 
         Produces exactly the same values as
@@ -143,11 +155,11 @@ class ContentBasedCompareByHash(SimilarityDetector):
         """
         roller = RollingHash(self.window_size)
         window_count = len(image) // self.window_size
-        data = _np.frombuffer(
-            image, dtype=_np.uint8, count=window_count * self.window_size
-        ).astype(_np.int64)
+        data = np.frombuffer(
+            image, dtype=np.uint8, count=window_count * self.window_size
+        ).astype(np.int64)
         windows = data.reshape(window_count, self.window_size)
-        hashes = _np.zeros(window_count, dtype=_np.int64)
+        hashes = np.zeros(window_count, dtype=np.int64)
         for column in range(self.window_size):
             hashes = (hashes * roller.base + windows[:, column]) % roller.modulus
         return hashes
@@ -160,9 +172,10 @@ class ContentBasedCompareByHash(SimilarityDetector):
         mask = (1 << self.boundary_bits) - 1
         boundaries: List[int] = []
         last_boundary = 0
-        if _np is not None and size >= self.window_size:
-            hashes = self._window_hashes_vectorized(image)
-            candidates = _np.nonzero((hashes & mask) == 0)[0]
+        np = _numpy() if size >= self.window_size else None
+        if np is not None:
+            hashes = self._window_hashes_vectorized(image, np)
+            candidates = np.nonzero((hashes & mask) == 0)[0]
             candidate_set = set(int(index) for index in candidates)
             window_count = len(hashes)
         else:

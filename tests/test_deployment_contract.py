@@ -16,9 +16,11 @@ import gc
 import json
 import os
 import socket
+import sys
 import threading
 import time
 import urllib.request
+import warnings
 from pathlib import Path
 
 import pytest
@@ -153,6 +155,33 @@ def test_restart_manager_with_a_benefactor_down(build, tmp_path):
         assert set(deployment.run_maintenance_once()) == {up}
     finally:
         deployment.close()
+
+
+@KINDS
+@pytest.mark.parametrize("primary", ["first", "restarted", "promoted"])
+def test_close_closes_the_journal(build, primary, tmp_path, monkeypatch):
+    """Every deployment with a journal used to leave its WAL open after
+    ``close()``: ``ResourceWarning: unclosed file ... journal-*.wal``."""
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    deployment = build(benefactor_count=2, config=config(
+        journal_dir=str(tmp_path / "journal"), replication_level=1))
+    client = deployment.client("journaled")
+    client.write_file("/journaled/f", b"one record")
+    if primary == "restarted":
+        deployment.restart_manager()
+    elif primary == "promoted":
+        deployment.add_standby()
+        deployment.promote_standby(journal_dir=str(tmp_path / "promoted"))
+        client.write_file("/journaled/g", b"and one more")
+        assert deployment.manager.persistence is not None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        deployment.close()
+        deployment.close()  # a second close finds the journal closed
+        del deployment, client
+        gc.collect()
+    assert [hook.exc_value for hook in unraisable] == []
 
 
 @KINDS

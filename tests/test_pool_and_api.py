@@ -1,5 +1,9 @@
 """Tests for the StdchkPool deployment helper and the public package API."""
 
+import os
+import subprocess
+import sys
+
 import repro
 from repro import StdchkPool
 from repro.util.units import MiB
@@ -11,6 +15,16 @@ class TestPublicApi:
         assert repro.__version__
         for name in repro.__all__:
             assert hasattr(repro, name), name
+
+    def test_import_leaves_numpy_out(self):
+        """Only the offline CbCH detector uses NumPy; it imports it itself."""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        loaded = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro; print('numpy' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout.strip()
+        assert loaded == "False"
 
     def test_quickstart_from_docstring(self):
         pool = StdchkPool(benefactor_count=4)
