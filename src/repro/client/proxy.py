@@ -22,7 +22,7 @@ from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.client.failover import FailoverTransport, ManagerDirectory
 from repro.client.read_path import ReplicaScheduler, StripedReader
-from repro.client.session import ImageChunk, WriteStats
+from repro.client.session import Image, WriteStats
 from repro.client.write_protocols import WriteSession, make_write_session
 from repro.core.chunk_map import ChunkMap
 from repro.exceptions import FileNotFoundInStdchkError
@@ -73,10 +73,10 @@ class ClientProxy:
         #: Aggregated statistics across every session this client committed,
         #: added up when each one closes.
         self.lifetime_stats = WriteStats()
-        #: The chunks of the last image a content-addressed session of this
-        #: client committed, handed to the next one to compare before it
-        #: hashes (``ChunkPusher``); one image at most, empty with FsCH off.
-        self._last_image: Sequence[ImageChunk] = ()
+        #: The chunks of the last image a content-addressed sliding-window
+        #: session of this client committed, handed to the next one to
+        #: compare before it hashes (``ChunkPusher``); empty with FsCH off.
+        self._last_image: Image = ()
         self._lifetime_lock = threading.Lock()
         #: Per-client metrics registry; every session/reader opened by this
         #: client records into it, and ``StdchkPool.metrics()`` exports it.
@@ -268,7 +268,7 @@ class ClientProxy:
             replication_level=replication_level,
         )
         existing_chunks: Dict[str, List[str]] = {}
-        previous_image: Sequence[ImageChunk] = ()
+        previous_image: Optional[Image] = None
         if self.config.similarity_heuristic is not SimilarityHeuristic.NONE:
             answer = self._manager("get_existing_chunks", path=path)
             existing_chunks = dict(answer.get("chunks", {}))
@@ -297,7 +297,9 @@ class ClientProxy:
 
         ``block_size`` simulates the application's own write granularity
         (applications usually write in small blocks while remote storage is
-        accessed in ~1 MB chunks); 0 writes everything in one call.
+        accessed in ~1 MB chunks); 0 writes everything in one call.  Blocks
+        are views of ``data``, which the session copies, so no FsCH image
+        keeps them (``ChunkPusher.feed``).
         """
         with self._root_span("client.write_file", path=path, bytes=len(data)):
             with self._write_seconds.time():
@@ -307,8 +309,9 @@ class ClientProxy:
                 )
                 try:
                     if block_size and block_size > 0:
-                        for start in range(0, len(data), block_size):
-                            session.write(data[start:start + block_size])
+                        with memoryview(data) as view:
+                            for start in range(0, len(data), block_size):
+                                session.write(view[start:start + block_size])
                     else:
                         session.write(data)
                     session.close()

@@ -41,14 +41,20 @@ Chunking copies nothing: a complete chunk is a ``memoryview`` slice of the
 it out-of-band, see :mod:`repro.transport.tcp`); only the sub-chunk head and
 tail of a ``feed`` pass through a buffer.
 
-Compare, then hash (section IV.C): under FsCH the session is handed the
-*previous image*, the chunks of the last image its client committed content
-addressed, as ``(buffer, offset, length, chunk_id)`` per chunk index.  Chunk
-*i* whose bytes equal chunk *i* of that image (one ``bytes.startswith``, a
-``memcmp``) takes its id; any other chunk is hashed.  An id is reused only
-for bytes equal to bytes that hashed to it, so naming is exact whatever the
-path, offset or chunk size of that image.  A committed session's own image
-replaces it (:meth:`ChunkPusher.take_image`): a client holds at most one.
+Compare, then hash (section IV.C): under FsCH a sliding-window session is
+handed the *previous image*, the chunks of the last image its client
+committed content addressed, as ``(buffer, offset, length, chunk_id)`` per
+chunk index.  Chunk *i* whose bytes equal chunk *i* of that image (one
+``bytes.startswith``, a ``memcmp``) takes its id; any other chunk is hashed.
+An id is reused only for bytes equal to bytes that hashed to it, so naming is
+exact whatever the path, offset or chunk size of that image.  The session
+records a chunk in its own image only when it is a view of the application's
+``bytes``; a chunk in a buffer the session made (the pending buffer, the copy
+of a mutable input) is recorded as ``None``, so no image keeps the client's
+own copies alive.  A committed session's image replaces the previous one
+(:meth:`ChunkPusher.take_image`).  So between checkpoints a client holds the
+application ``bytes`` its last such image was cut from; while a session is
+open, also the ``bytes`` written to it so far.
 """
 
 from __future__ import annotations
@@ -74,8 +80,11 @@ from repro.transport.tcp import TRANSFER_UNIT
 from repro.util.config import SimilarityHeuristic, StdchkConfig, WriteSemantics
 
 #: One chunk of a content-addressed image: ``buffer[offset:offset + length]``
-#: are bytes that hashed to ``chunk_id``; ``buffer`` is immutable ``bytes``.
+#: are bytes that hashed to ``chunk_id``; ``buffer`` is the application's
+#: immutable ``bytes``.
 ImageChunk = Tuple[bytes, int, int, str]
+#: An image by chunk index; ``None`` where the chunk is not kept.
+Image = Sequence[Optional[ImageChunk]]
 
 
 @dataclass
@@ -133,7 +142,14 @@ class _Frame:
 
 
 class ChunkPusher:
-    """Pushes chunks of one write session to its stripe of benefactors."""
+    """Pushes chunks of one write session to its stripe of benefactors.
+
+    Its frames hold at most ``2 * push_parallelism * TRANSFER_UNIT`` bytes.
+    Handed a ``previous_image`` under FsCH, it also keeps, until the
+    client's next content-addressed commit, the application ``bytes`` that
+    whole chunks were cut from; the client keeps the previous image too
+    until then (see the module docstring).
+    """
 
     def __init__(
         self,
@@ -145,7 +161,7 @@ class ChunkPusher:
         max_stripe_refreshes: int = 3,
         metrics: Optional[MetricsRegistry] = None,
         executor: Optional[Executor] = None,
-        previous_image: Sequence[ImageChunk] = (),
+        previous_image: Optional[Image] = None,
     ) -> None:
         self.transport = transport
         self.manager_address = manager_address
@@ -171,11 +187,11 @@ class ChunkPusher:
         #: chunk id -> benefactors known to hold it (previous version + this session).
         self._known_chunks: Dict[str, List[str]] = dict(existing_chunks or {})
         #: The client's last committed image, compared chunk by chunk until
-        #: ``finish``, and this session's own, by chunk index; FsCH-off
-        #: sessions keep and compare nothing.
-        self._previous: Sequence[ImageChunk] = (
-            previous_image if self._content_addressed else ())
-        self._image: Optional[List[ImageChunk]] = [] if self._content_addressed else None
+        #: ``finish``, and this session's own; a session handed none (FsCH
+        #: off, or a spooling protocol) keeps and compares nothing.
+        keeps_image = self._content_addressed and previous_image is not None
+        self._previous: Image = previous_image if keeps_image else ()
+        self._image: Optional[List[Optional[ImageChunk]]] = [] if keeps_image else None
         self.chunk_map = ChunkMap()
         self.stats = WriteStats()
         self._next_chunk_index = 0
@@ -241,13 +257,15 @@ class ChunkPusher:
         a sub-chunk head (topping up a partial chunk left by the previous
         call) and tail pass through the pending buffer.  Frames outlive the
         call, so pushes are still pending when this returns, and under FsCH
-        the session's image keeps referencing the chunks' buffers until the
-        client's next content-addressed commit replaces it.  So a view is
-        taken of immutable ``bytes`` only, and any other buffer
-        (``bytearray``, ``mmap``, a writable view) is copied once up front,
-        which also leaves the caller free to mutate or resize it.
+        the session's image keeps referencing ``data`` until the client's
+        next content-addressed commit replaces it.  So a view is taken of
+        immutable ``bytes`` only, and any other buffer (``bytearray``,
+        ``mmap``, a writable view) is copied once up front, which also leaves
+        the caller free to mutate or resize it; that copy is the session's
+        own, and no image keeps it.
         """
-        if type(data) is not bytes:
+        kept = type(data) is bytes
+        if not kept:
             data = bytes(data)
         size = len(data)
         self.stats.bytes_written += size
@@ -257,10 +275,10 @@ class ChunkPusher:
             position = min(self.chunk_size - len(self._pending), size)
             self._pending += view[:position]
             if len(self._pending) == self.chunk_size:
-                payload = self._take_pending()
-                self._add_chunk(payload, 0, payload)
+                self._add_chunk(self._take_pending())
         while size - position >= self.chunk_size:
-            self._add_chunk(data, position, view[position:position + self.chunk_size])
+            self._add_chunk(view[position:position + self.chunk_size],
+                            data if kept else None, position)
             position += self.chunk_size
         if position < size:
             self._pending += view[position:]
@@ -287,8 +305,7 @@ class ChunkPusher:
         """
         last = []
         if self._pending:
-            payload = self._take_pending()
-            last = [self._open.pop(name) for name in self._plan(payload, 0, payload)]
+            last = [self._open.pop(name) for name in self._plan(self._take_pending())]
         self._previous = ()
         self.send_frames()
         for frame in last:
@@ -302,8 +319,8 @@ class ChunkPusher:
             self.chunk_map.append(ref, benefactors=holders)
         return self.chunk_map
 
-    def take_image(self) -> Optional[List[ImageChunk]]:
-        """This session's image, once (``None`` with FsCH off or if taken).
+    def take_image(self) -> Optional[List[Optional[ImageChunk]]]:
+        """This session's image, once (``None`` if it keeps none or was taken).
 
         The client takes it when the session's commit succeeds, to hand to
         its next content-addressed session as ``previous_image``.
@@ -325,18 +342,20 @@ class ChunkPusher:
         self._futures.clear()
 
     # -- frame planning ------------------------------------------------------
-    def _add_chunk(self, buffer: bytes, offset: int,
-                   payload: "bytes | memoryview") -> None:
+    def _add_chunk(self, payload: "bytes | memoryview",
+                   buffer: Optional[bytes] = None, offset: int = 0) -> None:
         """Plan a complete chunk; a frame it fills leaves at once."""
-        for benefactor_id in self._plan(buffer, offset, payload):
+        for benefactor_id in self._plan(payload, buffer, offset):
             if self._open[benefactor_id].size + self.chunk_size > TRANSFER_UNIT:
                 self._dispatch(self._open.pop(benefactor_id))
 
-    def _plan(self, buffer: bytes, offset: int,
-              payload: "bytes | memoryview") -> List[str]:
+    def _plan(self, payload: "bytes | memoryview",
+              buffer: Optional[bytes] = None, offset: int = 0) -> List[str]:
         """Name one chunk; unless it is known, add its replicas to open frames.
 
-        ``payload`` is ``buffer[offset:offset + len(payload)]``.  Chunk *i*,
+        ``payload`` is ``buffer[offset:offset + len(payload)]`` when it is a
+        view of the application's ``buffer``, which the image may keep; with
+        no ``buffer`` the image records ``None``.  Chunk *i*,
         replica *r* goes to ``stripe[(i + r) % width]``: pessimistic writes
         place ``replication_level`` replicas (a narrow stripe cannot hold
         more distinct replicas than nodes), optimistic writes one.  Returns
@@ -346,7 +365,9 @@ class ChunkPusher:
         size = len(payload)
         if self._content_addressed:
             chunk_id = self._recall(index, payload) or content_chunk_id(payload)
-            self._image.append((buffer, offset, size, chunk_id))
+            if self._image is not None:
+                self._image.append(
+                    None if buffer is None else (buffer, offset, size, chunk_id))
         else:
             chunk_id = opaque_chunk_id(self.dataset_id, self.version, index)
         ref = ChunkRef(chunk_id=chunk_id, offset=self._next_offset, length=size)
@@ -395,9 +416,10 @@ class ChunkPusher:
         One ``memcmp`` instead of a SHA-1 (``bytes.startswith``; comparing
         memoryviews with ``==`` goes element by element, slower than hashing).
         """
-        if index >= len(self._previous):
+        entry = self._previous[index] if index < len(self._previous) else None
+        if entry is None:
             return None
-        buffer, offset, length, chunk_id = self._previous[index]
+        buffer, offset, length, chunk_id = entry
         if length == len(payload) and buffer.startswith(payload, offset, offset + length):
             return chunk_id
         return None

@@ -39,9 +39,9 @@ from __future__ import annotations
 import os
 import tempfile
 from concurrent.futures import Executor
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional
 
-from repro.client.session import ChunkPusher, ImageChunk, WriteStats
+from repro.client.session import ChunkPusher, Image, WriteStats
 from repro.exceptions import (
     SessionCommittedError,
     SessionStateError,
@@ -63,6 +63,9 @@ class WriteSession:
     """
 
     protocol: WriteProtocol
+    #: Whether, under FsCH, chunks are compared with the client's last image
+    #: and this session's image is kept for its next one.
+    compares_images = True
 
     def __init__(
         self,
@@ -77,7 +80,7 @@ class WriteSession:
         metrics: Optional[MetricsRegistry] = None,
         executor: Optional[Executor] = None,
         on_close: Optional[Callable[["WriteSession"], None]] = None,
-        previous_image: Sequence[ImageChunk] = (),
+        previous_image: Optional[Image] = None,
     ) -> None:
         self.transport = transport
         self.manager_address = manager_address
@@ -94,7 +97,7 @@ class WriteSession:
             existing_chunks=existing_chunks,
             metrics=metrics,
             executor=executor,
-            previous_image=previous_image,
+            previous_image=previous_image if self.compares_images else None,
         )
         self.open_time = self.clock.now()
         self.close_time: Optional[float] = None
@@ -129,7 +132,7 @@ class WriteSession:
         self._require_open()
         # The pusher frames complete chunks at once, so its frames stay within
         # their byte budget (``2 * push_parallelism * TRANSFER_UNIT``); under
-        # FsCH the session also keeps its image for the client's next one.
+        # FsCH its image also keeps ``data`` for the client's next session.
         self.pusher.feed(data)
         return len(data)
 
@@ -273,6 +276,9 @@ class CompleteLocalWriteSession(WriteSession):
 
     protocol = WriteProtocol.COMPLETE_LOCAL
     _spool_prefix = "stdchk-clw-"
+    #: The spool is read back into buffers of the session's own; an image
+    #: of them would hold in memory what the spool keeps on disk.
+    compares_images = False
 
     def __init__(self, *args, spool_dir: Optional[str] = None, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -354,7 +360,7 @@ def make_write_session(
     metrics: Optional[MetricsRegistry] = None,
     executor: Optional[Executor] = None,
     on_close: Optional[Callable[[WriteSession], None]] = None,
-    previous_image: Sequence[ImageChunk] = (),
+    previous_image: Optional[Image] = None,
 ) -> WriteSession:
     """Instantiate the session class implementing ``protocol``."""
     cls = _PROTOCOL_CLASSES[protocol]

@@ -72,12 +72,17 @@ class StdchkFilesystem:
 
     # -- whole-file convenience ----------------------------------------------------
     def write_file(self, path: str, data: bytes, block_size: int = 0) -> None:
-        """Write ``data`` to ``path`` (open + sequential writes + close)."""
+        """Write ``data`` to ``path`` (open + sequential writes + close).
+
+        Blocks are views of ``data``, which the session copies, so no FsCH
+        image keeps them (``ChunkPusher.feed``).
+        """
         handle = self.open(path, "wb", expected_size=len(data))
         try:
             if block_size and block_size > 0:
-                for start in range(0, len(data), block_size):
-                    handle.write(data[start:start + block_size])
+                with memoryview(data) as view:
+                    for start in range(0, len(data), block_size):
+                        handle.write(view[start:start + block_size])
             else:
                 handle.write(data)
         except Exception:

@@ -1,12 +1,14 @@
 """Compare, then hash: FsCH names an unchanged chunk without hashing it.
 
-Under FsCH a client hands its next session the chunks of the last image it
-committed; chunk *i* whose bytes equal chunk *i* there takes its id after one
-``memcmp``, and only the other chunks are hashed.  These tests pin how many
-chunks the client hashes, that every chunk map is exactly the one a fresh
-client computes for the same bytes, whatever the path, size, chunk size or
-write granularity of the image before, and that a client holds at most one
-image and none at all with FsCH off.
+Under FsCH a client hands its next sliding-window session the chunks of the
+last image it committed; chunk *i* whose bytes equal chunk *i* there takes its
+id after one ``memcmp``, and only the other chunks are hashed.  These tests
+pin how many chunks the client hashes, that every chunk map is exactly the one
+a fresh client computes for the same bytes, whatever the path, size, chunk
+size or write granularity of the image before, and what the client keeps:
+views of the application's ``bytes`` only, never a buffer of its own; the
+last image between checkpoints and, while a session is open, also what was
+written to it; nothing with FsCH off or through a spooling protocol.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from repro import StdchkConfig, StdchkPool, TcpDeployment
 from repro.core.chunk import content_chunk_id
 from repro.core.chunk_map import ChunkMap
 from repro.fs.filesystem import StdchkFilesystem
-from repro.util.config import SimilarityHeuristic
+from repro.util.config import SimilarityHeuristic, WriteProtocol
 from tests.conftest import make_bytes
 
 CHUNK = 64 * 1024
@@ -145,20 +147,52 @@ def test_every_chunk_map_is_the_one_a_fresh_client_computes(monkeypatch):
     pool.close()
 
 
-def test_the_fs_facade_in_4_kib_writes_names_as_a_fresh_client_would(hashed):
+def test_chunks_the_session_assembles_are_compared_but_never_kept(hashed):
+    """Chunks topped up from 4 KiB writes (the FS facade) live in buffers
+    the session made: they are compared with the last image, but the
+    session's own image records none of them."""
     pool = StdchkPool(benefactor_count=4, config=fsch_config())
-    fs = pool.filesystem("warm-fs")
+    client = pool.client("warm")
+    fs = StdchkFilesystem(client)
     base = make_bytes(8 * CHUNK + 500, seed=6)
-    fs.write_file("/fs/image", base, block_size=4096)
+    client.write_file("/fs/image", base)
     assert len(hashed) == 9
     hashed.clear()
     changed = dirty(base, [2])
     fs.write_file("/fs/image", changed, block_size=4096)
-    assert hashed == [CHUNK]
+    assert hashed == [CHUNK, 500]
+    assert client._last_image == [None] * 9
+
+    hashed.clear()
+    fs.write_file("/fs/image", changed, block_size=CHUNK)  # views of ``changed``
+    assert len(hashed) == 9
+    assert client._last_image == [None] * 9
+
     fresh = pool.filesystem("fresh-fs")
     fresh.write_file("/fresh/fs/image", changed, block_size=4096)
     assert names(pool, "/fs/image") == names(pool, "/fresh/fs/image")
     assert fs.read_file("/fs/image") == changed
+    pool.close()
+
+
+@pytest.mark.parametrize("protocol", [WriteProtocol.COMPLETE_LOCAL,
+                                      WriteProtocol.INCREMENTAL])
+def test_spooling_sessions_compare_and_keep_nothing(protocol, hashed, tmp_path):
+    """CLW and IW feed blocks read back from their spool: an image of them
+    would hold in memory what the spool keeps on disk."""
+    pool = StdchkPool(benefactor_count=4, config=fsch_config(
+        write_protocol=protocol, incremental_file_size=4 * CHUNK))
+    client = pool.client("spooler", spool_dir=str(tmp_path))
+    image = make_bytes(8 * CHUNK, seed=9)
+    baseline = sys.getrefcount(image)
+    for _ in range(2):
+        session = client.write_file("/spool/image", image)
+        assert session.pusher.take_image() is None
+    gc.collect()
+    assert hashed == [CHUNK] * 16
+    assert client._last_image == ()
+    assert sys.getrefcount(image) == baseline
+    assert client.read_file("/spool/image") == image
     pool.close()
 
 
@@ -191,22 +225,52 @@ def test_the_next_content_addressed_commit_releases_the_last_image():
     sessions = [client.write_file("/release/image", first)]
     gc.collect()
     # One reference per complete chunk of ``first`` in the client's image;
-    # the tail chunk is a buffer of its own.
+    # the tail chunk is in a buffer of the session's own, which is not kept.
     assert sys.getrefcount(first) == baseline + 8
-    assert [offset for _, offset, _, _ in client._last_image] == [
-        i * CHUNK for i in range(8)] + [0]
+    assert [entry and entry[1] for entry in client._last_image] == [
+        i * CHUNK for i in range(8)] + [None]
 
     # The sessions write_file returns are kept: neither pins an image.
     sessions.append(client.write_file("/release/image", second))
     gc.collect()
     assert sys.getrefcount(first) == baseline
-    assert all(buffer is not first for buffer, _, _, _ in client._last_image)
+    assert [entry[0] is second for entry in client._last_image[:8]] == [True] * 8
     assert [session.pusher.take_image() for session in sessions] == [None, None]
 
     # An aborted session leaves the last committed image in place.
     session = client.open_write("/release/image")
     session.write(first)
     session.abort()
-    assert [chunk_id for *_, chunk_id in client._last_image] == [
-        placement[0] for placement in names(pool, "/release/image")]
+    assert [entry and entry[3] for entry in client._last_image] == [
+        placement[0] for placement in names(pool, "/release/image")][:8] + [None]
+    pool.close()
+
+
+def test_an_open_session_holds_the_last_image_and_what_was_written_to_it():
+    """The bound while a session runs: the client's last image plus the
+    ``bytes`` written to the session so far, each referenced once per chunk
+    cut from it; the commit releases the last image."""
+    pool = StdchkPool(benefactor_count=4, config=fsch_config())
+    client = pool.client("checkpointer")
+    first = make_bytes(8 * CHUNK, seed=10)
+    head, rest = first[:4 * CHUNK], dirty(first, [6])[4 * CHUNK:]
+    counts = dict(first=sys.getrefcount(first), head=sys.getrefcount(head),
+                  rest=sys.getrefcount(rest))
+    client.write_file("/open/image", first)
+
+    session = client.open_write("/open/image")
+    session.write(head)
+    gc.collect()
+    assert sys.getrefcount(first) == counts["first"] + 8
+    assert sys.getrefcount(head) == counts["head"] + 4
+    assert sys.getrefcount(rest) == counts["rest"]
+
+    session.write(rest)
+    session.close()
+    gc.collect()
+    assert sys.getrefcount(first) == counts["first"]
+    assert sys.getrefcount(head) == counts["head"] + 4
+    assert sys.getrefcount(rest) == counts["rest"] + 4
+    assert session.stats.chunks_pushed == 1
+    assert client.read_file("/open/image") == head + rest
     pool.close()

@@ -24,7 +24,7 @@ from repro.client import session as session_module
 from repro.client.session import ChunkPusher
 from repro.transport.base import Endpoint, rpc
 from repro.transport.inprocess import InProcessTransport
-from repro.util.config import SimilarityHeuristic, WriteSemantics
+from repro.util.config import SimilarityHeuristic, WriteProtocol, WriteSemantics
 from tests.conftest import make_bytes
 
 CHUNK = 32 * 1024
@@ -256,4 +256,45 @@ class TestCopyGuard:
             finally:
                 tracemalloc.stop()
             assert peak - before < 8 * MIB, f"peaked {(peak - before) / MIB:.1f} MiB above start"
+            assert client.read_file("/guard/image") == data
+
+    @pytest.mark.parametrize("protocol", list(WriteProtocol), ids=lambda p: p.value)
+    def test_under_fsch_4_kib_blocks_hold_the_budget_and_leave_no_image(self, tmp_path,
+                                                                         protocol):
+        """An FsCH client keeps its last image for the next write to compare
+        against, but only views of the application's ``bytes``: chunks the
+        session assembles from 4 KiB writes, or reads back from a CLW/IW
+        spool, are its own copies and are not kept.  So two 16 MiB writes
+        through the FS facade peak where they do with FsCH off (the budget,
+        plus for CLW/IW the spool blocks read back: 9.3 and 8.3 MiB with
+        FsCH off), far below the image, and leave nothing of its size
+        behind."""
+        from repro.fs.filesystem import StdchkFilesystem
+        stores = count()
+        config = StdchkConfig(chunk_size=64 * 1024, replication_level=1, push_parallelism=2,
+                              similarity_heuristic=SimilarityHeuristic.FSCH,
+                              write_protocol=protocol, incremental_file_size=4 * MIB)
+        with TcpDeployment(
+            benefactor_count=4, config=config,
+            store_factory=lambda capacity: DiskChunkStore(
+                str(tmp_path / f"benefactor-{next(stores)}"), capacity),
+        ) as deployment:
+            client = deployment.client("guard", spool_dir=str(tmp_path))
+            fs = StdchkFilesystem(client)
+            data = make_bytes(16 * MIB, seed=8)
+            fs.write_file("/guard/warm", data[:2 * MIB], block_size=4096)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before, _ = tracemalloc.get_traced_memory()
+                tracemalloc.reset_peak()
+                for _ in range(2):
+                    fs.write_file("/guard/image", data, block_size=4096)
+                gc.collect()
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            bound = 8 * MIB if protocol is WriteProtocol.SLIDING_WINDOW else 12 * MIB
+            assert peak - before < bound, f"peaked {(peak - before) / MIB:.1f} MiB above start"
+            assert kept - before < 2 * MIB, f"kept {(kept - before) / MIB:.1f} MiB"
             assert client.read_file("/guard/image") == data
