@@ -239,7 +239,7 @@ class FailoverTransport(Transport):
         self._inner.unregister(address)
 
     def __getattr__(self, name: str):
-        # Everything else (pool stats, fault hooks, close, …) belongs to the
+        # Everything else (pool stats, fault rules, close, …) belongs to the
         # wrapped transport; tests and deployment helpers reach it directly.
         if name == "_inner":
             raise AttributeError(name)

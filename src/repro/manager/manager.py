@@ -187,6 +187,10 @@ class MetadataManager(Endpoint):
         self._shipper = None
 
         self._reset_state()
+        #: Records :func:`apply_record` has applied here (live, replayed or
+        #: shipped); ``health()`` re-runs fsck only when it moves.
+        self.records_applied = 0
+        self._fsck_cache: tuple = (None, 0)
 
         # Concurrency audit (parallel chunk pushers call into the manager from
         # many threads at once): metadata mutations — namespace, datasets,
@@ -367,6 +371,8 @@ class MetadataManager(Endpoint):
                 else getattr(self._shipper, "last_lsn", 0)
             ),
             "applied_lsn": getattr(self, "applied_lsn", None),
+            # Replay holds the meta lock; a probe must not wait it out.
+            "fsck_violations": None if self.recovering else self.fsck_violations(),
             "benefactors_online": sum(1 for record in known if record.online),
             "benefactors_known": len(known),
             "heartbeat_age": heartbeat_age,
@@ -374,6 +380,23 @@ class MetadataManager(Endpoint):
             "active_sessions": len(self._sessions),
             "slo": self.obs.window_summary("rpc_handled_seconds"),
         }
+
+    def fsck_violations(self) -> int:
+        """How many violations of fsck's *always* invariants this state holds.
+
+        :func:`repro.manager.fsck.fsck` over the encoded state, recomputed
+        only once a record has been applied (or a snapshot installed) since
+        the last answer.
+        """
+        # Imported here: ``python -m repro.manager.fsck`` imports this
+        # package first, and must find the module not yet loaded.
+        from repro.manager.fsck import fsck
+
+        with self._meta_lock:
+            moved = (self.records_applied, getattr(self, "applied_lsn", None))
+            if self._fsck_cache[0] != moved:
+                self._fsck_cache = (moved, len(fsck(encode_manager_state(self))))
+            return self._fsck_cache[1]
 
     def under_replicated_count(self) -> int:
         """Committed replica placements still below their target level."""

@@ -31,12 +31,17 @@ from repro.manager.persistence.snapshot import (
     encode_manager_state,
     restore_manager_state,
 )
-from repro.manager.persistence.store import ManagerPersistence
+from repro.manager.persistence.store import (
+    JournalScan,
+    ManagerPersistence,
+    scan_journal_dir,
+)
 
 __all__ = [
     "FSYNC_ALWAYS",
     "FSYNC_COMMIT",
     "FSYNC_NEVER",
+    "JournalScan",
     "JournalWriter",
     "ManagerPersistence",
     "RecoveryReport",
@@ -44,4 +49,5 @@ __all__ = [
     "encode_manager_state",
     "read_journal_records",
     "restore_manager_state",
+    "scan_journal_dir",
 ]

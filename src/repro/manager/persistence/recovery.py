@@ -239,4 +239,6 @@ def apply_record(manager, record: Dict[str, object]):
     applier = _APPLIERS.get(op)
     if applier is None:
         raise JournalCorruptError(f"unknown journal op: {op!r}")
-    return applier(manager, data)
+    result = applier(manager, data)
+    manager.records_applied += 1
+    return result

@@ -23,6 +23,7 @@ import os
 import re
 import threading
 import time
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.exceptions import JournalClosedError
@@ -31,10 +32,67 @@ from repro.manager.persistence.journal import (
     FSYNC_NEVER,
     JournalWriter,
     read_journal_records,
+    truncate_torn_tail,
 )
 
 _SNAPSHOT_RE = re.compile(r"^snapshot-(\d+)\.json$")
 _JOURNAL_RE = re.compile(r"^journal-(\d+)\.wal$")
+
+
+@dataclass
+class JournalScan:
+    """What a journal directory holds, read without changing anything."""
+
+    #: The newest readable snapshot (None without one) and the LSN it covers.
+    state: Optional[Dict[str, object]]
+    snapshot_lsn: int
+    #: ``(lsn, record)`` of every record after the snapshot, in order.
+    records: List[Tuple[int, Dict[str, object]]]
+    #: The highest LSN any segment reaches.
+    last_lsn: int
+    #: The segment with a torn tail, if one has; nothing after it is read.
+    torn: Optional[str]
+
+
+def _list(journal_dir: str, pattern: re.Pattern) -> List[Tuple[int, str]]:
+    entries = []
+    for name in os.listdir(journal_dir):
+        match = pattern.match(name)
+        if match is not None:
+            entries.append((int(match.group(1)), os.path.join(journal_dir, name)))
+    entries.sort()
+    return entries
+
+
+def scan_journal_dir(journal_dir: str) -> JournalScan:
+    """Read ``journal_dir``'s newest snapshot and the records after it.
+
+    A half-written snapshot from a crash is skipped for the one before it;
+    segments are read in base order and a torn one ends the scan.
+    """
+    state: Optional[Dict[str, object]] = None
+    snapshot_lsn = 0
+    for lsn, path in reversed(_list(journal_dir, _SNAPSHOT_RE)):
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                state = json.load(handle)
+            snapshot_lsn = lsn
+            break
+        except (OSError, json.JSONDecodeError):
+            continue  # half-written snapshot from a crash; older one wins
+    replay: List[Tuple[int, Dict[str, object]]] = []
+    last_lsn = snapshot_lsn
+    for base, path in _list(journal_dir, _JOURNAL_RE):
+        records, _valid, torn = read_journal_records(path)
+        lsn = base
+        for record in records:
+            lsn += 1
+            if lsn > snapshot_lsn:
+                replay.append((lsn, record))
+        last_lsn = max(last_lsn, lsn)
+        if torn:
+            return JournalScan(state, snapshot_lsn, replay, last_lsn, path)
+    return JournalScan(state, snapshot_lsn, replay, last_lsn, None)
 
 
 class ManagerPersistence:
@@ -89,15 +147,6 @@ class ManagerPersistence:
     def _journal_path(self, base: int) -> str:
         return os.path.join(self.journal_dir, f"journal-{base:012d}.wal")
 
-    def _list(self, pattern: re.Pattern) -> List[Tuple[int, str]]:
-        entries = []
-        for name in os.listdir(self.journal_dir):
-            match = pattern.match(name)
-            if match is not None:
-                entries.append((int(match.group(1)), os.path.join(self.journal_dir, name)))
-        entries.sort()
-        return entries
-
     def _fsync_dir(self) -> None:
         if self.fsync_policy == FSYNC_NEVER:
             return
@@ -114,10 +163,10 @@ class ManagerPersistence:
     def has_prior_state(self) -> bool:
         """True when the directory holds a snapshot or a non-empty journal."""
         with self._lock:
-            if self._list(_SNAPSHOT_RE):
+            if _list(self.journal_dir, _SNAPSHOT_RE):
                 return True
             return any(
-                os.path.getsize(path) > 0 for _base, path in self._list(_JOURNAL_RE)
+                os.path.getsize(path) > 0 for _base, path in _list(self.journal_dir, _JOURNAL_RE)
             )
 
     def load(self) -> Tuple[Optional[Dict[str, object]], List[Dict[str, object]], int]:
@@ -135,42 +184,15 @@ class ManagerPersistence:
             for name in os.listdir(self.journal_dir):
                 if name.endswith(".tmp"):
                     os.remove(os.path.join(self.journal_dir, name))
-            state: Optional[Dict[str, object]] = None
-            snapshot_lsn = 0
-            for lsn, path in reversed(self._list(_SNAPSHOT_RE)):
-                try:
-                    with open(path, "r", encoding="utf-8") as handle:
-                        state = json.load(handle)
-                    snapshot_lsn = lsn
-                    break
-                except (OSError, json.JSONDecodeError):
-                    continue  # half-written snapshot from a crash; older one wins
-
-            replay: List[Dict[str, object]] = []
-            torn_total = 0
-            last_lsn = snapshot_lsn
-            for base, path in self._list(_JOURNAL_RE):
-                records, valid, torn = read_journal_records(path)
-                if torn:
-                    size = os.path.getsize(path)
-                    with open(path, "r+b") as handle:
-                        handle.truncate(valid)
-                    torn_total += size - valid
-                lsn = base
-                for record in records:
-                    lsn += 1
-                    if lsn > snapshot_lsn:
-                        replay.append(record)
-                last_lsn = max(last_lsn, lsn)
-                if torn:
-                    break  # nothing after a tear is trustworthy
-            self.snapshot_lsn = snapshot_lsn
-            self.last_lsn = last_lsn
+            scan = scan_journal_dir(self.journal_dir)
+            torn_total = 0 if scan.torn is None else truncate_torn_tail(scan.torn)
+            self.snapshot_lsn = scan.snapshot_lsn
+            self.last_lsn = scan.last_lsn
             self._open_writer_at_tail()
-            return state, replay, torn_total
+            return scan.state, [record for _lsn, record in scan.records], torn_total
 
     def _open_writer_at_tail(self) -> None:
-        journals = self._list(_JOURNAL_RE)
+        journals = _list(self.journal_dir, _JOURNAL_RE)
         if journals:
             _base, path = journals[-1]
         else:
@@ -241,10 +263,10 @@ class ManagerPersistence:
             )
             self.snapshot_lsn = lsn
             self.snapshots_taken += 1
-            for old_lsn, old_path in self._list(_SNAPSHOT_RE):
+            for old_lsn, old_path in _list(self.journal_dir, _SNAPSHOT_RE):
                 if old_lsn < lsn:
                     os.remove(old_path)
-            for base, old_path in self._list(_JOURNAL_RE):
+            for base, old_path in _list(self.journal_dir, _JOURNAL_RE):
                 if base < lsn:
                     os.remove(old_path)
             self._fsync_dir()

@@ -192,20 +192,23 @@ class LogShipper:
         progress — there is no background acker to wait on.  On timeout the
         configured degrade policy decides between refusing the client ack
         (``"fail"``) and falling back to async shipping with a breadcrumb
-        (``"async"``).
+        (``"async"``).  The deadline and the pauses between flushes are on
+        the manager's clock, so a virtual-time deployment waits out
+        ``quorum_timeout`` without sleeping.
         """
         config = self.manager.config
+        clock = self.manager.clock
         started = time.perf_counter()
-        deadline = time.monotonic() + config.quorum_timeout
+        deadline = clock.now() + config.quorum_timeout
         while True:
             acked = self._acks_for(lsn)
             if acked >= quorum:
                 self._quorum_timer.observe(time.perf_counter() - started)
                 return
-            remaining = deadline - time.monotonic()
+            remaining = deadline - clock.now()
             if remaining <= 0:
                 break
-            time.sleep(min(0.01, remaining))
+            clock.sleep(min(0.01, remaining))
             self.flush()
         acked = self._acks_for(lsn)
         if config.quorum_degrade == "async":

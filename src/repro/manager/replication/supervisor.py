@@ -36,15 +36,15 @@ from repro.obs import component_logger
 class FailoverSupervisor:
     """Drive unattended primary failover for a deployment.
 
-    ``deployment`` is duck-typed: it must expose ``config``, ``manager``
-    (current primary), ``transport``, ``standby_endpoints()`` and
+    ``deployment`` is duck-typed: it must expose ``config``, ``clock``,
+    ``manager`` (current primary), ``transport``, ``standby_endpoints()`` and
     ``promote_standby(standby_id)`` — any :class:`~repro.pool.Deployment`
-    qualifies, whichever transport it runs over.
+    qualifies, whichever transport it runs over.  The flap-damping cooldown
+    is measured on the deployment's clock.
     """
 
     def __init__(self, deployment, probe_timeout: Optional[float] = None,
-                 cooldown: Optional[float] = None,
-                 clock=time.monotonic) -> None:
+                 cooldown: Optional[float] = None) -> None:
         config = deployment.config
         self.deployment = deployment
         self.probe_timeout = (
@@ -55,7 +55,6 @@ class FailoverSupervisor:
             cooldown if cooldown is not None
             else config.failover_cooldown
         )
-        self._clock = clock
         self._lock = threading.Lock()
         self._last_promotion: Optional[float] = None
         self.promotions = 0
@@ -107,7 +106,7 @@ class FailoverSupervisor:
                 self.suppressed += 1
                 self._note("stale", node=dead_node_id, primary=current)
                 return None
-            now = self._clock()
+            now = self.deployment.clock.now()
             if (self._last_promotion is not None
                     and now - self._last_promotion < self.cooldown):
                 self.suppressed += 1
@@ -129,7 +128,7 @@ class FailoverSupervisor:
                 )
                 return None
             promoted = self.deployment.promote_standby(best)
-            self._last_promotion = self._clock()
+            self._last_promotion = self.deployment.clock.now()
             self.promotions += 1
             self._note("promoted", node=dead_node_id, standby=best,
                        epoch=promoted.epoch, applied_lsn=promoted.applied_lsn)

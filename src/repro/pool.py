@@ -11,7 +11,8 @@ and fault-injection helper (kill, recover, restart, promote) has one body
 that works over any :class:`~repro.transport.base.Transport`, because every
 address a peer dials goes through ``transport.bound_address``.
 
-:class:`StdchkPool` (in-process transport, virtual clock) and
+:class:`StdchkPool` (in-process transport wrapped in a
+:class:`~repro.transport.faulty.FaultyTransport`, virtual clock) and
 :class:`TcpDeployment` (localhost sockets, wall clock) only choose the
 transport, the default clock, the id prefix and the historical shape of
 ``.benefactors``.  Tests, examples and benchmarks all build their clusters
@@ -45,6 +46,7 @@ from repro.obs import (
     rpc_health_probe,
 )
 from repro.transport.base import Transport
+from repro.transport.faulty import FaultyTransport
 from repro.transport.inprocess import InProcessTransport
 from repro.transport.tcp import TcpTransport
 from repro.util.clock import Clock, SystemClock, VirtualClock
@@ -543,7 +545,7 @@ class StdchkPool(Deployment):
         store_factory=None,
     ) -> None:
         super().__init__(
-            transport if transport is not None else InProcessTransport(),
+            transport if transport is not None else FaultyTransport(InProcessTransport()),
             clock if clock is not None else VirtualClock(),
             benefactor_count, benefactor_capacity, config, storage_root, store_factory,
         )

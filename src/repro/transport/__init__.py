@@ -10,9 +10,15 @@ Two interchangeable implementations are provided:
   :class:`~repro.transport.tcp.TcpServer` — localhost TCP with
   length-prefixed frames, demonstrating that the same components operate
   across real sockets.
+
+:class:`~repro.transport.faulty.FaultyTransport` wraps either one with
+deterministic fault rules (partitions, dropped calls, lost answers, scripted
+answers) and an opt-in call log; a ``StdchkPool`` runs on one around an
+in-process transport.
 """
 
 from repro.transport.base import Endpoint, Transport, RemoteProxy
+from repro.transport.faulty import FaultyTransport
 from repro.transport.inprocess import InProcessTransport
 from repro.transport.tcp import TcpServer, TcpTransport
 
@@ -20,6 +26,7 @@ __all__ = [
     "Endpoint",
     "Transport",
     "RemoteProxy",
+    "FaultyTransport",
     "InProcessTransport",
     "TcpServer",
     "TcpTransport",

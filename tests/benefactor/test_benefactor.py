@@ -275,7 +275,7 @@ class TestBenefactor:
 
     def test_registration_address(self):
         transport, benefactor = self.make()
-        assert transport.is_connected(benefactor.address)
+        assert transport.call(benefactor.address, "health")["node_id"] == "b0"
 
     def test_put_get_roundtrip_via_transport(self):
         transport, benefactor = self.make()

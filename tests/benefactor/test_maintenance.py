@@ -260,14 +260,12 @@ class TestSteadyStateRound:
         pool.client("writer").write_file("/steady/ckpt.N0.T1",
                                          make_bytes(400 * 1024, seed=31))
         pool.heal(3)
-        calls = Counter()
-        pool.transport.set_fault_hook(
-            lambda address, method, payload: calls.update([method]))
+        calls = pool.transport.record()
         transactions = pool.manager.transactions
         reports = pool.run_maintenance_once()
-        pool.transport.set_fault_hook(None)
         assert not any(r.repaired or r.reattached for r in reports.values())
-        assert calls == {"heartbeat": 6, "checksum_inventory": 6}
+        assert Counter(call.method for call in calls) == {
+            "heartbeat": 6, "checksum_inventory": 6}
         assert pool.manager.transactions - transactions == 6
 
 
@@ -394,7 +392,7 @@ class TestPromotedStandbyAmnesia:
         # The standby goes dark; a node joins and acquires a replica while
         # only the doomed primary is watching.  Neither the registration nor
         # the (soft-state) replica placement ever reaches the standby.
-        pool.transport.disconnect(standby.address)
+        pool.transport.partition(standby.address)
         late = Benefactor(
             benefactor_id="late-joiner",
             transport=pool.transport,
@@ -411,7 +409,7 @@ class TestPromotedStandbyAmnesia:
         )
 
         pool.kill_primary()
-        pool.transport.reconnect(standby.address)
+        pool.transport.heal(standby.address)
         standby.promote()
         assert "late-joiner" not in standby.registry
 

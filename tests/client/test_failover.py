@@ -25,6 +25,8 @@ from repro.exceptions import (
 )
 from repro.obs import MetricsRegistry
 from repro.transport.base import Endpoint, control
+from repro.transport.faulty import FaultyTransport
+from repro.transport.inprocess import InProcessTransport
 from repro.transport.tcp import TcpServer, TcpTransport
 from tests.conftest import make_bytes
 
@@ -43,33 +45,13 @@ def make_pool(**overrides) -> StdchkPool:
     return StdchkPool(benefactor_count=4, config=StdchkConfig(**{**SMALL, **overrides}))
 
 
-class ScriptedTransport:
-    """Fake transport: scripted per-address answers or exceptions."""
-
-    def __init__(self, answers):
-        #: address -> list of answers; an Exception instance is raised,
-        #: anything else returned.  The last entry repeats forever.
-        self.answers = {addr: list(seq) for addr, seq in answers.items()}
-        self.calls = []
-        #: Keyword arguments of the last call, ``into`` included.
-        self.last_payload = {}
-
-    def call(self, address, method, /, **payload):
-        self.calls.append((address, method))
-        self.last_payload = payload
-        seq = self.answers.get(address)
-        if not seq:
-            raise EndpointUnreachableError(f"no script for {address}")
-        answer = seq.pop(0) if len(seq) > 1 else seq[0]
-        if isinstance(answer, Exception):
-            raise answer
-        return answer
-
-    def register(self, address, endpoint):  # pragma: no cover - unused
-        pass
-
-    def unregister(self, address):  # pragma: no cover - unused
-        pass
+def scripted(answers) -> FaultyTransport:
+    """A transport answering each address from its script; an address
+    without one has no endpoint, so calls to it are unreachable."""
+    transport = FaultyTransport(InProcessTransport())
+    for address, sequence in answers.items():
+        transport.script(address, sequence)
+    return transport
 
 
 def primary_status(lsn=0, role="primary", online=True, recovering=False):
@@ -101,7 +83,7 @@ class TestManagerDirectory:
         assert directory.covers("m9")
 
     def test_rediscover_picks_highest_lsn_primary(self):
-        transport = ScriptedTransport({
+        transport = scripted({
             "m0": [EndpointUnreachableError("dead")],
             "m1": [primary_status(lsn=5)],
             "m2": [primary_status(lsn=9)],
@@ -111,7 +93,7 @@ class TestManagerDirectory:
         assert directory.current() == "m2"
 
     def test_rediscover_skips_standbys_and_recovering_managers(self):
-        transport = ScriptedTransport({
+        transport = scripted({
             "m0": [primary_status(role="standby")],
             "m1": [primary_status(recovering=True)],
             "m2": [primary_status(online=False)],
@@ -123,7 +105,7 @@ class TestManagerDirectory:
     def test_rediscover_prefers_higher_epoch_over_higher_lsn(self):
         # A deposed-but-unaware primary may still report the larger LSN;
         # the successor's epoch dominates the selection.
-        transport = ScriptedTransport({
+        transport = scripted({
             "m1": [dict(primary_status(lsn=50), epoch=1)],
             "m2": [dict(primary_status(lsn=10), epoch=2)],
         })
@@ -133,7 +115,7 @@ class TestManagerDirectory:
         assert directory.known_epoch() == 2
 
     def test_rediscover_skips_primaries_behind_a_known_epoch(self):
-        transport = ScriptedTransport({
+        transport = scripted({
             "m0": [dict(primary_status(lsn=50), epoch=1)],
         })
         directory = ManagerDirectory(["m0"])
@@ -160,7 +142,7 @@ class FakeClock:
 
 class TestFailoverTransport:
     def make(self, answers, candidates=("m0", "m1"), **config_overrides):
-        inner = ScriptedTransport(answers)
+        inner = scripted(answers)
         directory = ManagerDirectory(list(candidates))
         clock = FakeClock()
         sleeps = []
@@ -178,29 +160,29 @@ class TestFailoverTransport:
 
     def test_non_candidate_addresses_pass_through(self):
         transport, inner, _, _, _ = self.make({"b0": ["chunk"]})
+        calls = inner.record()
         assert transport.call("b0", "get_chunks") == "chunk"
-        assert inner.calls == [("b0", "get_chunks")]
+        assert calls == [("b0", "get_chunks", 0, {})]
 
     def test_a_sequence_of_destinations_passes_through_untouched(self):
         """``into``, a sequence of views, is forwarded with the payload."""
         transport, inner, _, _, _ = self.make({"b0": [["c0", "c1"]], "m0": [{"ok": True}]})
+        calls = inner.record()
         windows = [memoryview(bytearray(8)), memoryview(bytearray(4))]
         assert transport.call("b0", "get_chunks", into=windows,
                               chunk_ids=["c0", "c1"]) == ["c0", "c1"]
-        assert inner.last_payload["into"] is windows
-        assert inner.last_payload["chunk_ids"] == ["c0", "c1"]
+        assert calls[-1] == ("b0", "get_chunks", 2, {"chunk_ids": ["c0", "c1"]})
         # ... and through the retry loop of a manager address as well.
         assert transport.call("m0", "echo", into=windows) == {"ok": True}
-        assert inner.last_payload["into"] is windows
+        assert calls[-1] == ("m0", "echo", 2, {})
 
     def test_retries_until_rediscovery_finds_new_primary(self):
         # m0 dies; the probe finds m1 serving; the retried call succeeds.
-        transport, inner, directory, _, _ = self.make({
+        # Scripted: m1 answers the probe, then the real call.
+        transport, _inner, directory, _, _ = self.make({
             "m0": [EndpointUnreachableError("dead")],
-            "m1": [primary_status(lsn=3), primary_status(lsn=3), "ok"],
+            "m1": [primary_status(lsn=3), "ok"],
         })
-        # Scripted: m1 answers status twice (probe) then the real call.
-        inner.answers["m1"] = [primary_status(lsn=3), "ok"]
         assert transport.call("m0", "get_chunk_map") == "ok"
         assert directory.current() == "m1"
 
@@ -271,7 +253,7 @@ class TestFailoverTransport:
 
     def test_retry_metrics_are_recorded(self):
         registry = MetricsRegistry(component="client", node_id="c0")
-        inner = ScriptedTransport({
+        inner = scripted({
             "m0": [ManagerUnavailableError("down")],
             "m1": [primary_status(lsn=1), "ok"],
         })
@@ -439,21 +421,11 @@ class TestCommitReplay:
         pool.add_standby("standby-0")
         client = pool.client("c0")
         data = make_bytes(150 * 1024, seed=22)
-        state = {"fired": False}
-
-        def hook(address, method, payload):
-            if method == "commit_session" and not state["fired"]:
-                state["fired"] = True
-                pool.manager.dispatch(method, dict(payload))  # commit lands
-                pool.promote_standby()
-                raise EndpointUnreachableError("primary died answering")
-
-        pool.transport.set_fault_hook(hook)
-        try:
-            client.write_file("/app/ckpt.N0.T1", data)
-        finally:
-            pool.transport.set_fault_hook(None)
-        assert state["fired"]
+        primary = pool.manager
+        pool.transport.lose_answer(pool.manager_address, "commit_session",
+                                   then=pool.promote_standby)
+        client.write_file("/app/ckpt.N0.T1", data)
+        assert pool.manager is not primary
         assert client.read_file("/app/ckpt.N0.T1") == data
         assert len(pool.manager.dataset_by_path("/app/ckpt.N0.T1").versions) == 1
 
@@ -465,20 +437,12 @@ class TestCommitReplay:
         pool.add_standby("standby-0")
         client = pool.client("c0")
         data = make_bytes(200 * 1024, seed=23)
-        state = {"fired": False}
-
-        def hook(address, method, payload):
-            if method == "commit_session" and not state["fired"]:
-                state["fired"] = True
-                pool.promote_standby()
-                raise EndpointUnreachableError("primary died mid-commit")
-
-        pool.transport.set_fault_hook(hook)
-        try:
-            client.write_file("/app/ckpt.N0.T1", data)
-        finally:
-            pool.transport.set_fault_hook(None)
-        assert state["fired"]
+        primary = pool.manager
+        # The primary dies as the commit reaches it: the call finds no endpoint.
+        pool.transport.before(pool.manager_address, "commit_session",
+                              lambda *_: pool.promote_standby())
+        client.write_file("/app/ckpt.N0.T1", data)
+        assert pool.manager is not primary
         assert client.read_file("/app/ckpt.N0.T1") == data
 
     def test_a_replayed_session_keeps_its_replication_level_and_stripe_width(self):
@@ -488,23 +452,15 @@ class TestCommitReplay:
         pool.add_standby("standby-0")
         client = pool.client("c0")
         data = make_bytes(200 * 1024, seed=24)
-        state = {"fired": False}
-
-        def hook(address, method, payload):
-            if method == "commit_session" and not state["fired"]:
-                state["fired"] = True
-                pool.promote_standby()
-                raise EndpointUnreachableError("primary died mid-commit")
-
-        pool.transport.set_fault_hook(hook)
-        try:
-            session = client.open_write("/app/ckpt.N0.T2", replication_level=3,
-                                        stripe_width=2)
-            session.write(data)
-            session.close()
-        finally:
-            pool.transport.set_fault_hook(None)
-        assert state["fired"]
+        primary = pool.manager
+        # The primary dies as the commit reaches it: the call finds no endpoint.
+        pool.transport.before(pool.manager_address, "commit_session",
+                              lambda *_: pool.promote_standby())
+        session = client.open_write("/app/ckpt.N0.T2", replication_level=3,
+                                    stripe_width=2)
+        session.write(data)
+        session.close()
+        assert pool.manager is not primary
         assert len(session.session_info["stripe"]) == 2
         dataset_id = pool.manager.dataset_by_path("/app/ckpt.N0.T2").dataset_id
         assert pool.manager.replication_target_for(dataset_id) == 3

@@ -165,35 +165,25 @@ class TestAckBatching:
         )
         client = pool.client("acker")
         data = make_bytes(32 * CHUNK, seed=3)
-        acked = set()
-
-        def hook(address, method, payload):
-            if method == "put_chunks_ack":
-                acked.update(p["chunk_id"] for p in payload["placements"])
-
-        pool.transport.set_fault_hook(hook)
+        calls = pool.transport.record()
         before = pool.manager.transactions
-        try:
-            session = client.write_file("/ack/f", data)
-        finally:
-            pool.transport.set_fault_hook(None)
-        ack_calls = pool.transport.call_counts.get(
-            (pool.manager.address, "put_chunks_ack"), 0
-        )
-        assert ack_calls == 32 // 8
+        session = client.write_file("/ack/f", data)
+        acks = [call for call in calls if call.method == "put_chunks_ack"]
+        assert {call.address for call in acks} == {pool.manager_address}
+        assert len(acks) == 32 // 8
         assert session.stats.ack_batches == 32 // 8
         # Far fewer manager transactions than one ack per chunk.
         assert pool.manager.transactions - before <= 4 + 32 // 8
-        assert len(acked) == 32
+        assert len({placement["chunk_id"] for call in acks
+                    for placement in call.payload["placements"]}) == 32
 
     def test_acks_disabled_by_default_keeps_transaction_profile(self):
         pool = StdchkPool(benefactor_count=4, config=parallel_config())
         client = pool.client("quiet")
+        calls = pool.transport.record()
         client.write_file("/quiet/f", make_bytes(16 * CHUNK, seed=4))
-        assert (
-            pool.transport.call_counts.get((pool.manager.address, "put_chunks_ack"), 0)
-            == 0
-        )
+        assert calls and not [call for call in calls
+                              if call.method == "put_chunks_ack"]
 
     def test_acked_chunks_protected_from_gc(self):
         pool = StdchkPool(

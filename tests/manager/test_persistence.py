@@ -11,6 +11,7 @@ recovered manager.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import os
@@ -38,6 +39,13 @@ from repro.transport.inprocess import InProcessTransport
 from repro.util.clock import VirtualClock
 from repro.util.units import MiB
 from tests.conftest import make_bytes
+
+
+@pytest.fixture
+def teardown():
+    """``teardown(pool)`` closes ``pool`` (journal included) after the test."""
+    with contextlib.ExitStack() as stack:
+        yield stack.enter_context
 
 
 # ---------------------------------------------------------------------------
@@ -242,11 +250,11 @@ def recover_copy(journal_dir: str, config: StdchkConfig, destination: str,
 # Crash-point sweep
 # ---------------------------------------------------------------------------
 class TestCrashPointSweep:
-    def test_every_crash_point_recovers_a_consistent_prefix(self, tmp_path):
+    def test_every_crash_point_recovers_a_consistent_prefix(self, tmp_path, teardown):
         journal_dir = str(tmp_path / "journal")
         config = journaled_config(journal_dir)
-        pool = StdchkPool(benefactor_count=3, benefactor_capacity=64 * MiB,
-                          config=config)
+        pool = teardown(StdchkPool(benefactor_count=3, benefactor_capacity=64 * MiB,
+                                   config=config))
         client = pool.client("writer")
         views, payloads = run_scripted_workload(pool, client)
 
@@ -317,11 +325,11 @@ class TestCrashPointSweep:
             pool.transport.unregister(manager.address)
             shutil.rmtree(copy_dir)
 
-    def test_recovered_manager_resumes_journaling(self, tmp_path):
+    def test_recovered_manager_resumes_journaling(self, tmp_path, teardown):
         journal_dir = str(tmp_path / "journal")
         config = journaled_config(journal_dir)
-        pool = StdchkPool(benefactor_count=3, benefactor_capacity=64 * MiB,
-                          config=config)
+        pool = teardown(StdchkPool(benefactor_count=3, benefactor_capacity=64 * MiB,
+                                   config=config))
         client = pool.client("writer")
         data = make_bytes(40_000, seed=11)
         client.write_file("/app/c.N0.T1", data)
@@ -342,11 +350,11 @@ class TestCrashPointSweep:
 # Snapshots
 # ---------------------------------------------------------------------------
 class TestSnapshots:
-    def test_snapshot_compacts_journal_and_recovery_uses_it(self, tmp_path):
+    def test_snapshot_compacts_journal_and_recovery_uses_it(self, tmp_path, teardown):
         journal_dir = str(tmp_path / "journal")
         config = journaled_config(journal_dir, snapshot_every_n_records=5)
-        pool = StdchkPool(benefactor_count=3, benefactor_capacity=64 * MiB,
-                          config=config)
+        pool = teardown(StdchkPool(benefactor_count=3, benefactor_capacity=64 * MiB,
+                                   config=config))
         client = pool.client("writer")
         expected = {}
         for step in range(6):
@@ -370,11 +378,11 @@ class TestSnapshots:
         for path, data in expected.items():
             assert reader.read_file(path) == data
 
-    def test_half_written_snapshot_falls_back_to_previous_state(self, tmp_path):
+    def test_half_written_snapshot_falls_back_to_previous_state(self, tmp_path, teardown):
         journal_dir = str(tmp_path / "journal")
         config = journaled_config(journal_dir)
-        pool = StdchkPool(benefactor_count=3, benefactor_capacity=64 * MiB,
-                          config=config)
+        pool = teardown(StdchkPool(benefactor_count=3, benefactor_capacity=64 * MiB,
+                                   config=config))
         client = pool.client("writer")
         data = make_bytes(25_000, seed=31)
         client.write_file("/app/x.N0.T1", data)
@@ -389,11 +397,11 @@ class TestSnapshots:
         assert committed_view(manager)["files"].keys() == {"/app/x.N0.T1"}
         manager.close_persistence()
 
-    def test_snapshot_round_trip_preserves_counters(self, tmp_path):
+    def test_snapshot_round_trip_preserves_counters(self, tmp_path, teardown):
         journal_dir = str(tmp_path / "journal")
         config = journaled_config(journal_dir, snapshot_every_n_records=4)
-        pool = StdchkPool(benefactor_count=2, benefactor_capacity=64 * MiB,
-                          config=config)
+        pool = teardown(StdchkPool(benefactor_count=2, benefactor_capacity=64 * MiB,
+                                   config=config))
         client = pool.client("writer")
         client.write_file("/a.N0.T1", make_bytes(10_000, seed=41))
         client.write_file("/b.N0.T1", make_bytes(10_000, seed=42))
@@ -421,11 +429,11 @@ class TestRecoveringState:
         manager.recovering = False
         assert manager.exists("/x") is False
 
-    def test_recover_flag_raised_during_replay_and_cleared_after(self, tmp_path):
+    def test_recover_flag_raised_during_replay_and_cleared_after(self, tmp_path, teardown):
         journal_dir = str(tmp_path / "journal")
         config = journaled_config(journal_dir)
-        pool = StdchkPool(benefactor_count=2, benefactor_capacity=64 * MiB,
-                          config=config)
+        pool = teardown(StdchkPool(benefactor_count=2, benefactor_capacity=64 * MiB,
+                                   config=config))
         pool.client("w").write_file("/f.N0.T1", make_bytes(5_000, seed=5))
 
         observed = []
@@ -454,19 +462,19 @@ class TestRecoveringState:
         assert manager.recovering is False
         manager.close_persistence()
 
-    def test_fresh_manager_over_existing_journal_auto_recovers(self, tmp_path):
+    def test_fresh_manager_over_existing_journal_auto_recovers(self, tmp_path, teardown):
         """A new pool over a reused journal_dir (process restart) must replay
         the prior life instead of silently appending colliding records."""
         journal_dir = str(tmp_path / "journal")
         config = journaled_config(journal_dir)
-        pool1 = StdchkPool(benefactor_count=3, benefactor_capacity=64 * MiB,
-                           config=config)
+        pool1 = teardown(StdchkPool(benefactor_count=3, benefactor_capacity=64 * MiB,
+                                    config=config))
         pool1.client("w").write_file("/app/x.N0.T1", make_bytes(20_000, seed=71))
         first_dataset = pool1.manager.dataset_by_path("/app/x.N0.T1").dataset_id
         pool1.manager.close_persistence()
 
-        pool2 = StdchkPool(benefactor_count=3, benefactor_capacity=64 * MiB,
-                           config=config)
+        pool2 = teardown(StdchkPool(benefactor_count=3, benefactor_capacity=64 * MiB,
+                                    config=config))
         assert pool2.manager.last_recovery is not None
         assert pool2.manager.exists("/app/x.N0.T1")
         dataset = pool2.manager.dataset_by_path("/app/x.N0.T1")
@@ -480,13 +488,13 @@ class TestRecoveringState:
         report = pool2.restart_manager()
         assert report.versions == 3
 
-    def test_journal_append_failure_takes_manager_offline(self, tmp_path):
+    def test_journal_append_failure_takes_manager_offline(self, tmp_path, teardown):
         """Fail-stop: if a record cannot be written, the manager must not
         keep serving state that recovery cannot restore."""
         journal_dir = str(tmp_path / "journal")
         config = journaled_config(journal_dir)
-        pool = StdchkPool(benefactor_count=2, benefactor_capacity=64 * MiB,
-                          config=config)
+        pool = teardown(StdchkPool(benefactor_count=2, benefactor_capacity=64 * MiB,
+                                   config=config))
         manager = pool.manager
         session = manager.create_session("/f.N0.T1", client_id="c")
 
@@ -518,11 +526,11 @@ class TestRecoveringState:
 # Soft-state reconciliation
 # ---------------------------------------------------------------------------
 class TestReconciliation:
-    def test_replicated_placements_reattached_after_recovery(self, tmp_path):
+    def test_replicated_placements_reattached_after_recovery(self, tmp_path, teardown):
         journal_dir = str(tmp_path / "journal")
         config = journaled_config(journal_dir, replication_level=2, stripe_width=2)
-        pool = StdchkPool(benefactor_count=4, benefactor_capacity=64 * MiB,
-                          config=config)
+        pool = teardown(StdchkPool(benefactor_count=4, benefactor_capacity=64 * MiB,
+                                   config=config))
         client = pool.client("writer")
         data = make_bytes(60_000, seed=51)
         client.write_file("/app/r.N0.T1", data)
@@ -544,11 +552,11 @@ class TestReconciliation:
         assert after == before
         assert after_map.min_replication() >= 2
 
-    def test_orphans_scheduled_for_gc_after_recovery(self, tmp_path):
+    def test_orphans_scheduled_for_gc_after_recovery(self, tmp_path, teardown):
         journal_dir = str(tmp_path / "journal")
         config = journaled_config(journal_dir)
-        pool = StdchkPool(benefactor_count=3, benefactor_capacity=64 * MiB,
-                          config=config)
+        pool = teardown(StdchkPool(benefactor_count=3, benefactor_capacity=64 * MiB,
+                                   config=config))
         client = pool.client("writer")
         client.write_file("/gone/x.N0.T1", make_bytes(40_000, seed=61))
         client.delete("/gone/x.N0.T1")
@@ -564,13 +572,13 @@ class TestReconciliation:
         pool.garbage_collector.run_once()
         assert sum(b.store.chunk_count for b in pool.benefactors.values()) == 0
 
-    def test_dropped_benefactor_stays_dropped_after_recovery(self, tmp_path):
+    def test_dropped_benefactor_stays_dropped_after_recovery(self, tmp_path, teardown):
         """A permanently departed benefactor must not resurrect in recovered
         chunk maps: its ghost replicas would mask real under-replication."""
         journal_dir = str(tmp_path / "journal")
         config = journaled_config(journal_dir, replication_level=2, stripe_width=2)
-        pool = StdchkPool(benefactor_count=4, benefactor_capacity=64 * MiB,
-                          config=config)
+        pool = teardown(StdchkPool(benefactor_count=4, benefactor_capacity=64 * MiB,
+                                   config=config))
         client = pool.client("writer")
         client.write_file("/app/d.N0.T1", make_bytes(50_000, seed=81))
         pool.heal()
@@ -666,7 +674,9 @@ class TestManagerPersistenceStore:
             assert json.load(handle)["fake"] is True
         # Records after the snapshot land in the new segment.
         persistence.append("make_folder", {"path": "/c"})
-        state, records, torn = ManagerPersistence(journal_dir, fsync_policy="never").load()
+        reader = ManagerPersistence(journal_dir, fsync_policy="never")
+        state, records, torn = reader.load()
+        reader.close()
         assert state["fake"] is True
         assert [r["data"]["path"] for r in records] == ["/c"]
         persistence.close()

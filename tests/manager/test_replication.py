@@ -9,6 +9,8 @@ shipped prefix describes.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro import StdchkConfig, StdchkPool
@@ -125,12 +127,12 @@ class TestLogShipping:
         shipper.add_standby(standby.address)
         pool.standbys["standby-0"] = standby
 
-        pool.transport.disconnect(standby.address)
+        pool.transport.partition(standby.address)
         client = pool.client("c0")
         client.write_file("/app/a.N0.T1", make_bytes(200 * 1024, seed=6))
         assert standby.applied_lsn < shipper.last_lsn
 
-        pool.transport.reconnect(standby.address)
+        pool.transport.heal(standby.address)
         client.mkdir("/warmup")  # next shipped record triggers the resync
         assert standby.applied_lsn == shipper.last_lsn
         assert standby.namespace.file_exists("/app/a.N0.T1")
@@ -172,7 +174,7 @@ class TestLogShipping:
     def test_unreachable_standby_does_not_fail_primary(self):
         pool = make_pool()
         standby = pool.add_standby("standby-0")
-        pool.transport.disconnect(standby.address)
+        pool.transport.partition(standby.address)
         client = pool.client("c0")
         # The write must succeed even though every ship attempt fails.
         client.write_file("/app/a.N0.T1", make_bytes(70 * 1024, seed=7))
@@ -362,7 +364,7 @@ class TestQuorumReplication:
     def test_fail_policy_refuses_ack_when_quorum_unreachable(self):
         pool = make_pool(replication_quorum=1, quorum_timeout=0.05)
         standby = pool.add_standby("standby-0")
-        pool.transport.disconnect(standby.address)
+        pool.transport.partition(standby.address)
         with pytest.raises(QuorumNotReachedError) as exc_info:
             pool.manager.make_folder("/app")
         assert exc_info.value.acked == 0
@@ -379,13 +381,13 @@ class TestQuorumReplication:
         pool = make_pool(replication_quorum=1, quorum_timeout=0.05,
                          quorum_degrade="async")
         standby = pool.add_standby("standby-0")
-        pool.transport.disconnect(standby.address)
+        pool.transport.partition(standby.address)
         pool.manager.make_folder("/app")  # acked despite the missing quorum
         degrades = pool.manager.obs.counter(
             "manager_quorum_degrades_total", "").value
         assert degrades >= 1
         # The standby catches up once it returns (async semantics).
-        pool.transport.reconnect(standby.address)
+        pool.transport.heal(standby.address)
         pool.manager.make_folder("/later")
         assert standby.namespace.folder_exists("/app")
 
@@ -394,31 +396,33 @@ class TestQuorumReplication:
         pool.add_standby("standby-0")
         lagging = pool.add_standby("standby-1")
         pool.manager.make_folder("/both")  # both reachable: acked
-        pool.transport.disconnect(lagging.address)
+        pool.transport.partition(lagging.address)
         with pytest.raises(QuorumNotReachedError) as exc_info:
             pool.manager.make_folder("/one-short")
         assert exc_info.value.acked == 1
+
+    def test_quorum_wait_runs_on_the_manager_clock(self):
+        """A partitioned standby costs ``quorum_timeout`` of the pool's
+        virtual time, not of the wall clock."""
+        pool = make_pool(replication_quorum=1)
+        assert pool.config.quorum_timeout == 2.0
+        standby = pool.add_standby("standby-0")
+        pool.transport.partition(standby.address)
+        virtual, wall = pool.clock.now(), time.perf_counter()
+        with pytest.raises(QuorumNotReachedError):
+            pool.manager.make_folder("/app")
+        assert pool.clock.now() - virtual >= 2.0
+        assert time.perf_counter() - wall < 0.5
 
     def test_quorum_retry_covers_transient_standby_outage(self):
         # The quorum wait re-flushes until the deadline: a standby that
         # returns within the timeout lets the op succeed.
         pool = make_pool(replication_quorum=1, quorum_timeout=5.0)
         standby = pool.add_standby("standby-0")
-        pool.transport.disconnect(standby.address)
-        calls = {"n": 0}
-        original = pool.transport.call
-
-        def flaky(address, method, /, **payload):
-            if address == standby.address and method == "replicate_records":
-                calls["n"] += 1
-                if calls["n"] >= 2:
-                    pool.transport.reconnect(standby.address)
-            return original(address, method, **payload)
-
-        pool.manager.shipper.transport = type(
-            "T", (), {"call": staticmethod(flaky)})()
+        pool.transport.drop(standby.address, "replicate_records")
         pool.manager.make_folder("/app")
         assert standby.namespace.folder_exists("/app")
+        assert pool.manager.shipper._standbys[standby.address].failures == 1
 
 
 # -------------------------------------------------------------------- epoch

@@ -11,9 +11,11 @@ primary that ships through a real :class:`LogShipper` to a
 :class:`StandbyManager` on an in-process transport, on a virtual clock (no
 sleeps).  Then:
 
-* after **every** call the primary's document equals the standby's, and if
-  the call raised, the primary's document and ``last_lsn`` are what they were
-  before it (an applier raises before touching anything or completes);
+* after **every** call the primary's document equals the standby's,
+  :func:`repro.manager.fsck.fsck` finds none of its *always* invariants
+  broken, and if the call raised, the primary's document and ``last_lsn``
+  are what they were before it (an applier raises before touching anything
+  or completes);
 * a snapshot is forced at a drawn point, and at the end a fresh manager
   restarted from the journal directory holds the primary's document.
 
@@ -54,6 +56,7 @@ from repro.exceptions import (
     UnknownDatasetError,
 )
 from repro.manager import GarbageCollector, MetadataManager
+from repro.manager.fsck import fsck
 from repro.manager.persistence import encode_manager_state
 from repro.manager.replication import LogShipper, StandbyManager
 from repro.transport.inprocess import InProcessTransport
@@ -215,8 +218,11 @@ def step(cluster: Cluster, op) -> bool:
         run_op(cluster, op)
     except (StdchkError, KeyError, ValueError):
         raised = True
-    after = document(primary)
-    assert after == document(cluster.standby), f"standby diverged after {op}"
+    after, replica = document(primary), document(cluster.standby)
+    assert after == replica, f"standby diverged after {op}"
+    roles = [primary.manager_status(), cluster.standby.manager_status()]
+    assert fsck(after, standbys=[replica], managers=roles) == [], (
+        f"invariant broken after {op}")
     if raised:
         assert after == before, f"failed call left state behind: {op}"
         assert primary.persistence.last_lsn == lsn_before, (

@@ -34,17 +34,6 @@ def dead(node_id: str, kind: str = "manager") -> HealthTransition:
                             new_state="dead", at=0.0, reason="probe timeout")
 
 
-class FakeClock:
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
-
-
 class TestPromotionPath:
     def test_dead_primary_promotes_the_standby(self):
         pool = make_pool()
@@ -69,13 +58,13 @@ class TestPromotionPath:
         lagging = pool.add_standby("standby-a")
         client = pool.client("c0")
         # Lagging standby misses the traffic burst.
-        pool.transport.disconnect(lagging.address)
+        pool.transport.partition(lagging.address)
         client.mkdir("/app")
         client.mkdir("/app/deeper")
         assert fresh.applied_lsn > lagging.applied_lsn
         supervisor = FailoverSupervisor(pool)
         pool.kill_primary()
-        pool.transport.reconnect(lagging.address)
+        pool.transport.heal(lagging.address)
         outcome = supervisor.handle_transition(dead(old_id))
         assert outcome["standby_id"] == "standby-b"  # freshest, despite id order
         assert pool.manager is fresh
@@ -119,23 +108,22 @@ class TestPromotionPath:
 
 class TestFlapDamping:
     def test_cooldown_suppresses_back_to_back_promotions(self):
-        clock = FakeClock()
         pool = make_pool(failover_cooldown=10.0)
         first_id = pool.manager.manager_id
         promoted = pool.add_standby("standby-0")
         pool.add_standby("standby-1")
-        supervisor = FailoverSupervisor(pool, clock=clock)
+        supervisor = FailoverSupervisor(pool)
         pool.kill_primary()
         assert supervisor.handle_transition(dead(first_id)) is not None
         # The freshly promoted primary flaps dead within the cooldown:
         # no takeover cascade.
-        clock.advance(2.0)
+        pool.clock.advance(2.0)
         assert supervisor.handle_transition(
             dead(promoted.manager_id)) is None
         assert supervisor.suppressed == 1
         assert supervisor.events[-1]["action"] == "cooldown"
         # Past the cooldown the event is honoured again.
-        clock.advance(10.0)
+        pool.clock.advance(10.0)
         pool.kill_primary()
         assert supervisor.handle_transition(
             dead(promoted.manager_id)) is not None
@@ -164,7 +152,7 @@ class TestDoubleFailure:
         pool.kill_primary()
         # The preferred standby dies with the primary: its probe fails and
         # selection falls through to the survivor.
-        pool.transport.disconnect(best.address)
+        pool.transport.partition(best.address)
         outcome = supervisor.handle_transition(dead(old_id))
         assert outcome["standby_id"] == "standby-b"
         assert pool.manager is survivor
@@ -175,12 +163,12 @@ class TestDoubleFailure:
         standby = pool.add_standby("standby-0")
         supervisor = FailoverSupervisor(pool)
         pool.kill_primary()
-        pool.transport.disconnect(standby.address)
+        pool.transport.partition(standby.address)
         assert supervisor.handle_transition(dead(old_id)) is None
         assert supervisor.failures == 1
         assert supervisor.events[-1]["action"] == "no-standby"
         # The standby returns; a repeated dead event now succeeds.
-        pool.transport.reconnect(standby.address)
+        pool.transport.heal(standby.address)
         assert supervisor.handle_transition(dead(old_id)) is not None
 
 

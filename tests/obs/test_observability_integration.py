@@ -15,6 +15,7 @@ from repro.client.proxy import TRACE_BURST
 from repro.client.read_path import ReplicaScheduler
 from repro.exceptions import FileNotFoundInStdchkError, ReadFailedError
 from repro.obs import SPAN_STORE, MetricsRegistry
+from repro.obs import tracing
 from repro.obs.tracing import TRACE_KEY
 
 CHUNK = 64 * 1024
@@ -321,12 +322,12 @@ class TestLoadDecay:
 class TestTraceSampling:
     """``trace_rate`` gates root spans; children follow the parent."""
 
-    def test_rate_zero_suppresses_the_whole_tree(self, small_config):
+    def test_rate_zero_suppresses_the_whole_tree(self, small_config, monkeypatch):
         config = small_config.with_overrides(trace_rate=0)
         pool = StdchkPool(benefactor_count=3, config=config)
-        frames = []
-        pool.transport.set_fault_hook(
-            lambda address, method, payload: frames.append(dict(payload)))
+        calls = pool.transport.record()
+        injected = []
+        monkeypatch.setattr(tracing, "inject", injected.append)
         client = pool.client("quiet")
         data = b"q" * (2 * CHUNK)
         client.write_file("/app/q.N0.T1", data)
@@ -334,7 +335,8 @@ class TestTraceSampling:
         # No root span -> no context -> transports inject nothing and the
         # server side opens nothing: the store stays empty end to end.
         assert SPAN_STORE.spans() == []
-        assert frames and not [f for f in frames if TRACE_KEY in f]
+        assert calls and not injected
+        assert not [call for call in calls if TRACE_KEY in call.payload]
 
     def test_unbounded_rate_traces_every_operation(self, small_config):
         pool = StdchkPool(benefactor_count=3,
@@ -347,8 +349,6 @@ class TestTraceSampling:
         assert len(roots) == 100
 
     def test_children_follow_a_parent_that_was_sampled_in(self, small_config):
-        from repro.obs import tracing
-
         config = small_config.with_overrides(trace_rate=0)
         pool = StdchkPool(benefactor_count=3, config=config)
         client = pool.client("nested")

@@ -21,8 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import StdchkConfig, TcpDeployment, exceptions
-from repro.client.failover import FailoverTransport, ManagerDirectory
+from repro import exceptions
 from repro.exceptions import (
     EndpointUnreachableError,
     NotPrimaryError,
@@ -33,7 +32,7 @@ from repro.exceptions import (
     TransportError,
 )
 from repro.transport import tcp
-from repro.transport.base import Endpoint, Transport, rpc
+from repro.transport.base import Endpoint, rpc
 from repro.transport.tcp import OUT_OF_BAND_MIN, TcpTransport
 from tests.conftest import make_bytes as blob
 
@@ -913,56 +912,3 @@ class TestHostileServer:
             with pytest.raises(ProtocolError, match="not allowed in a frame"):
                 tcp._recv_frame(right, [into])
         assert not marker.exists()
-
-
-class Forwarding(Transport):
-    """What wraps a transport in tests and benchmarks: ``call`` forwards ``**payload``."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.seen = []
-        #: Destinations each call carried: 0 without ``into``.
-        self.destinations = []
-
-    def call(self, address, method, /, **payload):
-        self.seen.append(method)
-        self.destinations.append(len(payload.get("into") or ()))
-        return self.inner.call(address, method, **payload)
-
-    def register(self, address, endpoint):  # pragma: no cover - unused
-        self.inner.register(address, endpoint)
-
-    def unregister(self, address):  # pragma: no cover - unused
-        self.inner.unregister(address)
-
-
-class TestTheSeamStaysOneCall:
-    """Wrappers that know nothing of ``into`` neither lose it nor hide the RPCs."""
-
-    def test_wrapped_transports_see_every_fetch_and_tcp_still_receives_in_place(
-            self, monkeypatch):
-        chunk, chunks = 2 * OUT_OF_BAND_MIN, 7
-        filled = []
-        recv_into = tcp._recv_into
-
-        def counting(sock, into):
-            filled.append(into.nbytes)
-            return recv_into(sock, into)
-
-        monkeypatch.setattr(tcp, "_recv_into", counting)
-        config = StdchkConfig(chunk_size=chunk, stripe_width=4, replication_level=1)
-        with TcpDeployment(benefactor_count=4, config=config) as deployment:
-            client = deployment.client("seam", read_parallelism=2)
-            data = blob(chunks * chunk, 9)
-            client.write_file("/seam/f", data)
-            reader = client.open_read("/seam/f")
-            forwarding = Forwarding(deployment.transport)
-            reader.transport = FailoverTransport(
-                forwarding, ManagerDirectory([deployment.manager_address]))
-            image = reader.read_all()
-        assert type(image) is bytes and image == data
-        # Seven chunks on four benefactors: three frames of two chunks and
-        # one of one, each ``into`` a window per chunk.
-        assert sorted(zip(forwarding.seen, forwarding.destinations)) == (
-            [("get_chunks", 1)] + [("get_chunks", 2)] * 3)
-        assert filled == [chunk] * chunks

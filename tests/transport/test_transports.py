@@ -167,45 +167,18 @@ class TestInProcessTransport:
         with pytest.raises(EndpointUnreachableError):
             InProcessTransport().call("node://missing", "echo", value=1)
 
-    def test_disconnect_and_reconnect(self):
-        transport = InProcessTransport()
-        transport.register("node://a", EchoEndpoint())
-        transport.disconnect("node://a")
-        assert not transport.is_connected("node://a")
-        with pytest.raises(EndpointUnreachableError):
-            transport.call("node://a", "echo", value=1)
-        transport.reconnect("node://a")
-        assert transport.call("node://a", "echo", value=1) == 1
-
     def test_unregister(self):
         transport = InProcessTransport()
         transport.register("node://a", EchoEndpoint())
         transport.unregister("node://a")
-        assert "node://a" not in transport.registered_addresses()
+        with pytest.raises(EndpointUnreachableError):
+            transport.call("node://a", "echo", value=1)
 
     def test_remote_exceptions_propagate(self):
         transport = InProcessTransport()
         transport.register("node://a", EchoEndpoint())
         with pytest.raises(ValueError):
             transport.call("node://a", "boom")
-
-    def test_call_counting(self):
-        transport = InProcessTransport()
-        transport.register("node://a", EchoEndpoint())
-        transport.call("node://a", "echo", value=1)
-        transport.call("node://a", "echo", value=2)
-        assert transport.calls_to("node://a") == 2
-        transport.reset_counters()
-        assert transport.calls_to("node://a") == 0
-
-    def test_fault_hook(self):
-        transport = InProcessTransport()
-        transport.register("node://a", EchoEndpoint())
-        seen = []
-        transport.set_fault_hook(lambda address, method, payload: seen.append(method))
-        transport.call("node://a", "echo", value=1)
-        assert seen == ["echo"]
-        transport.set_fault_hook(None)
 
 
 class TestTcpTransport:
