@@ -5,8 +5,9 @@ primary death is (a) survivable and (b) short.  Two gated measurements over
 a real localhost TCP deployment with one primary and one hot standby:
 
 1. *Kill-primary-mid-storm*: a client writes a stream of checkpoint images
-   with ``push_parallelism=4`` while the primary is torn down at a journal
-   record boundary and the standby promoted.  Gates: promotion completes
+   with ``push_parallelism=4`` while the primary dies answering one of the
+   write's manager RPCs (``FaultyTransport.lose_answer`` around the
+   client's transport) and the standby is promoted.  Gates: promotion completes
    within ``PROMOTE_GATE_S`` and the client-visible stall (the extra time
    the interrupted write takes, and the retry layer's own stall histogram)
    stays under ``STALL_GATE_S`` — far below the 30 s failover deadline.
@@ -23,7 +24,8 @@ from __future__ import annotations
 import time
 
 from repro import StdchkConfig, TcpDeployment
-from repro.exceptions import EndpointUnreachableError
+from repro.client.proxy import ClientProxy
+from repro.transport.faulty import FaultyTransport
 from repro.util.units import MB
 
 from benchmarks.conftest import print_table, write_bench_results
@@ -67,7 +69,13 @@ def measure_failover():
     """Kill the primary mid-write-storm; report promote time and stall."""
     with TcpDeployment(benefactor_count=3, config=failover_config()) as deployment:
         deployment.add_standby("bench-standby")
-        client = deployment.client("bench-survivor")
+        # The client alone goes through the fault rules; the deployment's
+        # own transport is not wrapped.
+        faulty = FaultyTransport(deployment.transport)
+        client = ClientProxy(
+            "bench-survivor", faulty, deployment.manager_address,
+            config=deployment.config, clock=deployment.clock,
+            standby_addresses=list(deployment.standby_endpoints().values()))
         payload = bytes(FILE_SIZE)
 
         # Warm baseline: same write with no failure, for the stall delta.
@@ -75,17 +83,17 @@ def measure_failover():
         client.write_file("/bench/ck.N0.T0", payload)
         baseline_write_s = time.perf_counter() - start
 
-        state = {"count": 0, "promote_s": None}
+        promote_s = []
 
-        def hook(lsn, record):
-            state["count"] += 1
-            if state["count"] == 3 and state["promote_s"] is None:
-                t0 = time.perf_counter()
-                deployment.promote_standby()
-                state["promote_s"] = time.perf_counter() - t0
-                raise EndpointUnreachableError("bench: primary died")
+        def promote() -> None:
+            t0 = time.perf_counter()
+            deployment.promote_standby()
+            promote_s.append(time.perf_counter() - t0)
 
-        deployment.manager.shipper.ship_hook = hook
+        # The primary dies answering the interrupted write's third manager
+        # RPC (create_session, then the first two put_chunks_ack).
+        faulty.lose_answer(deployment.manager_address, "put_chunks_ack",
+                           nth=2, then=promote)
         start = time.perf_counter()
         client.write_file("/bench/ck.N0.T1", payload)
         interrupted_write_s = time.perf_counter() - start
@@ -108,12 +116,13 @@ def measure_failover():
             for entry in snap["metrics"]
             .get("client_failover_retries_total", {"series": []})["series"]
         )
+        client.close()
         metrics = deployment.scrape()["aggregate"]
         return {
             "baseline_write_s": baseline_write_s,
             "interrupted_write_s": interrupted_write_s,
             "write_stall_s": max(0.0, interrupted_write_s - baseline_write_s),
-            "time_to_promote_s": state["promote_s"],
+            "time_to_promote_s": promote_s[0] if promote_s else None,
             "client_stall_histogram_s": stall_sum,
             "client_stalls": stall_count,
             "client_retries": retries,

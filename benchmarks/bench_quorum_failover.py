@@ -6,9 +6,10 @@ measurements over a real localhost TCP deployment close the loop:
 
 1. *Quorum write overhead*: OAB of a checkpoint write storm with
    ``replication_quorum=1`` (every mutation waits for the standby's ack
-   before the client sees success) versus buffered async shipping.  Gate:
-   the durability upgrade costs at most ``OVERHEAD_GATE_PCT`` of the async
-   write path.
+   before the client sees success) versus buffered async shipping, the
+   medians of ``OVERHEAD_ROUNDS`` interleaved rounds on two warm
+   deployments.  Gate: the durability
+   upgrade costs at most ``OVERHEAD_GATE_PCT`` of the async write path.
 2. *Unattended recovery*: a health monitor thread plus an attached
    :class:`~repro.manager.replication.FailoverSupervisor` watch the
    deployment while the primary is killed with **no test-driven promotion**.
@@ -24,7 +25,9 @@ detect -> promote trajectory of every run.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import statistics
 import time
 
 from repro import StdchkConfig, TcpDeployment
@@ -68,18 +71,14 @@ def quorum_config(**overrides) -> StdchkConfig:
     return StdchkConfig(**defaults)
 
 
-def measure_storm_oab(**overrides) -> float:
-    """OAB (MB/s) of the write storm against a primary with one standby."""
-    config = quorum_config(**overrides)
-    with TcpDeployment(benefactor_count=3, config=config) as deployment:
-        deployment.add_standby("quorum-standby")
-        client = deployment.client("quorum-writer")
-        payload = bytes(FILE_SIZE)
-        start = time.perf_counter()
-        for index in range(FILES):
-            client.write_file(f"/bench/qw.N0.T{index}", payload)
-        elapsed = time.perf_counter() - start
-        return (FILES * FILE_SIZE / elapsed) / MB
+def storm_oab(client, tag: str) -> float:
+    """OAB (MB/s) of one write storm by ``client``."""
+    payload = bytes(FILE_SIZE)
+    start = time.perf_counter()
+    for index in range(FILES):
+        client.write_file(f"/bench/qw-{tag}.N0.T{index}", payload)
+    elapsed = time.perf_counter() - start
+    return (FILES * FILE_SIZE / elapsed) / MB
 
 
 def measure_unattended_recovery():
@@ -136,9 +135,35 @@ def measure_unattended_recovery():
         }, transitions, metrics
 
 
+#: Rounds of the overhead comparison; each runs the storm once per mode,
+#: the two modes alternating which goes first.
+OVERHEAD_ROUNDS = 9
+MODES = {"async": dict(replication_quorum=0, ship_batch_records=8),
+         "quorum": dict(replication_quorum=1)}
+
+
 def test_quorum_write_overhead_gate(benchmark):
-    async_oab = measure_storm_oab(replication_quorum=0, ship_batch_records=8)
-    quorum_oab = measure_storm_oab(replication_quorum=1)
+    """Medians of interleaved rounds on two warm deployments, one per mode
+    (a primary with one standby each).  A single storm writes 3 MiB in
+    tens of milliseconds, so one cold storm per mode swings by more than the
+    gate on a shared host; interleaving gives both modes the same stretch of
+    host load, and the warm-up write keeps connecting and starting threads
+    out of the timed storms."""
+    runs = {mode: [] for mode in MODES}
+    with contextlib.ExitStack() as stack:
+        clients = {}
+        for mode, overrides in MODES.items():
+            deployment = stack.enter_context(
+                TcpDeployment(benefactor_count=3, config=quorum_config(**overrides)))
+            deployment.add_standby(f"{mode}-standby")
+            clients[mode] = deployment.client(f"{mode}-writer")
+            storm_oab(clients[mode], "warm-up")
+        for round_number in range(OVERHEAD_ROUNDS):
+            order = list(MODES) if round_number % 2 == 0 else list(MODES)[::-1]
+            for mode in order:
+                runs[mode].append(storm_oab(clients[mode], str(round_number)))
+    async_oab = statistics.median(runs["async"])
+    quorum_oab = statistics.median(runs["quorum"])
     overhead = (async_oab - quorum_oab) / async_oab * 100.0
     print_table(
         "Quorum-acknowledged writes vs buffered async shipping (TCP)",
@@ -148,11 +173,14 @@ def test_quorum_write_overhead_gate(benchmark):
             {"mode": "quorum=1", "OAB_MBps": quorum_oab,
              "overhead_pct": overhead},
         ],
-        note=f"gate: quorum overhead <= {OVERHEAD_GATE_PCT}% of async OAB",
+        note=(f"medians of {OVERHEAD_ROUNDS} interleaved rounds; gate: quorum "
+              f"overhead <= {OVERHEAD_GATE_PCT}% of async OAB"),
     )
     write_bench_results(RESULTS_PATH, "quorum_overhead", {
         "async_mbps": async_oab,
         "quorum_mbps": quorum_oab,
+        "async_runs_mbps": runs["async"],
+        "quorum_runs_mbps": runs["quorum"],
         "overhead_pct": overhead,
         "overhead_gate_pct": OVERHEAD_GATE_PCT,
     })

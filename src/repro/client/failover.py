@@ -12,7 +12,9 @@ Two pieces cooperate so an in-flight operation survives a primary death:
   directory's current primary and retried on retryable manager errors with
   jittered exponential backoff under a total deadline budget.  A successful
   re-discovery retries immediately — the backoff only paces the probes while
-  no primary is serving (mid-promotion).
+  no primary is serving (mid-promotion).  The deadline and the pauses are on
+  the client's :class:`~repro.util.clock.Clock`, so a client on a virtual
+  clock waits out ``failover_deadline`` without sleeping.
 
 Retries are safe because manager mutations are either idempotent on replay
 (``put_chunks_ack`` re-acks, ``extend_stripe`` re-allocates) or detectably
@@ -25,7 +27,6 @@ from __future__ import annotations
 
 import random
 import threading
-import time
 from typing import Iterable, List, Optional, Sequence
 
 from repro.exceptions import (
@@ -36,6 +37,7 @@ from repro.exceptions import (
     StdchkError,
 )
 from repro.transport.base import Endpoint, Transport
+from repro.util.clock import Clock, SystemClock
 from repro.util.config import StdchkConfig
 
 #: Manager errors worth retrying elsewhere: the endpoint is gone, the node is
@@ -162,13 +164,12 @@ class FailoverTransport(Transport):
 
     def __init__(self, inner: Transport, directory: ManagerDirectory,
                  config: Optional[StdchkConfig] = None, obs=None,
-                 clock=time.monotonic, sleep=time.sleep,
+                 clock: Optional[Clock] = None,
                  rng: Optional[random.Random] = None) -> None:
         self._inner = inner
         self.directory = directory
         self.config = config if config is not None else StdchkConfig()
-        self._clock = clock
-        self._sleep = sleep
+        self._clock = clock if clock is not None else SystemClock()
         self._rng = rng if rng is not None else random.Random()
         self._retry_counter = None
         self._rediscover_counter = None
@@ -196,7 +197,7 @@ class FailoverTransport(Transport):
     def call(self, address: str, method: str, /, **payload):
         if not self.directory.covers(address):
             return self._inner.call(address, method, **payload)
-        deadline = self._clock() + self.config.failover_deadline
+        deadline = self._clock.now() + self.config.failover_deadline
         delay = self.config.failover_backoff_base
         stalled_since: Optional[float] = None
         while True:
@@ -204,10 +205,10 @@ class FailoverTransport(Transport):
             try:
                 result = self._inner.call(target, method, **payload)
                 if stalled_since is not None and self._stall_histogram is not None:
-                    self._stall_histogram.observe(self._clock() - stalled_since)
+                    self._stall_histogram.observe(self._clock.now() - stalled_since)
                 return result
             except RETRYABLE_ERRORS as exc:
-                now = self._clock()
+                now = self._clock.now()
                 if stalled_since is None:
                     stalled_since = now
                 if self._retry_counter is not None:
@@ -227,9 +228,9 @@ class FailoverTransport(Transport):
                         probe_timeout=self.config.failover_probe_timeout):
                     continue  # a (new) primary is serving: retry right away
                 jitter = 1.0 + self.config.failover_jitter * self._rng.random()
-                pause = min(delay * jitter, max(0.0, deadline - self._clock()))
+                pause = min(delay * jitter, max(0.0, deadline - self._clock.now()))
                 if pause > 0:
-                    self._sleep(pause)
+                    self._clock.sleep(pause)
                 delay = min(delay * 2, self.config.failover_backoff_max)
 
     def register(self, address: str, endpoint: Endpoint) -> None:

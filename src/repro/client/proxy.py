@@ -131,7 +131,7 @@ class ClientProxy:
         )
         self.transport = FailoverTransport(
             self._base_transport, self.directory,
-            config=self.config, obs=self.obs,
+            config=self.config, obs=self.obs, clock=self.clock,
         )
 
     # -- worker pool -----------------------------------------------------------

@@ -82,5 +82,9 @@ class ReservationTable:
             del self._reservations[reservation.reservation_id]
         return expired
 
+    def __contains__(self, reservation_id: object) -> bool:
+        """Whether ``reservation_id`` is still outstanding."""
+        return reservation_id in self._reservations
+
     def __len__(self) -> int:
         return len(self._reservations)

@@ -698,9 +698,20 @@ class MetadataManager(Endpoint):
         are already and which corrupt holders to ``exclude`` as targets; the
         node's anti-entropy pass makes the copies and reports them through
         :meth:`record_replicas`.  New files have priority over replication:
-        while a write session is open nothing is handed out.  A node whose
-        work was withheld, or cut off by ``MAX_REPAIR_HINTS``, stays flagged
-        ``repair_pending`` so its next heartbeat reconciles again.
+        while an open write session still holds its reservation nothing is
+        handed out.  A session whose lease expired (its writer abandoned it:
+        only commit or abort ends a session) holds nothing back.  A node
+        whose work was withheld, or cut off by ``MAX_REPAIR_HINTS``, stays
+        flagged ``repair_pending`` so its next heartbeat reconciles again.
+
+        The advertisement is also the truth about what the node no longer
+        holds: it is *detached* from every committed placement of a chunk
+        missing from its inventory (a holder back with an empty disk must not
+        count as a replica).  Unlike a re-attachment the detach is journaled
+        (``detach_replicas``, durable like ``clear_corrupt``), so no standby
+        or replayed manager keeps the lost copy from its commit record, and
+        the remaining holders are flagged so the designated source reconciles
+        and picks up the repair.
         """
         inventory = set(chunk_ids)
         reattached = 0
@@ -708,7 +719,8 @@ class MetadataManager(Endpoint):
         hinted: Set[str] = set()
         unserved = False
         with self._meta_lock:
-            withheld = bool(self._sessions)
+            withheld = any(session.reservation_id in self.reservations
+                           for session in self._sessions.values())
             # Ledger entries for chunks this inventory no longer carries are
             # cleared, durably like the reports that made them: the corrupt
             # copy is gone, and a fresh replica the node stores must not be
@@ -723,12 +735,17 @@ class MetadataManager(Endpoint):
                 if benefactor_id in self._corrupt.get(chunk_id, ())
             )
             referenced: Set[str] = set()
+            lost: Set[str] = set()
+            survivors: Set[str] = set()
             for dataset in self._datasets.values():
                 target = self.replication_target_for(dataset.dataset_id)
                 for version in dataset.versions:
                     for placement in version.chunk_map:
                         chunk_id = placement.ref.chunk_id
                         if chunk_id not in inventory:
+                            if benefactor_id in placement.benefactors:
+                                lost.add(chunk_id)
+                                survivors.update(placement.benefactors)
                             continue
                         referenced.add(chunk_id)
                         corrupt_holders = set(self._corrupt.get(chunk_id, ()))
@@ -759,6 +776,15 @@ class MetadataManager(Endpoint):
                             "holders": healthy,
                             "exclude": sorted(corrupt_holders),
                         })
+            if lost:
+                # The remaining holders are flagged first, as in
+                # report_corrupt_chunk.
+                survivors.discard(benefactor_id)
+                for survivor in survivors:
+                    self.registry.set_repair_pending(survivor)
+                self._commit("detach_replicas", {"benefactor_id": benefactor_id,
+                                                 "chunk_ids": sorted(lost)},
+                             durable=True)
             protected: Set[str] = set()
             for session in self._sessions.values():
                 protected.update(session.acked_chunks)
@@ -795,6 +821,17 @@ class MetadataManager(Endpoint):
         """
         now = self.clock.now()
         with self._meta_lock:
+            survivors: Set[str] = set()
+            for dataset in self._datasets.values():
+                for version in dataset.versions:
+                    for placement in version.chunk_map.placements_for(chunk_id):
+                        survivors.update(placement.benefactors)
+            survivors.discard(benefactor_id)
+            # Flagged before the record: one that misses its standby quorum
+            # is applied all the same, and only the flags make the survivors
+            # reconcile and the designated one copy.
+            for survivor in survivors:
+                self.registry.set_repair_pending(survivor)
             dropped = 0
             # A repeat of a report already in the ledger changes nothing: the
             # first report's timestamp stands and its placements are gone.
@@ -805,14 +842,6 @@ class MetadataManager(Endpoint):
                      "reporter": reporter, "t": now},
                     durable=True,
                 )
-            survivors: Set[str] = set()
-            for dataset in self._datasets.values():
-                for version in dataset.versions:
-                    for placement in version.chunk_map.placements_for(chunk_id):
-                        survivors.update(placement.benefactors)
-            survivors.discard(benefactor_id)
-            for survivor in survivors:
-                self.registry.set_repair_pending(survivor)
         return {
             "recorded": True,
             "replicas_dropped": dropped,
@@ -1086,6 +1115,16 @@ class MetadataManager(Endpoint):
                     )
                 raise UnknownDatasetError(f"unknown session: {session_id}")
             self._dataset(session.dataset_id)
+            # A version committed below its target is the healer's to judge:
+            # its holders reconcile at their next heartbeat even when their
+            # inventories did not change since they last did (flagged before
+            # the record, as in report_corrupt_chunk).
+            target = self.replication_target_for(session.dataset_id)
+            for placement in chunk_map.get("placements", ()):
+                holders = placement.get("benefactors", ())
+                if len(holders) < target:
+                    for holder in holders:
+                        self.registry.set_repair_pending(holder)
             self._commit("commit", {
                 "session_id": session_id,
                 "chunk_map": chunk_map,
@@ -1259,12 +1298,13 @@ class MetadataManager(Endpoint):
                 for version in dataset.versions
             ):
                 return 0
-            affected = self._commit(
+            # Flagged first, as in report_corrupt_chunk: a record that
+            # misses its quorum is applied all the same.
+            self._request_reconciles()
+            return self._commit(
                 "drop_benefactor", {"benefactor_id": benefactor_id},
                 durable=True,
             )
-            self._request_reconciles()
-            return affected
 
     def storage_summary(self) -> Dict[str, object]:
         """Aggregate pool statistics (used by examples and benches)."""

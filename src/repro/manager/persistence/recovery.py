@@ -206,6 +206,17 @@ def _apply_clear_corrupt(manager, data) -> None:
             manager._corrupt.pop(chunk_id, None)
 
 
+def _apply_detach_replicas(manager, data) -> None:
+    """The node advertised an inventory without these chunks: its copies
+    are gone, so no committed placement may count it as a holder."""
+    benefactor_id, lost = data["benefactor_id"], set(data["chunk_ids"])
+    for dataset in manager._datasets.values():
+        for version in dataset.versions:
+            for placement in version.chunk_map:
+                if placement.ref.chunk_id in lost:
+                    placement.remove_replica(benefactor_id)
+
+
 _APPLIERS: Dict[str, Callable] = {
     "register": _apply_register,
     "make_folder": _apply_make_folder,
@@ -222,6 +233,7 @@ _APPLIERS: Dict[str, Callable] = {
     "drop_benefactor": _apply_drop_benefactor,
     "corrupt_chunk": _apply_corrupt_chunk,
     "clear_corrupt": _apply_clear_corrupt,
+    "detach_replicas": _apply_detach_replicas,
     "epoch": _apply_epoch,
 }
 

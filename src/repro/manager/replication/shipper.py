@@ -17,9 +17,12 @@ Failure semantics are asymmetric by design:
   the primary down — the standby is marked unhealthy, a counter ticks, and
   the primary keeps serving.  The standby catches up via snapshot resync when
   it returns.
-* A failure *inside the shipper itself* (including the test-only
-  :attr:`ship_hook`) propagates to ``_commit``'s fail-stop path, exactly
-  like a journal append error.
+* A failure *inside the shipper itself* propagates to ``_commit``'s
+  fail-stop path, exactly like a journal append error.
+
+Faults are injected from outside, by the transport the shipper calls
+(:class:`~repro.transport.faulty.FaultyTransport`): the shipper has no
+hook of its own.
 """
 
 from __future__ import annotations
@@ -77,10 +80,6 @@ class LogShipper:
         persistence = manager.persistence
         self.last_lsn = persistence.last_lsn if persistence is not None else 0
         self._lock = threading.RLock()
-        #: Test/fault-injection hook called as ``hook(lsn, record)`` after
-        #: each record is shipped; exceptions propagate (fail-stop), which is
-        #: how the crash-point sweep kills the primary at record boundaries.
-        self.ship_hook = None
         self._log = component_logger("shipper", manager.manager_id)
 
         obs = manager.obs
@@ -172,13 +171,6 @@ class LogShipper:
                 self.flush()
             if quorum > 0:
                 self._await_quorum(lsn, quorum)
-            if self.ship_hook is not None:
-                # Deliberately outside the per-standby error swallowing:
-                # hook errors are fail-stop, like journal append errors.
-                # Fired *after* the quorum wait, so a hook-injected crash
-                # models losing the primary between quorum-ack and
-                # client-ack.
-                self.ship_hook(lsn, record)
             return lsn
 
     def _acks_for(self, lsn: int) -> int:

@@ -17,9 +17,10 @@ given.  A call meets the rules in this order:
 4. *scripted answers* (:meth:`~FaultyTransport.script`) answer every call
    to the address from a list instead of delivering it;
 5. otherwise the call is delivered, and a *lost answer*
-   (:meth:`~FaultyTransport.lose_answer`) lets it take effect, runs an
-   optional ``then()`` (the node dies answering) and raises
-   ``EndpointUnreachableError`` in place of the result.
+   (:meth:`~FaultyTransport.lose_answer`, of the next call or the ``nth``)
+   lets it take effect, runs an optional ``then()`` (the node dies
+   answering) and raises ``EndpointUnreachableError`` in place of the
+   result.
 
 :meth:`~FaultyTransport.record` starts a call log of ``(address, method,
 destinations, payload)`` entries, ``destinations`` being how many views the
@@ -88,12 +89,22 @@ class FaultyTransport(Transport):
             self._drops[key] = self._drops.get(key, 0) + times
 
     def lose_answer(self, address: str, method: str,
-                    then: Optional[Callable[[], Any]] = None) -> None:
-        """Deliver the next ``method`` call to ``address``, then lose its answer.
+                    then: Optional[Callable[[], Any]] = None, nth: int = 1) -> None:
+        """Deliver the ``nth`` next ``method`` call to ``address``, then lose
+        its answer.
 
         ``then()`` runs between the delivery and the error — the node dies
         answering — so a successor can be in place when the caller retries.
+        A later call is reached by chaining one-shot actions: ``nth - 1``
+        that do nothing, and one that arms the loss (exact for a caller
+        that makes its calls one at a time).
         """
+        if nth > 1:
+            for _ in range(nth - 1):
+                self.before(address, method, lambda *_: None)
+            self.before(address, method,
+                        lambda *_: self.lose_answer(address, method, then))
+            return
         with self._lock:
             self._losses.setdefault((address, method), []).append(then)
 

@@ -10,7 +10,6 @@ and a session the promoted standby never saw is replayed wholesale.
 from __future__ import annotations
 
 import socket
-import threading
 import time
 
 import pytest
@@ -28,6 +27,7 @@ from repro.transport.base import Endpoint, control
 from repro.transport.faulty import FaultyTransport
 from repro.transport.inprocess import InProcessTransport
 from repro.transport.tcp import TcpServer, TcpTransport
+from repro.util.clock import VirtualClock
 from tests.conftest import make_bytes
 
 SMALL = dict(
@@ -132,29 +132,21 @@ class TestManagerDirectory:
 
 
 # ---------------------------------------------------------------- transport
-class FakeClock:
-    def __init__(self):
-        self.t = 0.0
-
-    def __call__(self):
-        return self.t
-
-
 class TestFailoverTransport:
     def make(self, answers, candidates=("m0", "m1"), **config_overrides):
         inner = scripted(answers)
         directory = ManagerDirectory(list(candidates))
-        clock = FakeClock()
+        clock = VirtualClock()
         sleeps = []
 
         def sleep(seconds):
             sleeps.append(seconds)
-            clock.t += seconds
+            clock.advance(seconds)
 
+        clock.sleep = sleep
         transport = FailoverTransport(
             inner, directory,
-            config=StdchkConfig(**{**SMALL, **config_overrides}),
-            clock=clock, sleep=sleep,
+            config=StdchkConfig(**{**SMALL, **config_overrides}), clock=clock,
         )
         return transport, inner, directory, clock, sleeps
 
@@ -259,8 +251,7 @@ class TestFailoverTransport:
         })
         transport = FailoverTransport(
             inner, ManagerDirectory(["m0", "m1"]),
-            config=StdchkConfig(**SMALL), obs=registry,
-            clock=FakeClock(), sleep=lambda _s: None,
+            config=StdchkConfig(**SMALL), obs=registry, clock=VirtualClock(),
         )
         assert transport.call("m0", "get_chunk_map") == "ok"
         retries = registry.counter(
@@ -388,26 +379,45 @@ class TestClientWiring:
         assert client.directory.covers(standby.address)
 
     def test_client_rides_out_a_slow_promotion(self):
-        # The primary dies; a background thread promotes the standby only
-        # after a few failed probes — the client's read blocks inside the
-        # retry loop and completes against the promoted standby.
+        # The primary dies; the standby is promoted only at the third probe
+        # re-discovery sends it — the client's read backs off inside the
+        # retry loop, on the pool's virtual clock, and completes against the
+        # promoted standby.
         pool = make_pool()
-        pool.add_standby("standby-0")
+        standby = pool.add_standby("standby-0")
         client = pool.client("c0")
         data = make_bytes(200 * 1024, seed=21)
         client.write_file("/app/ckpt.N0.T1", data)
 
         pool.kill_primary()
-        promoted = threading.Timer(0.05, pool.promote_standby)
-        promoted.start()
-        try:
-            assert client.read_file("/app/ckpt.N0.T1") == data
-        finally:
-            promoted.join()
+        for _ in range(2):
+            pool.transport.before(standby.address, "manager_status",
+                                  lambda *_: None)
+        pool.transport.before(standby.address, "manager_status",
+                              lambda *_: pool.promote_standby())
+        waited_from = pool.clock.now()
+        assert client.read_file("/app/ckpt.N0.T1") == data
+        assert pool.manager is standby
+        assert pool.clock.now() - waited_from >= 2 * SMALL["failover_backoff_base"]
         retries = client.obs.counter(
             "client_failover_retries_total", "", labelnames=("method",)
         )
         assert retries.labels(method="get_chunk_map").value >= 1
+
+    def test_without_a_successor_the_deadline_passes_in_virtual_time(self):
+        """No standby to promote: the client gives up after
+        ``failover_deadline`` seconds of the pool's clock, not of the wall."""
+        pool = make_pool(failover_deadline=30.0)
+        pool.add_standby("standby-0")
+        client = pool.client("c0")
+        client.write_file("/app/ckpt.N0.T1", make_bytes(1024, seed=25))
+        pool.kill_primary()
+        pool.transport.partition(pool.transport.bound_address("standby-0"))
+        started, waited_from = time.monotonic(), pool.clock.now()
+        with pytest.raises(EndpointUnreachableError):
+            client.read_file("/app/ckpt.N0.T1")
+        assert pool.clock.now() - waited_from >= 30.0
+        assert time.monotonic() - started < 5.0
 
 
 # ------------------------------------------------------------- commit replay

@@ -1,26 +1,33 @@
 """Manager failover end-to-end: crash-point sweep and TCP kill-mid-write.
 
 The sweep extends the persistence crash-point methodology to replication:
-the primary is killed at *every* journal record boundary during a parallel
-write (the shipper's ``ship_hook`` fires under the meta lock, exactly at the
-boundary), a standby is promoted, and the failover-aware client must finish
-the write without ever seeing :class:`ManagerRecoveringError` — with a
-byte-identical read-back from the promoted standby.
+a pilot write lists the manager RPCs a write makes (each writes exactly one
+journal record), and then the primary dies answering *every* one of them in
+turn — ``FaultyTransport.lose_answer(manager, method, nth=j, then=promote)``:
+the call takes effect, the standby is promoted, the answer is lost — and the
+failover-aware client must finish the write without ever seeing
+:class:`ManagerRecoveringError`, with a byte-identical read-back from the
+promoted standby.
 
-The TCP half is the acceptance scenario from the issue: one primary plus one
-standby on real localhost sockets, ``push_parallelism >= 4``, primary killed
-mid-write, client unscathed.
+The TCP half is the acceptance scenario: one primary plus one standby on
+real localhost sockets, ``push_parallelism >= 4``, primary killed mid-write,
+client unscathed.  Its client is a ``ClientProxy`` over
+``FaultyTransport(deployment.transport)``; the deployment's own transport is
+not wrapped.
 """
 
 from __future__ import annotations
 
-import pytest
+from typing import List
 
 from repro import StdchkConfig, StdchkPool, TcpDeployment
-from repro.exceptions import EndpointUnreachableError, ManagerRecoveringError
+from repro.client.proxy import ClientProxy
+from repro.exceptions import ManagerRecoveringError
+from repro.transport.faulty import FaultyTransport
 from tests.conftest import make_bytes
 
 CHUNK = 64 * 1024
+PATH = "/app/ckpt.N0.T1"
 
 
 def sweep_config(**overrides) -> StdchkConfig:
@@ -38,56 +45,62 @@ def sweep_config(**overrides) -> StdchkConfig:
     return StdchkConfig(**defaults)
 
 
-def count_journal_records(data: bytes, **overrides) -> int:
-    """Pilot run: how many records does this write ship end to end?"""
+def pilot(data: bytes, **overrides) -> List[str]:
+    """The manager RPCs this write makes, in order; each is one record."""
     pool = StdchkPool(benefactor_count=4, config=sweep_config(**overrides))
     pool.add_standby("standby-0")
-    seen = []
-    pool.manager.shipper.ship_hook = lambda lsn, record: seen.append(lsn)
-    pool.client("pilot").write_file("/app/ckpt.N0.T1", data)
-    return len(seen)
+    lsn = pool.manager.shipper.last_lsn
+    calls = pool.transport.record()
+    pool.client("pilot").write_file(PATH, data)
+    methods = [call.method for call in calls if call.address == pool.manager_address]
+    assert len(methods) == pool.manager.shipper.last_lsn - lsn
+    return methods
 
 
-def write_with_kill_at(kill_at: int, data: bytes, **overrides) -> StdchkPool:
-    """Write ``data`` while the primary dies at record boundary ``kill_at``.
+def kill_answering(transport: FaultyTransport, address: str, methods: List[str],
+                   kill_at: int, then) -> None:
+    """The primary dies answering the ``kill_at``-th RPC of ``methods``."""
+    method = methods[kill_at - 1]
+    transport.lose_answer(address, method, nth=methods[:kill_at].count(method),
+                          then=then)
 
-    The hook runs inside ``_journal`` (fail-stop path): it tears the primary
-    down, promotes the standby, and raises — so the mutating RPC that shipped
-    record ``kill_at`` fails toward the client exactly like a mid-RPC death.
+
+def write_with_kill_at(kill_at: int, methods: List[str], data: bytes, **overrides):
+    """Write ``data`` while the primary dies answering RPC ``kill_at``.
+
+    Returns the pool, the surviving client (the pool holds its clients
+    weakly) and the promoted standby's LSN at takeover — captured before the
+    client's retry or replay tops it back up, the honest measure of what
+    survived.
     """
     pool = StdchkPool(benefactor_count=4, config=sweep_config(**overrides))
     pool.add_standby("standby-0")
     client = pool.client("survivor")
-    state = {"count": 0, "killed": False}
-
-    def hook(lsn, record):
-        state["count"] += 1
-        if state["count"] == kill_at and not state["killed"]:
-            state["killed"] = True
-            pool.kill_primary()
-            pool.promote_standby()
-            raise EndpointUnreachableError("primary died at record boundary")
-
-    pool.manager.shipper.ship_hook = hook
+    promoted: List[int] = []
+    kill_answering(pool.transport, pool.manager_address, methods, kill_at,
+                   then=lambda: promoted.append(pool.promote_standby().applied_lsn))
     try:
-        client.write_file("/app/ckpt.N0.T1", data)
+        client.write_file(PATH, data)
     except ManagerRecoveringError as exc:  # pragma: no cover - regression
         raise AssertionError(
             f"client saw ManagerRecoveringError at boundary {kill_at}"
         ) from exc
-    assert state["killed"], f"sweep never reached record boundary {kill_at}"
-    assert client.read_file("/app/ckpt.N0.T1") == data
-    pool.survivor = client  # the pool holds its clients weakly
-    return pool
+    assert promoted, f"sweep never reached RPC {kill_at}"
+    assert client.read_file(PATH) == data
+    return pool, client, promoted[0]
+
+
+#: What a four-chunk write asks of the manager with ``ack_batch_size=1``.
+FOUR_CHUNK_WRITE = ["create_session"] + 4 * ["put_chunks_ack"] + ["commit_session"]
 
 
 class TestCrashPointSweep:
     def test_kill_primary_at_every_record_boundary(self):
         data = make_bytes(4 * CHUNK, seed=31)
-        total = count_journal_records(data)
-        assert total >= 6  # create_session + per-chunk acks + commit
-        for kill_at in range(1, total + 1):
-            pool = write_with_kill_at(kill_at, data)
+        methods = pilot(data)
+        assert methods == FOUR_CHUNK_WRITE
+        for kill_at in range(1, len(methods) + 1):
+            pool, _client, _lsn = write_with_kill_at(kill_at, methods, data)
             assert pool.manager.role == "primary"
             assert pool.manager.applied_lsn >= kill_at - 1
 
@@ -96,14 +109,13 @@ class TestCrashPointSweep:
         # (never shipped) when the primary dies, forcing the client's full
         # session-replay path on the promoted standby.
         data = make_bytes(3 * CHUNK, seed=32)
-        total = count_journal_records(data, ship_batch_records=4)
-        for kill_at in range(1, total + 1):
-            write_with_kill_at(kill_at, data, ship_batch_records=4)
+        methods = pilot(data, ship_batch_records=4)
+        for kill_at in range(1, len(methods) + 1):
+            write_with_kill_at(kill_at, methods, data, ship_batch_records=4)
 
     def test_survivor_client_keeps_writing_after_failover(self):
         data = make_bytes(4 * CHUNK, seed=33)
-        pool = write_with_kill_at(2, data)
-        client = pool.survivor
+        _pool, client, _lsn = write_with_kill_at(2, FOUR_CHUNK_WRITE, data)
         later = make_bytes(2 * CHUNK, seed=34)
         client.write_file("/app/ckpt.N0.T2", later)
         assert client.read_file("/app/ckpt.N0.T2") == later
@@ -113,48 +125,25 @@ class TestCrashPointSweep:
 class TestQuorumCrashPointSweep:
     """Zero acknowledged-commit loss with ``replication_quorum >= 1``.
 
-    The shipper fires ``ship_hook`` *after* the quorum wait, so a hook kill
-    models the narrowest loss window there is: the primary dies between
-    quorum-ack and client-ack.  With quorum >= 1 every record that reached
-    that window is already applied on the standby, so the promoted standby's
-    LSN must cover the kill boundary — at *every* boundary.  The async
-    contrast test below shows the same sweep leaking records when shipping
-    is buffered, which is exactly the window quorum closes.
+    A lost answer is the narrowest loss window there is: the record was
+    applied, journaled and quorum-acked, and the primary dies before the
+    client hears of it.  With quorum >= 1 every record that reached that
+    window is already applied on the standby, so the promoted standby's LSN
+    must cover the kill boundary — at *every* boundary.  The sweep pushes
+    with one worker so that RPC ``k`` is record ``k`` exactly (with four,
+    two frames' acks race, and a lost answer may fall on either).  The
+    async contrast test below shows the same sweep leaking records when
+    shipping is buffered, which is exactly the window quorum closes.
     """
-
-    def lsn_at_promotion(self, kill_at: int, data: bytes, **overrides) -> int:
-        """One kill: report the promoted standby's LSN at takeover time.
-
-        Captured inside the hook, before the client's retry/replay tops the
-        standby back up — this is the honest measure of what survived.
-        """
-        pool = StdchkPool(benefactor_count=4, config=sweep_config(**overrides))
-        pool.add_standby("standby-0")
-        client = pool.client("survivor")
-        state = {"count": 0, "killed": False, "lsn": -1}
-
-        def hook(lsn, record):
-            state["count"] += 1
-            if state["count"] == kill_at and not state["killed"]:
-                state["killed"] = True
-                pool.kill_primary()
-                promoted = pool.promote_standby()
-                state["lsn"] = promoted.applied_lsn
-                raise EndpointUnreachableError(
-                    "primary died between quorum-ack and client-ack")
-
-        pool.manager.shipper.ship_hook = hook
-        client.write_file("/app/ckpt.N0.T1", data)
-        assert state["killed"], f"sweep never reached boundary {kill_at}"
-        assert client.read_file("/app/ckpt.N0.T1") == data
-        return state["lsn"]
 
     def test_no_acknowledged_record_lost_at_any_boundary(self):
         data = make_bytes(4 * CHUNK, seed=41)
-        total = count_journal_records(data, replication_quorum=1)
-        assert total >= 6
-        for kill_at in range(1, total + 1):
-            lsn = self.lsn_at_promotion(kill_at, data, replication_quorum=1)
+        overrides = dict(replication_quorum=1, push_parallelism=1)
+        methods = pilot(data, **overrides)
+        assert methods == FOUR_CHUNK_WRITE
+        for kill_at in range(1, len(methods) + 1):
+            _pool, _client, lsn = write_with_kill_at(kill_at, methods, data,
+                                                     **overrides)
             assert lsn >= kill_at, (
                 f"standby promoted at LSN {lsn} lost quorum-acked record "
                 f"{kill_at}"
@@ -168,33 +157,18 @@ class TestQuorumCrashPointSweep:
         # read-back assertion inside the helper), but the gap quorum closes
         # is real and measurable.
         data = make_bytes(3 * CHUNK, seed=42)
-        total = count_journal_records(data, ship_batch_records=8)
+        overrides = dict(ship_batch_records=8, push_parallelism=1)
+        methods = pilot(data, **overrides)
         gaps = [
-            kill_at - self.lsn_at_promotion(kill_at, data,
-                                            ship_batch_records=8)
-            for kill_at in range(1, total + 1)
+            kill_at - write_with_kill_at(kill_at, methods, data, **overrides)[2]
+            for kill_at in range(1, len(methods) + 1)
         ]
         assert max(gaps) > 0, "expected at least one boundary with lag"
 
     def test_quorum_sweep_survivor_keeps_writing(self):
         data = make_bytes(3 * CHUNK, seed=43)
-        pool = StdchkPool(benefactor_count=4,
-                          config=sweep_config(replication_quorum=1))
-        pool.add_standby("standby-0")
-        client = pool.client("survivor")
-        state = {"count": 0, "killed": False}
-
-        def hook(lsn, record):
-            state["count"] += 1
-            if state["count"] == 3 and not state["killed"]:
-                state["killed"] = True
-                pool.kill_primary()
-                pool.promote_standby()
-                raise EndpointUnreachableError("primary died mid-write")
-
-        pool.manager.shipper.ship_hook = hook
-        client.write_file("/app/ckpt.N0.T1", data)
-        assert state["killed"]
+        pool, client, _lsn = write_with_kill_at(3, FOUR_CHUNK_WRITE, data,
+                                                replication_quorum=1)
         # The promoted primary has no standbys yet; quorum gating only
         # applies while a shipper is attached, so writes keep flowing.
         later = make_bytes(2 * CHUNK, seed=44)
@@ -206,34 +180,33 @@ class TestQuorumCrashPointSweep:
 class TestTcpFailover:
     def test_kill_primary_mid_write_over_tcp(self, tmp_path):
         # The acceptance scenario: 1 primary + 1 standby over real sockets,
-        # push_parallelism >= 4, primary killed at a mid-write record
-        # boundary; the client finishes, the read-back is byte-identical.
+        # push_parallelism >= 4, the primary dies answering the write's
+        # fourth manager RPC; the client finishes, the read-back is
+        # byte-identical.
         config = sweep_config(journal_dir=str(tmp_path / "wal"))
         with TcpDeployment(benefactor_count=3, config=config) as deployment:
             deployment.add_standby("tcp-standby-0")
-            client = deployment.client("tcp-survivor")
+            faulty = FaultyTransport(deployment.transport)
+            client = ClientProxy(
+                "tcp-survivor", faulty, deployment.manager_address,
+                config=config, clock=deployment.clock,
+                standby_addresses=list(deployment.standby_endpoints().values()))
             data = make_bytes(6 * CHUNK, seed=35)
-            state = {"count": 0, "killed": False}
-
-            def hook(lsn, record):
-                state["count"] += 1
-                if state["count"] == 4 and not state["killed"]:
-                    state["killed"] = True
-                    deployment.promote_standby(
-                        journal_dir=str(tmp_path / "promoted-wal")
-                    )
-                    raise EndpointUnreachableError("primary died mid-write")
-
-            deployment.manager.shipper.ship_hook = hook
+            promoted = []
+            faulty.lose_answer(
+                deployment.manager_address, "put_chunks_ack", nth=3,
+                then=lambda: promoted.append(deployment.promote_standby(
+                    journal_dir=str(tmp_path / "promoted-wal"))))
             try:
                 client.write_file("/grid/ckpt.N0.T1", data)
             except ManagerRecoveringError as exc:  # pragma: no cover
                 raise AssertionError(
                     "client saw ManagerRecoveringError during failover"
                 ) from exc
-            assert state["killed"]
+            assert promoted
             assert client.read_file("/grid/ckpt.N0.T1") == data
             assert deployment.manager.role == "primary"
+            client.close()
 
             # A fresh client against the promoted primary sees the file too.
             fresh = deployment.client("tcp-late")

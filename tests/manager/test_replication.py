@@ -15,7 +15,6 @@ import pytest
 
 from repro import StdchkConfig, StdchkPool
 from repro.exceptions import (
-    EndpointUnreachableError,
     NotPrimaryError,
     QuorumNotReachedError,
     StaleEpochError,
@@ -184,17 +183,17 @@ class TestLogShipping:
         ).labels(standby=standby.address).value
         assert lag > 0
 
-    def test_ship_hook_errors_are_fail_stop(self):
+    def test_an_error_raised_inside_the_shipper_is_fail_stop(self, monkeypatch):
         pool = make_pool()
         pool.add_standby("standby-0")
 
-        def hook(lsn, record):
-            raise EndpointUnreachableError("injected at record boundary")
+        def offer(record, lsn=None, durable=False):
+            raise RuntimeError("the shipper broke at a record boundary")
 
-        pool.manager.shipper.ship_hook = hook
+        monkeypatch.setattr(pool.manager.shipper, "offer", offer)
         # Straight at the manager (a failover client would retry through the
         # standby; fail-stop semantics are a *manager-side* contract).
-        with pytest.raises(EndpointUnreachableError):
+        with pytest.raises(RuntimeError):
             pool.manager.make_folder("/app")
         assert not pool.manager.online
 

@@ -23,6 +23,8 @@ from tests.conftest import make_bytes
 
 CHUNK = 16 * 1024
 ROUNDS = 4
+#: A lease short enough to expire on the wall clock of a TCP deployment.
+SHORT_LEASE = 0.3
 
 KINDS = pytest.mark.parametrize("build", [StdchkPool, TcpDeployment],
                                 ids=["inprocess", "tcp"])
@@ -189,6 +191,29 @@ def repair_withheld_while_a_file_is_written(dep):
     return files
 
 
+def abandoned_session_holds_no_repair_back(dep):
+    """A writer opens a session and never closes it.  Once the session's
+    lease has expired it no longer withholds the first background copy."""
+    files = {"/app/k.N0.T1": write(dep, "/app/k.N0.T1", 4 * CHUNK, seed=11)}
+    assert replica_counts(dep) == {(2, 1)}
+    dep.client("abandoned").open_write("/app/l.N0.T1")
+    dep.clock.sleep(SHORT_LEASE + 0.1)
+    assert dep.garbage_collector.collect_expired_reservations() == 1
+    return files
+
+
+def holder_back_with_an_empty_disk(dep):
+    """A holder loses its disk and comes back empty: the inventory it
+    advertises detaches it, so its chunks count as under-replicated."""
+    files = {"/app/m.N0.T1": write(dep, "/app/m.N0.T1", 4 * CHUNK, seed=12)}
+    dep.heal(ROUNDS)
+    assert replica_counts(dep) == {(2, 2)}
+    victim = sorted({b for _, p in placements(dep) for b in p.benefactors})[0]
+    dep.fail_benefactor(victim, lose_data=True)
+    dep.recover_benefactor(victim)
+    return files
+
+
 def pessimistic_write_needs_nothing(dep):
     files = {"/app/j.N0.T1": write(dep, "/app/j.N0.T1", 200_000, seed=10)}
     assert replica_counts(dep) == {(2, 2)}
@@ -209,6 +234,8 @@ SCENARIOS = [
     (designated_source_dies, dict(replication_level=3)),
     (designated_source_dies_silently, dict(replication_level=3)),
     (repair_withheld_while_a_file_is_written, {}),
+    (abandoned_session_holds_no_repair_back, dict(reservation_lease=SHORT_LEASE)),
+    (holder_back_with_an_empty_disk, {}),
     (pessimistic_write_needs_nothing, PESSIMISTIC),
 ]
 

@@ -66,6 +66,20 @@ def test_a_lost_answer_is_delivered_then_refused(pool):
     assert pool.transport.call(manager, "make_folder", path="/next")["created"]
 
 
+def test_the_nth_answer_is_lost_and_only_that_one(pool):
+    manager = pool.manager_address
+    died = []
+    pool.transport.lose_answer(manager, "make_folder", nth=3,
+                               then=lambda: died.append(True))
+    for path in ("/one", "/two"):
+        assert pool.transport.call(manager, "make_folder", path=path)["created"]
+    assert pool.transport.call(manager, "exists", path="/one")  # not counted
+    with pytest.raises(EndpointUnreachableError):
+        pool.transport.call(manager, "make_folder", path="/three")
+    assert pool.manager.exists("/three") and died == [True]
+    assert pool.transport.call(manager, "make_folder", path="/four")["created"]
+
+
 def test_scripted_answers_replace_delivery_and_the_last_repeats(pool):
     manager = pool.manager_address
     transactions = pool.manager.transactions
