@@ -76,6 +76,10 @@ class Benefactor(Endpoint):
         #: chunk id; each reconcile answer replaces the queue.
         self._repair_queue: Dict[ChunkId, RepairTask] = {}
         self._repair_lock = threading.Lock()
+        #: One reconcile at a time: the manager detaches a copy only when two
+        #: consecutive inventories lack it, which holds only if each is
+        #: listed after the previous one was answered.
+        self._reconcile_lock = threading.Lock()
         #: Inventory digest cached against the store's mutation counter.
         self._digest_cache: Optional[Tuple[int, str]] = None
         #: Per-node metrics registry; ``obs_component``/``obs_node_id`` stamp
@@ -217,12 +221,13 @@ class Benefactor(Endpoint):
         attributes to this node are purged so repair pulls a fresh replica
         from a good holder instead of trusting bad bytes.
         """
-        answer = self.transport.call(
-            manager_address,
-            "reconcile_inventory",
-            benefactor_id=self.benefactor_id,
-            chunk_ids=self.store.chunk_ids(),
-        )
+        with self._reconcile_lock:
+            answer = self.transport.call(
+                manager_address,
+                "reconcile_inventory",
+                benefactor_id=self.benefactor_id,
+                chunk_ids=self.store.chunk_ids(),
+            )
         for chunk_id in answer.get("purge", ()):
             self.store.delete(chunk_id)
         with self._repair_lock:

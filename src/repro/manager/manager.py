@@ -702,12 +702,18 @@ class MetadataManager(Endpoint):
         handed out.  A session whose lease expired (its writer abandoned it:
         only commit or abort ends a session) holds nothing back.  A node
         whose work was withheld, or cut off by ``MAX_REPAIR_HINTS``, stays
-        flagged ``repair_pending`` so its next heartbeat reconciles again.
+        flagged ``repair_pending`` so its next heartbeat reconciles again; so
+        does a node holding chunks a live session acked, whose commit will
+        make them a version nobody judged yet.
 
-        The advertisement is also the truth about what the node no longer
-        holds: it is *detached* from every committed placement of a chunk
-        missing from its inventory (a holder back with an empty disk must not
-        count as a replica).  Unlike a re-attachment the detach is journaled
+        The advertisement is also evidence of what the node no longer holds.
+        The node lists its store before the call, so a chunk that landed and
+        committed since is missing from the list without being lost: a
+        committed placement naming the node is *detached* only when two
+        consecutive inventories lack its chunk (the first miss is remembered
+        as soft state and the node is flagged to reconcile again).  A holder
+        back with an empty disk thus stops counting as a replica one
+        heartbeat later.  Unlike a re-attachment the detach is journaled
         (``detach_replicas``, durable like ``clear_corrupt``), so no standby
         or replayed manager keeps the lost copy from its commit record, and
         the remaining holders are flagged so the designated source reconciles
@@ -735,8 +741,9 @@ class MetadataManager(Endpoint):
                 if benefactor_id in self._corrupt.get(chunk_id, ())
             )
             referenced: Set[str] = set()
-            lost: Set[str] = set()
-            survivors: Set[str] = set()
+            #: chunk -> its holders, for placements naming this node whose
+            #: chunk the inventory lacks.
+            lost: Dict[str, Set[str]] = {}
             for dataset in self._datasets.values():
                 target = self.replication_target_for(dataset.dataset_id)
                 for version in dataset.versions:
@@ -744,8 +751,8 @@ class MetadataManager(Endpoint):
                         chunk_id = placement.ref.chunk_id
                         if chunk_id not in inventory:
                             if benefactor_id in placement.benefactors:
-                                lost.add(chunk_id)
-                                survivors.update(placement.benefactors)
+                                lost.setdefault(chunk_id, set()).update(
+                                    placement.benefactors)
                             continue
                         referenced.add(chunk_id)
                         corrupt_holders = set(self._corrupt.get(chunk_id, ()))
@@ -776,25 +783,32 @@ class MetadataManager(Endpoint):
                             "holders": healthy,
                             "exclude": sorted(corrupt_holders),
                         })
-            if lost:
+            missed_twice = sorted(
+                set(lost) & self.registry.note_missing(benefactor_id, set(lost)))
+            if missed_twice:
                 # The remaining holders are flagged first, as in
                 # report_corrupt_chunk.
+                survivors = set().union(*(lost[c] for c in missed_twice))
                 survivors.discard(benefactor_id)
                 for survivor in survivors:
                     self.registry.set_repair_pending(survivor)
                 self._commit("detach_replicas", {"benefactor_id": benefactor_id,
-                                                 "chunk_ids": sorted(lost)},
+                                                 "chunk_ids": missed_twice},
                              durable=True)
             protected: Set[str] = set()
+            uncommitted: Set[str] = set()
             for session in self._sessions.values():
                 protected.update(session.acked_chunks)
+                if session.reservation_id in self.reservations:
+                    uncommitted.update(session.acked_chunks)
             orphans = sorted(inventory - referenced - protected)
             # Digest what was actually reported, so divergence checks on later
             # heartbeats compare against ground truth rather than a self-report.
             self.registry.note_reconciled(
                 benefactor_id, compute_inventory_digest(inventory)
             )
-            if unserved:
+            if (unserved or len(missed_twice) < len(lost)
+                    or not uncommitted.isdisjoint(inventory)):
                 self.registry.set_repair_pending(benefactor_id)
         return {
             "reattached": reattached,
@@ -1115,16 +1129,6 @@ class MetadataManager(Endpoint):
                     )
                 raise UnknownDatasetError(f"unknown session: {session_id}")
             self._dataset(session.dataset_id)
-            # A version committed below its target is the healer's to judge:
-            # its holders reconcile at their next heartbeat even when their
-            # inventories did not change since they last did (flagged before
-            # the record, as in report_corrupt_chunk).
-            target = self.replication_target_for(session.dataset_id)
-            for placement in chunk_map.get("placements", ()):
-                holders = placement.get("benefactors", ())
-                if len(holders) < target:
-                    for holder in holders:
-                        self.registry.set_repair_pending(holder)
             self._commit("commit", {
                 "session_id": session_id,
                 "chunk_map": chunk_map,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, FrozenSet, List, Optional, Set
 
 from repro.core.striping import BenefactorView
 from repro.exceptions import UnknownBenefactorError
@@ -38,6 +38,9 @@ class BenefactorRecord:
     #: or dropped peer, work withheld or still outstanding); the next
     #: heartbeat is asked to reconcile so the work is handed off.
     repair_pending: bool = False
+    #: Committed chunks placed on this benefactor that its last reconciled
+    #: inventory lacked; a chunk missing from the next one too is detached.
+    missing: FrozenSet[str] = frozenset()
 
     def view(self) -> BenefactorView:
         """Snapshot consumed by the striping policy."""
@@ -109,6 +112,15 @@ class BenefactorRegistry:
             if record is not None:
                 record.reconciled_digest = digest
                 record.repair_pending = False
+
+    def note_missing(self, benefactor_id: str, missing: Set[str]) -> FrozenSet[str]:
+        """Remember what this inventory lacked; return what the last one did."""
+        with self._lock:
+            record = self._records.get(benefactor_id)
+            if record is None:
+                return frozenset()
+            previous, record.missing = record.missing, frozenset(missing)
+            return previous
 
     def set_repair_pending(self, benefactor_id: str) -> None:
         with self._lock:

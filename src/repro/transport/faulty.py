@@ -17,8 +17,8 @@ given.  A call meets the rules in this order:
 4. *scripted answers* (:meth:`~FaultyTransport.script`) answer every call
    to the address from a list instead of delivering it;
 5. otherwise the call is delivered, and a *lost answer*
-   (:meth:`~FaultyTransport.lose_answer`, of the next call or the ``nth``)
-   lets it take effect, runs an optional ``then()`` (the node dies
+   (:meth:`~FaultyTransport.lose_answer`, of the next delivered call or the
+   ``nth``) lets it take effect, runs an optional ``then()`` (the node dies
    answering) and raises ``EndpointUnreachableError`` in place of the
    result.
 
@@ -63,7 +63,7 @@ class FaultyTransport(Transport):
         self._partitioned: Set[str] = set()
         self._actions: Dict[Tuple[str, str], List[Action]] = {}
         self._drops: Dict[Tuple[str, str], int] = {}
-        self._losses: Dict[Tuple[str, str], List[Optional[Callable[[], Any]]]] = {}
+        self._losses: Dict[Tuple[str, str], List[_Loss]] = {}
         self._scripts: Dict[str, List[Any]] = {}
         self._log: Optional[List[Call]] = None
 
@@ -95,18 +95,14 @@ class FaultyTransport(Transport):
 
         ``then()`` runs between the delivery and the error — the node dies
         answering — so a successor can be in place when the caller retries.
-        A later call is reached by chaining one-shot actions: ``nth - 1``
-        that do nothing, and one that arms the loss (exact for a caller
-        that makes its calls one at a time).
+        Calls are counted as they are delivered: one the rules above refuse
+        does not count, and the loss strikes the ``nth`` call delivered even
+        when concurrent calls return in another order.  An error the call
+        raises is lost the same way.
         """
-        if nth > 1:
-            for _ in range(nth - 1):
-                self.before(address, method, lambda *_: None)
-            self.before(address, method,
-                        lambda *_: self.lose_answer(address, method, then))
-            return
         with self._lock:
-            self._losses.setdefault((address, method), []).append(then)
+            self._losses.setdefault((address, method), []).append(
+                _Loss(then, nth - 1))
 
     def script(self, address: str, answers: Sequence[Any]) -> None:
         """Answer calls to ``address`` from ``answers``, never delivering them.
@@ -126,25 +122,30 @@ class FaultyTransport(Transport):
     # -- the call path -------------------------------------------------------
     def call(self, address: str, method: str, /, *,
              into: Optional[Sequence[memoryview]] = None, **payload: Any) -> Any:
-        scripted = self._intercept(address, method, payload, into)
-        if scripted is not _DELIVER:
-            return scripted
-        result = self.inner.call(address, method, into=into, **payload)
-        self._after(address, method)
-        return result
+        delivered, outcome = self._intercept(address, method, payload, into)
+        if not delivered:
+            return outcome
+        try:
+            return self.inner.call(address, method, into=into, **payload)
+        finally:
+            if outcome is not None:
+                self._lose(address, method, outcome)
 
     def probe(self, address: str, method: str, timeout: "float | None" = None,
               /, **payload: Any) -> Any:
-        scripted = self._intercept(address, method, payload, None)
-        if scripted is not _DELIVER:
-            return scripted
-        result = self.inner.probe(address, method, timeout, **payload)
-        self._after(address, method)
-        return result
+        delivered, outcome = self._intercept(address, method, payload, None)
+        if not delivered:
+            return outcome
+        try:
+            return self.inner.probe(address, method, timeout, **payload)
+        finally:
+            if outcome is not None:
+                self._lose(address, method, outcome)
 
     def _intercept(self, address: str, method: str, payload: Dict[str, Any],
-                   into: Optional[Sequence[memoryview]]) -> Any:
-        """Apply the pre-delivery rules: raise, answer, or return ``_DELIVER``."""
+                   into: Optional[Sequence[memoryview]]) -> Tuple[bool, Any]:
+        """Apply the pre-delivery rules: raise, ``(False, answer)``, or
+        ``(True, loss)`` — deliver, and lose the answer if ``loss`` is set."""
         key = (address, method)
         with self._lock:
             if self._log is not None:
@@ -163,19 +164,31 @@ class FaultyTransport(Transport):
                     f"{method} to {address!r} was dropped", endpoint=address)
             answers = self._scripts.get(address)
             if answers is None:
-                return _DELIVER
+                return True, self._count_delivery(key)
             answer = answers.pop(0) if len(answers) > 1 else answers[0]
         if isinstance(answer, BaseException):
             raise answer
-        return answer
+        return False, answer
 
-    def _after(self, address: str, method: str) -> None:
-        with self._lock:
-            if not self._losses.get((address, method)):
-                return
-            then = _pop_first(self._losses, (address, method))
-        if then is not None:
-            then()
+    def _count_delivery(self, key: Tuple[str, str]) -> Optional["_Loss"]:
+        """Count one delivered call against the losses pending on ``key``;
+        return the one it strikes (under ``_lock``)."""
+        pending = self._losses.get(key)
+        if not pending:
+            return None
+        struck = next((loss for loss in pending if loss.skip == 0), None)
+        for loss in pending:
+            if loss is not struck and loss.skip > 0:
+                loss.skip -= 1
+        if struck is not None:
+            pending.remove(struck)
+            if not pending:
+                del self._losses[key]
+        return struck
+
+    def _lose(self, address: str, method: str, loss: "_Loss") -> None:
+        if loss.then is not None:
+            loss.then()
         raise EndpointUnreachableError(
             f"the answer of {method} from {address!r} was lost", endpoint=address)
 
@@ -196,8 +209,15 @@ class FaultyTransport(Transport):
         self.inner.close()
 
 
-#: What :meth:`FaultyTransport._intercept` returns when no rule answered.
-_DELIVER = object()
+class _Loss:
+    """A pending lost answer: the delivered calls to let through first, and
+    what to run when it strikes."""
+
+    __slots__ = ("then", "skip")
+
+    def __init__(self, then: Optional[Callable[[], Any]], skip: int) -> None:
+        self.then = then
+        self.skip = skip
 
 
 def _pop_first(table: Dict[Tuple[str, str], list], key: Tuple[str, str]) -> Any:

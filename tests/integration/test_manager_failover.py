@@ -18,7 +18,7 @@ not wrapped.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, NamedTuple
 
 from repro import StdchkConfig, StdchkPool, TcpDeployment
 from repro.client.proxy import ClientProxy
@@ -65,29 +65,44 @@ def kill_answering(transport: FaultyTransport, address: str, methods: List[str],
                           then=then)
 
 
-def write_with_kill_at(kill_at: int, methods: List[str], data: bytes, **overrides):
-    """Write ``data`` while the primary dies answering RPC ``kill_at``.
+class Kill(NamedTuple):
+    """What one swept write left behind."""
 
-    Returns the pool, the surviving client (the pool holds its clients
-    weakly) and the promoted standby's LSN at takeover — captured before the
-    client's retry or replay tops it back up, the honest measure of what
-    survived.
-    """
+    pool: StdchkPool
+    #: The surviving client (the pool holds its clients weakly).
+    client: ClientProxy
+    #: The primary's last LSN when it died, read under its meta lock: no
+    #: record was in flight, so it covers the lost call's own record.
+    died_at: int
+    #: The promoted standby's LSN at takeover, before the client's retry or
+    #: replay tops it back up — the honest measure of what survived.
+    promoted_lsn: int
+
+
+def write_with_kill_at(kill_at: int, methods: List[str], data: bytes,
+                       **overrides) -> Kill:
+    """Write ``data`` while the primary dies answering RPC ``kill_at``."""
     pool = StdchkPool(benefactor_count=4, config=sweep_config(**overrides))
     pool.add_standby("standby-0")
     client = pool.client("survivor")
-    promoted: List[int] = []
-    kill_answering(pool.transport, pool.manager_address, methods, kill_at,
-                   then=lambda: promoted.append(pool.promote_standby().applied_lsn))
+    lsns: List[int] = []
+
+    def die() -> None:
+        primary = pool.manager
+        with primary._meta_lock:
+            lsns.append(primary.shipper.last_lsn)
+        lsns.append(pool.promote_standby().applied_lsn)
+
+    kill_answering(pool.transport, pool.manager_address, methods, kill_at, then=die)
     try:
         client.write_file(PATH, data)
     except ManagerRecoveringError as exc:  # pragma: no cover - regression
         raise AssertionError(
             f"client saw ManagerRecoveringError at boundary {kill_at}"
         ) from exc
-    assert promoted, f"sweep never reached RPC {kill_at}"
+    assert lsns, f"sweep never reached RPC {kill_at}"
     assert client.read_file(PATH) == data
-    return pool, client, promoted[0]
+    return Kill(pool, client, *lsns)
 
 
 #: What a four-chunk write asks of the manager with ``ack_batch_size=1``.
@@ -100,7 +115,7 @@ class TestCrashPointSweep:
         methods = pilot(data)
         assert methods == FOUR_CHUNK_WRITE
         for kill_at in range(1, len(methods) + 1):
-            pool, _client, _lsn = write_with_kill_at(kill_at, methods, data)
+            pool = write_with_kill_at(kill_at, methods, data).pool
             assert pool.manager.role == "primary"
             assert pool.manager.applied_lsn >= kill_at - 1
 
@@ -115,7 +130,7 @@ class TestCrashPointSweep:
 
     def test_survivor_client_keeps_writing_after_failover(self):
         data = make_bytes(4 * CHUNK, seed=33)
-        _pool, client, _lsn = write_with_kill_at(2, FOUR_CHUNK_WRITE, data)
+        client = write_with_kill_at(2, FOUR_CHUNK_WRITE, data).client
         later = make_bytes(2 * CHUNK, seed=34)
         client.write_file("/app/ckpt.N0.T2", later)
         assert client.read_file("/app/ckpt.N0.T2") == later
@@ -129,46 +144,57 @@ class TestQuorumCrashPointSweep:
     applied, journaled and quorum-acked, and the primary dies before the
     client hears of it.  With quorum >= 1 every record that reached that
     window is already applied on the standby, so the promoted standby's LSN
-    must cover the kill boundary — at *every* boundary.  The sweep pushes
-    with one worker so that RPC ``k`` is record ``k`` exactly (with four,
-    two frames' acks race, and a lost answer may fall on either).  The
-    async contrast test below shows the same sweep leaking records when
-    shipping is buffered, which is exactly the window quorum closes.
+    must cover the primary's last record — at *every* boundary.  Two sweeps:
+    four push workers, whose acks race for the meta lock (the lost ack's
+    record may be any of the four), and one worker, where RPC ``k`` is
+    record ``k`` exactly.  The async contrast test below shows the same
+    sweep leaking records when shipping is buffered, which is exactly the
+    window quorum closes.
     """
 
     def test_no_acknowledged_record_lost_at_any_boundary(self):
+        data = make_bytes(4 * CHUNK, seed=41)
+        methods = pilot(data, replication_quorum=1)
+        assert methods == FOUR_CHUNK_WRITE
+        for kill_at in range(1, len(methods) + 1):
+            kill = write_with_kill_at(kill_at, methods, data, replication_quorum=1)
+            assert kill.promoted_lsn >= kill.died_at, (
+                f"standby promoted at LSN {kill.promoted_lsn} lost quorum-acked "
+                f"records up to {kill.died_at} (killed at RPC {kill_at})"
+            )
+
+    def test_no_acknowledged_record_lost_at_any_boundary_serially(self):
         data = make_bytes(4 * CHUNK, seed=41)
         overrides = dict(replication_quorum=1, push_parallelism=1)
         methods = pilot(data, **overrides)
         assert methods == FOUR_CHUNK_WRITE
         for kill_at in range(1, len(methods) + 1):
-            _pool, _client, lsn = write_with_kill_at(kill_at, methods, data,
-                                                     **overrides)
-            assert lsn >= kill_at, (
-                f"standby promoted at LSN {lsn} lost quorum-acked record "
-                f"{kill_at}"
+            kill = write_with_kill_at(kill_at, methods, data, **overrides)
+            assert kill.died_at == kill_at
+            assert kill.promoted_lsn >= kill_at, (
+                f"standby promoted at LSN {kill.promoted_lsn} lost quorum-acked "
+                f"record {kill_at}"
             )
 
     def test_async_buffered_shipping_leaves_the_loss_window_open(self):
         # Documented contrast, not a bug: with buffered async shipping the
-        # promoted standby can be *behind* the kill boundary — the journaled
-        # records were acknowledged locally but never left the primary.  The
-        # client's session replay still recovers the data end to end (the
-        # read-back assertion inside the helper), but the gap quorum closes
-        # is real and measurable.
+        # promoted standby can be *behind* the primary's last record — the
+        # journaled records were acknowledged locally but never left the
+        # primary.  The client's session replay still recovers the data end
+        # to end (the read-back assertion inside the helper), but the gap
+        # quorum closes is real and measurable.
         data = make_bytes(3 * CHUNK, seed=42)
-        overrides = dict(ship_batch_records=8, push_parallelism=1)
-        methods = pilot(data, **overrides)
-        gaps = [
-            kill_at - write_with_kill_at(kill_at, methods, data, **overrides)[2]
-            for kill_at in range(1, len(methods) + 1)
-        ]
+        methods = pilot(data, ship_batch_records=8)
+        gaps = []
+        for kill_at in range(1, len(methods) + 1):
+            kill = write_with_kill_at(kill_at, methods, data, ship_batch_records=8)
+            gaps.append(kill.died_at - kill.promoted_lsn)
         assert max(gaps) > 0, "expected at least one boundary with lag"
 
     def test_quorum_sweep_survivor_keeps_writing(self):
         data = make_bytes(3 * CHUNK, seed=43)
-        pool, client, _lsn = write_with_kill_at(3, FOUR_CHUNK_WRITE, data,
-                                                replication_quorum=1)
+        pool, client, _died_at, _lsn = write_with_kill_at(
+            3, FOUR_CHUNK_WRITE, data, replication_quorum=1)
         # The promoted primary has no standbys yet; quorum gating only
         # applies while a shipper is attached, so writes keep flowing.
         later = make_bytes(2 * CHUNK, seed=44)

@@ -350,6 +350,16 @@ LEDGER_CLEARED_UNRECORDED = [
     ("corrupt", 0, 0),
     ("reconcile", 0, []),
 ]
+#: Two consecutive inventories of b0 lack c0, so the second detaches b0 from
+#: its placement (``detach_replicas``); the snapshot lands between the two.
+DETACHED_BY_TWO_INVENTORIES = [
+    ("register", 0, 0),
+    ("register", 1, 0),
+    ("create_session", "/app/a", 4096),
+    ("commit", 0, [0, 1], [0, 1]),
+    ("reconcile", 0, [0]),
+    ("reconcile", 0, [0]),
+]
 
 
 @_settings()
@@ -358,6 +368,7 @@ LEDGER_CLEARED_UNRECORDED = [
 @example(online=0, ops=PHANTOM_FOLDER, snapshot_at=1)
 @example(online=0, ops=COMMIT_AFTER_LEASE, snapshot_at=3)
 @example(online=0, ops=LEDGER_CLEARED_UNRECORDED, snapshot_at=0)
+@example(online=0, ops=DETACHED_BY_TWO_INVENTORIES, snapshot_at=5)
 def test_live_equals_replicated_equals_replayed(online, ops, snapshot_at):
     ops = [("register", b, 0) for b in range(online)] + ops
     with tempfile.TemporaryDirectory() as journal_dir:

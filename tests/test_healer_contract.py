@@ -259,3 +259,26 @@ def test_healer_contract(build, scenario, overrides):
         dep.heal(1)
         assert copies_made(dep) == settled
         assert dep.stored_bytes() == expected_stored_bytes(dep)
+
+
+def test_a_chunk_committed_while_its_holder_reconciles_stays_placed():
+    """The holder lists its store before the reconcile call, so a chunk that
+    lands and commits in between is missing from the list without being
+    lost: one such inventory detaches nothing, and the version (one replica,
+    on that holder) stays readable."""
+    with StdchkPool(benefactor_count=1,
+                    config=config(replication_level=1, stripe_width=1)) as pool:
+        node = next(iter(nodes(pool).values()))
+        path, files = "/app/n.N0.T1", {}
+
+        def write_meanwhile(*_):
+            files[path] = write(pool, path, 2 * CHUNK, seed=13)
+
+        pool.transport.before(pool.manager_address, "reconcile_inventory",
+                              write_meanwhile)
+        node.reconcile_with(pool.manager_address)
+        assert files and replica_counts(pool) == {(1, 1)}
+        assert pool.client("restart").read_file(path) == files[path]
+        pool.heal(ROUNDS)
+        assert replica_counts(pool) == {(1, 1)}
+        assert pool.stored_bytes() == expected_stored_bytes(pool)

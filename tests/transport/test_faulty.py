@@ -80,6 +80,24 @@ def test_the_nth_answer_is_lost_and_only_that_one(pool):
     assert pool.transport.call(manager, "make_folder", path="/four")["created"]
 
 
+def test_only_delivered_calls_count_toward_the_nth(pool):
+    manager = pool.manager_address
+    died = []
+    pool.transport.lose_answer(manager, "make_folder", nth=2,
+                               then=lambda: died.append("second"))
+    pool.transport.lose_answer(manager, "make_folder", nth=1,
+                               then=lambda: died.append("first"))
+    pool.transport.partition(manager)
+    with pytest.raises(EndpointUnreachableError):  # refused: not counted
+        pool.transport.call(manager, "make_folder", path="/refused")
+    pool.transport.heal(manager)
+    for path in ("/one", "/two"):
+        with pytest.raises(EndpointUnreachableError):
+            pool.transport.call(manager, "make_folder", path=path)
+    assert died == ["first", "second"] and not pool.manager.exists("/refused")
+    assert pool.manager.exists("/two")
+
+
 def test_scripted_answers_replace_delivery_and_the_last_repeats(pool):
     manager = pool.manager_address
     transactions = pool.manager.transactions
