@@ -154,27 +154,19 @@ class TestQuorumCrashPointSweep:
 
     def test_no_acknowledged_record_lost_at_any_boundary(self):
         data = make_bytes(4 * CHUNK, seed=41)
-        methods = pilot(data, replication_quorum=1)
-        assert methods == FOUR_CHUNK_WRITE
-        for kill_at in range(1, len(methods) + 1):
-            kill = write_with_kill_at(kill_at, methods, data, replication_quorum=1)
-            assert kill.promoted_lsn >= kill.died_at, (
-                f"standby promoted at LSN {kill.promoted_lsn} lost quorum-acked "
-                f"records up to {kill.died_at} (killed at RPC {kill_at})"
-            )
-
-    def test_no_acknowledged_record_lost_at_any_boundary_serially(self):
-        data = make_bytes(4 * CHUNK, seed=41)
-        overrides = dict(replication_quorum=1, push_parallelism=1)
-        methods = pilot(data, **overrides)
-        assert methods == FOUR_CHUNK_WRITE
-        for kill_at in range(1, len(methods) + 1):
-            kill = write_with_kill_at(kill_at, methods, data, **overrides)
-            assert kill.died_at == kill_at
-            assert kill.promoted_lsn >= kill_at, (
-                f"standby promoted at LSN {kill.promoted_lsn} lost quorum-acked "
-                f"record {kill_at}"
-            )
+        for parallelism in (4, 1):
+            overrides = dict(replication_quorum=1, push_parallelism=parallelism)
+            methods = pilot(data, **overrides)
+            assert methods == FOUR_CHUNK_WRITE
+            for kill_at in range(1, len(methods) + 1):
+                kill = write_with_kill_at(kill_at, methods, data, **overrides)
+                if parallelism == 1:
+                    assert kill.died_at == kill_at  # RPC k is record k
+                assert kill.promoted_lsn >= kill.died_at, (
+                    f"standby promoted at LSN {kill.promoted_lsn} lost quorum-acked "
+                    f"records up to {kill.died_at} (killed at RPC {kill_at}, "
+                    f"{parallelism} push workers)"
+                )
 
     def test_async_buffered_shipping_leaves_the_loss_window_open(self):
         # Documented contrast, not a bug: with buffered async shipping the
