@@ -22,7 +22,7 @@ from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.client.failover import FailoverTransport, ManagerDirectory
 from repro.client.read_path import ReplicaScheduler, StripedReader
-from repro.client.session import Image, WriteStats
+from repro.client.session import Image, ImageChunk, WriteStats
 from repro.client.write_protocols import WriteSession, make_write_session
 from repro.core.chunk_map import ChunkMap
 from repro.exceptions import FileNotFoundInStdchkError
@@ -77,6 +77,9 @@ class ClientProxy:
         #: session of this client committed, handed to the next one to
         #: compare before it hashes (``ChunkPusher``); empty with FsCH off.
         self._last_image: Image = ()
+        #: The same chunks by id, which this client's readers compare a
+        #: fetched chunk with before they hash it (``StripedReader._verify``).
+        self._image_by_id: Dict[str, ImageChunk] = {}
         self._lifetime_lock = threading.Lock()
         #: Per-client metrics registry; every session/reader opened by this
         #: client records into it, and ``StdchkPool.metrics()`` exports it.
@@ -336,13 +339,16 @@ class ClientProxy:
 
     def _committed(self, session: WriteSession) -> None:
         """Add a committed session's statistics to :attr:`lifetime_stats`;
-        its image, if content addressed, replaces the last one."""
+        its image, if content addressed, replaces the last one, and is
+        indexed by chunk id once, here, for the readers."""
         stats = session.stats
         image = session.pusher.take_image()
         lifetime = self.lifetime_stats
         with self._lifetime_lock:
             if image is not None:
                 self._last_image = image
+                self._image_by_id = {entry[3]: entry for entry in image
+                                     if entry is not None}
             for field in _WRITE_STAT_FIELDS:
                 setattr(lifetime, field,
                         getattr(lifetime, field) + getattr(stats, field))
@@ -354,6 +360,10 @@ class ClientProxy:
         Corrupt replicas discovered by the reader's verification are
         reported to the manager's corruption ledger (``report_corrupt_chunk``)
         so the fallback feeds repair instead of discarding the evidence.
+        The reader compares a fetched chunk with this client's last image
+        before it hashes it: a chunk whose bytes equal the image's chunk of
+        its id is not hashed again.  It asks the client at each check, so a
+        reader left open keeps no replaced image alive.
         """
         answer = self._manager("get_chunk_map", path=path, version=version)
         # The manager piggybacks its cluster-wide read-routing counts on the
@@ -369,7 +379,13 @@ class ClientProxy:
             corruption_reporter=self._report_corrupt_chunk,
             metrics=self.obs,
             executor=self._worker_pool(),
+            image_chunk=self._image_chunk,
         )
+
+    def _image_chunk(self, chunk_id: str) -> Optional[ImageChunk]:
+        # Looked up here at each call: a reader handed the dict itself
+        # would keep a replaced image alive.
+        return self._image_by_id.get(chunk_id)
 
     def _report_corrupt_chunk(self, chunk_id: str, benefactor_id: str) -> None:
         self._manager(

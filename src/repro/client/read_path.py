@@ -14,10 +14,15 @@ calling thread and up to ``read_parallelism`` tasks on the worker pool of the
 :class:`~repro.client.proxy.ClientProxy` that opened the reader — since a
 frame nobody is free to fetch only adds a round trip.  A chunk a frame did not
 deliver, or delivered corrupt, is fetched again by the per-chunk path, same
-replica first, each attempt a frame of one.  Verification (SHA-1
-recomputation) runs in the fetchers.  The reader owns its futures, never the
-pool.  With the default ``read_parallelism == 1``, or without an executor, a
-read is synchronous; only read-ahead uses a worker.
+replica first, each attempt a frame of one.  Verification runs in the
+fetchers, by the rule the writer names chunks with (compare, then hash): a
+content-addressed chunk whose bytes equal those its client last committed
+under that id (one ``memcmp``, :func:`~repro.client.session.same_bytes`) is
+accepted as it is, and every other fetched chunk is SHA-1 hashed.  The reader
+looks the id up through its client at each check, so it keeps no image
+alive.  The reader owns its futures, never the pool.  With the default
+``read_parallelism == 1``, or without an executor, a read is synchronous; only
+read-ahead uses a worker.
 
 Replica selection is delegated to a :class:`ReplicaScheduler` shared by every
 reader of a client session: it rotates across a chunk's replicas, prefers the
@@ -42,6 +47,7 @@ from typing import (
     Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple,
 )
 
+from repro.client.session import ImageChunk, same_bytes
 from repro.core.chunk import Chunk, is_content_addressed
 from repro.core.chunk_map import ChunkMap, ChunkPlacement
 from repro.exceptions import (
@@ -283,12 +289,17 @@ class StripedReader:
         corruption_reporter: Optional[Callable[[str, str], None]] = None,
         metrics: Optional[MetricsRegistry] = None,
         executor: Optional[Executor] = None,
+        image_chunk: Optional[Callable[[str], Optional[ImageChunk]]] = None,
     ) -> None:
         self.transport = transport
         self.chunk_map = chunk_map
         self.addresses = dict(addresses)
         self.size = size
         self.verify_integrity = verify_integrity
+        #: Called with a chunk id: the chunk of that id in the client's last
+        #: committed image, if it has one (bytes that hashed to that id).
+        #: A fetched chunk equal to it is not hashed again.
+        self.image_chunk = image_chunk
         self.scheduler = scheduler if scheduler is not None else ReplicaScheduler()
         #: Called with ``(chunk_id, benefactor_id)`` when a replica serves
         #: bytes that fail verification, so the evidence feeds repair
@@ -344,8 +355,18 @@ class StripedReader:
 
     # -- chunk fetching -------------------------------------------------------
     def _verify(self, placement: ChunkPlacement, data: bytes) -> None:
-        if self.verify_integrity and is_content_addressed(placement.ref.chunk_id):
-            Chunk(chunk_id=placement.ref.chunk_id, data=data).verify()
+        """Raise :class:`ChunkIntegrityError` unless ``data`` is the chunk.
+
+        A content-addressed chunk is compared, then hashed: bytes equal to
+        the client's image chunk of its id pass after one ``memcmp``; a
+        chunk the image lacks, or whose bytes differ, is SHA-1 hashed as
+        always, so the decision is the one hashing alone would make.
+        """
+        chunk_id = placement.ref.chunk_id
+        if self.verify_integrity and is_content_addressed(chunk_id):
+            entry = self.image_chunk(chunk_id) if self.image_chunk is not None else None
+            if entry is None or not same_bytes(entry, data):
+                Chunk(chunk_id=chunk_id, data=data).verify()
         if len(data) != placement.ref.length:
             raise ChunkIntegrityError(
                 f"chunk {placement.ref.chunk_id} has unexpected length "

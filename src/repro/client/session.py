@@ -54,7 +54,9 @@ of a mutable input) is recorded as ``None``, so no image keeps the client's
 own copies alive.  A committed session's image replaces the previous one
 (:meth:`ChunkPusher.take_image`).  So between checkpoints a client holds the
 application ``bytes`` its last such image was cut from; while a session is
-open, also the ``bytes`` written to it so far.
+open, also the ``bytes`` written to it so far.  The client's readers verify a
+fetched chunk by the same comparison (:func:`same_bytes`) against the last
+image's chunk of its id (:mod:`repro.client.read_path`).
 """
 
 from __future__ import annotations
@@ -85,6 +87,16 @@ from repro.util.config import SimilarityHeuristic, StdchkConfig, WriteSemantics
 ImageChunk = Tuple[bytes, int, int, str]
 #: An image by chunk index; ``None`` where the chunk is not kept.
 Image = Sequence[Optional[ImageChunk]]
+
+
+def same_bytes(entry: ImageChunk, payload: "bytes | memoryview") -> bool:
+    """Whether ``payload`` equals the bytes ``entry`` keeps.
+
+    One ``memcmp`` instead of a SHA-1 (``bytes.startswith``; comparing
+    memoryviews with ``==`` goes element by element, slower than hashing).
+    """
+    buffer, offset, length, _ = entry
+    return length == len(payload) and buffer.startswith(payload, offset, offset + length)
 
 
 @dataclass
@@ -411,17 +423,10 @@ class ChunkPusher:
         return names
 
     def _recall(self, index: int, payload: "bytes | memoryview") -> Optional[str]:
-        """Chunk ``index``'s id in the previous image, if it had these bytes.
-
-        One ``memcmp`` instead of a SHA-1 (``bytes.startswith``; comparing
-        memoryviews with ``==`` goes element by element, slower than hashing).
-        """
+        """Chunk ``index``'s id in the previous image, if it had these bytes."""
         entry = self._previous[index] if index < len(self._previous) else None
-        if entry is None:
-            return None
-        buffer, offset, length, chunk_id = entry
-        if length == len(payload) and buffer.startswith(payload, offset, offset + length):
-            return chunk_id
+        if entry is not None and same_bytes(entry, payload):
+            return entry[3]
         return None
 
     def _make_room(self, size: int) -> None:

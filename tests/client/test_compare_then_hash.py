@@ -9,6 +9,12 @@ size or write granularity of the image before, and what the client keeps:
 views of the application's ``bytes`` only, never a buffer of its own; the
 last image between checkpoints and, while a session is open, also what was
 written to it; nothing with FsCH off or through a spooling protocol.
+
+Reads follow the same rule: a fetched chunk whose bytes equal the chunk of
+its id in the reading client's last image is accepted after one ``memcmp``,
+every other one is hashed.  These tests pin how many chunks a reader hashes,
+that a corrupt replica is caught whether or not its id is in the image, and
+that a reader keeps no image alive.
 """
 
 from __future__ import annotations
@@ -16,15 +22,19 @@ from __future__ import annotations
 import gc
 import itertools
 import sys
+import threading
+import time
 
 import pytest
 
+import repro.client.read_path as read_path_module
 import repro.client.session as session_module
 from repro import StdchkConfig, StdchkPool, TcpDeployment
-from repro.core.chunk import content_chunk_id
+from repro.core.chunk import Chunk, content_chunk_id
 from repro.core.chunk_map import ChunkMap
+from repro.exceptions import StdchkError
 from repro.fs.filesystem import StdchkFilesystem
-from repro.util.config import SimilarityHeuristic, WriteProtocol
+from repro.util.config import SimilarityHeuristic, WriteProtocol, WriteSemantics
 from tests.conftest import make_bytes
 
 CHUNK = 64 * 1024
@@ -51,6 +61,20 @@ def hashed(monkeypatch):
         return content_chunk_id(payload)
 
     monkeypatch.setattr(session_module, "content_chunk_id", counting)
+    return lengths
+
+
+@pytest.fixture
+def verified(monkeypatch):
+    """Lengths of the chunks the client's readers hashed, in order."""
+    lengths = []
+
+    class Counting(Chunk):
+        def verify(self):
+            lengths.append(len(self.data))
+            super().verify()
+
+    monkeypatch.setattr(read_path_module, "Chunk", Counting)
     return lengths
 
 
@@ -273,4 +297,144 @@ def test_an_open_session_holds_the_last_image_and_what_was_written_to_it():
     assert sys.getrefcount(rest) == counts["rest"] + 4
     assert session.stats.chunks_pushed == 1
     assert client.read_file("/open/image") == head + rest
+    pool.close()
+
+
+@KINDS
+def test_a_reader_hashes_only_chunks_not_in_its_clients_last_image(build, verified):
+    with build(benefactor_count=4, config=fsch_config()) as deployment:
+        client = deployment.client("checkpointer", read_parallelism=2)
+        first = make_bytes(CHUNKS * CHUNK, seed=11)
+        client.write_file("/restart/image", first)
+        assert client.read_file("/restart/image") == first
+        assert verified == []
+
+        second = dirty(first, range(0, CHUNKS, 4))
+        client.write_file("/restart/image", second)
+        # A rollback: the 24 chunks the versions share are in the image.
+        assert client.read_file("/restart/image", version=1) == first
+        assert verified == [CHUNK] * 8
+
+        # Every read entry point verifies through the same rule.
+        verified.clear()
+        assert b"".join(client.read_file_iter("/restart/image")) == second
+        assert client.read_range("/restart/image", 3 * CHUNK - 5, 2 * CHUNK) == (
+            second[3 * CHUNK - 5:5 * CHUNK - 5])
+        assert StdchkFilesystem(client).read_file("/restart/image") == second
+        assert verified == []
+
+        # A fresh process has no image: it hashes every chunk, as before.
+        fresh = deployment.client("restarted")
+        assert fresh.read_file("/restart/image") == second
+        assert verified == [CHUNK] * CHUNKS
+
+
+def flip_a_byte(deployment, path, index):
+    """Flip one byte of the first replica of chunk ``index`` of ``path``;
+    return the chunk's placement, whose first holder has the bad copy."""
+    answer = deployment.manager.get_chunk_map(path=path)
+    placement = list(ChunkMap.from_dict(answer["chunk_map"]))[index]
+    chunk_id, victim = placement.ref.chunk_id, placement.benefactors[0]
+    found = deployment.benefactors
+    nodes = found if isinstance(found, dict) else {b.benefactor_id: b for b in found}
+    store = nodes[victim].store
+    bad = bytearray(store._chunks[chunk_id])  # MemoryChunkStore internals, deliberately
+    bad[77] ^= 0xFF
+    store._chunks[chunk_id] = bytes(bad)
+    return placement
+
+
+@KINDS
+def test_a_corrupt_replica_of_an_image_chunk_is_caught(build, verified):
+    """The image names the chunk, but the bytes fetched differ from it: they
+    are hashed, fail, are reported and fall back to the good replica."""
+    config = fsch_config(replication_level=2,
+                         write_semantics=WriteSemantics.PESSIMISTIC)
+    with build(benefactor_count=4, config=config) as deployment:
+        client = deployment.client("checkpointer")
+        image = make_bytes(8 * CHUNK, seed=12)
+        client.write_file("/corrupt/image", image)
+        placement = flip_a_byte(deployment, "/corrupt/image", 5)
+        victim, good = placement.benefactors
+        # The reader tries the bad copy first, the good one as a last resort.
+        client.replica_scheduler.mark_failed(good)
+        assert client.read_file("/corrupt/image") == image
+        assert deployment.manager.corrupt_replicas() == {
+            placement.ref.chunk_id: [victim]}
+        assert verified == [CHUNK, CHUNK]
+        assert client.replica_scheduler.failed_benefactors == {victim}
+
+
+@KINDS
+def test_a_corrupt_only_copy_of_an_image_chunk_fails_the_read(build):
+    with build(benefactor_count=4, config=fsch_config()) as deployment:
+        client = deployment.client("checkpointer")
+        image = make_bytes(8 * CHUNK, seed=13)
+        client.write_file("/corrupt/image", image)
+        placement = flip_a_byte(deployment, "/corrupt/image", 2)
+        with pytest.raises(StdchkError):
+            client.read_file("/corrupt/image")
+        assert deployment.manager.corrupt_replicas() == {
+            placement.ref.chunk_id: placement.benefactors}
+
+
+def test_an_open_reader_keeps_no_replaced_image_alive():
+    """A reader asks its client for the image at each check: once the next
+    commit replaces the image, the ``bytes`` it was cut from are free, and
+    the reader, still open, hashes what it fetches."""
+    pool = StdchkPool(benefactor_count=4, config=fsch_config())
+    client = pool.client("checkpointer", read_parallelism=2)
+    first = make_bytes(8 * CHUNK, seed=14)
+    baseline = sys.getrefcount(first)
+    client.write_file("/open/reader", first)
+    reader = client.open_read("/open/reader")
+    assert reader.read_range(0, CHUNK) == first[:CHUNK]
+    gc.collect()
+    assert sys.getrefcount(first) == baseline + 8
+
+    client.write_file("/open/reader", dirty(first, [3]))
+    gc.collect()
+    assert sys.getrefcount(first) == baseline
+    assert reader.read_range(CHUNK, 7 * CHUNK) == first[CHUNK:]
+    reader.close()
+    pool.close()
+
+
+def test_reads_stay_exact_while_commits_replace_the_image():
+    """Readers look the image up at every check while another thread's
+    commits replace it: a chunk's id names the same bytes in every image,
+    so each read is byte-identical to one of the versions written."""
+    pool = StdchkPool(benefactor_count=4, config=fsch_config())
+    client = pool.client("checkpointer", push_parallelism=4, read_parallelism=4)
+    first = make_bytes(8 * CHUNK, seed=15)
+    images = (first, dirty(first, [1, 5]))
+    client.write_file("/stress/image", first)
+    stop, errors = threading.Event(), []
+
+    def commit_in_turn() -> None:
+        try:
+            for turn in itertools.count(1):
+                if stop.is_set():
+                    return
+                client.write_file("/stress/image", images[turn % 2])
+        except Exception as exc:  # noqa: BLE001 - asserted below
+            errors.append(exc)
+
+    writer = threading.Thread(target=commit_in_turn)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    reads = 0
+    try:
+        writer.start()
+        deadline = time.monotonic() + 0.5
+        while time.monotonic() < deadline:
+            data = client.read_file("/stress/image")
+            assert data == images[0] or data == images[1]
+            reads += 1
+    finally:
+        stop.set()
+        writer.join(10)
+        sys.setswitchinterval(interval)
+    assert not writer.is_alive()
+    assert errors == [] and reads > 0
     pool.close()

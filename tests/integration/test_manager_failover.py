@@ -79,13 +79,31 @@ class Kill(NamedTuple):
     promoted_lsn: int
 
 
+def drop_first_shipment(transport: FaultyTransport, standby: str, lsn: int) -> None:
+    """Drop the first ``replicate_records`` to ``standby`` that carries
+    record ``lsn``; the shipments before it are delivered."""
+    def check(address: str, method: str, payload) -> None:
+        first = payload["from_lsn"]
+        if first <= lsn < first + len(payload["records"]):
+            transport.drop(address, method)  # refuses this very call
+        else:
+            transport.before(address, method, check)
+
+    transport.before(standby, "replicate_records", check)
+
+
 def write_with_kill_at(kill_at: int, methods: List[str], data: bytes,
-                       **overrides) -> Kill:
-    """Write ``data`` while the primary dies answering RPC ``kill_at``."""
+                       drop_shipment: bool = False, **overrides) -> Kill:
+    """Write ``data`` while the primary dies answering RPC ``kill_at``;
+    with ``drop_shipment``, the first shipment of record ``kill_at`` to the
+    standby is lost on the way."""
     pool = StdchkPool(benefactor_count=4, config=sweep_config(**overrides))
     pool.add_standby("standby-0")
     client = pool.client("survivor")
     lsns: List[int] = []
+    if drop_shipment:
+        drop_first_shipment(pool.transport, pool.standby_endpoints()["standby-0"],
+                            pool.manager.shipper.last_lsn + kill_at)
 
     def die() -> None:
         primary = pool.manager
@@ -147,9 +165,13 @@ class TestQuorumCrashPointSweep:
     must cover the primary's last record — at *every* boundary.  Two sweeps:
     four push workers, whose acks race for the meta lock (the lost ack's
     record may be any of the four), and one worker, where RPC ``k`` is
-    record ``k`` exactly.  The async contrast test below shows the same
-    sweep leaking records when shipping is buffered, which is exactly the
-    window quorum closes.
+    record ``k`` exactly.  At every boundary the first shipment of record
+    ``k`` is dropped on its way to the standby: at one record per batch a
+    record is shipped before its call returns anyway, so only a lost
+    shipment tells quorum (flush again until the standby acks) from async
+    shipping (ack regardless).  The async contrast test below runs the same
+    sweep without the quorum and loses the killed call's record, which is
+    exactly the window quorum closes.
     """
 
     def test_no_acknowledged_record_lost_at_any_boundary(self):
@@ -159,7 +181,8 @@ class TestQuorumCrashPointSweep:
             methods = pilot(data, **overrides)
             assert methods == FOUR_CHUNK_WRITE
             for kill_at in range(1, len(methods) + 1):
-                kill = write_with_kill_at(kill_at, methods, data, **overrides)
+                kill = write_with_kill_at(kill_at, methods, data,
+                                          drop_shipment=True, **overrides)
                 if parallelism == 1:
                     assert kill.died_at == kill_at  # RPC k is record k
                 assert kill.promoted_lsn >= kill.died_at, (
@@ -182,6 +205,24 @@ class TestQuorumCrashPointSweep:
             kill = write_with_kill_at(kill_at, methods, data, ship_batch_records=8)
             gaps.append(kill.died_at - kill.promoted_lsn)
         assert max(gaps) > 0, "expected at least one boundary with lag"
+
+    def test_async_shipping_loses_the_record_whose_shipment_was_lost(self):
+        # Documented contrast, not a bug: the quorum sweep without the
+        # quorum.  The killed call's record was journaled and acknowledged,
+        # but its one shipment was dropped, so the promoted standby is one
+        # record behind the primary at every boundary.  The client's
+        # session replay still recovers the data end to end (the read-back
+        # assertion inside the helper), but the gap quorum closes is real.
+        data = make_bytes(4 * CHUNK, seed=45)
+        overrides = dict(push_parallelism=1)
+        methods = pilot(data, **overrides)
+        gaps = []
+        for kill_at in range(1, len(methods) + 1):
+            kill = write_with_kill_at(kill_at, methods, data,
+                                      drop_shipment=True, **overrides)
+            assert kill.died_at == kill_at
+            gaps.append(kill.died_at - kill.promoted_lsn)
+        assert gaps == [1] * len(methods)
 
     def test_quorum_sweep_survivor_keeps_writing(self):
         data = make_bytes(3 * CHUNK, seed=43)
