@@ -362,7 +362,9 @@ class ClientProxy:
         so the fallback feeds repair instead of discarding the evidence.
         The reader compares a fetched chunk with this client's last image
         before it hashes it: a chunk whose bytes equal the image's chunk of
-        its id is not hashed again.  It asks the client at each check, so a
+        its id is not hashed again, and counts in ``client_chunks_compared_total``
+        (its share of ``client_chunks_fetched_total`` is the share of fetched
+        chunks that skipped SHA-1).  It asks the client at each check, so a
         reader left open keeps no replaced image alive.
         """
         answer = self._manager("get_chunk_map", path=path, version=version)

@@ -289,7 +289,7 @@ class StripedReader:
         corruption_reporter: Optional[Callable[[str, str], None]] = None,
         metrics: Optional[MetricsRegistry] = None,
         executor: Optional[Executor] = None,
-        image_chunk: Optional[Callable[[str], Optional[ImageChunk]]] = None,
+        image_chunk: Callable[[str], Optional[ImageChunk]] = lambda chunk_id: None,
     ) -> None:
         self.transport = transport
         self.chunk_map = chunk_map
@@ -298,7 +298,8 @@ class StripedReader:
         self.verify_integrity = verify_integrity
         #: Called with a chunk id: the chunk of that id in the client's last
         #: committed image, if it has one (bytes that hashed to that id).
-        #: A fetched chunk equal to it is not hashed again.
+        #: A fetched chunk equal to it is not hashed again.  By default no
+        #: chunk is in an image, and every content-addressed one is hashed.
         self.image_chunk = image_chunk
         self.scheduler = scheduler if scheduler is not None else ReplicaScheduler()
         #: Called with ``(chunk_id, benefactor_id)`` when a replica serves
@@ -347,11 +348,17 @@ class StripedReader:
                 "client_replica_fallbacks_total",
                 "Fetches that fell back to another replica.",
             )
+            self._compared_counter = metrics.counter(
+                "client_chunks_compared_total",
+                "Fetched chunks verified by comparison with the client's "
+                "last image instead of SHA-1.",
+            )
         else:
             self._fetch_timer = None
             self._chunks_counter = None
             self._read_bytes_counter = None
             self._fallback_counter = None
+            self._compared_counter = None
 
     # -- chunk fetching -------------------------------------------------------
     def _verify(self, placement: ChunkPlacement, data: bytes) -> None:
@@ -364,9 +371,11 @@ class StripedReader:
         """
         chunk_id = placement.ref.chunk_id
         if self.verify_integrity and is_content_addressed(chunk_id):
-            entry = self.image_chunk(chunk_id) if self.image_chunk is not None else None
+            entry = self.image_chunk(chunk_id)
             if entry is None or not same_bytes(entry, data):
                 Chunk(chunk_id=chunk_id, data=data).verify()
+            elif self._compared_counter is not None:
+                self._compared_counter.inc()
         if len(data) != placement.ref.length:
             raise ChunkIntegrityError(
                 f"chunk {placement.ref.chunk_id} has unexpected length "

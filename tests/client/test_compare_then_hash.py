@@ -29,7 +29,7 @@ import pytest
 
 import repro.client.read_path as read_path_module
 import repro.client.session as session_module
-from repro import StdchkConfig, StdchkPool, TcpDeployment
+from repro import CheckpointName, StdchkConfig, StdchkPool, TcpDeployment
 from repro.core.chunk import Chunk, content_chunk_id
 from repro.core.chunk_map import ChunkMap
 from repro.exceptions import StdchkError
@@ -307,13 +307,13 @@ def test_a_reader_hashes_only_chunks_not_in_its_clients_last_image(build, verifi
         first = make_bytes(CHUNKS * CHUNK, seed=11)
         client.write_file("/restart/image", first)
         assert client.read_file("/restart/image") == first
-        assert verified == []
+        assert verified == [] and compared(client) == CHUNKS
 
         second = dirty(first, range(0, CHUNKS, 4))
         client.write_file("/restart/image", second)
         # A rollback: the 24 chunks the versions share are in the image.
         assert client.read_file("/restart/image", version=1) == first
-        assert verified == [CHUNK] * 8
+        assert verified == [CHUNK] * 8 and compared(client) == CHUNKS + 24
 
         # Every read entry point verifies through the same rule.
         verified.clear()
@@ -322,11 +322,41 @@ def test_a_reader_hashes_only_chunks_not_in_its_clients_last_image(build, verifi
             second[3 * CHUNK - 5:5 * CHUNK - 5])
         assert StdchkFilesystem(client).read_file("/restart/image") == second
         assert verified == []
+        # read_range fetched chunks 2, 3 and 4.
+        assert compared(client) == CHUNKS + 24 + CHUNKS + 3 + CHUNKS
 
         # A fresh process has no image: it hashes every chunk, as before.
         fresh = deployment.client("restarted")
         assert fresh.read_file("/restart/image") == second
         assert verified == [CHUNK] * CHUNKS
+        assert compared(fresh) == 0
+
+
+def compared(client) -> float:
+    """Chunks ``client``'s readers accepted by comparison, without hashing."""
+    return client.obs.counter("client_chunks_compared_total").value
+
+
+@KINDS
+def test_a_restart_on_the_writers_node_compares_and_a_migrated_one_hashes(
+        build, verified):
+    """A process that restarts on its own node reads through that node's
+    client, which wrote the image; a process migrated to another node reads
+    through a client that never wrote it."""
+    with build(benefactor_count=4, config=fsch_config()) as deployment:
+        node = deployment.client("compute-node-0", read_parallelism=2)
+        image = make_bytes(CHUNKS * CHUNK, seed=16)
+        for timestep in (1, 2):
+            image = dirty(image, range(timestep, CHUNKS, 8))
+            node.write_checkpoint(CheckpointName("app", 0, timestep), image)
+
+        restarted = node.restore_latest_checkpoint("app")
+        assert (restarted["name"].timestep, restarted["data"]) == (2, image)
+        assert verified == [] and compared(node) == CHUNKS
+
+        migrated = deployment.client("compute-node-1")
+        assert migrated.restore_latest_checkpoint("app")["data"] == image
+        assert verified == [CHUNK] * CHUNKS and compared(migrated) == 0
 
 
 def flip_a_byte(deployment, path, index):
@@ -345,9 +375,17 @@ def flip_a_byte(deployment, path, index):
 
 
 @KINDS
-def test_a_corrupt_replica_of_an_image_chunk_is_caught(build, verified):
+def test_a_corrupt_replica_of_an_image_chunk_is_caught(build, monkeypatch):
     """The image names the chunk, but the bytes fetched differ from it: they
     are hashed, fail, are reported and fall back to the good replica."""
+    hashed = []
+
+    class Recording(Chunk):
+        def verify(self):
+            hashed.append(bytes(self.data))
+            super().verify()
+
+    monkeypatch.setattr(read_path_module, "Chunk", Recording)
     config = fsch_config(replication_level=2,
                          write_semantics=WriteSemantics.PESSIMISTIC)
     with build(benefactor_count=4, config=config) as deployment:
@@ -361,7 +399,8 @@ def test_a_corrupt_replica_of_an_image_chunk_is_caught(build, verified):
         assert client.read_file("/corrupt/image") == image
         assert deployment.manager.corrupt_replicas() == {
             placement.ref.chunk_id: [victim]}
-        assert verified == [CHUNK, CHUNK]
+        # Every hash was of the corrupt copy; the good one was only compared.
+        assert hashed and set(hashed) == {dirty(image, [5])[5 * CHUNK:6 * CHUNK]}
         assert client.replica_scheduler.failed_benefactors == {victim}
 
 
