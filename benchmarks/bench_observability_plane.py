@@ -26,10 +26,13 @@ monitored deployment for CI to archive.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import random
 import statistics
+import threading
 import time
+import urllib.request
 
 from repro import StdchkConfig, TcpDeployment
 from repro.benefactor.chunk_store import DelayedChunkStore
@@ -55,6 +58,9 @@ DEAD_AFTER = 1.0
 STORM_FILES = 100
 STORM_CYCLES = 3
 STORM_PAIRS = 5
+#: Alternating rounds of the overhead gate; each writes the file once with
+#: the plane absent and once with it running.
+PLANE_ROUNDS = 10
 
 
 def make_config(with_detector_knobs: bool = False) -> StdchkConfig:
@@ -73,74 +79,80 @@ def make_config(with_detector_knobs: bool = False) -> StdchkConfig:
     return StdchkConfig(**knobs)
 
 
-def run_push(plane: bool):
-    """One parallel push over TCP; returns (OAB MB/s, metrics aggregate).
+@contextlib.contextmanager
+def live_plane(deployment):
+    """The full plane, running while the block runs: every node serves its
+    HTTP telemetry endpoint, the health monitor probes the whole deployment
+    on its background thread, and a scraper thread hits ``/metrics`` — the
+    realistic worst case of running the plane in production.  The block
+    starts once the monitor has probed, so it sees the plane's steady state.
+    """
+    endpoints = deployment.start_obs_http()
+    monitor = deployment.health_monitor().start()
+    stop = threading.Event()
 
-    With ``plane=True`` every node serves its HTTP telemetry endpoint, the
-    health monitor probes the whole deployment on its background thread,
-    and a scraper thread hits ``/metrics`` throughout the write — the
-    realistic worst case of running the plane in production.
+    def scrape_loop():
+        while not stop.is_set():
+            for base in endpoints.values():
+                try:
+                    urllib.request.urlopen(base + "/metrics", timeout=1).read()
+                except OSError:
+                    pass
+            stop.wait(PROBE_INTERVAL)
+
+    scraper = threading.Thread(target=scrape_loop, daemon=True)
+    scraper.start()
+    try:
+        deadline = time.perf_counter() + 5.0
+        while monitor.probes_total == 0 and time.perf_counter() < deadline:
+            time.sleep(PROBE_INTERVAL / 4)
+        yield
+    finally:
+        stop.set()
+        scraper.join(timeout=5)
+        monitor.stop()
+        deployment.stop_obs_http()
+
+
+def best_oab_pair(rounds: int = PLANE_ROUNDS) -> tuple:
+    """Best-of-N OAB of one parallel push over TCP with the plane absent and
+    running; returns (off MB/s, on MB/s, metrics aggregate).
+
+    Best-of-N because the measured quantity is a floor (the simulated 4 ms
+    per put plus unavoidable path cost) and scheduler noise above it is
+    one-sided.  The rounds alternate (off, on, then on, off, ...) on one warm
+    deployment, so both sides see the same stretch of host load and neither
+    pays for connecting or starting threads; each side taken on fresh
+    deployments one after the other reads the host's drift as overhead.
+    The plane starts and stops outside the timed write.
     """
 
     def slow_store(capacity):
         return DelayedChunkStore(capacity, put_delay=PUT_DELAY)
 
+    runs = {False: [], True: []}
     with TcpDeployment(
         benefactor_count=4,
         config=make_config(with_detector_knobs=True),
         store_factory=slow_store,
     ) as deployment:
-        monitor = None
-        scraper = None
-        if plane:
-            import threading
-            import urllib.request
-
-            endpoints = deployment.start_obs_http()
-            monitor = deployment.health_monitor()
-            monitor.start()
-            stop = threading.Event()
-
-            def scrape_loop():
-                targets = list(endpoints.values())
-                while not stop.is_set():
-                    for base in targets:
-                        try:
-                            urllib.request.urlopen(
-                                base + "/metrics", timeout=1).read()
-                        except OSError:
-                            pass
-                    stop.wait(PROBE_INTERVAL)
-
-            scraper = threading.Thread(target=scrape_loop, daemon=True)
-            scraper.start()
         client = deployment.client("bench-plane")
         payload = bytes(FILE_SIZE)
-        start = time.perf_counter()
-        client.write_file("/bench/plane", payload)
-        elapsed = time.perf_counter() - start
-        assert client.read_file("/bench/plane") == payload
-        if plane:
-            stop.set()
-            scraper.join(timeout=5)
-            monitor.stop()
+        client.write_file("/bench/plane-warmup", payload)
+        for round_number in range(rounds):
+            for plane in ((False, True) if round_number % 2 == 0 else (True, False)):
+                with live_plane(deployment) if plane else contextlib.nullcontext():
+                    start = time.perf_counter()
+                    client.write_file(f"/bench/plane{round_number}-{plane}", payload)
+                    elapsed = time.perf_counter() - start
+                runs[plane].append((FILE_SIZE / elapsed) / MB)
+        assert client.read_file("/bench/plane0-True") == payload
         metrics = deployment.scrape()["aggregate"]
-    return (FILE_SIZE / elapsed) / MB, metrics
-
-
-def best_oab(plane: bool, runs: int = 3) -> tuple:
-    """Best-of-N OAB (one-sided scheduler noise over a simulated floor)."""
-    best = 0.0
-    metrics = None
-    for _ in range(runs):
-        oab, metrics = run_push(plane)
-        best = max(best, oab)
-    return best, metrics
+    return max(runs[False]), max(runs[True]), metrics
 
 
 def test_plane_overhead_within_gate(benchmark):
-    baseline, _ = best_oab(plane=False)
-    with_plane, metrics = best_oab(plane=True)
+    baseline, with_plane, metrics = best_oab_pair()
     overhead_pct = (baseline - with_plane) / baseline * 100.0
     rows = [
         {"plane": "off", "OAB_MBps": baseline, "overhead_pct": 0.0},
@@ -148,7 +160,8 @@ def test_plane_overhead_within_gate(benchmark):
          "overhead_pct": overhead_pct},
     ]
     print_table(
-        "Observability plane overhead — parallel SW push over TCP (best of 3)",
+        "Observability plane overhead — parallel SW push over TCP "
+        f"(best of {PLANE_ROUNDS}, off/on interleaved)",
         rows,
         note=f"acceptance gate: live plane within {MAX_PLANE_OVERHEAD:.0%}",
     )

@@ -17,6 +17,7 @@ import dataclasses
 import functools
 import math
 import threading
+import zlib
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Iterator, List, Optional, Sequence
 
@@ -87,8 +88,12 @@ class ClientProxy:
                                    clock=self.clock)
         #: Replica selection state shared by every reader of this client, so
         #: one reader's failed-benefactor discovery benefits the next and
-        #: concurrent readers spread load across replicas.
-        self.replica_scheduler = ReplicaScheduler(metrics=self.obs)
+        #: concurrent readers spread load across replicas.  Its ties start at
+        #: an offset hashed from the client id (stable across processes,
+        #: unlike ``hash``), so a restart storm of fresh clients spreads
+        #: over a hot chunk's replicas by itself.
+        self.replica_scheduler = ReplicaScheduler(
+            metrics=self.obs, seed=zlib.crc32(client_id.encode()))
         #: The only executor of the client data path, built on first use (its
         #: threads start on first submit, so a client that never pushes,
         #: fetches or prefetches in parallel never owns one).
@@ -368,9 +373,6 @@ class ClientProxy:
         reader left open keeps no replaced image alive.
         """
         answer = self._manager("get_chunk_map", path=path, version=version)
-        # The manager piggybacks its cluster-wide read-routing counts on the
-        # chunk-map answer; the scheduler uses them as a load tie-break.
-        self.replica_scheduler.note_load_hints(answer.get("load_hints"))
         return StripedReader(
             transport=self.transport,
             chunk_map=ChunkMap.from_dict(answer["chunk_map"]),

@@ -13,8 +13,9 @@ byte range or read-ahead.  A plan opens about one frame per fetcher — the
 calling thread and up to ``read_parallelism`` tasks on the worker pool of the
 :class:`~repro.client.proxy.ClientProxy` that opened the reader — since a
 frame nobody is free to fetch only adds a round trip.  A chunk a frame did not
-deliver, or delivered corrupt, is fetched again by the per-chunk path, same
-replica first, each attempt a frame of one.  Verification runs in the
+deliver is fetched again by the per-chunk path, same replica first, each
+attempt a frame of one; a chunk it delivered corrupt is reported, and the
+per-chunk path tries its other replicas.  Verification runs in the
 fetchers, by the rule the writer names chunks with (compare, then hash): a
 content-addressed chunk whose bytes equal those its client last committed
 under that id (one ``memcmp``, :func:`~repro.client.session.same_bytes`) is
@@ -24,11 +25,13 @@ alive.  The reader owns its futures, never the pool.  With the default
 ``read_parallelism == 1``, or without an executor, a read is synchronous; only
 read-ahead uses a worker.
 
-Replica selection is delegated to a :class:`ReplicaScheduler` shared by every
-reader of a client session: it rotates across a chunk's replicas, prefers the
-one with the fewest outstanding requests, and tries benefactors found dead or
-corrupt by any reader last.  A corrupt replica is handled like an unreachable
-one; a read fails only when every replica of a chunk is exhausted.
+A span's plan picks the benefactors it reads from by greedy cover of its
+chunks, then gives each chunk to its least-planned picked replica.  Replica
+ranking is delegated to a :class:`ReplicaScheduler` shared by every reader of
+a client: it prefers the replica with the fewest outstanding requests, breaks
+ties by a rotation seeded from the client's id, and tries benefactors found
+dead or corrupt by any reader last.  A corrupt replica is handled like an
+unreachable one; a read fails only when every replica of a chunk is exhausted.
 
 Readers are not thread-safe: one thread consumes a reader.  A reader holds at
 most two spans, the one being read and the one read ahead, and a byte range
@@ -73,22 +76,21 @@ class ReplicaScheduler:
     are only retried as a last resort — and un-marked when such a retry
     succeeds, so a recovered node rejoins the rotation.
 
+    Ties between equally loaded replicas are broken by a rotation that
+    starts at ``seed``.  A client seeds it with a stable hash of its id, so
+    fresh clients restarting from one hot chunk start on different replicas
+    with no shared state behind the choice.
+
     With a ``metrics`` registry the per-benefactor outstanding counts and
     the failed-set size are exported as gauges, making replica skew visible
-    before it shows up as a bench regression.  ``note_load_hints`` absorbs
-    the manager's cluster-wide read-routing counts (returned by
-    ``get_chunk_map``); ``order`` uses them as a secondary tie-break after
-    the client-local outstanding counts.
+    before it shows up as a bench regression.
     """
 
-    def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:
+    def __init__(self, metrics: Optional[MetricsRegistry] = None, seed: int = 0) -> None:
         self._lock = threading.Lock()
         self._failed: Set[str] = set()
         self._outstanding: Dict[str, int] = {}
-        self._rotation = 0
-        #: Manager-provided cluster-wide load proxy (higher = busier).
-        #: Floats: the manager's tallies decay with ``read_load_halflife``.
-        self._load_hints: Dict[str, float] = {}
+        self._rotation = seed
         if metrics is not None:
             self._outstanding_gauge = LabelChildren(metrics.gauge(
                 "replica_outstanding_requests",
@@ -108,21 +110,29 @@ class ReplicaScheduler:
         with self._lock:
             return set(self._failed)
 
+    def next_start(self) -> int:
+        """Take the rotation's next offset (a read plan breaks all its ties
+        with one)."""
+        with self._lock:
+            self._rotation += 1
+            return self._rotation - 1
+
     def order(self, benefactors: Sequence[str], demote: Sequence[str] = (),
-              planned: Optional[Mapping[str, int]] = None) -> List[str]:
+              planned: Optional[Mapping[str, int]] = None, start: int = 0) -> List[str]:
         """Candidate replicas, best first.
 
-        Healthy replicas are rotated (so ties do not always land on the same
-        node) and stably sorted by outstanding request count; failed replicas
-        — and any the caller asks to ``demote`` (e.g. a reader's own
-        chunk-miss discoveries) — are appended last so a chunk whose every
-        holder was marked failed is still attempted rather than abandoned.
-        ``planned`` counts fetches the caller has decided on but not started
-        (a reader choosing replicas for a whole image); they weigh like
-        outstanding ones.
+        Healthy replicas are rotated by ``start`` (an offset taken with
+        :meth:`next_start`, so ties do not always land on the same node) and
+        stably sorted by outstanding request count; failed replicas — and any
+        the caller asks to ``demote`` (e.g. a reader's own chunk-miss
+        discoveries) — are appended last so a chunk whose every holder was
+        marked failed is still attempted rather than abandoned.  ``planned``
+        counts fetches the caller has decided on but not started (a reader
+        choosing replicas for a whole image); they weigh like outstanding
+        ones.
         """
-        if not benefactors:
-            return []
+        if len(benefactors) < 2:  # nothing to order, whatever the scheduler knows
+            return list(benefactors)
         demoted = set(demote)
         planned = planned or {}
         with self._lock:
@@ -131,38 +141,12 @@ class ReplicaScheduler:
                 if b not in self._failed and b not in demoted
             ]
             pool = healthy if healthy else list(benefactors)
-            offset = self._rotation % len(pool)
-            self._rotation += 1
+            offset = start % len(pool)
             rotated = pool[offset:] + pool[:offset]
-            # Primary key: client-local outstanding fetches.  Secondary key:
-            # the manager's cluster-wide read-routing count, so full ties
-            # (the common case on an idle client) land on the benefactor the
-            # rest of the cluster is using least.  The sort is stable, so the
-            # rotation still breaks exact ties.
-            rotated.sort(
-                key=lambda b: (
-                    self._outstanding.get(b, 0) + planned.get(b, 0),
-                    self._load_hints.get(b, 0),
-                )
-            )
+            rotated.sort(key=lambda b: self._outstanding.get(b, 0) + planned.get(b, 0))
             if healthy:
                 rotated += [b for b in benefactors if b not in healthy]
             return rotated
-
-    def note_load_hints(self, hints: Optional[Mapping[str, float]]) -> None:
-        """Absorb the manager's per-benefactor read-routing counts.
-
-        Later hints overwrite earlier ones per benefactor; counts for nodes
-        not mentioned are retained (a hint batch only covers the benefactors
-        relevant to one chunk map).
-        """
-        if not hints:
-            return
-        with self._lock:
-            for benefactor_id, count in hints.items():
-                # Float, not int: decayed manager tallies lose their
-                # ordering if truncated (0.7 vs 0.2 must not both become 0).
-                self._load_hints[str(benefactor_id)] = float(count)
 
     def begin(self, benefactor_id: str) -> None:
         with self._lock:
@@ -399,21 +383,6 @@ class StripedReader:
             finally:
                 self._fetch_timer.observe(time.perf_counter() - started)
 
-    def _candidates(self, placement: ChunkPlacement,
-                    planned: Mapping[str, int]) -> List[str]:
-        """The replicas of ``placement`` this reader can dial, best first,
-        counting the fetches ``planned`` per benefactor as outstanding."""
-        holders = placement.benefactors
-        if len(holders) == 1:  # nothing to order, whatever the scheduler knows
-            return list(holders) if holders[0] in self.addresses else []
-        with self._lock:
-            missing = set(self._missing)
-        return [
-            b for b in self.scheduler.order(placement.benefactors, demote=missing,
-                                            planned=planned)
-            if b in self.addresses
-        ]
-
     def _note_fetched(self, benefactor_id: str, data: bytes) -> None:
         """Account for one chunk that arrived intact from ``benefactor_id``."""
         self.scheduler.mark_alive(benefactor_id)
@@ -508,47 +477,75 @@ class StripedReader:
         """Choose the replica of chunks ``[first, stop)``; frames in the order
         of their first chunk.
 
-        Every choice counts the chunks already planned per benefactor as
-        outstanding against it.  Until ``read_parallelism`` benefactors have
-        an open frame, a chunk goes to its least-planned healthy replica and
-        opens a frame there if it has none; from then on it joins an open
-        frame on one of its healthy replicas that still has room, and opens a
-        new one only when none has.  There are never more than
-        ``read_parallelism`` fetchers at a time (:meth:`_start`), so a frame
-        beyond that many adds a round trip without adding parallelism; a
-        parallelism at least the number of holders still reads from every
-        holder.  A frame is closed when the next chunk would take it past
-        the transfer unit, so a chunk that large always travels alone.
+        First the benefactors to read from are picked by cover
+        (:meth:`_cover`); then each chunk goes to its least-planned picked
+        replica: ``ReplicaScheduler.order`` ranks its replicas, counting
+        the chunks already planned per benefactor as outstanding, and the
+        first picked one takes the chunk and leads its candidates, so a
+        chunk the frame fails to deliver retries it first.  A chunk with no
+        healthy replica goes to its best candidate, a failed one as a last
+        resort.  There are never more than ``read_parallelism`` fetchers at
+        a time (:meth:`_start`), so a frame beyond that many adds a round
+        trip without adding parallelism.  A frame is closed when the next
+        chunk would take it past the transfer unit, so a chunk that large
+        always travels alone.  One offset of the scheduler's rotation breaks
+        every tie of the plan: a read's frames depend on its chunk map,
+        ``read_parallelism`` and what the client knows of failed and busy
+        benefactors, not on how many chunks it read before.
         """
+        placements = self._placements[first:stop]
+        with self._lock:
+            missing = set(self._missing)
+        start = self.scheduler.next_start()
+        dialable = [[b for b in p.benefactors if b in self.addresses] for p in placements]
+        picked = self._cover(dialable, self.scheduler.failed_benefactors | missing, start)
         planned: Dict[str, int] = {}
         frames: List[_Frame] = []
         taking: Dict[Optional[str], _Frame] = {}
-        unhealthy = self.scheduler.failed_benefactors
-        with self._lock:
-            unhealthy |= self._missing
-        for placement in self._placements[first:stop]:
+        for placement, holders in zip(placements, dialable):
             length = placement.ref.length
-            candidates = self._candidates(placement, planned)
+            candidates = self.scheduler.order(holders, demote=missing, planned=planned,
+                                              start=start)
             # With no replica to dial the per-chunk path says so, for this chunk.
-            chosen = candidates[0] if candidates else None
-            if len(taking) >= self.parallelism:
-                # A frame per fetcher is open: join one on a healthy replica.
-                chosen = next((b for b in candidates if b not in unhealthy and b in taking
-                               and taking[b].size + length <= TRANSFER_UNIT), chosen)
-                if chosen is not None and chosen != candidates[0]:
-                    # A chunk the frame fails to deliver retries its replica first.
-                    candidates = [chosen, *(b for b in candidates if b != chosen)]
+            chosen = next((b for b in candidates if b in picked),
+                          candidates[0] if candidates else None)
+            if chosen is not None and chosen != candidates[0]:
+                candidates = [chosen, *(b for b in candidates if b != chosen)]
             frame = taking.get(chosen)
             if frame is None or frame.size + length > TRANSFER_UNIT:
-                frame = _Frame(chosen)
+                frame = taking[chosen] = _Frame(chosen)
                 frames.append(frame)
-                if chosen is not None:
-                    taking[chosen] = frame
             frame.items.append((placement, candidates))
             frame.size += length
             if chosen is not None:
                 planned[chosen] = planned.get(chosen, 0) + 1
         return frames
+
+    def _cover(self, dialable: Sequence[Sequence[str]], unhealthy: Set[str],
+               start: int) -> Set[str]:
+        """The benefactors a plan reads from, by greedy cover of its chunks
+        (``dialable``: each chunk's replicas this reader can dial): the
+        healthy holder of the most chunks no pick holds yet, then the holder
+        of most of the rest, until every chunk with a healthy replica is
+        held and ``read_parallelism`` benefactors are picked.  A parallelism
+        at least the number of holders therefore still reads from every
+        holder.  Ties go to the holder of more chunks, then to the first in
+        ``ReplicaScheduler.order`` at ``start`` (fewest outstanding fetches,
+        then the rotation)."""
+        holds: Dict[str, Set[int]] = {}
+        for index, holders in enumerate(dialable):
+            for benefactor_id in holders:
+                if benefactor_id not in unhealthy:
+                    holds.setdefault(benefactor_id, set()).add(index)
+        left = self.scheduler.order(list(holds), start=start)
+        rest = set().union(*holds.values())
+        picked: Set[str] = set()
+        while left and (rest or len(picked) < self.parallelism):
+            best = max(left, key=lambda b: (len(holds[b] & rest), len(holds[b])))
+            left.remove(best)
+            picked.add(best)
+            rest.difference_update(holds[best])
+        return picked
 
     def _span(self, first: int, stop: int) -> _Span:
         return _Span(first, stop, self._plan_frames(first, stop))
@@ -564,7 +561,8 @@ class StripedReader:
                         frame: _Frame) -> List[Tuple[ChunkPlacement, List[str]]]:
         """One ``get_chunks`` into the frame's windows; returns the items it
         left unfilled: all of them on any error or without a replica to dial,
-        the corrupt ones otherwise."""
+        the corrupt ones otherwise, each reported and left with its other
+        replicas only."""
         benefactor_id = frame.benefactor_id
         if benefactor_id is None:
             return frame.items
@@ -583,17 +581,23 @@ class StripedReader:
             if type(payloads) is not list or len(payloads) != len(windows):
                 return frame.items
             unfilled = []
-            for item, window, data in zip(frame.items, windows, payloads):
+            for (placement, candidates), window, data in zip(frame.items, windows, payloads):
                 try:
-                    self._verify(item[0], data)
+                    self._verify(placement, data)
                 except ChunkIntegrityError:
-                    unfilled.append(item)
+                    # Asking the same copy again would return the same bytes.
+                    unfilled.append((placement, [b for b in candidates if b != benefactor_id]))
                     continue
                 if data is not window:
                     # The transport ignored the hint or the chunk came in-band.
                     window[:] = data
                 self._note_fetched(benefactor_id, data)
-                span.filled.add(item[0].ref.offset)
+                span.filled.add(placement.ref.offset)
+            for placement, others in unfilled:  # after the intact chunks marked it alive
+                self.scheduler.mark_failed(benefactor_id)
+                self._report_corruption(placement.ref.chunk_id, benefactor_id)
+                if others:
+                    self._note_fallback()
             return unfilled
         finally:
             for window in windows:

@@ -27,9 +27,7 @@ class StdchkFilesystem:
     def __init__(self, client: ClientProxy, config: Optional[StdchkConfig] = None) -> None:
         self.client = client
         self.config = config if config is not None else client.config
-        self.metadata_cache = MetadataCache(
-            ttl=self.config.metadata_cache_ttl, clock=client.clock
-        )
+        self.metadata_cache = MetadataCache(clock=client.clock)
         #: Open handles by id, mirroring a kernel file-descriptor table.
         self._open_handles: Dict[int, StdchkFileHandle] = {}
         self._next_fd = 3  # 0-2 are conventionally stdin/stdout/stderr

@@ -21,7 +21,11 @@ class _CacheEntry:
 
 
 class MetadataCache:
-    """TTL cache for ``stat``/``listdir`` answers."""
+    """TTL cache for ``stat``/``listdir`` answers.
+
+    The FS facade keeps the default ``ttl``: no deployment has needed
+    another, so it is not a ``StdchkConfig`` option.
+    """
 
     def __init__(self, ttl: float = 2.0, clock: Optional[Clock] = None) -> None:
         if ttl < 0:

@@ -38,9 +38,9 @@ and inventory reconciliation): benefactor liveness and space
 ``report_benefactor_failure``, ``expire_benefactors``), replica placements
 learnt after a commit (``reconcile_inventory`` and ``record_replicas``), the
 registry's ``repair_pending`` flags, the per-benefactor seen-sets of
-``gc_report``, reservation lease expiry
-(``GarbageCollector.collect_expired_reservations``) and the read-routing load
-tally of ``get_chunk_map``.
+``gc_report`` and reservation lease expiry
+(``GarbageCollector.collect_expired_reservations``).  Reads write nothing:
+``get_chunk_map`` only answers.
 
 **One judge of under-replication.**  :meth:`MetadataManager.reconcile_inventory`
 is the only place that decides a chunk needs more replicas (section IV.A: the
@@ -81,7 +81,7 @@ from repro.manager.persistence import (
     restore_manager_state,
 )
 from repro.manager.registry import BenefactorRegistry
-from repro.obs import LabelChildren, MetricsRegistry
+from repro.obs import MetricsRegistry
 from repro.transport.base import Endpoint, Transport, control, rpc
 from repro.util.clock import Clock, SystemClock
 from repro.util.config import StdchkConfig
@@ -158,21 +158,6 @@ class MetadataManager(Endpoint):
             "manager_transactions_total",
             "Client- and benefactor-facing calls handled.",
         ).set_function(lambda: self.transactions)
-        #: Decayed count of replica placements handed out by
-        #: ``get_chunk_map`` answers, per benefactor — a cluster-wide
-        #: read-routing load proxy, also returned as ``load_hints`` so the
-        #: client's ReplicaScheduler can break ties with pool-wide knowledge.
-        #: Each tally decays exponentially with half-life
-        #: ``config.read_load_halflife`` so hints reflect *current* load
-        #: rather than lifetime totals (0 keeps the cumulative tally).
-        self._read_load: Dict[str, float] = {}
-        self._read_load_updated: Dict[str, float] = {}
-        self._read_load_lock = threading.Lock()
-        self._read_load_gauge = LabelChildren(self.obs.gauge(
-            "manager_read_routing_load",
-            "Replica placements handed to readers, per benefactor.",
-            labelnames=("benefactor",),
-        ), "benefactor")
         if persistence is None and self.config.journal_dir is not None:
             persistence = ManagerPersistence(
                 self.config.journal_dir,
@@ -1156,16 +1141,6 @@ class MetadataManager(Endpoint):
         return list(self._sessions.values())
 
     # ------------------------------------------------------------------- reads
-    def _decayed_load(self, benefactor_id: str, now: float) -> float:
-        """Current read-routing tally of one benefactor (call under the lock)."""
-        value = self._read_load.get(benefactor_id, 0.0)
-        halflife = self.config.read_load_halflife
-        if value and halflife > 0:
-            elapsed = now - self._read_load_updated.get(benefactor_id, now)
-            if elapsed > 0:
-                value *= 0.5 ** (elapsed / halflife)
-        return value
-
     @rpc
     def get_chunk_map(self, path: str, version: Optional[int] = None) -> Dict[str, object]:
         """Return the chunk-map of ``path`` (latest version by default)."""
@@ -1181,22 +1156,6 @@ class MetadataManager(Endpoint):
         for benefactor_id in record.chunk_map.stored_benefactors:
             if benefactor_id in self.registry:
                 addresses[benefactor_id] = self.registry.address_of(benefactor_id)
-        # Tally the replica placements this answer routes readers toward and
-        # hand the decayed per-benefactor counts back as load hints: the
-        # client's ReplicaScheduler uses them as a cluster-wide tie-breaker
-        # on top of its own (client-local) outstanding counts.
-        now = self.clock.now()
-        with self._read_load_lock:
-            for placement in record.chunk_map:
-                for holder in placement.benefactors:
-                    self._read_load[holder] = self._decayed_load(holder, now) + 1.0
-                    self._read_load_updated[holder] = now
-            load_hints = {
-                benefactor_id: round(self._decayed_load(benefactor_id, now), 6)
-                for benefactor_id in addresses
-            }
-        for benefactor_id, load in load_hints.items():
-            self._read_load_gauge[benefactor_id].set(load)
         return {
             "dataset_id": dataset.dataset_id,
             "version": record.version,
@@ -1205,7 +1164,6 @@ class MetadataManager(Endpoint):
             "addresses": addresses,
             "producer": record.producer,
             "timestep": record.timestep,
-            "load_hints": load_hints,
         }
 
     @rpc

@@ -190,12 +190,6 @@ class StdchkConfig:
     #: traces nothing; ``math.inf`` traces every operation.
     trace_rate: float = 8.0
 
-    #: Half-life (seconds) of the manager's read-routing load tally: the
-    #: per-benefactor placement counts behind ``get_chunk_map`` load hints
-    #: decay exponentially so hints track *current* load, not lifetime
-    #: totals.  0 keeps the historical cumulative tally.
-    read_load_halflife: float = 30.0
-
     #: Period of the cluster health monitor's probe loop (seconds).
     health_probe_interval: float = 1.0
     #: Silence (no successful health probe) after which a node is suspected.
@@ -210,8 +204,6 @@ class StdchkConfig:
     #: read waits only for the frames holding its own chunks.  0 turns
     #: read-ahead off.
     read_ahead: int = 4 * MiB
-    #: Metadata cache time-to-live for readdir/getattr answers (seconds).
-    metadata_cache_ttl: float = 2.0
 
     def __post_init__(self) -> None:
         self.validate()
@@ -274,8 +266,6 @@ class StdchkConfig:
             raise ConfigurationError("failover_cooldown must be non-negative")
         if not self.trace_rate >= 0:  # NaN too
             raise ConfigurationError("trace_rate must be non-negative")
-        if self.read_load_halflife < 0:
-            raise ConfigurationError("read_load_halflife must be non-negative")
         if self.health_probe_interval <= 0:
             raise ConfigurationError("health_probe_interval must be positive")
         if not (0 < self.health_suspect_after <= self.health_dead_after):
@@ -285,8 +275,6 @@ class StdchkConfig:
             )
         if self.read_ahead < 0:
             raise ConfigurationError("read_ahead must be non-negative")
-        if self.metadata_cache_ttl < 0:
-            raise ConfigurationError("metadata_cache_ttl must be non-negative")
 
     def with_overrides(self, **kwargs) -> "StdchkConfig":
         """Return a copy with ``kwargs`` replaced and re-validated."""

@@ -375,9 +375,10 @@ def flip_a_byte(deployment, path, index):
 
 
 @KINDS
-def test_a_corrupt_replica_of_an_image_chunk_is_caught(build, monkeypatch):
+def test_a_corrupt_replica_of_an_image_chunk_is_caught(build, monkeypatch, data_rpcs):
     """The image names the chunk, but the bytes fetched differ from it: they
-    are hashed, fail, are reported and fall back to the good replica."""
+    are hashed once, fail, are reported and fall back to the good replica,
+    never asked of the bad copy again."""
     hashed = []
 
     class Recording(Chunk):
@@ -396,11 +397,18 @@ def test_a_corrupt_replica_of_an_image_chunk_is_caught(build, monkeypatch):
         victim, good = placement.benefactors
         # The reader tries the bad copy first, the good one as a last resort.
         client.replica_scheduler.mark_failed(good)
-        assert client.read_file("/corrupt/image") == image
+        del data_rpcs[:]
+        reader = client.open_read("/corrupt/image")
+        assert reader.read_all() == image
+        assert reader.corruptions_reported == 1
         assert deployment.manager.corrupt_replicas() == {
             placement.ref.chunk_id: [victim]}
-        # Every hash was of the corrupt copy; the good one was only compared.
-        assert hashed and set(hashed) == {dirty(image, [5])[5 * CHUNK:6 * CHUNK]}
+        # One hash, of the corrupt copy; the good one was only compared.
+        assert hashed == [dirty(image, [5])[5 * CHUNK:6 * CHUNK]]
+        # Three frames, then the chunk alone from the good replica: 9 chunks
+        # in 4 ``get_chunks``, where asking the bad copy again made 10 in 5.
+        assert sum(chunks for _method, chunks in data_rpcs) == 9
+        assert len(data_rpcs) == 4
         assert client.replica_scheduler.failed_benefactors == {victim}
 
 

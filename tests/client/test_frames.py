@@ -298,11 +298,12 @@ def test_one_bad_chunk_in_a_read_frame_falls_back_for_that_chunk_only(
             assert victim.stats["gets"] == gets_before + 2 + 3
         else:
             # The frame arrives; three chunks verify and stay, the fourth is
-            # fetched again from the same replica, which is then reported.
+            # reported and fetched from its other replica, never again from
+            # the same one.
             assert reader._missing == set()
             assert reader.corruptions_reported == 1
             assert victim_id in client.replica_scheduler.failed_benefactors
-            assert victim.stats["gets"] == gets_before + 4 + 1
+            assert victim.stats["gets"] == gets_before + 4
             assert victim_id in deployment.manager._corrupt[bad]
 
 

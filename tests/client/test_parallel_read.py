@@ -122,7 +122,8 @@ class TestReplicaScheduling:
 
     def test_order_rotates_between_idle_replicas(self):
         scheduler = ReplicaScheduler()
-        firsts = {scheduler.order(["a", "b", "c"])[0] for _ in range(6)}
+        firsts = {scheduler.order(["a", "b", "c"], start=scheduler.next_start())[0]
+                  for _ in range(6)}
         assert firsts == {"a", "b", "c"}
 
     def test_failed_replicas_are_tried_last_and_recover(self):
@@ -155,7 +156,9 @@ class TestReplicaScheduling:
 
     def test_failure_discovery_is_shared_between_readers(self):
         pool = StdchkPool(benefactor_count=4, config=read_config())
-        client = pool.client("shared")
+        # A parallelism of at least the number of holders reads from every
+        # holder, so the first reader dials the victim whatever its plan.
+        client = pool.client("shared", read_parallelism=4)
         data = make_bytes(12 * CHUNK, seed=29)
         client.write_file("/r/shared", data)
         pool.stabilize()  # replicate up so every chunk survives one failure
@@ -181,7 +184,7 @@ class TestCorruptReplicaFallback:
             benefactor_count=4,
             config=read_config(similarity_heuristic=SimilarityHeuristic.FSCH),
         )
-        client = pool.client("c")
+        client = pool.client("c", read_parallelism=4)  # reads from every holder
         data = make_bytes(8 * CHUNK, seed=90)
         client.write_file("/c/f", data)
         pool.stabilize()

@@ -24,7 +24,6 @@ def fs_pool():
         replication_level=2,
         incremental_file_size=64 * 1024,
         read_ahead=64 * 1024,
-        metadata_cache_ttl=10.0,
     )
     pool = StdchkPool(benefactor_count=4, benefactor_capacity=64 * MiB, config=config)
     return pool, pool.filesystem()

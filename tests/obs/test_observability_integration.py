@@ -1,4 +1,4 @@
-"""End-to-end observability: exporters, scrape RPC, TCP traces, load hints."""
+"""End-to-end observability: exporters, scrape RPC, TCP traces, replica gauges."""
 
 from __future__ import annotations
 
@@ -190,30 +190,22 @@ class TestTcpTracePropagation:
         assert all(s.trace_id == root.trace_id for s in spans)
 
 
-class TestLoadHints:
-    def test_get_chunk_map_returns_cumulative_load_hints(self, small_config):
+class TestReadRouting:
+    def test_get_chunk_map_answers_without_load_hints(self, small_config):
         pool = StdchkPool(benefactor_count=3, config=small_config)
         client = pool.client()
         client.write_file("/app/h.N0.T1", b"h" * (2 * CHUNK))
-        first = pool.manager.get_chunk_map(path="/app/h.N0.T1")
-        second = pool.manager.get_chunk_map(path="/app/h.N0.T1")
-        assert set(first["load_hints"]) == set(first["addresses"])
-        for benefactor_id, count in second["load_hints"].items():
-            assert count >= first["load_hints"][benefactor_id]
-        assert sum(second["load_hints"].values()) > 0
+        answer = pool.manager.get_chunk_map(path="/app/h.N0.T1")
+        assert "load_hints" not in answer
+        assert client.read_file("/app/h.N0.T1") == b"h" * (2 * CHUNK)
+        assert "manager_read_routing_load" not in pool.manager.obs.snapshot()["metrics"]
 
-    def test_scheduler_breaks_ties_with_load_hints(self):
+    def test_outstanding_requests_rank_first(self):
         scheduler = ReplicaScheduler()
-        scheduler.note_load_hints({"busy": 10, "idle": 0})
-        # No outstanding requests anywhere: the cluster-wide hint decides.
-        for _ in range(4):
-            assert scheduler.order(["busy", "idle"])[0] == "idle"
-
-    def test_outstanding_requests_trump_load_hints(self):
-        scheduler = ReplicaScheduler()
-        scheduler.note_load_hints({"a": 10, "b": 0})
         scheduler.begin("b")
-        assert scheduler.order(["a", "b"])[0] == "a"
+        # Whatever offset the rotation is at, the idle replica leads.
+        for start in range(4):
+            assert scheduler.order(["a", "b"], start=start)[0] == "a"
 
     def test_scheduler_exports_gauges(self):
         registry = MetricsRegistry(component="client", node_id="c0")
@@ -233,91 +225,6 @@ class TestLoadHints:
             snap, "replica_outstanding_requests", benefactor="b0"
         ) == 1
         assert _metric_value(snap, "replica_failed_benefactors") == 0
-
-    def test_reads_route_to_cluster_idle_replica(self, small_config):
-        # Two benefactors hold every chunk of the shared file (replication
-        # 2).  A second, single-replica file makes one of them the target of
-        # many chunk-map lookups, so the manager's hints mark it busy — and a
-        # fresh client's reads of the shared file should then prefer the
-        # other node.
-        config = small_config.with_overrides(stripe_width=2,
-                                             replication_level=2)
-        pool = StdchkPool(benefactor_count=2, config=config)
-        writer = pool.client("writer")
-        data = b"r" * (4 * CHUNK)
-        writer.write_file("/app/r.N0.T1", data)
-        pool.stabilize()  # both benefactors now hold every chunk
-
-        session = writer.open_write("/app/solo.N0.T1", replication_level=1)
-        session.write(b"s" * CHUNK)
-        session.close()
-        solo_map = pool.manager.get_chunk_map(path="/app/solo.N0.T1")
-        busy_id = solo_map["chunk_map"]["placements"][0]["benefactors"][0]
-        idle_id = next(b for b in pool.benefactors if b != busy_id)
-        for _ in range(10):
-            pool.manager.get_chunk_map(path="/app/solo.N0.T1")
-
-        busy, idle = pool.benefactors[busy_id], pool.benefactors[idle_id]
-        busy_gets_before = busy.stats["gets"]
-        idle_gets_before = idle.stats["gets"]
-        client = pool.client("reader")
-        assert client.read_file("/app/r.N0.T1") == data
-        assert busy.stats["gets"] == busy_gets_before
-        assert idle.stats["gets"] == idle_gets_before + 4
-
-
-class TestLoadDecay:
-    """The manager's read-routing tally decays with ``read_load_halflife``."""
-
-    def test_hints_halve_per_halflife(self, small_config):
-        config = small_config.with_overrides(read_load_halflife=10.0)
-        pool = StdchkPool(benefactor_count=3, config=config)
-        client = pool.client()
-        client.write_file("/app/d.N0.T1", b"d" * (2 * CHUNK))
-        warm = pool.manager.get_chunk_map(path="/app/d.N0.T1")["load_hints"]
-        busy = max(warm, key=warm.get)
-        before = warm[busy]
-        assert before > 0
-
-        pool.clock.advance(10.0)
-        after = pool.manager.get_chunk_map(path="/app/d.N0.T1")["load_hints"]
-        # One half-life elapsed: the warm tally contributes half of itself,
-        # plus the identical placements this very lookup re-tallied.  A
-        # cumulative tally would have doubled instead.
-        assert after[busy] == pytest.approx(1.5 * before)
-        assert after[busy] < 2 * before
-
-    def test_old_load_fades_to_noise(self, small_config):
-        config = small_config.with_overrides(read_load_halflife=5.0)
-        pool = StdchkPool(benefactor_count=3, config=config)
-        client = pool.client()
-        client.write_file("/app/d.N0.T1", b"d" * (2 * CHUNK))
-        for _ in range(50):
-            pool.manager.get_chunk_map(path="/app/d.N0.T1")
-        hot = pool.manager.get_chunk_map(path="/app/d.N0.T1")["load_hints"]
-        pool.clock.advance(500.0)  # 100 half-lives: history is gone
-        cold = pool.manager.get_chunk_map(path="/app/d.N0.T1")["load_hints"]
-        assert sum(cold.values()) < sum(hot.values()) / 10
-
-    def test_zero_halflife_keeps_the_cumulative_tally(self, small_config):
-        config = small_config.with_overrides(read_load_halflife=0.0)
-        pool = StdchkPool(benefactor_count=3, config=config)
-        client = pool.client()
-        client.write_file("/app/d.N0.T1", b"d" * (2 * CHUNK))
-        first = pool.manager.get_chunk_map(path="/app/d.N0.T1")["load_hints"]
-        pool.clock.advance(1000.0)
-        second = pool.manager.get_chunk_map(path="/app/d.N0.T1")["load_hints"]
-        for benefactor_id, count in second.items():
-            assert count >= first[benefactor_id]  # nothing decayed
-
-    def test_scheduler_breaks_ties_with_fractional_hints(self):
-        # Decayed hints are floats below 1.0; the scheduler must preserve
-        # their ordering instead of truncating both to zero.
-        scheduler = ReplicaScheduler()
-        scheduler.note_load_hints({"warm": 0.7, "cool": 0.2})
-        for _ in range(4):
-            assert scheduler.order(["warm", "cool"])[0] == "cool"
-
 
 class TestTraceSampling:
     """``trace_rate`` gates root spans; children follow the parent."""

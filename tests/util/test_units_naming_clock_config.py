@@ -157,13 +157,11 @@ class TestConfig:
         {"incremental_file_size": 1},
         {"heartbeat_timeout": 1.0, "heartbeat_interval": 5.0},
         {"read_ahead": -1},
-        {"metadata_cache_ttl": -1},
         {"trace_rate": -1},
         {"trace_rate": float("nan")},
         {"journal_fsync_policy": "sometimes"},
         {"quorum_degrade": "retry"},
         {"failover_backoff_base": 1.0, "failover_backoff_max": 0.5},
-        {"read_load_halflife": -1},
         {"health_probe_interval": 0},
         {"health_suspect_after": 20.0, "health_dead_after": 10.0},
     ])
